@@ -215,10 +215,11 @@ def cmd_check(args) -> int:
 
 def cmd_dedup(args) -> int:
     records = list(_read_records(args.input))
+    keys = [curation.dedup_key(r.formula) for r in records]
     dedup = (curation.dedup_per_workbook if args.mode == "per-workbook"
              else curation.dedup_global)
-    retained = list(dedup(iter(records)))
-    stats = curation.stats(iter(records))
+    retained = list(dedup(records, keys))
+    stats = curation.stats(records, keys)
     count = _emit((r.to_json() for r in retained), args.output,
                   subcommand="dedup", config={"mode": args.mode, "input": args.input},
                   inputs=[args.input])

@@ -93,27 +93,37 @@ def ingest(lines: Iterable[str], report: Optional[IngestReport] = None) -> Itera
         yield record
 
 
-def dedup_per_workbook(records: Iterable[FormulaRecord]) -> Iterator[FormulaRecord]:
+def _keyed(records: Iterable[FormulaRecord],
+           keys: Optional[Iterable[str]]) -> Iterator[tuple[FormulaRecord, str]]:
+    """Pair each record with its dedup key, computed unless given in order."""
+    if keys is None:
+        return ((record, dedup_key(record.formula)) for record in records)
+    return zip(records, keys, strict=True)
+
+
+def dedup_per_workbook(records: Iterable[FormulaRecord],
+                       keys: Optional[Iterable[str]] = None) -> Iterator[FormulaRecord]:
     """First record of each distinct sketch within each workbook, in order.
 
     Memory is O(distinct sketches); duplicates of a sketch in different
-    workbooks all survive.
+    workbooks all survive. `keys`, when given, are the records' dedup keys
+    in the same order, so a caller that also needs stats computes them once.
     """
     seen: dict[str, set[str]] = {}
-    for record in records:
-        keys = seen.setdefault(record.workbook_id, set())
-        key = dedup_key(record.formula)
-        if key in keys:
+    for record, key in _keyed(records, keys):
+        wb_keys = seen.setdefault(record.workbook_id, set())
+        if key in wb_keys:
             continue
-        keys.add(key)
+        wb_keys.add(key)
         yield record
 
 
-def dedup_global(records: Iterable[FormulaRecord]) -> Iterator[FormulaRecord]:
-    """First record of each distinct sketch across the whole corpus."""
+def dedup_global(records: Iterable[FormulaRecord],
+                 keys: Optional[Iterable[str]] = None) -> Iterator[FormulaRecord]:
+    """First record of each distinct sketch across the whole corpus; `keys`
+    as for dedup_per_workbook."""
     seen: set[str] = set()
-    for record in records:
-        key = dedup_key(record.formula)
+    for record, key in _keyed(records, keys):
         if key in seen:
             continue
         seen.add(key)
@@ -138,17 +148,18 @@ class CorpusStats:
         }
 
 
-def stats(records: Iterable[FormulaRecord]) -> CorpusStats:
-    """Single-pass corpus statistics; retained_global == unique sketches."""
+def stats(records: Iterable[FormulaRecord],
+          keys: Optional[Iterable[str]] = None) -> CorpusStats:
+    """Single-pass corpus statistics; retained_global == unique sketches.
+    `keys` as for dedup_per_workbook."""
     total = 0
     global_keys: set[str] = set()
     per_wb_keys: dict[str, set[str]] = {}
     per_wb_counts: dict[str, int] = {}
     retained_per_wb = 0
-    for record in records:
+    for record, key in _keyed(records, keys):
         total += 1
         per_wb_counts[record.workbook_id] = per_wb_counts.get(record.workbook_id, 0) + 1
-        key = dedup_key(record.formula)
         global_keys.add(key)
         wb_keys = per_wb_keys.setdefault(record.workbook_id, set())
         if key not in wb_keys:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .lexer import TokenKind, check, lex, normalize, sketch
 from .objectives import user_noise
 from .seeds import derive_rng
-from .similarity import token_edit_similarity
+from .similarity import formula_token_ids, similarities_to_many
 from .tokenizer import TokenizerModel, decode, encode
 
 
@@ -128,17 +128,19 @@ def gen_repair_finetune(formulas: Iterable[str], seed: int,
 
     Inputs that fail the well-formedness check are skipped; corruptions that
     survive normalization unchanged (e.g. an extra space the comparison form
-    strips again) are discarded. Deterministic under the seed.
+    strips again) are discarded. Deterministic under the seed. Each source
+    formula is lexed once, and each corruption once.
     """
     if report is None:
         report = RepairSynthesisReport()
     for ordinal, formula in enumerate(formulas):
-        if check(formula):
+        tokens = lex(formula)
+        if check(formula, tokens=tokens):
             report.skipped_malformed += 1
             continue
         rng = derive_rng(seed, "repair", ordinal)
-        example = user_noise(formula, rng)
-        if normalize(example.input) == normalize(formula):
+        example = user_noise(formula, rng, tokens=tokens)
+        if normalize(example.input) == normalize(formula, tokens=tokens):
             report.discarded_unchanged += 1
             continue
         report.emitted += 1
@@ -162,15 +164,25 @@ def build_retrieval_pairs(formulas: Sequence[str], seed: int,
     """Constant-masked formula pairs labeled with token edit similarity.
 
     All unordered pairs when max_pairs is None, otherwise a seeded sample.
+    Each formula is masked and interned once; every pair sharing a first
+    formula is scored in one similarities_to_many call, which gives the
+    same values as token_edit_similarity on the masked texts.
     """
     masked = [mask_constants(f) for f in formulas]
+    intern: dict[str, int] = {}
+    ids = [formula_token_ids(m, intern) for m in masked]
     all_pairs = [(i, j) for i in range(len(masked)) for j in range(i + 1, len(masked))]
     if max_pairs is not None and max_pairs < len(all_pairs):
         rng = derive_rng(seed, "retrieval-pairs")
         all_pairs = rng.sample(all_pairs, max_pairs)
-    return [RetrievalPair(masked[i], masked[j],
-                          token_edit_similarity(masked[i], masked[j]))
-            for i, j in all_pairs]
+    partners: dict[int, list[int]] = {}
+    for i, j in all_pairs:
+        partners.setdefault(i, []).append(j)
+    scores: dict[tuple[int, int], float] = {}
+    for i, js in partners.items():
+        for j, score in zip(js, similarities_to_many(ids[i], [ids[j] for j in js])):
+            scores[i, j] = score
+    return [RetrievalPair(masked[i], masked[j], scores[i, j]) for i, j in all_pairs]
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:

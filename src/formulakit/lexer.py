@@ -64,6 +64,8 @@ class Diagnostic:
 # One master pattern, alternatives ordered so the longest sensible match wins.
 # CELLREF carries a lookahead so `A1B2` falls through to NAME, and NUMBER is
 # tried before CELLREF so `1E5` reads as a number, not a cell reference.
+# ERROR takes any single character no other rule matches, so the matches
+# tile the whole input.
 _MASTER = re.compile(
     r"""
     (?P<WS>[ \t\r\n]+)
@@ -77,8 +79,9 @@ _MASTER = re.compile(
   | (?P<PUNCT>[(),:!{}])
   | (?P<BADSTRING>"(?:[^"]|"")*\Z)
   | (?P<BADSHEET>'(?:[^']|'')*\Z)
+  | (?P<ERROR>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _GROUP_KIND = {
@@ -93,6 +96,7 @@ _GROUP_KIND = {
     "PUNCT": TokenKind.PUNCT,
     "BADSTRING": TokenKind.STRING_LIT,  # unterminated; check() reports it
     "BADSHEET": TokenKind.SHEET_NAME,
+    "ERROR": TokenKind.ERROR,
 }
 
 # Operators that cannot act as a prefix (unary) operator. `+`/`-` can, and
@@ -120,42 +124,38 @@ def lex(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[Token]:
     """
     if catalog is None:
         catalog = default_catalog()
-    raw: list[tuple[TokenKind, str]] = []
-    pos = 0
-    n = len(formula)
-    while pos < n:
-        m = _MASTER.match(formula, pos)
-        if m is None:
-            raw.append((TokenKind.ERROR, formula[pos]))
-            pos += 1
-            continue
-        kind = _GROUP_KIND[m.lastgroup]  # type: ignore[index]
-        raw.append((kind, m.group()))
-        pos = m.end()
+    raw = [(_GROUP_KIND[m.lastgroup], m.group())  # type: ignore[index]
+           for m in _MASTER.finditer(formula)]
 
-    # Second pass: contextual classification of identifier-like tokens.
-    count = len(raw)
-    next_solid: list[Optional[str]] = [None] * count
-    following: Optional[str] = None
-    for i in range(count - 1, -1, -1):
-        next_solid[i] = following
-        if raw[i][0] is not TokenKind.WHITESPACE:
-            following = raw[i][1]
-
-    tokens: list[Token] = []
-    byte_pos = 0
-    for i, (kind, text) in enumerate(raw):
-        if kind is TokenKind.IDENTIFIER:
-            if i + 1 < count and raw[i + 1][1] == "!":
-                kind = TokenKind.SHEET_NAME
-            elif next_solid[i] == "(" and text.lower() in catalog:
-                kind = TokenKind.FUNC_NAME
-        elif kind is TokenKind.CELL_REF and i + 1 < count and raw[i + 1][1] == "!":
+    # Contextual classification of identifier-like tokens, right to left so
+    # the next token and the next non-whitespace token are at hand; byte
+    # offsets count down from the end of the input. Enum members are read
+    # into locals once, because each TokenKind.X lookup goes through the
+    # enum metaclass and costs more than the rest of a token's test.
+    identifier, cell_ref = TokenKind.IDENTIFIER, TokenKind.CELL_REF
+    whitespace, sheet_name, func_name = (TokenKind.WHITESPACE, TokenKind.SHEET_NAME,
+                                         TokenKind.FUNC_NAME)
+    ascii_only = formula.isascii()
+    end = len(formula) if ascii_only else len(formula.encode("utf-8"))
+    tokens: list[Token] = [None] * len(raw)  # type: ignore[list-item]
+    next_text: Optional[str] = None
+    next_solid: Optional[str] = None
+    for i in range(len(raw) - 1, -1, -1):
+        kind, text = raw[i]
+        if kind is identifier:
+            if next_text == "!":
+                kind = sheet_name
+            elif next_solid == "(" and text.lower() in catalog:
+                kind = func_name
+        elif kind is cell_ref and next_text == "!":
             # A ref-shaped name directly before `!` is a sheet reference.
-            kind = TokenKind.SHEET_NAME
-        end = byte_pos + len(text.encode("utf-8"))
-        tokens.append(Token(kind, text, byte_pos, end))
-        byte_pos = end
+            kind = sheet_name
+        start = end - (len(text) if ascii_only else len(text.encode("utf-8")))
+        tokens[i] = Token(kind, text, start, end)
+        end = start
+        next_text = text
+        if kind is not whitespace:
+            next_solid = text
     return tokens
 
 
@@ -189,13 +189,16 @@ _UPPERCASED_KINDS = frozenset({
 })
 
 
-def normalize(formula: str) -> str:
+def normalize(formula: str, tokens: Optional[list[Token]] = None) -> str:
     """Comparison form: whitespace removed, refs and identifiers upper-cased.
 
-    String literal contents are left untouched. Idempotent.
+    String literal contents are left untouched. Idempotent. `tokens`, when
+    given, must be `lex(formula)`; it saves lexing the formula again.
     """
+    if tokens is None:
+        tokens = lex(formula)
     parts = []
-    for tok in lex(formula):
+    for tok in tokens:
         if tok.kind is TokenKind.WHITESPACE:
             continue
         if tok.kind in _UPPERCASED_KINDS:
@@ -205,17 +208,20 @@ def normalize(formula: str) -> str:
     return "".join(parts)
 
 
-def check(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[Diagnostic]:
+def check(formula: str, catalog: Optional[FunctionCatalog] = None,
+          tokens: Optional[list[Token]] = None) -> list[Diagnostic]:
     """Lightweight well-formedness scan; empty list means no issue found.
 
     Reports unbalanced parentheses, unterminated strings, arity violations
     for catalog functions, ill-formed operator adjacency, and leftover lex
     errors, ordered by span start. Not a full parser: a clean result is a
-    necessary, not sufficient, validity condition.
+    necessary, not sufficient, validity condition. `tokens`, when given,
+    must be `lex(formula, catalog)`. Linear in the token count.
     """
     if catalog is None:
         catalog = default_catalog()
-    tokens = lex(formula, catalog)
+    if tokens is None:
+        tokens = lex(formula, catalog)
     diags: list[Diagnostic] = []
 
     solid = [t for t in tokens if t.kind is not TokenKind.WHITESPACE]
@@ -251,16 +257,14 @@ def check(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[Diagn
                 DiagnosticCode.UNTERMINATED_STRING, tok.start, tok.end,
                 "quoted sheet name is not terminated"))
 
-    # Arity of known functions.
-    for idx, tok in enumerate(solid):
-        if tok.kind is not TokenKind.FUNC_NAME:
-            continue
+    # Arity of known functions; calls whose parens never close are absent
+    # from call_arguments and were reported above.
+    for idx, args in call_arguments(tokens).items():
+        tok = tokens[idx]
         limits = catalog.get(tok.text)
         if limits is None:
             continue
-        argc = _count_args(solid, idx)
-        if argc is None:
-            continue  # unmatched parens already reported
+        argc = len(args)
         lo, hi = limits
         if argc < lo or (hi is not None and argc > hi):
             bound = "unbounded" if hi is None else str(hi)
@@ -356,32 +360,44 @@ def _closed(text: str, quote: str) -> bool:
     return False
 
 
-def _count_args(solid: list[Token], func_idx: int) -> Optional[int]:
-    """Number of top-level arguments of the call starting at solid[func_idx].
+def call_arguments(tokens: list[Token]) -> dict[int, list[tuple[int, int]]]:
+    """Top-level argument ranges of every closed call, in one stack pass.
 
-    Returns None when the opening paren is missing or never closes.
+    Maps the index of each FuncName token whose next non-whitespace token is
+    `(`, and whose `(` finds its matching `)`, to the token-index ranges
+    [a, b) of the call's top-level arguments, whitespace included. `F()` and
+    `F( )` map to []; `F(,)` has two empty arguments. A call whose paren
+    never closes is absent, and a stray `)` closes nothing. Keys come in
+    token order. Linear in len(tokens), however deep the nesting.
     """
-    i = func_idx + 1
-    if i >= len(solid) or solid[i].text != "(":
-        return None
-    depth = 1
-    commas = 0
-    saw_content = False
-    i += 1
-    while i < len(solid):
-        t = solid[i]
-        if t.kind is TokenKind.PUNCT and t.text == "(":
-            depth += 1
-            saw_content = True
-        elif t.kind is TokenKind.PUNCT and t.text == ")":
-            depth -= 1
-            if depth == 0:
-                if commas == 0 and not saw_content:
-                    return 0
-                return commas + 1
-        elif t.kind is TokenKind.PUNCT and t.text == "," and depth == 1:
-            commas += 1
-        else:
-            saw_content = True
-        i += 1
-    return None
+    whitespace, punct, func_name = TokenKind.WHITESPACE, TokenKind.PUNCT, TokenKind.FUNC_NAME
+    calls: dict[int, list[tuple[int, int]]] = {}
+    # One frame per open paren: [FuncName index or -1, argument start, ranges].
+    stack: list[list] = []
+    func_idx = -1  # the FuncName just before the current token, if any
+    for k, tok in enumerate(tokens):
+        kind = tok.kind
+        if kind is whitespace:
+            continue
+        if kind is punct:
+            text = tok.text
+            if text == "(":
+                args: list[tuple[int, int]] = []
+                stack.append([func_idx, k + 1, args])
+                if func_idx >= 0:
+                    calls[func_idx] = args
+            elif text == "," and stack:
+                frame = stack[-1]
+                frame[2].append((frame[1], k))
+                frame[1] = k + 1
+            elif text == ")" and stack:
+                owner, arg_start, args = stack.pop()
+                if k > arg_start or args:
+                    args.append((arg_start, k))
+                if len(args) == 1 and all(
+                        tokens[x].kind is whitespace for x in range(arg_start, k)):
+                    args.clear()  # the parens hold only whitespace
+        func_idx = k if kind is func_name else -1
+    for owner, _, _ in stack:
+        calls.pop(owner, None)  # never closed
+    return calls

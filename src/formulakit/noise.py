@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .catalog import FunctionCatalog, default_catalog
-from .lexer import Token, TokenKind, lex
+from .lexer import Token, TokenKind, call_arguments, lex
 
 
 class NotApplicable(Exception):
@@ -31,10 +31,17 @@ DELIMITERS = [",", "(", ")", ":", "!", '"', "'"]
 
 _CELL_PARTS = re.compile(r"^(\$?[A-Za-z]{1,3})(\$?\d+)$")
 _RELATIONAL_TWO_CHAR = ("<=", ">=", "<>")
+_COMPARISON_OPS = frozenset({"<", ">", "<=", ">=", "<>", "="})
+
+
+# The predicates below run for every operator on every formula. Each reads
+# a token's text before its kind, or binds the kind to a local first: a
+# TokenKind.X lookup costs more than the rest of the per-token test.
 
 
 def _solid_indices(tokens: list[Token]) -> list[int]:
-    return [i for i, t in enumerate(tokens) if t.kind is not TokenKind.WHITESPACE]
+    whitespace = TokenKind.WHITESPACE
+    return [i for i, t in enumerate(tokens) if t.kind is not whitespace]
 
 
 def _range_colons(tokens: list[Token]) -> list[int]:
@@ -43,56 +50,12 @@ def _range_colons(tokens: list[Token]) -> list[int]:
     out = []
     for pos, i in enumerate(solid):
         tok = tokens[i]
-        if tok.kind is TokenKind.PUNCT and tok.text == ":":
+        if tok.text == ":" and tok.kind is TokenKind.PUNCT:
             if 0 < pos < len(solid) - 1:
                 prev_tok = tokens[solid[pos - 1]]
                 next_tok = tokens[solid[pos + 1]]
                 if prev_tok.kind is TokenKind.CELL_REF and next_tok.kind is TokenKind.CELL_REF:
                     out.append(i)
-    return out
-
-
-def _calls(tokens: list[Token]) -> list[tuple[int, list[tuple[int, int]]]]:
-    """(func_token_index, argument token-index ranges) for parseable calls.
-
-    An argument range [a, b) covers the tokens of one top-level argument,
-    whitespace included, between the call's parentheses.
-    """
-    out = []
-    for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.FUNC_NAME:
-            continue
-        j = i + 1
-        while j < len(tokens) and tokens[j].kind is TokenKind.WHITESPACE:
-            j += 1
-        if j >= len(tokens) or tokens[j].text != "(":
-            continue
-        depth = 1
-        arg_start = j + 1
-        args: list[tuple[int, int]] = []
-        k = j + 1
-        closed = False
-        while k < len(tokens):
-            t = tokens[k]
-            if t.kind is TokenKind.PUNCT and t.text == "(":
-                depth += 1
-            elif t.kind is TokenKind.PUNCT and t.text == ")":
-                depth -= 1
-                if depth == 0:
-                    if k > arg_start or args:
-                        args.append((arg_start, k))
-                    closed = True
-                    break
-            elif t.kind is TokenKind.PUNCT and t.text == "," and depth == 1:
-                args.append((arg_start, k))
-                arg_start = k + 1
-            k += 1
-        if closed:
-            # Zero-argument call when the parens hold only whitespace.
-            if len(args) == 1 and all(
-                    tokens[x].kind is TokenKind.WHITESPACE for x in range(*args[0])):
-                args = []
-            out.append((i, args))
     return out
 
 
@@ -103,10 +66,6 @@ def _splice(tokens: list[Token], replacements: dict[int, str]) -> str:
 
 def _arg_text(tokens: list[Token], arg: tuple[int, int]) -> str:
     return "".join(tokens[x].text for x in range(*arg))
-
-
-def _wrong_range_candidates(tokens):
-    return _range_colons(tokens)
 
 
 def _wrong_range(formula: str, tokens: list[Token], rng: random.Random) -> str:
@@ -131,7 +90,8 @@ def _malformed_range(formula: str, tokens: list[Token], rng: random.Random) -> s
 
 
 def _space_before_paren_candidates(tokens):
-    return [i for i, t in enumerate(tokens) if t.kind is TokenKind.FUNC_NAME]
+    func_name = TokenKind.FUNC_NAME
+    return [i for i, t in enumerate(tokens) if t.kind is func_name]
 
 
 def _space_before_paren(formula: str, tokens: list[Token], rng: random.Random) -> str:
@@ -142,7 +102,7 @@ def _space_before_paren(formula: str, tokens: list[Token], rng: random.Random) -
 def _fixed_arity_calls(tokens: list[Token], catalog: FunctionCatalog):
     """Calls eligible for the arity corruption, with the action per call."""
     out = []
-    for func_idx, args in _calls(tokens):
+    for func_idx, args in call_arguments(tokens).items():
         limits = catalog.get(tokens[func_idx].text)
         if limits is None:
             continue
@@ -179,33 +139,59 @@ def _change_arity(formula: str, tokens: list[Token], rng: random.Random,
     return _splice(tokens, {close_idx: copied + ")"})
 
 
-def _arg_type(tokens: list[Token], arg: tuple[int, int]) -> str:
-    solid = [tokens[x] for x in range(*arg) if tokens[x].kind is not TokenKind.WHITESPACE]
-    if any(t.kind is TokenKind.OPERATOR and t.text in ("<", ">", "<=", ">=", "<>", "=")
-           for t in solid):
-        return "comparison"
-    if len(solid) == 1:
-        return solid[0].kind.value
-    if solid and solid[0].kind is TokenKind.FUNC_NAME:
-        return "call"
-    return "expr"
+def _arg_typer(tokens: list[Token]) -> Callable[[tuple[int, int]], str]:
+    """Classifier of argument ranges: a comparison anywhere inside, else the
+    kind of a lone token, `call` when it starts with a FuncName, or `expr`.
+
+    One O(n) pass builds prefix counts, so each argument costs O(1) however
+    deeply its own calls nest.
+    """
+    whitespace, operator = TokenKind.WHITESPACE, TokenKind.OPERATOR
+    n = len(tokens)
+    solid = [0] * (n + 1)  # non-whitespace tokens in tokens[:i]
+    comparisons = [0] * (n + 1)  # comparison operators in tokens[:i]
+    for i, t in enumerate(tokens):
+        solid[i + 1] = solid[i] + (t.kind is not whitespace)
+        comparisons[i + 1] = comparisons[i] + (
+            t.text in _COMPARISON_OPS and t.kind is operator)
+    first_solid = list(range(n + 1))  # first non-whitespace index >= i
+    for i in range(n - 1, -1, -1):
+        if tokens[i].kind is whitespace:
+            first_solid[i] = first_solid[i + 1]
+
+    def arg_type(arg: tuple[int, int]) -> str:
+        start, end = arg
+        if comparisons[end] > comparisons[start]:
+            return "comparison"
+        count = solid[end] - solid[start]
+        if count == 1:
+            return tokens[first_solid[start]].kind.value
+        if count and tokens[first_solid[start]].kind is TokenKind.FUNC_NAME:
+            return "call"
+        return "expr"
+
+    return arg_type
 
 
 def _swappable_calls(tokens: list[Token]):
+    """Calls with arguments of at least two types, with those types."""
+    calls = [(func_idx, args) for func_idx, args in call_arguments(tokens).items()
+             if len(args) >= 2]
+    if not calls:
+        return []
+    arg_type = _arg_typer(tokens)
     out = []
-    for func_idx, args in _calls(tokens):
-        if len(args) < 2:
-            continue
-        types = [_arg_type(tokens, a) for a in args]
-        pairs = [(i, j) for i in range(len(args)) for j in range(i + 1, len(args))
-                 if types[i] != types[j]]
-        if pairs:
-            out.append((func_idx, args, pairs))
+    for func_idx, args in calls:
+        types = [arg_type(a) for a in args]
+        if len(set(types)) > 1:
+            out.append((func_idx, args, types))
     return out
 
 
 def _swap_arguments(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    _, args, pairs = rng.choice(_swappable_calls(tokens))
+    _, args, types = rng.choice(_swappable_calls(tokens))
+    pairs = [(i, j) for i in range(len(args)) for j in range(i + 1, len(args))
+             if types[i] != types[j]]
     i, j = rng.choice(pairs)
 
     def rebuilt(arg: tuple[int, int], content: str) -> str:
@@ -227,7 +213,7 @@ def _swap_arguments(formula: str, tokens: list[Token], rng: random.Random) -> st
 
 def _relational_ops(tokens: list[Token]) -> list[int]:
     return [i for i, t in enumerate(tokens)
-            if t.kind is TokenKind.OPERATOR and t.text in _RELATIONAL_TWO_CHAR]
+            if t.text in _RELATIONAL_TWO_CHAR and t.kind is TokenKind.OPERATOR]
 
 
 def _space_in_relational(formula: str, tokens: list[Token], rng: random.Random) -> str:
@@ -244,7 +230,7 @@ def _swap_relational(formula: str, tokens: list[Token], rng: random.Random) -> s
 
 def _inequalities(tokens: list[Token]) -> list[int]:
     return [i for i, t in enumerate(tokens)
-            if t.kind is TokenKind.OPERATOR and t.text == "<>"]
+            if t.text == "<>" and t.kind is TokenKind.OPERATOR]
 
 
 def _inequality_noise(formula: str, tokens: list[Token], rng: random.Random) -> str:
@@ -254,7 +240,7 @@ def _inequality_noise(formula: str, tokens: list[Token], rng: random.Random) -> 
 
 def _equalities(tokens: list[Token]) -> list[int]:
     return [i for i, t in enumerate(tokens)
-            if t.kind is TokenKind.OPERATOR and t.text == "="]
+            if t.text == "=" and t.kind is TokenKind.OPERATOR]
 
 
 def _invalid_equality(formula: str, tokens: list[Token], rng: random.Random) -> str:
@@ -264,8 +250,8 @@ def _invalid_equality(formula: str, tokens: list[Token], rng: random.Random) -> 
 
 def _quoted_sheets(tokens: list[Token]) -> list[int]:
     return [i for i, t in enumerate(tokens)
-            if t.kind is TokenKind.SHEET_NAME and len(t.text) >= 2
-            and t.text.startswith("'") and t.text.endswith("'")]
+            if t.text[:1] == "'" and t.kind is TokenKind.SHEET_NAME
+            and len(t.text) >= 2 and t.text.endswith("'")]
 
 
 def _malformed_sheet_name(formula: str, tokens: list[Token], rng: random.Random) -> str:
@@ -278,7 +264,7 @@ def _malformed_sheet_name(formula: str, tokens: list[Token], rng: random.Random)
 
 def _sheet_bangs(tokens: list[Token]) -> list[int]:
     return [i for i, t in enumerate(tokens)
-            if t.kind is TokenKind.PUNCT and t.text == "!"
+            if t.text == "!" and t.kind is TokenKind.PUNCT
             and i > 0 and tokens[i - 1].kind is TokenKind.SHEET_NAME]
 
 
@@ -289,8 +275,8 @@ def _remove_exclamation(formula: str, tokens: list[Token], rng: random.Random) -
 
 def _closed_strings(tokens: list[Token]) -> list[int]:
     return [i for i, t in enumerate(tokens)
-            if t.kind is TokenKind.STRING_LIT and len(t.text) >= 2
-            and t.text.startswith('"') and t.text.endswith('"')]
+            if t.text[:1] == '"' and t.kind is TokenKind.STRING_LIT
+            and len(t.text) >= 2 and t.text.endswith('"')]
 
 
 def _malformed_string(formula: str, tokens: list[Token], rng: random.Random) -> str:
@@ -302,7 +288,7 @@ def _malformed_string(formula: str, tokens: list[Token], rng: random.Random) -> 
 
 
 def _closing_parens(tokens: list[Token]) -> list[int]:
-    return [i for i, t in enumerate(tokens) if t.kind is TokenKind.PUNCT and t.text == ")"]
+    return [i for i, t in enumerate(tokens) if t.text == ")" and t.kind is TokenKind.PUNCT]
 
 
 def _comma_paren_noise(formula: str, tokens: list[Token], rng: random.Random) -> str:
@@ -405,13 +391,6 @@ _APPLY: dict[int, Callable] = {
     17: _corrupt_delimiters,
 }
 
-# Operator classes whose output trips the well-formedness check. Two have
-# narrow escapes where the corruption is wrong-but-well-formed Excel: a
-# comma-for-colon swap inside a call (op 1) and quote deletion around a
-# string that reads as a single operand (op 12). AddParentheses (16) only
-# breaks syntax when the insertion lands unbalanced.
-SYNTAX_BREAKING = frozenset({1, 2, 9, 12, 13})
-
 
 def is_applicable(formula: str, op_id: int,
                   catalog: Optional[FunctionCatalog] = None,
@@ -426,22 +405,29 @@ def is_applicable(formula: str, op_id: int,
 
 
 def applicable_operators(formula: str,
-                         catalog: Optional[FunctionCatalog] = None) -> list[int]:
+                         catalog: Optional[FunctionCatalog] = None,
+                         tokens: Optional[list[Token]] = None) -> list[int]:
     if catalog is None:
         catalog = default_catalog()
-    tokens = lex(formula, catalog)
+    if tokens is None:
+        tokens = lex(formula, catalog)
     return [op_id for op_id in sorted(OPERATORS)
             if is_applicable(formula, op_id, catalog, tokens)]
 
 
 def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
-                         catalog: Optional[FunctionCatalog] = None) -> str:
-    """Corrupt the formula with one operator; raises NotApplicable otherwise."""
+                         catalog: Optional[FunctionCatalog] = None,
+                         tokens: Optional[list[Token]] = None) -> str:
+    """Corrupt the formula with one operator; raises NotApplicable otherwise.
+
+    `tokens`, when given, must be `lex(formula, catalog)`.
+    """
     if op_id not in OPERATORS:
         raise ValueError(f"unknown noise operator id {op_id}")
     if catalog is None:
         catalog = default_catalog()
-    tokens = lex(formula, catalog)
+    if tokens is None:
+        tokens = lex(formula, catalog)
     if not is_applicable(formula, op_id, catalog, tokens):
         raise NotApplicable(f"operator {op_id} ({OPERATORS[op_id].name}) "
                             f"does not apply to {formula!r}")
@@ -449,5 +435,7 @@ def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
         result = _change_arity(formula, tokens, rng, catalog)
     else:
         result = _APPLY[op_id](formula, tokens, rng)
-    assert result != formula, f"operator {op_id} produced an unchanged formula"
+    if result == formula:
+        raise RuntimeError(f"operator {op_id} ({OPERATORS[op_id].name}) "
+                           f"left {formula!r} unchanged")
     return result

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional
 
 from . import noise
 from .curation import FormulaRecord
-from .lexer import lex
+from .lexer import Token, lex
 from .seeds import derive_seed
 
 MASK = "<mask>"
@@ -225,11 +225,18 @@ def random_noise(formula: str, rng: random.Random,
     )
 
 
-def user_noise(formula: str, rng: random.Random) -> PretrainExample:
-    """Corrupt with one uniformly chosen applicable noise operator."""
-    ops = noise.applicable_operators(formula)
+def user_noise(formula: str, rng: random.Random,
+               tokens: Optional[list[Token]] = None) -> PretrainExample:
+    """Corrupt with one uniformly chosen applicable noise operator.
+
+    `tokens`, when given, must be `lex(formula)`; the formula is lexed at
+    most once either way.
+    """
+    if tokens is None:
+        tokens = lex(formula)
+    ops = noise.applicable_operators(formula, tokens=tokens)
     op_id = rng.choice(ops) if ops else 15  # add-operator-at-end always applies
-    corrupted = noise.apply_noise_operator(formula, op_id, rng)
+    corrupted = noise.apply_noise_operator(formula, op_id, rng, tokens=tokens)
     return PretrainExample(
         input=corrupted,
         target=formula,

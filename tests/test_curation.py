@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from formulakit.curation import (CorpusStats, FormulaRecord, IngestReport, dedup_global,
                                  dedup_key, dedup_per_workbook, ingest, stats)
 from formulakit.synth import synth_records
@@ -178,3 +180,12 @@ class TestProperties:
                 break
             chunked.extend(batch)
         assert chunked == whole
+
+    def test_precomputed_keys_give_the_same_results(self):
+        for records in self.corpora():
+            keys = [dedup_key(r.formula) for r in records]
+            assert list(dedup_per_workbook(records, keys)) == list(dedup_per_workbook(records))
+            assert list(dedup_global(records, keys)) == list(dedup_global(records))
+            assert stats(records, keys) == stats(records)
+        with pytest.raises(ValueError):
+            list(dedup_global(records, keys[:-1]))

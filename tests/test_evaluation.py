@@ -12,6 +12,7 @@ from formulakit.evaluation import (CompletionTask, RepairTask, RetrievalPair,
                                    retrieval_eval, sketch_match_at_k)
 from formulakit.lexer import check, normalize
 from formulakit.noise import apply_noise_operator
+from formulakit.similarity import token_edit_similarity
 from formulakit.synth import synth_corpus
 from formulakit.tokenizer import encode, train_bpe
 
@@ -234,6 +235,12 @@ class TestRetrievalEval:
         capped = build_retrieval_pairs(formulas, seed=1, max_pairs=10)
         assert len(capped) == 10
         assert capped == build_retrieval_pairs(formulas, seed=1, max_pairs=10)
+
+    def test_retrieval_targets_equal_pairwise_token_edit_similarity(self):
+        formulas = synth_corpus(25, seed=87) + ['=SUM(1,"a")', '=SUM(2,"b")', ""]
+        for max_pairs in (None, 40):
+            for p in build_retrieval_pairs(formulas, seed=2, max_pairs=max_pairs):
+                assert p.target_similarity == token_edit_similarity(p.formula_a, p.formula_b)
 
 
 class TestEvaluateHarness:

@@ -1,13 +1,18 @@
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formulakit import lexer, noise
 from formulakit.catalog import CatalogError, FunctionCatalog, default_catalog
-from formulakit.lexer import (Diagnostic, DiagnosticCode, TokenKind, check, lex,
-                              normalize, sketch)
-from formulakit.synth import random_formula
+from formulakit.lexer import (Diagnostic, DiagnosticCode, Token, TokenKind, call_arguments,
+                              check, lex, normalize, sketch)
+from formulakit.noise import applicable_operators
+from formulakit.synth import (random_cell, random_formula, random_number, random_range,
+                              random_string_literal, synth_corpus)
 
 
 def kinds(formula):
@@ -108,6 +113,84 @@ class TestLex:
         for _ in range(300):
             f = random_formula(rng)
             assert "".join(t.text for t in lex(f)) == f
+
+
+# The three-pass lexer that the single-pass lex replaced, with its own
+# pattern (no catch-all Error alternative), kept as the reference.
+_REF_MASTER = re.compile(
+    r"""
+    (?P<WS>[ \t\r\n]+)
+  | (?P<STRING>"(?:[^"]|"")*")
+  | (?P<SHEETQ>'(?:[^']|'')*')
+  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+)
+  | (?P<CELLREF>\$?[A-Za-z]{1,3}\$?\d+(?![A-Za-z0-9_.]))
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<OP2><=|>=|<>)
+  | (?P<OP1>[=<>+\-*/^&%])
+  | (?P<PUNCT>[(),:!{}])
+  | (?P<BADSTRING>"(?:[^"]|"")*\Z)
+  | (?P<BADSHEET>'(?:[^']|'')*\Z)
+    """,
+    re.VERBOSE,
+)
+_REF_GROUP_KIND = {
+    "WS": K.WHITESPACE, "STRING": K.STRING_LIT, "SHEETQ": K.SHEET_NAME, "NUMBER": K.NUMBER,
+    "CELLREF": K.CELL_REF, "NAME": K.IDENTIFIER, "OP2": K.OPERATOR, "OP1": K.OPERATOR,
+    "PUNCT": K.PUNCT, "BADSTRING": K.STRING_LIT, "BADSHEET": K.SHEET_NAME,
+}
+
+
+def _ref_lex(formula, catalog=None):
+    if catalog is None:
+        catalog = default_catalog()
+    raw = []
+    pos = 0
+    while pos < len(formula):
+        m = _REF_MASTER.match(formula, pos)
+        if m is None:
+            raw.append((K.ERROR, formula[pos]))
+            pos += 1
+            continue
+        raw.append((_REF_GROUP_KIND[m.lastgroup], m.group()))
+        pos = m.end()
+    count = len(raw)
+    next_solid = [None] * count
+    following = None
+    for i in range(count - 1, -1, -1):
+        next_solid[i] = following
+        if raw[i][0] is not K.WHITESPACE:
+            following = raw[i][1]
+    tokens = []
+    byte_pos = 0
+    for i, (kind, text) in enumerate(raw):
+        if kind is K.IDENTIFIER:
+            if i + 1 < count and raw[i + 1][1] == "!":
+                kind = K.SHEET_NAME
+            elif next_solid[i] == "(" and text.lower() in catalog:
+                kind = K.FUNC_NAME
+        elif kind is K.CELL_REF and i + 1 < count and raw[i + 1][1] == "!":
+            kind = K.SHEET_NAME
+        end = byte_pos + len(text.encode("utf-8"))
+        tokens.append(Token(kind, text, byte_pos, end))
+        byte_pos = end
+    return tokens
+
+
+class TestLexReference:
+    @given(st.text(alphabet=st.sampled_from(list('AZaz019$:!,()"\' \t\n=<>+-*/^&%._#;@Äé€'))
+                   | st.characters(), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_any_text(self, s):
+        assert lex(s) == _ref_lex(s)
+
+    def test_matches_reference_on_corpus(self):
+        custom = FunctionCatalog.from_lines(["MYFN,1,1", "A,0,*"])
+        # Whitespace before `!` or `(` separates the two lookahead rules.
+        edge = ["=Data !A1", "=A1 !B2", "=A1!B2", "=sum (A1)", "=SUM\n(A1) ", "=SUM!A1",
+                "='S' !A1", "=myfn (1)", "=Ä1+\"é\"&A1", "'open", '"open']
+        for formula in edge + synth_corpus(1000, seed=15):
+            assert lex(formula) == _ref_lex(formula)
+            assert lex(formula, custom) == _ref_lex(formula, custom)
 
 
 class TestSketch:
@@ -273,3 +356,188 @@ class TestFunctionCatalog:
     def test_diagnostic_dataclass(self):
         d = Diagnostic(DiagnosticCode.LEX_ERROR, 0, 1, "msg")
         assert d.code.value == "LexError"
+
+
+# --- call matcher oracle ---------------------------------------------------
+#
+# The two per-call rescanning matchers that call_arguments replaced, kept
+# verbatim as the reference: _ref_count_args counted arguments for check(),
+# _ref_calls gave the noise operators their argument ranges, and
+# _ref_arg_type classified an argument by walking all of its tokens.
+
+
+def _ref_count_args(solid, func_idx):
+    i = func_idx + 1
+    if i >= len(solid) or solid[i].text != "(":
+        return None
+    depth = 1
+    commas = 0
+    saw_content = False
+    i += 1
+    while i < len(solid):
+        t = solid[i]
+        if t.kind is TokenKind.PUNCT and t.text == "(":
+            depth += 1
+            saw_content = True
+        elif t.kind is TokenKind.PUNCT and t.text == ")":
+            depth -= 1
+            if depth == 0:
+                if commas == 0 and not saw_content:
+                    return 0
+                return commas + 1
+        elif t.kind is TokenKind.PUNCT and t.text == "," and depth == 1:
+            commas += 1
+        else:
+            saw_content = True
+        i += 1
+    return None
+
+
+def _ref_calls(tokens):
+    out = []
+    for i, tok in enumerate(tokens):
+        if tok.kind is not TokenKind.FUNC_NAME:
+            continue
+        j = i + 1
+        while j < len(tokens) and tokens[j].kind is TokenKind.WHITESPACE:
+            j += 1
+        if j >= len(tokens) or tokens[j].text != "(":
+            continue
+        depth = 1
+        arg_start = j + 1
+        args = []
+        k = j + 1
+        closed = False
+        while k < len(tokens):
+            t = tokens[k]
+            if t.kind is TokenKind.PUNCT and t.text == "(":
+                depth += 1
+            elif t.kind is TokenKind.PUNCT and t.text == ")":
+                depth -= 1
+                if depth == 0:
+                    if k > arg_start or args:
+                        args.append((arg_start, k))
+                    closed = True
+                    break
+            elif t.kind is TokenKind.PUNCT and t.text == "," and depth == 1:
+                args.append((arg_start, k))
+                arg_start = k + 1
+            k += 1
+        if closed:
+            if len(args) == 1 and all(
+                    tokens[x].kind is TokenKind.WHITESPACE for x in range(*args[0])):
+                args = []
+            out.append((i, args))
+    return out
+
+
+def _ref_arg_type(tokens, arg):
+    solid = [tokens[x] for x in range(*arg) if tokens[x].kind is not TokenKind.WHITESPACE]
+    if any(t.kind is TokenKind.OPERATOR and t.text in ("<", ">", "<=", ">=", "<>", "=")
+           for t in solid):
+        return "comparison"
+    if len(solid) == 1:
+        return solid[0].kind.value
+    if solid and solid[0].kind is TokenKind.FUNC_NAME:
+        return "call"
+    return "expr"
+
+
+def _assert_matches_reference(formula):
+    tokens = lex(formula)
+    calls = call_arguments(tokens)
+    assert list(calls.items()) == _ref_calls(tokens), formula
+    solid_idx = [i for i, t in enumerate(tokens) if t.kind is not TokenKind.WHITESPACE]
+    solid = [tokens[i] for i in solid_idx]
+    for pos, i in enumerate(solid_idx):
+        if tokens[i].kind is TokenKind.FUNC_NAME:
+            argc = len(calls[i]) if i in calls else None
+            assert argc == _ref_count_args(solid, pos), (formula, tokens[i])
+    arg_type = noise._arg_typer(tokens)
+    for args in calls.values():
+        for arg in args:
+            assert arg_type(arg) == _ref_arg_type(tokens, arg), (formula, arg)
+
+
+def _corruptions(formula, rng, n):
+    """n single-character `(`, `)`, `,` or space insertions, deletions and
+    replacements; many leave the parens unbalanced."""
+    out = []
+    for _ in range(n):
+        pos = rng.randrange(len(formula) + 1)
+        ch = rng.choice("(), ")
+        action = rng.choice(("insert", "delete", "replace"))
+        if action == "insert" or pos == len(formula):
+            out.append(formula[:pos] + ch + formula[pos:])
+        elif action == "delete":
+            out.append(formula[:pos] + formula[pos + 1:])
+        else:
+            out.append(formula[:pos] + ch + formula[pos + 1:])
+    return out
+
+
+def _envelope_formulas(rng):
+    """Formulas at Excel's limits: 64 nested levels, 255 arguments, and
+    8,192 characters of nested calls with side arguments."""
+    deep = random_cell(rng)
+    for level in range(64):
+        deep = (f"IF({random_cell(rng)}>{random_number(rng)}, {deep}, {random_number(rng)})"
+                if level % 3 == 0 else
+                f"ROUND({deep},2)" if level % 3 == 1 else f"SUM({deep},{random_range(rng)})")
+    wide = "SUM(" + ",".join(
+        random_formula(rng, 2)[1:] if i % 5 == 4 else random_range(rng) if i % 2 else
+        random_string_literal(rng) for i in range(255)) + ")"
+    long = random_cell(rng)
+    for _ in range(64):
+        sides = [random_formula(rng, 1)[1:]]
+        while len(", ".join(sides)) < 100:
+            sides.append(random_formula(rng, 1)[1:])
+        long = f"SUM({', '.join(sides)}, {long})"
+    return ["=" + deep, "=" + wide, "=" + long]
+
+
+class TestCallMatcher:
+    def test_agrees_with_reference_on_synth_corpus(self):
+        for formula in synth_corpus(1500, seed=11):
+            _assert_matches_reference(formula)
+
+    def test_agrees_with_reference_on_corruptions(self):
+        rng = random.Random(12)
+        for formula in synth_corpus(400, seed=13):
+            for corrupted in _corruptions(formula, rng, 5):
+                _assert_matches_reference(corrupted)
+
+    def test_agrees_with_reference_on_envelope_formulas(self):
+        rng = random.Random(14)
+        for _ in range(2):
+            for formula in _envelope_formulas(rng):
+                _assert_matches_reference(formula)
+                for corrupted in _corruptions(formula, rng, 3):
+                    _assert_matches_reference(corrupted)
+
+    def test_edge_cases(self):
+        cases = ["=SUM()", "=SUM( )", "=SUM(,)", "=SUM(A1,)", "=SUM (A1, B1)",
+                 "=SUM(A1", "=SUM(A1))", ")=SUM(A1)", "=SUM((A1),(B1,C1))",
+                 "=IF(A1,SUM(B1", "=TODAY(),A1", "=SUM(A1)+(", ""]
+        for formula in cases:
+            _assert_matches_reference(formula)
+        assert call_arguments(lex("=SUM( )")) == {1: []}
+        assert call_arguments(lex("=SUM(A1")) == {}
+        assert call_arguments(lex("=IF(A1,SUM(B1)")) == {5: [(7, 8)]}
+
+    def test_nesting_2000_deep_is_linear_and_matches_reference(self, monkeypatch):
+        formula = "=" + "SUM(" * 2000 + "1" + ")" * 2000
+        start = time.perf_counter()
+        diags = check(formula)
+        check_s = time.perf_counter() - start
+        start = time.perf_counter()
+        ops = applicable_operators(formula)
+        ops_s = time.perf_counter() - start
+        assert check_s < 1.0 and ops_s < 1.0, (check_s, ops_s)
+
+        # The reference rescans every call, O(depth * n): seconds at this depth.
+        reference = dict(_ref_calls(lex(formula)))
+        monkeypatch.setattr(lexer, "call_arguments", lambda tokens: reference)
+        monkeypatch.setattr(noise, "call_arguments", lambda tokens: reference)
+        assert check(formula) == diags == []
+        assert applicable_operators(formula) == ops

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from formulakit import noise
 from formulakit.lexer import check, lex
 from formulakit.noise import (OPERATORS, NotApplicable, applicable_operators,
                               apply_noise_operator, is_applicable)
@@ -175,6 +176,23 @@ def test_applicability_enumeration_bare_ref():
 def test_unknown_operator_id():
     with pytest.raises(ValueError):
         apply_noise_operator("=A1", 18, random.Random(0))
+
+
+def test_unchanged_output_raises(monkeypatch):
+    # A real check, not an assert, so it also holds under `python -O`.
+    monkeypatch.setitem(noise._APPLY, 15, lambda formula, tokens, rng: formula)
+    with pytest.raises(RuntimeError, match="unchanged"):
+        apply_noise_operator("=A1", 15, random.Random(0))
+
+
+def test_pre_lexed_tokens_give_the_same_output():
+    for formula in synth_corpus(40, seed=51):
+        tokens = lex(formula)
+        ops = applicable_operators(formula, tokens=tokens)
+        assert ops == applicable_operators(formula)
+        for op_id in ops:
+            assert apply_noise_operator(formula, op_id, random.Random(3), tokens=tokens) \
+                == apply_noise_operator(formula, op_id, random.Random(3))
 
 
 class TestSyntaxBreaking:
