@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled token-Levenshtein kernel against the pure-Python twin.
+"""Benchmark the token-Levenshtein kernel in formulakit.similarity.
 
 Three workloads:
   pairs      random id sequences, one kernel call per pair
@@ -9,9 +9,7 @@ Three workloads:
              formulas after it: the kernel part of build_retrieval_pairs
              (the retrieval fine-tuning targets, the quadratic step)
 
-Each time is the median of REPEAT runs. When the compiled kernel is
-built, the two backends must agree on a 200-pair sample; otherwise the
-script exits 1.
+Each time is the median of REPEAT runs.
 
 Usage: python benchmarks/bench_kernels.py [--pairs 20000] [--corpus 2000]
        [--formulas 400]
@@ -23,15 +21,10 @@ import statistics
 import sys
 import time
 
-from formulakit import _speedups_fallback
 from formulakit.evaluation import mask_constants
-from formulakit.similarity import formula_token_ids
+from formulakit.similarity import (formula_token_ids, levenshtein_ids,
+                                   similarities_to_many)
 from formulakit.synth import synth_corpus
-
-try:
-    from formulakit import _speedups
-except ImportError:
-    _speedups = None
 
 REPEAT = 5
 
@@ -46,22 +39,19 @@ def bench(fn, *args):
     return statistics.median(times)
 
 
-def workload_pairs(impl, pairs):
-    lev = impl.levenshtein_ids
+def workload_pairs(pairs):
     for a, b in pairs:
-        lev(a, b)
+        levenshtein_ids(a, b)
 
 
-def workload_scan(impl, queries, corpus):
-    sims = impl.similarities_to_many
+def workload_scan(queries, corpus):
     for q in queries:
-        sims(q, corpus)
+        similarities_to_many(q, corpus)
 
 
-def workload_pairwise(impl, seqs):
-    sims = impl.similarities_to_many
+def workload_pairwise(seqs):
     for i, q in enumerate(seqs):
-        sims(q, seqs[i + 1:])
+        similarities_to_many(q, seqs[i + 1:])
 
 
 def main():
@@ -90,31 +80,10 @@ def main():
          workload_pairwise, (formula_ids,)),
     ]
 
-    backends = [("python", _speedups_fallback)]
-    if _speedups is not None:
-        backends.insert(0, ("c", _speedups))
-    else:
-        print("compiled kernel not built; benchmarking the fallback only\n")
-
-    print(f"median of {REPEAT} runs per cell")
-    print(f"{'workload':<44} " + "".join(f"{name:>12} " for name, _ in backends)
-          + ("speedup" if _speedups else ""))
+    print(f"median of {REPEAT} runs per workload")
+    print(f"{'workload':<44} {'time':>12}")
     for label, fn, data in workloads:
-        times = [bench(fn, impl, *data) for _, impl in backends]
-        row = f"{label:<44} " + "".join(f"{t * 1000:>10.1f}ms " for t in times)
-        if len(times) == 2:
-            row += f"{times[1] / times[0]:>6.1f}x"
-        print(row)
-
-    if _speedups is not None:
-        # both backends must agree exactly
-        sample = pairs[:200]
-        disagree = sum(_speedups.levenshtein_ids(a, b) != _speedups_fallback.levenshtein_ids(a, b)
-                       for a, b in sample)
-        if disagree:
-            print(f"\nbackends disagree on {disagree} of {len(sample)} pairs", file=sys.stderr)
-            return 1
-        print(f"\nbackends agree on a {len(sample)}-pair sample")
+        print(f"{label:<44} {bench(fn, *data) * 1000:>10.1f}ms")
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .curation import dedup_key
 from .jsonl import write_json_atomic
-from .lexer import check, normalize, sketch
+from .lexer import check
 from .similarity import formula_token_ids, formula_token_ids_frozen, similarities_to_many
 
 
@@ -98,16 +98,17 @@ def completion_candidates(index: SketchIndex, prefix: str, k: int) -> list[str]:
 
     Prefix matching is case-insensitive (the tokenizer lowercases, so
     prefixes arrive lowercased). When nothing matches textually, falls back
-    to formulas whose sketch extends the prefix's sketch.
+    to formulas whose dedup key (the sketch of the normalized formula, which
+    the index is keyed by) extends the prefix's key.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     needle = prefix.lower()
     matches = [f for f in index._formulas if f.lower().startswith(needle)]
     if not matches:
-        sketch_needle = sketch(normalize(prefix))
-        if sketch_needle:
-            matches = [f for f in index._formulas
-                       if sketch(normalize(f)).startswith(sketch_needle)]
+        key_needle = dedup_key(prefix)
+        if key_needle:
+            matches = [f for key, bucket in index.entries.items()
+                       if key.startswith(key_needle) for f, _ in bucket]
     matches.sort(key=lambda f: (-index._frequency[f], f))
     return matches[:k]

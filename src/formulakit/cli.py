@@ -51,9 +51,7 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    dedup_mode: str = "per-workbook"
     tokenizer_budget: int = DEFAULT_VOCAB_BUDGET
-    completion_fractions: tuple[float, ...] = (0.5, 0.75, 0.9)
     objectives: objectives.ObjectiveConfig = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -61,16 +59,9 @@ class PipelineConfig:
             self.objectives = objectives.ObjectiveConfig(seed=self.seed)
 
     def validate(self) -> None:
-        if self.dedup_mode not in curation.DEDUP_MODES:
-            raise UsageError(f"config field dedup_mode: must be one of "
-                             f"{curation.DEDUP_MODES}, got {self.dedup_mode!r}")
         if self.tokenizer_budget < 1:
             raise UsageError(f"config field tokenizer_budget: must be >= 1, "
                              f"got {self.tokenizer_budget}")
-        for frac in self.completion_fractions:
-            if not 0 < frac < 1:
-                raise UsageError(f"config field completion_fractions: entries must "
-                                 f"be in (0, 1), got {frac}")
         try:
             self.objectives.validate()
         except ValueError as exc:
@@ -98,9 +89,7 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
         raise UsageError(f"config field objectives: {exc}") from None
     config = PipelineConfig(
         seed=seed,
-        dedup_mode=str(obj.get("dedup_mode", "per-workbook")),
         tokenizer_budget=int(obj.get("tokenizer_budget", DEFAULT_VOCAB_BUDGET)),
-        completion_fractions=tuple(obj.get("completion_fractions", (0.5, 0.75, 0.9))),
         objectives=obj_cfg,
     )
     config.validate()
@@ -468,6 +457,15 @@ def cmd_eval_retrieval(args) -> int:
     return EXIT_OK
 
 
+def _load_index(path: str) -> baseline_mod.SketchIndex:
+    try:
+        return baseline_mod.SketchIndex.load(path)
+    except OSError as exc:
+        raise DataError(f"cannot read index: {exc}", path)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed index ({exc})", path)
+
+
 def cmd_baseline(args) -> int:
     if args.baseline_cmd == "build":
         index = baseline_mod.build_index(_iter_formula_lines(args.input))
@@ -477,7 +475,7 @@ def cmd_baseline(args) -> int:
               f"({len(index.entries)} sketches) -> {args.output}", file=sys.stderr)
         return EXIT_OK
 
-    index = baseline_mod.SketchIndex.load(args.index)
+    index = _load_index(args.index)
     if args.baseline_cmd == "repair":
         if args.buggy is not None:
             items: Iterable[tuple[str, str]] = [("query-0", args.buggy)]

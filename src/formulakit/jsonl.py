@@ -7,7 +7,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, TextIO, Union
+from typing import Any, Iterable, Iterator, Optional, Union
 
 PathLike = Union[str, Path]
 
@@ -20,7 +20,7 @@ class DataError(Exception):
         self.line = line
         where = ""
         if path is not None:
-            where = f"{path}:" if line is None else f"{path}:{line}: "
+            where = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{where}{message}")
 
 
@@ -112,10 +112,3 @@ def write_manifest(
     out = artifact.with_name(artifact.name + ".manifest.json")
     write_json_atomic(out, manifest)
     return out
-
-
-def open_output(path: Optional[PathLike]) -> TextIO:
-    import sys
-    if path is None:
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")

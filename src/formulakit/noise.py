@@ -343,7 +343,6 @@ class NoiseOperator:
     op_id: int
     name: str
     applicable: Callable[[list[Token]], bool]
-    needs_catalog: bool = False
 
 
 def _mk(op_id, name, candidate_fn=None):
@@ -356,7 +355,7 @@ OPERATORS: dict[int, NoiseOperator] = {
     1: _mk(1, "wrong_range", _range_colons),
     2: _mk(2, "malformed_range", _range_colons),
     3: _mk(3, "space_before_call_paren", _space_before_paren_candidates),
-    4: NoiseOperator(4, "change_arity", _always, needs_catalog=True),
+    4: _mk(4, "change_arity"),
     5: _mk(5, "swap_arguments", _swappable_calls),
     6: _mk(6, "space_in_relational_op", _relational_ops),
     7: _mk(7, "swap_relational_op", _relational_ops),

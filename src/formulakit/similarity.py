@@ -1,30 +1,59 @@
-"""Token-level edit similarity with a compiled kernel when available.
+"""Token-level edit similarity: one pure-Python Levenshtein kernel.
 
-At import time the Cython extension (formulakit._speedups) is preferred;
-the pure-Python fallback is used when the extension was not built or when
-FORMULAKIT_PURE=1 is set (useful for benchmarking the two back to back).
+Formulas are compared as sequences of non-whitespace lexer tokens, interned
+to integer ids. `levenshtein_ids` is the two-row dynamic programme over
+those ids; `similarities_to_many` scores one query against a corpus and is
+the hot path of the repair baseline's full scan and of the retrieval
+targets. The package has no compiled extension; KERNEL_BACKEND names the
+kernel for `formulakit --version` and benchmark results.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from . import lexer
 
-if os.environ.get("FORMULAKIT_PURE") == "1":
-    from . import _speedups_fallback as _impl
-    KERNEL_BACKEND = "python"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-        KERNEL_BACKEND = "c"
-    except ImportError:
-        from . import _speedups_fallback as _impl
-        KERNEL_BACKEND = "python"
+KERNEL_BACKEND = "python"
 
-levenshtein_ids = _impl.levenshtein_ids
-similarities_to_many = _impl.similarities_to_many
+
+def levenshtein_ids(a: Sequence[int], b: Sequence[int]) -> int:
+    """Edit distance between two sequences of integer token ids."""
+    la, lb = len(a), len(b)
+    if la == 0:
+        return lb
+    if lb == 0:
+        return la
+    prev = list(range(lb + 1))
+    for i in range(la):
+        ai = a[i]
+        cur = [i + 1] + [0] * lb
+        for j in range(lb):
+            sub = prev[j] + (0 if ai == b[j] else 1)
+            dele = prev[j + 1] + 1
+            ins = cur[j] + 1
+            best = sub if sub < dele else dele
+            if ins < best:
+                best = ins
+            cur[j + 1] = best
+        prev = cur
+    return prev[lb]
+
+
+def similarities_to_many(query: Sequence[int], corpus: Sequence[Sequence[int]]) -> list[float]:
+    """1 - normalized edit distance from one query to each corpus sequence.
+
+    Two empty sequences count as identical (similarity 1.0).
+    """
+    lq = len(query)
+    out = []
+    for seq in corpus:
+        denom = max(lq, len(seq))
+        if denom == 0:
+            out.append(1.0)
+        else:
+            out.append(1.0 - levenshtein_ids(query, seq) / denom)
+    return out
 
 
 def formula_token_ids(formula: str, intern: dict[str, int]) -> tuple[int, ...]:
@@ -73,10 +102,3 @@ def token_edit_similarity(a: str, b: str) -> float:
         return 1.0
     return 1.0 - levenshtein_ids(ids_a, ids_b) / denom
 
-
-def similarity_ids(a: Sequence[int], b: Sequence[int]) -> float:
-    """Similarity over pre-interned id sequences (hot path for full scans)."""
-    denom = max(len(a), len(b))
-    if denom == 0:
-        return 1.0
-    return 1.0 - levenshtein_ids(a, b) / denom

@@ -1,9 +1,11 @@
+import re
+
 import pytest
 
 from formulakit.baseline import (SketchIndex, build_index, completion_candidates,
                                  repair_candidates)
 from formulakit.curation import dedup_key
-from formulakit.lexer import check
+from formulakit.lexer import check, normalize, sketch
 from formulakit.synth import synth_corpus
 
 
@@ -100,6 +102,22 @@ class TestCompletionCandidates:
         # no textual hit for `=SUM(Z9` but the sketch =SUM(cell matches
         index = build_index(["=SUM(A1:A10)"])
         assert completion_candidates(index, "=SUM(Z9", 5) == ["=SUM(A1:A10)"]
+        # synth prefixes with no textual hit, against the back-off re-derived
+        # from every indexed formula's sketch
+        corpus = synth_corpus(400, seed=96)
+        corpus += corpus[:100]  # repeats give frequencies above 1
+        index = build_index(corpus)
+        prefixes = ["= " + re.sub(r"\d", "7", f[1:len(f) * 2 // 3]) for f in corpus[:150]]
+        hits = 0
+        for prefix in prefixes:
+            assert not any(f.lower().startswith(prefix.lower()) for f in index._formulas)
+            needle = sketch(normalize(prefix))
+            expected = sorted((f for f in index._formulas
+                               if needle and sketch(normalize(f)).startswith(needle)),
+                              key=lambda f: (-index._frequency[f], f))[:5]
+            assert completion_candidates(index, prefix, 5) == expected
+            hits += bool(expected)
+        assert hits >= 100
 
     def test_k_cap(self):
         corpus = [f"=SUM(A{i}:B{i})" for i in range(1, 30)]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from formulakit.cli import main
+from formulakit.cli import load_config, main
 from formulakit.jsonl import write_jsonl_atomic
 from formulakit.synth import synth_corpus, synth_records
 
@@ -166,6 +166,13 @@ class TestGenPretrainCli:
                      "--config", str(config)]) == 1
         assert "rn_rate" in capsys.readouterr().err
 
+    def test_unknown_config_keys_ignored(self, tmp_path):
+        # dedup mode and completion fractions are flags, not config fields
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3, "dedup_mode": "bogus",
+                                      "completion_fractions": [5]}), encoding="utf-8")
+        assert load_config(str(config), None).seed == 3
+
 
 class TestFinetuneAndEvalCli:
     def test_repair_pipeline_end_to_end(self, tmp_path, formulas_file, capsys):
@@ -276,3 +283,43 @@ class TestBaselineSingleQueries:
                      "--prefix", "=TOD", "-k", "1"]) == 0
         row = json.loads(capsys.readouterr().out)
         assert row["candidates"] == ["=TODAY()"]
+
+
+MALFORMED_INDEXES = {
+    "invalid-json": "{broken",
+    "not-an-object": "[1, 2]",
+    "missing-sketches": '{"total_formulas": 1}',
+    "missing-total": '{"sketches": {}}',
+    "bad-total": '{"sketches": {}, "total_formulas": "many"}',
+    "sketches-not-an-object": '{"sketches": [], "total_formulas": 1}',
+    "bucket-not-a-list": '{"sketches": {"=SUM(cell)": 5}, "total_formulas": 1}',
+    "entry-too-short": '{"sketches": {"=SUM(cell)": [["=SUM(A1)"]]}, "total_formulas": 1}',
+    "bad-count": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", "x"]]}, "total_formulas": 1}',
+    "formula-not-a-string": '{"sketches": {"=SUM(cell)": [[7, 1]]}, "total_formulas": 1}',
+}
+
+
+class TestBaselineIndexErrors:
+    @staticmethod
+    def run_both(index_path, capsys):
+        for argv in (["baseline", "repair", "--index", index_path, "--buggy", "=SUM(A1"],
+                     ["baseline", "complete", "--index", index_path, "--prefix", "=SU"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {index_path}: "), err
+
+    def test_missing_index_file(self, tmp_path, capsys):
+        self.run_both(str(tmp_path / "absent.json"), capsys)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INDEXES))
+    def test_malformed_index(self, tmp_path, capsys, case):
+        path = tmp_path / "index.json"
+        path.write_text(MALFORMED_INDEXES[case], encoding="utf-8")
+        self.run_both(str(path), capsys)
+
+    def test_malformed_tokenizer_model_message(self, tmp_path, capsys):
+        model = tmp_path / "tok.json"
+        model.write_text("{}", encoding="utf-8")
+        assert main(["tokenize", "=SUM(A1)", "--model", str(model)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {model}: malformed tokenizer model")
