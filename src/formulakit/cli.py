@@ -14,19 +14,20 @@ Exit codes: 0 success, 1 usage/config error, 2 data error (with file/line),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict, dataclass
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import baseline as baseline_mod
 from . import curation, evaluation, objectives, synth
 from .catalog import CatalogError, FunctionCatalog, default_catalog
-from .jsonl import (DataError, dumps, read_jsonl, write_json_atomic,
-                    write_jsonl_atomic, write_manifest)
+from .jsonl import (DataError, dumps, has_utf8, read_jsonl, read_lines,
+                    write_json_atomic, write_jsonl_atomic, write_manifest)
 from .lexer import check, lex, sketch
-from .seeds import derive_seed
+from .seeds import derive_rng
 from .similarity import KERNEL_BACKEND
 from .tokenizer import (DEFAULT_VOCAB_BUDGET, BudgetTooSmall, TokenizerModel,
                         decode, encode, pretokenize, train_bpe)
@@ -46,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
     # data errors, so route usage problems through exit code 1.
     def error(self, message):
         raise UsageError(message)
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type: an integer >= minimum; anything else is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
 
 
 @dataclass
@@ -68,6 +80,14 @@ class PipelineConfig:
             raise UsageError(f"config field objectives: {exc}") from None
 
 
+def _config_int(obj: dict, name: str, default: int) -> int:
+    value = obj.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"config field {name}: must be an integer, got {value!r}") from None
+
+
 def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig:
     """Config file first, then flags override (precedence: flags > file > defaults)."""
     obj = {}
@@ -77,11 +97,13 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
                 obj = json.load(fh)
         except OSError as exc:
             raise DataError(f"cannot read config: {exc}", path)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"config is not UTF-8 text ({exc.reason})", path)
         except json.JSONDecodeError as exc:
             raise DataError(f"config is not valid JSON ({exc.msg})", path, exc.lineno)
         if not isinstance(obj, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
-    seed = seed_flag if seed_flag is not None else int(obj.get("seed", 0))
+    seed = seed_flag if seed_flag is not None else _config_int(obj, "seed", 0)
     try:
         obj_cfg = objectives.ObjectiveConfig.from_json(
             {**obj.get("objectives", {}), "seed": seed})
@@ -89,7 +111,7 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
         raise UsageError(f"config field objectives: {exc}") from None
     config = PipelineConfig(
         seed=seed,
-        tokenizer_budget=int(obj.get("tokenizer_budget", DEFAULT_VOCAB_BUDGET)),
+        tokenizer_budget=_config_int(obj, "tokenizer_budget", DEFAULT_VOCAB_BUDGET),
         objectives=obj_cfg,
     )
     config.validate()
@@ -97,26 +119,25 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
 
 
 def _iter_formula_lines(path: str) -> Iterator[str]:
-    """Formulas from a file: JSONL records (uses .formula) or plain lines."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read input: {exc}", path)
-    with fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
+    """Formulas from a file: JSONL records (uses .formula) or plain lines.
+    A `.formula` with no UTF-8 form (a lone surrogate escape) is a DataError."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.lstrip().startswith("{"):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                yield line
                 continue
-            if line.lstrip().startswith("{"):
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    yield line
-                    continue
-                if isinstance(obj, dict) and isinstance(obj.get("formula"), str):
-                    yield obj["formula"]
-                    continue
-            yield line
+            if isinstance(obj, dict) and isinstance(obj.get("formula"), str):
+                if not has_utf8(obj["formula"]):
+                    raise DataError("formula with no UTF-8 form (a lone surrogate escape)",
+                                    path, lineno)
+                yield obj["formula"]
+                continue
+        yield line
 
 
 def _input_formulas(args) -> list[str]:
@@ -128,24 +149,18 @@ def _input_formulas(args) -> list[str]:
 
 
 def _load_catalog(args) -> FunctionCatalog:
-    if getattr(args, "catalog", None):
-        try:
-            return FunctionCatalog.from_file(args.catalog)
-        except OSError as exc:
-            raise DataError(f"cannot read catalog: {exc}", args.catalog)
-        except CatalogError as exc:
-            raise DataError(str(exc), args.catalog)
-    return default_catalog()
+    if not getattr(args, "catalog", None):
+        return default_catalog()
+    try:
+        return FunctionCatalog.from_lines(read_lines(args.catalog), source=args.catalog)
+    except CatalogError as exc:
+        raise DataError(str(exc), args.catalog)
 
 
 def _read_records(path: str) -> Iterator[curation.FormulaRecord]:
+    """Records from a JSONL corpus; malformed lines are skipped and counted."""
     report = curation.IngestReport()
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read input: {exc}", path)
-    with fh:
-        yield from curation.ingest(fh, report)
+    yield from curation.ingest(read_lines(path), report)
     if report.skipped:
         print(f"note: skipped {report.skipped} malformed line(s) in {path}",
               file=sys.stderr)
@@ -175,30 +190,25 @@ def cmd_lex(args) -> int:
                          "start": t.start, "end": t.end} for t in lex(f, catalog)]}
             for f in _input_formulas(args))
     _emit(rows, args.output, subcommand="lex", config={"catalog": args.catalog},
-          inputs=[args.input] if args.input else [])
+          inputs=[args.input])
     return EXIT_OK
 
 
 def cmd_sketch(args) -> int:
     rows = ({"formula": f, "sketch": sketch(f)} for f in _input_formulas(args))
-    _emit(rows, args.output, subcommand="sketch", config={},
-          inputs=[args.input] if args.input else [])
+    _emit(rows, args.output, subcommand="sketch", config={}, inputs=[args.input])
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     catalog = _load_catalog(args)
-    issues_seen = 0
-    rows = []
-    for f in _input_formulas(args):
-        diags = check(f, catalog)
-        issues_seen += bool(diags)
-        rows.append({"formula": f,
-                     "diagnostics": [{"code": d.code.value, "start": d.start,
-                                      "end": d.end, "message": d.message}
-                                     for d in diags]})
+    rows = ({"formula": f,
+             "diagnostics": [{"code": d.code.value, "start": d.start,
+                              "end": d.end, "message": d.message}
+                             for d in check(f, catalog)]}
+            for f in _input_formulas(args))
     _emit(rows, args.output, subcommand="check", config={"catalog": args.catalog},
-          inputs=[args.input] if args.input else [])
+          inputs=[args.input])
     return EXIT_OK
 
 
@@ -247,17 +257,18 @@ def cmd_train_tokenizer(args) -> int:
     return EXIT_OK
 
 
-def _load_model(path: str) -> TokenizerModel:
+def _load_artifact(load: Callable[[str], object], path: str, what: str):
+    """load(path); a missing or malformed artifact is a DataError naming it."""
     try:
-        return TokenizerModel.load(path)
+        return load(path)
     except OSError as exc:
-        raise DataError(f"cannot read tokenizer model: {exc}", path)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DataError(f"malformed tokenizer model ({exc})", path)
+        raise DataError(f"cannot read {what}: {exc}", path)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed {what} ({exc})", path)
 
 
 def cmd_tokenize(args) -> int:
-    model = _load_model(args.model)
+    model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
     catalog = _load_catalog(args)
 
     def rows():
@@ -272,35 +283,28 @@ def cmd_tokenize(args) -> int:
                        "decoded": decode(model, ids)}
 
     _emit(rows(), args.output, subcommand="tokenize",
-          config={"model": args.model}, inputs=[args.input] if args.input else [])
+          config={"model": args.model}, inputs=[args.input])
     return EXIT_OK
 
 
 def _pretrain_worker(task):
-    ordinal, record_json, config = task
-    record = curation.parse_record(record_json)
+    ordinal, record, config = task
     example = objectives.example_for_record(record, ordinal, config)
     return None if example is None else example.to_json()
 
 
 def cmd_gen_pretrain(args) -> int:
     config = load_config(args.config, args.seed)
-    records = [r.to_json() for r in _read_records(args.input)]
-    tasks = [(i, rec, config.objectives) for i, rec in enumerate(records)]
+    tasks = ((i, record, config.objectives)
+             for i, record in enumerate(_read_records(args.input)))
     skipped = 0
 
     def results() -> Iterator[dict]:
         nonlocal skipped
-        if args.workers > 1:
-            with Pool(args.workers) as pool:
-                for row in pool.imap(_pretrain_worker, tasks, chunksize=256):
-                    if row is None:
-                        skipped += 1
-                    else:
-                        yield row
-        else:
-            for task in tasks:
-                row = _pretrain_worker(task)
+        with (Pool(args.workers) if args.workers > 1 else contextlib.nullcontext()) as pool:
+            rows = (pool.imap(_pretrain_worker, tasks, chunksize=256) if pool
+                    else map(_pretrain_worker, tasks))
+            for row in rows:
                 if row is None:
                     skipped += 1
                 else:
@@ -336,14 +340,12 @@ def cmd_gen_finetune_repair(args) -> int:
 
 def cmd_gen_finetune_complete(args) -> int:
     config = load_config(args.config, args.seed)
-    model = _load_model(args.model)
+    model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
     fractions = tuple(args.fractions) if args.fractions else (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 
     def rows():
-        import random as _random
         for ordinal, formula in enumerate(_iter_formula_lines(args.input)):
-            rng = _random.Random(derive_seed(config.seed, "complete", ordinal))
-            fraction = rng.choice(fractions)
+            fraction = derive_rng(config.seed, "complete", ordinal).choice(fractions)
             try:
                 task = evaluation.make_completion_prefix(
                     formula, fraction, model, source_id=f"complete-{ordinal}")
@@ -358,90 +360,82 @@ def cmd_gen_finetune_complete(args) -> int:
     return EXIT_OK
 
 
-def _load_repair_benchmark(path: str) -> list[evaluation.RepairTask]:
-    tasks = []
+def _load_rows(path: str, what: str, build: Callable[[dict, int], object]) -> list:
+    """One build(row, line_number) per row of a strict JSONL file. A row that
+    is not an object, or lacks a field `build` requires or holds it with the
+    wrong type, is a DataError that says `what` a row needs."""
+    rows = []
     for lineno, obj in read_jsonl(path):
-        try:
-            tasks.append(evaluation.RepairTask(
-                buggy=obj["buggy"], ground_truth=obj["ground_truth"],
-                source_id=str(obj.get("source_id", f"task-{lineno}"))))
-        except (KeyError, TypeError):
-            raise DataError("repair task needs `buggy` and `ground_truth`", path, lineno)
-    return tasks
+        if isinstance(obj, dict):
+            try:
+                rows.append(build(obj, lineno))
+                continue
+            except (KeyError, TypeError, ValueError):
+                pass
+        raise DataError(what, path, lineno)
+    return rows
 
 
-def _load_completion_benchmark(path: str) -> list[evaluation.CompletionTask]:
-    tasks = []
-    for lineno, obj in read_jsonl(path):
-        try:
-            tasks.append(evaluation.CompletionTask(
-                formula=obj["formula"], prefix_fraction=float(obj.get("prefix_fraction", 0)),
-                prefix=obj["prefix"], source_id=str(obj.get("source_id", f"task-{lineno}"))))
-        except (KeyError, TypeError, ValueError):
-            raise DataError("completion task needs `formula` and `prefix`", path, lineno)
-    return tasks
+def _field(obj: dict, key: str, kind: type = str):
+    """obj[key], which must be a `kind`; raises KeyError or TypeError."""
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise TypeError(key)
+    return value
 
 
-def _load_predictions(path: str) -> dict[str, list[str]]:
-    preds: dict[str, list[str]] = {}
-    for lineno, obj in read_jsonl(path):
-        sid = obj.get("source_id")
-        cands = obj.get("candidates")
-        if not isinstance(sid, str) or not isinstance(cands, list):
-            raise DataError("prediction rows need `source_id` and `candidates`",
-                            path, lineno)
-        preds[sid] = [str(c) for c in cands]
-    return preds
+def _repair_task(obj: dict, lineno: int) -> evaluation.RepairTask:
+    return evaluation.RepairTask(
+        buggy=_field(obj, "buggy"), ground_truth=_field(obj, "ground_truth"),
+        source_id=str(obj.get("source_id", f"task-{lineno}")))
 
 
-def _write_report(report: evaluation.EvalReport, args, subcommand: str,
-                  inputs: Sequence[str]) -> None:
-    payload = report.to_json()
+def _completion_task(obj: dict, lineno: int) -> evaluation.CompletionTask:
+    return evaluation.CompletionTask(
+        formula=_field(obj, "formula"), prefix_fraction=float(obj.get("prefix_fraction", 0)),
+        prefix=_field(obj, "prefix"), source_id=str(obj.get("source_id", f"task-{lineno}")))
+
+
+# Per task: what a benchmark row must hold, and how it becomes a task.
+_BENCHMARKS = {
+    "repair": ("repair task needs string `buggy` and `ground_truth`", _repair_task),
+    "complete": ("completion task needs string `formula` and `prefix`", _completion_task),
+}
+
+
+def cmd_eval(args) -> int:
+    """eval-repair and eval-complete: score replayed predictions."""
+    subcommand = args.command
+    tasks = _load_rows(args.benchmark, *_BENCHMARKS[subcommand.removeprefix("eval-")])
+    predictions = dict(_load_rows(
+        args.predictions, "prediction rows need string `source_id` and list `candidates`",
+        lambda obj, _: (_field(obj, "source_id"),
+                        [str(c) for c in _field(obj, "candidates", list)])))
+    ks = sorted(set(args.k or (1, 5)))
+    payload = evaluation.evaluate(tasks, evaluation.replay_provider(predictions),
+                                  metrics=args.metrics, ks=ks).to_json()
     if args.output:
         write_json_atomic(args.output, payload)
-        write_manifest(args.output, subcommand,
-                       {"k": args.k, "metrics": getattr(args, "metrics", None)},
-                       inputs=inputs)
+        write_manifest(args.output, subcommand, {"k": ks, "metrics": args.metrics},
+                       inputs=[args.benchmark, args.predictions])
     else:
         print(json.dumps(payload, ensure_ascii=False, indent=2))
     for row in payload["results"]:
         print(f"{subcommand} {row['metric']}@{row['k']}: {row['value']:.4f}",
               file=sys.stderr)
-
-
-def cmd_eval_repair(args) -> int:
-    tasks = _load_repair_benchmark(args.benchmark)
-    provider = evaluation.replay_provider(_load_predictions(args.predictions))
-    report = evaluation.evaluate(tasks, provider, metrics=args.metrics, ks=args.k)
-    _write_report(report, args, "eval-repair", [args.benchmark, args.predictions])
-    return EXIT_OK
-
-
-def cmd_eval_complete(args) -> int:
-    tasks = _load_completion_benchmark(args.benchmark)
-    provider = evaluation.replay_provider(_load_predictions(args.predictions))
-    report = evaluation.evaluate(tasks, provider, metrics=args.metrics, ks=args.k)
-    _write_report(report, args, "eval-complete", [args.benchmark, args.predictions])
     return EXIT_OK
 
 
 def cmd_eval_retrieval(args) -> int:
-    pairs = []
-    for lineno, obj in read_jsonl(args.pairs):
-        try:
-            pairs.append(evaluation.RetrievalPair(
-                formula_a=obj["formula_a"], formula_b=obj["formula_b"],
-                target_similarity=float(obj["target_similarity"])))
-        except (KeyError, TypeError, ValueError):
-            raise DataError("retrieval pair needs formula_a/formula_b/target_similarity",
-                            args.pairs, lineno)
-    embeddings: dict[str, list[float]] = {}
-    for lineno, obj in read_jsonl(args.embeddings):
-        try:
-            embeddings[obj["formula"]] = [float(x) for x in obj["vector"]]
-        except (KeyError, TypeError, ValueError):
-            raise DataError("embedding rows need `formula` and `vector`",
-                            args.embeddings, lineno)
+    pairs = _load_rows(
+        args.pairs, "retrieval pair needs string formula_a/formula_b and target_similarity",
+        lambda obj, _: evaluation.RetrievalPair(
+            formula_a=_field(obj, "formula_a"), formula_b=_field(obj, "formula_b"),
+            target_similarity=float(obj["target_similarity"])))
+    embeddings = dict(_load_rows(
+        args.embeddings, "embedding rows need string `formula` and list `vector`",
+        lambda obj, _: (_field(obj, "formula"),
+                        [float(x) for x in _field(obj, "vector", list)])))
     try:
         r = evaluation.retrieval_eval(pairs, embeddings)
     except ValueError as exc:
@@ -457,15 +451,6 @@ def cmd_eval_retrieval(args) -> int:
     return EXIT_OK
 
 
-def _load_index(path: str) -> baseline_mod.SketchIndex:
-    try:
-        return baseline_mod.SketchIndex.load(path)
-    except OSError as exc:
-        raise DataError(f"cannot read index: {exc}", path)
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise DataError(f"malformed index ({exc})", path)
-
-
 def cmd_baseline(args) -> int:
     if args.baseline_cmd == "build":
         index = baseline_mod.build_index(_iter_formula_lines(args.input))
@@ -475,30 +460,18 @@ def cmd_baseline(args) -> int:
               f"({len(index.entries)} sketches) -> {args.output}", file=sys.stderr)
         return EXIT_OK
 
-    index = _load_index(args.index)
-    if args.baseline_cmd == "repair":
-        if args.buggy is not None:
-            items: Iterable[tuple[str, str]] = [("query-0", args.buggy)]
-        else:
-            items = [(t.source_id, t.buggy) for t in _load_repair_benchmark(args.benchmark)]
-        rows = ({"source_id": sid,
-                 "candidates": baseline_mod.repair_candidates(index, buggy, args.k)}
-                for sid, buggy in items)
-        _emit(rows, args.output, subcommand="baseline-repair",
-              config={"k": args.k, "index": args.index},
-              inputs=[p for p in (args.benchmark,) if p])
-        return EXIT_OK
-
-    if args.prefix is not None:
-        items = [("query-0", args.prefix)]
+    index = _load_artifact(baseline_mod.SketchIndex.load, args.index, "index")
+    repair = args.baseline_cmd == "repair"
+    query = args.buggy if repair else args.prefix
+    if query is not None:
+        items = [("query-0", query)]
     else:
-        items = [(t.source_id, t.prefix) for t in _load_completion_benchmark(args.benchmark)]
-    rows = ({"source_id": sid,
-             "candidates": baseline_mod.completion_candidates(index, prefix, args.k)}
-            for sid, prefix in items)
-    _emit(rows, args.output, subcommand="baseline-complete",
-          config={"k": args.k, "index": args.index},
-          inputs=[p for p in (args.benchmark,) if p])
+        tasks = _load_rows(args.benchmark, *_BENCHMARKS[args.baseline_cmd])
+        items = [(t.source_id, t.buggy if repair else t.prefix) for t in tasks]
+    rank = baseline_mod.repair_candidates if repair else baseline_mod.completion_candidates
+    rows = ({"source_id": sid, "candidates": rank(index, q, args.k)} for sid, q in items)
+    _emit(rows, args.output, subcommand=f"baseline-{args.baseline_cmd}",
+          config={"k": args.k, "index": args.index}, inputs=[args.benchmark])
     return EXIT_OK
 
 
@@ -601,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config")
-    p.add_argument("--reserve", type=int, default=0,
+    p.add_argument("--reserve", type=_int_at_least(0), default=0,
                    help="hold out this many tasks as a benchmark split")
     p.add_argument("--reserve-output", help="where to write the reserved split")
 
@@ -617,23 +590,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", type=float, nargs="+",
                    help="prefix fractions to sample from (default 0.2..0.8)")
 
-    p = add("eval-repair", cmd_eval_repair, "score repair predictions",
+    p = add("eval-repair", cmd_eval, "score repair predictions",
             epilog='benchmark: {"buggy": ..., "ground_truth": ..., "source_id": ...}\n'
                    'predictions: {"source_id": ..., "candidates": ["=...", ...]} '
                    'ranked best-first')
     p.add_argument("--benchmark", required=True)
     p.add_argument("--predictions", required=True)
-    p.add_argument("-k", type=int, action="append", default=None)
+    p.add_argument("-k", type=_int_at_least(1), action="append")
     p.add_argument("--metrics", nargs="+", default=["exact_match"],
                    choices=sorted(evaluation.METRICS))
     p.add_argument("--output", "-o")
 
-    p = add("eval-complete", cmd_eval_complete, "score completion predictions",
+    p = add("eval-complete", cmd_eval, "score completion predictions",
             epilog='benchmark: {"formula": ..., "prefix": ..., "source_id": ...}\n'
                    'predictions: {"source_id": ..., "candidates": [...]}')
     p.add_argument("--benchmark", required=True)
     p.add_argument("--predictions", required=True)
-    p.add_argument("-k", type=int, action="append", default=None)
+    p.add_argument("-k", type=_int_at_least(1), action="append")
     p.add_argument("--metrics", nargs="+", default=["exact_match", "sketch_match"],
                    choices=sorted(evaluation.METRICS))
     p.add_argument("--output", "-o")
@@ -663,9 +636,10 @@ def build_parser() -> argparse.ArgumentParser:
                '["=SUM(A1:A10)", ...]} ranked best-first')
     b.set_defaults(fn=cmd_baseline)
     b.add_argument("--index", required=True)
-    b.add_argument("--benchmark")
-    b.add_argument("--buggy", help="single buggy formula instead of a benchmark")
-    b.add_argument("-k", type=int, default=5)
+    query = b.add_mutually_exclusive_group(required=True)
+    query.add_argument("--benchmark")
+    query.add_argument("--buggy", help="single buggy formula instead of a benchmark")
+    b.add_argument("-k", type=_int_at_least(1), default=5)
     b.add_argument("--output", "-o")
     b = bsub.add_parser(
         "complete", help="frequency-ranked completion candidates",
@@ -674,9 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
                '["=B2<=EDATE(TODAY(),-33)", ...]}')
     b.set_defaults(fn=cmd_baseline)
     b.add_argument("--index", required=True)
-    b.add_argument("--benchmark")
-    b.add_argument("--prefix", help="single prefix instead of a benchmark")
-    b.add_argument("-k", type=int, default=5)
+    query = b.add_mutually_exclusive_group(required=True)
+    query.add_argument("--benchmark")
+    query.add_argument("--prefix", help="single prefix instead of a benchmark")
+    b.add_argument("-k", type=_int_at_least(1), default=5)
     b.add_argument("--output", "-o")
 
     p = add("synth", cmd_synth, "generate a synthetic formula corpus",
@@ -692,15 +667,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        k = getattr(args, "k", None)
-        if isinstance(k, list):
-            args.k = sorted(set(k))
-        elif k is None and hasattr(args, "k") and args.command.startswith("eval"):
-            args.k = [1, 5]
-        if isinstance(getattr(args, "k", None), list) and any(x < 1 for x in args.k):
-            raise UsageError("-k values must be >= 1")
-        elif isinstance(getattr(args, "k", None), int) and args.k < 1:
-            raise UsageError("-k must be >= 1")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

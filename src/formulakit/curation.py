@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
+from .jsonl import has_utf8
 from .lexer import normalize, sketch
 
 DEDUP_MODES = ("per-workbook", "global")
@@ -67,6 +68,8 @@ def parse_record(obj: object) -> Optional[FormulaRecord]:
         return None
     if cell is not None and not isinstance(cell, str):
         return None
+    if not has_utf8(workbook_id + sheet_id + formula + (cell or "")):
+        return None  # it could neither seed the record's rng nor be written out
     return FormulaRecord(workbook_id, sheet_id, formula, cell)
 
 

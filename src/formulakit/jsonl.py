@@ -28,17 +28,44 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def has_utf8(text: str) -> bool:
+    """False when text holds a lone surrogate, as a JSON `\\ud800` escape
+    decodes to: such text has no UTF-8 form, so it cannot be written out."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def read_lines(path: PathLike) -> Iterator[str]:
+    """The lines of a UTF-8 text file. A file that cannot be opened or read,
+    or is not UTF-8, is a DataError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except OSError as exc:
+        raise DataError(f"cannot read input: {exc}", str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input is not UTF-8 text ({exc.reason})", str(path)) from None
+
+
 def read_jsonl(path: PathLike) -> Iterator[tuple[int, Any]]:
-    """Yield (line_number, parsed_object); raises DataError on bad JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid JSON ({exc.msg})", str(path), lineno) from None
+    """Yield (line_number, parsed_object), skipping blank lines; raises
+    DataError on bad JSON and on a string with no UTF-8 form."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON ({exc.msg})", str(path), lineno) from None
+        # Only a \u escape can decode to a lone surrogate.
+        if "\\u" in line and not has_utf8(dumps(obj)):
+            raise DataError("string with no UTF-8 form (a lone surrogate escape)",
+                            str(path), lineno)
+        yield lineno, obj
 
 
 def write_jsonl_atomic(path: PathLike, rows: Iterable[Any]) -> int:

@@ -4,7 +4,8 @@ The lexer is total: every input produces a token list whose concatenated
 texts reproduce the input byte-for-byte. Characters that fit no rule become
 single-character Error tokens instead of aborting, so corpus ingestion never
 trips over one bad formula. Spans are byte offsets into the UTF-8 encoding
-of the source.
+of the source; a lone surrogate, which has no UTF-8 form, counts as the
+three bytes the `surrogatepass` handler gives it.
 
 Out of scope: array formulas, structured references, R1C1 notation, lambda,
 formula evaluation, locale-specific separators.
@@ -136,7 +137,7 @@ def lex(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[Token]:
     whitespace, sheet_name, func_name = (TokenKind.WHITESPACE, TokenKind.SHEET_NAME,
                                          TokenKind.FUNC_NAME)
     ascii_only = formula.isascii()
-    end = len(formula) if ascii_only else len(formula.encode("utf-8"))
+    end = len(formula) if ascii_only else len(formula.encode("utf-8", "surrogatepass"))
     tokens: list[Token] = [None] * len(raw)  # type: ignore[list-item]
     next_text: Optional[str] = None
     next_solid: Optional[str] = None
@@ -150,7 +151,8 @@ def lex(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[Token]:
         elif kind is cell_ref and next_text == "!":
             # A ref-shaped name directly before `!` is a sheet reference.
             kind = sheet_name
-        start = end - (len(text) if ascii_only else len(text.encode("utf-8")))
+        start = end - (len(text) if ascii_only
+                       else len(text.encode("utf-8", "surrogatepass")))
         tokens[i] = Token(kind, text, start, end)
         end = start
         next_text = text

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from formulakit.cli import load_config, main
-from formulakit.jsonl import write_jsonl_atomic
+from formulakit.jsonl import dumps, write_jsonl_atomic
 from formulakit.synth import synth_corpus, synth_records
 
 
@@ -166,6 +166,21 @@ class TestGenPretrainCli:
                      "--config", str(config)]) == 1
         assert "rn_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["seed", "tokenizer_budget"])
+    def test_non_integer_config_field_is_config_error(self, tmp_path, corpus_file,
+                                                      capsys, field):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: "x"}), encoding="utf-8")
+        assert main(["train-tokenizer", "--input", corpus_file, "--config", str(config),
+                     "-o", str(tmp_path / "tok.json")]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: config field {field}: ")
+
+    def test_non_utf8_config_is_data_error(self, tmp_path, corpus_file, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": "\xff"}')
+        assert main(["gen-pretrain", "--input", corpus_file, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {config}: ")
+
     def test_unknown_config_keys_ignored(self, tmp_path):
         # dedup mode and completion fractions are flags, not config fields
         config = tmp_path / "config.json"
@@ -323,3 +338,119 @@ class TestBaselineIndexErrors:
         assert main(["tokenize", "=SUM(A1)", "--model", str(model)]) == 2
         assert capsys.readouterr().err.startswith(
             f"data error: {model}: malformed tokenizer model")
+
+
+INPUT_ROWS = {
+    "corpus": [{"workbook_id": "wb", "sheet_id": "s", "formula": "=SUM(A1:A2)"}],
+    "repair": [{"buggy": "=SUM(A1", "ground_truth": "=SUM(A1)", "source_id": "r0"}],
+    "complete": [{"formula": "=SUM(A1)", "prefix": "=SUM(", "source_id": "c0"}],
+    "predictions": [{"source_id": "r0", "candidates": ["=SUM(A1)"]}],
+    "pairs": [{"formula_a": "=A1", "formula_b": "=A2", "target_similarity": 1.0},
+              {"formula_a": "=A1", "formula_b": "=B9", "target_similarity": 0.0}],
+    "embeddings": [{"formula": f, "vector": v} for f, v in
+                   (("=A1", [1.0, 0.0]), ("=A2", [0.9, 0.1]), ("=B9", [0.0, 1.0]))],
+}
+
+# reader -> (argv with {file} for the input under test, the well-formed rows
+# it normally holds, and for strict JSONL readers the required string field
+# that a bad value replaces; None for readers that skip or pass through rows)
+INPUT_READERS = {
+    "lex --input": (["lex", "--input", "{file}"], "corpus", None),
+    "dedup --input": (["dedup", "--input", "{file}"], "corpus", None),
+    "gen-pretrain --input": (["gen-pretrain", "--input", "{file}", "--workers", "2"],
+                             "corpus", None),
+    "train-tokenizer --input": (["train-tokenizer", "--input", "{file}", "--budget", "300",
+                                 "-o", "{tmp}/tok.json"], "corpus", None),
+    "baseline build --input": (["baseline", "build", "--input", "{file}",
+                                "-o", "{tmp}/built.json"], "corpus", None),
+    "eval-repair --benchmark": (["eval-repair", "--benchmark", "{file}",
+                                 "--predictions", "{tmp}/predictions.jsonl"],
+                                "repair", "ground_truth"),
+    "eval-complete --benchmark": (["eval-complete", "--benchmark", "{file}",
+                                   "--predictions", "{tmp}/predictions.jsonl"],
+                                  "complete", "formula"),
+    "baseline repair --benchmark": (["baseline", "repair", "--index", "{tmp}/index.json",
+                                     "--benchmark", "{file}"], "repair", "buggy"),
+    "baseline complete --benchmark": (["baseline", "complete", "--index", "{tmp}/index.json",
+                                       "--benchmark", "{file}"], "complete", "prefix"),
+    "eval-repair --predictions": (["eval-repair", "--benchmark", "{tmp}/repair.jsonl",
+                                   "--predictions", "{file}"], "predictions", "source_id"),
+    "eval-retrieval --pairs": (["eval-retrieval", "--pairs", "{file}",
+                                "--embeddings", "{tmp}/embeddings.jsonl"], "pairs", "formula_a"),
+    "eval-retrieval --embeddings": (["eval-retrieval", "--pairs", "{tmp}/pairs.jsonl",
+                                     "--embeddings", "{file}"], "embeddings", "formula"),
+}
+
+# Every reader meets a missing file and non-UTF-8 bytes; strict readers also
+# meet a row that is not an object, a required field that is not a string,
+# and one that holds a lone surrogate escape.
+INPUT_CASES = [(reader, fault) for reader, (_, _, field) in sorted(INPUT_READERS.items())
+               for fault in ("missing-file", "not-utf8")
+               + (("non-object-row", "non-string-field", "lone-surrogate") if field else ())]
+
+
+class TestInputErrors:
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        for name, rows in INPUT_ROWS.items():
+            write_jsonl_atomic(tmp_path / f"{name}.jsonl", rows)
+        assert main(["baseline", "build", "--input", str(tmp_path / "corpus.jsonl"),
+                     "-o", str(tmp_path / "index.json")]) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("reader, fault", INPUT_CASES)
+    def test_bad_input_is_data_error(self, inputs, capsys, reader, fault):
+        argv, rows, field = INPUT_READERS[reader]
+        path = inputs / "input-under-test.jsonl"
+        if fault == "not-utf8":
+            path.write_bytes(dumps(INPUT_ROWS[rows][0]).encode("utf-8") + b"\n\xff\xfe\n")
+        elif fault == "non-object-row":
+            path.write_text("[1, 2]\n", encoding="utf-8")
+        elif fault == "non-string-field":
+            write_jsonl_atomic(path, [{**INPUT_ROWS[rows][0], field: 7}])
+        elif fault == "lone-surrogate":
+            path.write_text(json.dumps({**INPUT_ROWS[rows][0], field: "=A1\ud800"}) + "\n",
+                            encoding="utf-8")
+        capsys.readouterr()
+        assert main([a.format(file=path, tmp=inputs) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}"), err
+
+    def test_lone_surrogate_formula(self, tmp_path, capsys):
+        # "\ud800" in JSON decodes to a string with no UTF-8 form.
+        good = dumps(INPUT_ROWS["corpus"][0])
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(good + "\n" + good.replace("A2", "\\ud800") + "\n", encoding="utf-8")
+        out = tmp_path / "dedup.jsonl"
+        assert main(["dedup", "--input", str(path), "-o", str(out)]) == 0
+        assert read_jsonl_file(out) == INPUT_ROWS["corpus"]
+        assert "skipped 1 malformed line" in capsys.readouterr().err
+        assert main(["check", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}:2: ")
+
+    def test_non_utf8_catalog_is_data_error(self, tmp_path, capsys):
+        catalog = tmp_path / "functions.csv"
+        catalog.write_bytes(b"SUM,1,*\n\xff,0,0\n")
+        assert main(["lex", "=SUM(A1)", "--catalog", str(catalog)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {catalog}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-repair", "--benchmark", "b.jsonl", "--predictions", "p.jsonl", "-k", "0"],
+        ["baseline", "repair", "--index", "i.json", "--buggy", "=A1", "-k", "-1"],
+        ["gen-finetune-repair", "--input", "f.txt", "--reserve", "-3"],
+        ["baseline", "repair", "--index", "i.json"],  # neither --benchmark nor --buggy
+    ])
+    def test_bad_flags_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_eval_k_default_sorted_and_deduplicated(self, inputs):
+        ks = {}
+        for extra in ([], ["-k", "5", "-k", "1", "-k", "5"]):
+            out = inputs / "report.json"
+            assert main(["eval-repair", "--benchmark", str(inputs / "repair.jsonl"),
+                         "--predictions", str(inputs / "predictions.jsonl"),
+                         "-o", str(out), *extra]) == 0
+            manifest = json.loads((inputs / "report.json.manifest.json").read_text("utf-8"))
+            ks[len(extra)] = manifest["config"]["k"]
+        assert ks == {0: [1, 5], 6: [1, 5]}

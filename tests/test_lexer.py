@@ -3,7 +3,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formulakit import lexer, noise
@@ -99,6 +99,13 @@ class TestLex:
             pos = t.end
         assert pos == len(formula.encode("utf-8"))
 
+    def test_lone_surrogate_is_one_error_token(self):
+        # A JSON "\ud800" escape decodes to a lone surrogate; it has no
+        # UTF-8 form, and its span is the three surrogatepass bytes.
+        assert lex("\ud800") == [Token(K.ERROR, "\ud800", 0, 3)]
+        toks = lex("=A1&\ud800b")
+        assert [(t.text, t.start, t.end) for t in toks[-2:]] == [("\ud800", 4, 7), ("b", 7, 8)]
+
     def test_purity(self):
         f = "=SUM(A1:A10)+'My Sheet'!B2"
         assert lex(f) == lex(f)
@@ -170,7 +177,7 @@ def _ref_lex(formula, catalog=None):
                 kind = K.FUNC_NAME
         elif kind is K.CELL_REF and i + 1 < count and raw[i + 1][1] == "!":
             kind = K.SHEET_NAME
-        end = byte_pos + len(text.encode("utf-8"))
+        end = byte_pos + len(text.encode("utf-8", "surrogatepass"))
         tokens.append(Token(kind, text, byte_pos, end))
         byte_pos = end
     return tokens
@@ -180,6 +187,7 @@ class TestLexReference:
     @given(st.text(alphabet=st.sampled_from(list('AZaz019$:!,()"\' \t\n=<>+-*/^&%._#;@Äé€'))
                    | st.characters(), max_size=40))
     @settings(max_examples=300, deadline=None)
+    @example("\ud800")
     def test_matches_reference_on_any_text(self, s):
         assert lex(s) == _ref_lex(s)
 
