@@ -26,22 +26,21 @@ class SketchIndex:
     # sketch -> [(formula, frequency)] sorted by frequency desc, then text
     entries: dict[str, list[tuple[str, int]]]
     total_formulas: int
-    _formulas: list[str] = field(default_factory=list, repr=False)
-    _frequency: dict[str, int] = field(default_factory=dict, repr=False)
-    _well_formed: list[bool] = field(default_factory=list, repr=False)
-    _token_ids: list[tuple[int, ...]] = field(default_factory=list, repr=False)
-    _intern: dict[str, int] = field(default_factory=dict, repr=False)
+    _formulas: list[str] = field(init=False, repr=False)
+    _frequency: dict[str, int] = field(init=False, repr=False)
+    _well_formed: list[bool] = field(init=False, repr=False)
+    _token_ids: list[tuple[int, ...]] = field(init=False, repr=False)
+    _intern: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self._formulas:
-            self._frequency = {}
-            for bucket in self.entries.values():
-                for formula, freq in bucket:
-                    self._frequency[formula] = freq
-            self._formulas = sorted(self._frequency)
-            self._well_formed = [not check(f) for f in self._formulas]
-            self._intern = {}
-            self._token_ids = [formula_token_ids(f, self._intern) for f in self._formulas]
+        self._frequency = {}
+        for bucket in self.entries.values():
+            for formula, freq in bucket:
+                self._frequency[formula] = freq
+        self._formulas = sorted(self._frequency)
+        self._well_formed = [not check(f) for f in self._formulas]
+        self._intern = {}
+        self._token_ids = [formula_token_ids(f, self._intern) for f in self._formulas]
 
     def to_json(self) -> dict:
         return {

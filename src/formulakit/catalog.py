@@ -33,9 +33,6 @@ class FunctionCatalog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def arity(self, name: str) -> tuple[int, Optional[int]]:
-        return self._entries[name.lower()]
-
     def get(self, name: str) -> Optional[tuple[int, Optional[int]]]:
         return self._entries.get(name.lower())
 

@@ -154,12 +154,15 @@ def _load_catalog(args) -> FunctionCatalog:
     try:
         return FunctionCatalog.from_lines(read_lines(args.catalog), source=args.catalog)
     except CatalogError as exc:
-        raise DataError(str(exc), args.catalog)
+        raise DataError(str(exc)) from None  # the message starts `<path>:<line>:`
 
 
-def _read_records(path: str) -> Iterator[curation.FormulaRecord]:
-    """Records from a JSONL corpus; malformed lines are skipped and counted."""
-    report = curation.IngestReport()
+def _read_records(path: str, report: Optional[curation.IngestReport] = None
+                  ) -> Iterator[curation.FormulaRecord]:
+    """Records from a JSONL corpus; malformed lines are skipped and counted
+    in `report`."""
+    if report is None:
+        report = curation.IngestReport()
     yield from curation.ingest(read_lines(path), report)
     if report.skipped:
         print(f"note: skipped {report.skipped} malformed line(s) in {path}",
@@ -295,18 +298,19 @@ def _pretrain_worker(task):
 
 def cmd_gen_pretrain(args) -> int:
     config = load_config(args.config, args.seed)
+    report = curation.IngestReport()
     tasks = ((i, record, config.objectives)
-             for i, record in enumerate(_read_records(args.input)))
-    skipped = 0
+             for i, record in enumerate(_read_records(args.input, report)))
+    unfit = 0  # records no objective fits
 
     def results() -> Iterator[dict]:
-        nonlocal skipped
+        nonlocal unfit
         with (Pool(args.workers) if args.workers > 1 else contextlib.nullcontext()) as pool:
             rows = (pool.imap(_pretrain_worker, tasks, chunksize=256) if pool
                     else map(_pretrain_worker, tasks))
             for row in rows:
                 if row is None:
-                    skipped += 1
+                    unfit += 1
                 else:
                     yield row
 
@@ -314,7 +318,9 @@ def cmd_gen_pretrain(args) -> int:
                   config={"seed": config.seed, "objectives": asdict(config.objectives),
                           "workers_independent": True},
                   inputs=[args.input])
-    print(f"generated {count} pretrain examples ({skipped} skipped)", file=sys.stderr)
+    # Every line read is an example or a skip: emitted + skipped == lines read.
+    print(f"generated {count} pretrain examples ({report.skipped + unfit} skipped: "
+          f"{report.skipped} malformed, {unfit} fit no objective)", file=sys.stderr)
     return EXIT_OK
 
 

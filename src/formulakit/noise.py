@@ -2,9 +2,16 @@
 
 Each operator mirrors a mistake real spreadsheet users make: breaking
 ranges, wrong function arity, mangled quoting, stray operators, and so on.
-Operators declare an applicability predicate over the token list; applying
-an applicable operator always changes the formula text and is a pure
-function of (formula, rng state).
+
+`OPERATORS` is the one table of them. Each entry pairs a site finder,
+`sites(tokens, catalog)`, which lists where the operator can act and is
+empty exactly when it does not apply, with a rewrite,
+`rewrite(formula, tokens, sites, rng)`, which corrupts one of those sites
+and never searches again. Operators 14-17 act anywhere in the text, so
+their one site is the whole formula. `is_applicable`,
+`applicable_operators` and `apply_noise_operator` are lookups in that
+table. Applying an applicable operator always changes the formula text
+and is a pure function of (formula, rng state).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .lexer import Token, TokenKind, call_arguments, lex
 
 
 class NotApplicable(Exception):
-    """The operator's applicability predicate is false for this formula."""
+    """The operator finds no site in this formula."""
 
 
 # Inserted by AddRandomOperator / AddOperatorAtEnd and reused as part of the
@@ -34,28 +41,24 @@ _RELATIONAL_TWO_CHAR = ("<=", ">=", "<>")
 _COMPARISON_OPS = frozenset({"<", ">", "<=", ">=", "<>", "="})
 
 
-# The predicates below run for every operator on every formula. Each reads
+# The site finders below run for every operator on every formula. Each reads
 # a token's text before its kind, or binds the kind to a local first: a
-# TokenKind.X lookup costs more than the rest of the per-token test.
+# TokenKind.X lookup costs more than the rest of the per-token test. Each
+# takes the catalog, which only the arity operator reads.
 
 
-def _solid_indices(tokens: list[Token]) -> list[int]:
-    whitespace = TokenKind.WHITESPACE
-    return [i for i, t in enumerate(tokens) if t.kind is not whitespace]
-
-
-def _range_colons(tokens: list[Token]) -> list[int]:
-    """Indices of `:` tokens that sit between two cell references."""
-    solid = _solid_indices(tokens)
+def _range_colons(tokens: list[Token], catalog: FunctionCatalog) -> list[tuple[int, int, int]]:
+    """`:` tokens between two cell references, as (colon, left ref, right ref)."""
+    whitespace, cell_ref = TokenKind.WHITESPACE, TokenKind.CELL_REF
+    solid = [i for i, t in enumerate(tokens) if t.kind is not whitespace]
     out = []
-    for pos, i in enumerate(solid):
+    for pos in range(1, len(solid) - 1):
+        i = solid[pos]
         tok = tokens[i]
         if tok.text == ":" and tok.kind is TokenKind.PUNCT:
-            if 0 < pos < len(solid) - 1:
-                prev_tok = tokens[solid[pos - 1]]
-                next_tok = tokens[solid[pos + 1]]
-                if prev_tok.kind is TokenKind.CELL_REF and next_tok.kind is TokenKind.CELL_REF:
-                    out.append(i)
+            left, right = solid[pos - 1], solid[pos + 1]
+            if tokens[left].kind is cell_ref and tokens[right].kind is cell_ref:
+                out.append((i, left, right))
     return out
 
 
@@ -68,18 +71,14 @@ def _arg_text(tokens: list[Token], arg: tuple[int, int]) -> str:
     return "".join(tokens[x].text for x in range(*arg))
 
 
-def _wrong_range(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    idx = rng.choice(_range_colons(tokens))
+def _wrong_range(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
+    idx, _, _ = rng.choice(sites)
     action = rng.choice([";", ",", " ", '"', None])  # None deletes the colon
     return _splice(tokens, {idx: action if action is not None else ""})
 
 
-def _malformed_range(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    colons = _range_colons(tokens)
-    idx = rng.choice(colons)
-    solid = _solid_indices(tokens)
-    pos = solid.index(idx)
-    left, right = solid[pos - 1], solid[pos + 1]
+def _malformed_range(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
+    _, left, right = rng.choice(sites)
     # Elements: col1, row1, col2, row2; drop one of the four.
     element = rng.randrange(4)
     target = left if element < 2 else right
@@ -89,13 +88,14 @@ def _malformed_range(formula: str, tokens: list[Token], rng: random.Random) -> s
     return _splice(tokens, {target: new_text})
 
 
-def _space_before_paren_candidates(tokens):
+def _func_names(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
     func_name = TokenKind.FUNC_NAME
     return [i for i, t in enumerate(tokens) if t.kind is func_name]
 
 
-def _space_before_paren(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    idx = rng.choice(_space_before_paren_candidates(tokens))
+def _space_before_paren(formula: str, tokens: list[Token], sites: list,
+                        rng: random.Random) -> str:
+    idx = rng.choice(sites)
     return _splice(tokens, {idx: tokens[idx].text + " "})
 
 
@@ -119,9 +119,8 @@ def _fixed_arity_calls(tokens: list[Token], catalog: FunctionCatalog):
     return out
 
 
-def _change_arity(formula: str, tokens: list[Token], rng: random.Random,
-                  catalog: FunctionCatalog) -> str:
-    func_idx, args, actions = rng.choice(_fixed_arity_calls(tokens, catalog))
+def _change_arity(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
+    _, args, actions = rng.choice(sites)
     action = rng.choice(actions)
     arg_pos = rng.randrange(len(args))
     if action == "delete":
@@ -173,7 +172,7 @@ def _arg_typer(tokens: list[Token]) -> Callable[[tuple[int, int]], str]:
     return arg_type
 
 
-def _swappable_calls(tokens: list[Token]):
+def _swappable_calls(tokens: list[Token], catalog: FunctionCatalog):
     """Calls with arguments of at least two types, with those types."""
     calls = [(func_idx, args) for func_idx, args in call_arguments(tokens).items()
              if len(args) >= 2]
@@ -188,8 +187,8 @@ def _swappable_calls(tokens: list[Token]):
     return out
 
 
-def _swap_arguments(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    _, args, types = rng.choice(_swappable_calls(tokens))
+def _swap_arguments(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
+    _, args, types = rng.choice(sites)
     pairs = [(i, j) for i in range(len(args)) for j in range(i + 1, len(args))
              if types[i] != types[j]]
     i, j = rng.choice(pairs)
@@ -211,116 +210,122 @@ def _swap_arguments(formula: str, tokens: list[Token], rng: random.Random) -> st
     return _splice(tokens, repl)
 
 
-def _relational_ops(tokens: list[Token]) -> list[int]:
+def _relational_ops(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
     return [i for i, t in enumerate(tokens)
             if t.text in _RELATIONAL_TWO_CHAR and t.kind is TokenKind.OPERATOR]
 
 
-def _space_in_relational(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    idx = rng.choice(_relational_ops(tokens))
+def _space_in_relational(formula: str, tokens: list[Token], sites: list,
+                         rng: random.Random) -> str:
+    idx = rng.choice(sites)
     text = tokens[idx].text
     return _splice(tokens, {idx: text[0] + " " + text[1]})
 
 
-def _swap_relational(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    idx = rng.choice(_relational_ops(tokens))
+def _swap_relational(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
+    idx = rng.choice(sites)
     text = tokens[idx].text
     return _splice(tokens, {idx: text[1] + text[0]})
 
 
-def _inequalities(tokens: list[Token]) -> list[int]:
+def _inequalities(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
     return [i for i, t in enumerate(tokens)
             if t.text == "<>" and t.kind is TokenKind.OPERATOR]
 
 
-def _inequality_noise(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    idx = rng.choice(_inequalities(tokens))
-    return _splice(tokens, {idx: rng.choice(["!=", "=!"])})
+def _inequality_noise(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
+    return _splice(tokens, {rng.choice(sites): rng.choice(["!=", "=!"])})
 
 
-def _equalities(tokens: list[Token]) -> list[int]:
+def _equalities(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
     return [i for i, t in enumerate(tokens)
             if t.text == "=" and t.kind is TokenKind.OPERATOR]
 
 
-def _invalid_equality(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    idx = rng.choice(_equalities(tokens))
-    return _splice(tokens, {idx: rng.choice(["==", "==="])})
+def _invalid_equality(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
+    return _splice(tokens, {rng.choice(sites): rng.choice(["==", "==="])})
 
 
-def _quoted_sheets(tokens: list[Token]) -> list[int]:
+def _quoted_sheets(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
     return [i for i, t in enumerate(tokens)
             if t.text[:1] == "'" and t.kind is TokenKind.SHEET_NAME
             and len(t.text) >= 2 and t.text.endswith("'")]
 
 
-def _malformed_sheet_name(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    idx = rng.choice(_quoted_sheets(tokens))
+def _malformed_sheet_name(formula: str, tokens: list[Token], sites: list,
+                          rng: random.Random) -> str:
+    idx = rng.choice(sites)
     inner = tokens[idx].text[1:-1]
     if rng.random() < 0.5:
         return _splice(tokens, {idx: inner})
     return _splice(tokens, {idx: '"' + inner + '"'})
 
 
-def _sheet_bangs(tokens: list[Token]) -> list[int]:
+def _sheet_bangs(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
     return [i for i, t in enumerate(tokens)
             if t.text == "!" and t.kind is TokenKind.PUNCT
             and i > 0 and tokens[i - 1].kind is TokenKind.SHEET_NAME]
 
 
-def _remove_exclamation(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    idx = rng.choice(_sheet_bangs(tokens))
-    return _splice(tokens, {idx: ""})
+def _remove_exclamation(formula: str, tokens: list[Token], sites: list,
+                        rng: random.Random) -> str:
+    return _splice(tokens, {rng.choice(sites): ""})
 
 
-def _closed_strings(tokens: list[Token]) -> list[int]:
+def _closed_strings(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
     return [i for i, t in enumerate(tokens)
             if t.text[:1] == '"' and t.kind is TokenKind.STRING_LIT
             and len(t.text) >= 2 and t.text.endswith('"')]
 
 
-def _malformed_string(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    idx = rng.choice(_closed_strings(tokens))
+def _malformed_string(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
+    idx = rng.choice(sites)
     inner = tokens[idx].text[1:-1]
     if rng.random() < 0.5:
         return _splice(tokens, {idx: inner})
     return _splice(tokens, {idx: "'" + inner + "'"})
 
 
-def _closing_parens(tokens: list[Token]) -> list[int]:
+def _closing_parens(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
     return [i for i, t in enumerate(tokens) if t.text == ")" and t.kind is TokenKind.PUNCT]
 
 
-def _comma_paren_noise(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    idx = rng.choice(_closing_parens(tokens))
+def _comma_paren_noise(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
+    idx = rng.choice(sites)
     if rng.random() < 0.5:
         return _splice(tokens, {idx: ",)"})
     return _splice(tokens, {idx: ","})
 
 
-def _add_random_operator(formula: str, tokens: list[Token], rng: random.Random) -> str:
+def _whole_formula(tokens: list[Token], catalog: FunctionCatalog) -> list[None]:
+    """The one site of an operator that acts anywhere in the text."""
+    return [None]
+
+
+def _add_random_operator(formula: str, tokens: list[Token], sites: list,
+                         rng: random.Random) -> str:
     pos = rng.randrange(len(formula) + 1)
     op = rng.choice(RANDOM_OPERATORS)
     return formula[:pos] + op + formula[pos:]
 
 
-def _add_operator_at_end(formula: str, tokens: list[Token], rng: random.Random) -> str:
+def _add_operator_at_end(formula: str, tokens: list[Token], sites: list,
+                         rng: random.Random) -> str:
     return formula + rng.choice(RANDOM_OPERATORS)
 
 
-def _add_parentheses(formula: str, tokens: list[Token], rng: random.Random) -> str:
+def _add_parentheses(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
     i = rng.randrange(len(formula) + 1)
     opened = formula[:i] + "(" + formula[i:]
     j = rng.randrange(len(opened) + 1)
     return opened[:j] + ")" + opened[j:]
 
 
-def _delimiter_positions(formula: str) -> list[int]:
-    return [i for i, ch in enumerate(formula) if ch in DELIMITERS]
-
-
-def _corrupt_delimiters(formula: str, tokens: list[Token], rng: random.Random) -> str:
-    positions = _delimiter_positions(formula)
+def _corrupt_delimiters(formula: str, tokens: list[Token], sites: list,
+                        rng: random.Random) -> str:
+    # Delimiters are found in the text, not the tokens: a `,` or `"` inside a
+    # string literal is as easy to drop as a structural one.
+    positions = [i for i, ch in enumerate(formula) if ch in DELIMITERS]
     actions = ["add"] + (["delete", "replace"] if positions else [])
     action = rng.choice(actions)
     if action == "add":
@@ -334,84 +339,61 @@ def _corrupt_delimiters(formula: str, tokens: list[Token], rng: random.Random) -
     return formula[:pos] + other + formula[pos + 1:]
 
 
-def _always(tokens: list[Token]) -> bool:
-    return True
-
-
 @dataclass(frozen=True)
 class NoiseOperator:
+    """`sites(tokens, catalog)` lists where the operator can act and is empty
+    when it does not apply; `rewrite(formula, tokens, sites, rng)` corrupts
+    one of those sites."""
+
+    # Left unevaluated (annotations are strings here): typing caches every
+    # `Callable[...]` it builds, which would keep each re-imported copy of
+    # the lexer alive.
     op_id: int
     name: str
-    applicable: Callable[[list[Token]], bool]
+    sites: Callable[[list[Token], FunctionCatalog], list]
+    rewrite: Callable[[str, list[Token], list, random.Random], str]
 
 
-def _mk(op_id, name, candidate_fn=None):
-    if candidate_fn is None:
-        return NoiseOperator(op_id, name, _always)
-    return NoiseOperator(op_id, name, lambda toks: bool(candidate_fn(toks)))
-
-
-OPERATORS: dict[int, NoiseOperator] = {
-    1: _mk(1, "wrong_range", _range_colons),
-    2: _mk(2, "malformed_range", _range_colons),
-    3: _mk(3, "space_before_call_paren", _space_before_paren_candidates),
-    4: _mk(4, "change_arity"),
-    5: _mk(5, "swap_arguments", _swappable_calls),
-    6: _mk(6, "space_in_relational_op", _relational_ops),
-    7: _mk(7, "swap_relational_op", _relational_ops),
-    8: _mk(8, "inequality_noise", _inequalities),
-    9: _mk(9, "invalid_equality", _equalities),
-    10: _mk(10, "malformed_sheet_name", _quoted_sheets),
-    11: _mk(11, "remove_exclamation", _sheet_bangs),
-    12: _mk(12, "malformed_string", _closed_strings),
-    13: _mk(13, "comma_paren_noise", _closing_parens),
-    14: _mk(14, "add_random_operator"),
-    15: _mk(15, "add_operator_at_end"),
-    16: _mk(16, "add_parentheses"),
-    17: _mk(17, "corrupt_unreliable_tokens"),
-}
-
-_APPLY: dict[int, Callable] = {
-    1: _wrong_range,
-    2: _malformed_range,
-    3: _space_before_paren,
-    5: _swap_arguments,
-    6: _space_in_relational,
-    7: _swap_relational,
-    8: _inequality_noise,
-    9: _invalid_equality,
-    10: _malformed_sheet_name,
-    11: _remove_exclamation,
-    12: _malformed_string,
-    13: _comma_paren_noise,
-    14: _add_random_operator,
-    15: _add_operator_at_end,
-    16: _add_parentheses,
-    17: _corrupt_delimiters,
-}
+OPERATORS: dict[int, NoiseOperator] = {op.op_id: op for op in [
+    NoiseOperator(1, "wrong_range", _range_colons, _wrong_range),
+    NoiseOperator(2, "malformed_range", _range_colons, _malformed_range),
+    NoiseOperator(3, "space_before_call_paren", _func_names, _space_before_paren),
+    NoiseOperator(4, "change_arity", _fixed_arity_calls, _change_arity),
+    NoiseOperator(5, "swap_arguments", _swappable_calls, _swap_arguments),
+    NoiseOperator(6, "space_in_relational_op", _relational_ops, _space_in_relational),
+    NoiseOperator(7, "swap_relational_op", _relational_ops, _swap_relational),
+    NoiseOperator(8, "inequality_noise", _inequalities, _inequality_noise),
+    NoiseOperator(9, "invalid_equality", _equalities, _invalid_equality),
+    NoiseOperator(10, "malformed_sheet_name", _quoted_sheets, _malformed_sheet_name),
+    NoiseOperator(11, "remove_exclamation", _sheet_bangs, _remove_exclamation),
+    NoiseOperator(12, "malformed_string", _closed_strings, _malformed_string),
+    NoiseOperator(13, "comma_paren_noise", _closing_parens, _comma_paren_noise),
+    NoiseOperator(14, "add_random_operator", _whole_formula, _add_random_operator),
+    NoiseOperator(15, "add_operator_at_end", _whole_formula, _add_operator_at_end),
+    NoiseOperator(16, "add_parentheses", _whole_formula, _add_parentheses),
+    NoiseOperator(17, "corrupt_unreliable_tokens", _whole_formula, _corrupt_delimiters),
+]}
 
 
 def is_applicable(formula: str, op_id: int,
-                  catalog: Optional[FunctionCatalog] = None,
-                  tokens: Optional[list[Token]] = None) -> bool:
+                  catalog: Optional[FunctionCatalog] = None) -> bool:
     if catalog is None:
         catalog = default_catalog()
-    if tokens is None:
-        tokens = lex(formula, catalog)
-    if op_id == 4:
-        return bool(_fixed_arity_calls(tokens, catalog))
-    return OPERATORS[op_id].applicable(tokens)
+    return bool(OPERATORS[op_id].sites(lex(formula, catalog), catalog))
 
 
 def applicable_operators(formula: str,
                          catalog: Optional[FunctionCatalog] = None,
                          tokens: Optional[list[Token]] = None) -> list[int]:
+    """Ids of the operators that find a site in the formula, ascending.
+
+    `tokens`, when given, must be `lex(formula, catalog)`.
+    """
     if catalog is None:
         catalog = default_catalog()
     if tokens is None:
         tokens = lex(formula, catalog)
-    return [op_id for op_id in sorted(OPERATORS)
-            if is_applicable(formula, op_id, catalog, tokens)]
+    return [op_id for op_id, op in OPERATORS.items() if op.sites(tokens, catalog)]
 
 
 def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
@@ -421,20 +403,17 @@ def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
 
     `tokens`, when given, must be `lex(formula, catalog)`.
     """
-    if op_id not in OPERATORS:
+    op = OPERATORS.get(op_id)
+    if op is None:
         raise ValueError(f"unknown noise operator id {op_id}")
     if catalog is None:
         catalog = default_catalog()
     if tokens is None:
         tokens = lex(formula, catalog)
-    if not is_applicable(formula, op_id, catalog, tokens):
-        raise NotApplicable(f"operator {op_id} ({OPERATORS[op_id].name}) "
-                            f"does not apply to {formula!r}")
-    if op_id == 4:
-        result = _change_arity(formula, tokens, rng, catalog)
-    else:
-        result = _APPLY[op_id](formula, tokens, rng)
+    sites = op.sites(tokens, catalog)
+    if not sites:
+        raise NotApplicable(f"operator {op_id} ({op.name}) does not apply to {formula!r}")
+    result = op.rewrite(formula, tokens, sites, rng)
     if result == formula:
-        raise RuntimeError(f"operator {op_id} ({OPERATORS[op_id].name}) "
-                           f"left {formula!r} unchanged")
+        raise RuntimeError(f"operator {op_id} ({op.name}) left {formula!r} unchanged")
     return result

@@ -257,7 +257,9 @@ def example_for_record(record: FormulaRecord, ordinal: int,
     fails. Pure in (record, ordinal, config), hence worker-count independent."""
     record_seed = derive_seed(config.seed, record.workbook_id, record.sheet_id, ordinal)
     rng = random.Random(record_seed)
-    remaining = dict(config.weights)
+    # A zero-weight objective is never drawn, and rng.choices rejects all-zero
+    # weights, so only positive weights take part; the draws are unchanged.
+    remaining = {name: w for name, w in config.weights.items() if w > 0}
     example: Optional[PretrainExample] = None
     while remaining:
         objective = _weighted_draw(rng, remaining)

@@ -73,19 +73,7 @@ def formula_token_ids(formula: str, intern: dict[str, int]) -> tuple[int, ...]:
 def formula_token_ids_frozen(formula: str, intern: dict[str, int]) -> tuple[int, ...]:
     """Like formula_token_ids but read-only: unseen texts get overlay ids
     past the shared table instead of mutating it (keeps queries pure)."""
-    overlay: dict[str, int] = {}
-    ids = []
-    for tok in lexer.lex(formula):
-        if tok.kind is lexer.TokenKind.WHITESPACE:
-            continue
-        tok_id = intern.get(tok.text)
-        if tok_id is None:
-            tok_id = overlay.get(tok.text)
-            if tok_id is None:
-                tok_id = len(intern) + len(overlay)
-                overlay[tok.text] = tok_id
-        ids.append(tok_id)
-    return tuple(ids)
+    return formula_token_ids(formula, dict(intern))
 
 
 def token_edit_similarity(a: str, b: str) -> float:

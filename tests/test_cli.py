@@ -181,6 +181,25 @@ class TestGenPretrainCli:
         assert main(["gen-pretrain", "--input", corpus_file, "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: {config}: ")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_skipped_count_covers_every_line_without_an_example(self, tmp_path, capsys,
+                                                                  workers):
+        # Three lines: one example, one malformed line, and one record (`=`,
+        # too short for tail masking) that the only weighted objective declines.
+        row = {"workbook_id": "wb", "sheet_id": "s", "formula": "=SUM(A1:A2)"}
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(f"{dumps(row)}\n{{not json\n{dumps({**row, 'formula': '='})}\n",
+                          encoding="utf-8")
+        config = tmp_path / "config.json"
+        weights = {"laMSP": 0.0, "TM": 1.0, "UN": 0.0, "RN": 0.0, "ID": 0.0}
+        config.write_text(json.dumps({"objectives": {"weights": weights}}), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["gen-pretrain", "--input", str(corpus), "--config", str(config),
+                     "--workers", workers, "-o", str(out)]) == 0
+        assert len(read_jsonl_file(out)) == 1
+        assert ("generated 1 pretrain examples (2 skipped: 1 malformed, "
+                "1 fit no objective)") in capsys.readouterr().err
+
     def test_unknown_config_keys_ignored(self, tmp_path):
         # dedup mode and completion fractions are flags, not config fields
         config = tmp_path / "config.json"
@@ -433,6 +452,13 @@ class TestInputErrors:
         catalog.write_bytes(b"SUM,1,*\n\xff,0,0\n")
         assert main(["lex", "=SUM(A1)", "--catalog", str(catalog)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: {catalog}: ")
+
+    def test_bad_catalog_line_names_file_and_line_once(self, tmp_path, capsys):
+        catalog = tmp_path / "bad.csv"
+        catalog.write_text("SUM,1\n", encoding="utf-8")
+        assert main(["lex", "=A1", "--catalog", str(catalog)]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: {catalog}:1: expected `name,min,max`, got 'SUM,1'\n"
 
     @pytest.mark.parametrize("argv", [
         ["eval-repair", "--benchmark", "b.jsonl", "--predictions", "p.jsonl", "-k", "0"],

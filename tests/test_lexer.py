@@ -334,21 +334,21 @@ class TestFunctionCatalog:
         for name in ("SUM", "SUMIF", "IF", "ISERROR", "VLOOKUP", "EDATE",
                      "TODAY", "INDEX", "MATCH", "AND", "NA"):
             assert name in cat
-        assert cat.arity("IF") == (2, 3)
-        assert cat.arity("ISERROR") == (1, 1)
-        assert cat.arity("SUM") == (1, None)
+        assert cat.get("IF") == (2, 3)
+        assert cat.get("ISERROR") == (1, 1)
+        assert cat.get("SUM") == (1, None)
 
     def test_case_insensitive_lookup(self):
         cat = default_catalog()
         assert "sum" in cat and "Sum" in cat
-        assert cat.arity("sum") == cat.arity("SUM")
+        assert cat.get("sum") == cat.get("SUM") == (1, None)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "funcs.csv"
         path.write_text("# comment\nFOO,1,3\nBAR,0,*\n", encoding="utf-8")
         cat = FunctionCatalog.from_file(path)
-        assert cat.arity("foo") == (1, 3)
-        assert cat.arity("bar") == (0, None)
+        assert cat.get("foo") == (1, 3)
+        assert cat.get("bar") == (0, None)
         assert len(cat) == 2
 
     @pytest.mark.parametrize("line", ["FOO,x,3", "FOO,3", "FOO,2,1", ",1,2"])

@@ -7,11 +7,13 @@ noise, stray operators, and delimiter corruption. Two goldens (op 4 and
 op 10) are the worked examples reproduced verbatim.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from formulakit import noise
+from formulakit.catalog import default_catalog
 from formulakit.lexer import check, lex
 from formulakit.noise import (OPERATORS, NotApplicable, applicable_operators,
                               apply_noise_operator, is_applicable)
@@ -180,9 +182,27 @@ def test_unknown_operator_id():
 
 def test_unchanged_output_raises(monkeypatch):
     # A real check, not an assert, so it also holds under `python -O`.
-    monkeypatch.setitem(noise._APPLY, 15, lambda formula, tokens, rng: formula)
+    monkeypatch.setitem(noise.OPERATORS, 15, dataclasses.replace(
+        OPERATORS[15], rewrite=lambda formula, tokens, sites, rng: formula))
     with pytest.raises(RuntimeError, match="unchanged"):
         apply_noise_operator("=A1", 15, random.Random(0))
+
+
+def test_table_entry_agrees_with_is_applicable():
+    # Each operator's own table entry decides applicability: there is no
+    # per-operator branch that could make the two disagree (operator 4's
+    # entry once claimed `=1` while `is_applicable` said no).
+    catalog = default_catalog()
+    formulas = (synth_corpus(300, seed=52) + list(FIXTURE_FORMULAS.values())
+                + [f for cases in GOLDENS.values() for f, _, _ in cases]
+                + TestSyntaxBreaking.FIXTURES + ["=1", ""])
+    for formula in formulas:
+        tokens = lex(formula, catalog)
+        for op_id, op in OPERATORS.items():
+            assert bool(op.sites(tokens, catalog)) == is_applicable(formula, op_id), \
+                (op_id, formula)
+        assert applicable_operators(formula) == [
+            op_id for op_id in OPERATORS if is_applicable(formula, op_id)]
 
 
 def test_pre_lexed_tokens_give_the_same_output():
