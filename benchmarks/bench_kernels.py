@@ -9,7 +9,9 @@ Three workloads:
              formulas after it: the kernel part of build_retrieval_pairs
              (the retrieval fine-tuning targets, the quadratic step)
 
-Each time is the median of REPEAT runs.
+Each time is the median of REPEAT runs. Before timing, a sample of the
+pairs and of the scan is checked against a textbook dynamic programme; the
+script exits 1 on any disagreement.
 
 Usage: python benchmarks/bench_kernels.py [--pairs 20000] [--corpus 2000]
        [--formulas 400]
@@ -27,6 +29,29 @@ from formulakit.similarity import (formula_token_ids, levenshtein_ids,
 from formulakit.synth import synth_corpus
 
 REPEAT = 5
+SAMPLE = 200  # pairs, and corpus sequences per scan query, checked
+
+
+def dp_levenshtein(a, b):
+    """The two-row dynamic programme, the reference for the kernel."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+def disagreements(pairs, queries, corpus):
+    """Sampled pairs and scan scores on which the kernel and the DP differ."""
+    bad = [(a, b) for a, b in pairs[:SAMPLE] if levenshtein_ids(a, b) != dp_levenshtein(a, b)]
+    for q in queries[:2]:
+        sample = corpus[:SAMPLE]
+        for seq, sim in zip(sample, similarities_to_many(q, sample)):
+            if sim != 1.0 - dp_levenshtein(q, seq) / max(len(q), len(seq)):
+                bad.append((q, seq))
+    return bad
 
 
 def bench(fn, *args):
@@ -79,6 +104,13 @@ def main():
          f"{args.formulas * (args.formulas - 1) // 2} pairs)",
          workload_pairwise, (formula_ids,)),
     ]
+
+    bad = disagreements(pairs, queries, corpus)
+    if bad:
+        a, b = bad[0]
+        print(f"kernel disagrees with the DP on {len(bad)} sampled pair(s), "
+              f"first: {a} vs {b}", file=sys.stderr)
+        return 1
 
     print(f"median of {REPEAT} runs per workload")
     print(f"{'workload':<44} {'time':>12}")

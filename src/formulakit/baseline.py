@@ -10,6 +10,7 @@ to sketch-prefix matching.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ class SketchIndex:
     total_formulas: int
     _formulas: list[str] = field(init=False, repr=False)
     _frequency: dict[str, int] = field(init=False, repr=False)
-    _well_formed: list[bool] = field(init=False, repr=False)
+    _well_formed: list[int] = field(init=False, repr=False)  # positions in _formulas
     _token_ids: list[tuple[int, ...]] = field(init=False, repr=False)
     _intern: dict[str, int] = field(init=False, repr=False)
 
@@ -38,7 +39,7 @@ class SketchIndex:
             for formula, freq in bucket:
                 self._frequency[formula] = freq
         self._formulas = sorted(self._frequency)
-        self._well_formed = [not check(f) for f in self._formulas]
+        self._well_formed = [i for i, f in enumerate(self._formulas) if not check(f)]
         self._intern = {}
         self._token_ids = [formula_token_ids(f, self._intern) for f in self._formulas]
 
@@ -85,11 +86,14 @@ def repair_candidates(index: SketchIndex, buggy: str, k: int) -> list[str]:
         return []
     query_ids = formula_token_ids_frozen(buggy, index._intern)
     sims = similarities_to_many(query_ids, index._token_ids)
-    ranked = sorted(
-        (i for i in range(len(index._formulas)) if index._well_formed[i]),
-        key=lambda i: (-sims[i], -index._frequency[index._formulas[i]], index._formulas[i]),
+    formulas, frequency = index._formulas, index._frequency
+    # The key is unique (the text is), so the k smallest are the first k of
+    # a full sort.
+    ranked = heapq.nsmallest(
+        k, index._well_formed,
+        key=lambda i: (-sims[i], -frequency[formulas[i]], formulas[i]),
     )
-    return [index._formulas[i] for i in ranked[:k]]
+    return [formulas[i] for i in ranked]
 
 
 def completion_candidates(index: SketchIndex, prefix: str, k: int) -> list[str]:

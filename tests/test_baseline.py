@@ -6,6 +6,7 @@ from formulakit.baseline import (SketchIndex, build_index, completion_candidates
                                  repair_candidates)
 from formulakit.curation import dedup_key
 from formulakit.lexer import check, normalize, sketch
+from formulakit.similarity import token_edit_similarity
 from formulakit.synth import synth_corpus
 
 
@@ -71,6 +72,23 @@ class TestRepairCandidates:
         index = build_index(corpus)
         assert repair_candidates(index, "=SUM(A1:A3", 10) == \
             repair_candidates(index, "=SUM(A1:A3", 10)
+
+    def test_top_k_equals_full_sort(self):
+        # Ill-formed entries, tied similarities (=A1 vs =B1/=C1/=D1) and tied
+        # frequencies (=C1 and =D1 twice each) against a full sort.
+        corpus = (["=A1"] * 3 + ["=B1"] + ["=C1", "=D1"] * 2 + ["=SUM(A1", "=A1+"]
+                  + ["=SUM(A1:A3)", "=SUM(A1:B3)"] * 2 + ["=MAX(A1,B1)", "=A1+B1"]
+                  + synth_corpus(40, seed=91))
+        index = build_index(corpus)
+        frequency = {f: corpus.count(f) for f in set(corpus)}
+        well_formed = [f for f in frequency if not check(f)]
+        assert len(well_formed) < len(frequency)
+        for buggy in ("=A1", "=E1", "=SUM(A1:A3", "=MAX(A1,,B1)", "", corpus[-1]):
+            sims = dict(zip(well_formed, (token_edit_similarity(buggy, f)
+                                          for f in well_formed)))
+            reference = sorted(well_formed, key=lambda f: (-sims[f], -frequency[f], f))
+            for k in range(1, len(well_formed) + 2):
+                assert repair_candidates(index, buggy, k) == reference[:k], (buggy, k)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):

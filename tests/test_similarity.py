@@ -48,6 +48,64 @@ class TestLevenshteinKernel:
             b = [rng.randrange(6) for _ in range(rng.randrange(12))]
             assert levenshtein_ids(a, b) == oracle_levenshtein(a, b)
 
+    @pytest.mark.parametrize("alphabet", [2, 50])
+    def test_word_boundaries_against_oracle(self, alphabet):
+        # Lengths 0-200 cross the 30-bit digits of CPython ints and 64-bit
+        # words; a 2-id alphabet gives long runs of matches.
+        rng = random.Random(alphabet)
+        for _ in range(60):
+            a = [rng.randrange(alphabet) for _ in range(rng.randrange(201))]
+            b = [rng.randrange(alphabet) for _ in range(rng.randrange(201))]
+            assert levenshtein_ids(a, b) == oracle_levenshtein(a, b)
+        for m in (29, 30, 31, 32, 63, 64, 65, 128):
+            a = [rng.randrange(alphabet) for _ in range(m)]
+            for n in (0, 1, m - 1, m, m + 1):
+                b = [rng.randrange(alphabet) for _ in range(n)]
+                assert levenshtein_ids(a, b) == oracle_levenshtein(a, b)
+
+    def test_long_pair_against_oracle(self):
+        rng = random.Random(600)
+        a = [rng.randrange(20) for _ in range(600)]
+        b = list(a)
+        for _ in range(150):
+            pos = rng.randrange(len(b) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                b.insert(pos, rng.randrange(20))
+            elif pos < len(b):
+                if edit == 1:
+                    del b[pos]
+                else:
+                    b[pos] = rng.randrange(20)
+        assert levenshtein_ids(a, b) == oracle_levenshtein(a, b)
+
+    def test_empty_query(self):
+        corpus = [(), (1,), (1, 2, 3), tuple(range(70))]
+        assert [levenshtein_ids([], seq) for seq in corpus] == [0, 1, 3, 70]
+        assert similarities_to_many([], corpus) == [1.0, 0.0, 0.0, 0.0]
+
+    def test_unseen_and_repeated_query_ids(self):
+        intern = {}
+        corpus = [formula_token_ids(f, intern) for f in synth_corpus(40, seed=71)]
+        queries = [formula_token_ids_frozen(q, intern) for q in
+                   ("=FOO(Z9,Z9)+BAR(Q1)", "=A1+A1+A1+A1", "=SUM(A1:A10)+SUM(A1:A10)",
+                    "=" + "+".join(["Z99"] * 40))]
+        assert any(tok_id >= len(intern) for tok_id in queries[0])
+        for q in queries:
+            sims = similarities_to_many(q, corpus)
+            for seq, sim in zip(corpus, sims):
+                d = oracle_levenshtein(q, seq)
+                assert levenshtein_ids(q, seq) == d
+                assert sim == 1.0 - d / max(len(q), len(seq))
+
+    def test_symmetric(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            alphabet = rng.choice([2, 5, 50])
+            a = [rng.randrange(alphabet) for _ in range(rng.randrange(90))]
+            b = [rng.randrange(alphabet) for _ in range(rng.randrange(90))]
+            assert levenshtein_ids(a, b) == levenshtein_ids(b, a)
+
     def test_kernel_backend_reported(self):
         assert KERNEL_BACKEND == "python"
 
