@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Benchmark BPE training in formulakit.tokenizer.
+
+Trains on the benchmark's identifier-rich formulas (perfbench/inputs.py,
+imported read-only) at a budget that forces about 2,000 merges, with the
+incremental trainer and with a from-scratch trainer kept in this script,
+which recounts every pair in every round. The script exits 1 unless both
+learn the same merges, then prints seconds per merge for each. The
+incremental time is the median of REPEAT runs; the from-scratch time is
+its one checking run.
+
+Usage: python benchmarks/bench_bpe.py [--formulas 2000] [--budget 2057]
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from inputs import identifier_formulas  # noqa: E402
+
+from formulakit.tokenizer import SPACE_MARKER, pretokenize, train_bpe  # noqa: E402
+
+REPEAT = 5
+
+
+def scratch_merges(formulas, budget):
+    """The merge rule by brute force: recount every pair each round."""
+    atomics = {SPACE_MARKER}
+    words = {}
+    for formula in formulas:
+        for pre in pretokenize(formula):
+            if pre.atomic:
+                atomics.add(pre.text)
+            else:
+                words[tuple(pre.text)] = words.get(tuple(pre.text), 0) + 1
+    vocab = atomics | {ch for word in words for ch in word}
+    size = 3 + len(vocab)  # pad, unknown, mask
+    merges = []
+    while size < budget:
+        counts = {}
+        for word, freq in words.items():
+            for pair in zip(word, word[1:]):
+                counts[pair] = counts.get(pair, 0) + freq
+        if not counts or max(counts.values()) < 2:
+            break
+        top = max(counts.values())
+        best = min((p for p, c in counts.items() if c == top), key=lambda p: (p[0] + p[1], p))
+        merges.append(best)
+        merged = best[0] + best[1]
+        if merged not in vocab:
+            vocab.add(merged)
+            size += 1
+        new_words = {}
+        for word, freq in words.items():
+            out, i = [], 0
+            while i < len(word):
+                if word[i:i + 2] == best:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(word[i])
+                    i += 1
+            new_words[tuple(out)] = new_words.get(tuple(out), 0) + freq
+        words = new_words
+    return merges
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--formulas", type=int, default=2_000)
+    parser.add_argument("--budget", type=int, default=2_057)
+    args = parser.parse_args()
+
+    formulas = identifier_formulas(0, args.formulas)
+    times = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        model = train_bpe(formulas, args.budget)
+        times.append(time.perf_counter() - start)
+    start = time.perf_counter()
+    reference = scratch_merges(formulas, args.budget)
+    scratch_s = time.perf_counter() - start
+
+    if model.merges != reference:
+        first = next((i for i, (a, b) in enumerate(zip(model.merges, reference)) if a != b),
+                     min(len(model.merges), len(reference)))
+        print(f"merges differ from the from-scratch trainer at merge {first} "
+              f"({len(model.merges)} vs {len(reference)} merges)", file=sys.stderr)
+        return 1
+
+    merges = max(len(reference), 1)
+    print(f"{args.formulas} formulas, budget {args.budget}: {len(reference)} merges, "
+          f"identical to the from-scratch trainer")
+    print(f"{'trainer':<36} {'s/merge':>12}")
+    print(f"{f'incremental (median of {REPEAT})':<36} {statistics.median(times) / merges:>12.6f}")
+    print(f"{'from scratch (one run)':<36} {scratch_s / merges:>12.6f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .curation import dedup_key
 from .jsonl import write_json_atomic
-from .lexer import check
+from .lexer import check, lex
 from .similarity import formula_token_ids, formula_token_ids_frozen, similarities_to_many
 
 
@@ -28,6 +28,7 @@ class SketchIndex:
     entries: dict[str, list[tuple[str, int]]]
     total_formulas: int
     _formulas: list[str] = field(init=False, repr=False)
+    _lowered: list[str] = field(init=False, repr=False)  # _formulas, lowercased
     _frequency: dict[str, int] = field(init=False, repr=False)
     _well_formed: list[int] = field(init=False, repr=False)  # positions in _formulas
     _token_ids: list[tuple[int, ...]] = field(init=False, repr=False)
@@ -39,9 +40,15 @@ class SketchIndex:
             for formula, freq in bucket:
                 self._frequency[formula] = freq
         self._formulas = sorted(self._frequency)
-        self._well_formed = [i for i, f in enumerate(self._formulas) if not check(f)]
+        self._lowered = [f.lower() for f in self._formulas]
+        self._well_formed = []
         self._intern = {}
-        self._token_ids = [formula_token_ids(f, self._intern) for f in self._formulas]
+        self._token_ids = []
+        for i, formula in enumerate(self._formulas):
+            tokens = lex(formula)
+            if not check(formula, tokens=tokens):
+                self._well_formed.append(i)
+            self._token_ids.append(formula_token_ids(formula, self._intern, tokens))
 
     def to_json(self) -> dict:
         return {
@@ -107,7 +114,8 @@ def completion_candidates(index: SketchIndex, prefix: str, k: int) -> list[str]:
     if k < 1:
         raise ValueError("k must be >= 1")
     needle = prefix.lower()
-    matches = [f for f in index._formulas if f.lower().startswith(needle)]
+    matches = [f for f, lowered in zip(index._formulas, index._lowered)
+               if lowered.startswith(needle)]
     if not matches:
         key_needle = dedup_key(prefix)
         if key_needle:

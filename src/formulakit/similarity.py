@@ -19,7 +19,7 @@ The package has no compiled extension; KERNEL_BACKEND names the kernel for
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import lexer
 
@@ -89,10 +89,16 @@ def similarities_to_many(query: Sequence[int], corpus: Sequence[Sequence[int]]) 
     return out
 
 
-def formula_token_ids(formula: str, intern: dict[str, int]) -> tuple[int, ...]:
-    """Non-whitespace lexer token texts interned to ids via a shared dict."""
+def formula_token_ids(formula: str, intern: dict[str, int],
+                      tokens: Optional[list[lexer.Token]] = None) -> tuple[int, ...]:
+    """Non-whitespace lexer token texts interned to ids via a shared dict.
+
+    `tokens`, when given, must be `lex(formula)`.
+    """
+    if tokens is None:
+        tokens = lexer.lex(formula)
     ids = []
-    for tok in lexer.lex(formula):
+    for tok in tokens:
         if tok.kind is lexer.TokenKind.WHITESPACE:
             continue
         tok_id = intern.get(tok.text)

@@ -7,16 +7,26 @@ over the residual letter runs: string contents, identifiers, sheet names,
 column letters. This is what keeps pathologies like a fused `sum(` token
 out of the vocabulary by construction.
 
-The trainer recounts pair frequencies from scratch each round. That is
-deliberate: it is the direct transcription of the merge rule (most frequent
-pair, ties by merged string) and stays auditable against a brute-force
-oracle; desk-scale corpora do not need the incremental bookkeeping.
+The trainer counts adjacent pairs once, then keeps the counts current as it
+merges, with the bookkeeping of the reference `learn_bpe` (Sennrich et al.
+2016, arXiv:1508.07909): pair -> count, and pair -> the distinct words that
+hold it. A round rewrites only the words that hold the chosen pair, and the
+next pair comes off a lazily invalidated heap, so a round costs the words it
+touches rather than the whole corpus. The merge rule is unchanged: the most
+frequent pair, ties by the merged string, then by the pair; the brute-force
+recount in the tests is the oracle for it.
+
+`encode` memoises each letter run's ids on the model, since identifiers and
+sheet names repeat across a corpus far more than they vary.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -99,6 +109,8 @@ class TokenizerModel:
     budget: int
     _token_to_id: dict[str, int] = field(repr=False, default_factory=dict)
     _merge_rank: dict[tuple[str, str], int] = field(repr=False, default_factory=dict)
+    # letter run -> its ids, filled by encode; not part of the model's value
+    _segment_ids: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._token_to_id = {tok: i for i, tok in enumerate(self.vocab)}
@@ -151,7 +163,7 @@ def _default_specials() -> dict[str, str]:
             "space_marker": SPACE_MARKER}
 
 
-def _merge_word(word: tuple[str, ...], left: str, right: str) -> tuple[str, ...]:
+def _merge_word(word: Sequence[str], left: str, right: str) -> list[str]:
     """One greedy left-to-right application of a single merge."""
     out: list[str] = []
     i = 0
@@ -164,7 +176,7 @@ def _merge_word(word: tuple[str, ...], left: str, right: str) -> tuple[str, ...]
         else:
             out.append(word[i])
             i += 1
-    return tuple(out)
+    return out
 
 
 def train_bpe(
@@ -184,16 +196,15 @@ def train_bpe(
     specials = _default_specials()
 
     atomic_inventory: set[str] = {SPACE_MARKER}
-    words: dict[tuple[str, ...], int] = {}
+    word_freq: dict[str, int] = {}
     for formula in corpus:
         for pre in pretokenize(formula, catalog):
             if pre.atomic:
                 atomic_inventory.add(pre.text)
             else:
-                word = tuple(pre.text)
-                words[word] = words.get(word, 0) + 1
+                word_freq[pre.text] = word_freq.get(pre.text, 0) + 1
 
-    alphabet = {ch for word in words for ch in word}
+    alphabet = {ch for word in word_freq for ch in word}
     base = sorted(atomic_inventory | alphabet)
     num_special_rows = 3  # pad, unknown, mask; the space marker lives in base
     floor = num_special_rows + len(base)
@@ -208,30 +219,65 @@ def train_bpe(
     in_vocab = set(vocab)
     merges: list[tuple[str, str]] = []
 
+    # Distinct words, their frequencies, and the two maps kept current as
+    # words are rewritten. `where` may hold stale indices: a word that lost
+    # a pair keeps its index there until the pair's count reaches 0.
+    words: list[list[str]] = [list(word) for word in word_freq]
+    freqs: list[int] = list(word_freq.values())
+    counts: dict[tuple[str, str], int] = {}
+    where: dict[tuple[str, str], set[int]] = {}
+    for index, word in enumerate(words):
+        for pair in zip(word, word[1:]):
+            counts[pair] = counts.get(pair, 0) + freqs[index]
+            where.setdefault(pair, set()).add(index)
+
+    # Every live pair has an entry whose count is at least its current one;
+    # an entry whose count is stale is refreshed when it reaches the top.
+    heap = [(-count, pair[0] + pair[1], pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
+
     while len(vocab) < budget:
-        counts: dict[tuple[str, str], int] = {}
-        for word, freq in words.items():
-            for pair in zip(word, word[1:]):
-                counts[pair] = counts.get(pair, 0) + freq
-        if not counts:
+        while heap:
+            neg_count, merged, best = heap[0]
+            count = counts.get(best, 0)
+            if count == -neg_count:
+                break
+            if count:
+                heapq.heapreplace(heap, (-count, merged, best))
+            else:
+                heapq.heappop(heap)
+        if not heap or count < 2:
             break
-        best_count = max(counts.values())
-        if best_count < 2:
-            break
-        best = min(
-            (pair for pair, c in counts.items() if c == best_count),
-            key=lambda p: (p[0] + p[1], p),
-        )
         merges.append(best)
-        merged = best[0] + best[1]
         if merged not in in_vocab:
             vocab.append(merged)
             in_vocab.add(merged)
-        new_words: dict[tuple[str, ...], int] = {}
-        for word, freq in words.items():
-            new_word = _merge_word(word, best[0], best[1])
-            new_words[new_word] = new_words.get(new_word, 0) + freq
-        words = new_words
+
+        left, right = best
+        gained: set[tuple[str, str]] = set()
+        for index in where.pop(best):
+            word = words[index]
+            new_word = _merge_word(word, left, right)
+            if len(new_word) == len(word):
+                continue  # stale index: the word no longer holds the pair
+            freq = freqs[index]
+            for pair in zip(word, word[1:]):
+                remaining = counts[pair] - freq
+                if remaining:
+                    counts[pair] = remaining
+                else:
+                    del counts[pair]
+                    where.pop(pair, None)
+            for pair in zip(new_word, new_word[1:]):
+                counts[pair] = counts.get(pair, 0) + freq
+                where.setdefault(pair, set()).add(index)
+                if merged in pair:
+                    gained.add(pair)
+            words[index] = new_word
+        # Only pairs holding the merged token can have gained count.
+        for pair in gained:
+            if pair in counts:
+                heapq.heappush(heap, (-counts[pair], pair[0] + pair[1], pair))
 
     return TokenizerModel(vocab=vocab, merges=merges, specials=specials, budget=budget)
 
@@ -249,28 +295,29 @@ def _bpe_apply(chars: Sequence[str], rank: dict[tuple[str, str], int]) -> list[s
                 best_pair = pair
         if best_pair is None:
             break
-        word = list(_merge_word(tuple(word), best_pair[0], best_pair[1]))
+        word = _merge_word(word, best_pair[0], best_pair[1])
     return word
+
+
+@lru_cache(maxsize=8)
+def _special_pattern(markers: frozenset[str]) -> re.Pattern[str]:
+    """One alternation of the markers, longest first, so the longest wins."""
+    return re.compile("|".join(re.escape(m) for m in sorted(markers, key=len, reverse=True)))
 
 
 def _split_on_specials(text: str, specials: Iterable[str]) -> list[tuple[str, bool]]:
     """Chunk text around special-token literals like <mask>."""
-    markers = sorted({s for s in specials if s}, key=len, reverse=True)
+    markers = frozenset(s for s in specials if s)
+    if not markers:
+        return [(text, False)] if text else []
     chunks: list[tuple[str, bool]] = []
-    i = 0
     plain_start = 0
-    n = len(text)
-    while i < n:
-        hit = next((m for m in markers if text.startswith(m, i)), None)
-        if hit is None:
-            i += 1
-            continue
-        if plain_start < i:
-            chunks.append((text[plain_start:i], False))
-        chunks.append((hit, True))
-        i += len(hit)
-        plain_start = i
-    if plain_start < n:
+    for hit in _special_pattern(markers).finditer(text):
+        if plain_start < hit.start():
+            chunks.append((text[plain_start:hit.start()], False))
+        chunks.append((hit.group(), True))
+        plain_start = hit.end()
+    if plain_start < len(text):
         chunks.append((text[plain_start:], False))
     return chunks
 
@@ -289,6 +336,7 @@ def encode(
     if catalog is None:
         catalog = default_catalog()
     unk = model.unk_id
+    memo = model._segment_ids
     ids: list[int] = []
     special_literals = (model.specials["mask_token"], model.specials["pad"],
                         model.specials["unknown"])
@@ -301,9 +349,12 @@ def encode(
                 tok_id = model.id_of(pre.text)
                 ids.append(tok_id if tok_id is not None else unk)
             else:
-                for piece in _bpe_apply(tuple(pre.text), model._merge_rank):
-                    tok_id = model.id_of(piece)
-                    ids.append(tok_id if tok_id is not None else unk)
+                seg_ids = memo.get(pre.text)
+                if seg_ids is None:
+                    pieces = _bpe_apply(pre.text, model._merge_rank)
+                    seg_ids = memo[pre.text] = [
+                        unk if tok_id is None else tok_id for tok_id in map(model.id_of, pieces)]
+                ids.extend(seg_ids)
     return ids
 
 

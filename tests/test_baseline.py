@@ -6,7 +6,7 @@ from formulakit.baseline import (SketchIndex, build_index, completion_candidates
                                  repair_candidates)
 from formulakit.curation import dedup_key
 from formulakit.lexer import check, normalize, sketch
-from formulakit.similarity import token_edit_similarity
+from formulakit.similarity import formula_token_ids, token_edit_similarity
 from formulakit.synth import synth_corpus
 
 
@@ -41,6 +41,16 @@ class TestBuildIndex:
         for f in corpus:
             brute[dedup_key(f)] = brute.get(dedup_key(f), 0) + 1
         assert {s: sum(c for _, c in b) for s, b in index.entries.items()} == brute
+
+
+    def test_one_lex_gives_the_derived_views(self):
+        corpus = synth_corpus(200, seed=91) + ["=SUM(A1", "=IF(A1,,)", "=  max( B2 )"]
+        index = build_index(corpus)
+        intern = {}
+        assert index._token_ids == [formula_token_ids(f, intern) for f in index._formulas]
+        assert index._intern == intern
+        assert index._well_formed == [i for i, f in enumerate(index._formulas) if not check(f)]
+        assert index._lowered == [f.lower() for f in index._formulas]
 
 
 class TestRepairCandidates:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from formulakit.lexer import lex
 from formulakit.similarity import (KERNEL_BACKEND, formula_token_ids,
                                    formula_token_ids_frozen, levenshtein_ids,
                                    similarities_to_many, token_edit_similarity)
@@ -166,6 +167,11 @@ class TestTokenEditSimilarity:
         ids_b = formula_token_ids("=SUM(B1)", intern)
         assert ids_a[:3] == ids_b[:3]  # =, SUM, ( shared
         assert ids_a[3] != ids_b[3]
+
+    def test_given_tokens_match_a_fresh_lex(self):
+        for f in synth_corpus(40, seed=72) + ["=SUM( A1 ,B2)", "=A1 +", ""]:
+            a, b = {}, {}
+            assert formula_token_ids(f, a, lex(f)) == formula_token_ids(f, b) and a == b
 
     def test_frozen_interning_does_not_mutate(self):
         intern = {}

@@ -1,13 +1,19 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from formulakit.catalog import default_catalog
 from formulakit.synth import synth_corpus
 from formulakit.tokenizer import (MASK_TOKEN, PAD_TOKEN, SPACE_MARKER, UNK_TOKEN,
-                                  BudgetTooSmall, TokenizerModel, decode, encode,
-                                  pretokenize, train_bpe)
+                                  BudgetTooSmall, TokenizerModel, _split_on_specials,
+                                  decode, encode, pretokenize, train_bpe)
+
+REPO = Path(__file__).resolve().parent.parent
 
 SUMIF_EXAMPLE = '=SUMIF(B1:B5, "Not available", A1:A5)'
 SUMIF_PRETOKENS = ["=", "sumif", "(", "b", "1", ":", "b", "5", ",", SPACE_MARKER,
@@ -119,7 +125,7 @@ class TestTrainBpe:
 
     def test_empty_corpus_minimal_model(self):
         model = train_bpe([], budget=4)
-        assert model.merges == []
+        assert model.merges == oracle_merges([], 4) == []
         assert set(model.vocab) == {PAD_TOKEN, UNK_TOKEN, MASK_TOKEN, SPACE_MARKER}
 
     def test_budget_floor_error(self):
@@ -146,6 +152,53 @@ class TestTrainBpe:
         for corpus in corpora:
             model = train_bpe(corpus, budget=200)
             assert model.merges == oracle_merges(corpus, 200)
+
+    def test_oracle_repeated_letter_runs(self):
+        # overlapping pairs: merging (a, a) must not count a run's pairs twice
+        corpus = ['="aaaaaaa"'] * 3 + ['="aaaa"'] * 2 + ['="baaab"', '="aaa"']
+        model = train_bpe(corpus, budget=400)
+        assert model.merges == oracle_merges(corpus, 400)
+        assert model.merges[:2] == [("a", "a"), ("aa", "aa")]
+
+    def test_oracle_one_string_two_routes(self):
+        # "abc" is reachable as (a, bc) and as (ab, c), and "sum" is built
+        # from letters although the built-in name is already in the vocab.
+        # A string is only ever built by one merge: each occurrence is
+        # segmented as the string alone would be, which after its first
+        # merge is the single token.
+        corpus = ['="abc"', '="xabc"', '="abcy"', '="ab"', '="bc"', '="bcz"',
+                  '="summary"', '="sumo"', "=SUM(A1)"] * 2
+        model = train_bpe(corpus, budget=400)
+        assert model.merges == oracle_merges(corpus, 400)
+        built = [left + right for left, right in model.merges]
+        assert "abc" in built and "sum" in built
+        assert len(set(built)) == len(built)
+        assert len(set(model.vocab)) == len(model.vocab)
+
+    def test_oracle_many_tied_counts(self):
+        letters = "bcdfgh"
+        corpus = [f'="{x}{y}"' for x in letters for y in letters] * 2
+        corpus += [f'="{x}{y}{x}"' for x in letters for y in "aeiou"] * 3
+        for budget in (60, 400):
+            assert train_bpe(corpus, budget=budget).merges == oracle_merges(corpus, budget)
+
+    def test_oracle_stop_on_count_below_two(self):
+        corpus = ['="abcd"', '="abce"', '="xyz"', '="qrst"'] * 2 + ['="mnop"']
+        saturated = train_bpe(corpus, budget=4096)
+        size = len(saturated.vocab)
+        assert size < 4096  # the count rule stopped it
+        for budget in (size - 1, size, size + 1):
+            model = train_bpe(corpus, budget=budget)
+            assert model.merges == oracle_merges(corpus, budget)
+        # at exactly its final size both stops fire; one past, only the count
+        assert train_bpe(corpus, budget=size).merges == saturated.merges
+        assert train_bpe(corpus, budget=size + 1).merges == saturated.merges
+
+    @pytest.mark.parametrize("budget", [256, 2048])
+    def test_oracle_synth_samples(self, budget):
+        for seed in range(20):
+            corpus = synth_corpus(120, seed=seed)
+            assert train_bpe(corpus, budget=budget).merges == oracle_merges(corpus, budget), seed
 
     def test_deterministic_model_bytes(self, tmp_path):
         corpus = synth_corpus(80, seed=6)
@@ -223,6 +276,56 @@ class TestEncodeDecode:
         assert decode(model, encode(model, "=1,\t2")) == "=1, 2"
 
 
+def scan_split_on_specials(text, specials):
+    """The per-character marker scan that the compiled alternation replaced."""
+    markers = sorted({s for s in specials if s}, key=len, reverse=True)
+    chunks = []
+    i = plain_start = 0
+    while i < len(text):
+        hit = next((m for m in markers if text.startswith(m, i)), None)
+        if hit is None:
+            i += 1
+            continue
+        if plain_start < i:
+            chunks.append((text[plain_start:i], False))
+        chunks.append((hit, True))
+        i += len(hit)
+        plain_start = i
+    if plain_start < len(text):
+        chunks.append((text[plain_start:], False))
+    return chunks
+
+
+class TestEncodeMemo:
+    def test_repeat_and_reloaded_model_agree(self, model):
+        corpus = synth_corpus(60, seed=41) + ["=Sheet_Total*<mask>", "=Ω+tax_rate"]
+        first = [encode(model, f) for f in corpus]
+        assert [encode(model, f) for f in corpus] == first
+        fresh = TokenizerModel.from_json(model.to_json())
+        assert [encode(fresh, f) for f in corpus] == first
+
+    def test_memo_is_not_part_of_the_model(self, model):
+        encode(model, "=revenue_total+SUM(A1)")
+        assert model._segment_ids
+        assert model == TokenizerModel.from_json(model.to_json())
+        assert "_segment_ids" not in repr(model)
+
+    @pytest.mark.parametrize("text", [
+        "<mask><pad>", "<<mask>>", "<mas", "<mask>=A1", "=A1<unk>", "", "<pad>",
+        "=IF(<mask><<pad>>, <unk", "<mask<mask>>", "=A1<>B1<mask>",
+    ])
+    def test_split_matches_character_scan(self, text):
+        specials = (MASK_TOKEN, PAD_TOKEN, UNK_TOKEN)
+        assert _split_on_specials(text, specials) == scan_split_on_specials(text, specials)
+
+    def test_split_prefers_the_longest_marker(self):
+        specials = ["<m", "<mask>", ""]
+        for text in ["<mask>", "<m<mask>", "x<ma", "<m"]:
+            assert _split_on_specials(text, specials) == scan_split_on_specials(text, specials)
+        assert _split_on_specials("a<b", []) == [("a<b", False)]
+        assert _split_on_specials("", []) == []
+
+
 class TestModelFile:
     def test_save_load_round_trip(self, tmp_path):
         model = train_bpe(synth_corpus(60, seed=40), budget=256)
@@ -243,3 +346,15 @@ class TestModelFile:
         obj = json.loads(path.read_text("utf-8"))
         assert list(obj) == ["vocab", "merges", "specials", "budget"]
         assert list(obj["specials"]) == ["mask_token", "pad", "unknown", "space_marker"]
+
+
+def test_bpe_benchmark_script_runs():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "bench_bpe.py"),
+         "--formulas", "30", "--budget", "90"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "identical to the from-scratch trainer" in proc.stdout
