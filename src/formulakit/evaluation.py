@@ -104,14 +104,17 @@ def mask_constants(formula: str) -> str:
 
     Cell references are kept, unlike sketching; whitespace is untouched.
     """
+    number, string_lit = TokenKind.NUMBER, TokenKind.STRING_LIT
     parts = []
+    append = parts.append
     for tok in lex(formula):
-        if tok.kind is TokenKind.NUMBER:
-            parts.append("number")
-        elif tok.kind is TokenKind.STRING_LIT:
-            parts.append("string")
+        kind = tok.kind
+        if kind is number:
+            append("number")
+        elif kind is string_lit:
+            append("string")
         else:
-            parts.append(tok.text)
+            append(tok.text)
     return "".join(parts)
 
 

@@ -7,6 +7,18 @@ trips over one bad formula. Spans are byte offsets into the UTF-8 encoding
 of the source; a lone surrogate, which has no UTF-8 form, counts as the
 three bytes the `surrogatepass` handler gives it.
 
+A `Token` is a `NamedTuple` of (kind, text, start, end): immutable, equal
+and hashed by value, and a tuple underneath, so `lex` builds each one with
+a single `tuple.__new__` call, where a frozen dataclass's `__init__` sets
+every field through `object.__setattr__` at several times the cost.
+The views read token fields by name: CPython 3.11 unpacks and indexes only
+exact tuples on its fast path, so a subclass's field access is the cheaper
+form there. Each view reads the `TokenKind` members it tests into locals
+once per call, because a `TokenKind.X` lookup goes through the enum
+metaclass and a set or dict probe keyed on a member calls the Python-level
+`Enum.__hash__`; kinds are tested by identity or with tuples of locals,
+whose `in` compares by identity first.
+
 Out of scope: array formulas, structured references, R1C1 notation, lambda,
 formula evaluation, locale-specific separators.
 """
@@ -14,9 +26,10 @@ formula evaluation, locale-specific separators.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import FunctionCatalog, default_catalog
 
@@ -34,8 +47,7 @@ class TokenKind(Enum):
     ERROR = "Error"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     start: int  # byte offset, inclusive
@@ -66,50 +78,55 @@ class Diagnostic:
 # CELLREF carries a lookahead so `A1B2` falls through to NAME, and NUMBER is
 # tried before CELLREF so `1E5` reads as a number, not a cell reference.
 # ERROR takes any single character no other rule matches, so the matches
-# tile the whole input.
+# tile the whole input. The groups capture nothing: `findall` then returns
+# the token texts without building a match object per token, which costs
+# more than the matching itself, and `lex` recovers each kind from the
+# text's first character (_FIRST_CHAR_KIND).
 _MASTER = re.compile(
     r"""
-    (?P<WS>[ \t\r\n]+)
-  | (?P<STRING>"(?:[^"]|"")*")
-  | (?P<SHEETQ>'(?:[^']|'')*')
-  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+)
-  | (?P<CELLREF>\$?[A-Za-z]{1,3}\$?\d+(?![A-Za-z0-9_.]))
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<OP2><=|>=|<>)
-  | (?P<OP1>[=<>+\-*/^&%])
-  | (?P<PUNCT>[(),:!{}])
-  | (?P<BADSTRING>"(?:[^"]|"")*\Z)
-  | (?P<BADSHEET>'(?:[^']|'')*\Z)
-  | (?P<ERROR>.)
+    [ \t\r\n]+                                   # WS
+  | "(?:[^"]|"")*"                               # STRING
+  | '(?:[^']|'')*'                               # SHEETQ
+  | \d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+          # NUMBER
+  | \$?[A-Za-z]{1,3}\$?\d+(?![A-Za-z0-9_.])       # CELLREF
+  | [A-Za-z_][A-Za-z0-9_.]*                      # NAME
+  | <=|>=|<>                                     # OP2
+  | [=<>+\-*/^&%]                                # OP1
+  | [(),:!{}]                                    # PUNCT
+  | "(?:[^"]|"")*\Z                              # BADSTRING, unterminated
+  | '(?:[^']|'')*\Z                              # BADSHEET, unterminated
+  | .                                            # ERROR
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-_GROUP_KIND = {
-    "WS": TokenKind.WHITESPACE,
-    "STRING": TokenKind.STRING_LIT,
-    "SHEETQ": TokenKind.SHEET_NAME,
-    "NUMBER": TokenKind.NUMBER,
-    "CELLREF": TokenKind.CELL_REF,
-    "NAME": TokenKind.IDENTIFIER,
-    "OP2": TokenKind.OPERATOR,
-    "OP1": TokenKind.OPERATOR,
-    "PUNCT": TokenKind.PUNCT,
-    "BADSTRING": TokenKind.STRING_LIT,  # unterminated; check() reports it
-    "BADSHEET": TokenKind.SHEET_NAME,
-    "ERROR": TokenKind.ERROR,
-}
+# The kind of a token by its first character, for the characters that start
+# only one kind. A letter starts a CELLREF or a NAME: the text is a CELLREF
+# exactly when it has a reference's shape (_CELL_SHAPE), since NAME only
+# matches where CELLREF's lookahead failed and so always runs past such a
+# prefix. `$` and `.` start a CELLREF and a NUMBER, or stand alone as
+# ERROR; any other character starts a NUMBER (a Unicode digit, which `\d`
+# matches) or is a one-character ERROR. Unterminated strings and sheet
+# names keep the string and sheet kinds; check() reports them.
+_FIRST_CHAR_KIND = {ch: kind for chars, kind in (
+    (" \t\r\n", TokenKind.WHITESPACE), ('"', TokenKind.STRING_LIT), ("'", TokenKind.SHEET_NAME),
+    ("0123456789", TokenKind.NUMBER), (string.ascii_letters + "_", TokenKind.IDENTIFIER),
+    ("=<>+-*/^&%", TokenKind.OPERATOR), ("(),:!{}", TokenKind.PUNCT),
+) for ch in chars}
+
+_CELL_SHAPE = re.compile(r"[A-Za-z]{1,3}\$?\d+")
+
+
+def _rare_kind(text: str) -> TokenKind:
+    """Kind of a token whose first character is not in _FIRST_CHAR_KIND."""
+    if len(text) == 1 and not text.isdecimal():
+        return TokenKind.ERROR
+    return TokenKind.CELL_REF if text[0] == "$" else TokenKind.NUMBER
+
 
 # Operators that cannot act as a prefix (unary) operator. `+`/`-` can, and
 # `%` is postfix, so only these make an operator pair ill-formed.
 _BINARY_ONLY_OPS = frozenset({"*", "/", "^", "&", "<", ">", "=", "<=", ">=", "<>"})
-
-# Two operands with nothing between them means a dropped operator or range
-# colon. FuncName is excluded: a space between a function name and `(` is
-# tolerated, and SheetName is handled by the `!` rule.
-_OPERAND_KINDS = frozenset({
-    TokenKind.CELL_REF, TokenKind.NUMBER, TokenKind.STRING_LIT, TokenKind.IDENTIFIER,
-})
 
 # An identifier that reads as two cell references fused together, e.g. the
 # `A1A10` left behind by a deleted range colon.
@@ -125,24 +142,28 @@ def lex(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[Token]:
     """
     if catalog is None:
         catalog = default_catalog()
-    raw = [(_GROUP_KIND[m.lastgroup], m.group())  # type: ignore[index]
-           for m in _MASTER.finditer(formula)]
+    texts = _MASTER.findall(formula)
 
-    # Contextual classification of identifier-like tokens, right to left so
-    # the next token and the next non-whitespace token are at hand; byte
-    # offsets count down from the end of the input. Enum members are read
-    # into locals once, because each TokenKind.X lookup goes through the
-    # enum metaclass and costs more than the rest of a token's test.
+    # One pass right to left, so the next token and the next non-whitespace
+    # token are at hand for the contextual kinds; byte offsets count down
+    # from the end of the input.
+    new, token = tuple.__new__, Token
+    first_char_kind, cell_shape = _FIRST_CHAR_KIND.get, _CELL_SHAPE.fullmatch
     identifier, cell_ref = TokenKind.IDENTIFIER, TokenKind.CELL_REF
     whitespace, sheet_name, func_name = (TokenKind.WHITESPACE, TokenKind.SHEET_NAME,
                                          TokenKind.FUNC_NAME)
     ascii_only = formula.isascii()
     end = len(formula) if ascii_only else len(formula.encode("utf-8", "surrogatepass"))
-    tokens: list[Token] = [None] * len(raw)  # type: ignore[list-item]
+    tokens: list[Token] = [None] * len(texts)  # type: ignore[list-item]
     next_text: Optional[str] = None
     next_solid: Optional[str] = None
-    for i in range(len(raw) - 1, -1, -1):
-        kind, text = raw[i]
+    for i in range(len(texts) - 1, -1, -1):
+        text = texts[i]
+        kind = first_char_kind(text[0])
+        if kind is None:
+            kind = _rare_kind(text)
+        elif kind is identifier and text[-1].isdecimal() and cell_shape(text):
+            kind = cell_ref
         if kind is identifier:
             if next_text == "!":
                 kind = sheet_name
@@ -153,19 +174,12 @@ def lex(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[Token]:
             kind = sheet_name
         start = end - (len(text) if ascii_only
                        else len(text.encode("utf-8", "surrogatepass")))
-        tokens[i] = Token(kind, text, start, end)
+        tokens[i] = new(token, (kind, text, start, end))
         end = start
         next_text = text
         if kind is not whitespace:
             next_solid = text
     return tokens
-
-
-_SKETCH_PLACEHOLDER = {
-    TokenKind.NUMBER: "number",
-    TokenKind.STRING_LIT: "string",
-    TokenKind.CELL_REF: "cell",
-}
 
 
 def sketch(formula: str) -> str:
@@ -175,20 +189,23 @@ def sketch(formula: str) -> str:
     to `cell`; whitespace is dropped; everything else stays verbatim.
     Sheet-qualified refs keep their sheet tokens and sketch only the ref.
     """
+    whitespace, number, string_lit, cell_ref = (TokenKind.WHITESPACE, TokenKind.NUMBER,
+                                                TokenKind.STRING_LIT, TokenKind.CELL_REF)
     parts = []
+    append = parts.append
     for tok in lex(formula):
-        if tok.kind is TokenKind.WHITESPACE:
+        kind = tok.kind
+        if kind is whitespace:
             continue
-        parts.append(_SKETCH_PLACEHOLDER.get(tok.kind, tok.text))
+        if kind is number:
+            append("number")
+        elif kind is string_lit:
+            append("string")
+        elif kind is cell_ref:
+            append("cell")
+        else:
+            append(tok.text)
     return "".join(parts)
-
-
-_UPPERCASED_KINDS = frozenset({
-    TokenKind.CELL_REF,
-    TokenKind.FUNC_NAME,
-    TokenKind.IDENTIFIER,
-    TokenKind.SHEET_NAME,
-})
 
 
 def normalize(formula: str, tokens: Optional[list[Token]] = None) -> str:
@@ -199,14 +216,16 @@ def normalize(formula: str, tokens: Optional[list[Token]] = None) -> str:
     """
     if tokens is None:
         tokens = lex(formula)
+    whitespace = TokenKind.WHITESPACE
+    uppercased = (TokenKind.CELL_REF, TokenKind.FUNC_NAME, TokenKind.IDENTIFIER,
+                  TokenKind.SHEET_NAME)
     parts = []
+    append = parts.append
     for tok in tokens:
-        if tok.kind is TokenKind.WHITESPACE:
+        kind = tok.kind
+        if kind is whitespace:
             continue
-        if tok.kind in _UPPERCASED_KINDS:
-            parts.append(tok.text.upper())
-        else:
-            parts.append(tok.text)
+        append(tok.text.upper() if kind in uppercased else tok.text)
     return "".join(parts)
 
 
@@ -224,40 +243,102 @@ def check(formula: str, catalog: Optional[FunctionCatalog] = None,
         catalog = default_catalog()
     if tokens is None:
         tokens = lex(formula, catalog)
+    whitespace, punct, operator = TokenKind.WHITESPACE, TokenKind.PUNCT, TokenKind.OPERATOR
+    string_lit, sheet_name, error = TokenKind.STRING_LIT, TokenKind.SHEET_NAME, TokenKind.ERROR
+    cell_ref, identifier = TokenKind.CELL_REF, TokenKind.IDENTIFIER
+    # Two operands with nothing between them means a dropped operator or
+    # range colon. FuncName is excluded: a space between a function name
+    # and `(` is tolerated, and SheetName is handled by the `!` rule.
+    operands = (cell_ref, TokenKind.NUMBER, string_lit, identifier)
+    operands_or_sheet = operands + (sheet_name,)
+    unbalanced, unterminated = DiagnosticCode.UNBALANCED_PARENS, DiagnosticCode.UNTERMINATED_STRING
+    bad_sequence = DiagnosticCode.INVALID_OPERATOR_SEQUENCE
     diags: list[Diagnostic] = []
+    append = diags.append
 
-    solid = [t for t in tokens if t.kind is not TokenKind.WHITESPACE]
-
-    # Parens.
-    depth = 0
-    open_stack: list[Token] = []
-    for tok in solid:
-        if tok.kind is TokenKind.PUNCT and tok.text == "(":
-            open_stack.append(tok)
-            depth += 1
-        elif tok.kind is TokenKind.PUNCT and tok.text == ")":
-            if depth == 0:
-                diags.append(Diagnostic(
-                    DiagnosticCode.UNBALANCED_PARENS, tok.start, tok.end,
-                    "closing parenthesis with no matching opener"))
-            else:
-                depth -= 1
-                open_stack.pop()
-    for tok in open_stack:
-        diags.append(Diagnostic(
-            DiagnosticCode.UNBALANCED_PARENS, tok.start, tok.end,
-            "unclosed parenthesis"))
-
-    # Strings and sheet quotes that never close.
+    # Strings and sheet quotes that never close; leftover lex errors.
     for tok in tokens:
-        if tok.kind is TokenKind.STRING_LIT and not _closed(tok.text, '"'):
-            diags.append(Diagnostic(
-                DiagnosticCode.UNTERMINATED_STRING, tok.start, tok.end,
-                "string literal is not terminated"))
-        elif tok.kind is TokenKind.SHEET_NAME and tok.text.startswith("'") and not _closed(tok.text, "'"):
-            diags.append(Diagnostic(
-                DiagnosticCode.UNTERMINATED_STRING, tok.start, tok.end,
-                "quoted sheet name is not terminated"))
+        kind = tok.kind
+        if kind is string_lit:
+            if not _closed(tok.text, '"'):
+                append(Diagnostic(unterminated, tok.start, tok.end,
+                                  "string literal is not terminated"))
+        elif kind is sheet_name:
+            if tok.text.startswith("'") and not _closed(tok.text, "'"):
+                append(Diagnostic(unterminated, tok.start, tok.end,
+                                  "quoted sheet name is not terminated"))
+        elif kind is error:
+            append(Diagnostic(DiagnosticCode.LEX_ERROR, tok.start, tok.end,
+                              f"unrecognized character {tok.text!r}"))
+
+    solid = [t for t in tokens if t.kind is not whitespace]
+
+    # Operator adjacency. The second operator of a pair must be able to act
+    # as a prefix operator; `%` is postfix so it never invalidates a pair.
+    for a, b in zip(solid, solid[1:]):
+        a_kind = a.kind
+        if a_kind is punct:
+            # A comma flush against `)` has a missing operand (`SUM(A1,)`).
+            if a.text == "," and b.text == ")" and b.kind is punct:
+                append(Diagnostic(bad_sequence, a.start, b.end,
+                                  "argument separator directly before closing parenthesis"))
+        elif a_kind is operator:
+            if a.text == "%":
+                continue
+            b_kind = b.kind
+            if b_kind is operator:
+                if b.text in _BINARY_ONLY_OPS:
+                    append(Diagnostic(bad_sequence, a.start, b.end,
+                                      f"operator {a.text!r} directly followed by {b.text!r}"))
+            elif b_kind is punct and b.text in "),":
+                append(Diagnostic(bad_sequence, a.start, b.end,
+                                  f"operator {a.text!r} has no right operand"))
+        elif a_kind in operands and b.kind in operands_or_sheet:
+            append(Diagnostic(bad_sequence, a.start, b.end,
+                              "operands with no operator between them"))
+
+    if solid:
+        last = solid[-1]
+        if last.kind is operator and last.text != "%":
+            append(Diagnostic(bad_sequence, last.start, last.end,
+                              f"formula ends with operator {last.text!r}"))
+
+    # Parens, commas outside calls, and range shape: `:` is only the range
+    # operator between two cell refs here (row/column ranges like `1:1` or
+    # `A:A` are outside the modeled grammar).
+    open_stack: list[Token] = []
+    last_pos = len(solid) - 1
+    for pos, tok in enumerate(solid):
+        kind = tok.kind
+        if kind is punct:
+            text = tok.text
+            if text == "(":
+                open_stack.append(tok)
+            elif text == ")":
+                if open_stack:
+                    open_stack.pop()
+                else:
+                    append(Diagnostic(unbalanced, tok.start, tok.end,
+                                      "closing parenthesis with no matching opener"))
+            elif text == ",":
+                if not open_stack:
+                    append(Diagnostic(bad_sequence, tok.start, tok.end,
+                                      "argument separator outside any function call"))
+            elif text == ":":
+                if not (0 < pos < last_pos and solid[pos - 1].kind is cell_ref
+                        and solid[pos + 1].kind is cell_ref):
+                    append(Diagnostic(bad_sequence, tok.start, tok.end,
+                                      "range colon not between two cell references"))
+        elif kind is identifier:
+            if _GLUED_REFS.match(tok.text):
+                append(Diagnostic(bad_sequence, tok.start, tok.end,
+                                  "two cell references fused together"))
+        elif kind is sheet_name and tok.text.startswith("'"):
+            if pos == last_pos or solid[pos + 1].text != "!":
+                append(Diagnostic(bad_sequence, tok.start, tok.end,
+                                  "quoted sheet name not followed by '!'"))
+    for tok in open_stack:
+        append(Diagnostic(unbalanced, tok.start, tok.end, "unclosed parenthesis"))
 
     # Arity of known functions; calls whose parens never close are absent
     # from call_arguments and were reported above.
@@ -270,78 +351,9 @@ def check(formula: str, catalog: Optional[FunctionCatalog] = None,
         lo, hi = limits
         if argc < lo or (hi is not None and argc > hi):
             bound = "unbounded" if hi is None else str(hi)
-            diags.append(Diagnostic(
+            append(Diagnostic(
                 DiagnosticCode.BAD_ARITY, tok.start, tok.end,
                 f"{tok.text.upper()} takes {lo}..{bound} arguments, got {argc}"))
-
-    # Operator adjacency. The second operator of a pair must be able to act
-    # as a prefix operator; `%` is postfix so it never invalidates a pair.
-    for a, b in zip(solid, solid[1:]):
-        if a.kind is TokenKind.OPERATOR and b.kind is TokenKind.OPERATOR:
-            if b.text in _BINARY_ONLY_OPS and a.text != "%":
-                diags.append(Diagnostic(
-                    DiagnosticCode.INVALID_OPERATOR_SEQUENCE, a.start, b.end,
-                    f"operator {a.text!r} directly followed by {b.text!r}"))
-        elif a.kind is TokenKind.OPERATOR and a.text != "%" \
-                and b.kind is TokenKind.PUNCT and b.text in "),":
-            diags.append(Diagnostic(
-                DiagnosticCode.INVALID_OPERATOR_SEQUENCE, a.start, b.end,
-                f"operator {a.text!r} has no right operand"))
-        elif a.kind in _OPERAND_KINDS and (b.kind in _OPERAND_KINDS
-                                           or b.kind is TokenKind.SHEET_NAME):
-            diags.append(Diagnostic(
-                DiagnosticCode.INVALID_OPERATOR_SEQUENCE, a.start, b.end,
-                "operands with no operator between them"))
-        # A comma flush against `)` has a missing operand (e.g. `SUM(A1,)`).
-        if a.kind is TokenKind.PUNCT and a.text == "," and b.kind is TokenKind.PUNCT and b.text == ")":
-            diags.append(Diagnostic(
-                DiagnosticCode.INVALID_OPERATOR_SEQUENCE, a.start, b.end,
-                "argument separator directly before closing parenthesis"))
-
-    if solid:
-        last = solid[-1]
-        if last.kind is TokenKind.OPERATOR and last.text != "%":
-            diags.append(Diagnostic(
-                DiagnosticCode.INVALID_OPERATOR_SEQUENCE, last.start, last.end,
-                f"formula ends with operator {last.text!r}"))
-
-    # Range shape: `:` is only the range operator between two cell refs here
-    # (row/column ranges like `1:1` or `A:A` are outside the modeled grammar).
-    depth = 0
-    for pos, tok in enumerate(solid):
-        if tok.kind is TokenKind.PUNCT:
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                depth = max(0, depth - 1)
-            elif tok.text == ",":
-                if depth == 0:
-                    diags.append(Diagnostic(
-                        DiagnosticCode.INVALID_OPERATOR_SEQUENCE, tok.start, tok.end,
-                        "argument separator outside any function call"))
-            elif tok.text == ":":
-                prev_ok = pos > 0 and solid[pos - 1].kind is TokenKind.CELL_REF
-                next_ok = pos + 1 < len(solid) and solid[pos + 1].kind is TokenKind.CELL_REF
-                if not (prev_ok and next_ok):
-                    diags.append(Diagnostic(
-                        DiagnosticCode.INVALID_OPERATOR_SEQUENCE, tok.start, tok.end,
-                        "range colon not between two cell references"))
-        elif tok.kind is TokenKind.IDENTIFIER and _GLUED_REFS.match(tok.text):
-            diags.append(Diagnostic(
-                DiagnosticCode.INVALID_OPERATOR_SEQUENCE, tok.start, tok.end,
-                "two cell references fused together"))
-        elif tok.kind is TokenKind.SHEET_NAME and tok.text.startswith("'"):
-            nxt = solid[pos + 1] if pos + 1 < len(solid) else None
-            if nxt is None or nxt.text != "!":
-                diags.append(Diagnostic(
-                    DiagnosticCode.INVALID_OPERATOR_SEQUENCE, tok.start, tok.end,
-                    "quoted sheet name not followed by '!'"))
-
-    for tok in tokens:
-        if tok.kind is TokenKind.ERROR:
-            diags.append(Diagnostic(
-                DiagnosticCode.LEX_ERROR, tok.start, tok.end,
-                f"unrecognized character {tok.text!r}"))
 
     diags.sort(key=lambda d: (d.start, d.end, d.code.value))
     return diags

@@ -41,23 +41,27 @@ _RELATIONAL_TWO_CHAR = ("<=", ">=", "<>")
 _COMPARISON_OPS = frozenset({"<", ">", "<=", ">=", "<>", "="})
 
 
-# The site finders below run for every operator on every formula. Each reads
-# a token's text before its kind, or binds the kind to a local first: a
-# TokenKind.X lookup costs more than the rest of the per-token test. Each
-# takes the catalog, which only the arity operator reads.
+# The site finders below run for every operator on every formula. Each binds
+# the kinds it tests to locals once per call, because a TokenKind.X lookup
+# costs more than the rest of the per-token test, and tests first whichever
+# of text and kind rules out more tokens at less cost. Each takes the
+# catalog, which only the arity operator reads.
 
 
 def _range_colons(tokens: list[Token], catalog: FunctionCatalog) -> list[tuple[int, int, int]]:
     """`:` tokens between two cell references, as (colon, left ref, right ref)."""
-    whitespace, cell_ref = TokenKind.WHITESPACE, TokenKind.CELL_REF
-    solid = [i for i, t in enumerate(tokens) if t.kind is not whitespace]
+    whitespace, cell_ref, punct = TokenKind.WHITESPACE, TokenKind.CELL_REF, TokenKind.PUNCT
+    n = len(tokens)
     out = []
-    for pos in range(1, len(solid) - 1):
-        i = solid[pos]
-        tok = tokens[i]
-        if tok.text == ":" and tok.kind is TokenKind.PUNCT:
-            left, right = solid[pos - 1], solid[pos + 1]
-            if tokens[left].kind is cell_ref and tokens[right].kind is cell_ref:
+    for i, tok in enumerate(tokens):
+        if tok.text == ":" and tok.kind is punct:
+            left, right = i - 1, i + 1  # the nearest non-whitespace tokens
+            while left >= 0 and tokens[left].kind is whitespace:
+                left -= 1
+            while right < n and tokens[right].kind is whitespace:
+                right += 1
+            if left >= 0 and right < n and tokens[left].kind is cell_ref \
+                    and tokens[right].kind is cell_ref:
                 out.append((i, left, right))
     return out
 
@@ -145,14 +149,15 @@ def _arg_typer(tokens: list[Token]) -> Callable[[tuple[int, int]], str]:
     One O(n) pass builds prefix counts, so each argument costs O(1) however
     deeply its own calls nest.
     """
-    whitespace, operator = TokenKind.WHITESPACE, TokenKind.OPERATOR
+    whitespace, operator, func_name = TokenKind.WHITESPACE, TokenKind.OPERATOR, TokenKind.FUNC_NAME
     n = len(tokens)
     solid = [0] * (n + 1)  # non-whitespace tokens in tokens[:i]
     comparisons = [0] * (n + 1)  # comparison operators in tokens[:i]
     for i, t in enumerate(tokens):
-        solid[i + 1] = solid[i] + (t.kind is not whitespace)
+        kind = t.kind
+        solid[i + 1] = solid[i] + (kind is not whitespace)
         comparisons[i + 1] = comparisons[i] + (
-            t.text in _COMPARISON_OPS and t.kind is operator)
+            kind is operator and t.text in _COMPARISON_OPS)
     first_solid = list(range(n + 1))  # first non-whitespace index >= i
     for i in range(n - 1, -1, -1):
         if tokens[i].kind is whitespace:
@@ -165,7 +170,7 @@ def _arg_typer(tokens: list[Token]) -> Callable[[tuple[int, int]], str]:
         count = solid[end] - solid[start]
         if count == 1:
             return tokens[first_solid[start]].kind.value
-        if count and tokens[first_solid[start]].kind is TokenKind.FUNC_NAME:
+        if count and tokens[first_solid[start]].kind is func_name:
             return "call"
         return "expr"
 
@@ -211,8 +216,9 @@ def _swap_arguments(formula: str, tokens: list[Token], sites: list, rng: random.
 
 
 def _relational_ops(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
+    operator = TokenKind.OPERATOR
     return [i for i, t in enumerate(tokens)
-            if t.text in _RELATIONAL_TWO_CHAR and t.kind is TokenKind.OPERATOR]
+            if t.text in _RELATIONAL_TWO_CHAR and t.kind is operator]
 
 
 def _space_in_relational(formula: str, tokens: list[Token], sites: list,
@@ -229,8 +235,8 @@ def _swap_relational(formula: str, tokens: list[Token], sites: list, rng: random
 
 
 def _inequalities(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    return [i for i, t in enumerate(tokens)
-            if t.text == "<>" and t.kind is TokenKind.OPERATOR]
+    operator = TokenKind.OPERATOR
+    return [i for i, t in enumerate(tokens) if t.text == "<>" and t.kind is operator]
 
 
 def _inequality_noise(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
@@ -238,8 +244,8 @@ def _inequality_noise(formula: str, tokens: list[Token], sites: list, rng: rando
 
 
 def _equalities(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    return [i for i, t in enumerate(tokens)
-            if t.text == "=" and t.kind is TokenKind.OPERATOR]
+    operator = TokenKind.OPERATOR
+    return [i for i, t in enumerate(tokens) if t.text == "=" and t.kind is operator]
 
 
 def _invalid_equality(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
@@ -247,8 +253,9 @@ def _invalid_equality(formula: str, tokens: list[Token], sites: list, rng: rando
 
 
 def _quoted_sheets(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
+    sheet_name = TokenKind.SHEET_NAME
     return [i for i, t in enumerate(tokens)
-            if t.text[:1] == "'" and t.kind is TokenKind.SHEET_NAME
+            if t.kind is sheet_name and t.text[:1] == "'"
             and len(t.text) >= 2 and t.text.endswith("'")]
 
 
@@ -262,9 +269,10 @@ def _malformed_sheet_name(formula: str, tokens: list[Token], sites: list,
 
 
 def _sheet_bangs(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
+    punct, sheet_name = TokenKind.PUNCT, TokenKind.SHEET_NAME
     return [i for i, t in enumerate(tokens)
-            if t.text == "!" and t.kind is TokenKind.PUNCT
-            and i > 0 and tokens[i - 1].kind is TokenKind.SHEET_NAME]
+            if t.text == "!" and t.kind is punct
+            and i > 0 and tokens[i - 1].kind is sheet_name]
 
 
 def _remove_exclamation(formula: str, tokens: list[Token], sites: list,
@@ -273,8 +281,9 @@ def _remove_exclamation(formula: str, tokens: list[Token], sites: list,
 
 
 def _closed_strings(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
+    string_lit = TokenKind.STRING_LIT
     return [i for i, t in enumerate(tokens)
-            if t.text[:1] == '"' and t.kind is TokenKind.STRING_LIT
+            if t.kind is string_lit and t.text[:1] == '"'
             and len(t.text) >= 2 and t.text.endswith('"')]
 
 
@@ -287,7 +296,8 @@ def _malformed_string(formula: str, tokens: list[Token], sites: list, rng: rando
 
 
 def _closing_parens(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    return [i for i, t in enumerate(tokens) if t.text == ")" and t.kind is TokenKind.PUNCT]
+    punct = TokenKind.PUNCT
+    return [i for i, t in enumerate(tokens) if t.text == ")" and t.kind is punct]
 
 
 def _comma_paren_noise(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:

@@ -15,21 +15,34 @@ from typing import Union
 Part = Union[int, str, bytes]
 
 
-def _encode(part: Part) -> bytes:
+def _encode_other(part: Part) -> bytes:
+    """Bytes of a part that is not an exact str or int: bytes as given, the
+    decimal str() of an int subclass (so `True` encodes as `True`), UTF-8
+    for a str subclass."""
     if isinstance(part, bytes):
-        data = part
-    elif isinstance(part, int):
-        data = str(part).encode("ascii")
-    else:
-        data = part.encode("utf-8")
-    return len(data).to_bytes(4, "little") + data
+        return part
+    if isinstance(part, int):
+        return str(part).encode("ascii")
+    return part.encode("utf-8")
 
 
 def derive_seed(*parts: Part) -> int:
-    """Mix parts into a 63-bit seed, stable across processes and platforms."""
+    """Mix parts into a 63-bit seed, stable across processes and platforms.
+
+    Each part is hashed as its byte length (4 bytes, little-endian) and its
+    bytes: UTF-8 for str, the decimal str() for int, bytes as given.
+    """
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
-        h.update(_encode(part))
+        kind = type(part)  # exact str and int first: nearly every part is one
+        if kind is str:
+            data = part.encode("utf-8")  # type: ignore[union-attr]
+        elif kind is int:
+            data = str(part).encode("ascii")
+        else:
+            data = _encode_other(part)
+        h.update(len(data).to_bytes(4, "little"))
+        h.update(data)
     return int.from_bytes(h.digest(), "little") >> 1
 
 

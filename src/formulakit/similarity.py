@@ -97,14 +97,16 @@ def formula_token_ids(formula: str, intern: dict[str, int],
     """
     if tokens is None:
         tokens = lexer.lex(formula)
+    whitespace = lexer.TokenKind.WHITESPACE
+    get = intern.get
     ids = []
     for tok in tokens:
-        if tok.kind is lexer.TokenKind.WHITESPACE:
+        if tok.kind is whitespace:
             continue
-        tok_id = intern.get(tok.text)
+        text = tok.text
+        tok_id = get(text)
         if tok_id is None:
-            tok_id = len(intern)
-            intern[tok.text] = tok_id
+            tok_id = intern[text] = len(intern)
         ids.append(tok_id)
     return tuple(ids)
 

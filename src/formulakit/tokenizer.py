@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .catalog import FunctionCatalog, default_catalog
 from .jsonl import write_json_atomic
@@ -46,32 +46,29 @@ class BudgetTooSmall(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PreToken:
+class PreToken(NamedTuple):
     text: str
     atomic: bool
 
 
 def _explode(text: str, catalog: FunctionCatalog, out: list[PreToken]) -> None:
     """Split lowercased residual text into atomic chars and letter runs."""
-    run: list[str] = []
-
-    def flush() -> None:
-        if run:
-            word = "".join(run)
-            out.append(PreToken(word, word in catalog))
-            run.clear()
-
-    for ch in text:
+    new, pre = tuple.__new__, PreToken
+    append = out.append
+    run_start = -1  # index where the current letter run began, if any
+    for i, ch in enumerate(text):
         if ch.isalpha() or ch == "_":
-            run.append(ch)
-        else:
-            flush()
-            if ch.isspace():
-                out.append(PreToken(SPACE_MARKER, True))
-            else:
-                out.append(PreToken(ch, True))
-    flush()
+            if run_start < 0:
+                run_start = i
+            continue
+        if run_start >= 0:
+            word = text[run_start:i]
+            append(new(pre, (word, word in catalog)))
+            run_start = -1
+        append(new(pre, (SPACE_MARKER if ch.isspace() else ch, True)))
+    if run_start >= 0:
+        word = text[run_start:]
+        append(new(pre, (word, word in catalog)))
 
 
 def pretokenize(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[PreToken]:
@@ -83,17 +80,20 @@ def pretokenize(formula: str, catalog: Optional[FunctionCatalog] = None) -> list
     """
     if catalog is None:
         catalog = default_catalog()
+    new, pre = tuple.__new__, PreToken
+    whitespace, func_name, operator = TokenKind.WHITESPACE, TokenKind.FUNC_NAME, TokenKind.OPERATOR
+    punct, error = TokenKind.PUNCT, TokenKind.ERROR
+    space = new(pre, (SPACE_MARKER, True))
     out: list[PreToken] = []
+    append = out.append
     for tok in lex(formula, catalog):
-        text = tok.text.lower()
-        if tok.kind is TokenKind.WHITESPACE:
-            out.extend(PreToken(SPACE_MARKER, True) for _ in text)
-        elif tok.kind is TokenKind.FUNC_NAME:
-            out.append(PreToken(text, True))
-        elif tok.kind is TokenKind.OPERATOR:
-            out.append(PreToken(text, True))
-        elif tok.kind in (TokenKind.PUNCT, TokenKind.ERROR):
-            out.extend(PreToken(ch, True) for ch in text)
+        kind, text = tok.kind, tok.text.lower()
+        if kind is whitespace:
+            out.extend([space] * len(text))
+        elif kind is func_name or kind is operator:
+            append(new(pre, (text, True)))
+        elif kind is punct or kind is error:
+            out.extend([new(pre, (ch, True)) for ch in text])
         else:
             # Number, CellRef, StringLit, Identifier, SheetName: split by
             # character class so digits/punctuation inside stay atomic.

@@ -1,6 +1,12 @@
+import importlib.util
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,11 +14,17 @@ from hypothesis import strategies as st
 
 from formulakit import lexer, noise
 from formulakit.catalog import CatalogError, FunctionCatalog, default_catalog
+from formulakit.curation import dedup_key
+from formulakit.evaluation import mask_constants
 from formulakit.lexer import (Diagnostic, DiagnosticCode, Token, TokenKind, call_arguments,
                               check, lex, normalize, sketch)
 from formulakit.noise import applicable_operators
+from formulakit.similarity import formula_token_ids
 from formulakit.synth import (random_cell, random_formula, random_number, random_range,
                               random_string_literal, synth_corpus)
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def kinds(formula):
@@ -199,6 +211,17 @@ class TestLexReference:
         for formula in edge + synth_corpus(1000, seed=15):
             assert lex(formula) == _ref_lex(formula)
             assert lex(formula, custom) == _ref_lex(formula, custom)
+
+
+    def test_matches_reference_on_first_character_edge_cases(self):
+        # lex takes a token's kind from its first character; these are the
+        # texts where that alone does not decide it.
+        cases = ["=ABCD1+Sheet12*tax2020", "=ABC1+ABC1x+AB1.5+A1_", "=$A1+$A$1+A$1+$+$$A1",
+                 "=$A!B2+A$1!C3", "=.5+.+5.+1.E3+1e+", "=\u0663+A\u0663+\u0663\u0664.5",
+                 "=\u00b2+A\u00b2+\uff11", "=_x1+_+a_1(2)", "=A1A2+AB12CD3", "=\u00c41+\u00e9",
+                 "= \t\r\n\x0b\xa0\u2003+1", "=''+\"\"+'a''b'!A1+\"x"]
+        for formula in cases:
+            assert lex(formula) == _ref_lex(formula), formula
 
 
 class TestSketch:
@@ -467,13 +490,14 @@ def _assert_matches_reference(formula):
             assert arg_type(arg) == _ref_arg_type(tokens, arg), (formula, arg)
 
 
-def _corruptions(formula, rng, n):
-    """n single-character `(`, `)`, `,` or space insertions, deletions and
-    replacements; many leave the parens unbalanced."""
+def _corruptions(formula, rng, n, chars="(), "):
+    """n single-character insertions, deletions and replacements drawn from
+    `chars` (by default `(`, `)`, `,` and space); many leave the parens
+    unbalanced."""
     out = []
     for _ in range(n):
         pos = rng.randrange(len(formula) + 1)
-        ch = rng.choice("(), ")
+        ch = rng.choice(chars)
         action = rng.choice(("insert", "delete", "replace"))
         if action == "insert" or pos == len(formula):
             out.append(formula[:pos] + ch + formula[pos:])
@@ -549,3 +573,339 @@ class TestCallMatcher:
         monkeypatch.setattr(noise, "call_arguments", lambda tokens: reference)
         assert check(formula) == diags == []
         assert applicable_operators(formula) == ops
+
+
+# --- view oracles ----------------------------------------------------------
+#
+# The token views as they stood before Token became a NamedTuple and the
+# views stopped hashing TokenKind members, kept verbatim (bar the names) as
+# the reference: each tests `tok.kind` against TokenKind.X or an enum-keyed
+# table for every token.
+
+_REF_SKETCH_PLACEHOLDER = {
+    TokenKind.NUMBER: "number",
+    TokenKind.STRING_LIT: "string",
+    TokenKind.CELL_REF: "cell",
+}
+
+
+def _ref_sketch(formula):
+    parts = []
+    for tok in lex(formula):
+        if tok.kind is TokenKind.WHITESPACE:
+            continue
+        parts.append(_REF_SKETCH_PLACEHOLDER.get(tok.kind, tok.text))
+    return "".join(parts)
+
+
+_REF_UPPERCASED_KINDS = frozenset({
+    TokenKind.CELL_REF,
+    TokenKind.FUNC_NAME,
+    TokenKind.IDENTIFIER,
+    TokenKind.SHEET_NAME,
+})
+
+
+def _ref_normalize(formula, tokens=None):
+    if tokens is None:
+        tokens = lex(formula)
+    parts = []
+    for tok in tokens:
+        if tok.kind is TokenKind.WHITESPACE:
+            continue
+        if tok.kind in _REF_UPPERCASED_KINDS:
+            parts.append(tok.text.upper())
+        else:
+            parts.append(tok.text)
+    return "".join(parts)
+
+
+def _ref_dedup_key(formula):
+    return _ref_sketch(_ref_normalize(formula))
+
+
+_REF_BINARY_ONLY_OPS = frozenset({"*", "/", "^", "&", "<", ">", "=", "<=", ">=", "<>"})
+_REF_OPERAND_KINDS = frozenset({
+    TokenKind.CELL_REF, TokenKind.NUMBER, TokenKind.STRING_LIT, TokenKind.IDENTIFIER,
+})
+_REF_GLUED_REFS = re.compile(r"^\$?[A-Za-z]{1,3}\$?\d+\$?[A-Za-z]{1,3}\$?\d+$")
+
+
+def _ref_closed(text, quote):
+    if len(text) < 2 or not text.startswith(quote):
+        return False
+    i = 1
+    while i < len(text):
+        if text[i] == quote:
+            if i + 1 < len(text) and text[i + 1] == quote:
+                i += 2
+                continue
+            return i == len(text) - 1
+        i += 1
+    return False
+
+
+def _ref_check(formula, catalog=None, tokens=None):
+    if catalog is None:
+        catalog = default_catalog()
+    if tokens is None:
+        tokens = lex(formula, catalog)
+    diags = []
+
+    solid = [t for t in tokens if t.kind is not TokenKind.WHITESPACE]
+
+    depth = 0
+    open_stack = []
+    for tok in solid:
+        if tok.kind is TokenKind.PUNCT and tok.text == "(":
+            open_stack.append(tok)
+            depth += 1
+        elif tok.kind is TokenKind.PUNCT and tok.text == ")":
+            if depth == 0:
+                diags.append(Diagnostic(
+                    DiagnosticCode.UNBALANCED_PARENS, tok.start, tok.end,
+                    "closing parenthesis with no matching opener"))
+            else:
+                depth -= 1
+                open_stack.pop()
+    for tok in open_stack:
+        diags.append(Diagnostic(
+            DiagnosticCode.UNBALANCED_PARENS, tok.start, tok.end,
+            "unclosed parenthesis"))
+
+    for tok in tokens:
+        if tok.kind is TokenKind.STRING_LIT and not _ref_closed(tok.text, '"'):
+            diags.append(Diagnostic(
+                DiagnosticCode.UNTERMINATED_STRING, tok.start, tok.end,
+                "string literal is not terminated"))
+        elif tok.kind is TokenKind.SHEET_NAME and tok.text.startswith("'") \
+                and not _ref_closed(tok.text, "'"):
+            diags.append(Diagnostic(
+                DiagnosticCode.UNTERMINATED_STRING, tok.start, tok.end,
+                "quoted sheet name is not terminated"))
+
+    for idx, args in call_arguments(tokens).items():
+        tok = tokens[idx]
+        limits = catalog.get(tok.text)
+        if limits is None:
+            continue
+        argc = len(args)
+        lo, hi = limits
+        if argc < lo or (hi is not None and argc > hi):
+            bound = "unbounded" if hi is None else str(hi)
+            diags.append(Diagnostic(
+                DiagnosticCode.BAD_ARITY, tok.start, tok.end,
+                f"{tok.text.upper()} takes {lo}..{bound} arguments, got {argc}"))
+
+    for a, b in zip(solid, solid[1:]):
+        if a.kind is TokenKind.OPERATOR and b.kind is TokenKind.OPERATOR:
+            if b.text in _REF_BINARY_ONLY_OPS and a.text != "%":
+                diags.append(Diagnostic(
+                    DiagnosticCode.INVALID_OPERATOR_SEQUENCE, a.start, b.end,
+                    f"operator {a.text!r} directly followed by {b.text!r}"))
+        elif a.kind is TokenKind.OPERATOR and a.text != "%" \
+                and b.kind is TokenKind.PUNCT and b.text in "),":
+            diags.append(Diagnostic(
+                DiagnosticCode.INVALID_OPERATOR_SEQUENCE, a.start, b.end,
+                f"operator {a.text!r} has no right operand"))
+        elif a.kind in _REF_OPERAND_KINDS and (b.kind in _REF_OPERAND_KINDS
+                                               or b.kind is TokenKind.SHEET_NAME):
+            diags.append(Diagnostic(
+                DiagnosticCode.INVALID_OPERATOR_SEQUENCE, a.start, b.end,
+                "operands with no operator between them"))
+        if a.kind is TokenKind.PUNCT and a.text == "," and b.kind is TokenKind.PUNCT \
+                and b.text == ")":
+            diags.append(Diagnostic(
+                DiagnosticCode.INVALID_OPERATOR_SEQUENCE, a.start, b.end,
+                "argument separator directly before closing parenthesis"))
+
+    if solid:
+        last = solid[-1]
+        if last.kind is TokenKind.OPERATOR and last.text != "%":
+            diags.append(Diagnostic(
+                DiagnosticCode.INVALID_OPERATOR_SEQUENCE, last.start, last.end,
+                f"formula ends with operator {last.text!r}"))
+
+    depth = 0
+    for pos, tok in enumerate(solid):
+        if tok.kind is TokenKind.PUNCT:
+            if tok.text == "(":
+                depth += 1
+            elif tok.text == ")":
+                depth = max(0, depth - 1)
+            elif tok.text == ",":
+                if depth == 0:
+                    diags.append(Diagnostic(
+                        DiagnosticCode.INVALID_OPERATOR_SEQUENCE, tok.start, tok.end,
+                        "argument separator outside any function call"))
+            elif tok.text == ":":
+                prev_ok = pos > 0 and solid[pos - 1].kind is TokenKind.CELL_REF
+                next_ok = pos + 1 < len(solid) and solid[pos + 1].kind is TokenKind.CELL_REF
+                if not (prev_ok and next_ok):
+                    diags.append(Diagnostic(
+                        DiagnosticCode.INVALID_OPERATOR_SEQUENCE, tok.start, tok.end,
+                        "range colon not between two cell references"))
+        elif tok.kind is TokenKind.IDENTIFIER and _REF_GLUED_REFS.match(tok.text):
+            diags.append(Diagnostic(
+                DiagnosticCode.INVALID_OPERATOR_SEQUENCE, tok.start, tok.end,
+                "two cell references fused together"))
+        elif tok.kind is TokenKind.SHEET_NAME and tok.text.startswith("'"):
+            nxt = solid[pos + 1] if pos + 1 < len(solid) else None
+            if nxt is None or nxt.text != "!":
+                diags.append(Diagnostic(
+                    DiagnosticCode.INVALID_OPERATOR_SEQUENCE, tok.start, tok.end,
+                    "quoted sheet name not followed by '!'"))
+
+    for tok in tokens:
+        if tok.kind is TokenKind.ERROR:
+            diags.append(Diagnostic(
+                DiagnosticCode.LEX_ERROR, tok.start, tok.end,
+                f"unrecognized character {tok.text!r}"))
+
+    diags.sort(key=lambda d: (d.start, d.end, d.code.value))
+    return diags
+
+
+def _ref_mask_constants(formula):
+    parts = []
+    for tok in lex(formula):
+        if tok.kind is TokenKind.NUMBER:
+            parts.append("number")
+        elif tok.kind is TokenKind.STRING_LIT:
+            parts.append("string")
+        else:
+            parts.append(tok.text)
+    return "".join(parts)
+
+
+def _ref_formula_token_ids(formula, intern, tokens=None):
+    if tokens is None:
+        tokens = lex(formula)
+    ids = []
+    for tok in tokens:
+        if tok.kind is TokenKind.WHITESPACE:
+            continue
+        tok_id = intern.get(tok.text)
+        if tok_id is None:
+            tok_id = len(intern)
+            intern[tok.text] = tok_id
+        ids.append(tok_id)
+    return tuple(ids)
+
+
+_VIEW_CATALOG = FunctionCatalog.from_lines(["MYFN,1,1", "SUM,2,2", "A,0,*"])
+
+
+def _assert_views_match_reference(formula):
+    assert sketch(formula) == _ref_sketch(formula), formula
+    assert normalize(formula) == _ref_normalize(formula), formula
+    tokens = lex(formula)
+    assert normalize(formula, tokens) == _ref_normalize(formula, tokens), formula
+    assert dedup_key(formula) == _ref_dedup_key(formula), formula
+    assert check(formula) == _ref_check(formula), formula
+    assert check(formula, _VIEW_CATALOG) == _ref_check(formula, _VIEW_CATALOG), formula
+    assert check(formula, tokens=tokens) == _ref_check(formula, tokens=tokens), formula
+    assert mask_constants(formula) == _ref_mask_constants(formula), formula
+    intern, ref_intern = {"=": 0, "A1": 1}, {"=": 0, "A1": 1}
+    assert formula_token_ids(formula, intern) == _ref_formula_token_ids(formula, ref_intern)
+    assert formula_token_ids(formula, intern, tokens) == _ref_formula_token_ids(
+        formula, ref_intern, tokens)
+    assert intern == ref_intern, formula
+
+
+class TestViewsReference:
+    @given(st.text(alphabet=st.sampled_from(list('AZaz019$:!,()"\' \t\n=<>+-*/^&%._#;@Äé€'))
+                   | st.characters(), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    @example("\ud800")
+    @example("")
+    def test_match_reference_on_any_text(self, s):
+        _assert_views_match_reference(s)
+
+    def test_match_reference_on_synth_corpus(self):
+        for formula in synth_corpus(1500, seed=21):
+            _assert_views_match_reference(formula)
+
+    def test_match_reference_on_corruptions(self):
+        rng = random.Random(22)
+        for formula in synth_corpus(400, seed=23):
+            for corrupted in _corruptions(formula, rng, 5, chars="(),\"' "):
+                _assert_views_match_reference(corrupted)
+
+    def test_match_reference_on_envelope_formulas(self):
+        rng = random.Random(24)
+        for _ in range(2):
+            for formula in _envelope_formulas(rng):
+                _assert_views_match_reference(formula)
+                for corrupted in _corruptions(formula, rng, 3, chars="(),\"' "):
+                    _assert_views_match_reference(corrupted)
+
+    def test_match_reference_on_edge_cases(self):
+        cases = ["=Data !A1", "=A1 !B2", "='S' !A1", "='S'A1", "'open", '"open',
+                 '="a""', "=A1+*B1", "=A1%", "=A1%*2", "=A1+)", "=SUM(A1,)", "=A1,A10",
+                 "=SUM(1:A10)", "=SUM(A1A10)", "=SUM(A1 A10)", "=A1 Data!B2", "=-A1",
+                 "=sum( a1 : a10 )", "=myfn(1,2)", "=TODAY(1)", "=A1#", "=\ud800",
+                 '=IF(A1>10,"yes",2)+\'My Sheet\'!b2*1.5E3', ":", ",", "(", ")"]
+        for formula in cases:
+            _assert_views_match_reference(formula)
+
+
+class TestTokenContract:
+    def test_fields_and_order(self):
+        assert Token._fields == ("kind", "text", "start", "end")
+        tok = Token(K.CELL_REF, "A1", 1, 3)
+        assert (tok.kind, tok.text, tok.start, tok.end) == (K.CELL_REF, "A1", 1, 3)
+        assert tok.span == (1, 3)
+
+    def test_immutable(self):
+        tok = Token(K.NUMBER, "1", 0, 1)
+        for field in Token._fields:
+            with pytest.raises(AttributeError):
+                setattr(tok, field, None)
+        with pytest.raises(AttributeError):
+            tok.other = 1
+
+    def test_equal_and_hashed_by_value(self):
+        a, b = Token(K.NUMBER, "12", 0, 2), Token(K.NUMBER, "12", 0, 2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Token(K.NUMBER, "12", 1, 3)
+        assert a != Token(K.CELL_REF, "12", 0, 2)
+
+    def test_lex_returns_tokens(self):
+        toks = lex("=SUM(A1, 'S'!B2)")
+        assert toks and all(type(t) is Token for t in toks)
+        assert toks[1] == Token(K.FUNC_NAME, "SUM", 1, 4)
+
+    def test_pickle_round_trip(self):
+        toks = lex('=IF(Ä1,"añ b",2)')
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(toks, protocol))
+            assert back == toks
+            assert all(type(t) is Token for t in back)
+            assert [t.kind for t in back] == [t.kind for t in toks]
+
+
+def test_lexer_benchmark_script_runs():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "bench_lexer.py"),
+         "--typical", "50", "--envelope", "5"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "every input round-trips, no envelope input flagged" in proc.stdout
+    assert [line.split()[0] for line in proc.stdout.splitlines()[2:]] == [
+        "lex", "check", "normalize", "sketch", "dedup_key"]
+
+
+def test_lexer_benchmark_script_rejects_flagged_inputs(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends perfbench/
+    spec = importlib.util.spec_from_file_location("bench_lexer",
+                                                  REPO / "benchmarks" / "bench_lexer.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.problems("envelope", ["=SUM(A1)", "=SUM(A1"], well_formed=True) == [
+        "envelope[1]: check flags a well-formed input: " + str(check("=SUM(A1")[0])]
+    assert bench.problems("typical", ["=SUM(A1"], well_formed=False) == []

@@ -11,10 +11,11 @@ import dataclasses
 import random
 
 import pytest
+from test_lexer import _corruptions, _envelope_formulas
 
 from formulakit import noise
 from formulakit.catalog import default_catalog
-from formulakit.lexer import check, lex
+from formulakit.lexer import TokenKind, check, lex
 from formulakit.noise import (OPERATORS, NotApplicable, applicable_operators,
                               apply_noise_operator, is_applicable)
 from formulakit.synth import synth_corpus
@@ -286,3 +287,32 @@ def test_corpus_wide_determinism():
             a = apply_noise_operator(formula, op_id, random.Random(99))
             b = apply_noise_operator(formula, op_id, random.Random(99))
             assert a == b
+
+
+def _ref_range_colons(tokens):
+    """The two-pass range-colon finder that the single-pass one replaced,
+    kept verbatim (bar the name) as the reference."""
+    whitespace, cell_ref = TokenKind.WHITESPACE, TokenKind.CELL_REF
+    solid = [i for i, t in enumerate(tokens) if t.kind is not whitespace]
+    out = []
+    for pos in range(1, len(solid) - 1):
+        i = solid[pos]
+        tok = tokens[i]
+        if tok.text == ":" and tok.kind is TokenKind.PUNCT:
+            left, right = solid[pos - 1], solid[pos + 1]
+            if tokens[left].kind is cell_ref and tokens[right].kind is cell_ref:
+                out.append((i, left, right))
+    return out
+
+
+def test_range_colons_match_reference():
+    rng = random.Random(41)
+    cases = ["=SUM(A1 : A10)", "=A1 :B2", ": A1", "=A1:", "=A1 : ", "=A1: :B2",
+             "=SUM(A1:A10, B1 : B2)", "=A1::B2", ":", "", "=\tA1\n:\nB2\t"]
+    formulas = cases + synth_corpus(800, seed=42)
+    formulas += [c for f in synth_corpus(300, seed=43) for c in _corruptions(f, rng, 4, ": ")]
+    formulas += _envelope_formulas(rng)
+    catalog = default_catalog()
+    for formula in formulas:
+        tokens = lex(formula)
+        assert noise._range_colons(tokens, catalog) == _ref_range_colons(tokens), formula

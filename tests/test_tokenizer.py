@@ -1,17 +1,22 @@
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_lexer import _corruptions, _envelope_formulas
 
-from formulakit.catalog import default_catalog
+from formulakit.catalog import FunctionCatalog, default_catalog
+from formulakit.lexer import TokenKind, lex
 from formulakit.synth import synth_corpus
 from formulakit.tokenizer import (MASK_TOKEN, PAD_TOKEN, SPACE_MARKER, UNK_TOKEN,
-                                  BudgetTooSmall, TokenizerModel, _split_on_specials,
-                                  decode, encode, pretokenize, train_bpe)
+                                  BudgetTooSmall, PreToken, TokenizerModel,
+                                  _split_on_specials, decode, encode, pretokenize, train_bpe)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -106,6 +111,115 @@ class TestPretokenize:
     def test_whitespace_one_marker_per_char(self):
         texts = [p.text for p in pretokenize("=1   +2")]
         assert texts == ["=", "1", SPACE_MARKER, SPACE_MARKER, SPACE_MARKER, "+", "2"]
+
+
+# pretokenize as it stood before PreToken became a NamedTuple and the loop
+# stopped looking up TokenKind members per token, kept verbatim (bar the
+# names) as the reference.
+def _ref_explode(text, catalog, out):
+    run = []
+
+    def flush():
+        if run:
+            word = "".join(run)
+            out.append(PreToken(word, word in catalog))
+            run.clear()
+
+    for ch in text:
+        if ch.isalpha() or ch == "_":
+            run.append(ch)
+        else:
+            flush()
+            if ch.isspace():
+                out.append(PreToken(SPACE_MARKER, True))
+            else:
+                out.append(PreToken(ch, True))
+    flush()
+
+
+def _ref_pretokenize(formula, catalog=None):
+    if catalog is None:
+        catalog = default_catalog()
+    out = []
+    for tok in lex(formula, catalog):
+        text = tok.text.lower()
+        if tok.kind is TokenKind.WHITESPACE:
+            out.extend(PreToken(SPACE_MARKER, True) for _ in text)
+        elif tok.kind is TokenKind.FUNC_NAME:
+            out.append(PreToken(text, True))
+        elif tok.kind is TokenKind.OPERATOR:
+            out.append(PreToken(text, True))
+        elif tok.kind in (TokenKind.PUNCT, TokenKind.ERROR):
+            out.extend(PreToken(ch, True) for ch in text)
+        else:
+            _ref_explode(text, catalog, out)
+    return out
+
+
+_PRE_CATALOG = FunctionCatalog.from_lines(["MYFN,1,1", "total,0,*", "A,0,*"])
+
+
+def _assert_pretokenize_matches_reference(formula):
+    for catalog in (None, _PRE_CATALOG):
+        got = pretokenize(formula, catalog)
+        assert got == _ref_pretokenize(formula, catalog), formula
+        assert all(type(p) is PreToken and type(p.atomic) is bool for p in got), formula
+
+
+class TestPretokenizeReference:
+    @given(st.text(alphabet=st.sampled_from(
+        list('AZaz019$:!,()"\' \t\n=<>+-*/^&%._#;@Äé€İß²')) | st.characters(), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    @example("\ud800")
+    @example("")
+    def test_matches_reference_on_any_text(self, s):
+        _assert_pretokenize_matches_reference(s)
+
+    def test_matches_reference_on_synth_and_identifier_corpora(self):
+        for formula in synth_corpus(1000, seed=31):
+            _assert_pretokenize_matches_reference(formula)
+        for formula in ["='Q1 Report'!A1&\"Not  available\"", "=tax_rate*Total_2(A1)",
+                        "=myfn (1)+MyFn\t(2)", "=\"İstanbul ß\"", "=A1 \r\n+ 2"]:
+            _assert_pretokenize_matches_reference(formula)
+
+    def test_matches_reference_on_corruptions(self):
+        rng = random.Random(32)
+        for formula in synth_corpus(300, seed=33):
+            for corrupted in _corruptions(formula, rng, 5, chars="(),\"' "):
+                _assert_pretokenize_matches_reference(corrupted)
+
+    def test_matches_reference_on_envelope_formulas(self):
+        rng = random.Random(34)
+        for formula in _envelope_formulas(rng):
+            _assert_pretokenize_matches_reference(formula)
+            for corrupted in _corruptions(formula, rng, 3, chars="(),\"' "):
+                _assert_pretokenize_matches_reference(corrupted)
+
+
+class TestPreTokenContract:
+    def test_fields_and_values(self):
+        assert PreToken._fields == ("text", "atomic")
+        pre = PreToken("sum", True)
+        assert (pre.text, pre.atomic) == ("sum", True)
+
+    def test_immutable(self):
+        pre = PreToken("a", False)
+        for field in PreToken._fields:
+            with pytest.raises(AttributeError):
+                setattr(pre, field, None)
+        with pytest.raises(AttributeError):
+            pre.other = 1
+
+    def test_equal_and_hashed_by_value(self):
+        a, b = PreToken("tax", False), PreToken("tax", False)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != PreToken("tax", True)
+
+    def test_pickle_round_trip(self):
+        pres = pretokenize(SUMIF_EXAMPLE)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(pres, protocol))
+            assert back == pres and all(type(p) is PreToken for p in back)
 
 
 class TestTrainBpe:
