@@ -9,8 +9,7 @@ retrieval.
 
 from .baseline import SketchIndex, build_index, completion_candidates, repair_candidates
 from .catalog import FunctionCatalog, default_catalog
-from .curation import (CorpusStats, FormulaRecord, dedup_global, dedup_key,
-                       dedup_per_workbook, ingest, stats)
+from .curation import CorpusStats, FormulaRecord, dedup, dedup_key, ingest, stats
 from .evaluation import (CompletionTask, EvalReport, RepairTask, RetrievalPair,
                          build_retrieval_pairs, evaluate, exact_match_at_k,
                          gen_repair_finetune, make_completion_prefix, mask_constants,
@@ -34,11 +33,10 @@ __all__ = [
     "RetrievalPair", "SPACE_MARKER", "SketchIndex", "Token", "TokenKind",
     "TokenizerModel", "applicable_operators", "apply_noise_operator",
     "build_index", "build_retrieval_pairs", "check", "completion_candidates",
-    "decode", "dedup_global", "dedup_key", "dedup_per_workbook",
-    "default_catalog", "encode", "evaluate", "exact_match_at_k",
-    "gen_repair_finetune", "generate_pretrain", "ingest", "is_applicable",
-    "la_msp", "lex", "make_completion_prefix", "mask_constants", "normalize",
-    "pretokenize", "random_noise", "repair_candidates", "retrieval_eval",
-    "sketch", "sketch_match_at_k", "stats", "tail_mask", "token_edit_similarity",
-    "train_bpe", "user_noise",
+    "decode", "dedup", "dedup_key", "default_catalog", "encode", "evaluate",
+    "exact_match_at_k", "gen_repair_finetune", "generate_pretrain", "ingest",
+    "is_applicable", "la_msp", "lex", "make_completion_prefix", "mask_constants",
+    "normalize", "pretokenize", "random_noise", "repair_candidates",
+    "retrieval_eval", "sketch", "sketch_match_at_k", "stats", "tail_mask",
+    "token_edit_similarity", "train_bpe", "user_noise",
 ]

@@ -216,12 +216,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_dedup(args) -> int:
-    records = list(_read_records(args.input))
-    keys = [curation.dedup_key(r.formula) for r in records]
-    dedup = (curation.dedup_per_workbook if args.mode == "per-workbook"
-             else curation.dedup_global)
-    retained = list(dedup(records, keys))
-    stats = curation.stats(records, keys)
+    stats = curation.CorpusStats()
+    retained = curation.dedup(_read_records(args.input), args.mode, stats)
     count = _emit((r.to_json() for r in retained), args.output,
                   subcommand="dedup", config={"mode": args.mode, "input": args.input},
                   inputs=[args.input])
@@ -326,9 +322,9 @@ def cmd_gen_pretrain(args) -> int:
 
 def cmd_gen_finetune_repair(args) -> int:
     config = load_config(args.config, args.seed)
-    formulas = list(_iter_formula_lines(args.input))
     report = evaluation.RepairSynthesisReport()
-    tasks = list(evaluation.gen_repair_finetune(formulas, config.seed, report))
+    tasks = list(evaluation.gen_repair_finetune(_iter_formula_lines(args.input),
+                                                config.seed, report))
     reserved: list[evaluation.RepairTask] = []
     if args.reserve:
         tasks, reserved = evaluation.reserve_split(tasks, min(args.reserve, len(tasks)),

@@ -2,8 +2,11 @@
 
 Two dedup scopes: per-workbook (keeps one instance of each sketch within
 every workbook, preserving naturally occurring cross-workbook repetition)
-and global (one instance per sketch corpus-wide). Both are first-wins and
-streaming: the output is always a stable subsequence of the input.
+and global (one instance per sketch corpus-wide). `dedup` serves both in
+one streaming, first-wins pass: it keys each record once, yields it when it
+is new in the chosen scope, and counts the corpus stats for both scopes on
+the way, so the output is a stable subsequence of the input and no record
+list is kept. Memory is O(distinct keys per workbook).
 """
 
 from __future__ import annotations
@@ -35,15 +38,8 @@ class FormulaRecord:
 
 @dataclass
 class IngestReport:
-    total_lines: int = 0
     records: int = 0
     skipped: int = 0
-    examples: list[str] = field(default_factory=list)
-
-    def note_skip(self, line: str) -> None:
-        self.skipped += 1
-        if len(self.examples) < 5:
-            self.examples.append(line[:200])
 
 
 def dedup_key(formula: str) -> str:
@@ -78,100 +74,74 @@ def ingest(lines: Iterable[str], report: Optional[IngestReport] = None) -> Itera
     if report is None:
         report = IngestReport()
     for line in lines:
-        report.total_lines += 1
         stripped = line.strip()
-        if not stripped:
-            report.note_skip(line)
-            continue
         try:
-            obj = json.loads(stripped)
+            record = parse_record(json.loads(stripped)) if stripped else None
         except json.JSONDecodeError:
-            report.note_skip(line)
-            continue
-        record = parse_record(obj)
+            record = None
         if record is None:
-            report.note_skip(line)
+            report.skipped += 1
             continue
         report.records += 1
         yield record
 
 
-def _keyed(records: Iterable[FormulaRecord],
-           keys: Optional[Iterable[str]]) -> Iterator[tuple[FormulaRecord, str]]:
-    """Pair each record with its dedup key, computed unless given in order."""
-    if keys is None:
-        return ((record, dedup_key(record.formula)) for record in records)
-    return zip(records, keys, strict=True)
-
-
-def dedup_per_workbook(records: Iterable[FormulaRecord],
-                       keys: Optional[Iterable[str]] = None) -> Iterator[FormulaRecord]:
-    """First record of each distinct sketch within each workbook, in order.
-
-    Memory is O(distinct sketches); duplicates of a sketch in different
-    workbooks all survive. `keys`, when given, are the records' dedup keys
-    in the same order, so a caller that also needs stats computes them once.
-    """
-    seen: dict[str, set[str]] = {}
-    for record, key in _keyed(records, keys):
-        wb_keys = seen.setdefault(record.workbook_id, set())
-        if key in wb_keys:
-            continue
-        wb_keys.add(key)
-        yield record
-
-
-def dedup_global(records: Iterable[FormulaRecord],
-                 keys: Optional[Iterable[str]] = None) -> Iterator[FormulaRecord]:
-    """First record of each distinct sketch across the whole corpus; `keys`
-    as for dedup_per_workbook."""
-    seen: set[str] = set()
-    for record, key in _keyed(records, keys):
-        if key in seen:
-            continue
-        seen.add(key)
-        yield record
-
-
 @dataclass
 class CorpusStats:
-    total_formulas: int
-    unique_sketches_global: int
-    retained_per_workbook: int
-    retained_global: int
-    per_workbook_counts: dict[str, int]
+    """Counts filled in by `dedup`; `retained_global` is also the number of
+    distinct sketches in the corpus."""
+    total_formulas: int = 0
+    retained_per_workbook: int = 0
+    retained_global: int = 0
+    per_workbook_counts: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
             "total_formulas": self.total_formulas,
-            "unique_sketches_global": self.unique_sketches_global,
+            "unique_sketches_global": self.retained_global,
             "retained_per_workbook": self.retained_per_workbook,
             "retained_global": self.retained_global,
             "per_workbook_counts": dict(sorted(self.per_workbook_counts.items())),
         }
 
 
-def stats(records: Iterable[FormulaRecord],
-          keys: Optional[Iterable[str]] = None) -> CorpusStats:
-    """Single-pass corpus statistics; retained_global == unique sketches.
-    `keys` as for dedup_per_workbook."""
-    total = 0
-    global_keys: set[str] = set()
-    per_wb_keys: dict[str, set[str]] = {}
-    per_wb_counts: dict[str, int] = {}
-    retained_per_wb = 0
-    for record, key in _keyed(records, keys):
-        total += 1
-        per_wb_counts[record.workbook_id] = per_wb_counts.get(record.workbook_id, 0) + 1
-        global_keys.add(key)
-        wb_keys = per_wb_keys.setdefault(record.workbook_id, set())
-        if key not in wb_keys:
-            wb_keys.add(key)
-            retained_per_wb += 1
-    return CorpusStats(
-        total_formulas=total,
-        unique_sketches_global=len(global_keys),
-        retained_per_workbook=retained_per_wb,
-        retained_global=len(global_keys),
-        per_workbook_counts=per_wb_counts,
-    )
+def dedup(records: Iterable[FormulaRecord], mode: str = "per-workbook",
+          stats: Optional[CorpusStats] = None) -> Iterator[FormulaRecord]:
+    """First record of each distinct sketch in `mode`'s scope, in order.
+
+    Keys each record once and counts it into `stats` (when given) for both
+    scopes, so one pass yields the retained records and the corpus stats.
+    A mode outside DEDUP_MODES raises ValueError on the first pull.
+    """
+    if mode not in DEDUP_MODES:
+        raise ValueError(f"unknown dedup mode {mode!r}; expected one of {DEDUP_MODES}")
+    per_workbook = mode == "per-workbook"
+    if stats is None:
+        stats = CorpusStats()
+    counts = stats.per_workbook_counts
+    seen: set[str] = set()
+    seen_in_workbook: dict[str, set[str]] = {}
+    for record in records:
+        key = dedup_key(record.formula)
+        workbook = record.workbook_id
+        stats.total_formulas += 1
+        counts[workbook] = counts.get(workbook, 0) + 1
+        wb_keys = seen_in_workbook.setdefault(workbook, set())
+        if key in wb_keys:
+            continue  # a repeat within its workbook is a repeat corpus-wide too
+        wb_keys.add(key)
+        stats.retained_per_workbook += 1
+        new_globally = key not in seen
+        if new_globally:
+            seen.add(key)
+            stats.retained_global += 1
+        if per_workbook or new_globally:
+            yield record
+
+
+def stats(records: Iterable[FormulaRecord]) -> CorpusStats:
+    """Corpus statistics for both dedup scopes, in one pass."""
+    result = CorpusStats()
+    for _ in dedup(records, stats=result):
+        pass
+    return result

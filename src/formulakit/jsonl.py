@@ -124,7 +124,6 @@ def write_manifest(
     subcommand: str,
     config: dict[str, Any],
     inputs: Iterable[PathLike] = (),
-    extra_artifacts: Iterable[PathLike] = (),
 ) -> Path:
     """Record config and content hashes next to an artifact for repro audits."""
     artifact = Path(artifact)
@@ -133,8 +132,7 @@ def write_manifest(
         "config": config,
         "config_hash": sha256_text(json.dumps(config, sort_keys=True, ensure_ascii=False)),
         "inputs": {str(p): sha256_file(p) for p in inputs},
-        "artifacts": {str(artifact): sha256_file(artifact),
-                      **{str(p): sha256_file(p) for p in extra_artifacts}},
+        "artifacts": {str(artifact): sha256_file(artifact)},
     }
     out = artifact.with_name(artifact.name + ".manifest.json")
     write_json_atomic(out, manifest)

@@ -260,11 +260,11 @@ def check(formula: str, catalog: Optional[FunctionCatalog] = None,
     for tok in tokens:
         kind = tok.kind
         if kind is string_lit:
-            if not _closed(tok.text, '"'):
+            if not quote_closed(tok.text):
                 append(Diagnostic(unterminated, tok.start, tok.end,
                                   "string literal is not terminated"))
         elif kind is sheet_name:
-            if tok.text.startswith("'") and not _closed(tok.text, "'"):
+            if tok.text.startswith("'") and not quote_closed(tok.text):
                 append(Diagnostic(unterminated, tok.start, tok.end,
                                   "quoted sheet name is not terminated"))
         elif kind is error:
@@ -359,19 +359,12 @@ def check(formula: str, catalog: Optional[FunctionCatalog] = None,
     return diags
 
 
-def _closed(text: str, quote: str) -> bool:
-    """True if a quote-delimited token text has a proper closing quote."""
-    if len(text) < 2 or not text.startswith(quote):
-        return False
-    i = 1
-    while i < len(text):
-        if text[i] == quote:
-            if i + 1 < len(text) and text[i + 1] == quote:
-                i += 2  # doubled quote = escaped
-                continue
-            return i == len(text) - 1
-        i += 1
-    return False
+def quote_closed(text: str) -> bool:
+    """True if a StringLit or quoted SheetName token's text has its closing
+    quote. `lex` tries the closed STRING and SHEETQ alternatives before the
+    unterminated ones, so an unterminated token never ends in its opening
+    quote."""
+    return len(text) >= 2 and text[-1] == text[0]
 
 
 def call_arguments(tokens: list[Token]) -> dict[int, list[tuple[int, int]]]:

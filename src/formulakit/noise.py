@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .catalog import FunctionCatalog, default_catalog
-from .lexer import Token, TokenKind, call_arguments, lex
+from .lexer import Token, TokenKind, call_arguments, lex, quote_closed
 
 
 class NotApplicable(Exception):
@@ -255,8 +255,7 @@ def _invalid_equality(formula: str, tokens: list[Token], sites: list, rng: rando
 def _quoted_sheets(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
     sheet_name = TokenKind.SHEET_NAME
     return [i for i, t in enumerate(tokens)
-            if t.kind is sheet_name and t.text[:1] == "'"
-            and len(t.text) >= 2 and t.text.endswith("'")]
+            if t.kind is sheet_name and t.text[:1] == "'" and quote_closed(t.text)]
 
 
 def _malformed_sheet_name(formula: str, tokens: list[Token], sites: list,
@@ -283,8 +282,7 @@ def _remove_exclamation(formula: str, tokens: list[Token], sites: list,
 def _closed_strings(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
     string_lit = TokenKind.STRING_LIT
     return [i for i, t in enumerate(tokens)
-            if t.kind is string_lit and t.text[:1] == '"'
-            and len(t.text) >= 2 and t.text.endswith('"')]
+            if t.kind is string_lit and quote_closed(t.text)]
 
 
 def _malformed_string(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:

@@ -288,12 +288,6 @@ def example_for_record(record: FormulaRecord, ordinal: int,
 class GenerationReport:
     emitted: int = 0
     skipped: int = 0
-    skipped_examples: list[str] = field(default_factory=list)
-
-    def note_skip(self, formula: str) -> None:
-        self.skipped += 1
-        if len(self.skipped_examples) < 5:
-            self.skipped_examples.append(formula[:200])
 
 
 def generate_pretrain(records: Iterable[FormulaRecord], config: ObjectiveConfig,
@@ -305,7 +299,7 @@ def generate_pretrain(records: Iterable[FormulaRecord], config: ObjectiveConfig,
     for ordinal, record in enumerate(records):
         example = example_for_record(record, ordinal, config)
         if example is None:
-            report.note_skip(record.formula)
+            report.skipped += 1
             continue
         report.emitted += 1
         yield example

@@ -16,7 +16,7 @@ import pytest
 
 from formulakit.baseline import build_index, repair_candidates
 from formulakit.cli import main
-from formulakit.curation import FormulaRecord, dedup_global, dedup_per_workbook, dedup_key
+from formulakit.curation import FormulaRecord, dedup, dedup_key
 from formulakit.evaluation import (RetrievalPair, cosine_similarity, evaluate,
                                    gen_repair_finetune, retrieval_eval)
 from formulakit.jsonl import write_jsonl_atomic
@@ -181,8 +181,8 @@ def test_c08_dedup_ordering_and_oracle():
     with criterion(8, 10.0, "dedup counts vs brute-force oracle on 20 corpora"):
         for seed in range(20):
             records = synth_records(300, seed=seed, workbooks=2 + seed % 9)
-            per_wb = list(dedup_per_workbook(iter(records)))
-            glob = list(dedup_global(iter(records)))
+            per_wb = list(dedup(iter(records), "per-workbook"))
+            glob = list(dedup(iter(records), "global"))
             assert len(glob) <= len(per_wb) <= len(records)
             # oracle: set-based counting
             global_keys = {dedup_key(r.formula) for r in records}

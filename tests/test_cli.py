@@ -1,10 +1,12 @@
 import json
 import hashlib
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from formulakit.cli import load_config, main
+from formulakit.curation import CorpusStats
 from formulakit.jsonl import dumps, write_jsonl_atomic
 from formulakit.synth import synth_corpus, synth_records
 
@@ -77,6 +79,16 @@ class TestDedupCli:
         assert n_glob <= n_per <= n_input
         stats = json.loads((tmp_path / "per.jsonl.stats.json").read_text("utf-8"))
         assert stats["retained"] == n_per
+
+    def test_stats_file_agrees_with_stats_command(self, tmp_path, corpus_file):
+        assert main(["stats", "--input", corpus_file, "-o", str(tmp_path / "stats.json")]) == 0
+        expected = json.loads((tmp_path / "stats.json").read_text("utf-8"))
+        assert {f.name for f in fields(CorpusStats)} <= set(expected)
+        for mode in ("per-workbook", "global"):
+            out = tmp_path / f"{mode}.jsonl"
+            assert main(["dedup", "--input", corpus_file, "--mode", mode, "-o", str(out)]) == 0
+            report = json.loads((tmp_path / f"{mode}.jsonl.stats.json").read_text("utf-8"))
+            assert {key: report[key] for key in expected} == expected, mode
 
     def test_invalid_mode_usage_error(self, corpus_file):
         assert main(["dedup", "--input", corpus_file, "--mode", "sometimes"]) == 1

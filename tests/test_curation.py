@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from formulakit.curation import (CorpusStats, FormulaRecord, IngestReport, dedup_global,
-                                 dedup_key, dedup_per_workbook, ingest, stats)
+from formulakit.curation import (CorpusStats, FormulaRecord, IngestReport, dedup, dedup_key,
+                                 ingest, stats)
 from formulakit.synth import synth_records
 
 
@@ -78,30 +78,30 @@ class TestDedupPerWorkbook:
             rec("wb1", "=SUM(B2:B20)"),  # same sketch as above
             rec("wb2", "=SUM(C1:C9)"),
         ]
-        kept = list(dedup_per_workbook(iter(records)))
+        kept = list(dedup(iter(records), "per-workbook"))
         assert kept == [records[0], records[2]]
 
     def test_single_record(self):
         records = [rec("wb1", "=A1")]
-        assert list(dedup_per_workbook(iter(records))) == records
+        assert list(dedup(iter(records), "per-workbook")) == records
 
     def test_cross_workbook_repetition_survives(self):
         records = [rec("wb1", "=TODAY()"), rec("wb2", "=TODAY()")]
-        assert list(dedup_per_workbook(iter(records))) == records
+        assert list(dedup(iter(records), "per-workbook")) == records
 
     def test_case_insensitive_key(self):
         records = [rec("wb1", "=SUM(A1)"), rec("wb1", "=sum(a1)")]
-        assert list(dedup_per_workbook(iter(records))) == [records[0]]
+        assert list(dedup(iter(records), "per-workbook")) == [records[0]]
 
 
 class TestDedupGlobal:
     def test_cross_workbook_collapse(self):
         records = [rec("wb1", "=TODAY()"), rec("wb2", "=TODAY()")]
-        assert list(dedup_global(iter(records))) == [records[0]]
+        assert list(dedup(iter(records), "global")) == [records[0]]
 
     def test_all_unique_passthrough(self):
         records = [rec("wb1", "=A1"), rec("wb1", '=IF(A1,"x",2)'), rec("wb2", "=TODAY()")]
-        assert list(dedup_global(iter(records))) == records
+        assert list(dedup(iter(records), "global")) == records
 
     def test_seven_sketches_in_hundred_records(self):
         templates = [
@@ -116,20 +116,23 @@ class TestDedupGlobal:
             records.append(rec(f"wb{i % 10}", f))
         distinct = {dedup_key(r.formula) for r in records}
         assert len(distinct) == 7  # template set is the oracle
-        assert len(list(dedup_global(iter(records)))) == 7
+        assert len(list(dedup(iter(records), "global"))) == 7
 
 
 class TestStats:
     def test_empty(self):
         s = stats(iter([]))
-        assert s == CorpusStats(0, 0, 0, 0, {})
+        assert s == CorpusStats()
+        assert s.to_json() == {"total_formulas": 0, "unique_sketches_global": 0,
+                               "retained_per_workbook": 0, "retained_global": 0,
+                               "per_workbook_counts": {}}
 
     def test_matches_brute_force_oracle(self):
         records = synth_records(400, seed=3, workbooks=12)
         s = stats(iter(records))
         glob, per_wb = oracle_stats(records)
         assert s.total_formulas == 400
-        assert s.retained_global == glob == s.unique_sketches_global
+        assert s.retained_global == glob == s.to_json()["unique_sketches_global"]
         assert s.retained_per_workbook == per_wb
         assert sum(s.per_workbook_counts.values()) == 400
 
@@ -146,33 +149,33 @@ class TestProperties:
 
     def test_ordering_global_le_per_workbook_le_total(self):
         for records in self.corpora():
-            per_wb = list(dedup_per_workbook(iter(records)))
-            glob = list(dedup_global(iter(records)))
+            per_wb = list(dedup(iter(records), "per-workbook"))
+            glob = list(dedup(iter(records), "global"))
             assert len(glob) <= len(per_wb) <= len(records)
 
     def test_idempotent(self):
         for records in self.corpora():
-            per_wb = list(dedup_per_workbook(iter(records)))
-            assert list(dedup_per_workbook(iter(per_wb))) == per_wb
-            glob = list(dedup_global(iter(records)))
-            assert list(dedup_global(iter(glob))) == glob
+            per_wb = list(dedup(iter(records), "per-workbook"))
+            assert list(dedup(iter(per_wb), "per-workbook")) == per_wb
+            glob = list(dedup(iter(records), "global"))
+            assert list(dedup(iter(glob), "global")) == glob
 
     def test_stable_subsequence(self):
         for records in self.corpora():
-            kept = list(dedup_per_workbook(iter(records)))
+            kept = list(dedup(iter(records), "per-workbook"))
             it = iter(records)
             assert all(any(r is k for r in it) for k in kept)  # order-preserving
 
     def test_single_workbook_equals_global(self):
         records = [rec("only", f"=SUM(A{i}:B{i})" if i % 3 else "=TODAY()")
                    for i in range(1, 60)]
-        assert list(dedup_per_workbook(iter(records))) == list(dedup_global(iter(records)))
+        assert list(dedup(iter(records), "per-workbook")) == list(dedup(iter(records), "global"))
 
     def test_streaming_batches_equivalent(self):
         records = synth_records(200, seed=9, workbooks=6)
-        whole = list(dedup_global(iter(records)))
+        whole = list(dedup(iter(records), "global"))
         # identical results when fed through one generator in chunks
-        gen = dedup_global(iter(records))
+        gen = dedup(iter(records), "global")
         chunked = []
         while True:
             batch = [x for _, x in zip(range(17), gen)]
@@ -181,11 +184,39 @@ class TestProperties:
             chunked.extend(batch)
         assert chunked == whole
 
-    def test_precomputed_keys_give_the_same_results(self):
-        for records in self.corpora():
-            keys = [dedup_key(r.formula) for r in records]
-            assert list(dedup_per_workbook(records, keys)) == list(dedup_per_workbook(records))
-            assert list(dedup_global(records, keys)) == list(dedup_global(records))
-            assert stats(records, keys) == stats(records)
-        with pytest.raises(ValueError):
-            list(dedup_global(records, keys[:-1]))
+
+class TestOnePass:
+    def test_filled_stats_match_oracle_in_both_modes(self):
+        for seed in range(20):
+            records = synth_records(200, seed=seed, workbooks=1 + seed % 10)
+            glob, per_wb = oracle_stats(records)
+            counts = {}
+            for r in records:
+                counts[r.workbook_id] = counts.get(r.workbook_id, 0) + 1
+            for mode, expected_kept in (("per-workbook", per_wb), ("global", glob)):
+                s = CorpusStats()
+                kept = list(dedup(iter(records), mode, s))
+                assert len(kept) == expected_kept, (seed, mode)
+                assert s == CorpusStats(total_formulas=len(records),
+                                        retained_per_workbook=per_wb,
+                                        retained_global=glob,
+                                        per_workbook_counts=counts), (seed, mode)
+                assert s == stats(iter(records))
+
+    def test_yields_first_record_before_pulling_the_second(self):
+        records = [rec("wb1", "=A1"), rec("wb1", "=TODAY()")]
+
+        def one_then_fail():
+            yield records[0]
+            raise AssertionError("dedup pulled a second record before yielding the first")
+
+        for mode in ("per-workbook", "global"):
+            assert next(dedup(one_then_fail(), mode)) is records[0]
+
+    def test_default_mode_is_per_workbook(self):
+        records = [rec("wb1", "=TODAY()"), rec("wb2", "=TODAY()"), rec("wb2", "=NOW()")]
+        assert list(dedup(iter(records))) == list(dedup(iter(records), "per-workbook"))
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="sometimes"):
+            list(dedup(iter([rec("wb1", "=A1")]), "sometimes"))

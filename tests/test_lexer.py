@@ -840,6 +840,24 @@ class TestViewsReference:
                 for corrupted in _corruptions(formula, rng, 3, chars="(),\"' "):
                     _assert_views_match_reference(corrupted)
 
+    def test_match_reference_on_quote_heavy_strings(self):
+        # Doubled quotes, bare quotes and sheet bangs in every order: the
+        # inputs where a closing quote, an escaped one and an unterminated
+        # tail are easiest to confuse.
+        pieces = ['"', "'", '""', "''", "a", "B", "1", "!", "(", ")"]
+        rng = random.Random(25)
+        catalog = default_catalog()
+        for _ in range(3000):
+            formula = "=" + "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+            _assert_views_match_reference(formula)
+            tokens = lex(formula)
+            assert noise._closed_strings(tokens, catalog) == [
+                i for i, t in enumerate(tokens)
+                if t.kind is K.STRING_LIT and _ref_closed(t.text, '"')], formula
+            assert noise._quoted_sheets(tokens, catalog) == [
+                i for i, t in enumerate(tokens)
+                if t.kind is K.SHEET_NAME and _ref_closed(t.text, "'")], formula
+
     def test_match_reference_on_edge_cases(self):
         cases = ["=Data !A1", "=A1 !B2", "='S' !A1", "='S'A1", "'open", '"open',
                  '="a""', "=A1+*B1", "=A1%", "=A1%*2", "=A1+)", "=SUM(A1,)", "=A1,A10",

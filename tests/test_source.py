@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import formulakit
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "formulakit"
 
 
@@ -17,3 +19,15 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements in formulakit: {found}"
+
+
+def test_all_lists_every_import_once_and_resolves():
+    names = formulakit.__all__
+    assert len(names) == len(set(names)), "duplicates in formulakit.__all__"
+    missing = [name for name in names if not hasattr(formulakit, name)]
+    assert missing == [], f"formulakit.__all__ names that do not resolve: {missing}"
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported <= set(names), sorted(imported - set(names))
