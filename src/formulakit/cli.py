@@ -5,7 +5,8 @@ dedup a corpus (per-workbook or global), train and apply the tokenizer,
 generate pre-training and fine-tuning datasets, evaluate predictions, and
 run the non-neural baseline. All randomness flows from --seed; artifacts
 are written atomically and get a sibling .manifest.json with config and
-content hashes so any two runs can be compared.
+content hashes so any two runs can be compared. Each generator counts the
+inputs it skips in one Counter keyed by reason and reports it on stderr.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (with file/line),
 3 internal error.
@@ -14,11 +15,10 @@ Exit codes: 0 success, 1 usage/config error, 2 data error (with file/line),
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import baseline as baseline_mod
@@ -58,6 +58,17 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
         return value
     parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
     return parse
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a float strictly between 0 and 1."""
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
+_fraction.__name__ = "float"
 
 
 @dataclass
@@ -120,7 +131,8 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
 
 def _iter_formula_lines(path: str) -> Iterator[str]:
     """Formulas from a file: JSONL records (uses .formula) or plain lines.
-    A `.formula` with no UTF-8 form (a lone surrogate escape) is a DataError."""
+    A JSON object with no string `.formula`, or one with no UTF-8 form (a
+    lone surrogate escape), is a DataError."""
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -131,12 +143,14 @@ def _iter_formula_lines(path: str) -> Iterator[str]:
             except json.JSONDecodeError:
                 yield line
                 continue
-            if isinstance(obj, dict) and isinstance(obj.get("formula"), str):
-                if not has_utf8(obj["formula"]):
-                    raise DataError("formula with no UTF-8 form (a lone surrogate escape)",
-                                    path, lineno)
-                yield obj["formula"]
-                continue
+            formula = obj.get("formula")
+            if not isinstance(formula, str):
+                raise DataError("JSON object row needs a string `formula`", path, lineno)
+            if not has_utf8(formula):
+                raise DataError("formula with no UTF-8 form (a lone surrogate escape)",
+                                path, lineno)
+            yield formula
+            continue
         yield line
 
 
@@ -157,15 +171,14 @@ def _load_catalog(args) -> FunctionCatalog:
         raise DataError(str(exc)) from None  # the message starts `<path>:<line>:`
 
 
-def _read_records(path: str, report: Optional[curation.IngestReport] = None
+def _read_records(path: str, skips: Optional[Counter[str]] = None
                   ) -> Iterator[curation.FormulaRecord]:
     """Records from a JSONL corpus; malformed lines are skipped and counted
-    in `report`."""
-    if report is None:
-        report = curation.IngestReport()
-    yield from curation.ingest(read_lines(path), report)
-    if report.skipped:
-        print(f"note: skipped {report.skipped} malformed line(s) in {path}",
+    as skips["malformed"]."""
+    skips = Counter() if skips is None else skips
+    yield from curation.ingest(read_lines(path), skips)
+    if skips["malformed"]:
+        print(f"note: skipped {skips['malformed']} malformed line(s) in {path}",
               file=sys.stderr)
 
 
@@ -221,10 +234,9 @@ def cmd_dedup(args) -> int:
     count = _emit((r.to_json() for r in retained), args.output,
                   subcommand="dedup", config={"mode": args.mode, "input": args.input},
                   inputs=[args.input])
-    stats_path = args.stats_output or (args.output + ".stats.json" if args.output else None)
     report = {"mode": args.mode, "retained": count, **stats.to_json()}
-    if stats_path:
-        write_json_atomic(stats_path, report)
+    if args.output:
+        write_json_atomic(args.output + ".stats.json", report)
     else:
         print(dumps(report), file=sys.stderr)
     return EXIT_OK
@@ -286,45 +298,27 @@ def cmd_tokenize(args) -> int:
     return EXIT_OK
 
 
-def _pretrain_worker(task):
-    ordinal, record, config = task
-    example = objectives.example_for_record(record, ordinal, config)
-    return None if example is None else example.to_json()
-
-
 def cmd_gen_pretrain(args) -> int:
     config = load_config(args.config, args.seed)
-    report = curation.IngestReport()
-    tasks = ((i, record, config.objectives)
-             for i, record in enumerate(_read_records(args.input, report)))
-    unfit = 0  # records no objective fits
-
-    def results() -> Iterator[dict]:
-        nonlocal unfit
-        with (Pool(args.workers) if args.workers > 1 else contextlib.nullcontext()) as pool:
-            rows = (pool.imap(_pretrain_worker, tasks, chunksize=256) if pool
-                    else map(_pretrain_worker, tasks))
-            for row in rows:
-                if row is None:
-                    unfit += 1
-                else:
-                    yield row
-
-    count = _emit(results(), args.output, subcommand="gen-pretrain",
+    skips: Counter[str] = Counter()
+    examples = objectives.generate_pretrain(_read_records(args.input, skips),
+                                            config.objectives, skips, args.workers)
+    count = _emit((ex.to_json() for ex in examples), args.output, subcommand="gen-pretrain",
                   config={"seed": config.seed, "objectives": asdict(config.objectives),
                           "workers_independent": True},
                   inputs=[args.input])
     # Every line read is an example or a skip: emitted + skipped == lines read.
-    print(f"generated {count} pretrain examples ({report.skipped + unfit} skipped: "
-          f"{report.skipped} malformed, {unfit} fit no objective)", file=sys.stderr)
+    print(f"generated {count} pretrain examples ({skips.total()} skipped: "
+          f"{skips['malformed']} malformed, {skips['no objective']} fit no objective)",
+          file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_gen_finetune_repair(args) -> int:
     config = load_config(args.config, args.seed)
-    report = evaluation.RepairSynthesisReport()
+    skips: Counter[str] = Counter()
     tasks = list(evaluation.gen_repair_finetune(_iter_formula_lines(args.input),
-                                                config.seed, report))
+                                                config.seed, skips))
     reserved: list[evaluation.RepairTask] = []
     if args.reserve:
         tasks, reserved = evaluation.reserve_split(tasks, min(args.reserve, len(tasks)),
@@ -334,8 +328,8 @@ def cmd_gen_finetune_repair(args) -> int:
     if args.reserve_output:
         write_jsonl_atomic(args.reserve_output, (t.to_json() for t in reserved))
     print(f"repair tasks: {len(tasks)} fine-tune, {len(reserved)} reserved "
-          f"({report.skipped_malformed} malformed inputs skipped, "
-          f"{report.discarded_unchanged} unchanged corruptions discarded)",
+          f"({skips['malformed']} malformed inputs skipped, "
+          f"{skips['unchanged']} unchanged corruptions discarded)",
           file=sys.stderr)
     return EXIT_OK
 
@@ -344,6 +338,7 @@ def cmd_gen_finetune_complete(args) -> int:
     config = load_config(args.config, args.seed)
     model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
     fractions = tuple(args.fractions) if args.fractions else (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+    skips: Counter[str] = Counter()
 
     def rows():
         for ordinal, formula in enumerate(_iter_formula_lines(args.input)):
@@ -351,14 +346,17 @@ def cmd_gen_finetune_complete(args) -> int:
             try:
                 task = evaluation.make_completion_prefix(
                     formula, fraction, model, source_id=f"complete-{ordinal}")
-            except ValueError:
+            except ValueError:  # the fractions are checked at parse time
+                skips["under 2 tokens"] += 1
                 continue
             yield task.to_json()
 
-    _emit(rows(), args.output, subcommand="gen-finetune-complete",
-          config={"seed": config.seed, "fractions": list(fractions),
-                  "model": args.model},
-          inputs=[args.input])
+    count = _emit(rows(), args.output, subcommand="gen-finetune-complete",
+                  config={"seed": config.seed, "fractions": list(fractions),
+                          "model": args.model},
+                  inputs=[args.input])
+    print(f"completion tasks: {count} ({skips['under 2 tokens']} skipped: "
+          f"under 2 tokens)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -531,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", "-o")
     p.add_argument("--mode", choices=list(curation.DEDUP_MODES), default="per-workbook")
-    p.add_argument("--stats-output", help="where to write the corpus stats JSON")
 
     p = add("stats", cmd_stats, "corpus statistics (sketch counts per scope)",
             epilog='output: {"total_formulas": n, "unique_sketches_global": n, ...}')
@@ -565,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", help="JSON pipeline config; flags override")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="worker processes; output is identical for any count")
 
     p = add("gen-finetune-repair", cmd_gen_finetune_repair,
@@ -589,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config")
-    p.add_argument("--fractions", type=float, nargs="+",
+    p.add_argument("--fractions", type=_fraction, nargs="+",
                    help="prefix fractions to sample from (default 0.2..0.8)")
 
     p = add("eval-repair", cmd_eval, "score repair predictions",
@@ -658,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("synth", cmd_synth, "generate a synthetic formula corpus",
             epilog="well-formed random formulas with workbook/sheet provenance")
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_int_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", "-o")
 

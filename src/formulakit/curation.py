@@ -6,12 +6,14 @@ and global (one instance per sketch corpus-wide). `dedup` serves both in
 one streaming, first-wins pass: it keys each record once, yields it when it
 is new in the chosen scope, and counts the corpus stats for both scopes on
 the way, so the output is a stable subsequence of the input and no record
-list is kept. Memory is O(distinct keys per workbook).
+list is kept. Memory is O(distinct keys per workbook). `ingest` skips the
+lines that are not usable records and counts them in a skips Counter.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -34,12 +36,6 @@ class FormulaRecord:
         if self.cell is not None:
             row["cell"] = self.cell
         return row
-
-
-@dataclass
-class IngestReport:
-    records: int = 0
-    skipped: int = 0
 
 
 def dedup_key(formula: str) -> str:
@@ -69,10 +65,10 @@ def parse_record(obj: object) -> Optional[FormulaRecord]:
     return FormulaRecord(workbook_id, sheet_id, formula, cell)
 
 
-def ingest(lines: Iterable[str], report: Optional[IngestReport] = None) -> Iterator[FormulaRecord]:
-    """Parse JSONL lines into records, skipping (and counting) bad lines."""
-    if report is None:
-        report = IngestReport()
+def ingest(lines: Iterable[str], skips: Optional[Counter[str]] = None) -> Iterator[FormulaRecord]:
+    """Parse JSONL lines into records; a line that is not a usable record is
+    skipped and counted as skips["malformed"]."""
+    skips = Counter() if skips is None else skips
     for line in lines:
         stripped = line.strip()
         try:
@@ -80,9 +76,8 @@ def ingest(lines: Iterable[str], report: Optional[IngestReport] = None) -> Itera
         except json.JSONDecodeError:
             record = None
         if record is None:
-            report.skipped += 1
+            skips["malformed"] += 1
             continue
-        report.records += 1
         yield record
 
 

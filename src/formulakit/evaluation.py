@@ -11,10 +11,12 @@ non-neural baseline, or any model wrapper evaluate identically.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .lexer import TokenKind, check, lex, normalize, sketch
+from .curation import dedup_key
+from .lexer import TokenKind, check, lex, normalize
 from .objectives import user_noise
 from .seeds import derive_rng
 from .similarity import formula_token_ids, similarities_to_many
@@ -64,12 +66,13 @@ def exact_match_at_k(candidates: Sequence[str], ground_truth: str, k: int) -> bo
 
 
 def sketch_match_at_k(candidates: Sequence[str], ground_truth: str, k: int) -> bool:
-    """True when a top-k candidate has the truth's sketch (constants and
-    references compared by token type only)."""
+    """True when a top-k candidate has the truth's dedup key: the sketch of
+    its normalized form, so constants and references compare by token type
+    only."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    truth = sketch(normalize(ground_truth))
-    return any(sketch(normalize(c)) == truth for c in candidates[:k])
+    truth = dedup_key(ground_truth)
+    return any(dedup_key(c) == truth for c in candidates[:k])
 
 
 METRICS: dict[str, Callable[[Sequence[str], str, int], bool]] = {
@@ -118,35 +121,27 @@ def mask_constants(formula: str) -> str:
     return "".join(parts)
 
 
-@dataclass
-class RepairSynthesisReport:
-    emitted: int = 0
-    skipped_malformed: int = 0
-    discarded_unchanged: int = 0
-
-
 def gen_repair_finetune(formulas: Iterable[str], seed: int,
-                        report: Optional[RepairSynthesisReport] = None) -> Iterator[RepairTask]:
+                        skips: Optional[Counter[str]] = None) -> Iterator[RepairTask]:
     """Corrupt well-formed formulas with user-inspired noise into repair pairs.
 
-    Inputs that fail the well-formedness check are skipped; corruptions that
-    survive normalization unchanged (e.g. an extra space the comparison form
-    strips again) are discarded. Deterministic under the seed. Each source
-    formula is lexed once, and each corruption once.
+    Inputs that fail the well-formedness check are skipped (skips["malformed"]);
+    corruptions that survive normalization unchanged (e.g. an extra space the
+    comparison form strips again) are discarded (skips["unchanged"]).
+    Deterministic under the seed. Each source formula is lexed once, and each
+    corruption once.
     """
-    if report is None:
-        report = RepairSynthesisReport()
+    skips = Counter() if skips is None else skips
     for ordinal, formula in enumerate(formulas):
         tokens = lex(formula)
         if check(formula, tokens=tokens):
-            report.skipped_malformed += 1
+            skips["malformed"] += 1
             continue
         rng = derive_rng(seed, "repair", ordinal)
         example = user_noise(formula, rng, tokens=tokens)
         if normalize(example.input) == normalize(formula, tokens=tokens):
-            report.discarded_unchanged += 1
+            skips["unchanged"] += 1
             continue
-        report.emitted += 1
         yield RepairTask(buggy=example.input, ground_truth=formula,
                          source_id=f"repair-{ordinal}")
 

@@ -11,14 +11,20 @@ Four denoising objectives plus an identity pass-through:
 Every example targets the complete original formula. Generation is a pure
 function of (record, ordinal, config): per-record seeds are derived with a
 stable hash, so output is byte-identical no matter how many workers run.
+`generate_pretrain` is the one pretrain loop, serial or over a process pool,
+and counts the records no objective fits in a skips Counter.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import string
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional
 
 from . import noise
@@ -284,22 +290,25 @@ def example_for_record(record: FormulaRecord, ordinal: int,
                            example.detail, record_seed)
 
 
-@dataclass
-class GenerationReport:
-    emitted: int = 0
-    skipped: int = 0
+def _example_for_task(task: tuple) -> Optional[PretrainExample]:
+    """example_for_record on one (record, ordinal, config) tuple, as imap passes it."""
+    return example_for_record(*task)
 
 
 def generate_pretrain(records: Iterable[FormulaRecord], config: ObjectiveConfig,
-                      report: Optional[GenerationReport] = None) -> Iterator[PretrainExample]:
-    """Stream one example per record with weighted objective sampling."""
+                      skips: Optional[Counter[str]] = None, workers: int = 1
+                      ) -> Iterator[PretrainExample]:
+    """Stream one example per record, in input order, with weighted objective
+    sampling; a record no objective fits counts as skips["no objective"].
+    workers > 1 spreads the records over a process pool; same output."""
     config.validate()
-    if report is None:
-        report = GenerationReport()
-    for ordinal, record in enumerate(records):
-        example = example_for_record(record, ordinal, config)
-        if example is None:
-            report.skipped += 1
-            continue
-        report.emitted += 1
-        yield example
+    skips = Counter() if skips is None else skips
+    tasks = zip(records, count(), repeat(config))
+    with (Pool(workers) if workers > 1 else contextlib.nullcontext()) as pool:
+        examples = (pool.imap(_example_for_task, tasks, chunksize=256) if pool
+                    else map(_example_for_task, tasks))
+        for example in examples:
+            if example is None:
+                skips["no objective"] += 1
+            else:
+                yield example

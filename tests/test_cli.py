@@ -247,7 +247,7 @@ class TestFinetuneAndEvalCli:
         values = {(r["metric"], r["k"]): r["value"] for r in report["results"]}
         assert values[("exact_match", 5)] >= values[("exact_match", 1)]
 
-    def test_completion_pipeline(self, tmp_path, formulas_file):
+    def test_completion_pipeline(self, tmp_path, formulas_file, capsys):
         model_path = tmp_path / "model.json"
         main(["train-tokenizer", "--input", formulas_file, "--budget", "300",
               "--output", str(model_path)])
@@ -259,6 +259,7 @@ class TestFinetuneAndEvalCli:
         rows = read_jsonl_file(bench)
         assert rows
         assert all(r["formula"].lower().startswith(r["prefix"]) for r in rows)
+        assert f"completion tasks: {len(rows)} (" in capsys.readouterr().err
 
         index_path = tmp_path / "index.json"
         main(["baseline", "build", "--input", formulas_file, "--output", str(index_path)])
@@ -276,6 +277,19 @@ class TestFinetuneAndEvalCli:
         # provider must recover a decent share of them
         assert values[("exact_match", 5)] > 0.3
         assert values[("sketch_match", 5)] >= values[("exact_match", 5)]
+
+    def test_completion_skips_formulas_under_two_tokens(self, tmp_path, capsys):
+        formulas = tmp_path / "formulas.txt"
+        formulas.write_text("=SUM(A1:A2)\n=\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        assert main(["train-tokenizer", "--input", str(formulas), "--budget", "300",
+                     "-o", str(model)]) == 0
+        out = tmp_path / "complete.jsonl"
+        capsys.readouterr()
+        assert main(["gen-finetune-complete", "--input", str(formulas),
+                     "--model", str(model), "-o", str(out)]) == 0
+        assert [r["source_id"] for r in read_jsonl_file(out)] == ["complete-0"]
+        assert "completion tasks: 1 (1 skipped: under 2 tokens)" in capsys.readouterr().err
 
     def test_eval_retrieval_cli(self, tmp_path):
         pairs = tmp_path / "pairs.jsonl"
@@ -412,12 +426,17 @@ INPUT_READERS = {
                                      "--embeddings", "{file}"], "embeddings", "formula"),
 }
 
+# Readers that take JSONL records or plain lines, one formula each.
+FORMULA_LINE_READERS = {"lex --input", "train-tokenizer --input", "baseline build --input"}
+
 # Every reader meets a missing file and non-UTF-8 bytes; strict readers also
 # meet a row that is not an object, a required field that is not a string,
-# and one that holds a lone surrogate escape.
+# and one that holds a lone surrogate escape; formula-line readers meet an
+# object row with no `formula`.
 INPUT_CASES = [(reader, fault) for reader, (_, _, field) in sorted(INPUT_READERS.items())
                for fault in ("missing-file", "not-utf8")
-               + (("non-object-row", "non-string-field", "lone-surrogate") if field else ())]
+               + (("non-object-row", "non-string-field", "lone-surrogate") if field else ())
+               + (("object-without-formula",) if reader in FORMULA_LINE_READERS else ())]
 
 
 class TestInputErrors:
@@ -442,10 +461,15 @@ class TestInputErrors:
         elif fault == "lone-surrogate":
             path.write_text(json.dumps({**INPUT_ROWS[rows][0], field: "=A1\ud800"}) + "\n",
                             encoding="utf-8")
+        elif fault == "object-without-formula":
+            row = INPUT_ROWS[rows][0]
+            write_jsonl_atomic(path, [row, {k: v for k, v in row.items() if k != "formula"}])
         capsys.readouterr()
         assert main([a.format(file=path, tmp=inputs) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}"), err
+        if fault == "object-without-formula":
+            assert err.startswith(f"data error: {path}:2: "), err
 
     def test_lone_surrogate_formula(self, tmp_path, capsys):
         # "\ud800" in JSON decodes to a string with no UTF-8 form.
@@ -476,6 +500,13 @@ class TestInputErrors:
         ["eval-repair", "--benchmark", "b.jsonl", "--predictions", "p.jsonl", "-k", "0"],
         ["baseline", "repair", "--index", "i.json", "--buggy", "=A1", "-k", "-1"],
         ["gen-finetune-repair", "--input", "f.txt", "--reserve", "-3"],
+        ["gen-pretrain", "--input", "c.jsonl", "--workers", "0"],
+        ["gen-pretrain", "--input", "c.jsonl", "--workers", "-4"],
+        ["synth", "--count", "-3"],
+        ["gen-finetune-complete", "--input", "f.txt", "--model", "m.json",
+         "--fractions", "1.5", "0"],
+        ["gen-finetune-complete", "--input", "f.txt", "--model", "m.json",
+         "--fractions", "0.5", "1"],
         ["baseline", "repair", "--index", "i.json"],  # neither --benchmark nor --buggy
     ])
     def test_bad_flags_are_usage_errors(self, argv, capsys):

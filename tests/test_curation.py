@@ -1,9 +1,10 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from formulakit.curation import (CorpusStats, FormulaRecord, IngestReport, dedup, dedup_key,
+from formulakit.curation import (CorpusStats, FormulaRecord, dedup, dedup_key,
                                  ingest, stats)
 from formulakit.synth import synth_records
 
@@ -30,9 +31,9 @@ class TestIngest:
         assert records == [rec("wb1", "=SUM(A1:A10)")]
 
     def test_not_json_skipped(self):
-        report = IngestReport()
-        assert list(ingest(["not json"], report)) == []
-        assert report.skipped == 1
+        skips = Counter()
+        assert list(ingest(["not json"], skips)) == []
+        assert skips == {"malformed": 1}
 
     def test_three_valid_one_invalid(self):
         lines = [
@@ -41,11 +42,10 @@ class TestIngest:
             "not json",
             '{"workbook_id":"wb2","sheet_id":"s1","formula":"=A3"}',
         ]
-        report = IngestReport()
-        records = list(ingest(lines, report))
+        skips = Counter()
+        records = list(ingest(lines, skips))
         assert len(records) == 3
-        assert report.skipped == 1
-        assert report.records == 3
+        assert skips == {"malformed": 1}
 
     def test_missing_or_empty_fields_skipped(self):
         lines = [
@@ -54,9 +54,9 @@ class TestIngest:
             '{"workbook_id":"wb1","sheet_id":"s1","formula":""}',
             '["not","an","object"]',
         ]
-        report = IngestReport()
-        assert list(ingest(lines, report)) == []
-        assert report.skipped == 4
+        skips = Counter()
+        assert list(ingest(lines, skips)) == []
+        assert skips == {"malformed": 4}
 
     def test_cell_field_optional(self):
         line = '{"workbook_id":"w","sheet_id":"s","cell":"B2","formula":"=A1"}'

@@ -1,12 +1,13 @@
 import math
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
 from formulakit.evaluation import (CompletionTask, RepairTask, RetrievalPair,
-                                   RepairSynthesisReport, build_retrieval_pairs,
-                                   cosine_similarity, evaluate, exact_match_at_k,
+                                   build_retrieval_pairs, cosine_similarity,
+                                   evaluate, exact_match_at_k,
                                    gen_repair_finetune, make_completion_prefix,
                                    mask_constants, reserve_split,
                                    retrieval_eval, sketch_match_at_k)
@@ -117,9 +118,10 @@ class TestRepairSynthesis:
             assert task.ground_truth in corpus
 
     def test_malformed_inputs_skipped(self):
-        report = RepairSynthesisReport()
-        tasks = list(gen_repair_finetune(["=SUM(A1", "=A1+B1"], seed=2, report=report))
-        assert report.skipped_malformed == 1
+        skips = Counter()
+        tasks = list(gen_repair_finetune(["=SUM(A1", "=A1+B1"], seed=2, skips=skips))
+        assert skips["malformed"] == 1
+        assert len(tasks) + skips.total() == 2
         assert all(t.ground_truth == "=A1+B1" for t in tasks)
 
     def test_deterministic(self):

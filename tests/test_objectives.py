@@ -5,8 +5,8 @@ import pytest
 
 from formulakit.curation import FormulaRecord
 from formulakit.lexer import lex
-from formulakit.objectives import (DEFAULT_TM_FRACTIONS, MASK, GenerationReport,
-                                   ObjectiveConfig, PreconditionFailed, example_for_record,
+from formulakit.objectives import (DEFAULT_TM_FRACTIONS, MASK, ObjectiveConfig,
+                                   PreconditionFailed, example_for_record,
                                    generate_pretrain, la_msp, random_noise,
                                    select_mask_runs, tail_mask, user_noise)
 from formulakit.synth import synth_records
@@ -257,10 +257,26 @@ class TestGeneratePretrain:
 
     def test_report_counts(self):
         records = synth_records(40, seed=68)
-        report = GenerationReport()
-        out = list(generate_pretrain(iter(records), ObjectiveConfig(seed=7), report))
-        assert report.emitted == len(out) == 40
-        assert report.skipped == 0
+        skips = Counter()
+        out = list(generate_pretrain(iter(records), ObjectiveConfig(seed=7), skips))
+        assert len(out) == 40
+        assert skips == {}
+
+    def test_workers_give_the_same_examples_and_skips(self):
+        # `=` is too short for tail masking, the only weighted objective.
+        records = synth_records(600, seed=70)
+        records.insert(300, FormulaRecord("wb", "s", "="))
+        weights = {"laMSP": 0.0, "TM": 1.0, "UN": 0.0, "RN": 0.0, "ID": 0.0}
+        cfg = ObjectiveConfig(seed=9, weights=weights)
+        runs = []
+        for workers in (1, 2):
+            skips = Counter()
+            examples = [ex.to_json() for ex in
+                        generate_pretrain(iter(records), cfg, skips, workers=workers)]
+            runs.append((examples, skips))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 600
+        assert runs[0][1] == {"no objective": 1}
 
     def test_un_examples_round_trip_to_repair_shape(self):
         # every UN example's corrupted input differs from the target
