@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the lexer and its derived views in formulakit.
 
-Times `lex`, `check`, `normalize`, `sketch` and `curation.dedup_key` per
-formula on two input sets from the pipeline benchmark's generators
+Times `lex`, `check`, `normalize`, `sketch`, `curation.dedup_key` and
+`noise.applicable_operators` per formula on two input sets from the pipeline benchmark's generators
 (perfbench/inputs.py, imported read-only):
   typical    short formulas, as in the `corpus` workload
   envelope   formulas at Excel's limits (8,192 characters, 64 nesting
@@ -28,10 +28,12 @@ from inputs import envelope_records, typical_records  # noqa: E402
 
 from formulakit.curation import dedup_key  # noqa: E402
 from formulakit.lexer import check, lex, normalize, sketch  # noqa: E402
+from formulakit.noise import applicable_operators  # noqa: E402
 
 REPEAT = 5
 VIEWS = (("lex", lex), ("check", check), ("normalize", normalize),
-         ("sketch", sketch), ("dedup_key", dedup_key))
+         ("sketch", sketch), ("dedup_key", dedup_key),
+         ("applicable_operators", applicable_operators))
 
 
 def problems(name, formulas, well_formed):
@@ -80,10 +82,10 @@ def main():
                      for name, fs, _ in sets)
     print(f"median of {REPEAT} passes, microseconds per formula; "
           f"every input round-trips, no envelope input flagged")
-    print(f"{'view':<12}{header}")
+    print(f"{'view':<22}{header}")
     for view, fn in VIEWS:
         cells = "".join(f"{per_formula_us(fn, formulas):>26.1f}" for _, formulas, _ in sets)
-        print(f"{view:<12}{cells}")
+        print(f"{view:<22}{cells}")
     return 0
 
 

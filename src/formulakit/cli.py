@@ -131,8 +131,9 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
 
 def _iter_formula_lines(path: str) -> Iterator[str]:
     """Formulas from a file: JSONL records (uses .formula) or plain lines.
-    A JSON object with no string `.formula`, or one with no UTF-8 form (a
-    lone surrogate escape), is a DataError."""
+    A line that starts with `{` is a JSON object row: one that does not
+    parse (a truncated record, say), has no string `.formula`, or whose
+    formula has no UTF-8 form (a lone surrogate escape) is a DataError."""
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -140,9 +141,9 @@ def _iter_formula_lines(path: str) -> Iterator[str]:
         if line.lstrip().startswith("{"):
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError:
-                yield line
-                continue
+            except json.JSONDecodeError as exc:
+                raise DataError(f"line starts with `{{` but is not a JSON object: "
+                                f"{exc.msg} at column {exc.colno}", path, lineno) from None
             formula = obj.get("formula")
             if not isinstance(formula, str):
                 raise DataError("JSON object row needs a string `formula`", path, lineno)

@@ -6,8 +6,10 @@ and global (one instance per sketch corpus-wide). `dedup` serves both in
 one streaming, first-wins pass: it keys each record once, yields it when it
 is new in the chosen scope, and counts the corpus stats for both scopes on
 the way, so the output is a stable subsequence of the input and no record
-list is kept. Memory is O(distinct keys per workbook). `ingest` skips the
-lines that are not usable records and counts them in a skips Counter.
+list is kept. Memory is O(distinct keys per workbook). `dedup_key` lexes a
+formula once unless it holds whitespace, whose removal can merge tokens.
+`ingest` skips the lines that are not usable records and counts them in a
+skips Counter.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .jsonl import has_utf8
-from .lexer import normalize, sketch
+from .lexer import TokenKind, lex, normalize, sketch_tokens
 
 DEDUP_MODES = ("per-workbook", "global")
 
@@ -39,9 +41,21 @@ class FormulaRecord:
 
 
 def dedup_key(formula: str) -> str:
-    """Sketch of the normalized formula; Excel is case-insensitive, so the
-    comparison form is upper-cased and whitespace-free before sketching."""
-    return sketch(normalize(formula))
+    """`sketch(normalize(formula))`, the sketch of the comparison form:
+    Excel is case-insensitive, so names are upper-cased and whitespace is
+    dropped before sketching.
+
+    A formula with no whitespace token is lexed once: upper-casing keeps
+    every token's extent and kind, so its normalized text lexes to its own
+    tokens, upper-cased. Dropping whitespace can join the neighbours of a
+    whitespace token into one token (`"a" "b"`, `Sheet1 !A1`, `A 1`), so a
+    formula that has one has its normalized text lexed again.
+    """
+    tokens = lex(formula)
+    whitespace = TokenKind.WHITESPACE
+    if any(tok.kind is whitespace for tok in tokens):
+        return sketch_tokens(lex(normalize(formula, tokens)))
+    return sketch_tokens(tokens, upper=True)
 
 
 def parse_record(obj: object) -> Optional[FormulaRecord]:

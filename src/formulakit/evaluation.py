@@ -5,7 +5,10 @@ normalized formulas), completion (exact and sketch match over prefixes cut
 at tokenizer-token boundaries), and similar-formula retrieval (Pearson
 correlation between embedding cosine similarity and token edit similarity).
 Candidate providers are plain callables, so a replayed prediction file, the
-non-neural baseline, or any model wrapper evaluate identically.
+non-neural baseline, or any model wrapper evaluate identically. Repair
+synthesis lexes each source formula once, and a corruption only when its
+`lexer.fold` matches the source's, the one case where normalization can
+undo it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .curation import dedup_key
-from .lexer import TokenKind, check, lex, normalize
+from .lexer import TokenKind, check, fold, lex, normalize
 from .objectives import user_noise
 from .seeds import derive_rng
 from .similarity import formula_token_ids, similarities_to_many
@@ -128,8 +131,9 @@ def gen_repair_finetune(formulas: Iterable[str], seed: int,
     Inputs that fail the well-formedness check are skipped (skips["malformed"]);
     corruptions that survive normalization unchanged (e.g. an extra space the
     comparison form strips again) are discarded (skips["unchanged"]).
-    Deterministic under the seed. Each source formula is lexed once, and each
-    corruption once.
+    Deterministic under the seed. Each source formula is lexed once. A
+    corruption is lexed only when its `fold` equals the source's, since
+    formulas with different folds have different normalized forms.
     """
     skips = Counter() if skips is None else skips
     for ordinal, formula in enumerate(formulas):
@@ -139,7 +143,8 @@ def gen_repair_finetune(formulas: Iterable[str], seed: int,
             continue
         rng = derive_rng(seed, "repair", ordinal)
         example = user_noise(formula, rng, tokens=tokens)
-        if normalize(example.input) == normalize(formula, tokens=tokens):
+        if fold(example.input) == fold(formula) \
+                and normalize(example.input) == normalize(formula, tokens=tokens):
             skips["unchanged"] += 1
             continue
         yield RepairTask(buggy=example.input, ground_truth=formula,

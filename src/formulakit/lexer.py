@@ -189,11 +189,20 @@ def sketch(formula: str) -> str:
     to `cell`; whitespace is dropped; everything else stays verbatim.
     Sheet-qualified refs keep their sheet tokens and sketch only the ref.
     """
+    return sketch_tokens(lex(formula))
+
+
+def sketch_tokens(tokens: list[Token], upper: bool = False) -> str:
+    """`sketch` of a lexed formula. With `upper`, the texts `normalize`
+    upper-cases (function, identifier and sheet names) are upper-cased too,
+    so the sketch of a formula with no whitespace token equals the sketch
+    of its normalized text."""
     whitespace, number, string_lit, cell_ref = (TokenKind.WHITESPACE, TokenKind.NUMBER,
                                                 TokenKind.STRING_LIT, TokenKind.CELL_REF)
+    uppercased = (TokenKind.FUNC_NAME, TokenKind.IDENTIFIER, TokenKind.SHEET_NAME) if upper else ()
     parts = []
     append = parts.append
-    for tok in lex(formula):
+    for tok in tokens:
         kind = tok.kind
         if kind is whitespace:
             continue
@@ -203,6 +212,8 @@ def sketch(formula: str) -> str:
             append("string")
         elif kind is cell_ref:
             append("cell")
+        elif kind in uppercased:
+            append(tok.text.upper())
         else:
             append(tok.text)
     return "".join(parts)
@@ -227,6 +238,21 @@ def normalize(formula: str, tokens: Optional[list[Token]] = None) -> str:
             continue
         append(tok.text.upper() if kind in uppercased else tok.text)
     return "".join(parts)
+
+
+_DROP_WHITESPACE = str.maketrans("", "", " \t\r\n")
+
+
+def fold(text: str) -> str:
+    """`text` with the lexer's whitespace characters removed, upper-cased.
+
+    fold(normalize(x)) == fold(x) for every x: normalize only drops
+    whitespace tokens and upper-cases token texts, and `str.upper` maps
+    each code point on its own, is idempotent and never yields whitespace.
+    So two formulas whose folds differ have different normalized forms,
+    which a caller can tell without lexing either of them.
+    """
+    return text.translate(_DROP_WHITESPACE).upper()
 
 
 def check(formula: str, catalog: Optional[FunctionCatalog] = None,

@@ -4,14 +4,17 @@ Each operator mirrors a mistake real spreadsheet users make: breaking
 ranges, wrong function arity, mangled quoting, stray operators, and so on.
 
 `OPERATORS` is the one table of them. Each entry pairs a site finder,
-`sites(tokens, catalog)`, which lists where the operator can act and is
-empty exactly when it does not apply, with a rewrite,
+`sites(index)`, which lists where the operator can act in a formula's
+`SiteIndex` and is empty exactly when it does not apply, with a rewrite,
 `rewrite(formula, tokens, sites, rng)`, which corrupts one of those sites
-and never searches again. Operators 14-17 act anywhere in the text, so
-their one site is the whole formula. `is_applicable`,
-`applicable_operators` and `apply_noise_operator` are lookups in that
-table. Applying an applicable operator always changes the formula text
-and is a pure function of (formula, rng state).
+and never searches again. A `SiteIndex` finds the token sites of every
+operator in one pass over the tokens, and the call sites of the arity and
+swap operators in one `call_arguments` pass, each on first use; operators
+14-17 act anywhere in the text, so their one site is the whole formula and
+they read neither. `is_applicable`, `applicable_operators` and
+`apply_noise_operator` are lookups in that table. Applying an applicable
+operator always changes the formula text and is a pure function of
+(formula, rng state).
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 from .catalog import FunctionCatalog, default_catalog
 from .lexer import Token, TokenKind, call_arguments, lex, quote_closed
@@ -41,34 +45,131 @@ _RELATIONAL_TWO_CHAR = ("<=", ">=", "<>")
 _COMPARISON_OPS = frozenset({"<", ">", "<=", ">=", "<>", "="})
 
 
-# The site finders below run for every operator on every formula. Each binds
-# the kinds it tests to locals once per call, because a TokenKind.X lookup
-# costs more than the rest of the per-token test, and tests first whichever
-# of text and kind rules out more tokens at less cost. Each takes the
-# catalog, which only the arity operator reads.
+class _TokenSites(NamedTuple):
+    """Token indices where the token-level operators can act, in order."""
+    range_colons: list[tuple[int, int, int]]  # (`:`, left ref, right ref)
+    func_names: list[int]
+    relational_ops: list[int]  # `<=`, `>=`, `<>`
+    inequalities: list[int]  # `<>`
+    equalities: list[int]  # `=`
+    quoted_sheets: list[int]  # closed quoted sheet names
+    sheet_bangs: list[int]  # `!` directly after a sheet name
+    closed_strings: list[int]
+    closing_parens: list[int]
 
 
-def _range_colons(tokens: list[Token], catalog: FunctionCatalog) -> list[tuple[int, int, int]]:
-    """`:` tokens between two cell references, as (colon, left ref, right ref)."""
-    whitespace, cell_ref, punct = TokenKind.WHITESPACE, TokenKind.CELL_REF, TokenKind.PUNCT
-    n = len(tokens)
-    out = []
-    for i, tok in enumerate(tokens):
-        if tok.text == ":" and tok.kind is punct:
-            left, right = i - 1, i + 1  # the nearest non-whitespace tokens
-            while left >= 0 and tokens[left].kind is whitespace:
-                left -= 1
-            while right < n and tokens[right].kind is whitespace:
-                right += 1
-            if left >= 0 and right < n and tokens[left].kind is cell_ref \
-                    and tokens[right].kind is cell_ref:
-                out.append((i, left, right))
-    return out
+# Read once at import: a TokenKind.X lookup goes through the enum metaclass,
+# and seven of them per call would cost a short formula about a third of
+# its scan.
+_SCAN_KINDS = (TokenKind.WHITESPACE, TokenKind.PUNCT, TokenKind.OPERATOR, TokenKind.CELL_REF,
+               TokenKind.FUNC_NAME, TokenKind.STRING_LIT, TokenKind.SHEET_NAME)
 
 
-def _splice(tokens: list[Token], replacements: dict[int, str]) -> str:
-    """Rebuild the formula with token texts swapped (empty string deletes)."""
-    return "".join(replacements.get(i, tok.text) for i, tok in enumerate(tokens))
+def _scan(tokens: list[Token]) -> _TokenSites:
+    """Every token site in one pass: a `:` counts between two cell references
+    (whitespace aside), a `!` only right after a sheet name, and a string or
+    quoted sheet name only when its closing quote is there."""
+    whitespace, punct, operator, cell_ref, func_name, string_lit, sheet_name = _SCAN_KINDS
+    sites = ([], [], [], [], [], [], [], [], [])
+    colons, funcs, relational, inequalities, equalities, sheets, bangs, strings, closes = sites
+    # The last non-whitespace token and its kind, and the last `:` seen
+    # after a cell reference, with that reference: a cell reference whose
+    # previous non-whitespace token is that `:` completes a range colon.
+    # Carrying them costs less than looking around every `:`.
+    solid, solid_kind = -1, None
+    colon, left = -2, -1
+    i = -1
+    for tok in tokens:
+        i += 1
+        kind = tok.kind
+        if kind is cell_ref:
+            if solid == colon:
+                colons.append((colon, left, i))
+        elif kind is punct:
+            text = tok.text
+            if text == ")":
+                closes.append(i)
+            elif text == ":":
+                if solid_kind is cell_ref:
+                    colon, left = i, solid
+            elif text == "!":
+                if solid == i - 1 and solid_kind is sheet_name:
+                    bangs.append(i)
+        elif kind is whitespace:
+            continue
+        elif kind is operator:
+            text = tok.text
+            if text == "=":
+                equalities.append(i)
+            elif text in _RELATIONAL_TWO_CHAR:
+                relational.append(i)
+                if text == "<>":
+                    inequalities.append(i)
+        elif kind is func_name:
+            funcs.append(i)
+        elif kind is string_lit:
+            if quote_closed(tok.text):
+                strings.append(i)
+        elif kind is sheet_name:
+            text = tok.text
+            if text[0] == "'" and quote_closed(text):
+                sheets.append(i)
+        solid, solid_kind = i, kind
+    return tuple.__new__(_TokenSites, sites)
+
+
+def _scanned(name: str) -> Callable[[SiteIndex], list]:
+    """The site finder that reads one list of the shared token scan."""
+    field = attrgetter(name)
+    return lambda index: field(index.token_sites())
+
+
+class SiteIndex:
+    """The sites of one formula, for every operator: `tokens` must be
+    `lex(formula, catalog)`. `token_sites()` is one `_scan` of the tokens and
+    `calls()` their `call_arguments`; each runs on first use and is kept, so
+    the operators that read it share one pass, and an operator that reads
+    neither costs none."""
+
+    __slots__ = ("tokens", "catalog", "_token_sites", "_calls")
+
+    def __init__(self, tokens: list[Token], catalog: FunctionCatalog):
+        self.tokens = tokens
+        self.catalog = catalog
+        self._token_sites: Optional[_TokenSites] = None
+        self._calls: Optional[dict[int, list[tuple[int, int]]]] = None
+
+    def token_sites(self) -> _TokenSites:
+        if self._token_sites is None:
+            self._token_sites = _scan(self.tokens)
+        return self._token_sites
+
+    def calls(self) -> dict[int, list[tuple[int, int]]]:
+        if self._calls is None:
+            self._calls = call_arguments(self.tokens)
+        return self._calls
+
+
+def _splice(formula: str, tokens: list[Token], replacements: dict[int, str]) -> str:
+    """Rebuild the formula with token texts swapped (empty string deletes).
+
+    In an ASCII formula the tokens' byte offsets are character offsets, so
+    the text around the swapped tokens is sliced from the formula, not
+    joined again from every token.
+    """
+    if not formula.isascii():
+        texts = [tok.text for tok in tokens]
+        for i, text in replacements.items():
+            texts[i] = text
+        return "".join(texts)
+    parts = []
+    pos = 0
+    for i in sorted(replacements):
+        tok = tokens[i]
+        parts += (formula[pos:tok.start], replacements[i])
+        pos = tok.end
+    parts.append(formula[pos:])
+    return "".join(parts)
 
 
 def _arg_text(tokens: list[Token], arg: tuple[int, int]) -> str:
@@ -78,7 +179,7 @@ def _arg_text(tokens: list[Token], arg: tuple[int, int]) -> str:
 def _wrong_range(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
     idx, _, _ = rng.choice(sites)
     action = rng.choice([";", ",", " ", '"', None])  # None deletes the colon
-    return _splice(tokens, {idx: action if action is not None else ""})
+    return _splice(formula, tokens, {idx: action if action is not None else ""})
 
 
 def _malformed_range(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
@@ -89,24 +190,20 @@ def _malformed_range(formula: str, tokens: list[Token], sites: list, rng: random
     m = _CELL_PARTS.match(tokens[target].text)
     col, row = m.group(1), m.group(2)
     new_text = row if element % 2 == 0 else col
-    return _splice(tokens, {target: new_text})
-
-
-def _func_names(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    func_name = TokenKind.FUNC_NAME
-    return [i for i, t in enumerate(tokens) if t.kind is func_name]
+    return _splice(formula, tokens, {target: new_text})
 
 
 def _space_before_paren(formula: str, tokens: list[Token], sites: list,
                         rng: random.Random) -> str:
     idx = rng.choice(sites)
-    return _splice(tokens, {idx: tokens[idx].text + " "})
+    return _splice(formula, tokens, {idx: tokens[idx].text + " "})
 
 
-def _fixed_arity_calls(tokens: list[Token], catalog: FunctionCatalog):
+def _fixed_arity_calls(index: SiteIndex):
     """Calls eligible for the arity corruption, with the action per call."""
+    tokens, catalog = index.tokens, index.catalog
     out = []
-    for func_idx, args in call_arguments(tokens).items():
+    for func_idx, args in index.calls().items():
         limits = catalog.get(tokens[func_idx].text)
         if limits is None:
             continue
@@ -134,12 +231,12 @@ def _change_arity(formula: str, tokens: list[Token], sites: list, rng: random.Ra
             drop.add(args[arg_pos - 1][1])  # the comma before this argument
         elif len(args) > 1:
             drop.add(end)  # first argument: the comma after it
-        return _splice(tokens, {i: "" for i in drop})
+        return _splice(formula, tokens, {i: "" for i in drop})
     # Append a copy of an existing argument, keeping its spacing, so
     # `IF(A2>10, True, False)` becomes `IF(A2>10, True, False, False)`.
     close_idx = args[-1][1]  # index of the call's closing paren
     copied = "," + _arg_text(tokens, args[arg_pos])
-    return _splice(tokens, {close_idx: copied + ")"})
+    return _splice(formula, tokens, {close_idx: copied + ")"})
 
 
 def _arg_typer(tokens: list[Token]) -> Callable[[tuple[int, int]], str]:
@@ -177,13 +274,13 @@ def _arg_typer(tokens: list[Token]) -> Callable[[tuple[int, int]], str]:
     return arg_type
 
 
-def _swappable_calls(tokens: list[Token], catalog: FunctionCatalog):
+def _swappable_calls(index: SiteIndex):
     """Calls with arguments of at least two types, with those types."""
-    calls = [(func_idx, args) for func_idx, args in call_arguments(tokens).items()
+    calls = [(func_idx, args) for func_idx, args in index.calls().items()
              if len(args) >= 2]
     if not calls:
         return []
-    arg_type = _arg_typer(tokens)
+    arg_type = _arg_typer(index.tokens)
     out = []
     for func_idx, args in calls:
         types = [arg_type(a) for a in args]
@@ -212,50 +309,28 @@ def _swap_arguments(formula: str, tokens: list[Token], sites: list, rng: random.
             repl[x] = ""
     repl[args[i][0]] = rebuilt(args[i], text_j)
     repl[args[j][0]] = rebuilt(args[j], text_i)
-    return _splice(tokens, repl)
-
-
-def _relational_ops(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    operator = TokenKind.OPERATOR
-    return [i for i, t in enumerate(tokens)
-            if t.text in _RELATIONAL_TWO_CHAR and t.kind is operator]
+    return _splice(formula, tokens, repl)
 
 
 def _space_in_relational(formula: str, tokens: list[Token], sites: list,
                          rng: random.Random) -> str:
     idx = rng.choice(sites)
     text = tokens[idx].text
-    return _splice(tokens, {idx: text[0] + " " + text[1]})
+    return _splice(formula, tokens, {idx: text[0] + " " + text[1]})
 
 
 def _swap_relational(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
     idx = rng.choice(sites)
     text = tokens[idx].text
-    return _splice(tokens, {idx: text[1] + text[0]})
-
-
-def _inequalities(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    operator = TokenKind.OPERATOR
-    return [i for i, t in enumerate(tokens) if t.text == "<>" and t.kind is operator]
+    return _splice(formula, tokens, {idx: text[1] + text[0]})
 
 
 def _inequality_noise(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
-    return _splice(tokens, {rng.choice(sites): rng.choice(["!=", "=!"])})
-
-
-def _equalities(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    operator = TokenKind.OPERATOR
-    return [i for i, t in enumerate(tokens) if t.text == "=" and t.kind is operator]
+    return _splice(formula, tokens, {rng.choice(sites): rng.choice(["!=", "=!"])})
 
 
 def _invalid_equality(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
-    return _splice(tokens, {rng.choice(sites): rng.choice(["==", "==="])})
-
-
-def _quoted_sheets(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    sheet_name = TokenKind.SHEET_NAME
-    return [i for i, t in enumerate(tokens)
-            if t.kind is sheet_name and t.text[:1] == "'" and quote_closed(t.text)]
+    return _splice(formula, tokens, {rng.choice(sites): rng.choice(["==", "==="])})
 
 
 def _malformed_sheet_name(formula: str, tokens: list[Token], sites: list,
@@ -263,49 +338,31 @@ def _malformed_sheet_name(formula: str, tokens: list[Token], sites: list,
     idx = rng.choice(sites)
     inner = tokens[idx].text[1:-1]
     if rng.random() < 0.5:
-        return _splice(tokens, {idx: inner})
-    return _splice(tokens, {idx: '"' + inner + '"'})
-
-
-def _sheet_bangs(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    punct, sheet_name = TokenKind.PUNCT, TokenKind.SHEET_NAME
-    return [i for i, t in enumerate(tokens)
-            if t.text == "!" and t.kind is punct
-            and i > 0 and tokens[i - 1].kind is sheet_name]
+        return _splice(formula, tokens, {idx: inner})
+    return _splice(formula, tokens, {idx: '"' + inner + '"'})
 
 
 def _remove_exclamation(formula: str, tokens: list[Token], sites: list,
                         rng: random.Random) -> str:
-    return _splice(tokens, {rng.choice(sites): ""})
-
-
-def _closed_strings(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    string_lit = TokenKind.STRING_LIT
-    return [i for i, t in enumerate(tokens)
-            if t.kind is string_lit and quote_closed(t.text)]
+    return _splice(formula, tokens, {rng.choice(sites): ""})
 
 
 def _malformed_string(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
     idx = rng.choice(sites)
     inner = tokens[idx].text[1:-1]
     if rng.random() < 0.5:
-        return _splice(tokens, {idx: inner})
-    return _splice(tokens, {idx: "'" + inner + "'"})
-
-
-def _closing_parens(tokens: list[Token], catalog: FunctionCatalog) -> list[int]:
-    punct = TokenKind.PUNCT
-    return [i for i, t in enumerate(tokens) if t.text == ")" and t.kind is punct]
+        return _splice(formula, tokens, {idx: inner})
+    return _splice(formula, tokens, {idx: "'" + inner + "'"})
 
 
 def _comma_paren_noise(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
     idx = rng.choice(sites)
     if rng.random() < 0.5:
-        return _splice(tokens, {idx: ",)"})
-    return _splice(tokens, {idx: ","})
+        return _splice(formula, tokens, {idx: ",)"})
+    return _splice(formula, tokens, {idx: ","})
 
 
-def _whole_formula(tokens: list[Token], catalog: FunctionCatalog) -> list[None]:
+def _whole_formula(index: SiteIndex) -> list[None]:
     """The one site of an operator that acts anywhere in the text."""
     return [None]
 
@@ -349,33 +406,33 @@ def _corrupt_delimiters(formula: str, tokens: list[Token], sites: list,
 
 @dataclass(frozen=True)
 class NoiseOperator:
-    """`sites(tokens, catalog)` lists where the operator can act and is empty
-    when it does not apply; `rewrite(formula, tokens, sites, rng)` corrupts
-    one of those sites."""
+    """`sites(index)` lists where the operator can act in a formula's
+    `SiteIndex` and is empty when it does not apply;
+    `rewrite(formula, tokens, sites, rng)` corrupts one of those sites."""
 
     # Left unevaluated (annotations are strings here): typing caches every
     # `Callable[...]` it builds, which would keep each re-imported copy of
     # the lexer alive.
     op_id: int
     name: str
-    sites: Callable[[list[Token], FunctionCatalog], list]
+    sites: Callable[[SiteIndex], list]
     rewrite: Callable[[str, list[Token], list, random.Random], str]
 
 
 OPERATORS: dict[int, NoiseOperator] = {op.op_id: op for op in [
-    NoiseOperator(1, "wrong_range", _range_colons, _wrong_range),
-    NoiseOperator(2, "malformed_range", _range_colons, _malformed_range),
-    NoiseOperator(3, "space_before_call_paren", _func_names, _space_before_paren),
+    NoiseOperator(1, "wrong_range", _scanned("range_colons"), _wrong_range),
+    NoiseOperator(2, "malformed_range", _scanned("range_colons"), _malformed_range),
+    NoiseOperator(3, "space_before_call_paren", _scanned("func_names"), _space_before_paren),
     NoiseOperator(4, "change_arity", _fixed_arity_calls, _change_arity),
     NoiseOperator(5, "swap_arguments", _swappable_calls, _swap_arguments),
-    NoiseOperator(6, "space_in_relational_op", _relational_ops, _space_in_relational),
-    NoiseOperator(7, "swap_relational_op", _relational_ops, _swap_relational),
-    NoiseOperator(8, "inequality_noise", _inequalities, _inequality_noise),
-    NoiseOperator(9, "invalid_equality", _equalities, _invalid_equality),
-    NoiseOperator(10, "malformed_sheet_name", _quoted_sheets, _malformed_sheet_name),
-    NoiseOperator(11, "remove_exclamation", _sheet_bangs, _remove_exclamation),
-    NoiseOperator(12, "malformed_string", _closed_strings, _malformed_string),
-    NoiseOperator(13, "comma_paren_noise", _closing_parens, _comma_paren_noise),
+    NoiseOperator(6, "space_in_relational_op", _scanned("relational_ops"), _space_in_relational),
+    NoiseOperator(7, "swap_relational_op", _scanned("relational_ops"), _swap_relational),
+    NoiseOperator(8, "inequality_noise", _scanned("inequalities"), _inequality_noise),
+    NoiseOperator(9, "invalid_equality", _scanned("equalities"), _invalid_equality),
+    NoiseOperator(10, "malformed_sheet_name", _scanned("quoted_sheets"), _malformed_sheet_name),
+    NoiseOperator(11, "remove_exclamation", _scanned("sheet_bangs"), _remove_exclamation),
+    NoiseOperator(12, "malformed_string", _scanned("closed_strings"), _malformed_string),
+    NoiseOperator(13, "comma_paren_noise", _scanned("closing_parens"), _comma_paren_noise),
     NoiseOperator(14, "add_random_operator", _whole_formula, _add_random_operator),
     NoiseOperator(15, "add_operator_at_end", _whole_formula, _add_operator_at_end),
     NoiseOperator(16, "add_parentheses", _whole_formula, _add_parentheses),
@@ -387,7 +444,7 @@ def is_applicable(formula: str, op_id: int,
                   catalog: Optional[FunctionCatalog] = None) -> bool:
     if catalog is None:
         catalog = default_catalog()
-    return bool(OPERATORS[op_id].sites(lex(formula, catalog), catalog))
+    return bool(OPERATORS[op_id].sites(SiteIndex(lex(formula, catalog), catalog)))
 
 
 def applicable_operators(formula: str,
@@ -395,13 +452,15 @@ def applicable_operators(formula: str,
                          tokens: Optional[list[Token]] = None) -> list[int]:
     """Ids of the operators that find a site in the formula, ascending.
 
-    `tokens`, when given, must be `lex(formula, catalog)`.
+    `tokens`, when given, must be `lex(formula, catalog)`. One `SiteIndex`
+    serves every operator: one token scan and at most one `call_arguments`.
     """
     if catalog is None:
         catalog = default_catalog()
     if tokens is None:
         tokens = lex(formula, catalog)
-    return [op_id for op_id, op in OPERATORS.items() if op.sites(tokens, catalog)]
+    index = SiteIndex(tokens, catalog)
+    return [op_id for op_id, op in OPERATORS.items() if op.sites(index)]
 
 
 def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
@@ -418,7 +477,7 @@ def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
         catalog = default_catalog()
     if tokens is None:
         tokens = lex(formula, catalog)
-    sites = op.sites(tokens, catalog)
+    sites = op.sites(SiteIndex(tokens, catalog))
     if not sites:
         raise NotApplicable(f"operator {op_id} ({op.name}) does not apply to {formula!r}")
     result = op.rewrite(formula, tokens, sites, rng)

@@ -432,11 +432,12 @@ FORMULA_LINE_READERS = {"lex --input", "train-tokenizer --input", "baseline buil
 # Every reader meets a missing file and non-UTF-8 bytes; strict readers also
 # meet a row that is not an object, a required field that is not a string,
 # and one that holds a lone surrogate escape; formula-line readers meet an
-# object row with no `formula`.
+# object row with no `formula` and a truncated one that does not parse.
 INPUT_CASES = [(reader, fault) for reader, (_, _, field) in sorted(INPUT_READERS.items())
                for fault in ("missing-file", "not-utf8")
                + (("non-object-row", "non-string-field", "lone-surrogate") if field else ())
-               + (("object-without-formula",) if reader in FORMULA_LINE_READERS else ())]
+               + (("object-without-formula", "truncated-object")
+                  if reader in FORMULA_LINE_READERS else ())]
 
 
 class TestInputErrors:
@@ -464,11 +465,14 @@ class TestInputErrors:
         elif fault == "object-without-formula":
             row = INPUT_ROWS[rows][0]
             write_jsonl_atomic(path, [row, {k: v for k, v in row.items() if k != "formula"}])
+        elif fault == "truncated-object":
+            path.write_text(dumps(INPUT_ROWS[rows][0]) + '\n{"formula": "=SUM(A1:A2)"\n',
+                            encoding="utf-8")
         capsys.readouterr()
         assert main([a.format(file=path, tmp=inputs) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}"), err
-        if fault == "object-without-formula":
+        if fault in ("object-without-formula", "truncated-object"):
             assert err.startswith(f"data error: {path}:2: "), err
 
     def test_lone_surrogate_formula(self, tmp_path, capsys):

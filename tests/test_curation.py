@@ -3,10 +3,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_lexer import _corruptions, _envelope_formulas
 
 from formulakit.curation import (CorpusStats, FormulaRecord, dedup, dedup_key,
                                  ingest, stats)
-from formulakit.synth import synth_records
+from formulakit.lexer import TokenKind, lex, normalize, sketch
+from formulakit.synth import synth_corpus, synth_records
 
 
 def rec(wb, formula, sheet="s1"):
@@ -220,3 +224,50 @@ class TestOnePass:
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="sometimes"):
             list(dedup(iter([rec("wb1", "=A1")]), "sometimes"))
+
+
+# Formulas where dropping whitespace joins tokens or changes a kind: two
+# strings into one, a name into a sheet name, a name and a number into a
+# cell reference or a longer name, a number and a name into a number.
+WHITESPACE_MERGES = ['="a" "b"', "=Sheet1 !A1", "=A 1", "=SUM (A1)", "=1 E5", "='x' !A1",
+                     "=a 1e5", "=sum (a1) + data !b2", "=A1 :B2", "=1 .5", '=\'s\'\t"t"',
+                     "=IF(a1 <> 2, \"x y\", 'Q r'!c3)", "= A\n1", " ", "=x 'y'!A1"]
+
+
+class TestDedupKey:
+    """dedup_key against its definition, sketch(normalize(f))."""
+
+    def test_equals_sketch_of_normalized_on_synth(self):
+        rng = random.Random(91)
+        formulas = synth_corpus(1500, seed=92) + _envelope_formulas(rng)
+        formulas += [c for f in synth_corpus(300, seed=93)
+                     for c in _corruptions(f, rng, 3, "() ,'\"!:")]
+        for formula in formulas:
+            assert dedup_key(formula) == sketch(normalize(formula)), formula
+
+    @pytest.mark.parametrize("formula", WHITESPACE_MERGES)
+    def test_equals_sketch_of_normalized_across_whitespace(self, formula):
+        assert dedup_key(formula) == sketch(normalize(formula))
+
+    @given(st.text(alphabet=st.sampled_from(list('AZaz019eE$:!,()"\' \t\n=<>+-*/^&%._#;@Äéß€'))
+                   | st.characters(), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    @example("\ud800 x")
+    @example("'ß'!a1")
+    def test_equals_sketch_of_normalized_on_any_text(self, formula):
+        assert dedup_key(formula) == sketch(normalize(formula))
+
+    def test_lexes_a_whitespace_free_formula_once(self, lex_calls):
+        for formula in synth_corpus(200, seed=94) + ["=SUM(A1:A10)", "'Q r'!a1", '="a b"']:
+            if any(t.kind is TokenKind.WHITESPACE for t in lex(formula)):
+                continue
+            lex_calls.clear()
+            dedup_key(formula)
+            assert lex_calls == [formula]
+
+    def test_lexes_a_formula_with_whitespace_twice(self, lex_calls):
+        for formula in WHITESPACE_MERGES:
+            expected = [formula, normalize(formula)]
+            lex_calls.clear()
+            dedup_key(formula)
+            assert lex_calls == expected

@@ -4,15 +4,20 @@ import statistics
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from formulakit import evaluation
 from formulakit.evaluation import (CompletionTask, RepairTask, RetrievalPair,
                                    build_retrieval_pairs, cosine_similarity,
                                    evaluate, exact_match_at_k,
                                    gen_repair_finetune, make_completion_prefix,
                                    mask_constants, reserve_split,
                                    retrieval_eval, sketch_match_at_k)
-from formulakit.lexer import check, normalize
+from formulakit.lexer import check, fold, normalize
 from formulakit.noise import apply_noise_operator
+from formulakit.objectives import PretrainExample, user_noise
+from formulakit.seeds import derive_rng
 from formulakit.similarity import token_edit_similarity
 from formulakit.synth import synth_corpus
 from formulakit.tokenizer import encode, train_bpe
@@ -156,6 +161,86 @@ class TestRepairSynthesis:
         # same seed -> same split
         rest2, reserved2 = reserve_split(tasks, 100, seed=5)
         assert reserved2 == reserved
+
+
+def _ref_gen_repair_finetune(formulas, seed):
+    """Repair synthesis as it was before the fold test: every corruption is
+    normalized and compared in full."""
+    tasks, skips = [], Counter()
+    for ordinal, formula in enumerate(formulas):
+        if check(formula):
+            skips["malformed"] += 1
+            continue
+        example = user_noise(formula, derive_rng(seed, "repair", ordinal))
+        if normalize(example.input) == normalize(formula):
+            skips["unchanged"] += 1
+            continue
+        tasks.append(RepairTask(example.input, formula, f"repair-{ordinal}"))
+    return tasks, skips
+
+
+# Spaces, tabs, newlines and case flips: enough that normalize often maps
+# the pair to one form, as a space-only corruption does.
+_PAIR_TEXT = st.text(alphabet=st.sampled_from(list('Aa1:!,()"\' \t\r\n=<>._ßé')), max_size=16)
+
+
+class TestUnchangedDecision:
+    """gen_repair_finetune calls a corruption unchanged only when its fold
+    equals the source's and then the normalized forms compare equal; that
+    must be the full normalize comparison's answer."""
+
+    def test_matches_full_comparison_on_synthesis(self):
+        corpus = synth_corpus(400, seed=86) + ["=SUM (A1:A3)", "=IF(A1 <= 2,1,0)",
+                                                "=A1<>B1", "=MAX( B1 , B2 )", "=SUM(A1"]
+        for seed in (6, 7):
+            skips = Counter()
+            tasks = list(gen_repair_finetune(corpus, seed=seed, skips=skips))
+            ref_tasks, ref_skips = _ref_gen_repair_finetune(corpus, seed)
+            assert tasks == ref_tasks
+            assert skips == ref_skips
+            assert skips["unchanged"] > 0  # the fold-equal branch is exercised
+
+    def test_matches_full_comparison_on_seeded_corruptions(self):
+        for ordinal, formula in enumerate(synth_corpus(300, seed=87)):
+            for seed in range(4):
+                corrupted = user_noise(formula, derive_rng(seed, "repair", ordinal)).input
+                full = normalize(corrupted) == normalize(formula)
+                assert (fold(corrupted) == fold(formula) and full) == full, (formula, corrupted)
+
+    @given(_PAIR_TEXT, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_full_comparison_on_text_pairs(self, a, data):
+        # b is a respaced, case-flipped copy of a, or independent text.
+        edits = data.draw(st.lists(st.sampled_from(["keep", "flip", "space", "drop"]),
+                                   min_size=len(a), max_size=len(a)))
+        respaced = "".join({"keep": ch, "flip": ch.swapcase(), "space": ch + " ",
+                            "drop": "" if ch in " \t\r\n" else ch}[e]
+                           for ch, e in zip(a, edits))
+        for b in (respaced, data.draw(_PAIR_TEXT)):
+            full = normalize(a) == normalize(b)
+            assert (fold(a) == fold(b) and full) == full, (a, b)
+
+    def test_folds_match_but_normal_forms_differ(self, monkeypatch):
+        # The noise operators never make such a corruption, so one is put in
+        # user_noise's place: a space dropped inside a string, a string's
+        # case changed, and (unchanged) a re-spaced, lower-cased call.
+        corruptions = {'="a b"&A1': '="ab"&A1', '=A1&"x"': '=a1&"X"', "=SUM(A1)": "=sum( a1 )"}
+        monkeypatch.setattr(evaluation, "user_noise", lambda formula, rng, tokens: (
+            PretrainExample(corruptions[formula], formula, "UN", "", 0)))
+        skips = Counter()
+        tasks = list(gen_repair_finetune(list(corruptions), seed=0, skips=skips))
+        assert [t.buggy for t in tasks] == ['="ab"&A1', '=a1&"X"']
+        assert skips == Counter(unchanged=1)
+
+    def test_lexes_a_corruption_only_when_the_folds_match(self, lex_calls):
+        corpus = [f for f in synth_corpus(300, seed=88) if not check(f)]
+        fold_matches = sum(
+            fold(user_noise(f, derive_rng(9, "repair", i)).input) == fold(f)
+            for i, f in enumerate(corpus))
+        lex_calls.clear()
+        tasks = list(gen_repair_finetune(corpus, seed=9))
+        assert tasks
+        assert len(lex_calls) <= len(corpus) + fold_matches
 
 
 class TestRetrievalEval:

@@ -17,7 +17,7 @@ from formulakit.catalog import CatalogError, FunctionCatalog, default_catalog
 from formulakit.curation import dedup_key
 from formulakit.evaluation import mask_constants
 from formulakit.lexer import (Diagnostic, DiagnosticCode, Token, TokenKind, call_arguments,
-                              check, lex, normalize, sketch)
+                              check, fold, lex, normalize, sketch, sketch_tokens)
 from formulakit.noise import applicable_operators
 from formulakit.similarity import formula_token_ids
 from formulakit.synth import (random_cell, random_formula, random_number, random_range,
@@ -269,6 +269,47 @@ class TestNormalize:
             f = random_formula(rng)
             solid = [t for t in lex(f) if t.kind is not K.WHITESPACE]
             assert len(lex(normalize(f))) == len(solid)
+
+
+class TestFold:
+    """fold(normalize(x)) == fold(x), so formulas whose folds differ have
+    different normalized forms; repair synthesis relies on it."""
+
+    def test_upper_is_idempotent_and_never_makes_whitespace_or_a_quote(self):
+        # Over every code point, surrogates included. A quote would also end
+        # a quoted sheet name early, which dedup_key relies on not happening.
+        for cp in range(0x110000):
+            ch = chr(cp)
+            up = ch.upper()
+            assert up.upper() == up, hex(cp)
+            if ch in " \t\r\n'":
+                assert up == ch, hex(cp)
+            else:
+                assert not any(c in up for c in " \t\r\n'"), hex(cp)
+
+    @given(st.text(alphabet=st.sampled_from(list('AZaz019$:!,()"\' \t\r\n=<>._ßéŉﬀ'))
+                   | st.characters(), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    @example("\ud800 'ß'!a1")
+    def test_fold_of_normalized_is_fold(self, s):
+        assert fold(normalize(s)) == fold(s)
+
+    def test_examples(self):
+        assert fold("=sum( a1 :\tA10 )\r\n") == "=SUM(A1:A10)"
+        assert fold('="a b"') == '="AB"'  # inside strings too, unlike normalize
+        assert fold("=A1\xa0") == "=A1\xa0"  # only the lexer's whitespace goes
+
+
+class TestSketchTokens:
+    def test_equals_sketch(self):
+        for formula in synth_corpus(300, seed=16) + ["", " ", "='a b'!c1 + x"]:
+            assert sketch_tokens(lex(formula)) == sketch(formula)
+
+    def test_upper_equals_sketch_of_normalized_without_whitespace(self):
+        for formula in synth_corpus(300, seed=17) + ["=sum(a1)+data!b2+'q'!c1+foo.bar"]:
+            tokens = [t for t in lex(formula) if t.kind is not K.WHITESPACE]
+            formula = "".join(t.text for t in tokens)
+            assert sketch_tokens(lex(formula), upper=True) == sketch(normalize(formula))
 
 
 class TestCheck:
@@ -851,10 +892,11 @@ class TestViewsReference:
             formula = "=" + "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
             _assert_views_match_reference(formula)
             tokens = lex(formula)
-            assert noise._closed_strings(tokens, catalog) == [
+            sites = noise.SiteIndex(tokens, catalog)
+            assert noise.OPERATORS[12].sites(sites) == [
                 i for i, t in enumerate(tokens)
                 if t.kind is K.STRING_LIT and _ref_closed(t.text, '"')], formula
-            assert noise._quoted_sheets(tokens, catalog) == [
+            assert noise.OPERATORS[10].sites(sites) == [
                 i for i, t in enumerate(tokens)
                 if t.kind is K.SHEET_NAME and _ref_closed(t.text, "'")], formula
 
@@ -915,7 +957,7 @@ def test_lexer_benchmark_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert "every input round-trips, no envelope input flagged" in proc.stdout
     assert [line.split()[0] for line in proc.stdout.splitlines()[2:]] == [
-        "lex", "check", "normalize", "sketch", "dedup_key"]
+        "lex", "check", "normalize", "sketch", "dedup_key", "applicable_operators"]
 
 
 def test_lexer_benchmark_script_rejects_flagged_inputs(monkeypatch):

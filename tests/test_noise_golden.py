@@ -15,8 +15,8 @@ from test_lexer import _corruptions, _envelope_formulas
 
 from formulakit import noise
 from formulakit.catalog import default_catalog
-from formulakit.lexer import TokenKind, check, lex
-from formulakit.noise import (OPERATORS, NotApplicable, applicable_operators,
+from formulakit.lexer import TokenKind, call_arguments, check, lex, quote_closed
+from formulakit.noise import (OPERATORS, NotApplicable, SiteIndex, applicable_operators,
                               apply_noise_operator, is_applicable)
 from formulakit.synth import synth_corpus
 
@@ -200,7 +200,7 @@ def test_table_entry_agrees_with_is_applicable():
     for formula in formulas:
         tokens = lex(formula, catalog)
         for op_id, op in OPERATORS.items():
-            assert bool(op.sites(tokens, catalog)) == is_applicable(formula, op_id), \
+            assert bool(op.sites(SiteIndex(tokens, catalog))) == is_applicable(formula, op_id), \
                 (op_id, formula)
         assert applicable_operators(formula) == [
             op_id for op_id in OPERATORS if is_applicable(formula, op_id)]
@@ -315,4 +315,150 @@ def test_range_colons_match_reference():
     catalog = default_catalog()
     for formula in formulas:
         tokens = lex(formula)
-        assert noise._range_colons(tokens, catalog) == _ref_range_colons(tokens), formula
+        assert OPERATORS[1].sites(SiteIndex(tokens, catalog)) == _ref_range_colons(tokens), \
+            formula
+
+
+# The per-operator site finders that one SiteIndex pass replaced, kept as
+# they were (bar the names) as the reference: each rescans every token.
+
+def _ref_func_names(tokens, catalog):
+    return [i for i, t in enumerate(tokens) if t.kind is TokenKind.FUNC_NAME]
+
+
+def _ref_fixed_arity_calls(tokens, catalog):
+    out = []
+    for func_idx, args in call_arguments(tokens).items():
+        limits = catalog.get(tokens[func_idx].text)
+        if limits is None:
+            continue
+        lo, hi = limits
+        if hi is None:
+            continue
+        actions = []
+        if len(args) == lo and len(args) >= 1:
+            actions.append("delete")
+        if len(args) == hi and len(args) >= 1:
+            actions.append("append")
+        if actions:
+            out.append((func_idx, args, actions))
+    return out
+
+
+def _ref_swappable_calls(tokens, catalog):
+    calls = [(func_idx, args) for func_idx, args in call_arguments(tokens).items()
+             if len(args) >= 2]
+    if not calls:
+        return []
+    arg_type = noise._arg_typer(tokens)
+    out = []
+    for func_idx, args in calls:
+        types = [arg_type(a) for a in args]
+        if len(set(types)) > 1:
+            out.append((func_idx, args, types))
+    return out
+
+
+def _ref_relational_ops(tokens, catalog):
+    return [i for i, t in enumerate(tokens)
+            if t.text in ("<=", ">=", "<>") and t.kind is TokenKind.OPERATOR]
+
+
+def _ref_inequalities(tokens, catalog):
+    return [i for i, t in enumerate(tokens) if t.text == "<>" and t.kind is TokenKind.OPERATOR]
+
+
+def _ref_equalities(tokens, catalog):
+    return [i for i, t in enumerate(tokens) if t.text == "=" and t.kind is TokenKind.OPERATOR]
+
+
+def _ref_quoted_sheets(tokens, catalog):
+    return [i for i, t in enumerate(tokens)
+            if t.kind is TokenKind.SHEET_NAME and t.text[:1] == "'" and quote_closed(t.text)]
+
+
+def _ref_sheet_bangs(tokens, catalog):
+    return [i for i, t in enumerate(tokens)
+            if t.text == "!" and t.kind is TokenKind.PUNCT
+            and i > 0 and tokens[i - 1].kind is TokenKind.SHEET_NAME]
+
+
+def _ref_closed_strings(tokens, catalog):
+    return [i for i, t in enumerate(tokens)
+            if t.kind is TokenKind.STRING_LIT and quote_closed(t.text)]
+
+
+def _ref_closing_parens(tokens, catalog):
+    return [i for i, t in enumerate(tokens) if t.text == ")" and t.kind is TokenKind.PUNCT]
+
+
+REF_SITES = {
+    1: lambda tokens, catalog: _ref_range_colons(tokens),
+    2: lambda tokens, catalog: _ref_range_colons(tokens),
+    3: _ref_func_names, 4: _ref_fixed_arity_calls, 5: _ref_swappable_calls,
+    6: _ref_relational_ops, 7: _ref_relational_ops, 8: _ref_inequalities,
+    9: _ref_equalities, 10: _ref_quoted_sheets, 11: _ref_sheet_bangs,
+    12: _ref_closed_strings, 13: _ref_closing_parens,
+    **{op_id: lambda tokens, catalog: [None] for op_id in (14, 15, 16, 17)},
+}
+
+
+def _site_test_formulas():
+    rng = random.Random(61)
+    formulas = (synth_corpus(600, seed=62) + list(FIXTURE_FORMULAS.values())
+                + [f for cases in GOLDENS.values() for f, _, _ in cases]
+                + TestSyntaxBreaking.FIXTURES + _envelope_formulas(rng)
+                + ["", "=", "=1", "'S'!A1", "'S' !A1", "Data!A1", "A1!B2", "'open", '"open',
+                   "=A1 : B2", "=A1::B2", ": A1", "=A1<>B1<=C1>=D1", "=A1< >B1", "=SUM (A1)",
+                   '="a""b"&\'it\'\'s\'!A1', "=TODAY(1)", "=SUM(A1,)", "=\ud800<>1"])
+    pieces = ['"', "'", '""', "''", "a", "B1", "1", "!", "(", ")", ":", "=", "<>", "<",
+              ">", " ", ",", "SUM(", "IF("]
+    formulas += ["=" + "".join(rng.choice(pieces) for _ in range(rng.randrange(14)))
+                 for _ in range(2000)]
+    formulas += [c for f in synth_corpus(200, seed=63)
+                 for c in _corruptions(f, rng, 3, "():!=<>'\" ")]
+    return formulas
+
+
+def test_site_index_matches_per_operator_finders():
+    catalog = default_catalog()
+    for formula in _site_test_formulas():
+        tokens = lex(formula, catalog)
+        index = SiteIndex(tokens, catalog)
+        for op_id, op in OPERATORS.items():
+            assert op.sites(index) == REF_SITES[op_id](tokens, catalog), (op_id, formula)
+            # A fresh index per operator, as apply_noise_operator builds it.
+            assert op.sites(SiteIndex(tokens, catalog)) == REF_SITES[op_id](tokens, catalog)
+
+
+def test_applicable_operators_runs_call_arguments_at_most_once(monkeypatch):
+    runs = []
+
+    def counted(tokens):
+        runs.append(1)
+        return call_arguments(tokens)
+
+    monkeypatch.setattr(noise, "call_arguments", counted)
+    for formula in synth_corpus(200, seed=64) + _envelope_formulas(random.Random(65)):
+        runs.clear()
+        ops = applicable_operators(formula)
+        assert len(runs) == 1, formula  # operators 4 and 5 share one pass
+        for op_id in ops:
+            runs.clear()
+            apply_noise_operator(formula, op_id, random.Random(0))
+            # Only the call-based operators ask for the call pass.
+            assert len(runs) == (op_id in (4, 5)), (op_id, formula)
+
+
+def test_splice_slices_ascii_and_joins_the_rest():
+    # The ASCII path slices the formula by token offsets; it must give what
+    # joining every token text gives, which the non-ASCII path does.
+    rng = random.Random(66)
+    formulas = synth_corpus(300, seed=67) + ["", "=A1", '="é"&A1', "=A1+'Ü'!B2", "=\ud800+1"]
+    for formula in formulas:
+        tokens = lex(formula)
+        for _ in range(5):
+            picks = rng.sample(range(len(tokens)), min(len(tokens), rng.randrange(4)))
+            replacements = {i: rng.choice(["", "x", ",)", "=="]) for i in picks}
+            joined = "".join(replacements.get(i, t.text) for i, t in enumerate(tokens))
+            assert noise._splice(formula, tokens, replacements) == joined, formula
