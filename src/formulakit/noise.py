@@ -12,7 +12,9 @@ operator in one pass over the tokens, and the call sites of the arity and
 swap operators in one `call_arguments` pass, each on first use; operators
 14-17 act anywhere in the text, so their one site is the whole formula and
 they read neither. `is_applicable`, `applicable_operators` and
-`apply_noise_operator` are lookups in that table. Applying an applicable
+`apply_noise_operator` are lookups in that table; the last two take a
+caller's index, so an operator drawn from the applicable ones rewrites the
+sites already found. Applying an applicable
 operator always changes the formula text and is a pure function of
 (formula, rng state).
 """
@@ -150,26 +152,12 @@ class SiteIndex:
         return self._calls
 
 
-def _splice(formula: str, tokens: list[Token], replacements: dict[int, str]) -> str:
-    """Rebuild the formula with token texts swapped (empty string deletes).
-
-    In an ASCII formula the tokens' byte offsets are character offsets, so
-    the text around the swapped tokens is sliced from the formula, not
-    joined again from every token.
-    """
-    if not formula.isascii():
-        texts = [tok.text for tok in tokens]
-        for i, text in replacements.items():
-            texts[i] = text
-        return "".join(texts)
-    parts = []
-    pos = 0
-    for i in sorted(replacements):
-        tok = tokens[i]
-        parts += (formula[pos:tok.start], replacements[i])
-        pos = tok.end
-    parts.append(formula[pos:])
-    return "".join(parts)
+def _splice(tokens: list[Token], replacements: dict[int, str]) -> str:
+    """Rebuild the formula with token texts swapped (empty string deletes)."""
+    texts = [tok.text for tok in tokens]
+    for i, text in replacements.items():
+        texts[i] = text
+    return "".join(texts)
 
 
 def _arg_text(tokens: list[Token], arg: tuple[int, int]) -> str:
@@ -179,7 +167,7 @@ def _arg_text(tokens: list[Token], arg: tuple[int, int]) -> str:
 def _wrong_range(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
     idx, _, _ = rng.choice(sites)
     action = rng.choice([";", ",", " ", '"', None])  # None deletes the colon
-    return _splice(formula, tokens, {idx: action if action is not None else ""})
+    return _splice(tokens, {idx: action if action is not None else ""})
 
 
 def _malformed_range(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
@@ -190,13 +178,13 @@ def _malformed_range(formula: str, tokens: list[Token], sites: list, rng: random
     m = _CELL_PARTS.match(tokens[target].text)
     col, row = m.group(1), m.group(2)
     new_text = row if element % 2 == 0 else col
-    return _splice(formula, tokens, {target: new_text})
+    return _splice(tokens, {target: new_text})
 
 
 def _space_before_paren(formula: str, tokens: list[Token], sites: list,
                         rng: random.Random) -> str:
     idx = rng.choice(sites)
-    return _splice(formula, tokens, {idx: tokens[idx].text + " "})
+    return _splice(tokens, {idx: tokens[idx].text + " "})
 
 
 def _fixed_arity_calls(index: SiteIndex):
@@ -231,12 +219,12 @@ def _change_arity(formula: str, tokens: list[Token], sites: list, rng: random.Ra
             drop.add(args[arg_pos - 1][1])  # the comma before this argument
         elif len(args) > 1:
             drop.add(end)  # first argument: the comma after it
-        return _splice(formula, tokens, {i: "" for i in drop})
+        return _splice(tokens, {i: "" for i in drop})
     # Append a copy of an existing argument, keeping its spacing, so
     # `IF(A2>10, True, False)` becomes `IF(A2>10, True, False, False)`.
     close_idx = args[-1][1]  # index of the call's closing paren
     copied = "," + _arg_text(tokens, args[arg_pos])
-    return _splice(formula, tokens, {close_idx: copied + ")"})
+    return _splice(tokens, {close_idx: copied + ")"})
 
 
 def _arg_typer(tokens: list[Token]) -> Callable[[tuple[int, int]], str]:
@@ -309,28 +297,28 @@ def _swap_arguments(formula: str, tokens: list[Token], sites: list, rng: random.
             repl[x] = ""
     repl[args[i][0]] = rebuilt(args[i], text_j)
     repl[args[j][0]] = rebuilt(args[j], text_i)
-    return _splice(formula, tokens, repl)
+    return _splice(tokens, repl)
 
 
 def _space_in_relational(formula: str, tokens: list[Token], sites: list,
                          rng: random.Random) -> str:
     idx = rng.choice(sites)
     text = tokens[idx].text
-    return _splice(formula, tokens, {idx: text[0] + " " + text[1]})
+    return _splice(tokens, {idx: text[0] + " " + text[1]})
 
 
 def _swap_relational(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
     idx = rng.choice(sites)
     text = tokens[idx].text
-    return _splice(formula, tokens, {idx: text[1] + text[0]})
+    return _splice(tokens, {idx: text[1] + text[0]})
 
 
 def _inequality_noise(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
-    return _splice(formula, tokens, {rng.choice(sites): rng.choice(["!=", "=!"])})
+    return _splice(tokens, {rng.choice(sites): rng.choice(["!=", "=!"])})
 
 
 def _invalid_equality(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
-    return _splice(formula, tokens, {rng.choice(sites): rng.choice(["==", "==="])})
+    return _splice(tokens, {rng.choice(sites): rng.choice(["==", "==="])})
 
 
 def _malformed_sheet_name(formula: str, tokens: list[Token], sites: list,
@@ -338,28 +326,28 @@ def _malformed_sheet_name(formula: str, tokens: list[Token], sites: list,
     idx = rng.choice(sites)
     inner = tokens[idx].text[1:-1]
     if rng.random() < 0.5:
-        return _splice(formula, tokens, {idx: inner})
-    return _splice(formula, tokens, {idx: '"' + inner + '"'})
+        return _splice(tokens, {idx: inner})
+    return _splice(tokens, {idx: '"' + inner + '"'})
 
 
 def _remove_exclamation(formula: str, tokens: list[Token], sites: list,
                         rng: random.Random) -> str:
-    return _splice(formula, tokens, {rng.choice(sites): ""})
+    return _splice(tokens, {rng.choice(sites): ""})
 
 
 def _malformed_string(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
     idx = rng.choice(sites)
     inner = tokens[idx].text[1:-1]
     if rng.random() < 0.5:
-        return _splice(formula, tokens, {idx: inner})
-    return _splice(formula, tokens, {idx: "'" + inner + "'"})
+        return _splice(tokens, {idx: inner})
+    return _splice(tokens, {idx: "'" + inner + "'"})
 
 
 def _comma_paren_noise(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
     idx = rng.choice(sites)
     if rng.random() < 0.5:
-        return _splice(formula, tokens, {idx: ",)"})
-    return _splice(formula, tokens, {idx: ","})
+        return _splice(tokens, {idx: ",)"})
+    return _splice(tokens, {idx: ","})
 
 
 def _whole_formula(index: SiteIndex) -> list[None]:
@@ -440,47 +428,49 @@ OPERATORS: dict[int, NoiseOperator] = {op.op_id: op for op in [
 ]}
 
 
-def is_applicable(formula: str, op_id: int,
-                  catalog: Optional[FunctionCatalog] = None) -> bool:
+def _site_index(formula: str, catalog: Optional[FunctionCatalog]) -> SiteIndex:
     if catalog is None:
         catalog = default_catalog()
-    return bool(OPERATORS[op_id].sites(SiteIndex(lex(formula, catalog), catalog)))
+    return SiteIndex(lex(formula, catalog), catalog)
+
+
+def is_applicable(formula: str, op_id: int,
+                  catalog: Optional[FunctionCatalog] = None) -> bool:
+    return bool(OPERATORS[op_id].sites(_site_index(formula, catalog)))
 
 
 def applicable_operators(formula: str,
                          catalog: Optional[FunctionCatalog] = None,
-                         tokens: Optional[list[Token]] = None) -> list[int]:
+                         index: Optional[SiteIndex] = None) -> list[int]:
     """Ids of the operators that find a site in the formula, ascending.
 
-    `tokens`, when given, must be `lex(formula, catalog)`. One `SiteIndex`
-    serves every operator: one token scan and at most one `call_arguments`.
+    `index`, when given, must be `SiteIndex(lex(formula, catalog), catalog)`.
+    One index serves every operator: one token scan and at most one
+    `call_arguments`.
     """
-    if catalog is None:
-        catalog = default_catalog()
-    if tokens is None:
-        tokens = lex(formula, catalog)
-    index = SiteIndex(tokens, catalog)
+    if index is None:
+        index = _site_index(formula, catalog)
     return [op_id for op_id, op in OPERATORS.items() if op.sites(index)]
 
 
 def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
                          catalog: Optional[FunctionCatalog] = None,
-                         tokens: Optional[list[Token]] = None) -> str:
+                         index: Optional[SiteIndex] = None) -> str:
     """Corrupt the formula with one operator; raises NotApplicable otherwise.
 
-    `tokens`, when given, must be `lex(formula, catalog)`.
+    `index`, when given, must be `SiteIndex(lex(formula, catalog), catalog)`.
+    Passing the index that `applicable_operators` read reuses the sites
+    found there; without one, the operator's sites are found again.
     """
     op = OPERATORS.get(op_id)
     if op is None:
         raise ValueError(f"unknown noise operator id {op_id}")
-    if catalog is None:
-        catalog = default_catalog()
-    if tokens is None:
-        tokens = lex(formula, catalog)
-    sites = op.sites(SiteIndex(tokens, catalog))
+    if index is None:
+        index = _site_index(formula, catalog)
+    sites = op.sites(index)
     if not sites:
         raise NotApplicable(f"operator {op_id} ({op.name}) does not apply to {formula!r}")
-    result = op.rewrite(formula, tokens, sites, rng)
+    result = op.rewrite(formula, index.tokens, sites, rng)
     if result == formula:
         raise RuntimeError(f"operator {op_id} ({op.name}) left {formula!r} unchanged")
     return result

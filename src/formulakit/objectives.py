@@ -28,6 +28,7 @@ from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional
 
 from . import noise
+from .catalog import default_catalog
 from .curation import FormulaRecord
 from .lexer import Token, lex
 from .seeds import derive_seed
@@ -238,11 +239,13 @@ def user_noise(formula: str, rng: random.Random,
     `tokens`, when given, must be `lex(formula)`; the formula is lexed at
     most once either way.
     """
+    catalog = default_catalog()
     if tokens is None:
-        tokens = lex(formula)
-    ops = noise.applicable_operators(formula, tokens=tokens)
+        tokens = lex(formula, catalog)
+    index = noise.SiteIndex(tokens, catalog)  # one site pass serves both calls
+    ops = noise.applicable_operators(formula, index=index)
     op_id = rng.choice(ops) if ops else 15  # add-operator-at-end always applies
-    corrupted = noise.apply_noise_operator(formula, op_id, rng, tokens=tokens)
+    corrupted = noise.apply_noise_operator(formula, op_id, rng, index=index)
     return PretrainExample(
         input=corrupted,
         target=formula,

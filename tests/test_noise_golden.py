@@ -18,6 +18,7 @@ from formulakit.catalog import default_catalog
 from formulakit.lexer import TokenKind, call_arguments, check, lex, quote_closed
 from formulakit.noise import (OPERATORS, NotApplicable, SiteIndex, applicable_operators,
                               apply_noise_operator, is_applicable)
+from formulakit.objectives import user_noise
 from formulakit.synth import synth_corpus
 
 # op_id -> [(formula, seed, expected)]
@@ -207,12 +208,15 @@ def test_table_entry_agrees_with_is_applicable():
 
 
 def test_pre_lexed_tokens_give_the_same_output():
-    for formula in synth_corpus(40, seed=51):
-        tokens = lex(formula)
-        ops = applicable_operators(formula, tokens=tokens)
+    # One SiteIndex shared by applicable_operators and every application
+    # gives what a fresh lex and index per call gives.
+    catalog = default_catalog()
+    for formula in synth_corpus(40, seed=51) + _envelope_formulas(random.Random(52))[:5]:
+        index = SiteIndex(lex(formula, catalog), catalog)
+        ops = applicable_operators(formula, index=index)
         assert ops == applicable_operators(formula)
         for op_id in ops:
-            assert apply_noise_operator(formula, op_id, random.Random(3), tokens=tokens) \
+            assert apply_noise_operator(formula, op_id, random.Random(3), index=index) \
                 == apply_noise_operator(formula, op_id, random.Random(3))
 
 
@@ -427,7 +431,8 @@ def test_site_index_matches_per_operator_finders():
         index = SiteIndex(tokens, catalog)
         for op_id, op in OPERATORS.items():
             assert op.sites(index) == REF_SITES[op_id](tokens, catalog), (op_id, formula)
-            # A fresh index per operator, as apply_noise_operator builds it.
+            # A fresh index per operator, as apply_noise_operator builds
+            # one when it is given none.
             assert op.sites(SiteIndex(tokens, catalog)) == REF_SITES[op_id](tokens, catalog)
 
 
@@ -450,15 +455,18 @@ def test_applicable_operators_runs_call_arguments_at_most_once(monkeypatch):
             assert len(runs) == (op_id in (4, 5)), (op_id, formula)
 
 
-def test_splice_slices_ascii_and_joins_the_rest():
-    # The ASCII path slices the formula by token offsets; it must give what
-    # joining every token text gives, which the non-ASCII path does.
+def test_user_noise_scans_each_formula_once(monkeypatch):
+    scans = []
+    scan = noise._scan
+
+    def counted(tokens):
+        scans.append(1)
+        return scan(tokens)
+
+    monkeypatch.setattr(noise, "_scan", counted)
     rng = random.Random(66)
-    formulas = synth_corpus(300, seed=67) + ["", "=A1", '="é"&A1', "=A1+'Ü'!B2", "=\ud800+1"]
-    for formula in formulas:
-        tokens = lex(formula)
-        for _ in range(5):
-            picks = rng.sample(range(len(tokens)), min(len(tokens), rng.randrange(4)))
-            replacements = {i: rng.choice(["", "x", ",)", "=="]) for i in picks}
-            joined = "".join(replacements.get(i, t.text) for i, t in enumerate(tokens))
-            assert noise._splice(formula, tokens, replacements) == joined, formula
+    for formula in synth_corpus(200, seed=67) + _envelope_formulas(random.Random(68))[:5]:
+        scans.clear()
+        user_noise(formula, rng)
+        # applicable_operators scans; the drawn operator reuses its sites.
+        assert len(scans) == 1, formula
