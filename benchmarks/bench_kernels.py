@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
 """Benchmark the token-Levenshtein kernel in formulakit.similarity.
 
-Three workloads:
-  pairs      random id sequences, one kernel call per pair
-  scan       one query against a corpus (the baseline repair full scan)
-  pairwise   all-pairs similarity over constant-masked formulas, interned
-             once, one similarities_to_many call per formula against the
-             formulas after it: the kernel part of build_retrieval_pairs
-             (the retrieval fine-tuning targets, the quadratic step)
+Four workloads:
+  pairs        random id sequences, one levenshtein_ids call per pair
+  pack         packing the scan corpus into one PackedCorpus
+  packed scan  queries against that packed corpus, one similarities_to_many
+               call each (the baseline repair scan)
+  pairwise     all-pairs similarity over constant-masked formulas, interned
+               and packed once, one similarities_to_many call per formula:
+               the kernel part of build_retrieval_pairs (the retrieval
+               fine-tuning targets, the quadratic step)
+
+Sequences are mostly 5-39 tokens, with one in LONG_EVERY of 64-159 tokens,
+so lanes and queries of 64 tokens or more are timed and checked too.
 
 Each time is the median of REPEAT runs. Before timing, a sample of the
-pairs and of the scan is checked against a textbook dynamic programme; the
-script exits 1 on any disagreement.
+pairs and of the scan (queries of both kinds against corpus sequences of
+both kinds) is checked against a textbook dynamic programme; the script
+exits 1 on any disagreement, or if the sample holds no sequence of
+LONG_MIN tokens.
 
 Usage: python benchmarks/bench_kernels.py [--pairs 20000] [--corpus 2000]
        [--formulas 400]
@@ -24,12 +31,15 @@ import sys
 import time
 
 from formulakit.evaluation import mask_constants
-from formulakit.similarity import (formula_token_ids, levenshtein_ids,
+from formulakit.similarity import (PackedCorpus, formula_token_ids, levenshtein_ids,
                                    similarities_to_many)
 from formulakit.synth import synth_corpus
 
 REPEAT = 5
-SAMPLE = 200  # pairs, and corpus sequences per scan query, checked
+SAMPLE = 200  # pairs, and corpus sequences per checked scan query
+QUERIES = 20
+LONG_EVERY = 10
+LONG_MIN = 64
 
 
 def dp_levenshtein(a, b):
@@ -43,12 +53,19 @@ def dp_levenshtein(a, b):
     return prev[-1]
 
 
+def sequence(rng, i):
+    """Random ids; every LONG_EVERY-th sequence is LONG_MIN tokens or more."""
+    length = rng.randrange(LONG_MIN, 160) if i % LONG_EVERY == 0 else rng.randrange(5, 40)
+    return [rng.randrange(40) for _ in range(length)]
+
+
 def disagreements(pairs, queries, corpus):
     """Sampled pairs and scan scores on which the kernel and the DP differ."""
     bad = [(a, b) for a, b in pairs[:SAMPLE] if levenshtein_ids(a, b) != dp_levenshtein(a, b)]
-    for q in queries[:2]:
-        sample = corpus[:SAMPLE]
-        for seq, sim in zip(sample, similarities_to_many(q, sample)):
+    sample = corpus[:SAMPLE]
+    packed = PackedCorpus(sample)
+    for q in queries[:2]:  # one long query, one short
+        for seq, sim in zip(sample, similarities_to_many(q, packed)):
             if sim != 1.0 - dp_levenshtein(q, seq) / max(len(q), len(seq)):
                 bad.append((q, seq))
     return bad
@@ -69,14 +86,15 @@ def workload_pairs(pairs):
         levenshtein_ids(a, b)
 
 
-def workload_scan(queries, corpus):
+def workload_scan(queries, packed):
     for q in queries:
-        similarities_to_many(q, corpus)
+        similarities_to_many(q, packed)
 
 
 def workload_pairwise(seqs):
-    for i, q in enumerate(seqs):
-        similarities_to_many(q, seqs[i + 1:])
+    packed = PackedCorpus(seqs)
+    for q in seqs:
+        similarities_to_many(q, packed)
 
 
 def main():
@@ -87,24 +105,17 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(0)
-    pairs = [([rng.randrange(40) for _ in range(rng.randrange(5, 40))],
-              [rng.randrange(40) for _ in range(rng.randrange(5, 40))])
-             for _ in range(args.pairs)]
-    corpus = [[rng.randrange(40) for _ in range(rng.randrange(5, 30))]
-              for _ in range(args.corpus)]
-    queries = [[rng.randrange(40) for _ in range(15)] for _ in range(20)]
+    pairs = [(sequence(rng, i), sequence(rng, i + 1)) for i in range(args.pairs)]
+    corpus = [sequence(rng, i) for i in range(args.corpus)]
+    queries = [sequence(rng, i) for i in range(QUERIES)]
     intern = {}
     formula_ids = [formula_token_ids(mask_constants(f), intern)
                    for f in synth_corpus(args.formulas, seed=1)]
 
-    workloads = [
-        (f"pairs ({args.pairs} random pairs)", workload_pairs, (pairs,)),
-        (f"scan (20 queries x {args.corpus} corpus)", workload_scan, (queries, corpus)),
-        (f"pairwise ({args.formulas} formulas, "
-         f"{args.formulas * (args.formulas - 1) // 2} pairs)",
-         workload_pairwise, (formula_ids,)),
-    ]
-
+    checked = [[seq for pair in pairs[:SAMPLE] for seq in pair], queries[:2], corpus[:SAMPLE]]
+    if any(max(map(len, seqs), default=0) < LONG_MIN for seqs in checked):
+        print(f"the checked sample holds no sequence of {LONG_MIN} tokens", file=sys.stderr)
+        return 1
     bad = disagreements(pairs, queries, corpus)
     if bad:
         a, b = bad[0]
@@ -112,6 +123,16 @@ def main():
               f"first: {a} vs {b}", file=sys.stderr)
         return 1
 
+    packed = PackedCorpus(corpus)
+    workloads = [
+        (f"pairs ({args.pairs} random pairs)", workload_pairs, (pairs,)),
+        (f"pack ({args.corpus} corpus)", PackedCorpus, (corpus,)),
+        (f"packed scan ({QUERIES} queries x {args.corpus} corpus)",
+         workload_scan, (queries, packed)),
+        (f"pairwise ({args.formulas} formulas, "
+         f"{args.formulas * (args.formulas - 1) // 2} pairs)",
+         workload_pairwise, (formula_ids,)),
+    ]
     print(f"median of {REPEAT} runs per workload")
     print(f"{'workload':<44} {'time':>12}")
     for label, fn, data in workloads:

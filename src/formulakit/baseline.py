@@ -3,9 +3,11 @@
 These exist so the evaluation harness runs end to end with reproducible,
 non-zero scores; they are not an attempt to approximate a trained model's
 accuracy. Repair retrieves the nearest corpus formulas by token edit
-similarity (exact full scan at desk scale); completion ranks corpus
-formulas by frequency under a case-insensitive prefix match, backing off
-to sketch-prefix matching.
+similarity: each query is scored exactly against every indexed formula in
+one pass of the packed bit-parallel kernel (`similarity.PackedCorpus`), and
+only the entries at or above the k-th best well-formed score are sorted.
+Completion ranks corpus formulas by frequency under a case-insensitive
+prefix match, backing off to sketch-prefix matching.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from typing import Iterable
 from .curation import dedup_key
 from .jsonl import write_json_atomic
 from .lexer import check, lex
-from .similarity import formula_token_ids, formula_token_ids_frozen, similarities_to_many
+from .similarity import (PackedCorpus, formula_token_ids, formula_token_ids_frozen,
+                         similarities_to_many)
+
+
+# Derived by SketchIndex._derive_query_views on first use.
+_QUERY_VIEWS = ("_well_formed", "_token_ids", "_intern", "_packed")
 
 
 @dataclass
@@ -30,9 +37,9 @@ class SketchIndex:
     _formulas: list[str] = field(init=False, repr=False)
     _lowered: list[str] = field(init=False, repr=False)  # _formulas, lowercased
     _frequency: dict[str, int] = field(init=False, repr=False)
-    _well_formed: list[int] = field(init=False, repr=False)  # positions in _formulas
-    _token_ids: list[tuple[int, ...]] = field(init=False, repr=False)
-    _intern: dict[str, int] = field(init=False, repr=False)
+    # The query views, not dataclass fields: _well_formed (positions in
+    # _formulas), _token_ids, _intern and _packed (the PackedCorpus of
+    # _token_ids). Building and saving an index never reads them.
 
     def __post_init__(self) -> None:
         self._frequency = {}
@@ -41,14 +48,24 @@ class SketchIndex:
                 self._frequency[formula] = freq
         self._formulas = sorted(self._frequency)
         self._lowered = [f.lower() for f in self._formulas]
-        self._well_formed = []
-        self._intern = {}
-        self._token_ids = []
+
+    def __getattr__(self, name: str):
+        if name in _QUERY_VIEWS:
+            self._derive_query_views()
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _derive_query_views(self) -> None:
+        """Lex each formula once for its well-formedness and token ids,
+        then pack the ids for the kernel."""
+        well_formed, token_ids, intern = [], [], {}
         for i, formula in enumerate(self._formulas):
             tokens = lex(formula)
             if not check(formula, tokens=tokens):
-                self._well_formed.append(i)
-            self._token_ids.append(formula_token_ids(formula, self._intern, tokens))
+                well_formed.append(i)
+            token_ids.append(formula_token_ids(formula, intern, tokens))
+        self._well_formed, self._token_ids, self._intern = well_formed, token_ids, intern
+        self._packed = PackedCorpus(token_ids)
 
     def to_json(self) -> dict:
         return {
@@ -66,7 +83,9 @@ class SketchIndex:
             obj = json.load(fh)
         entries = {s: [(f, int(c)) for f, c in bucket]
                    for s, bucket in obj["sketches"].items()}
-        return cls(entries=entries, total_formulas=int(obj["total_formulas"]))
+        index = cls(entries=entries, total_formulas=int(obj["total_formulas"]))
+        index._derive_query_views()  # a loaded index is for querying
+        return index
 
 
 def build_index(corpus: Iterable[str]) -> SketchIndex:
@@ -92,15 +111,16 @@ def repair_candidates(index: SketchIndex, buggy: str, k: int) -> list[str]:
     if not index._formulas:
         return []
     query_ids = formula_token_ids_frozen(buggy, index._intern)
-    sims = similarities_to_many(query_ids, index._token_ids)
-    formulas, frequency = index._formulas, index._frequency
-    # The key is unique (the text is), so the k smallest are the first k of
-    # a full sort.
-    ranked = heapq.nsmallest(
-        k, index._well_formed,
-        key=lambda i: (-sims[i], -frequency[formulas[i]], formulas[i]),
-    )
-    return [formulas[i] for i in ranked]
+    sims = similarities_to_many(query_ids, index._packed)
+    formulas, frequency, ranked = index._formulas, index._frequency, index._well_formed
+    if len(ranked) > k:
+        # Only entries at or above the k-th best similarity can rank.
+        values = sims if len(ranked) == len(sims) else [sims[i] for i in ranked]
+        kth = heapq.nlargest(k, values)[-1]
+        ranked = [i for i, sim in zip(ranked, values) if sim >= kth]
+    # The key is unique (the text is), so these are the full sort's first k.
+    ranked = sorted(ranked, key=lambda i: (-sims[i], -frequency[formulas[i]], formulas[i]))
+    return [formulas[i] for i in ranked[:k]]
 
 
 def completion_candidates(index: SketchIndex, prefix: str, k: int) -> list[str]:

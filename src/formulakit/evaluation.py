@@ -22,7 +22,7 @@ from .curation import dedup_key
 from .lexer import TokenKind, check, fold, lex, normalize
 from .objectives import user_noise
 from .seeds import derive_rng
-from .similarity import formula_token_ids, similarities_to_many
+from .similarity import PackedCorpus, formula_token_ids, similarities_to_many
 from .tokenizer import TokenizerModel, decode, encode
 
 
@@ -167,9 +167,10 @@ def build_retrieval_pairs(formulas: Sequence[str], seed: int,
     """Constant-masked formula pairs labeled with token edit similarity.
 
     All unordered pairs when max_pairs is None, otherwise a seeded sample.
-    Each formula is masked and interned once; every pair sharing a first
-    formula is scored in one similarities_to_many call, which gives the
-    same values as token_edit_similarity on the masked texts.
+    Each formula is masked, interned and packed once; each first formula of
+    a pair is scored against the whole packed set in one
+    similarities_to_many call, which gives the same values as
+    token_edit_similarity on the masked texts.
     """
     masked = [mask_constants(f) for f in formulas]
     intern: dict[str, int] = {}
@@ -181,10 +182,12 @@ def build_retrieval_pairs(formulas: Sequence[str], seed: int,
     partners: dict[int, list[int]] = {}
     for i, j in all_pairs:
         partners.setdefault(i, []).append(j)
+    packed = PackedCorpus(ids)
     scores: dict[tuple[int, int], float] = {}
     for i, js in partners.items():
-        for j, score in zip(js, similarities_to_many(ids[i], [ids[j] for j in js])):
-            scores[i, j] = score
+        sims = similarities_to_many(ids[i], packed)
+        for j in js:
+            scores[i, j] = sims[j]
     return [RetrievalPair(masked[i], masked[j], scores[i, j]) for i, j in all_pairs]
 
 

@@ -4,89 +4,238 @@ Formulas are compared as sequences of non-whitespace lexer tokens, interned
 to integer ids. The kernel is the bit-parallel Levenshtein algorithm of
 Myers (1999, "A fast bit-vector algorithm for approximate string matching
 based on dynamic programming", JACM 46(3)) in Hyyrö's (2001) formulation
-for the distance between two whole sequences: the query's column of the
-dynamic programme is held as two bit vectors of vertical +1/-1 deltas, and
-each token of the other sequence advances the whole column in a constant
-number of integer operations. Python ints are unbounded, so a query of any
-length is exact; distances are integers and match the textbook recurrence.
+for the distance between two whole sequences, run on many sequences at once
+as in Hyyrö, Fredriksson & Navarro (2005, "Increased bit-parallelism for
+approximate and multiple string matching", JEA 10).
 
-`similarities_to_many` builds the query's match masks once and scores it
-against a corpus; it is the hot path of the repair baseline's full scan and
-of the retrieval targets. `levenshtein_ids` is the same loop for one pair.
-The package has no compiled extension; KERNEL_BACKEND names the kernel for
-`formulakit --version` and benchmark results.
+Lanes. `PackedCorpus` lays its sequences out as lanes of one Python int.
+Lanes are ordered by length (stably) and each starts on a byte boundary:
+row i of lane j sits at bit start_j + i, and at least one zero guard bit
+follows each lane, up to the next byte. The DP column of every lane is held
+in two ints of vertical +1/-1 deltas, vp and vn. The query is the text:
+each query token advances every lane's column with a fixed count of big-int
+operations (`_advance`). The guard bits keep lanes apart. A carry of
+(eq & vp) + vp out of a lane's top row ends in its guard bit, because vp is
+zero there. The hp/hn shifts move a lane's top row into its guard bit, and
+the next lane's row 0 takes the +1 of the first DP row (D[0][j] = j) from
+the `starts` mask, whatever the shift brought in. vp is masked to the lanes
+after every step. vn = hp & d0 needs no mask: a carry reaches a guard bit
+only when the lane's top row has vp set, and then hp is clear there.
+
+Read-out. After the last query token, the last cell of lane j is
+D[m_j][lq] = lq + popcount(vp_j) - popcount(vn_j). vp and vn are turned
+into per-byte popcounts with one `bytes.translate`, combined into
+8 + a - b per byte (0..16, no borrow), and the bytes of each lane summed:
+by one multiplication with 1 + 256 + ... + 256**(L-1) for the lanes of L
+bytes (the lane's sum lands in its top byte, at most 16 * L <= 240 for
+L <= 15, so nothing carries), by `sum` for longer lanes. A lane's sum then
+indexes a per-length table of 1.0 - d / max(lq, m), the same float
+expression as scoring one pair, so every similarity is bit-identical to it.
+
+Match masks. The mask of a token id has the bits of every lane row holding
+that id. An id found at DENSE_MIN or more places keeps a dense int; every
+other id's bit positions sit in one flat array ordered by id and are ORed
+into a mask when a query uses the id. Dense masks for every id would cost
+one int the size of the corpus per distinct id (15 MB at 3,000 formulas).
+
+`similarities_to_many` scores one query against a packed corpus (or packs a
+plain list on the call); it is the hot path of the repair baseline's scan
+and of the retrieval targets. `levenshtein_ids` runs the same kernel on one
+lane. The package has no compiled extension; KERNEL_BACKEND names the kernel
+for `formulakit --version` and benchmark results.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from collections import Counter
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import lexer
 
 KERNEL_BACKEND = "python"
 
-
-def _match_masks(query: Sequence[int]) -> dict[int, int]:
-    """Token id -> bitmask with bit i set where query[i] is that id."""
-    masks: dict[int, int] = {}
-    for i, tok_id in enumerate(query):
-        masks[tok_id] = masks.get(tok_id, 0) | (1 << i)
-    return masks
+DENSE_MIN = 16  # an id found at this many places or more keeps a dense mask
+_SUMMED_BY_PRODUCT = 15  # longest lane, in bytes, summed by one multiplication
+_POPCOUNT = bytes(bin(i).count("1") for i in range(256))
 
 
-def _distance(masks: dict[int, int], m: int, seq: Sequence[int]) -> int:
-    """Edit distance from the length-m query whose match masks are `masks`
-    to `seq`.
+def _advance(eqs: Sequence[int], vp: int, vn: int, starts: int, full: int) -> tuple[int, int]:
+    """Advance every lane's DP column by the query tokens whose match masks
+    are `eqs`; returns the final (vp, vn).
 
-    vp/vn hold the +1/-1 vertical deltas of the current DP column (bit i is
-    row i + 1), and d is its last cell. Per token: d0 marks the diagonal
-    zero deltas, hp/hn the horizontal +1/-1 deltas; the last row's
-    horizontal delta updates d, and shifting hp/hn in by one row (with a +1
-    at row 0, since the first row of the programme is 0, 1, 2, ...) gives
-    the next column. Only bits below m are read: carries and shifts move
-    upwards, so vp is masked to m bits to keep the ints small.
+    Per token: d0 marks the diagonal zero deltas, hp/hn the horizontal
+    +1/-1 deltas; shifting hp/hn in by one row (with a +1 at each lane's
+    row 0) gives the next column's vertical deltas.
     """
-    if m == 0:
-        return len(seq)
-    full = (1 << m) - 1
-    last = 1 << (m - 1)
-    get = masks.get
-    vp, vn, d = full, 0, m
-    for tok_id in seq:
-        eq = get(tok_id, 0)
+    for eq in eqs:
         d0 = (((eq & vp) + vp) ^ vp) | eq | vn
         hp = vn | ~(d0 | vp)
         hn = d0 & vp
-        if hp & last:
-            d += 1
-        elif hn & last:
-            d -= 1
-        hp = (hp << 1) | 1
+        hp = (hp << 1) | starts
         vp = ((hn << 1) | ~(d0 | hp)) & full
         vn = hp & d0
-    return d
+    return vp, vn
+
+
+def _mask_from_positions(positions: Sequence[int], nbytes: int) -> int:
+    buf = bytearray(nbytes)
+    for pos in positions:
+        buf[pos >> 3] |= 1 << (pos & 7)
+    return int.from_bytes(buf, "little")
+
+
+class PackedCorpus:
+    """Token-id sequences packed as byte-aligned lanes of one int, with
+    their match masks; `similarities` scores a query against all of them.
+    `len` is the number of sequences. Ids must fit in a signed 64-bit int
+    (interned ids count up from 0)."""
+
+    def __init__(self, seqs: Sequence[Sequence[int]]) -> None:
+        order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
+        self._rank = array("q", bytes(8 * len(seqs)))  # corpus position -> lane
+        full, starts = bytearray(), bytearray()
+        runs: list[list[int]] = []  # [length, lanes] per run of equal lengths
+        for lane, i in enumerate(order):
+            self._rank[i] = lane
+            m = len(seqs[i])
+            whole, rest = divmod(m, 8)  # the lane's last byte has its guard bit
+            full += b"\xff" * whole
+            full.append((1 << rest) - 1)
+            starts.append(m > 0)
+            starts += bytes(whole)
+            if runs and runs[-1][0] == m:
+                runs[-1][1] += 1
+            else:
+                runs.append([m, 1])
+        self._nbytes = nbytes = len(full)
+        self._full = int.from_bytes(full, "little")
+        self._starts = int.from_bytes(starts, "little")
+        self._eights = int.from_bytes(b"\x08" * nbytes, "little")
+        # Runs of equal lane size: [lane size, bytes, [(length, lanes), ...]].
+        self._regions: list[list] = []
+        for m, lanes in runs:
+            size = m // 8 + 1
+            if not self._regions or self._regions[-1][0] != size:
+                self._regions.append([size, 0, []])
+            self._regions[-1][1] += size * lanes
+            self._regions[-1][2].append((m, lanes))
+        # Every row's bit position, grouped by id: a counting sort in which
+        # slot[id] runs from the id's first place to one past its last.
+        slot = Counter(chain.from_iterable(seqs))
+        ids = sorted(slot)
+        total = 0
+        for tok_id in ids:
+            slot[tok_id], total = total, total + slot[tok_id]
+        places = array("q", bytes(8 * total))
+        byte = 0
+        for i in order:
+            for row, tok_id in enumerate(seqs[i], byte * 8):
+                places[slot[tok_id]] = row
+                slot[tok_id] += 1
+            byte += len(seqs[i]) // 8 + 1
+        self._dense: dict[int, int] = {}
+        self._sparse_ids = array("q")  # ascending; id k's positions are
+        self._sparse_ends = array("q")  # _sparse[_sparse_ends[k - 1]:_sparse_ends[k]]
+        self._sparse = array("q")
+        end = 0
+        for tok_id in ids:
+            begin, end = end, slot[tok_id]
+            if end - begin >= DENSE_MIN:
+                self._dense[tok_id] = _mask_from_positions(places[begin:end], nbytes)
+            else:
+                self._sparse_ids.append(tok_id)
+                self._sparse.extend(places[begin:end])
+                self._sparse_ends.append(len(self._sparse))
+
+    def __len__(self) -> int:
+        return len(self._rank)
+
+    def _mask(self, tok_id: int) -> int:
+        mask = self._dense.get(tok_id)
+        if mask is not None:
+            return mask
+        k = bisect_left(self._sparse_ids, tok_id)
+        if k == len(self._sparse_ids) or self._sparse_ids[k] != tok_id:
+            return 0
+        begin = self._sparse_ends[k - 1] if k else 0
+        return _mask_from_positions(self._sparse[begin:self._sparse_ends[k]], self._nbytes)
+
+    def similarities(self, query: Sequence[int]) -> list[float]:
+        """1 - normalized edit distance from `query` to each sequence, in
+        corpus order; two empty sequences count as identical (1.0)."""
+        masks = {tok_id: self._mask(tok_id) for tok_id in set(query)}
+        vp, vn = _advance([masks[t] for t in query], self._full, 0, self._starts, self._full)
+        nbytes = self._nbytes
+        ones = vp.to_bytes(nbytes, "little").translate(_POPCOUNT)
+        minus = vn.to_bytes(nbytes, "little").translate(_POPCOUNT)
+        # Per byte 8 + popcount(vp) - popcount(vn), in 0..16.
+        delta = (int.from_bytes(ones, "little") + self._eights
+                 - int.from_bytes(minus, "little")).to_bytes(nbytes, "little")
+        lq = len(query)
+        in_lane_order: list[float] = []
+        first = 0
+        for size, region_bytes, lengths in self._regions:
+            last = first + region_bytes
+            if size == 1:
+                sums: Sequence[int] = delta[first:last]
+            elif size <= _SUMMED_BY_PRODUCT:
+                product = int.from_bytes(delta[first:last], "little") * _ones(size)
+                sums = product.to_bytes(region_bytes + size, "little")[size - 1:region_bytes:size]
+            else:
+                sums = [sum(delta[b:b + size]) for b in range(first, last, size)]
+            lane = 0
+            for m, lanes in lengths:
+                group = sums[lane:lane + lanes]
+                if size <= _SUMMED_BY_PRODUCT:
+                    in_lane_order.extend(map(_table(lq, m, size).__getitem__, group))
+                else:  # few lanes, each costing its size anyway
+                    in_lane_order.extend(1.0 - (lq + s - 8 * size) / max(lq, m) for s in group)
+                lane += lanes
+            first = last
+        return list(map(in_lane_order.__getitem__, self._rank))
+
+
+def _ones(size: int) -> int:
+    """1 + 256 + ... + 256**(size - 1): multiplying by it sums each byte
+    with the size - 1 bytes below it."""
+    return int.from_bytes(b"\x01" * size, "little")
+
+
+def _table(lq: int, m: int, size: int) -> list:
+    """Similarity by lane sum for a length-m lane of `size` bytes: the sum
+    is 8 * size + d - lq for distance d, and only |lq - m| <= d <=
+    max(lq, m) can occur."""
+    denom = max(lq, m)
+    if denom == 0:
+        return [None] * (8 * size) + [1.0]
+    low = abs(lq - m)
+    return [None] * (8 * size - lq + low) + [1.0 - d / denom for d in range(low, denom + 1)]
 
 
 def levenshtein_ids(a: Sequence[int], b: Sequence[int]) -> int:
-    """Edit distance between two sequences of integer token ids."""
-    return _distance(_match_masks(a), len(a), b)
+    """Edit distance between two sequences of integer token ids: `b` is one
+    lane at bit 0, `a` the text."""
+    masks: dict[int, int] = {}
+    for row, tok_id in enumerate(b):
+        masks[tok_id] = masks.get(tok_id, 0) | (1 << row)
+    full = (1 << len(b)) - 1
+    vp, vn = _advance([masks.get(t, 0) for t in a], full, 0, 1 if b else 0, full)
+    return len(a) + vp.bit_count() - vn.bit_count()
 
 
-def similarities_to_many(query: Sequence[int], corpus: Sequence[Sequence[int]]) -> list[float]:
+def similarities_to_many(query: Sequence[int],
+                         corpus: PackedCorpus | Sequence[Sequence[int]]) -> list[float]:
     """1 - normalized edit distance from one query to each corpus sequence.
 
-    Two empty sequences count as identical (similarity 1.0).
+    A plain list is packed on the call. Two empty sequences count as
+    identical (similarity 1.0).
     """
-    lq = len(query)
-    masks = _match_masks(query)
-    out = []
-    for seq in corpus:
-        denom = max(lq, len(seq))
-        if denom == 0:
-            out.append(1.0)
-        else:
-            out.append(1.0 - _distance(masks, lq, seq) / denom)
-    return out
+    if not isinstance(corpus, PackedCorpus):
+        corpus = PackedCorpus(corpus)
+    return corpus.similarities(query)
 
 
 def formula_token_ids(formula: str, intern: dict[str, int],
@@ -113,8 +262,23 @@ def formula_token_ids(formula: str, intern: dict[str, int],
 
 def formula_token_ids_frozen(formula: str, intern: dict[str, int]) -> tuple[int, ...]:
     """Like formula_token_ids but read-only: unseen texts get overlay ids
-    past the shared table instead of mutating it (keeps queries pure)."""
-    return formula_token_ids(formula, dict(intern))
+    len(intern), len(intern) + 1, ... from a local table, in order of first
+    appearance, and `intern` is left as it was (keeps queries pure)."""
+    whitespace = lexer.TokenKind.WHITESPACE
+    get = intern.get
+    overlay: dict[str, int] = {}
+    ids = []
+    for tok in lexer.lex(formula):
+        if tok.kind is whitespace:
+            continue
+        text = tok.text
+        tok_id = get(text)
+        if tok_id is None:
+            tok_id = overlay.get(text)
+            if tok_id is None:
+                tok_id = overlay[text] = len(intern) + len(overlay)
+        ids.append(tok_id)
+    return tuple(ids)
 
 
 def token_edit_similarity(a: str, b: str) -> float:
@@ -130,4 +294,3 @@ def token_edit_similarity(a: str, b: str) -> float:
     if denom == 0:
         return 1.0
     return 1.0 - levenshtein_ids(ids_a, ids_b) / denom
-

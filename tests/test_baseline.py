@@ -1,9 +1,11 @@
+import json
 import re
 
 import pytest
 
-from formulakit.baseline import (SketchIndex, build_index, completion_candidates,
-                                 repair_candidates)
+from formulakit.baseline import (_QUERY_VIEWS, SketchIndex, build_index,
+                                 completion_candidates, repair_candidates)
+from formulakit.cli import main
 from formulakit.curation import dedup_key
 from formulakit.lexer import check, normalize, sketch
 from formulakit.similarity import formula_token_ids, token_edit_similarity
@@ -52,6 +54,17 @@ class TestBuildIndex:
         assert index._well_formed == [i for i, f in enumerate(index._formulas) if not check(f)]
         assert index._lowered == [f.lower() for f in index._formulas]
 
+    def test_query_views_derived_on_first_use(self, lex_calls):
+        corpus = synth_corpus(50, seed=97)
+        index = build_index(corpus)
+        built = len(lex_calls)
+        assert not any(name in vars(index) for name in _QUERY_VIEWS)
+        index.to_json()
+        assert len(lex_calls) == built
+        assert len(index._packed) == len(index._formulas)
+        assert all(name in vars(index) for name in _QUERY_VIEWS)
+        assert len(lex_calls) == built + len(index._formulas)
+
 
 class TestRepairCandidates:
     def test_exact_formula_ranks_first(self):
@@ -93,12 +106,20 @@ class TestRepairCandidates:
         frequency = {f: corpus.count(f) for f in set(corpus)}
         well_formed = [f for f in frequency if not check(f)]
         assert len(well_formed) < len(frequency)
+        straddled = 0
         for buggy in ("=A1", "=E1", "=SUM(A1:A3", "=MAX(A1,,B1)", "", corpus[-1]):
             sims = dict(zip(well_formed, (token_edit_similarity(buggy, f)
                                           for f in well_formed)))
             reference = sorted(well_formed, key=lambda f: (-sims[f], -frequency[f], f))
             for k in range(1, len(well_formed) + 2):
                 assert repair_candidates(index, buggy, k) == reference[:k], (buggy, k)
+                # A tie group of mixed frequencies that the k-th entry cuts.
+                if k < len(reference):
+                    tied = {frequency[f] for f in reference
+                            if sims[f] == sims[reference[k - 1]]}
+                    straddled += (sims[reference[k]] == sims[reference[k - 1]]
+                                  and len(tied) > 1)
+        assert straddled > 0
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +175,29 @@ class TestCompletionCandidates:
 
 
 class TestPersistence:
+    def test_cli_build_writes_a_fresh_to_json(self, tmp_path):
+        corpus = synth_corpus(120, seed=98) + ["=SUM(A1", "=A1"] * 3
+        source = tmp_path / "formulas.txt"
+        source.write_text("\n".join(corpus) + "\n", encoding="utf-8")
+        built = tmp_path / "index.json"
+        assert main(["baseline", "build", "--input", str(source), "-o", str(built)]) == 0
+        fresh = build_index(corpus)
+        assert json.loads(built.read_text(encoding="utf-8")) == fresh.to_json()
+        fresh.save(tmp_path / "fresh.json")
+        assert built.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+    def test_load_derives_the_query_views(self, tmp_path, lex_calls):
+        corpus = synth_corpus(60, seed=99) + ["=SUM(A1"]
+        build_index(corpus).save(tmp_path / "index.json")
+        del lex_calls[:]
+        loaded = SketchIndex.load(tmp_path / "index.json")
+        assert all(name in vars(loaded) for name in _QUERY_VIEWS)
+        assert len(lex_calls) == len(loaded._formulas)
+        fresh = build_index(corpus)
+        assert loaded._token_ids == fresh._token_ids
+        assert loaded._well_formed == fresh._well_formed
+        assert loaded._intern == fresh._intern
+
     def test_save_load_round_trip(self, tmp_path):
         corpus = synth_corpus(80, seed=95)
         index = build_index(corpus)

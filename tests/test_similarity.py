@@ -6,11 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formulakit.lexer import lex
-from formulakit.similarity import (KERNEL_BACKEND, formula_token_ids,
-                                   formula_token_ids_frozen, levenshtein_ids,
-                                   similarities_to_many, token_edit_similarity)
+from formulakit.similarity import (DENSE_MIN, KERNEL_BACKEND, PackedCorpus, _advance,
+                                   formula_token_ids, formula_token_ids_frozen,
+                                   levenshtein_ids, similarities_to_many,
+                                   token_edit_similarity)
 from formulakit.synth import synth_corpus
 
 REPO = Path(__file__).resolve().parent.parent
@@ -119,6 +122,118 @@ class TestLevenshteinKernel:
         assert sims == expected
 
 
+def oracle_similarities(query, corpus):
+    out = []
+    for seq in corpus:
+        denom = max(len(query), len(seq))
+        out.append(1.0 if denom == 0 else 1.0 - oracle_levenshtein(query, seq) / denom)
+    return out
+
+
+def edited(rng, seq, edits, alphabet):
+    seq = list(seq)
+    for _ in range(edits):
+        pos = rng.randrange(len(seq) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            seq.insert(pos, rng.randrange(alphabet))
+        elif pos < len(seq):
+            if edit == 1:
+                del seq[pos]
+            else:
+                seq[pos] = rng.randrange(alphabet)
+    return seq
+
+
+class TestPackedScan:
+    """One query against many lanes of one int, against the DP oracle."""
+
+    def check(self, query, corpus):
+        packed = PackedCorpus(corpus)
+        assert len(packed) == len(corpus)
+        assert packed.similarities(query) == oracle_similarities(query, corpus)
+        assert similarities_to_many(query, corpus) == oracle_similarities(query, corpus)
+
+    def test_lanes_straddle_digit_boundaries(self):
+        # A lane of 31 or more rows must cross a multiple of 30, where one
+        # 30-bit CPython digit ends and the next begins; lengths 20-70 in
+        # shuffled order also put shorter lanes across boundaries.
+        rng = random.Random(30)
+        for alphabet in (2, 6, 40):
+            corpus = [[rng.randrange(alphabet) for _ in range(m)] for m in range(20, 71)]
+            rng.shuffle(corpus)
+            for _ in range(4):
+                base = rng.choice(corpus)
+                self.check(edited(rng, base, rng.randrange(6), alphabet), corpus)
+
+    def test_lane_lengths_zero_one_and_long(self):
+        rng = random.Random(600)
+        long_lane = [rng.randrange(20) for _ in range(600)]
+        corpus = [[], [3], long_lane, [], [7], edited(rng, long_lane, 150, 20),
+                  [rng.randrange(20) for _ in range(119)],
+                  [rng.randrange(20) for _ in range(120)], [3, 7]]
+        for query in ([], [3], [7, 3], long_lane[:200], edited(rng, long_lane, 40, 20)):
+            self.check(query, corpus)
+
+    def test_lane_equal_to_the_query_carries_into_its_guard(self):
+        # A query equal to a lane of all-matching rows makes (eq & vp) + vp
+        # carry through the whole lane into the guard bit; the lanes after
+        # it must not see that carry.
+        for m in (1, 7, 8, 9, 16, 31, 64, 130):
+            query = [1] * m
+            corpus = [[1] * m, [1] * (m + 1), [2] * m, [1] * max(m - 1, 0), [1, 2] * m]
+            self.check(query, corpus)
+            assert PackedCorpus(corpus).similarities(query)[0] == 1.0
+
+    def test_ids_around_the_dense_threshold(self):
+        rng = random.Random(16)
+        counts = {100: DENSE_MIN - 1, 101: DENSE_MIN, 102: DENSE_MIN + 1}
+        places = [tok for tok, n in counts.items() for _ in range(n)]
+        corpus = [[rng.randrange(5) for _ in range(rng.randrange(12))] for _ in range(30)]
+        for tok in places:
+            seq = rng.choice(corpus)
+            seq.insert(rng.randrange(len(seq) + 1), tok)
+        packed = PackedCorpus(corpus)
+        assert sorted(t for t in packed._dense if t >= 100) == [101, 102]
+        for _ in range(20):
+            query = [rng.choice([0, 1, 100, 101, 102]) for _ in range(rng.randrange(1, 15))]
+            self.check(query, corpus)
+
+    def test_overlay_ids_absent_from_the_index(self):
+        intern = {}
+        corpus = [formula_token_ids(f, intern) for f in synth_corpus(60, seed=73)]
+        packed = PackedCorpus(corpus)
+        for text in ("=ZZZ(QQ1,QQ1)+ZZZ(QQ2)", "=NOPE()", "=A1+" + "+".join(["W7"] * 20)):
+            query = formula_token_ids_frozen(text, intern)
+            assert any(tok_id >= len(intern) for tok_id in query)
+            assert packed.similarities(query) == oracle_similarities(query, corpus)
+
+    def test_empty_corpus_and_empty_query(self):
+        assert PackedCorpus([]).similarities([1, 2, 3]) == []
+        assert PackedCorpus([]).similarities([]) == []
+        assert similarities_to_many([], []) == []
+        self.check([], [[], [1], [1, 2], [5] * 40])
+
+    def test_packed_once_scores_many_queries(self):
+        rng = random.Random(8)
+        corpus = [[rng.randrange(9) for _ in range(rng.randrange(40))] for _ in range(80)]
+        packed = PackedCorpus(corpus)
+        for _ in range(25):
+            query = [rng.randrange(11) for _ in range(rng.randrange(30))]
+            assert packed.similarities(query) == oracle_similarities(query, corpus)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 5), max_size=40), max_size=25),
+           st.lists(st.integers(0, 7), max_size=40))
+    def test_random_corpora_against_oracle(self, corpus, query):
+        self.check(query, corpus)
+        # The read-out counts vn unmasked: it must never reach a guard bit.
+        packed = PackedCorpus(corpus)
+        vp, vn = _advance([packed._mask(t) for t in query], packed._full, 0,
+                          packed._starts, packed._full)
+        assert vp & ~packed._full == 0 and vn & ~packed._full == 0
+
+
 class TestTokenEditSimilarity:
     def test_identical(self):
         assert token_edit_similarity("=SUM(A1:A10)", "=SUM(A1:A10)") == 1.0
@@ -182,6 +297,14 @@ class TestTokenEditSimilarity:
         # repeated unknown tokens get a consistent overlay id
         ids2 = formula_token_ids_frozen("=MAX(Z9)+MAX(Z9)", intern)
         assert ids2[1] == ids2[6] and ids2[3] == ids2[8]
+
+    def test_frozen_ids_equal_interning_into_a_copy(self):
+        intern = {}
+        for f in synth_corpus(50, seed=74):
+            formula_token_ids(f, intern)
+        for f in synth_corpus(30, seed=75) + ["=NEW(X1,X1)+NEWER(X2)", "", "=A1 +  A1"]:
+            copy = dict(intern)
+            assert formula_token_ids_frozen(f, intern) == formula_token_ids(f, copy)
 
 
 def test_kernel_benchmark_script_runs():
