@@ -179,11 +179,10 @@ class PackedCorpus:
         first = 0
         for size, region_bytes, lengths in self._regions:
             last = first + region_bytes
-            if size == 1:
-                sums: Sequence[int] = delta[first:last]
-            elif size <= _SUMMED_BY_PRODUCT:
+            if size <= _SUMMED_BY_PRODUCT:
                 product = int.from_bytes(delta[first:last], "little") * _ones(size)
-                sums = product.to_bytes(region_bytes + size, "little")[size - 1:region_bytes:size]
+                sums: Sequence[int] = product.to_bytes(region_bytes + size, "little")[
+                    size - 1:region_bytes:size]
             else:
                 sums = [sum(delta[b:b + size]) for b in range(first, last, size)]
             lane = 0

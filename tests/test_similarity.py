@@ -37,6 +37,22 @@ def oracle_levenshtein(a, b):
     return dist[m][n]
 
 
+def edited(rng, seq, edits, alphabet):
+    """`seq` after `edits` random insertions, deletions and substitutions."""
+    seq = list(seq)
+    for _ in range(edits):
+        pos = rng.randrange(len(seq) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            seq.insert(pos, rng.randrange(alphabet))
+        elif pos < len(seq):
+            if edit == 1:
+                del seq[pos]
+            else:
+                seq[pos] = rng.randrange(alphabet)
+    return seq
+
+
 class TestLevenshteinKernel:
     def test_known_values(self):
         assert levenshtein_ids([], []) == 0
@@ -70,17 +86,7 @@ class TestLevenshteinKernel:
     def test_long_pair_against_oracle(self):
         rng = random.Random(600)
         a = [rng.randrange(20) for _ in range(600)]
-        b = list(a)
-        for _ in range(150):
-            pos = rng.randrange(len(b) + 1)
-            edit = rng.randrange(3)
-            if edit == 0:
-                b.insert(pos, rng.randrange(20))
-            elif pos < len(b):
-                if edit == 1:
-                    del b[pos]
-                else:
-                    b[pos] = rng.randrange(20)
+        b = edited(rng, a, 150, 20)
         assert levenshtein_ids(a, b) == oracle_levenshtein(a, b)
 
     def test_empty_query(self):
@@ -130,21 +136,6 @@ def oracle_similarities(query, corpus):
     return out
 
 
-def edited(rng, seq, edits, alphabet):
-    seq = list(seq)
-    for _ in range(edits):
-        pos = rng.randrange(len(seq) + 1)
-        edit = rng.randrange(3)
-        if edit == 0:
-            seq.insert(pos, rng.randrange(alphabet))
-        elif pos < len(seq):
-            if edit == 1:
-                del seq[pos]
-            else:
-                seq[pos] = rng.randrange(alphabet)
-    return seq
-
-
 class TestPackedScan:
     """One query against many lanes of one int, against the DP oracle."""
 
@@ -156,8 +147,8 @@ class TestPackedScan:
 
     def test_lanes_straddle_digit_boundaries(self):
         # A lane of 31 or more rows must cross a multiple of 30, where one
-        # 30-bit CPython digit ends and the next begins; lengths 20-70 in
-        # shuffled order also put shorter lanes across boundaries.
+        # 30-bit CPython digit ends and the next begins. The corpus is
+        # shuffled, so its order differs from the lane order (by length).
         rng = random.Random(30)
         for alphabet in (2, 6, 40):
             corpus = [[rng.randrange(alphabet) for _ in range(m)] for m in range(20, 71)]
