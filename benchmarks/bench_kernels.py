@@ -5,7 +5,10 @@ Four workloads:
   pairs        random id sequences, one levenshtein_ids call per pair
   pack         packing the scan corpus into one PackedCorpus
   packed scan  queries against that packed corpus, one similarities_to_many
-               call each (the baseline repair scan)
+               call each (the baseline repair scan), then the same scan in
+               its two parts: _advance (the match masks and every lane's
+               last DP column) and the read-out (lane sums to similarities
+               in corpus order)
   pairwise     all-pairs similarity over constant-masked formulas, interned
                and packed once, one similarities_to_many call per formula:
                the kernel part of build_retrieval_pairs (the retrieval
@@ -91,6 +94,16 @@ def workload_scan(queries, packed):
         similarities_to_many(q, packed)
 
 
+def workload_advance(queries, packed):
+    """The first part of the scan; returns its columns for the read-out."""
+    return [(len(q), *packed._columns(q)) for q in queries]
+
+
+def workload_read_out(columns, packed):
+    for lq, vp, vn in columns:
+        packed._read_out(lq, vp, vn)
+
+
 def workload_pairwise(seqs):
     packed = PackedCorpus(seqs)
     for q in seqs:
@@ -129,6 +142,8 @@ def main():
         (f"pack ({args.corpus} corpus)", PackedCorpus, (corpus,)),
         (f"packed scan ({QUERIES} queries x {args.corpus} corpus)",
          workload_scan, (queries, packed)),
+        ("  _advance", workload_advance, (queries, packed)),
+        ("  read-out", workload_read_out, (workload_advance(queries, packed), packed)),
         (f"pairwise ({args.formulas} formulas, "
          f"{args.formulas * (args.formulas - 1) // 2} pairs)",
          workload_pairwise, (formula_ids,)),

@@ -7,13 +7,18 @@ similarity: each query is scored exactly against every indexed formula in
 one pass of the packed bit-parallel kernel (`similarity.PackedCorpus`), and
 only the entries at or above the k-th best well-formed score are sorted.
 Completion ranks corpus formulas by frequency under a case-insensitive
-prefix match, backing off to sketch-prefix matching.
+prefix match, backing off to sketch-prefix matching. Both matches are
+range lookups: the formulas sorted by (lowered text, text) and the sorted
+sketch keys are searched with `bisect`, and the matching run is read
+forward until the first entry that does not extend the prefix, so a query
+touches only its matches, never the whole index.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -26,7 +31,8 @@ from .similarity import (PackedCorpus, formula_token_ids, formula_token_ids_froz
 
 
 # Derived by SketchIndex._derive_query_views on first use.
-_QUERY_VIEWS = ("_well_formed", "_token_ids", "_intern", "_packed")
+_QUERY_VIEWS = ("_well_formed", "_token_ids", "_intern", "_packed",
+                "_lowered", "_by_lowered", "_sketch_keys")
 
 
 @dataclass
@@ -35,11 +41,13 @@ class SketchIndex:
     entries: dict[str, list[tuple[str, int]]]
     total_formulas: int
     _formulas: list[str] = field(init=False, repr=False)
-    _lowered: list[str] = field(init=False, repr=False)  # _formulas, lowercased
     _frequency: dict[str, int] = field(init=False, repr=False)
     # The query views, not dataclass fields: _well_formed (positions in
-    # _formulas), _token_ids, _intern and _packed (the PackedCorpus of
-    # _token_ids). Building and saving an index never reads them.
+    # _formulas), _token_ids, _intern, _packed (the PackedCorpus of
+    # _token_ids), _by_lowered (_formulas sorted by (lowered text, text)),
+    # _lowered (their lowered texts, in that order) and _sketch_keys (the
+    # keys of entries, sorted). Building and saving an index never reads
+    # them.
 
     def __post_init__(self) -> None:
         self._frequency = {}
@@ -47,7 +55,6 @@ class SketchIndex:
             for formula, freq in bucket:
                 self._frequency[formula] = freq
         self._formulas = sorted(self._frequency)
-        self._lowered = [f.lower() for f in self._formulas]
 
     def __getattr__(self, name: str):
         if name in _QUERY_VIEWS:
@@ -57,7 +64,7 @@ class SketchIndex:
 
     def _derive_query_views(self) -> None:
         """Lex each formula once for its well-formedness and token ids,
-        then pack the ids for the kernel."""
+        then pack the ids for the kernel; sort the completion views."""
         well_formed, token_ids, intern = [], [], {}
         for i, formula in enumerate(self._formulas):
             tokens = lex(formula)
@@ -66,6 +73,10 @@ class SketchIndex:
             token_ids.append(formula_token_ids(formula, intern, tokens))
         self._well_formed, self._token_ids, self._intern = well_formed, token_ids, intern
         self._packed = PackedCorpus(token_ids)
+        by_lowered = sorted((f.lower(), f) for f in self._formulas)
+        self._lowered = [lowered for lowered, _ in by_lowered]
+        self._by_lowered = [f for _, f in by_lowered]
+        self._sketch_keys = sorted(self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -133,13 +144,24 @@ def completion_candidates(index: SketchIndex, prefix: str, k: int) -> list[str]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    needle = prefix.lower()
-    matches = [f for f, lowered in zip(index._formulas, index._lowered)
-               if lowered.startswith(needle)]
+    first, end = _prefix_run(index._lowered, prefix.lower())
+    matches = index._by_lowered[first:end]
     if not matches:
         key_needle = dedup_key(prefix)
         if key_needle:
-            matches = [f for key, bucket in index.entries.items()
-                       if key.startswith(key_needle) for f, _ in bucket]
+            keys = index._sketch_keys
+            first, end = _prefix_run(keys, key_needle)
+            matches = [f for key in keys[first:end] for f, _ in index.entries[key]]
     matches.sort(key=lambda f: (-index._frequency[f], f))
     return matches[:k]
+
+
+def _prefix_run(keys: list[str], prefix: str) -> tuple[int, int]:
+    """The slice of the sorted `keys` that start with `prefix`. They form
+    one run, beginning where `prefix` would be inserted: a key extending
+    it sorts at or after it, and a later key that does not extend it is
+    greater than every key that does."""
+    first = end = bisect_left(keys, prefix)
+    while end < len(keys) and keys[end].startswith(prefix):
+        end += 1
+    return first, end

@@ -28,15 +28,23 @@ into per-byte popcounts with one `bytes.translate`, combined into
 8 + a - b per byte (0..16, no borrow), and the bytes of each lane summed:
 by one multiplication with 1 + 256 + ... + 256**(L-1) for the lanes of L
 bytes (the lane's sum lands in its top byte, at most 16 * L <= 240 for
-L <= 15, so nothing carries), by `sum` for longer lanes. A lane's sum then
-indexes a per-length table of 1.0 - d / max(lq, m), the same float
-expression as scoring one pair, so every similarity is bit-identical to it.
+L <= 15, so nothing carries), by `sum` for longer lanes. For the summed-
+by-product lanes, each run of equal lengths m maps its sums through a
+table of 1.0 - d / max(lq, m) by sum; a table holds at most min(lq, m) + 1
+floats, and the last _TABLES of them (by (lq, m)) are kept across queries,
+so a query builds only the tables no recent query needed. The longer lanes
+compute the same float expression inline. Either way it is the expression
+of scoring one pair, so every similarity is bit-identical to it. The
+lane-order results go back to corpus order through one `itemgetter` built
+with the corpus.
 
 Match masks. The mask of a token id has the bits of every lane row holding
-that id. An id found at DENSE_MIN or more places keeps a dense int; every
-other id's bit positions sit in one flat array ordered by id and are ORed
-into a mask when a query uses the id. Dense masks for every id would cost
-one int the size of the corpus per distinct id (15 MB at 3,000 formulas).
+that id. The DENSE_MAX ids found at the most places (ties by id), of those
+found at DENSE_MIN or more, keep a dense int; every other id's bit
+positions sit in one flat array ordered by id and are ORed into a mask when
+a query uses the id. Dense masks for every id would cost one int the size
+of the corpus per distinct id (15 MB at 3,000 formulas), and the cap keeps
+their total at DENSE_MAX corpus-sized ints however many ids pass DENSE_MIN.
 
 `similarities_to_many` scores one query against a packed corpus (or packs a
 plain list on the call); it is the hot path of the repair baseline's scan
@@ -50,14 +58,18 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import lexer
 
 KERNEL_BACKEND = "python"
 
-DENSE_MIN = 16  # an id found at this many places or more keeps a dense mask
+DENSE_MIN = 16  # an id found at this many places or more keeps a dense mask,
+DENSE_MAX = 128  # if it is among the this many most-placed such ids (ties by id)
+_TABLES = 1024  # (query length, lane length) similarity tables kept for reuse
 _SUMMED_BY_PRODUCT = 15  # longest lane, in bytes, summed by one multiplication
 _POPCOUNT = bytes(bin(i).count("1") for i in range(256))
 
@@ -95,11 +107,12 @@ class PackedCorpus:
 
     def __init__(self, seqs: Sequence[Sequence[int]]) -> None:
         order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
-        self._rank = array("q", bytes(8 * len(seqs)))  # corpus position -> lane
+        self._len = len(seqs)
+        rank = [0] * len(seqs)  # corpus position -> lane
         full, starts = bytearray(), bytearray()
         runs: list[list[int]] = []  # [length, lanes] per run of equal lengths
         for lane, i in enumerate(order):
-            self._rank[i] = lane
+            rank[i] = lane
             m = len(seqs[i])
             whole, rest = divmod(m, 8)  # the lane's last byte has its guard bit
             full += b"\xff" * whole
@@ -114,18 +127,24 @@ class PackedCorpus:
         self._full = int.from_bytes(full, "little")
         self._starts = int.from_bytes(starts, "little")
         self._eights = int.from_bytes(b"\x08" * nbytes, "little")
-        # Runs of equal lane size: [lane size, bytes, [(length, lanes), ...]].
+        # Lane order -> corpus order; with fewer than two lanes they agree.
+        self._gather = itemgetter(*rank) if len(rank) > 1 else tuple
+        # Runs of equal lane size: [lane size, bytes, [(length, lanes), ...],
+        # 1 + 256 + ... + 256**(size - 1)], the last summing each byte with
+        # the size - 1 bytes below it when multiplied by.
         self._regions: list[list] = []
         for m, lanes in runs:
             size = m // 8 + 1
             if not self._regions or self._regions[-1][0] != size:
-                self._regions.append([size, 0, []])
+                self._regions.append([size, 0, [], int.from_bytes(b"\x01" * size, "little")])
             self._regions[-1][1] += size * lanes
             self._regions[-1][2].append((m, lanes))
         # Every row's bit position, grouped by id: a counting sort in which
         # slot[id] runs from the id's first place to one past its last.
         slot = Counter(chain.from_iterable(seqs))
         ids = sorted(slot)
+        dense = set(sorted((tok_id for tok_id in ids if slot[tok_id] >= DENSE_MIN),
+                           key=lambda tok_id: -slot[tok_id])[:DENSE_MAX])
         total = 0
         for tok_id in ids:
             slot[tok_id], total = total, total + slot[tok_id]
@@ -143,7 +162,7 @@ class PackedCorpus:
         end = 0
         for tok_id in ids:
             begin, end = end, slot[tok_id]
-            if end - begin >= DENSE_MIN:
+            if tok_id in dense:
                 self._dense[tok_id] = _mask_from_positions(places[begin:end], nbytes)
             else:
                 self._sparse_ids.append(tok_id)
@@ -151,7 +170,7 @@ class PackedCorpus:
                 self._sparse_ends.append(len(self._sparse))
 
     def __len__(self) -> int:
-        return len(self._rank)
+        return self._len
 
     def _mask(self, tok_id: int) -> int:
         mask = self._dense.get(tok_id)
@@ -166,21 +185,28 @@ class PackedCorpus:
     def similarities(self, query: Sequence[int]) -> list[float]:
         """1 - normalized edit distance from `query` to each sequence, in
         corpus order; two empty sequences count as identical (1.0)."""
+        return self._read_out(len(query), *self._columns(query))
+
+    def _columns(self, query: Sequence[int]) -> tuple[int, int]:
+        """Every lane's last DP column after `query`, as (vp, vn)."""
         masks = {tok_id: self._mask(tok_id) for tok_id in set(query)}
-        vp, vn = _advance([masks[t] for t in query], self._full, 0, self._starts, self._full)
+        return _advance([masks[t] for t in query], self._full, 0, self._starts, self._full)
+
+    def _read_out(self, lq: int, vp: int, vn: int) -> list[float]:
+        """The similarities, in corpus order, of a query of lq tokens whose
+        last columns are vp and vn."""
         nbytes = self._nbytes
-        ones = vp.to_bytes(nbytes, "little").translate(_POPCOUNT)
+        plus = vp.to_bytes(nbytes, "little").translate(_POPCOUNT)
         minus = vn.to_bytes(nbytes, "little").translate(_POPCOUNT)
         # Per byte 8 + popcount(vp) - popcount(vn), in 0..16.
-        delta = (int.from_bytes(ones, "little") + self._eights
+        delta = (int.from_bytes(plus, "little") + self._eights
                  - int.from_bytes(minus, "little")).to_bytes(nbytes, "little")
-        lq = len(query)
         in_lane_order: list[float] = []
         first = 0
-        for size, region_bytes, lengths in self._regions:
+        for size, region_bytes, lengths, ones in self._regions:
             last = first + region_bytes
             if size <= _SUMMED_BY_PRODUCT:
-                product = int.from_bytes(delta[first:last], "little") * _ones(size)
+                product = int.from_bytes(delta[first:last], "little") * ones
                 sums: Sequence[int] = product.to_bytes(region_bytes + size, "little")[
                     size - 1:region_bytes:size]
             else:
@@ -189,29 +215,26 @@ class PackedCorpus:
             for m, lanes in lengths:
                 group = sums[lane:lane + lanes]
                 if size <= _SUMMED_BY_PRODUCT:
-                    in_lane_order.extend(map(_table(lq, m, size).__getitem__, group))
+                    in_lane_order.extend(map(_table(lq, m).__getitem__, group))
                 else:  # few lanes, each costing its size anyway
                     in_lane_order.extend(1.0 - (lq + s - 8 * size) / max(lq, m) for s in group)
                 lane += lanes
             first = last
-        return list(map(in_lane_order.__getitem__, self._rank))
+        return list(self._gather(in_lane_order))
 
 
-def _ones(size: int) -> int:
-    """1 + 256 + ... + 256**(size - 1): multiplying by it sums each byte
-    with the size - 1 bytes below it."""
-    return int.from_bytes(b"\x01" * size, "little")
-
-
-def _table(lq: int, m: int, size: int) -> list:
-    """Similarity by lane sum for a length-m lane of `size` bytes: the sum
-    is 8 * size + d - lq for distance d, and only |lq - m| <= d <=
-    max(lq, m) can occur."""
+@lru_cache(maxsize=_TABLES)
+def _table(lq: int, m: int) -> list:
+    """Similarity by lane sum for a query of lq tokens against a length-m
+    lane of m // 8 + 1 bytes: the sum is 8 * (m // 8 + 1) + d - lq for
+    distance d, and only |lq - m| <= d <= max(lq, m) can occur, so the
+    table holds at most min(lq, m) + 1 floats whatever lq is."""
+    bits = 8 * (m // 8 + 1)
     denom = max(lq, m)
     if denom == 0:
-        return [None] * (8 * size) + [1.0]
+        return [None] * bits + [1.0]
     low = abs(lq - m)
-    return [None] * (8 * size - lq + low) + [1.0 - d / denom for d in range(low, denom + 1)]
+    return [None] * (bits - lq + low) + [1.0 - d / denom for d in range(low, denom + 1)]
 
 
 def levenshtein_ids(a: Sequence[int], b: Sequence[int]) -> int:

@@ -1,5 +1,7 @@
 import json
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -52,7 +54,9 @@ class TestBuildIndex:
         assert index._token_ids == [formula_token_ids(f, intern) for f in index._formulas]
         assert index._intern == intern
         assert index._well_formed == [i for i, f in enumerate(index._formulas) if not check(f)]
-        assert index._lowered == [f.lower() for f in index._formulas]
+        assert list(zip(index._lowered, index._by_lowered)) == \
+            sorted((f.lower(), f) for f in index._formulas)
+        assert index._sketch_keys == sorted(index.entries)
 
     def test_query_views_derived_on_first_use(self, lex_calls):
         corpus = synth_corpus(50, seed=97)
@@ -172,6 +176,105 @@ class TestCompletionCandidates:
         corpus = [f"=SUM(A{i}:B{i})" for i in range(1, 30)]
         index = build_index(corpus)
         assert len(completion_candidates(index, "=SUM(", 7)) == 7
+
+
+def linear_completion(corpus, prefix, k):
+    """Completion by a scan of every formula and then every dedup key, the
+    reference for the range lookups."""
+    frequency = Counter(corpus)
+    matches = [f for f in frequency if f.lower().startswith(prefix.lower())]
+    if not matches:
+        needle = dedup_key(prefix)
+        if needle:
+            matches = [f for f in frequency if dedup_key(f).startswith(needle)]
+    return sorted(matches, key=lambda f: (-frequency[f], f))[:k]
+
+
+class TestRangeLookupCompletion:
+    """completion_candidates against a linear scan of the same corpus."""
+
+    def check(self, corpus, prefixes, ks=(1, 5)):
+        index = build_index(corpus)
+        for prefix in prefixes:
+            for k in ks:
+                assert completion_candidates(index, prefix, k) == \
+                    linear_completion(corpus, prefix, k), (prefix, k)
+
+    def test_synth_prefixes(self):
+        rng = random.Random(40)
+        for seed in (41, 42):
+            corpus = synth_corpus(300, seed=seed)
+            corpus += [rng.choice(corpus) for _ in range(200)]
+            prefixes = []
+            for f in rng.sample(corpus, 60):
+                cut = f[:rng.randrange(len(f) + 1)]
+                prefixes += [cut, cut.lower(), cut.upper(), cut.swapcase()]
+            self.check(corpus, prefixes, ks=(1, 3, 5, 50))
+
+    def test_empty_prefix_and_whole_formulas(self):
+        corpus = synth_corpus(120, seed=43) + ["=A1", "=A1", "=A1+B1", "=a1"]
+        self.check(corpus, [""], ks=(1, 5, 200))
+        # A whole formula matches itself and whatever extends it.
+        self.check(corpus, sorted(set(corpus)))
+        index = build_index(["=A1", "=A1", "=A1+B1", "=a1"])
+        assert completion_candidates(index, "=a1", 5) == ["=A1", "=A1+B1", "=a1"]
+
+    def test_prefixes_at_and_past_the_ends_of_the_sorted_formulas(self):
+        corpus = synth_corpus(150, seed=44) + ["=ZZ9", "=zz9+1"]
+        index = build_index(corpus)
+        first, last = index._lowered[0], index._lowered[-1]
+        prefixes = [first, last, last + "x", "~", "\U0010ffff", " ", "!", "=zz9+"]
+        self.check(corpus, prefixes)
+        assert completion_candidates(index, last + "x", 5) == \
+            linear_completion(corpus, last + "x", 5)
+
+    def test_formulas_differing_only_in_case(self):
+        corpus = (["=SUM(A1:A2)"] * 2 + ["=sum(a1:a2)"] * 3 + ["=Sum(A1:A2)"]
+                  + ["=SUM(A1:A2)+1", "=sum(A1:a2)*2", "=SUMIF(A1:A2,1)"])
+        self.check(corpus, ["=sum(a1:a2)", "=SUM(", "=sum(a1:a2)+", "=sUm(A1", "=sumi"],
+                   ks=(1, 2, 3, 10))
+        index = build_index(corpus)
+        assert completion_candidates(index, "=SUM(A1:A2)", 10) == \
+            ["=sum(a1:a2)", "=SUM(A1:A2)", "=SUM(A1:A2)+1", "=Sum(A1:A2)", "=sum(A1:a2)*2"]
+
+    def test_text_whose_lowering_changes_length(self):
+        # "İ".lower() is "i" followed by a combining dot: two characters.
+        assert len("İ".lower()) == 2
+        corpus = ['="İstanbul"&A1', '="istanbul"&A1', '="İSTANBUL"', '="ıstanbul"',
+                  '="İ"', '="i"', "=A1&\"İ\"", '="İİ"&B2'] * 2 + ['="İstanbul"&A1']
+        prefixes = ['="i', '="İ', '="i\u0307', '="İs', '="i\u0307s', '="ı', '="İİ', '="İ"',
+                    "=a1&\"i\u0307", '="I']
+        self.check(corpus, prefixes, ks=(1, 2, 10))
+        index = build_index(corpus)
+        assert completion_candidates(index, '="i\u0307s', 10) == \
+            ['="İstanbul"&A1', '="İSTANBUL"']
+
+    def test_sketch_backoff_over_sorted_keys(self):
+        corpus = synth_corpus(300, seed=45)
+        corpus += corpus[:80]
+        rng = random.Random(45)
+        # Prefixes that match no formula's text but whose keys extend into
+        # the sketch keys, plus keys past the last and before the first.
+        prefixes = ["= " + re.sub(r"\d", "7", f[1:rng.randrange(2, len(f) + 1)])
+                    for f in corpus[:120]]
+        prefixes += ["=SUM(Z9", "=ZZZZ(", "=  IF(Q7", "=\"zzz", "=A7+Q7*"]
+        index = build_index(corpus)
+        assert sum(not any(f.lower().startswith(p.lower()) for f in corpus)
+                   for p in prefixes) >= 100
+        assert index._sketch_keys == sorted(index.entries)
+        self.check(corpus, prefixes, ks=(1, 5, 40))
+
+    def test_k_cap(self):
+        corpus = [f"=SUM(A{i}:B{i})" for i in range(1, 30)] + ["=SUM(A3:B3)"] * 4
+        index = build_index(corpus)
+        for k in range(1, 32):
+            out = completion_candidates(index, "=sum(", k)
+            assert out == linear_completion(corpus, "=sum(", k)
+            assert len(out) == min(k, 29)
+            backed_off = completion_candidates(index, "=SUM(Q9", k)
+            assert backed_off == linear_completion(corpus, "=SUM(Q9", k)
+            assert len(backed_off) == min(k, 29)
+        assert completion_candidates(index, "=sum(", 3)[0] == "=SUM(A3:B3)"
 
 
 class TestPersistence:

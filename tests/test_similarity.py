@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formulakit.lexer import lex
-from formulakit.similarity import (DENSE_MIN, KERNEL_BACKEND, PackedCorpus, _advance,
-                                   formula_token_ids, formula_token_ids_frozen,
-                                   levenshtein_ids, similarities_to_many,
-                                   token_edit_similarity)
+from formulakit.similarity import (_TABLES, DENSE_MAX, DENSE_MIN, KERNEL_BACKEND,
+                                   PackedCorpus, _advance, _table, formula_token_ids,
+                                   formula_token_ids_frozen, levenshtein_ids,
+                                   similarities_to_many, token_edit_similarity)
 from formulakit.synth import synth_corpus
+from test_lexer import _envelope_formulas
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -223,6 +224,91 @@ class TestPackedScan:
         vp, vn = _advance([packed._mask(t) for t in query], packed._full, 0,
                           packed._starts, packed._full)
         assert vp & ~packed._full == 0 and vn & ~packed._full == 0
+
+
+    def test_dense_masks_capped_by_place_count_then_id(self):
+        # More than DENSE_MAX ids reach DENSE_MIN places; place counts
+        # 16-20 tie across many ids, so the cap cuts through a tie.
+        rng = random.Random(128)
+        ids = DENSE_MAX + 20
+        counts = {tok: DENSE_MIN + tok % 5 for tok in range(ids)}
+        places = [tok for tok, n in counts.items() for _ in range(n)]
+        places += [rng.randrange(ids, ids + 40) for _ in range(200)]  # rare ids
+        rng.shuffle(places)
+        corpus = []
+        while places:
+            cut = rng.randrange(1, 21)
+            corpus.append(places[:cut])
+            del places[:cut]
+        packed = PackedCorpus(corpus)
+        assert len(packed._dense) == DENSE_MAX
+        assert set(packed._dense) == set(
+            sorted(range(ids), key=lambda tok: (-counts[tok], tok))[:DENSE_MAX])
+        past_cap = sorted(set(range(ids)) - set(packed._dense))
+        assert past_cap and all(counts[tok] >= DENSE_MIN for tok in past_cap)
+        for _ in range(12):
+            pool = rng.choice([past_cap, list(packed._dense), range(ids + 45)])
+            query = [rng.choice(pool) for _ in range(rng.randrange(25))]
+            assert packed.similarities(query) == oracle_similarities(query, corpus)
+
+
+class TestReadOut:
+    """The read-out reuses its similarity tables across queries and maps
+    lanes back to corpus order with one gather built with the corpus."""
+
+    def test_many_query_lengths_against_oracle(self):
+        _table.cache_clear()
+        rng = random.Random(21)
+        corpus = [[rng.randrange(6) for _ in range(rng.randrange(31))] for _ in range(30)]
+        corpus += [[], [2], [5] * 30]
+        packed = PackedCorpus(corpus)
+        longest = max(map(len, corpus))
+        # Lengths repeat, out of order, so later queries reuse the tables of
+        # earlier ones; 31-45 tokens are longer than any lane.
+        lengths = [0, 1, 3, 8, 9, 17, 30, 31, 45] * 4 + [rng.randrange(46) for _ in range(14)]
+        rng.shuffle(lengths)
+        assert max(lengths) > longest and 0 in lengths
+        for lq in lengths:
+            query = [rng.randrange(8) for _ in range(lq)]
+            assert packed.similarities(query) == oracle_similarities(query, corpus)
+        assert _table.cache_info().hits > 0
+
+    @pytest.mark.parametrize("corpus", [[], [[]], [[4]], [[1, 2] * 20], [[1, 2, 3], [3]],
+                                        [[3], [1, 2, 3]], [[], [7, 7]], [[1, 2], [2, 1]]])
+    def test_corpora_of_zero_one_and_two_sequences(self, corpus):
+        packed = PackedCorpus(corpus)
+        assert len(packed) == len(corpus)
+        for query in ([], [1], [3, 1], [7, 7, 7], [1, 2] * 25):
+            assert packed.similarities(query) == oracle_similarities(query, corpus)
+            assert similarities_to_many(query, corpus) == oracle_similarities(query, corpus)
+
+    def test_memo_stays_bounded_under_envelope_queries(self):
+        # Queries of up to ~2,000 tokens against lanes of 0-130 tokens ask
+        # for more (query length, lane length) tables than the memo keeps.
+        # levenshtein_ids (checked against the oracle above, up to 600
+        # tokens) gives the expected scores: the oracle is too slow here.
+        _table.cache_clear()
+        rng = random.Random(2048)
+        intern = {}
+        envelope = [formula_token_ids(f, intern) for f in _envelope_formulas(rng)]
+        corpus = [list(rng.choice(envelope)[:m]) for m in range(131)]
+        rng.shuffle(corpus)
+        packed = PackedCorpus(corpus)
+        queries = envelope + [envelope[2][:n] for n in (1500, 900, 250, 131, 119, 64, 9, 1, 0)]
+        assert max(map(len, queries)) > 2000
+        first = []
+        for query in queries:
+            sims = packed.similarities(query)
+            assert sims == [1.0 - levenshtein_ids(seq, query) / max(len(query), len(seq), 1)
+                            for seq in corpus]
+            first.append(sims)
+            assert _table.cache_info().currsize <= _TABLES
+        assert _table.cache_info().misses > _TABLES
+        for query, sims in zip(reversed(queries), reversed(first)):
+            assert packed.similarities(query) == sims
+        assert _table.cache_info().currsize <= _TABLES
+        # A table's size follows the lane, not the query.
+        assert len(_table(2500, 8)) == len(_table(8, 8)) == 17
 
 
 class TestTokenEditSimilarity:
