@@ -67,8 +67,10 @@ from . import lexer
 
 KERNEL_BACKEND = "python"
 
-DENSE_MIN = 16  # an id found at this many places or more keeps a dense mask,
-DENSE_MAX = 128  # if it is among the this many most-placed such ids (ties by id)
+# Of the ids found at DENSE_MIN places or more, the DENSE_MAX found at the
+# most places (ties by id) keep a dense mask.
+DENSE_MIN = 16
+DENSE_MAX = 128
 _TABLES = 1024  # (query length, lane length) similarity tables kept for reuse
 _SUMMED_BY_PRODUCT = 15  # longest lane, in bytes, summed by one multiplication
 _POPCOUNT = bytes(bin(i).count("1") for i in range(256))
@@ -129,14 +131,12 @@ class PackedCorpus:
         self._eights = int.from_bytes(b"\x08" * nbytes, "little")
         # Lane order -> corpus order; with fewer than two lanes they agree.
         self._gather = itemgetter(*rank) if len(rank) > 1 else tuple
-        # Runs of equal lane size: [lane size, bytes, [(length, lanes), ...],
-        # 1 + 256 + ... + 256**(size - 1)], the last summing each byte with
-        # the size - 1 bytes below it when multiplied by.
+        # Runs of equal lane size: [lane size, bytes, [(length, lanes), ...]].
         self._regions: list[list] = []
         for m, lanes in runs:
             size = m // 8 + 1
             if not self._regions or self._regions[-1][0] != size:
-                self._regions.append([size, 0, [], int.from_bytes(b"\x01" * size, "little")])
+                self._regions.append([size, 0, []])
             self._regions[-1][1] += size * lanes
             self._regions[-1][2].append((m, lanes))
         # Every row's bit position, grouped by id: a counting sort in which
@@ -203,10 +203,10 @@ class PackedCorpus:
                  - int.from_bytes(minus, "little")).to_bytes(nbytes, "little")
         in_lane_order: list[float] = []
         first = 0
-        for size, region_bytes, lengths, ones in self._regions:
+        for size, region_bytes, lengths in self._regions:
             last = first + region_bytes
             if size <= _SUMMED_BY_PRODUCT:
-                product = int.from_bytes(delta[first:last], "little") * ones
+                product = int.from_bytes(delta[first:last], "little") * _ones(size)
                 sums: Sequence[int] = product.to_bytes(region_bytes + size, "little")[
                     size - 1:region_bytes:size]
             else:
@@ -223,8 +223,14 @@ class PackedCorpus:
         return list(self._gather(in_lane_order))
 
 
+def _ones(size: int) -> int:
+    """1 + 256 + ... + 256**(size - 1): multiplying by it sums each byte
+    with the size - 1 bytes below it."""
+    return int.from_bytes(b"\x01" * size, "little")
+
+
 @lru_cache(maxsize=_TABLES)
-def _table(lq: int, m: int) -> list:
+def _table(lq: int, m: int) -> tuple:
     """Similarity by lane sum for a query of lq tokens against a length-m
     lane of m // 8 + 1 bytes: the sum is 8 * (m // 8 + 1) + d - lq for
     distance d, and only |lq - m| <= d <= max(lq, m) can occur, so the
@@ -232,9 +238,9 @@ def _table(lq: int, m: int) -> list:
     bits = 8 * (m // 8 + 1)
     denom = max(lq, m)
     if denom == 0:
-        return [None] * bits + [1.0]
+        return (None,) * bits + (1.0,)
     low = abs(lq - m)
-    return [None] * (bits - lq + low) + [1.0 - d / denom for d in range(low, denom + 1)]
+    return (None,) * (bits - lq + low) + tuple(1.0 - d / denom for d in range(low, denom + 1))
 
 
 def levenshtein_ids(a: Sequence[int], b: Sequence[int]) -> int:
