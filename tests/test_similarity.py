@@ -225,7 +225,6 @@ class TestPackedScan:
                           packed._starts, packed._full)
         assert vp & ~packed._full == 0 and vn & ~packed._full == 0
 
-
     def test_dense_masks_capped_by_place_count_then_id(self):
         # More than DENSE_MAX ids reach DENSE_MIN places; place counts
         # 16-20 tie across many ids, so the cap cuts through a tie.
