@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark BPE training in formulakit.tokenizer.
+"""Benchmark BPE training and segment encoding in formulakit.tokenizer.
 
 Trains on the benchmark's identifier-rich formulas (perfbench/inputs.py,
 imported read-only) at a budget that forces about 2,000 merges, with the
 incremental trainer and with a from-scratch trainer kept in this script,
-which recounts every pair in every round. The script exits 1 unless both
-learn the same merges, then prints seconds per merge for each. The
-incremental time is the median of REPEAT runs; the from-scratch time is
-its one checking run.
+which recounts every pair in every round. It then encodes every distinct
+letter run of the formulas with the learned merges, once with the
+tokenizer's heap pass (the step `encode` runs per run it has not seen)
+and once with a rescan kept in this script, which looks for the
+lowest-ranked pair again after every merge. The script exits 1 unless
+both trainers learn the same merges and both encoders give the same
+pieces, then prints seconds per merge and microseconds per run. The
+tokenizer's times are the median of REPEAT runs; the reference times are
+their one checking run.
 
 Usage: python benchmarks/bench_bpe.py [--formulas 2000] [--budget 2057]
 """
@@ -22,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from inputs import identifier_formulas  # noqa: E402
 
-from formulakit.tokenizer import SPACE_MARKER, pretokenize, train_bpe  # noqa: E402
+from formulakit.tokenizer import SPACE_MARKER, _bpe_apply, pretokenize, train_bpe  # noqa: E402
 
 REPEAT = 5
 
@@ -69,6 +74,28 @@ def scratch_merges(formulas, budget):
     return merges
 
 
+def rescan_apply(run, rank):
+    """The rank-order rule by rescanning: after every merge, look for the
+    lowest-ranked pair again and merge all its occurrences from the left."""
+    word = list(run)
+    while len(word) >= 2:
+        ranked = [(rank[pair], pair) for pair in zip(word, word[1:]) if pair in rank]
+        if not ranked:
+            break
+        left, right = min(ranked)[1]
+        merged = left + right
+        out, i, n = [], 0, len(word)
+        while i < n:
+            if i + 1 < n and word[i] == left and word[i + 1] == right:
+                out.append(merged)
+                i += 2
+            else:
+                out.append(word[i])
+                i += 1
+        word = out
+    return word
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--formulas", type=int, default=2_000)
@@ -92,12 +119,35 @@ def main():
               f"({len(model.merges)} vs {len(reference)} merges)", file=sys.stderr)
         return 1
 
+    runs = sorted({pre.text for formula in formulas for pre in pretokenize(formula)
+                   if not pre.atomic})
+    apply_times = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        pieces = [_bpe_apply(run, model) for run in runs]
+        apply_times.append(time.perf_counter() - start)
+    start = time.perf_counter()
+    reference_pieces = [rescan_apply(run, model._merge_rank) for run in runs]
+    rescan_s = time.perf_counter() - start
+
+    if pieces != reference_pieces:
+        first = next(i for i, (a, b) in enumerate(zip(pieces, reference_pieces)) if a != b)
+        print(f"pieces differ from the rescan on {runs[first]!r}: "
+              f"{pieces[first]} vs {reference_pieces[first]}", file=sys.stderr)
+        return 1
+
     merges = max(len(reference), 1)
+    per_run = 1e6 / max(len(runs), 1)
     print(f"{args.formulas} formulas, budget {args.budget}: {len(reference)} merges, "
           f"identical to the from-scratch trainer")
+    print(f"{len(runs)} distinct letter runs: pieces identical to the rescan")
     print(f"{'trainer':<36} {'s/merge':>12}")
     print(f"{f'incremental (median of {REPEAT})':<36} {statistics.median(times) / merges:>12.6f}")
     print(f"{'from scratch (one run)':<36} {scratch_s / merges:>12.6f}")
+    print(f"{'encoder':<36} {'us/run':>12}")
+    print(f"{f'heap pass (median of {REPEAT})':<36} "
+          f"{statistics.median(apply_times) * per_run:>12.2f}")
+    print(f"{'rescan (one run)':<36} {rescan_s * per_run:>12.2f}")
     return 0
 
 

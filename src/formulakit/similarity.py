@@ -31,8 +31,9 @@ bytes (the lane's sum lands in its top byte, at most 16 * L <= 240 for
 L <= 15, so nothing carries), by `sum` for longer lanes. For the summed-
 by-product lanes, each run of equal lengths m maps its sums through a
 table of 1.0 - d / max(lq, m) by sum; a table holds at most min(lq, m) + 1
-floats, and the last _TABLES of them (by (lq, m)) are kept across queries,
-so a query builds only the tables no recent query needed. The longer lanes
+similarities, and the last _TABLES of them (by (lq, m)) are kept across
+queries, so a query builds only the tables no recent query needed. Tables
+of one denominator slice one shared tuple of its floats. The longer lanes
 compute the same float expression inline. Either way it is the expression
 of scoring one pair, so every similarity is bit-identical to it. The
 lane-order results go back to corpus order through one `itemgetter` built
@@ -234,13 +235,21 @@ def _table(lq: int, m: int) -> tuple:
     """Similarity by lane sum for a query of lq tokens against a length-m
     lane of m // 8 + 1 bytes: the sum is 8 * (m // 8 + 1) + d - lq for
     distance d, and only |lq - m| <= d <= max(lq, m) can occur, so the
-    table holds at most min(lq, m) + 1 floats whatever lq is."""
+    table holds at most min(lq, m) + 1 similarities whatever lq is. They
+    are a slice of the denominator's `_fractions`, so tables of one
+    denominator share their floats."""
     bits = 8 * (m // 8 + 1)
     denom = max(lq, m)
     if denom == 0:
         return (None,) * bits + (1.0,)
     low = abs(lq - m)
-    return (None,) * (bits - lq + low) + tuple(1.0 - d / denom for d in range(low, denom + 1))
+    return (None,) * (bits - lq + low) + _fractions(denom)[low:]
+
+
+@lru_cache(maxsize=_TABLES)
+def _fractions(denom: int) -> tuple[float, ...]:
+    """1.0 - d / denom for every distance d from 0 to denom."""
+    return tuple(1.0 - d / denom for d in range(denom + 1))
 
 
 def levenshtein_ids(a: Sequence[int], b: Sequence[int]) -> int:

@@ -10,14 +10,24 @@ out of the vocabulary by construction.
 The trainer counts adjacent pairs once, then keeps the counts current as it
 merges, with the bookkeeping of the reference `learn_bpe` (Sennrich et al.
 2016, arXiv:1508.07909): pair -> count, and pair -> the distinct words that
-hold it. A round rewrites only the words that hold the chosen pair, and the
-next pair comes off a lazily invalidated heap, so a round costs the words it
-touches rather than the whole corpus. The merge rule is unchanged: the most
-frequent pair, ties by the merged string, then by the pair; the brute-force
-recount in the tests is the oracle for it.
+hold it. A round visits only the words that hold the chosen pair, and in
+each only the merge sites, found greedily from the left: (prev, left) and
+(right, next) go out, (prev, merged) and (merged, next) come in, and two
+adjacent sites share one neighbour pair, (right, left) out and (merged,
+merged) in. The round's net changes are applied once at its end; a pair
+whose count reaches 0 is dropped. The next pair comes off a lazily
+invalidated heap, so a round's Python work follows its merge sites, not
+the corpus or the lengths of its words. The merge rule is unchanged: the most frequent pair,
+ties by the merged string, then by the pair; the brute-force recount in the
+tests is the oracle for it.
 
-`encode` memoises each letter run's ids on the model, since identifiers and
-sheet names repeat across a corpus far more than they vary.
+`encode` applies the merges to a letter run in rank order: the lowest-
+ranked pair present, all of its occurrences greedily from the left, then
+the next. One heap of (rank, position) over the run, kept as a linked list
+of positions, does this in one pass, so a run costs its merges rather than
+a rescan per merge; the rescan in the tests is the oracle for it. `encode`
+memoises each letter run's ids on the model, since identifiers and sheet
+names repeat across a corpus far more than they vary.
 """
 
 from __future__ import annotations
@@ -163,22 +173,6 @@ def _default_specials() -> dict[str, str]:
             "space_marker": SPACE_MARKER}
 
 
-def _merge_word(word: Sequence[str], left: str, right: str) -> list[str]:
-    """One greedy left-to-right application of a single merge."""
-    out: list[str] = []
-    i = 0
-    n = len(word)
-    merged = left + right
-    while i < n:
-        if i + 1 < n and word[i] == left and word[i + 1] == right:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(word[i])
-            i += 1
-    return out
-
-
 def train_bpe(
     corpus: Iterable[str],
     budget: int = DEFAULT_VOCAB_BUDGET,
@@ -254,27 +248,60 @@ def train_bpe(
             in_vocab.add(merged)
 
         left, right = best
+        # Net count changes of the round, applied once it ends, and the new
+        # pairs, which all hold the merged token and so are the only ones
+        # that can have gained count.
+        delta: dict[tuple[str, str], int] = {}
         gained: set[tuple[str, str]] = set()
         for index in where.pop(best):
             word = words[index]
-            new_word = _merge_word(word, left, right)
-            if len(new_word) == len(word):
+            last = len(word) - 1
+            sites: list[int] = []  # greedy left-to-right merge sites
+            i = 0
+            try:
+                while True:
+                    i = word.index(left, i, last)
+                    if word[i + 1] == right:
+                        sites.append(i)
+                        i += 2
+                    else:
+                        i += 1
+            except ValueError:
+                pass
+            if not sites:
                 continue  # stale index: the word no longer holds the pair
             freq = freqs[index]
-            for pair in zip(word, word[1:]):
-                remaining = counts[pair] - freq
-                if remaining:
-                    counts[pair] = remaining
+            delta[best] = delta.get(best, 0) - freq * len(sites)
+            # Neighbours are found by position: the text of a neighbour cannot
+            # tell a token this round made from an older one that reads the
+            # same. Two adjacent sites share one neighbour pair.
+            swaps: list[tuple[tuple[str, str], tuple[str, str]]] = []  # (out, in)
+            after_prev = -1  # index just past the previous site
+            for k, site in enumerate(sites):
+                if site == after_prev:
+                    swaps.append(((right, left), (merged, merged)))
+                elif site:
+                    prev = word[site - 1]
+                    swaps.append(((prev, left), (prev, merged)))
+                after_prev = site + 2
+                if after_prev <= last and (k + 1 == len(sites) or sites[k + 1] != after_prev):
+                    nxt = word[after_prev]
+                    swaps.append(((right, nxt), (merged, nxt)))
+            for old_pair, new_pair in swaps:
+                delta[old_pair] = delta.get(old_pair, 0) - freq
+                delta[new_pair] = delta.get(new_pair, 0) + freq
+                where.setdefault(new_pair, set()).add(index)
+                gained.add(new_pair)
+            for site in reversed(sites):
+                word[site:site + 2] = (merged,)
+        for pair, change in delta.items():
+            if change:
+                count = counts.get(pair, 0) + change
+                if count:
+                    counts[pair] = count
                 else:
                     del counts[pair]
                     where.pop(pair, None)
-            for pair in zip(new_word, new_word[1:]):
-                counts[pair] = counts.get(pair, 0) + freq
-                where.setdefault(pair, set()).add(index)
-                if merged in pair:
-                    gained.add(pair)
-            words[index] = new_word
-        # Only pairs holding the merged token can have gained count.
         for pair in gained:
             if pair in counts:
                 heapq.heappush(heap, (-counts[pair], pair[0] + pair[1], pair))
@@ -282,21 +309,51 @@ def train_bpe(
     return TokenizerModel(vocab=vocab, merges=merges, specials=specials, budget=budget)
 
 
-def _bpe_apply(chars: Sequence[str], rank: dict[tuple[str, str], int]) -> list[str]:
-    """Apply learned merges in rank order to one segment."""
-    word = list(chars)
-    while len(word) >= 2:
-        best_rank: Optional[int] = None
-        best_pair: Optional[tuple[str, str]] = None
-        for pair in zip(word, word[1:]):
-            r = rank.get(pair)
-            if r is not None and (best_rank is None or r < best_rank):
-                best_rank = r
-                best_pair = pair
-        if best_pair is None:
-            break
-        word = _merge_word(word, best_pair[0], best_pair[1])
-    return word
+def _bpe_apply(chars: Sequence[str], model: TokenizerModel) -> list[str]:
+    """Apply the learned merges to one segment, lowest rank first.
+
+    Each step takes the lowest-ranked pair present and merges all of its
+    occurrences greedily from the left. A heap of (rank, position) holds
+    every adjacent pair with a rank, the segment is a linked list of
+    positions, and one step pops every entry of its rank, left to right,
+    before it pushes the pairs those merges made.
+    """
+    rank, merges = model._merge_rank, model.merges
+    tokens: list[Optional[str]] = list(chars)
+    end = len(tokens)
+    heap = [(r, i) for i, r in enumerate(map(rank.get, zip(tokens, tokens[1:])))
+            if r is not None]
+    heapq.heapify(heap)
+    after = list(range(1, end + 1))  # next live position; `end` past the last
+    before = list(range(-1, end - 1))  # previous live position; -1 before the first
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        r = heap[0][0]
+        left, right = merges[r]
+        merged = left + right
+        changed: set[int] = set()  # positions whose pair to the right changed
+        while heap and heap[0][0] == r:
+            i = pop(heap)[1]
+            # absorbed positions hold None, so a stale entry fails here
+            if tokens[i] != left:
+                continue
+            j = after[i]
+            if j == end or tokens[j] != right:
+                continue
+            tokens[i], tokens[j] = merged, None
+            k = after[i] = after[j]
+            if k < end:
+                before[k] = i
+            changed.add(i)
+            if before[i] >= 0:
+                changed.add(before[i])
+        for i in changed:
+            j = after[i]
+            if j < end:
+                r = rank.get((tokens[i], tokens[j]))  # type: ignore[arg-type]
+                if r is not None:
+                    push(heap, (r, i))
+    return [token for token in tokens if token is not None]
 
 
 @lru_cache(maxsize=8)
@@ -351,7 +408,7 @@ def encode(
             else:
                 seg_ids = memo.get(pre.text)
                 if seg_ids is None:
-                    pieces = _bpe_apply(pre.text, model._merge_rank)
+                    pieces = _bpe_apply(pre.text, model)
                     seg_ids = memo[pre.text] = [
                         unk if tok_id is None else tok_id for tok_id in map(model.id_of, pieces)]
                 ids.extend(seg_ids)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from formulakit.lexer import lex
 from formulakit.similarity import (_TABLES, DENSE_MAX, DENSE_MIN, KERNEL_BACKEND,
-                                   PackedCorpus, _advance, _table, formula_token_ids,
-                                   formula_token_ids_frozen, levenshtein_ids,
+                                   PackedCorpus, _advance, _fractions, _table,
+                                   formula_token_ids, formula_token_ids_frozen, levenshtein_ids,
                                    similarities_to_many, token_edit_similarity)
 from formulakit.synth import synth_corpus
 from test_lexer import _envelope_formulas
@@ -306,8 +306,19 @@ class TestReadOut:
         for query, sims in zip(reversed(queries), reversed(first)):
             assert packed.similarities(query) == sims
         assert _table.cache_info().currsize <= _TABLES
+        assert _fractions.cache_info().currsize <= _TABLES
         # A table's size follows the lane, not the query.
         assert len(_table(2500, 8)) == len(_table(8, 8)) == 17
+
+    def test_tables_of_one_denominator_share_their_floats(self):
+        # query length 9 against lanes of 3, 5 and 9 tokens: denominator 9
+        tables = [_table(9, m) for m in (3, 5, 9)]
+        for d in range(6, 10):
+            # the lane sum of distance d is 8 * (m // 8 + 1) + d - 9
+            floats = [table[8 * (m // 8 + 1) + d - 9] for table, m in zip(tables, (3, 5, 9))]
+            assert floats[0] == 1.0 - d / 9
+            assert floats[0] is floats[1] is floats[2]
+        assert _table(3, 9)[8 * 2 + 6 - 3] is tables[0][8 + 6 - 9]
 
 
 class TestTokenEditSimilarity:

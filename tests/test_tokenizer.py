@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pickle
@@ -15,10 +16,22 @@ from formulakit.catalog import FunctionCatalog, default_catalog
 from formulakit.lexer import TokenKind, lex
 from formulakit.synth import synth_corpus
 from formulakit.tokenizer import (MASK_TOKEN, PAD_TOKEN, SPACE_MARKER, UNK_TOKEN,
-                                  BudgetTooSmall, PreToken, TokenizerModel,
-                                  _split_on_specials, decode, encode, pretokenize, train_bpe)
+                                  BudgetTooSmall, PreToken, TokenizerModel, _bpe_apply,
+                                  _default_specials, _split_on_specials, decode, encode,
+                                  pretokenize, train_bpe)
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def _load_bench_inputs():
+    """The benchmark's input generators (perfbench/inputs.py), read-only."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", REPO / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+identifier_formulas = _load_bench_inputs().identifier_formulas
 
 SUMIF_EXAMPLE = '=SUMIF(B1:B5, "Not available", A1:A5)'
 SUMIF_PRETOKENS = ["=", "sumif", "(", "b", "1", ":", "b", "5", ",", SPACE_MARKER,
@@ -314,6 +327,19 @@ class TestTrainBpe:
             corpus = synth_corpus(120, seed=seed)
             assert train_bpe(corpus, budget=budget).merges == oracle_merges(corpus, budget), seed
 
+    @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=8), min_size=1, max_size=12),
+           st.sampled_from([12, 20, 60]))
+    @settings(max_examples=300, deadline=None)
+    @example(["aaaa"] * 3 + ["aaa"], 20)  # adjacent sites of (a, a)
+    @example(["abab", "ab", "ba"], 20)  # adjacent sites sharing (b, a)
+    @example(["abca", "cab", "bcab"], 60)  # sites at either end of a word
+    @example(["aab", "aab", "ab"], 12)  # (a, a) falls to 0 in the round of (a, b)
+    def test_oracle_short_runs(self, runs, budget):
+        # the cases site-local updates can get wrong: adjacent sites,
+        # sites at either end of a word, counts that fall to 0 mid-round
+        corpus = [f'="{run}"' for run in runs]
+        assert train_bpe(corpus, budget=budget).merges == oracle_merges(corpus, budget)
+
     def test_deterministic_model_bytes(self, tmp_path):
         corpus = synth_corpus(80, seed=6)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -388,6 +414,100 @@ class TestEncodeDecode:
 
     def test_whitespace_collapses_to_single_spaces(self, model):
         assert decode(model, encode(model, "=1,\t2")) == "=1, 2"
+
+
+def oracle_bpe_apply(chars, rank):
+    """The rank-order rule by rescanning: find the lowest-ranked pair
+    present, merge all of its occurrences greedily from the left, repeat."""
+    word = list(chars)
+    while len(word) >= 2:
+        ranked = [(rank[pair], pair) for pair in zip(word, word[1:]) if pair in rank]
+        if not ranked:
+            break
+        (left, right) = min(ranked)[1]
+        out, i = [], 0
+        while i < len(word):
+            if i + 1 < len(word) and word[i] == left and word[i + 1] == right:
+                out.append(left + right)
+                i += 2
+            else:
+                out.append(word[i])
+                i += 1
+        word = out
+    return word
+
+
+def _hand_model(merges):
+    vocab = [PAD_TOKEN, UNK_TOKEN, MASK_TOKEN, SPACE_MARKER, "a", "b", "c", "d"]
+    for left, right in merges:
+        if left + right not in vocab:
+            vocab.append(left + right)
+    return TokenizerModel(vocab=vocab, merges=list(merges), specials=_default_specials(),
+                          budget=len(vocab))
+
+
+# "abc" has two routes, (a, bc) and (ab, c), and runs of "a" overlap.
+TWO_ROUTE_MODEL = _hand_model([("b", "c"), ("a", "bc"), ("abc", "d"), ("a", "b"),
+                               ("ab", "c"), ("a", "a"), ("aa", "a")])
+# A merge can make a pair that outranks it: all of one rank's merges come
+# before any pair they make.
+LOW_RANK_MODEL = _hand_model([("ab", "a"), ("a", "b"), ("cab", "d"), ("c", "ab")])
+ABC_MODEL = train_bpe([f'="{w}"' for w in ("aaaa", "abab", "abcabc", "cab", "aaab", "bcbc",
+                                           "dada", "abcd", "ddd")] * 2, budget=40)
+
+
+def _letter_runs(formulas):
+    return sorted({p.text for f in formulas for p in pretokenize(f) if not p.atomic})
+
+
+class TestEncodeOracle:
+    @given(st.text(alphabet="abcd", max_size=16))
+    @settings(max_examples=500, deadline=None)
+    @example("aaaa")
+    @example("abab")
+    @example("aaaaa")
+    @example("abcd")
+    @example("abcabcd")
+    def test_matches_rescan_on_small_alphabet(self, run):
+        for model in (TWO_ROUTE_MODEL, LOW_RANK_MODEL, ABC_MODEL):
+            assert _bpe_apply(run, model) == oracle_bpe_apply(run, model._merge_rank), run
+
+    def test_two_route_model(self):
+        # (b, c) outranks (a, b), so "abc" comes by (a, bc), never (ab, c)
+        assert _bpe_apply("abc", TWO_ROUTE_MODEL) == ["abc"]
+        assert _bpe_apply("abcd", TWO_ROUTE_MODEL) == ["abcd"]
+        assert _bpe_apply("abd", TWO_ROUTE_MODEL) == ["ab", "d"]
+        # (a, a) greedily from the left, then (aa, a)
+        assert _bpe_apply("aaaaa", TWO_ROUTE_MODEL) == ["aa", "aaa"]
+        assert _bpe_apply("aaaa", TWO_ROUTE_MODEL) == ["aa", "aa"]
+
+    def test_later_rank_may_make_earlier_pair(self):
+        model = _hand_model([("ab", "c"), ("a", "b")])
+        assert _bpe_apply("abc", model) == oracle_bpe_apply("abc", model._merge_rank) == ["abc"]
+        # both (a, b) merge before the (ab, a) the first one makes is seen
+        assert _bpe_apply("abab", LOW_RANK_MODEL) == ["ab", "ab"]
+        assert _bpe_apply("aba", LOW_RANK_MODEL) == ["aba"]
+
+    @pytest.mark.parametrize("name", ["synth", "identifier"])
+    def test_matches_rescan_on_corpus_runs(self, name):
+        if name == "synth":
+            corpora = [synth_corpus(300, seed=seed) for seed in (31, 32)]
+        else:
+            corpora = [identifier_formulas(seed, 800) for seed in (0, 1)]
+        model = train_bpe(corpora[0], budget=600)
+        for corpus in corpora:
+            for run in _letter_runs(corpus):
+                assert _bpe_apply(run, model) == oracle_bpe_apply(run, model._merge_rank), run
+        fresh = TokenizerModel.from_json(model.to_json())
+        unk = fresh.unk_id
+        for formula in corpora[1][:100]:
+            expected = []
+            for pre in pretokenize(formula):
+                pieces = [pre.text] if pre.atomic else oracle_bpe_apply(pre.text,
+                                                                        fresh._merge_rank)
+                expected.extend(unk if fresh.id_of(p) is None else fresh.id_of(p)
+                                for p in pieces)
+            assert encode(fresh, formula) == expected, formula
 
 
 def scan_split_on_specials(text, specials):
