@@ -17,9 +17,9 @@ adjacent sites share one neighbour pair, (right, left) out and (merged,
 merged) in. The round's net changes are applied once at its end; a pair
 whose count reaches 0 is dropped. The next pair comes off a lazily
 invalidated heap, so a round's Python work follows its merge sites, not
-the corpus or the lengths of its words. The merge rule is unchanged: the most frequent pair,
-ties by the merged string, then by the pair; the brute-force recount in the
-tests is the oracle for it.
+the corpus or the lengths of its words. The merge rule is unchanged: the
+most frequent pair, ties by the merged string, then by the pair; the
+brute-force recount in the tests is the oracle for it.
 
 `encode` applies the merges to a letter run in rank order: the lowest-
 ranked pair present, all of its occurrences greedily from the left, then
