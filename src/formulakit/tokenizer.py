@@ -386,6 +386,8 @@ def encode(
 ) -> list[int]:
     """Token ids for a formula; out-of-vocabulary pieces map to <unk>.
 
+    Each letter run is split by one heap pass over its merges the first
+    time the model meets it, and its ids are memoised on the model.
     Occurrences of the special-token literals (e.g. a <mask> inserted by an
     objective generator) map to their special ids instead of being shredded
     into characters.
