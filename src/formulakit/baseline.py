@@ -2,16 +2,20 @@
 
 These exist so the evaluation harness runs end to end with reproducible,
 non-zero scores; they are not an attempt to approximate a trained model's
-accuracy. Repair retrieves the nearest corpus formulas by token edit
-similarity: each query is scored exactly against every indexed formula in
-one pass of the packed bit-parallel kernel (`similarity.PackedCorpus`), and
-only the entries at or above the k-th best well-formed score are sorted.
-Completion ranks corpus formulas by frequency under a case-insensitive
-prefix match, backing off to sketch-prefix matching. Both matches are
-range lookups: the formulas sorted by (lowered text, text) and the sorted
-sketch keys are searched with `bisect`, and the matching run is read
-forward until the first entry that does not extend the prefix, so a query
-touches only its matches, never the whole index.
+accuracy. An index is its sketch buckets and the formula frequencies; each
+query kind reads one view of it, derived on first use (`load` derives
+both, so a loaded index pays for them before its first query). Repair
+retrieves the nearest corpus formulas by token edit similarity: only the
+well-formed formulas are packed, since an ill-formed one never ranks, and
+each query is scored exactly against all of them in one pass of the packed
+bit-parallel kernel (`similarity.PackedCorpus`); only the entries at or
+above the k-th best score are sorted. Completion ranks corpus formulas by
+frequency under a case-insensitive prefix match, backing off to
+sketch-prefix matching. Both matches are range lookups: the formulas
+sorted by (lowered text, text) and the sorted sketch keys are searched
+with `bisect`, and the matching run is read forward until the first entry
+that does not extend the prefix, so a query touches only its matches,
+never the whole index. Completion never lexes an indexed formula.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 import heapq
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -30,53 +35,37 @@ from .similarity import (PackedCorpus, formula_token_ids, formula_token_ids_froz
                          similarities_to_many)
 
 
-# Derived by SketchIndex._derive_query_views on first use.
-_QUERY_VIEWS = ("_well_formed", "_token_ids", "_intern", "_packed",
-                "_lowered", "_by_lowered", "_sketch_keys")
-
-
 @dataclass
 class SketchIndex:
     # sketch -> [(formula, frequency)] sorted by frequency desc, then text
     entries: dict[str, list[tuple[str, int]]]
     total_formulas: int
-    _formulas: list[str] = field(init=False, repr=False)
-    _frequency: dict[str, int] = field(init=False, repr=False)
-    # The query views, not dataclass fields: _well_formed (positions in
-    # _formulas), _token_ids, _intern, _packed (the PackedCorpus of
-    # _token_ids), _by_lowered (_formulas sorted by (lowered text, text)),
-    # _lowered (their lowered texts, in that order) and _sketch_keys (the
-    # keys of entries, sorted). Building and saving an index never reads
-    # them.
 
     def __post_init__(self) -> None:
-        self._frequency = {}
-        for bucket in self.entries.values():
-            for formula, freq in bucket:
-                self._frequency[formula] = freq
-        self._formulas = sorted(self._frequency)
+        self._frequency = {formula: freq for bucket in self.entries.values()
+                           for formula, freq in bucket}
 
-    def __getattr__(self, name: str):
-        if name in _QUERY_VIEWS:
-            self._derive_query_views()
-            return self.__dict__[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def _derive_query_views(self) -> None:
-        """Lex each formula once for its well-formedness and token ids,
-        then pack the ids for the kernel; sort the completion views."""
-        well_formed, token_ids, intern = [], [], {}
-        for i, formula in enumerate(self._formulas):
+    @cached_property
+    def _repair_view(self) -> tuple[list[str], dict[str, int], PackedCorpus]:
+        """The well-formed formulas in text order, the intern table of their
+        tokens and the PackedCorpus of their token ids; each formula is
+        lexed once."""
+        formulas, token_ids, intern = [], [], {}
+        for formula in sorted(self._frequency):
             tokens = lex(formula)
             if not check(formula, tokens=tokens):
-                well_formed.append(i)
-            token_ids.append(formula_token_ids(formula, intern, tokens))
-        self._well_formed, self._token_ids, self._intern = well_formed, token_ids, intern
-        self._packed = PackedCorpus(token_ids)
-        by_lowered = sorted((f.lower(), f) for f in self._formulas)
-        self._lowered = [lowered for lowered, _ in by_lowered]
-        self._by_lowered = [f for _, f in by_lowered]
-        self._sketch_keys = sorted(self.entries)
+                formulas.append(formula)
+                token_ids.append(formula_token_ids(formula, intern, tokens))
+        return formulas, intern, PackedCorpus(token_ids)
+
+    @cached_property
+    def _completion_view(self) -> tuple[list[str], list[str], list[str]]:
+        """The formulas sorted by (lowered text, text): their lowered texts
+        and the formulas themselves, in that order; and the sorted keys of
+        `entries`."""
+        by_lowered = sorted((f.lower(), f) for f in self._frequency)
+        return ([lowered for lowered, _ in by_lowered], [f for _, f in by_lowered],
+                sorted(self.entries))
 
     def to_json(self) -> dict:
         return {
@@ -95,7 +84,9 @@ class SketchIndex:
         entries = {s: [(f, int(c)) for f, c in bucket]
                    for s, bucket in obj["sketches"].items()}
         index = cls(entries=entries, total_formulas=int(obj["total_formulas"]))
-        index._derive_query_views()  # a loaded index is for querying
+        # A loaded index is for querying: derive both views now.
+        index._repair_view
+        index._completion_view
         return index
 
 
@@ -119,17 +110,17 @@ def repair_candidates(index: SketchIndex, buggy: str, k: int) -> list[str]:
     ties broken by frequency then text."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not index._formulas:
+    formulas, intern, packed = index._repair_view
+    if not formulas:
         return []
-    query_ids = formula_token_ids_frozen(buggy, index._intern)
-    sims = similarities_to_many(query_ids, index._packed)
-    formulas, frequency, ranked = index._formulas, index._frequency, index._well_formed
-    if len(ranked) > k:
+    sims = similarities_to_many(formula_token_ids_frozen(buggy, intern), packed)
+    ranked = range(len(formulas))
+    if len(formulas) > k:
         # Only entries at or above the k-th best similarity can rank.
-        values = sims if len(ranked) == len(sims) else [sims[i] for i in ranked]
-        kth = heapq.nlargest(k, values)[-1]
-        ranked = [i for i, sim in zip(ranked, values) if sim >= kth]
+        kth = heapq.nlargest(k, sims)[-1]
+        ranked = [i for i, sim in enumerate(sims) if sim >= kth]
     # The key is unique (the text is), so these are the full sort's first k.
+    frequency = index._frequency
     ranked = sorted(ranked, key=lambda i: (-sims[i], -frequency[formulas[i]], formulas[i]))
     return [formulas[i] for i in ranked[:k]]
 
@@ -144,12 +135,12 @@ def completion_candidates(index: SketchIndex, prefix: str, k: int) -> list[str]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    first, end = _prefix_run(index._lowered, prefix.lower())
-    matches = index._by_lowered[first:end]
+    lowered, by_lowered, keys = index._completion_view
+    first, end = _prefix_run(lowered, prefix.lower())
+    matches = by_lowered[first:end]
     if not matches:
         key_needle = dedup_key(prefix)
         if key_needle:
-            keys = index._sketch_keys
             first, end = _prefix_run(keys, key_needle)
             matches = [f for key in keys[first:end] for f, _ in index.entries[key]]
     matches.sort(key=lambda f: (-index._frequency[f], f))

@@ -4,9 +4,10 @@ Subcommands cover the full path: lex/sketch/check single formulas or files,
 dedup a corpus (per-workbook or global), train and apply the tokenizer,
 generate pre-training and fine-tuning datasets, evaluate predictions, and
 run the non-neural baseline. All randomness flows from --seed; artifacts
-are written atomically and get a sibling .manifest.json with config and
-content hashes so any two runs can be compared. Each generator counts the
-inputs it skips in one Counter keyed by reason and reports it on stderr.
+are written atomically, and each -o/--output file gets a sibling
+.manifest.json with config and content hashes so any two runs can be
+compared. Each generator counts the inputs it skips in one Counter keyed
+by reason and reports it on stderr.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (with file/line),
 3 internal error.
@@ -118,7 +119,7 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
     try:
         obj_cfg = objectives.ObjectiveConfig.from_json(
             {**obj.get("objectives", {}), "seed": seed})
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise UsageError(f"config field objectives: {exc}") from None
     config = PipelineConfig(
         seed=seed,
@@ -254,7 +255,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train_tokenizer(args) -> int:
-    config = load_config(args.config, args.seed)
+    config = load_config(args.config, None)
     budget = args.budget if args.budget is not None else config.tokenizer_budget
     catalog = _load_catalog(args)
     try:
@@ -545,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog")
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=None)
 
     p = add("tokenize", cmd_tokenize, "encode formulas with a trained model",
             epilog='output: {"formula": "=A1", "ids": [5, 9, 7], "pieces": '

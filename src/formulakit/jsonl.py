@@ -6,8 +6,9 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Any, Iterable, Iterator, Optional, TextIO, Union
 
 PathLike = Union[str, Path]
 
@@ -68,18 +69,17 @@ def read_jsonl(path: PathLike) -> Iterator[tuple[int, Any]]:
         yield lineno, obj
 
 
-def write_jsonl_atomic(path: PathLike, rows: Iterable[Any]) -> int:
-    """Write rows as JSONL via temp file + rename; returns the row count."""
+@contextmanager
+def _atomic_text(path: PathLike) -> Iterator[TextIO]:
+    """A UTF-8 text handle on a temp file beside `path` that replaces `path`
+    when the block ends; on any failure the temp file is removed and
+    `path` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(dumps(row))
-                fh.write("\n")
-                count += 1
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -87,24 +87,23 @@ def write_jsonl_atomic(path: PathLike, rows: Iterable[Any]) -> int:
         except OSError:
             pass
         raise
+
+
+def write_jsonl_atomic(path: PathLike, rows: Iterable[Any]) -> int:
+    """Write rows as JSONL via temp file + rename; returns the row count."""
+    count = 0
+    with _atomic_text(path) as fh:
+        for row in rows:
+            fh.write(dumps(row))
+            fh.write("\n")
+            count += 1
     return count
 
 
 def write_json_atomic(path: PathLike, obj: Any) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with _atomic_text(path) as fh:
+        json.dump(obj, fh, ensure_ascii=False, indent=2)
+        fh.write("\n")
 
 
 def sha256_file(path: PathLike) -> str:

@@ -79,11 +79,21 @@ class ObjectiveConfig:
         if set(self.weights) != set(OBJECTIVE_ORDER):
             raise ValueError(f"weights must cover exactly {OBJECTIVE_ORDER}, "
                              f"got {sorted(self.weights)}")
+        if not all(math.isfinite(w) for w in self.weights.values()):
+            raise ValueError(f"objective weights must be finite, got {self.weights}")
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"objective weights must sum to 1.0, got {total}")
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("objective weights must be non-negative")
+        for name, table, default in (("lamsp_rates", self.lamsp_rates, DEFAULT_LAMSP_RATES),
+                                     ("lamsp_mean_spans", self.lamsp_mean_spans,
+                                      DEFAULT_LAMSP_MEAN_SPANS)):
+            if set(table) != set(default):
+                raise ValueError(f"{name} must have exactly the keys {sorted(default)}, "
+                                 f"got {sorted(table)}")
+        if not self.tm_fractions:
+            raise ValueError("tm_fractions must not be empty")
         for name, rate in (("rn_rate", self.rn_rate), *(("lamsp_rates." + k, v)
                                                         for k, v in self.lamsp_rates.items())):
             if not 0 < rate < 1:

@@ -298,24 +298,16 @@ def formula_token_ids(formula: str, intern: dict[str, int],
 
 
 def formula_token_ids_frozen(formula: str, intern: dict[str, int]) -> tuple[int, ...]:
-    """Like formula_token_ids but read-only: unseen texts get overlay ids
-    len(intern), len(intern) + 1, ... from a local table, in order of first
-    appearance, and `intern` is left as it was (keeps queries pure)."""
+    """Like formula_token_ids but read-only: every text missing from
+    `intern` gets the one id len(intern), and `intern` is left as it was
+    (keeps queries pure). Against sequences interned through `intern` the
+    edit distance is the same as with distinct ids for the unseen texts: no
+    sequence holds len(intern), so those tokens match nothing either way,
+    and a query token is never compared with another query token."""
     whitespace = lexer.TokenKind.WHITESPACE
-    get = intern.get
-    overlay: dict[str, int] = {}
-    ids = []
-    for tok in lexer.lex(formula):
-        if tok.kind is whitespace:
-            continue
-        text = tok.text
-        tok_id = get(text)
-        if tok_id is None:
-            tok_id = overlay.get(text)
-            if tok_id is None:
-                tok_id = overlay[text] = len(intern) + len(overlay)
-        ids.append(tok_id)
-    return tuple(ids)
+    get, unseen = intern.get, len(intern)
+    return tuple(get(tok.text, unseen) for tok in lexer.lex(formula)
+                 if tok.kind is not whitespace)
 
 
 def token_edit_similarity(a: str, b: str) -> float:

@@ -155,12 +155,26 @@ class TokenizerModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TokenizerModel":
-        return cls(
-            vocab=list(obj["vocab"]),
+        """The model `to_json` wrote; raises ValueError for a vocab that is
+        not a list of strings, for specials that do not map every special
+        name to a string, and for an encoded special missing from vocab."""
+        vocab, specials = obj["vocab"], obj["specials"]
+        if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
+            raise ValueError("vocab must be a list of strings")
+        names = list(_default_specials())
+        if not isinstance(specials, dict) or not all(
+                isinstance(specials.get(name), str) for name in names):
+            raise ValueError(f"specials must map each of {names} to a string")
+        model = cls(
+            vocab=list(vocab),
             merges=[(left, right) for left, right in obj["merges"]],
-            specials=dict(obj["specials"]),
+            specials=dict(specials),
             budget=int(obj["budget"]),
         )
+        for name in ("mask_token", "pad", "unknown"):  # the ones encode emits
+            if model.id_of(specials[name]) is None:
+                raise ValueError(f"specials.{name} {specials[name]!r} is not in vocab")
+        return model
 
     @classmethod
     def load(cls, path: str | Path) -> "TokenizerModel":

@@ -5,12 +5,13 @@ from collections import Counter
 
 import pytest
 
-from formulakit.baseline import (_QUERY_VIEWS, SketchIndex, build_index,
-                                 completion_candidates, repair_candidates)
+from formulakit.baseline import (SketchIndex, build_index, completion_candidates,
+                                 repair_candidates)
 from formulakit.cli import main
 from formulakit.curation import dedup_key
 from formulakit.lexer import check, normalize, sketch
-from formulakit.similarity import formula_token_ids, token_edit_similarity
+from formulakit.similarity import (formula_token_ids, formula_token_ids_frozen,
+                                   token_edit_similarity)
 from formulakit.synth import synth_corpus
 
 
@@ -50,24 +51,35 @@ class TestBuildIndex:
     def test_one_lex_gives_the_derived_views(self):
         corpus = synth_corpus(200, seed=91) + ["=SUM(A1", "=IF(A1,,)", "=  max( B2 )"]
         index = build_index(corpus)
-        intern = {}
-        assert index._token_ids == [formula_token_ids(f, intern) for f in index._formulas]
-        assert index._intern == intern
-        assert index._well_formed == [i for i, f in enumerate(index._formulas) if not check(f)]
-        assert list(zip(index._lowered, index._by_lowered)) == \
-            sorted((f.lower(), f) for f in index._formulas)
-        assert index._sketch_keys == sorted(index.entries)
+        formulas, intern, packed = index._repair_view
+        assert formulas == [f for f in sorted(set(corpus)) if not check(f)]
+        assert len(formulas) == len(packed) < len(set(corpus))
+        reference_intern = {}
+        for f in formulas:
+            formula_token_ids(f, reference_intern)
+        assert intern == reference_intern
+        query = "=SUM(A1:B2)+max(B2)"
+        assert packed.similarities(formula_token_ids_frozen(query, intern)) == \
+            [token_edit_similarity(query, f) for f in formulas]
+        lowered, by_lowered, keys = index._completion_view
+        assert list(zip(lowered, by_lowered)) == sorted((f.lower(), f) for f in set(corpus))
+        assert keys == sorted(index.entries)
 
     def test_query_views_derived_on_first_use(self, lex_calls):
         corpus = synth_corpus(50, seed=97)
         index = build_index(corpus)
         built = len(lex_calls)
-        assert not any(name in vars(index) for name in _QUERY_VIEWS)
         index.to_json()
         assert len(lex_calls) == built
-        assert len(index._packed) == len(index._formulas)
-        assert all(name in vars(index) for name in _QUERY_VIEWS)
-        assert len(lex_calls) == built + len(index._formulas)
+        assert "_repair_view" not in vars(index) and "_completion_view" not in vars(index)
+        # A completion query derives its own view only, and lexes no
+        # indexed formula.
+        assert completion_candidates(index, corpus[0][:4], 5)
+        assert len(lex_calls) == built
+        assert "_completion_view" in vars(index) and "_repair_view" not in vars(index)
+        repair_candidates(index, corpus[0], 5)
+        assert "_repair_view" in vars(index)
+        assert len(lex_calls) == built + len(set(corpus)) + 1  # and the query
 
 
 class TestRepairCandidates:
@@ -102,27 +114,32 @@ class TestRepairCandidates:
 
     def test_top_k_equals_full_sort(self):
         # Ill-formed entries, tied similarities (=A1 vs =B1/=C1/=D1) and tied
-        # frequencies (=C1 and =D1 twice each) against a full sort.
-        corpus = (["=A1"] * 3 + ["=B1"] + ["=C1", "=D1"] * 2 + ["=SUM(A1", "=A1+"]
-                  + ["=SUM(A1:A3)", "=SUM(A1:B3)"] * 2 + ["=MAX(A1,B1)", "=A1+B1"]
-                  + synth_corpus(40, seed=91))
-        index = build_index(corpus)
-        frequency = {f: corpus.count(f) for f in set(corpus)}
-        well_formed = [f for f in frequency if not check(f)]
-        assert len(well_formed) < len(frequency)
+        # frequencies (=C1 and =D1 twice each) against a full sort; then an
+        # index of ill-formed formulas only, which ranks nothing.
+        mixed = (["=A1"] * 3 + ["=B1"] + ["=C1", "=D1"] * 2 + ["=SUM(A1", "=A1+"]
+                 + ["=SUM(A1:A3)", "=SUM(A1:B3)"] * 2 + ["=MAX(A1,B1)", "=A1+B1"]
+                 + synth_corpus(40, seed=91))
         straddled = 0
-        for buggy in ("=A1", "=E1", "=SUM(A1:A3", "=MAX(A1,,B1)", "", corpus[-1]):
-            sims = dict(zip(well_formed, (token_edit_similarity(buggy, f)
-                                          for f in well_formed)))
-            reference = sorted(well_formed, key=lambda f: (-sims[f], -frequency[f], f))
-            for k in range(1, len(well_formed) + 2):
-                assert repair_candidates(index, buggy, k) == reference[:k], (buggy, k)
-                # A tie group of mixed frequencies that the k-th entry cuts.
-                if k < len(reference):
-                    tied = {frequency[f] for f in reference
-                            if sims[f] == sims[reference[k - 1]]}
-                    straddled += (sims[reference[k]] == sims[reference[k - 1]]
-                                  and len(tied) > 1)
+        for corpus in (mixed, ["=SUM(A1", "=A1+", "=)"] * 2):
+            index = build_index(corpus)
+            frequency = {f: corpus.count(f) for f in set(corpus)}
+            well_formed = [f for f in frequency if not check(f)]
+            assert len(well_formed) < len(frequency)
+            intern = index._repair_view[1]
+            unseen = "QQ9 ZZZ QQ9"  # no well-formed formula holds any of its tokens
+            assert set(formula_token_ids_frozen(unseen, intern)) == {len(intern)}
+            for buggy in ("=A1", "=E1", "=SUM(A1:A3", "=MAX(A1,,B1)", "", corpus[-1], unseen):
+                sims = dict(zip(well_formed, (token_edit_similarity(buggy, f)
+                                              for f in well_formed)))
+                reference = sorted(well_formed, key=lambda f: (-sims[f], -frequency[f], f))
+                for k in range(1, len(well_formed) + 2):
+                    assert repair_candidates(index, buggy, k) == reference[:k], (buggy, k)
+                    # A tie group of mixed frequencies that the k-th entry cuts.
+                    if k < len(reference):
+                        tied = {frequency[f] for f in reference
+                                if sims[f] == sims[reference[k - 1]]}
+                        straddled += (sims[reference[k]] == sims[reference[k - 1]]
+                                      and len(tied) > 1)
         assert straddled > 0
 
     def test_k_validation(self):
@@ -163,9 +180,9 @@ class TestCompletionCandidates:
         prefixes = ["= " + re.sub(r"\d", "7", f[1:len(f) * 2 // 3]) for f in corpus[:150]]
         hits = 0
         for prefix in prefixes:
-            assert not any(f.lower().startswith(prefix.lower()) for f in index._formulas)
+            assert not any(f.lower().startswith(prefix.lower()) for f in index._frequency)
             needle = sketch(normalize(prefix))
-            expected = sorted((f for f in index._formulas
+            expected = sorted((f for f in index._frequency
                                if needle and sketch(normalize(f)).startswith(needle)),
                               key=lambda f: (-index._frequency[f], f))[:5]
             assert completion_candidates(index, prefix, 5) == expected
@@ -222,7 +239,8 @@ class TestRangeLookupCompletion:
     def test_prefixes_at_and_past_the_ends_of_the_sorted_formulas(self):
         corpus = synth_corpus(150, seed=44) + ["=ZZ9", "=zz9+1"]
         index = build_index(corpus)
-        first, last = index._lowered[0], index._lowered[-1]
+        lowered = index._completion_view[0]
+        first, last = lowered[0], lowered[-1]
         prefixes = [first, last, last + "x", "~", "\U0010ffff", " ", "!", "=zz9+"]
         self.check(corpus, prefixes)
         assert completion_candidates(index, last + "x", 5) == \
@@ -261,7 +279,7 @@ class TestRangeLookupCompletion:
         index = build_index(corpus)
         assert sum(not any(f.lower().startswith(p.lower()) for f in corpus)
                    for p in prefixes) >= 100
-        assert index._sketch_keys == sorted(index.entries)
+        assert index._completion_view[2] == sorted(index.entries)
         self.check(corpus, prefixes, ks=(1, 5, 40))
 
     def test_k_cap(self):
@@ -294,12 +312,15 @@ class TestPersistence:
         build_index(corpus).save(tmp_path / "index.json")
         del lex_calls[:]
         loaded = SketchIndex.load(tmp_path / "index.json")
-        assert all(name in vars(loaded) for name in _QUERY_VIEWS)
-        assert len(lex_calls) == len(loaded._formulas)
+        assert "_repair_view" in vars(loaded) and "_completion_view" in vars(loaded)
+        assert len(lex_calls) == len(set(corpus))
         fresh = build_index(corpus)
-        assert loaded._token_ids == fresh._token_ids
-        assert loaded._well_formed == fresh._well_formed
-        assert loaded._intern == fresh._intern
+        formulas, intern, packed = loaded._repair_view
+        fresh_formulas, fresh_intern, fresh_packed = fresh._repair_view
+        assert (formulas, intern) == (fresh_formulas, fresh_intern)
+        query = formula_token_ids_frozen("=SUM(A1:A9)", intern)
+        assert packed.similarities(query) == fresh_packed.similarities(query)
+        assert loaded._completion_view == fresh._completion_view
 
     def test_save_load_round_trip(self, tmp_path):
         corpus = synth_corpus(80, seed=95)

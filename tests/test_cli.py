@@ -172,11 +172,21 @@ class TestGenPretrainCli:
         assert sha(c) != sha(a)   # flag overrides file
 
     def test_invalid_config_field_message(self, tmp_path, corpus_file, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"objectives": {"rn_rate": 3.0}}), encoding="utf-8")
-        assert main(["gen-pretrain", "--input", corpus_file,
-                     "--config", str(config)]) == 1
-        assert "rn_rate" in capsys.readouterr().err
+        nan_weights = {"laMSP": float("nan"), "TM": 0.5, "UN": 0.5, "RN": 0.0, "ID": 0.0}
+        cases = [({"rn_rate": 3.0}, "rn_rate"),
+                 ({"lamsp_rates": {"hi": 0.3}}, "lamsp_rates"),
+                 ({"lamsp_mean_spans": {"long": 3}}, "lamsp_mean_spans"),
+                 ({"tm_fractions": []}, "tm_fractions"),
+                 ({"weights": nan_weights}, "weights"),
+                 ({"weights": [1.0]}, "items"),
+                 ({"lamsp_mean_spans": {"long": 1e400, "short": 2}}, "infinity")]
+        for objectives, expected in cases:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"objectives": objectives}), encoding="utf-8")
+            assert main(["gen-pretrain", "--input", corpus_file,
+                         "--config", str(config)]) == 1, objectives
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: config field objectives: ") and expected in err
 
     @pytest.mark.parametrize("field", ["seed", "tokenizer_budget"])
     def test_non_integer_config_field_is_config_error(self, tmp_path, corpus_file,
@@ -359,6 +369,18 @@ MALFORMED_INDEXES = {
 }
 
 
+# A trained model's JSON -> a malformed edit of it.
+MALFORMED_MODELS = {
+    "specials-without-unknown": lambda m: {
+        **m, "specials": {k: v for k, v in m["specials"].items() if k != "unknown"}},
+    "specials-a-list": lambda m: {**m, "specials": [["unknown", m["specials"]["unknown"]]]},
+    "unknown-not-in-vocab": lambda m: {**m, "specials": {**m["specials"], "unknown": "<u>"}},
+    "vocab-holds-a-non-string": lambda m: {
+        **m, "vocab": [None if tok == "<unk>" else tok for tok in m["vocab"]]},
+    "vocab-a-string": lambda m: {**m, "vocab": "".join(m["vocab"])},
+}
+
+
 class TestBaselineIndexErrors:
     @staticmethod
     def run_both(index_path, capsys):
@@ -383,6 +405,21 @@ class TestBaselineIndexErrors:
         assert main(["tokenize", "=SUM(A1)", "--model", str(model)]) == 2
         assert capsys.readouterr().err.startswith(
             f"data error: {model}: malformed tokenizer model")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_malformed_tokenizer_model(self, tmp_path, capsys, formulas_file, case):
+        trained = tmp_path / "tok.json"
+        assert main(["train-tokenizer", "--input", formulas_file, "--budget", "300",
+                     "-o", str(trained)]) == 0
+        malformed = MALFORMED_MODELS[case](json.loads(trained.read_text("utf-8")))
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(malformed), encoding="utf-8")
+        for argv in (["tokenize", "=SUM(A1)", "--model", str(model)],
+                     ["gen-finetune-complete", "--input", formulas_file, "--model", str(model)]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {model}: malformed tokenizer model"), (argv, err)
 
 
 INPUT_ROWS = {

@@ -381,17 +381,23 @@ class TestTokenEditSimilarity:
         before = dict(intern)
         ids = formula_token_ids_frozen("=MAX(Z9)+A1", intern)
         assert intern == before
-        # repeated unknown tokens get a consistent overlay id
+        # every unknown token gets the one id len(intern)
         ids2 = formula_token_ids_frozen("=MAX(Z9)+MAX(Z9)", intern)
-        assert ids2[1] == ids2[6] and ids2[3] == ids2[8]
+        assert ids2[1] == ids2[3] == ids2[6] == ids2[8] == len(intern)
 
     def test_frozen_ids_equal_interning_into_a_copy(self):
+        # Unseen texts share one id, so the ids differ from interning into a
+        # copy, but the similarities to the interned sequences do not.
         intern = {}
-        for f in synth_corpus(50, seed=74):
-            formula_token_ids(f, intern)
+        corpus = [formula_token_ids(f, intern) for f in synth_corpus(50, seed=74)]
+        packed = PackedCorpus(corpus)
         for f in synth_corpus(30, seed=75) + ["=NEW(X1,X1)+NEWER(X2)", "", "=A1 +  A1"]:
             copy = dict(intern)
-            assert formula_token_ids_frozen(f, intern) == formula_token_ids(f, copy)
+            interned = formula_token_ids(f, copy)
+            frozen = formula_token_ids_frozen(f, intern)
+            assert packed.similarities(frozen) == packed.similarities(interned)
+            assert [levenshtein_ids(frozen, seq) for seq in corpus] == \
+                [levenshtein_ids(interned, seq) for seq in corpus]
 
 
 def test_kernel_benchmark_script_runs():
