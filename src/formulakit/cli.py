@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from . import __version__
 from . import baseline as baseline_mod
 from . import curation, evaluation, objectives, synth
 from .catalog import CatalogError, FunctionCatalog, default_catalog
@@ -74,34 +75,23 @@ _fraction.__name__ = "float"
 
 @dataclass
 class PipelineConfig:
-    seed: int = 0
-    tokenizer_budget: int = DEFAULT_VOCAB_BUDGET
-    objectives: objectives.ObjectiveConfig = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.objectives is None:
-            self.objectives = objectives.ObjectiveConfig(seed=self.seed)
-
-    def validate(self) -> None:
-        if self.tokenizer_budget < 1:
-            raise UsageError(f"config field tokenizer_budget: must be >= 1, "
-                             f"got {self.tokenizer_budget}")
-        try:
-            self.objectives.validate()
-        except ValueError as exc:
-            raise UsageError(f"config field objectives: {exc}") from None
+    seed: int
+    tokenizer_budget: int
+    objectives: objectives.ObjectiveConfig
 
 
 def _config_int(obj: dict, name: str, default: int) -> int:
     value = obj.get(name, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"config field {name}: must be an integer, got {value!r}") from None
+    if type(value) is not int:
+        raise UsageError(f"config field {name}: must be an integer, got {value!r}")
+    return value
 
 
 def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig:
-    """Config file first, then flags override (precedence: flags > file > defaults)."""
+    """Config file first, then flags override (precedence: flags > file > defaults).
+
+    An unknown key or a bad value is a UsageError that names the field.
+    """
     obj = {}
     if path:
         try:
@@ -115,19 +105,26 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
             raise DataError(f"config is not valid JSON ({exc.msg})", path, exc.lineno)
         if not isinstance(obj, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
+    unknown = set(obj) - {"objectives", "seed", "tokenizer_budget"}
+    if unknown:
+        raise UsageError(f"config field {min(unknown)}: not a config field; "
+                         "the fields are objectives, seed, tokenizer_budget")
     seed = seed_flag if seed_flag is not None else _config_int(obj, "seed", 0)
+    budget = _config_int(obj, "tokenizer_budget", DEFAULT_VOCAB_BUDGET)
+    if budget < 1:
+        raise UsageError(f"config field tokenizer_budget: must be >= 1, got {budget}")
+    table = obj.get("objectives", {})
+    if not isinstance(table, dict):
+        raise UsageError(f"config field objectives: must be an object, "
+                         f"got {type(table).__name__}")
+    if "seed" in table:
+        raise UsageError("config field objectives.seed: not a config field; "
+                         "the top-level seed (or --seed) seeds the objectives")
     try:
-        obj_cfg = objectives.ObjectiveConfig.from_json(
-            {**obj.get("objectives", {}), "seed": seed})
-    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
-        raise UsageError(f"config field objectives: {exc}") from None
-    config = PipelineConfig(
-        seed=seed,
-        tokenizer_budget=_config_int(obj, "tokenizer_budget", DEFAULT_VOCAB_BUDGET),
-        objectives=obj_cfg,
-    )
-    config.validate()
-    return config
+        obj_cfg = objectives.ObjectiveConfig.from_json({**table, "seed": seed})
+    except ValueError as exc:
+        raise UsageError(f"config field objectives.{exc}") from None
+    return PipelineConfig(seed, budget, obj_cfg)
 
 
 def _iter_formula_lines(path: str) -> Iterator[str]:
@@ -494,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version",
-                        version=f"formulakit 0.1.0 (similarity kernel: {KERNEL_BACKEND})")
+                        version=f"formulakit {__version__} (similarity kernel: {KERNEL_BACKEND})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text, epilog=None):
@@ -503,9 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    def io_args(p, formula_arg=True):
-        if formula_arg:
-            p.add_argument("formula", nargs="?", help="one formula given inline")
+    def io_args(p):
+        p.add_argument("formula", nargs="?", help="one formula given inline")
         p.add_argument("--input", help="file of formulas: JSONL records or plain lines")
         p.add_argument("--output", "-o", help="output path (default: stdout)")
 
@@ -539,7 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train-tokenizer", cmd_train_tokenizer, "learn a BPE tokenizer",
             epilog='model file: {"vocab": [...], "merges": [["a","b"], ...], '
-                   '"specials": {...}, "budget": 16000}')
+                   '"specials": {...}, "budget": 16000}\n'
+                   'The specials are fixed by the model format (<mask>, <pad>, <unk>, and\n'
+                   '␣ for a space); a model file with other specials is a data error.')
     p.add_argument("--input", required=True)
     p.add_argument("--budget", type=int, default=None,
                    help=f"vocabulary budget (default {DEFAULT_VOCAB_BUDGET})")

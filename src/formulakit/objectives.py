@@ -32,8 +32,7 @@ from .catalog import default_catalog
 from .curation import FormulaRecord
 from .lexer import Token, lex
 from .seeds import derive_seed
-
-MASK = "<mask>"
+from .tokenizer import MASK_TOKEN as MASK
 
 OBJECTIVE_ORDER = ("laMSP", "TM", "UN", "RN", "ID")
 
@@ -77,33 +76,33 @@ class ObjectiveConfig:
 
     def validate(self) -> None:
         if set(self.weights) != set(OBJECTIVE_ORDER):
-            raise ValueError(f"weights must cover exactly {OBJECTIVE_ORDER}, "
+            raise ValueError(f"weights: must cover exactly {OBJECTIVE_ORDER}, "
                              f"got {sorted(self.weights)}")
         if not all(math.isfinite(w) for w in self.weights.values()):
-            raise ValueError(f"objective weights must be finite, got {self.weights}")
+            raise ValueError(f"weights: must be finite, got {self.weights}")
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"objective weights must sum to 1.0, got {total}")
+            raise ValueError(f"weights: must sum to 1.0, got {total}")
         if any(w < 0 for w in self.weights.values()):
-            raise ValueError("objective weights must be non-negative")
+            raise ValueError("weights: must be non-negative")
         for name, table, default in (("lamsp_rates", self.lamsp_rates, DEFAULT_LAMSP_RATES),
                                      ("lamsp_mean_spans", self.lamsp_mean_spans,
                                       DEFAULT_LAMSP_MEAN_SPANS)):
             if set(table) != set(default):
-                raise ValueError(f"{name} must have exactly the keys {sorted(default)}, "
+                raise ValueError(f"{name}: must have exactly the keys {sorted(default)}, "
                                  f"got {sorted(table)}")
         if not self.tm_fractions:
-            raise ValueError("tm_fractions must not be empty")
+            raise ValueError("tm_fractions: must not be empty")
         for name, rate in (("rn_rate", self.rn_rate), *(("lamsp_rates." + k, v)
                                                         for k, v in self.lamsp_rates.items())):
             if not 0 < rate < 1:
-                raise ValueError(f"{name} must be in (0, 1), got {rate}")
+                raise ValueError(f"{name}: must be in (0, 1), got {rate}")
         for frac in self.tm_fractions:
             if not 0 < frac < 1:
-                raise ValueError(f"tm_fractions entries must be in (0, 1), got {frac}")
+                raise ValueError(f"tm_fractions: entries must be in (0, 1), got {frac}")
         for key, span in self.lamsp_mean_spans.items():
             if span < 1:
-                raise ValueError(f"lamsp_mean_spans.{key} must be >= 1, got {span}")
+                raise ValueError(f"lamsp_mean_spans.{key}: must be >= 1, got {span}")
 
     def lamsp_combos(self) -> list[tuple[float, int]]:
         """The four rate x mean-span combinations, in a fixed draw order."""
@@ -112,22 +111,39 @@ class ObjectiveConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ObjectiveConfig":
+        """The config an object of these fields describes. Every ValueError
+        it raises, for an unknown key, a value of the wrong type or one that
+        `validate` refuses, starts with the field's name."""
         kwargs: dict = {}
-        if "seed" in obj:
-            kwargs["seed"] = int(obj["seed"])
-        if "weights" in obj:
-            kwargs["weights"] = {k: float(v) for k, v in obj["weights"].items()}
-        if "tm_fractions" in obj:
-            kwargs["tm_fractions"] = tuple(float(x) for x in obj["tm_fractions"])
-        if "lamsp_rates" in obj:
-            kwargs["lamsp_rates"] = {k: float(v) for k, v in obj["lamsp_rates"].items()}
-        if "lamsp_mean_spans" in obj:
-            kwargs["lamsp_mean_spans"] = {k: int(v) for k, v in obj["lamsp_mean_spans"].items()}
-        if "rn_rate" in obj:
-            kwargs["rn_rate"] = float(obj["rn_rate"])
+        for name, value in obj.items():
+            kind = int if name in ("seed", "lamsp_mean_spans") else float
+            if name in ("seed", "rn_rate"):
+                kwargs[name] = _typed(name, value, kind)
+            elif name == "tm_fractions":
+                if not isinstance(value, list):
+                    raise ValueError(f"{name}: must be a list of numbers, "
+                                     f"got {type(value).__name__}")
+                kwargs[name] = tuple(_typed(f"{name}[{i}]", x, kind) for i, x in enumerate(value))
+            elif name in ("weights", "lamsp_rates", "lamsp_mean_spans"):
+                if not isinstance(value, dict):
+                    raise ValueError(f"{name}: must be an object of names to numbers, "
+                                     f"got {type(value).__name__}")
+                kwargs[name] = {key: _typed(f"{name}.{key}", v, kind) for key, v in value.items()}
+            else:
+                raise ValueError(f"{name}: not a field of the objectives config")
         config = cls(**kwargs)
         config.validate()
         return config
+
+
+def _typed(name: str, value: object, kind: type) -> float:
+    """A JSON integer (kind int) or any JSON number as a float (kind float).
+    Anything else, 2.9 for an integer or a true, is a ValueError naming the field."""
+    if type(value) is kind or kind is float and type(value) is int:
+        with contextlib.suppress(OverflowError):  # an integer past float's range
+            return kind(value)
+    raise ValueError(f"{name}: must be {'an integer' if kind is int else 'a number'}, "
+                     f"got {value!r}")
 
 
 def tail_mask(formula: str, rng: random.Random,

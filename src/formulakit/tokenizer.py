@@ -28,6 +28,10 @@ of positions, does this in one pass, so a run costs its merges rather than
 a rescan per merge; the rescan in the tests is the oracle for it. `encode`
 memoises each letter run's ids on the model, since identifiers and sheet
 names repeat across a corpus far more than they vary.
+
+The special tokens are fixed by the model format, not set per model: `<pad>`,
+`<unk>` and `<mask>` head every vocab and `␣` stands for a space. A model
+file whose `specials` differ is malformed, a ValueError (CLI exit 2).
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import heapq
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -48,6 +51,12 @@ SPACE_MARKER = "␣"  # open box, the visible stand-in for one space
 MASK_TOKEN = "<mask>"
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
+# Every model file's "specials", and the only one that from_json accepts.
+_SPECIALS = {"mask_token": MASK_TOKEN, "pad": PAD_TOKEN, "unknown": UNK_TOKEN,
+             "space_marker": SPACE_MARKER}
+# The literals encode maps to their ids. None needs escaping, and the one group
+# makes split put each at an odd index.
+_SPECIAL_LITERALS = re.compile(f"({MASK_TOKEN}|{PAD_TOKEN}|{UNK_TOKEN})")
 
 DEFAULT_VOCAB_BUDGET = 16_000
 
@@ -115,24 +124,25 @@ def pretokenize(formula: str, catalog: Optional[FunctionCatalog] = None) -> list
 class TokenizerModel:
     vocab: list[str]
     merges: list[tuple[str, str]]
-    specials: dict[str, str]
     budget: int
-    _token_to_id: dict[str, int] = field(repr=False, default_factory=dict)
-    _merge_rank: dict[tuple[str, str], int] = field(repr=False, default_factory=dict)
-    # letter run -> its ids, filled by encode; not part of the model's value
-    _segment_ids: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
+    # Derived from vocab and merges; _segment_ids (letter run -> its ids) is
+    # filled by encode. None of them is part of the model's value.
+    _token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    _merge_rank: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    _segment_ids: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._token_to_id = {tok: i for i, tok in enumerate(self.vocab)}
         self._merge_rank = {pair: i for i, pair in enumerate(self.merges)}
+        self._segment_ids = {}
 
     @property
     def unk_id(self) -> int:
-        return self._token_to_id[self.specials["unknown"]]
+        return self._token_to_id[UNK_TOKEN]
 
     @property
     def mask_id(self) -> int:
-        return self._token_to_id[self.specials["mask_token"]]
+        return self._token_to_id[MASK_TOKEN]
 
     def id_of(self, token: str) -> Optional[int]:
         return self._token_to_id.get(token)
@@ -141,12 +151,7 @@ class TokenizerModel:
         return {
             "vocab": list(self.vocab),
             "merges": [list(pair) for pair in self.merges],
-            "specials": {
-                "mask_token": self.specials["mask_token"],
-                "pad": self.specials["pad"],
-                "unknown": self.specials["unknown"],
-                "space_marker": self.specials["space_marker"],
-            },
+            "specials": dict(_SPECIALS),
             "budget": self.budget,
         }
 
@@ -156,35 +161,33 @@ class TokenizerModel:
     @classmethod
     def from_json(cls, obj: dict) -> "TokenizerModel":
         """The model `to_json` wrote; raises ValueError for a vocab that is
-        not a list of strings, for specials that do not map every special
-        name to a string, and for an encoded special missing from vocab."""
-        vocab, specials = obj["vocab"], obj["specials"]
+        not a list of strings, merges that are not pairs of strings, a budget
+        that is not an integer at least the vocab's size, specials other than
+        the format's, and a special that encode emits missing from vocab."""
+        vocab, merges, budget = obj["vocab"], obj["merges"], obj["budget"]
         if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
             raise ValueError("vocab must be a list of strings")
-        names = list(_default_specials())
-        if not isinstance(specials, dict) or not all(
-                isinstance(specials.get(name), str) for name in names):
-            raise ValueError(f"specials must map each of {names} to a string")
-        model = cls(
-            vocab=list(vocab),
-            merges=[(left, right) for left, right in obj["merges"]],
-            specials=dict(specials),
-            budget=int(obj["budget"]),
-        )
-        for name in ("mask_token", "pad", "unknown"):  # the ones encode emits
-            if model.id_of(specials[name]) is None:
-                raise ValueError(f"specials.{name} {specials[name]!r} is not in vocab")
+        if not isinstance(merges, list) or not all(
+                isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str) for pair in merges):
+            raise ValueError("merges must be a list of pairs of strings")
+        if type(budget) is not int or budget < len(vocab):
+            raise ValueError(f"budget must be an integer >= the vocab size {len(vocab)}, "
+                             f"got {budget!r}")
+        if obj["specials"] != _SPECIALS:
+            raise ValueError(f"specials must be {json.dumps(_SPECIALS, ensure_ascii=False)}, "
+                             "which the model format fixes")
+        model = cls(vocab=list(vocab), merges=[(left, right) for left, right in merges],
+                    budget=budget)
+        for token in (MASK_TOKEN, PAD_TOKEN, UNK_TOKEN):
+            if model.id_of(token) is None:
+                raise ValueError(f"special {token!r} is not in vocab")
         return model
 
     @classmethod
     def load(cls, path: str | Path) -> "TokenizerModel":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-
-def _default_specials() -> dict[str, str]:
-    return {"mask_token": MASK_TOKEN, "pad": PAD_TOKEN, "unknown": UNK_TOKEN,
-            "space_marker": SPACE_MARKER}
 
 
 def train_bpe(
@@ -201,7 +204,6 @@ def train_bpe(
     """
     if catalog is None:
         catalog = default_catalog()
-    specials = _default_specials()
 
     atomic_inventory: set[str] = {SPACE_MARKER}
     word_freq: dict[str, int] = {}
@@ -222,7 +224,7 @@ def train_bpe(
             f"(= {num_special_rows} specials + {len(base)} atomic/alphabet entries "
             f"observed in the corpus)")
 
-    vocab: list[str] = [specials["pad"], specials["unknown"], specials["mask_token"]]
+    vocab: list[str] = [PAD_TOKEN, UNK_TOKEN, MASK_TOKEN]
     vocab.extend(base)
     in_vocab = set(vocab)
     merges: list[tuple[str, str]] = []
@@ -320,7 +322,7 @@ def train_bpe(
             if pair in counts:
                 heapq.heappush(heap, (-counts[pair], pair[0] + pair[1], pair))
 
-    return TokenizerModel(vocab=vocab, merges=merges, specials=specials, budget=budget)
+    return TokenizerModel(vocab=vocab, merges=merges, budget=budget)
 
 
 def _bpe_apply(chars: Sequence[str], model: TokenizerModel) -> list[str]:
@@ -370,27 +372,9 @@ def _bpe_apply(chars: Sequence[str], model: TokenizerModel) -> list[str]:
     return [token for token in tokens if token is not None]
 
 
-@lru_cache(maxsize=8)
-def _special_pattern(markers: frozenset[str]) -> re.Pattern[str]:
-    """One alternation of the markers, longest first, so the longest wins."""
-    return re.compile("|".join(re.escape(m) for m in sorted(markers, key=len, reverse=True)))
-
-
-def _split_on_specials(text: str, specials: Iterable[str]) -> list[tuple[str, bool]]:
-    """Chunk text around special-token literals like <mask>."""
-    markers = frozenset(s for s in specials if s)
-    if not markers:
-        return [(text, False)] if text else []
-    chunks: list[tuple[str, bool]] = []
-    plain_start = 0
-    for hit in _special_pattern(markers).finditer(text):
-        if plain_start < hit.start():
-            chunks.append((text[plain_start:hit.start()], False))
-        chunks.append((hit.group(), True))
-        plain_start = hit.end()
-    if plain_start < len(text):
-        chunks.append((text[plain_start:], False))
-    return chunks
+def _split_on_specials(text: str) -> list[tuple[str, bool]]:
+    """Chunk text around the <mask>, <pad> and <unk> literals."""
+    return [(chunk, i % 2 == 1) for i, chunk in enumerate(_SPECIAL_LITERALS.split(text)) if chunk]
 
 
 def encode(
@@ -411,9 +395,7 @@ def encode(
     unk = model.unk_id
     memo = model._segment_ids
     ids: list[int] = []
-    special_literals = (model.specials["mask_token"], model.specials["pad"],
-                        model.specials["unknown"])
-    for chunk, is_special in _split_on_specials(formula, special_literals):
+    for chunk, is_special in _split_on_specials(formula):
         if is_special:
             ids.append(model.id_of(chunk))  # type: ignore[arg-type]
             continue
@@ -438,12 +420,11 @@ def decode(model: TokenizerModel, ids: Sequence[int]) -> str:
     came back as a plain space. Raises ValueError on an out-of-range id,
     naming the offending position.
     """
-    marker = model.specials["space_marker"]
     size = len(model.vocab)
     parts: list[str] = []
     for pos, token_id in enumerate(ids):
         if not isinstance(token_id, int) or token_id < 0 or token_id >= size:
             raise ValueError(f"token id {token_id!r} out of range [0, {size}) at position {pos}")
         text = model.vocab[token_id]
-        parts.append(" " if text == marker else text)
+        parts.append(" " if text == SPACE_MARKER else text)
     return "".join(parts)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from formulakit.cli import load_config, main
+from formulakit.cli import UsageError, load_config, main
 from formulakit.curation import CorpusStats
 from formulakit.jsonl import dumps, write_jsonl_atomic
 from formulakit.synth import synth_corpus, synth_records
@@ -173,20 +173,31 @@ class TestGenPretrainCli:
 
     def test_invalid_config_field_message(self, tmp_path, corpus_file, capsys):
         nan_weights = {"laMSP": float("nan"), "TM": 0.5, "UN": 0.5, "RN": 0.0, "ID": 0.0}
-        cases = [({"rn_rate": 3.0}, "rn_rate"),
-                 ({"lamsp_rates": {"hi": 0.3}}, "lamsp_rates"),
-                 ({"lamsp_mean_spans": {"long": 3}}, "lamsp_mean_spans"),
-                 ({"tm_fractions": []}, "tm_fractions"),
-                 ({"weights": nan_weights}, "weights"),
-                 ({"weights": [1.0]}, "items"),
-                 ({"lamsp_mean_spans": {"long": 1e400, "short": 2}}, "infinity")]
-        for objectives, expected in cases:
+        # an objectives table -> how its message goes on after "config field "
+        cases = [({"rn_rate": 3.0}, "objectives.rn_rate: must be in (0, 1)"),
+                 ({"lamsp_rates": {"hi": 0.3}}, "objectives.lamsp_rates: must have exactly"),
+                 ({"lamsp_mean_spans": {"long": 3}}, "objectives.lamsp_mean_spans: must have"),
+                 ({"tm_fractions": []}, "objectives.tm_fractions: must not be empty"),
+                 ({"weights": nan_weights}, "objectives.weights: must be finite"),
+                 ({"weights": [1.0]}, "objectives.weights: must be an object of names to "
+                                      "numbers, got list"),
+                 ({"lamsp_mean_spans": {"long": 1e400, "short": 2}},
+                  "objectives.lamsp_mean_spans.long: must be an integer, got inf"),
+                 ({"lamsp_mean_spans": {"long": 2.9, "short": 2}},
+                  "objectives.lamsp_mean_spans.long: must be an integer, got 2.9"),
+                 ({"weight": {"ID": 1.0}}, "objectives.weight: not a field"),
+                 ({"seed": 4}, "objectives.seed: not a config field"),
+                 ([1.0], "objectives: must be an object, got list")]
+        cases = [({"objectives": table}, expected) for table, expected in cases]
+        cases += [({"tokenizer_budjet": 5}, "tokenizer_budjet: not a config field"),
+                  ({"seed": 2.9}, "seed: must be an integer, got 2.9")]
+        for obj, expected in cases:
             config = tmp_path / "config.json"
-            config.write_text(json.dumps({"objectives": objectives}), encoding="utf-8")
+            config.write_text(json.dumps(obj), encoding="utf-8")
             assert main(["gen-pretrain", "--input", corpus_file,
-                         "--config", str(config)]) == 1, objectives
+                         "--config", str(config)]) == 1, obj
             err = capsys.readouterr().err
-            assert err.startswith("usage error: config field objectives: ") and expected in err
+            assert err.startswith("usage error: config field " + expected), err
 
     @pytest.mark.parametrize("field", ["seed", "tokenizer_budget"])
     def test_non_integer_config_field_is_config_error(self, tmp_path, corpus_file,
@@ -222,11 +233,13 @@ class TestGenPretrainCli:
         assert ("generated 1 pretrain examples (2 skipped: 1 malformed, "
                 "1 fit no objective)") in capsys.readouterr().err
 
-    def test_unknown_config_keys_ignored(self, tmp_path):
+    def test_unknown_config_keys_rejected(self, tmp_path):
         # dedup mode and completion fractions are flags, not config fields
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 3, "dedup_mode": "bogus",
-                                      "completion_fractions": [5]}), encoding="utf-8")
+        config.write_text(json.dumps({"seed": 3, "dedup_mode": "bogus"}), encoding="utf-8")
+        with pytest.raises(UsageError, match="^config field dedup_mode: not a config field"):
+            load_config(str(config), None)
+        config.write_text(json.dumps({"seed": 3}), encoding="utf-8")
         assert load_config(str(config), None).seed == 3
 
 
@@ -374,7 +387,12 @@ MALFORMED_MODELS = {
     "specials-without-unknown": lambda m: {
         **m, "specials": {k: v for k, v in m["specials"].items() if k != "unknown"}},
     "specials-a-list": lambda m: {**m, "specials": [["unknown", m["specials"]["unknown"]]]},
-    "unknown-not-in-vocab": lambda m: {**m, "specials": {**m["specials"], "unknown": "<u>"}},
+    "unknown-not-in-vocab": lambda m: {**m, "vocab": [t for t in m["vocab"] if t != "<unk>"]},
+    "space-marker-changed": lambda m: {**m, "specials": {**m["specials"], "space_marker": "~"}},
+    "mask-token-changed": lambda m: {**m, "specials": {**m["specials"], "mask_token": "<pad>"}},
+    "merges-not-pairs": lambda m: {**m, "merges": [[1, 2]] + m["merges"]},
+    "merge-holds-null": lambda m: {**m, "merges": [[None, "a"]]},
+    "budget-negative": lambda m: {**m, "budget": -5},
     "vocab-holds-a-non-string": lambda m: {
         **m, "vocab": [None if tok == "<unk>" else tok for tok in m["vocab"]]},
     "vocab-a-string": lambda m: {**m, "vocab": "".join(m["vocab"])},

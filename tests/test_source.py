@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import formulakit
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "formulakit"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "formulakit"
 
 
 def test_no_assert_statements():
@@ -31,3 +33,12 @@ def test_all_lists_every_import_once_and_resolves():
                 for node in tree.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert imported <= set(names), sorted(imported - set(names))
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, not tomllib: the package supports Python 3.10, which lacks it
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)",
+                        (REPO / "pyproject.toml").read_text(encoding="utf-8"), re.M | re.S)
+    assert project, "pyproject.toml has no [project] table"
+    versions = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project.group(1), re.M)
+    assert versions == [formulakit.__version__]

@@ -17,8 +17,7 @@ from formulakit.lexer import TokenKind, lex
 from formulakit.synth import synth_corpus
 from formulakit.tokenizer import (MASK_TOKEN, PAD_TOKEN, SPACE_MARKER, UNK_TOKEN,
                                   BudgetTooSmall, PreToken, TokenizerModel, _bpe_apply,
-                                  _default_specials, _split_on_specials, decode, encode,
-                                  pretokenize, train_bpe)
+                                  _split_on_specials, decode, encode, pretokenize, train_bpe)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -442,8 +441,7 @@ def _hand_model(merges):
     for left, right in merges:
         if left + right not in vocab:
             vocab.append(left + right)
-    return TokenizerModel(vocab=vocab, merges=list(merges), specials=_default_specials(),
-                          budget=len(vocab))
+    return TokenizerModel(vocab=vocab, merges=list(merges), budget=len(vocab))
 
 
 # "abc" has two routes, (a, bc) and (ab, c), and runs of "a" overlap.
@@ -550,14 +548,7 @@ class TestEncodeMemo:
     ])
     def test_split_matches_character_scan(self, text):
         specials = (MASK_TOKEN, PAD_TOKEN, UNK_TOKEN)
-        assert _split_on_specials(text, specials) == scan_split_on_specials(text, specials)
-
-    def test_split_prefers_the_longest_marker(self):
-        specials = ["<m", "<mask>", ""]
-        for text in ["<mask>", "<m<mask>", "x<ma", "<m"]:
-            assert _split_on_specials(text, specials) == scan_split_on_specials(text, specials)
-        assert _split_on_specials("a<b", []) == [("a<b", False)]
-        assert _split_on_specials("", []) == []
+        assert _split_on_specials(text) == scan_split_on_specials(text, specials)
 
 
 class TestModelFile:
@@ -568,8 +559,8 @@ class TestModelFile:
         loaded = TokenizerModel.load(path)
         assert loaded.vocab == model.vocab
         assert loaded.merges == model.merges
-        assert loaded.specials == model.specials
         assert loaded.budget == model.budget
+        assert loaded == model
         f = "=SUM(A1:A10)"
         assert encode(loaded, f) == encode(model, f)
 
@@ -580,6 +571,8 @@ class TestModelFile:
         obj = json.loads(path.read_text("utf-8"))
         assert list(obj) == ["vocab", "merges", "specials", "budget"]
         assert list(obj["specials"]) == ["mask_token", "pad", "unknown", "space_marker"]
+        assert obj["specials"] == {"mask_token": "<mask>", "pad": "<pad>", "unknown": "<unk>",
+                                   "space_marker": "␣"}
 
 
 def test_bpe_benchmark_script_runs():
