@@ -5,7 +5,11 @@ Pre-tokenization lowercases everything and splits punctuation, whitespace
 atomic units that BPE may never merge into or through. BPE then runs only
 over the residual letter runs: string contents, identifiers, sheet names,
 column letters. This is what keeps pathologies like a fused `sum(` token
-out of the vocabulary by construction.
+out of the vocabulary by construction. One rule (`_atomic_units`) decides
+how a lexer token pre-tokenizes: function names and operators are one
+atomic unit, punctuation and error characters one per character,
+whitespace one marker per character; every other token is residual and
+split into atomic characters and letter runs.
 
 The trainer counts adjacent pairs once, then keeps the counts current as it
 merges, with the bookkeeping of the reference `learn_bpe` (Sennrich et al.
@@ -21,13 +25,24 @@ the corpus or the lengths of its words. The merge rule is unchanged: the
 most frequent pair, ties by the merged string, then by the pair; the
 brute-force recount in the tests is the oracle for it.
 
+Training and encoding pay for a residual token once per distinct text, not
+once per occurrence, as `learn_bpe` counts each distinct word once and
+weights it by its frequency. The trainer counts the residual texts,
+explodes each distinct one once and weights its letter runs by the text's
+count; a run first occurs inside the first occurrence of the first text
+that holds it, so the words keep their occurrence order and the merges and
+vocab are those of a per-occurrence count.
+
 `encode` applies the merges to a letter run in rank order: the lowest-
 ranked pair present, all of its occurrences greedily from the left, then
 the next. One heap of (rank, position) over the run, kept as a linked list
 of positions, does this in one pass, so a run costs its merges rather than
 a rescan per merge; the rescan in the tests is the oracle for it. `encode`
-memoises each letter run's ids on the model, since identifiers and sheet
-names repeat across a corpus far more than they vary.
+maps atomic tokens straight to their ids and memoises on the model the ids
+of each residual token's text, per catalog (a letter run that names a
+function of one catalog is atomic under it only), and of each letter run,
+since identifiers, strings and sheet names repeat across a corpus far more
+than they vary. Both memos grow with the distinct texts a model encodes.
 
 The special tokens are fixed by the model format, not set per model: `<pad>`,
 `<unk>` and `<mask>` head every vocab and `␣` stands for a space. A model
@@ -65,6 +80,10 @@ class BudgetTooSmall(ValueError):
     pass
 
 
+_WHITESPACE, _FUNC_NAME, _OPERATOR = TokenKind.WHITESPACE, TokenKind.FUNC_NAME, TokenKind.OPERATOR
+_PUNCT, _ERROR = TokenKind.PUNCT, TokenKind.ERROR
+
+
 class PreToken(NamedTuple):
     text: str
     atomic: bool
@@ -90,6 +109,20 @@ def _explode(text: str, catalog: FunctionCatalog, out: list[PreToken]) -> None:
         append(new(pre, (word, word in catalog)))
 
 
+def _atomic_units(kind: TokenKind, text: str) -> Optional[list[str]]:
+    """The lowercased atomic pretokens of one lexer token, or None for a
+    residual token (Number, CellRef, StringLit, Identifier, SheetName),
+    which `_explode` splits. The one token-class rule of pretokenize,
+    train_bpe and encode."""
+    if kind is _WHITESPACE:
+        return [SPACE_MARKER] * len(text)
+    if kind is _FUNC_NAME or kind is _OPERATOR:
+        return [text.lower()]
+    if kind is _PUNCT or kind is _ERROR:
+        return list(text.lower())
+    return None
+
+
 def pretokenize(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[PreToken]:
     """Lowercased pretokens; atomic ones are off-limits to BPE merges.
 
@@ -100,23 +133,15 @@ def pretokenize(formula: str, catalog: Optional[FunctionCatalog] = None) -> list
     if catalog is None:
         catalog = default_catalog()
     new, pre = tuple.__new__, PreToken
-    whitespace, func_name, operator = TokenKind.WHITESPACE, TokenKind.FUNC_NAME, TokenKind.OPERATOR
-    punct, error = TokenKind.PUNCT, TokenKind.ERROR
-    space = new(pre, (SPACE_MARKER, True))
     out: list[PreToken] = []
     append = out.append
-    for tok in lex(formula, catalog):
-        kind, text = tok.kind, tok.text.lower()
-        if kind is whitespace:
-            out.extend([space] * len(text))
-        elif kind is func_name or kind is operator:
-            append(new(pre, (text, True)))
-        elif kind is punct or kind is error:
-            out.extend([new(pre, (ch, True)) for ch in text])
+    for kind, text, _, _ in lex(formula, catalog):
+        units = _atomic_units(kind, text)
+        if units is None:
+            _explode(text.lower(), catalog, out)
         else:
-            # Number, CellRef, StringLit, Identifier, SheetName: split by
-            # character class so digits/punctuation inside stay atomic.
-            _explode(text, catalog, out)
+            for unit in units:
+                append(new(pre, (unit, True)))
     return out
 
 
@@ -125,16 +150,21 @@ class TokenizerModel:
     vocab: list[str]
     merges: list[tuple[str, str]]
     budget: int
-    # Derived from vocab and merges; _segment_ids (letter run -> its ids) is
-    # filled by encode. None of them is part of the model's value.
+    # Derived from vocab and merges; encode fills _segment_ids (letter run ->
+    # its ids) and _token_ids (catalog -> residual token text -> its ids; a
+    # letter run that names a catalog function is atomic under that catalog
+    # only). None of them is part of the model's value.
     _token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _merge_rank: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     _segment_ids: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    _token_ids: dict[FunctionCatalog, dict[str, list[int]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._token_to_id = {tok: i for i, tok in enumerate(self.vocab)}
         self._merge_rank = {pair: i for i, pair in enumerate(self.merges)}
         self._segment_ids = {}
+        self._token_ids = {}
 
     @property
     def unk_id(self) -> int:
@@ -163,7 +193,8 @@ class TokenizerModel:
         """The model `to_json` wrote; raises ValueError for a vocab that is
         not a list of strings, merges that are not pairs of strings, a budget
         that is not an integer at least the vocab's size, specials other than
-        the format's, and a special that encode emits missing from vocab."""
+        the format's, a special that encode emits missing from vocab, and a
+        merge whose product is missing from vocab."""
         vocab, merges, budget = obj["vocab"], obj["merges"], obj["budget"]
         if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
             raise ValueError("vocab must be a list of strings")
@@ -182,6 +213,10 @@ class TokenizerModel:
         for token in (MASK_TOKEN, PAD_TOKEN, UNK_TOKEN):
             if model.id_of(token) is None:
                 raise ValueError(f"special {token!r} is not in vocab")
+        for rank, (left, right) in enumerate(model.merges):
+            if model.id_of(left + right) is None:
+                raise ValueError(f"merge {rank} {[left, right]!r} makes {left + right!r}, "
+                                 "which is not in vocab")
         return model
 
     @classmethod
@@ -205,14 +240,27 @@ def train_bpe(
     if catalog is None:
         catalog = default_catalog()
 
+    # Each distinct residual text is exploded once, its letter runs weighted
+    # by its count; word_freq keeps the occurrence order (module docstring).
     atomic_inventory: set[str] = {SPACE_MARKER}
-    word_freq: dict[str, int] = {}
+    token_count: dict[str, int] = {}
     for formula in corpus:
-        for pre in pretokenize(formula, catalog):
-            if pre.atomic:
-                atomic_inventory.add(pre.text)
+        for kind, text, _, _ in lex(formula, catalog):
+            units = _atomic_units(kind, text)
+            if units is None:
+                token_count[text] = token_count.get(text, 0) + 1
             else:
-                word_freq[pre.text] = word_freq.get(pre.text, 0) + 1
+                atomic_inventory.update(units)
+    word_freq: dict[str, int] = {}
+    pres: list[PreToken] = []
+    for text, count in token_count.items():
+        pres.clear()
+        _explode(text.lower(), catalog, pres)
+        for word, atomic in pres:
+            if atomic:
+                atomic_inventory.add(word)
+            else:
+                word_freq[word] = word_freq.get(word, 0) + count
 
     alphabet = {ch for word in word_freq for ch in word}
     base = sorted(atomic_inventory | alphabet)
@@ -377,6 +425,27 @@ def _split_on_specials(text: str) -> list[tuple[str, bool]]:
     return [(chunk, i % 2 == 1) for i, chunk in enumerate(_SPECIAL_LITERALS.split(text)) if chunk]
 
 
+def _residual_ids(model: TokenizerModel, text: str, catalog: FunctionCatalog) -> list[int]:
+    """The ids of one residual token's text: its atomic characters and
+    catalog names from the id table, its letter runs by the heap pass,
+    memoised per run on the model."""
+    unk, id_of, memo = model.unk_id, model.id_of, model._segment_ids
+    pres: list[PreToken] = []
+    _explode(text.lower(), catalog, pres)
+    ids: list[int] = []
+    for word, atomic in pres:
+        if atomic:
+            tok_id = id_of(word)
+            ids.append(unk if tok_id is None else tok_id)
+            continue
+        seg_ids = memo.get(word)
+        if seg_ids is None:
+            seg_ids = memo[word] = [unk if tok_id is None else tok_id
+                                    for tok_id in map(id_of, _bpe_apply(word, model))]
+        ids.extend(seg_ids)
+    return ids
+
+
 def encode(
     model: TokenizerModel,
     formula: str,
@@ -384,32 +453,35 @@ def encode(
 ) -> list[int]:
     """Token ids for a formula; out-of-vocabulary pieces map to <unk>.
 
-    Each letter run is split by one heap pass over its merges the first
-    time the model meets it, and its ids are memoised on the model.
-    Occurrences of the special-token literals (e.g. a <mask> inserted by an
-    objective generator) map to their special ids instead of being shredded
-    into characters.
+    Atomic lexer tokens map straight to their ids. A residual token's ids
+    are worked out the first time the model meets its text under a catalog
+    and memoised on the model, since identifiers, strings and sheet names
+    repeat across a corpus far more than they vary. Occurrences of the
+    special-token literals (e.g. a <mask> inserted by an objective
+    generator) map to their special ids instead of being shredded into
+    characters.
     """
     if catalog is None:
         catalog = default_catalog()
-    unk = model.unk_id
-    memo = model._segment_ids
+    unk, id_of = model.unk_id, model._token_to_id.get
+    memo = model._token_ids.setdefault(catalog, {})
     ids: list[int] = []
+    append, extend = ids.append, ids.extend
     for chunk, is_special in _split_on_specials(formula):
         if is_special:
-            ids.append(model.id_of(chunk))  # type: ignore[arg-type]
+            append(id_of(chunk))  # type: ignore[arg-type]
             continue
-        for pre in pretokenize(chunk, catalog):
-            if pre.atomic:
-                tok_id = model.id_of(pre.text)
-                ids.append(tok_id if tok_id is not None else unk)
+        for kind, text, _, _ in lex(chunk, catalog):
+            units = _atomic_units(kind, text)
+            if units is None:
+                tok_ids = memo.get(text)
+                if tok_ids is None:
+                    tok_ids = memo[text] = _residual_ids(model, text, catalog)
+                extend(tok_ids)
             else:
-                seg_ids = memo.get(pre.text)
-                if seg_ids is None:
-                    pieces = _bpe_apply(pre.text, model)
-                    seg_ids = memo[pre.text] = [
-                        unk if tok_id is None else tok_id for tok_id in map(model.id_of, pieces)]
-                ids.extend(seg_ids)
+                for unit in units:
+                    tok_id = id_of(unit)
+                    append(unk if tok_id is None else tok_id)
     return ids
 
 

@@ -392,6 +392,8 @@ MALFORMED_MODELS = {
     "mask-token-changed": lambda m: {**m, "specials": {**m["specials"], "mask_token": "<pad>"}},
     "merges-not-pairs": lambda m: {**m, "merges": [[1, 2]] + m["merges"]},
     "merge-holds-null": lambda m: {**m, "merges": [[None, "a"]]},
+    "merge-product-missing": lambda m: {
+        **m, "vocab": [t for t in m["vocab"] if t != "".join(m["merges"][0])]},
     "budget-negative": lambda m: {**m, "budget": -5},
     "vocab-holds-a-non-string": lambda m: {
         **m, "vocab": [None if tok == "<unk>" else tok for tok in m["vocab"]]},

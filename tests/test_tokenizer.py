@@ -537,10 +537,12 @@ class TestEncodeMemo:
         assert [encode(fresh, f) for f in corpus] == first
 
     def test_memo_is_not_part_of_the_model(self, model):
+        fresh = TokenizerModel.from_json(model.to_json())
         encode(model, "=revenue_total+SUM(A1)")
-        assert model._segment_ids
-        assert model == TokenizerModel.from_json(model.to_json())
-        assert "_segment_ids" not in repr(model)
+        assert model._segment_ids and model._token_ids[default_catalog()]
+        assert model == TokenizerModel.from_json(model.to_json()) == fresh
+        assert model.to_json() == fresh.to_json()
+        assert "_segment_ids" not in repr(model) and "_token_ids" not in repr(model)
 
     @pytest.mark.parametrize("text", [
         "<mask><pad>", "<<mask>>", "<mas", "<mask>=A1", "=A1<unk>", "", "<pad>",
@@ -549,6 +551,97 @@ class TestEncodeMemo:
     def test_split_matches_character_scan(self, text):
         specials = (MASK_TOKEN, PAD_TOKEN, UNK_TOKEN)
         assert _split_on_specials(text) == scan_split_on_specials(text, specials)
+
+
+def oracle_encode(model, formula, catalog=None):
+    """encode as a loop over pretokens: split on the special literals,
+    pretokenize each chunk, split each letter run by the heap pass."""
+    unk = model.unk_id
+    ids = []
+    for chunk, is_special in _split_on_specials(formula):
+        if is_special:
+            ids.append(model.id_of(chunk))
+            continue
+        for pre in pretokenize(chunk, catalog):
+            pieces = [pre.text] if pre.atomic else _bpe_apply(pre.text, model)
+            ids.extend(unk if model.id_of(p) is None else model.id_of(p) for p in pieces)
+    return ids
+
+
+# Inputs where a token's class or its lowercased length is easy to get wrong.
+TRICKY_FORMULAS = [
+    '=A1&"<mask>"', '="a<mask>b"&<mask>&"x"', "=<mask>+SUM(<mask>)", '=IF(A1,"x<pad>y",<unk>)',
+    "=SUM(\tA1 ,  B2\t\t)", "=  revenue   +\ttax_rate", '=" two  spaces\t"',
+    '="café "&Éclair', '=İstanbul+"İİ"&İ', "=naïve_total", "=A1?B2", "=#REF!+1", "=A1 € B1",
+    "=SUM(SUM)", "=sum(sum_total, Sum)", "=LOG10(A1)+log10", "=ATAN2(A1,B1)+atan2",
+    "='Log Sheet'!A1*'Sum Sheet'!B$2",
+]
+
+TOKEN_MEMO_MODEL = train_bpe(synth_corpus(300, seed=31) + TRICKY_FORMULAS * 3, budget=600)
+
+CATALOG_WITHOUT_SUM = FunctionCatalog({name: default_catalog().get(name)
+                                       for name in default_catalog().names() if name != "sum"})
+
+
+class TestTokenMemo:
+    @pytest.mark.parametrize("name", ["synth", "identifier", "tricky"])
+    def test_matches_pretokenize_oracle(self, name):
+        if name == "synth":
+            formulas = synth_corpus(300, seed=31) + synth_corpus(300, seed=32)
+        elif name == "identifier":
+            formulas = identifier_formulas(0, 800) + identifier_formulas(1, 800)
+        else:
+            formulas = TRICKY_FORMULAS
+        fresh = TokenizerModel.from_json(TOKEN_MEMO_MODEL.to_json())
+        expected = [oracle_encode(fresh, f) for f in formulas]
+        assert [encode(fresh, f) for f in formulas] == expected  # memo filling
+        assert [encode(fresh, f) for f in formulas] == expected  # memo warm
+        assert [encode(TOKEN_MEMO_MODEL, f) for f in formulas] == expected
+
+    def test_catalogs_keep_their_own_entries(self):
+        formulas = ["=SUM(A1:A3)", "=SUM(SUM)", '="sum"&Sum', "=sum_total+SUM(B1)"]
+        # letters never merge to `sum` here, so it reads as letters unless the
+        # catalog makes it one atomic token
+        model = train_bpe(formulas + ['="sun mug"'] * 3, budget=64)
+        assert "sum" not in {left + right for left, right in model.merges}
+        results = []
+        for catalog in (default_catalog(), CATALOG_WITHOUT_SUM, default_catalog()):
+            got = [encode(model, f, catalog) for f in formulas]
+            assert got == [oracle_encode(model, f, catalog) for f in formulas], catalog
+            results.append(got)
+        assert results[0] == results[2]
+        # `sum` is one atomic token under the default catalog and letters
+        # under the other, so a shared memo would show here
+        assert all(a != b for a, b in zip(results[0][1:3], results[1][1:3]))
+        assert set(model._token_ids) == {default_catalog(), CATALOG_WITHOUT_SUM}
+
+    def test_train_matches_oracle_under_custom_catalog(self):
+        catalog = FunctionCatalog.from_lines(["total,1,1", "log10,1,1", "if,1,3", "rate,0,0"])
+        mixed = ["=TOTAL(A1)+total_rate", '="total of rate"&\'Rate Sheet\'!B2',
+                 "=LOG10(rate)*log10", "=IF(x, 1.5e3, #N/A)", "=  SUM( A1 , \ttax )",
+                 "=É+İ?total", '="rate  rates ratio"&Rate'] * 3
+        corpora = [mixed, mixed + synth_corpus(120, seed=7), identifier_formulas(2, 200) + mixed]
+        for corpus in corpora:
+            for budget in (200, 400):
+                model = train_bpe(corpus, budget, catalog)
+                merges = oracle_merges(corpus, budget, catalog)
+                assert model.merges == merges
+                assert model.vocab == oracle_vocab(corpus, merges, catalog)
+                assert model.merges != train_bpe(corpus, budget).merges or \
+                    model.vocab != train_bpe(corpus, budget).vocab
+
+
+def oracle_vocab(formulas, merges, catalog=None):
+    """The vocab train_bpe builds: the specials, the sorted atomic pretokens
+    and letters, then each merge's product the first time it is made."""
+    pres = [p for f in formulas for p in pretokenize(f, catalog)]
+    base = {SPACE_MARKER} | {p.text for p in pres if p.atomic}
+    base |= {ch for p in pres if not p.atomic for ch in p.text}
+    vocab = [PAD_TOKEN, UNK_TOKEN, MASK_TOKEN] + sorted(base)
+    for left, right in merges:
+        if left + right not in vocab:
+            vocab.append(left + right)
+    return vocab
 
 
 class TestModelFile:
@@ -585,3 +678,4 @@ def test_bpe_benchmark_script_runs():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "identical to the from-scratch trainer" in proc.stdout
+    assert "ids identical to the pretokenize loop" in proc.stdout
