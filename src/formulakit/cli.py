@@ -537,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
             epilog='model file: {"vocab": [...], "merges": [["a","b"], ...], '
                    '"specials": {...}, "budget": 16000}\n'
                    'The specials are fixed by the model format (<mask>, <pad>, <unk>, and\n'
-                   '␣ for a space); a model file with other specials is a data error.')
+                   '␣ for a space); a model file with other specials, or with a merge\n'
+                   'whose product is missing from vocab, is a data error.')
     p.add_argument("--input", required=True)
     p.add_argument("--budget", type=int, default=None,
                    help=f"vocabulary budget (default {DEFAULT_VOCAB_BUDGET})")

@@ -627,8 +627,7 @@ class TestTokenMemo:
                 merges = oracle_merges(corpus, budget, catalog)
                 assert model.merges == merges
                 assert model.vocab == oracle_vocab(corpus, merges, catalog)
-                assert model.merges != train_bpe(corpus, budget).merges or \
-                    model.vocab != train_bpe(corpus, budget).vocab
+                assert model != train_bpe(corpus, budget)  # the catalog matters here
 
 
 def oracle_vocab(formulas, merges, catalog=None):
