@@ -80,13 +80,6 @@ class PipelineConfig:
     objectives: objectives.ObjectiveConfig
 
 
-def _config_int(obj: dict, name: str, default: int) -> int:
-    value = obj.get(name, default)
-    if type(value) is not int:
-        raise UsageError(f"config field {name}: must be an integer, got {value!r}")
-    return value
-
-
 def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig:
     """Config file first, then flags override (precedence: flags > file > defaults).
 
@@ -109,8 +102,13 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
     if unknown:
         raise UsageError(f"config field {min(unknown)}: not a config field; "
                          "the fields are objectives, seed, tokenizer_budget")
-    seed = seed_flag if seed_flag is not None else _config_int(obj, "seed", 0)
-    budget = _config_int(obj, "tokenizer_budget", DEFAULT_VOCAB_BUDGET)
+    try:
+        seed = seed_flag if seed_flag is not None else objectives.typed(
+            "seed", obj.get("seed", 0), int)
+        budget = objectives.typed("tokenizer_budget",
+                                  obj.get("tokenizer_budget", DEFAULT_VOCAB_BUDGET), int)
+    except ValueError as exc:
+        raise UsageError(f"config field {exc}") from None
     if budget < 1:
         raise UsageError(f"config field tokenizer_budget: must be >= 1, got {budget}")
     table = obj.get("objectives", {})

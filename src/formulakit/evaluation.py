@@ -60,28 +60,42 @@ class RetrievalPair:
                 "target_similarity": self.target_similarity}
 
 
+# Each metric's comparison key: a candidate matches when its key equals the
+# truth's. `dedup_key` is the sketch of the normalized form, so constants and
+# references compare by token type only.
+METRICS: dict[str, Callable[[str], str]] = {
+    "exact_match": normalize,
+    "sketch_match": dedup_key,
+}
+
+
+def _match_rank(candidates: Sequence[str], ground_truth: str, key: Callable[[str], str],
+                depth: int) -> int:
+    """0-based rank of the first of the top `depth` candidates whose key
+    equals the truth's, or `depth` when none does; a hit at k is a rank
+    below k. Keys the truth once, and only when there is a candidate, and
+    stops keying candidates at the first match."""
+    top = candidates[:depth]
+    if top:
+        truth = key(ground_truth)
+        for rank, candidate in enumerate(top):
+            if key(candidate) == truth:
+                return rank
+    return depth
+
+
 def exact_match_at_k(candidates: Sequence[str], ground_truth: str, k: int) -> bool:
     """True when a top-k candidate equals the truth after normalization."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    truth = normalize(ground_truth)
-    return any(normalize(c) == truth for c in candidates[:k])
+    return _match_rank(candidates, ground_truth, normalize, k) < k
 
 
 def sketch_match_at_k(candidates: Sequence[str], ground_truth: str, k: int) -> bool:
-    """True when a top-k candidate has the truth's dedup key: the sketch of
-    its normalized form, so constants and references compare by token type
-    only."""
+    """True when a top-k candidate has the truth's dedup key."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    truth = dedup_key(ground_truth)
-    return any(dedup_key(c) == truth for c in candidates[:k])
-
-
-METRICS: dict[str, Callable[[Sequence[str], str, int], bool]] = {
-    "exact_match": exact_match_at_k,
-    "sketch_match": sketch_match_at_k,
-}
+    return _match_rank(candidates, ground_truth, dedup_key, k) < k
 
 
 def make_completion_prefix(formula: str, fraction: float, model: TokenizerModel,
@@ -162,23 +176,34 @@ def reserve_split(items: Sequence, n: int, seed: int) -> tuple[list, list]:
     return rest, reserved
 
 
+def _unrank_pair(rank: int, n: int) -> tuple[int, int]:
+    """The pair (i, j), i < j < n, at `rank` in the order of i, then j."""
+    back = n * (n - 1) // 2 - 1 - rank  # its rank counted from the last pair
+    row = (1 + math.isqrt(1 + 8 * back)) // 2  # the pairs in its row, n - 1 - i
+    return n - 1 - row, n - 1 - (back - row * (row - 1) // 2)
+
+
 def build_retrieval_pairs(formulas: Sequence[str], seed: int,
                           max_pairs: Optional[int] = None) -> list[RetrievalPair]:
     """Constant-masked formula pairs labeled with token edit similarity.
 
-    All unordered pairs when max_pairs is None, otherwise a seeded sample.
-    Each formula is masked, interned and packed once; each first formula of
-    a pair is scored against the whole packed set in one
+    All unordered pairs when max_pairs is None, otherwise a seeded sample,
+    drawn as ranks in the all-pairs order so that only the sampled pairs are
+    built. Each formula is masked, interned and packed once; each first
+    formula of a pair is scored against the whole packed set in one
     similarities_to_many call, which gives the same values as
     token_edit_similarity on the masked texts.
     """
     masked = [mask_constants(f) for f in formulas]
     intern: dict[str, int] = {}
     ids = [formula_token_ids(m, intern) for m in masked]
-    all_pairs = [(i, j) for i in range(len(masked)) for j in range(i + 1, len(masked))]
-    if max_pairs is not None and max_pairs < len(all_pairs):
+    n = len(masked)
+    total = n * (n - 1) // 2
+    if max_pairs is not None and max_pairs < total:
         rng = derive_rng(seed, "retrieval-pairs")
-        all_pairs = rng.sample(all_pairs, max_pairs)
+        all_pairs = [_unrank_pair(rank, n) for rank in rng.sample(range(total), max_pairs)]
+    else:
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     partners: dict[int, list[int]] = {}
     for i, j in all_pairs:
         partners.setdefault(i, []).append(j)
@@ -260,11 +285,16 @@ def evaluate(tasks: Sequence, candidate_provider: Callable[[object], Sequence[st
     """Run every task through the provider and average each metric at each k.
 
     The ground truth is RepairTask.ground_truth or CompletionTask.formula.
-    A provider exception counts as a miss for that task, not a crash.
+    A provider exception counts as a miss for that task, not a crash. Each
+    metric keys the truth once per task and the top max(ks) candidates up
+    to the first match.
     """
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; choose from {sorted(METRICS)}")
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+    depth = max(ks, default=0)
     hits: dict[tuple[str, int], int] = {(m, k): 0 for m in metrics for k in ks}
     per_task: list[dict] = []
     failures = 0
@@ -279,9 +309,9 @@ def evaluate(tasks: Sequence, candidate_provider: Callable[[object], Sequence[st
             failures += 1
             row["error"] = str(exc)
         for m in metrics:
-            fn = METRICS[m]
+            rank = _match_rank(candidates, truth, METRICS[m], depth)
             for k in ks:
-                hit = bool(candidates) and fn(candidates, truth, k)
+                hit = rank < k
                 row[f"{m}@{k}"] = hit
                 if hit:
                     hits[(m, k)] += 1

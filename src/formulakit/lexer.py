@@ -19,6 +19,10 @@ metaclass and a set or dict probe keyed on a member calls the Python-level
 `Enum.__hash__`; kinds are tested by identity or with tuples of locals,
 whose `in` compares by identity first.
 
+`match_brackets` is the one paren and comma matcher: its single stack pass
+gives `check` its bracket and arity diagnostics and the arity and swap
+noise operators their call arguments.
+
 Out of scope: array formulas, structured references, R1C1 notation, lambda,
 formula evaluation, locale-specific separators.
 """
@@ -137,8 +141,9 @@ def lex(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[Token]:
     """Split a formula into tokens. Total: never raises on malformed input.
 
     A leading `=` lexes as Operator. Unknown characters become 1-char Error
-    tokens. FuncName is assigned to identifiers that appear in the catalog
-    and are followed (ignoring whitespace) by `(`.
+    tokens. FuncName is assigned to identifiers, and to ref-shaped names
+    such as `LOG10`, that appear in the catalog and are followed (ignoring
+    whitespace) by `(`; a name directly before `!` is a SheetName instead.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -164,14 +169,11 @@ def lex(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[Token]:
             kind = _rare_kind(text)
         elif kind is identifier and text[-1].isdecimal() and cell_shape(text):
             kind = cell_ref
-        if kind is identifier:
+        if kind is identifier or kind is cell_ref:
             if next_text == "!":
                 kind = sheet_name
             elif next_solid == "(" and text.lower() in catalog:
                 kind = func_name
-        elif kind is cell_ref and next_text == "!":
-            # A ref-shaped name directly before `!` is a sheet reference.
-            kind = sheet_name
         start = end - (len(text) if ascii_only
                        else len(text.encode("utf-8", "surrogatepass")))
         tokens[i] = new(token, (kind, text, start, end))
@@ -263,7 +265,9 @@ def check(formula: str, catalog: Optional[FunctionCatalog] = None,
     for catalog functions, ill-formed operator adjacency, and leftover lex
     errors, ordered by span start. Not a full parser: a clean result is a
     necessary, not sufficient, validity condition. `tokens`, when given,
-    must be `lex(formula, catalog)`. Linear in the token count.
+    must be `lex(formula, catalog)`. One `match_brackets` pass gives the
+    bracket and arity diagnostics, and one walk over the non-whitespace
+    tokens the rest. Linear in the token count.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -282,93 +286,20 @@ def check(formula: str, catalog: Optional[FunctionCatalog] = None,
     diags: list[Diagnostic] = []
     append = diags.append
 
-    # Strings and sheet quotes that never close; leftover lex errors.
-    for tok in tokens:
-        kind = tok.kind
-        if kind is string_lit:
-            if not quote_closed(tok.text):
-                append(Diagnostic(unterminated, tok.start, tok.end,
-                                  "string literal is not terminated"))
-        elif kind is sheet_name:
-            if tok.text.startswith("'") and not quote_closed(tok.text):
-                append(Diagnostic(unterminated, tok.start, tok.end,
-                                  "quoted sheet name is not terminated"))
-        elif kind is error:
-            append(Diagnostic(DiagnosticCode.LEX_ERROR, tok.start, tok.end,
-                              f"unrecognized character {tok.text!r}"))
-
-    solid = [t for t in tokens if t.kind is not whitespace]
-
-    # Operator adjacency. The second operator of a pair must be able to act
-    # as a prefix operator; `%` is postfix so it never invalidates a pair.
-    for a, b in zip(solid, solid[1:]):
-        a_kind = a.kind
-        if a_kind is punct:
-            # A comma flush against `)` has a missing operand (`SUM(A1,)`).
-            if a.text == "," and b.text == ")" and b.kind is punct:
-                append(Diagnostic(bad_sequence, a.start, b.end,
-                                  "argument separator directly before closing parenthesis"))
-        elif a_kind is operator:
-            if a.text == "%":
-                continue
-            b_kind = b.kind
-            if b_kind is operator:
-                if b.text in _BINARY_ONLY_OPS:
-                    append(Diagnostic(bad_sequence, a.start, b.end,
-                                      f"operator {a.text!r} directly followed by {b.text!r}"))
-            elif b_kind is punct and b.text in "),":
-                append(Diagnostic(bad_sequence, a.start, b.end,
-                                  f"operator {a.text!r} has no right operand"))
-        elif a_kind in operands and b.kind in operands_or_sheet:
-            append(Diagnostic(bad_sequence, a.start, b.end,
-                              "operands with no operator between them"))
-
-    if solid:
-        last = solid[-1]
-        if last.kind is operator and last.text != "%":
-            append(Diagnostic(bad_sequence, last.start, last.end,
-                              f"formula ends with operator {last.text!r}"))
-
-    # Parens, commas outside calls, and range shape: `:` is only the range
-    # operator between two cell refs here (row/column ranges like `1:1` or
-    # `A:A` are outside the modeled grammar).
-    open_stack: list[Token] = []
-    last_pos = len(solid) - 1
-    for pos, tok in enumerate(solid):
-        kind = tok.kind
-        if kind is punct:
-            text = tok.text
-            if text == "(":
-                open_stack.append(tok)
-            elif text == ")":
-                if open_stack:
-                    open_stack.pop()
-                else:
-                    append(Diagnostic(unbalanced, tok.start, tok.end,
-                                      "closing parenthesis with no matching opener"))
-            elif text == ",":
-                if not open_stack:
-                    append(Diagnostic(bad_sequence, tok.start, tok.end,
-                                      "argument separator outside any function call"))
-            elif text == ":":
-                if not (0 < pos < last_pos and solid[pos - 1].kind is cell_ref
-                        and solid[pos + 1].kind is cell_ref):
-                    append(Diagnostic(bad_sequence, tok.start, tok.end,
-                                      "range colon not between two cell references"))
-        elif kind is identifier:
-            if _GLUED_REFS.match(tok.text):
-                append(Diagnostic(bad_sequence, tok.start, tok.end,
-                                  "two cell references fused together"))
-        elif kind is sheet_name and tok.text.startswith("'"):
-            if pos == last_pos or solid[pos + 1].text != "!":
-                append(Diagnostic(bad_sequence, tok.start, tok.end,
-                                  "quoted sheet name not followed by '!'"))
-    for tok in open_stack:
+    brackets = match_brackets(tokens)
+    for k in brackets.stray:
+        tok = tokens[k]
+        if tok.text == ")":
+            append(Diagnostic(unbalanced, tok.start, tok.end,
+                              "closing parenthesis with no matching opener"))
+        else:
+            append(Diagnostic(bad_sequence, tok.start, tok.end,
+                              "argument separator outside any function call"))
+    for k in brackets.unclosed:
+        tok = tokens[k]
         append(Diagnostic(unbalanced, tok.start, tok.end, "unclosed parenthesis"))
-
-    # Arity of known functions; calls whose parens never close are absent
-    # from call_arguments and were reported above.
-    for idx, args in call_arguments(tokens).items():
+    # Arity of known functions; a call that never closes has no entry.
+    for idx, args in brackets.calls.items():
         tok = tokens[idx]
         limits = catalog.get(tok.text)
         if limits is None:
@@ -380,6 +311,60 @@ def check(formula: str, catalog: Optional[FunctionCatalog] = None,
             append(Diagnostic(
                 DiagnosticCode.BAD_ARITY, tok.start, tok.end,
                 f"{tok.text.upper()} takes {lo}..{bound} arguments, got {argc}"))
+
+    # The other rules read each non-whitespace token beside its successor
+    # (None after the last). The second operator of a pair must be able to
+    # act as a prefix operator; `%` is postfix, so it never invalidates a
+    # pair. `:` is only the range operator between two cell refs here
+    # (row/column ranges like `1:1` or `A:A` are outside the modeled grammar).
+    solid = [t for t in tokens if t.kind is not whitespace]
+    before = None  # the kind of the previous non-whitespace token
+    for tok, nxt in zip(solid, solid[1:] + [None]):
+        kind, text = tok.kind, tok.text
+        if kind is operator and text != "%":
+            if nxt is None:
+                append(Diagnostic(bad_sequence, tok.start, tok.end,
+                                  f"formula ends with operator {text!r}"))
+            elif nxt.kind is operator:
+                if nxt.text in _BINARY_ONLY_OPS:
+                    append(Diagnostic(bad_sequence, tok.start, nxt.end,
+                                      f"operator {text!r} directly followed by {nxt.text!r}"))
+            elif nxt.kind is punct and nxt.text in "),":
+                append(Diagnostic(bad_sequence, tok.start, nxt.end,
+                                  f"operator {text!r} has no right operand"))
+        elif kind is punct:
+            if text == ",":
+                # A comma flush against `)` has a missing operand (`SUM(A1,)`).
+                if nxt is not None and nxt.text == ")" and nxt.kind is punct:
+                    append(Diagnostic(bad_sequence, tok.start, nxt.end,
+                                      "argument separator directly before closing parenthesis"))
+            elif text == ":":
+                if not (before is cell_ref and nxt is not None and nxt.kind is cell_ref):
+                    append(Diagnostic(bad_sequence, tok.start, tok.end,
+                                      "range colon not between two cell references"))
+        elif kind in operands:
+            if nxt is not None and nxt.kind in operands_or_sheet:
+                append(Diagnostic(bad_sequence, tok.start, nxt.end,
+                                  "operands with no operator between them"))
+            if kind is string_lit:
+                if not quote_closed(text):
+                    append(Diagnostic(unterminated, tok.start, tok.end,
+                                      "string literal is not terminated"))
+            elif kind is identifier and _GLUED_REFS.match(text):
+                append(Diagnostic(bad_sequence, tok.start, tok.end,
+                                  "two cell references fused together"))
+        elif kind is sheet_name:
+            if text.startswith("'"):
+                if not quote_closed(text):
+                    append(Diagnostic(unterminated, tok.start, tok.end,
+                                      "quoted sheet name is not terminated"))
+                if nxt is None or nxt.text != "!":
+                    append(Diagnostic(bad_sequence, tok.start, tok.end,
+                                      "quoted sheet name not followed by '!'"))
+        elif kind is error:
+            append(Diagnostic(DiagnosticCode.LEX_ERROR, tok.start, tok.end,
+                              f"unrecognized character {text!r}"))
+        before = kind
 
     diags.sort(key=lambda d: (d.start, d.end, d.code.value))
     return diags
@@ -393,19 +378,28 @@ def quote_closed(text: str) -> bool:
     return len(text) >= 2 and text[-1] == text[0]
 
 
-def call_arguments(tokens: list[Token]) -> dict[int, list[tuple[int, int]]]:
-    """Top-level argument ranges of every closed call, in one stack pass.
+class Brackets(NamedTuple):
+    """The `match_brackets` of a token list, by token index."""
+    calls: dict[int, list[tuple[int, int]]]  # FuncName -> argument ranges
+    stray: list[int]  # `)` and `,` outside every paren
+    unclosed: list[int]  # `(` never closed
 
-    Maps the index of each FuncName token whose next non-whitespace token is
-    `(`, and whose `(` finds its matching `)`, to the token-index ranges
-    [a, b) of the call's top-level arguments, whitespace included. `F()` and
-    `F( )` map to []; `F(,)` has two empty arguments. A call whose paren
-    never closes is absent, and a stray `)` closes nothing. Keys come in
-    token order. Linear in len(tokens), however deep the nesting.
+
+def match_brackets(tokens: list[Token]) -> Brackets:
+    """Parens and argument commas of a token list, in one stack pass.
+
+    `calls` maps the index of each FuncName token whose next non-whitespace
+    token is `(`, and whose `(` finds its matching `)`, to the token-index
+    ranges [a, b) of the call's top-level arguments, whitespace included.
+    `F()` and `F( )` map to []; `F(,)` has two empty arguments. A call whose
+    paren never closes is absent; its `(` is in `unclosed`. A `)` or `,`
+    outside every paren is in `stray`. Keys and lists come in token order.
+    Linear in len(tokens), however deep the nesting.
     """
     whitespace, punct, func_name = TokenKind.WHITESPACE, TokenKind.PUNCT, TokenKind.FUNC_NAME
     calls: dict[int, list[tuple[int, int]]] = {}
-    # One frame per open paren: [FuncName index or -1, argument start, ranges].
+    stray: list[int] = []
+    # One frame per open paren: [its index, FuncName index or -1, arg start, ranges].
     stack: list[list] = []
     func_idx = -1  # the FuncName just before the current token, if any
     for k, tok in enumerate(tokens):
@@ -416,21 +410,23 @@ def call_arguments(tokens: list[Token]) -> dict[int, list[tuple[int, int]]]:
             text = tok.text
             if text == "(":
                 args: list[tuple[int, int]] = []
-                stack.append([func_idx, k + 1, args])
+                stack.append([k, func_idx, k + 1, args])
                 if func_idx >= 0:
                     calls[func_idx] = args
-            elif text == "," and stack:
+            elif text in ")," and not stack:
+                stray.append(k)
+            elif text == ",":
                 frame = stack[-1]
-                frame[2].append((frame[1], k))
-                frame[1] = k + 1
-            elif text == ")" and stack:
-                owner, arg_start, args = stack.pop()
+                frame[3].append((frame[2], k))
+                frame[2] = k + 1
+            elif text == ")":
+                _, _, arg_start, args = stack.pop()
                 if k > arg_start or args:
                     args.append((arg_start, k))
                 if len(args) == 1 and all(
                         tokens[x].kind is whitespace for x in range(arg_start, k)):
                     args.clear()  # the parens hold only whitespace
         func_idx = k if kind is func_name else -1
-    for owner, _, _ in stack:
+    for _, owner, _, _ in stack:
         calls.pop(owner, None)  # never closed
-    return calls
+    return Brackets(calls, stray, [frame[0] for frame in stack])

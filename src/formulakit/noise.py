@@ -9,7 +9,7 @@ ranges, wrong function arity, mangled quoting, stray operators, and so on.
 `rewrite(formula, tokens, sites, rng)`, which corrupts one of those sites
 and never searches again. A `SiteIndex` finds the token sites of every
 operator in one pass over the tokens, and the call sites of the arity and
-swap operators in one `call_arguments` pass, each on first use; operators
+swap operators in one `match_brackets` pass, each on first use; operators
 14-17 act anywhere in the text, so their one site is the whole formula and
 they read neither. `is_applicable`, `applicable_operators` and
 `apply_noise_operator` are lookups in that table; the last two take a
@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 from .catalog import FunctionCatalog, default_catalog
-from .lexer import Token, TokenKind, call_arguments, lex, quote_closed
+from .lexer import Brackets, Token, TokenKind, lex, match_brackets, quote_closed
 
 
 class NotApplicable(Exception):
@@ -129,27 +129,27 @@ def _scanned(name: str) -> Callable[[SiteIndex], list]:
 class SiteIndex:
     """The sites of one formula, for every operator: `tokens` must be
     `lex(formula, catalog)`. `token_sites()` is one `_scan` of the tokens and
-    `calls()` their `call_arguments`; each runs on first use and is kept, so
+    `brackets()` their `match_brackets`; each runs on first use and is kept, so
     the operators that read it share one pass, and an operator that reads
     neither costs none."""
 
-    __slots__ = ("tokens", "catalog", "_token_sites", "_calls")
+    __slots__ = ("tokens", "catalog", "_token_sites", "_brackets")
 
     def __init__(self, tokens: list[Token], catalog: FunctionCatalog):
         self.tokens = tokens
         self.catalog = catalog
         self._token_sites: Optional[_TokenSites] = None
-        self._calls: Optional[dict[int, list[tuple[int, int]]]] = None
+        self._brackets: Optional[Brackets] = None
 
     def token_sites(self) -> _TokenSites:
         if self._token_sites is None:
             self._token_sites = _scan(self.tokens)
         return self._token_sites
 
-    def calls(self) -> dict[int, list[tuple[int, int]]]:
-        if self._calls is None:
-            self._calls = call_arguments(self.tokens)
-        return self._calls
+    def brackets(self) -> Brackets:
+        if self._brackets is None:
+            self._brackets = match_brackets(self.tokens)
+        return self._brackets
 
 
 def _splice(tokens: list[Token], replacements: dict[int, str]) -> str:
@@ -191,7 +191,7 @@ def _fixed_arity_calls(index: SiteIndex):
     """Calls eligible for the arity corruption, with the action per call."""
     tokens, catalog = index.tokens, index.catalog
     out = []
-    for func_idx, args in index.calls().items():
+    for func_idx, args in index.brackets().calls.items():
         limits = catalog.get(tokens[func_idx].text)
         if limits is None:
             continue
@@ -264,7 +264,7 @@ def _arg_typer(tokens: list[Token]) -> Callable[[tuple[int, int]], str]:
 
 def _swappable_calls(index: SiteIndex):
     """Calls with arguments of at least two types, with those types."""
-    calls = [(func_idx, args) for func_idx, args in index.calls().items()
+    calls = [(func_idx, args) for func_idx, args in index.brackets().calls.items()
              if len(args) >= 2]
     if not calls:
         return []
@@ -446,7 +446,7 @@ def applicable_operators(formula: str,
 
     `index`, when given, must be `SiteIndex(lex(formula, catalog), catalog)`.
     One index serves every operator: one token scan and at most one
-    `call_arguments`.
+    `match_brackets`.
     """
     if index is None:
         index = _site_index(formula, catalog)

@@ -118,17 +118,17 @@ class ObjectiveConfig:
         for name, value in obj.items():
             kind = int if name in ("seed", "lamsp_mean_spans") else float
             if name in ("seed", "rn_rate"):
-                kwargs[name] = _typed(name, value, kind)
+                kwargs[name] = typed(name, value, kind)
             elif name == "tm_fractions":
                 if not isinstance(value, list):
                     raise ValueError(f"{name}: must be a list of numbers, "
                                      f"got {type(value).__name__}")
-                kwargs[name] = tuple(_typed(f"{name}[{i}]", x, kind) for i, x in enumerate(value))
+                kwargs[name] = tuple(typed(f"{name}[{i}]", x, kind) for i, x in enumerate(value))
             elif name in ("weights", "lamsp_rates", "lamsp_mean_spans"):
                 if not isinstance(value, dict):
                     raise ValueError(f"{name}: must be an object of names to numbers, "
                                      f"got {type(value).__name__}")
-                kwargs[name] = {key: _typed(f"{name}.{key}", v, kind) for key, v in value.items()}
+                kwargs[name] = {key: typed(f"{name}.{key}", v, kind) for key, v in value.items()}
             else:
                 raise ValueError(f"{name}: not a field of the objectives config")
         config = cls(**kwargs)
@@ -136,7 +136,7 @@ class ObjectiveConfig:
         return config
 
 
-def _typed(name: str, value: object, kind: type) -> float:
+def typed(name: str, value: object, kind: type) -> float:
     """A JSON integer (kind int) or any JSON number as a float (kind float).
     Anything else, 2.9 for an integer or a true, is a ValueError naming the field."""
     if type(value) is kind or kind is float and type(value) is int:

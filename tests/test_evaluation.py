@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formulakit import evaluation
+from formulakit.curation import dedup_key
 from formulakit.evaluation import (CompletionTask, RepairTask, RetrievalPair,
                                    build_retrieval_pairs, cosine_similarity,
                                    evaluate, exact_match_at_k,
@@ -18,7 +20,8 @@ from formulakit.lexer import check, fold, normalize
 from formulakit.noise import apply_noise_operator
 from formulakit.objectives import PretrainExample, user_noise
 from formulakit.seeds import derive_rng
-from formulakit.similarity import token_edit_similarity
+from formulakit.similarity import (PackedCorpus, formula_token_ids, similarities_to_many,
+                                   token_edit_similarity)
 from formulakit.synth import synth_corpus
 from formulakit.tokenizer import encode, train_bpe
 
@@ -323,11 +326,53 @@ class TestRetrievalEval:
         assert len(capped) == 10
         assert capped == build_retrieval_pairs(formulas, seed=1, max_pairs=10)
 
+    def test_build_retrieval_pairs_matches_reference(self):
+        corpus = synth_corpus(120, seed=88)
+        for n in (0, 1, 2, 40, 120):
+            for seed in (0, 1, 2):
+                for max_pairs in (None, 1, 100, 5000, 10**9):
+                    assert build_retrieval_pairs(corpus[:n], seed, max_pairs) == \
+                        _ref_build_retrieval_pairs(corpus[:n], seed, max_pairs), (n, max_pairs)
+
+    def test_sampling_builds_only_the_sampled_pairs(self):
+        # All 499,500 pairs of 1,000 formulas take tens of MB as tuples.
+        formulas = synth_corpus(1000, seed=89)
+        tracemalloc.start()
+        try:
+            pairs = build_retrieval_pairs(formulas, seed=0, max_pairs=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 20
+        assert peak < 5_000_000, peak
+
     def test_retrieval_targets_equal_pairwise_token_edit_similarity(self):
         formulas = synth_corpus(25, seed=87) + ['=SUM(1,"a")', '=SUM(2,"b")', ""]
         for max_pairs in (None, 40):
             for p in build_retrieval_pairs(formulas, seed=2, max_pairs=max_pairs):
                 assert p.target_similarity == token_edit_similarity(p.formula_a, p.formula_b)
+
+
+def _ref_build_retrieval_pairs(formulas, seed, max_pairs=None):
+    """build_retrieval_pairs as it stood when it built every pair before
+    sampling them."""
+    masked = [mask_constants(f) for f in formulas]
+    intern = {}
+    ids = [formula_token_ids(m, intern) for m in masked]
+    all_pairs = [(i, j) for i in range(len(masked)) for j in range(i + 1, len(masked))]
+    if max_pairs is not None and max_pairs < len(all_pairs):
+        rng = derive_rng(seed, "retrieval-pairs")
+        all_pairs = rng.sample(all_pairs, max_pairs)
+    partners = {}
+    for i, j in all_pairs:
+        partners.setdefault(i, []).append(j)
+    packed = PackedCorpus(ids)
+    scores = {}
+    for i, js in partners.items():
+        sims = similarities_to_many(ids[i], packed)
+        for j in js:
+            scores[i, j] = sims[j]
+    return [RetrievalPair(masked[i], masked[j], scores[i, j]) for i, j in all_pairs]
 
 
 class TestEvaluateHarness:
@@ -385,6 +430,47 @@ class TestEvaluateHarness:
         report = evaluate(tasks, lambda t: ["=SUM(A1)"],
                           metrics=("exact_match", "sketch_match"), ks=(1,))
         assert report.value("exact_match", 1) == 1.0
+
+    def test_matches_per_k_comparison(self):
+        # Each row as the metrics read before they shared one keying per
+        # task: the truth and the top k candidates keyed again for every k.
+        keys = {"exact_match": normalize, "sketch_match": dedup_key}
+        corpus = synth_corpus(60, seed=9)
+        tasks = list(gen_repair_finetune(corpus, seed=3))
+        rng = random.Random(10)
+        ranked = {}
+        for task in tasks:
+            cands = rng.sample(corpus, 4) + [task.buggy, task.ground_truth.lower()]
+            rng.shuffle(cands)
+            ranked[task.source_id] = cands[:rng.randrange(7)]
+        ks = (1, 2, 5)
+        report = evaluate(tasks, lambda t: ranked[t.source_id], metrics=tuple(keys), ks=ks)
+        for task, row in zip(tasks, report.per_task):
+            cands = ranked[task.source_id]
+            for m, key in keys.items():
+                truth = key(task.ground_truth)
+                for k in ks:
+                    assert row[f"{m}@{k}"] == any(key(c) == truth for c in cands[:k])
+        assert 0 < report.value("exact_match", 5) < report.value("sketch_match", 5) < 1
+
+    def test_keys_the_truth_once_and_candidates_up_to_the_first_match(self, lex_calls):
+        task = RepairTask(buggy="=SUM(A1", ground_truth="=SUM(A1)", source_id="t0")
+        candidates = ["=X1", "=SUM( a1 )", "=Y1", "=Z1"]
+        lex_calls.clear()
+        report = evaluate([task], lambda t: candidates, metrics=("exact_match",), ks=(1, 2, 5))
+        assert lex_calls == ["=SUM(A1)", "=X1", "=SUM( a1 )"]
+        assert report.per_task[0] == {"source_id": "t0", "exact_match@1": False,
+                                      "exact_match@2": True, "exact_match@5": True}
+        lex_calls.clear()
+        evaluate([task], lambda t: candidates, metrics=("sketch_match",), ks=(1,))
+        assert lex_calls == ["=SUM(A1)", "=X1"]
+        lex_calls.clear()
+        evaluate([task], lambda t: [], metrics=("exact_match", "sketch_match"), ks=(1, 5))
+        assert lex_calls == []
+
+    def test_k_below_one_rejected_up_front(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate(self._tasks(), lambda t: [], metrics=("exact_match",), ks=(1, 0))
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):

@@ -16,12 +16,13 @@ from formulakit import lexer, noise
 from formulakit.catalog import CatalogError, FunctionCatalog, default_catalog
 from formulakit.curation import dedup_key
 from formulakit.evaluation import mask_constants
-from formulakit.lexer import (Diagnostic, DiagnosticCode, Token, TokenKind, call_arguments,
-                              check, fold, lex, normalize, sketch, sketch_tokens)
+from formulakit.lexer import (Brackets, Diagnostic, DiagnosticCode, Token, TokenKind, check,
+                              fold, lex, match_brackets, normalize, sketch, sketch_tokens)
 from formulakit.noise import applicable_operators
 from formulakit.similarity import formula_token_ids
 from formulakit.synth import (random_cell, random_formula, random_number, random_range,
                               random_string_literal, synth_corpus)
+from formulakit.tokenizer import PreToken, pretokenize
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -77,6 +78,18 @@ class TestLex:
     def test_sheet_names(self):
         assert kinds("'Sheet 1'!A10") == [K.SHEET_NAME, K.PUNCT, K.CELL_REF]
         assert kinds("Data!A1") == [K.SHEET_NAME, K.PUNCT, K.CELL_REF]
+
+    def test_ref_shaped_catalog_name_before_paren_is_a_function(self):
+        # `log10` has a cell reference's shape; before `(` it is the
+        # function, bare it stays a reference, and before `!` a sheet.
+        assert kinds("=LOG10(A1)+log10") == [K.OPERATOR, K.FUNC_NAME, K.PUNCT, K.CELL_REF,
+                                             K.PUNCT, K.OPERATOR, K.CELL_REF]
+        assert kinds("=LOG10 (A1)")[1] is K.FUNC_NAME
+        assert kinds("=LOG10!A1(1)")[1] is K.SHEET_NAME
+        assert kinds("=A1(B1)")[1] is K.CELL_REF
+        assert [(p.text, p.atomic) for p in pretokenize("=LOG10(A1)+log10")][-3:] == [
+            ("log", True), ("1", True), ("0", True)]
+        assert PreToken("log10", True) in pretokenize("=LOG10(A1)")
 
     def test_identifier_swallows_ref_prefix(self):
         assert kinds("A1B2") == [K.IDENTIFIER]
@@ -182,13 +195,11 @@ def _ref_lex(formula, catalog=None):
     tokens = []
     byte_pos = 0
     for i, (kind, text) in enumerate(raw):
-        if kind is K.IDENTIFIER:
+        if kind is K.IDENTIFIER or kind is K.CELL_REF:
             if i + 1 < count and raw[i + 1][1] == "!":
                 kind = K.SHEET_NAME
             elif next_solid[i] == "(" and text.lower() in catalog:
                 kind = K.FUNC_NAME
-        elif kind is K.CELL_REF and i + 1 < count and raw[i + 1][1] == "!":
-            kind = K.SHEET_NAME
         end = byte_pos + len(text.encode("utf-8", "surrogatepass"))
         tokens.append(Token(kind, text, byte_pos, end))
         byte_pos = end
@@ -373,6 +384,12 @@ class TestCheck:
     def test_arity_unbounded_max(self):
         assert check("=SUM(A1,A2,A3,A4,A5,A6)") == []
 
+    def test_arity_of_ref_shaped_function(self):
+        diags = check("=LOG10(A1,B1,C1)")
+        assert [(d.code, d.start, d.end, d.message) for d in diags] == [
+            (DiagnosticCode.BAD_ARITY, 1, 6, "LOG10 takes 1..1 arguments, got 3")]
+        assert check("=LOG10(A1)") == []
+
     def test_arity_zero(self):
         assert check("=TODAY()") == []
         assert check("=TODAY(1)")
@@ -432,10 +449,11 @@ class TestFunctionCatalog:
 
 # --- call matcher oracle ---------------------------------------------------
 #
-# The two per-call rescanning matchers that call_arguments replaced, kept
+# The two per-call rescanning matchers that match_brackets replaced, kept
 # verbatim as the reference: _ref_count_args counted arguments for check(),
 # _ref_calls gave the noise operators their argument ranges, and
 # _ref_arg_type classified an argument by walking all of its tokens.
+# _ref_unmatched counts paren depth for the stray and unclosed tokens.
 
 
 def _ref_count_args(solid, func_idx):
@@ -503,6 +521,35 @@ def _ref_calls(tokens):
     return out
 
 
+def _ref_unmatched(tokens):
+    """(stray, unclosed): a `)` or `,` is stray when every `(` before it is
+    already closed; a `(` is unclosed when no later `)` brings the depth
+    counted from it back to zero."""
+    parens = [(i, t.text) for i, t in enumerate(tokens)
+              if t.kind is TokenKind.PUNCT and t.text in ("(", ")", ",")]
+    stray = []
+    depth = 0
+    for i, text in parens:
+        if text == "(":
+            depth += 1
+        elif depth == 0:
+            stray.append(i)
+        elif text == ")":
+            depth -= 1
+    unclosed = []
+    for pos, (i, text) in enumerate(parens):
+        if text != "(":
+            continue
+        depth = 0
+        for _, later in parens[pos:]:
+            depth += (later == "(") - (later == ")")
+            if depth == 0:
+                break
+        else:
+            unclosed.append(i)
+    return stray, unclosed
+
+
 def _ref_arg_type(tokens, arg):
     solid = [tokens[x] for x in range(*arg) if tokens[x].kind is not TokenKind.WHITESPACE]
     if any(t.kind is TokenKind.OPERATOR and t.text in ("<", ">", "<=", ">=", "<>", "=")
@@ -517,8 +564,10 @@ def _ref_arg_type(tokens, arg):
 
 def _assert_matches_reference(formula):
     tokens = lex(formula)
-    calls = call_arguments(tokens)
+    brackets = match_brackets(tokens)
+    calls = brackets.calls
     assert list(calls.items()) == _ref_calls(tokens), formula
+    assert (brackets.stray, brackets.unclosed) == _ref_unmatched(tokens), formula
     solid_idx = [i for i, t in enumerate(tokens) if t.kind is not TokenKind.WHITESPACE]
     solid = [tokens[i] for i in solid_idx]
     for pos, i in enumerate(solid_idx):
@@ -594,9 +643,10 @@ class TestCallMatcher:
                  "=IF(A1,SUM(B1", "=TODAY(),A1", "=SUM(A1)+(", ""]
         for formula in cases:
             _assert_matches_reference(formula)
-        assert call_arguments(lex("=SUM( )")) == {1: []}
-        assert call_arguments(lex("=SUM(A1")) == {}
-        assert call_arguments(lex("=IF(A1,SUM(B1)")) == {5: [(7, 8)]}
+        assert match_brackets(lex("=SUM( )")) == ({1: []}, [], [])
+        assert match_brackets(lex("=SUM(A1")) == ({}, [], [2])
+        assert match_brackets(lex("=IF(A1,SUM(B1)")) == ({5: [(7, 8)]}, [], [2])
+        assert match_brackets(lex("),=(A1),)")) == ({}, [0, 1, 6, 7], [])
 
     def test_nesting_2000_deep_is_linear_and_matches_reference(self, monkeypatch):
         formula = "=" + "SUM(" * 2000 + "1" + ")" * 2000
@@ -609,9 +659,10 @@ class TestCallMatcher:
         assert check_s < 1.0 and ops_s < 1.0, (check_s, ops_s)
 
         # The reference rescans every call, O(depth * n): seconds at this depth.
-        reference = dict(_ref_calls(lex(formula)))
-        monkeypatch.setattr(lexer, "call_arguments", lambda tokens: reference)
-        monkeypatch.setattr(noise, "call_arguments", lambda tokens: reference)
+        tokens = lex(formula)
+        reference = Brackets(dict(_ref_calls(tokens)), *_ref_unmatched(tokens))
+        monkeypatch.setattr(lexer, "match_brackets", lambda tokens: reference)
+        monkeypatch.setattr(noise, "match_brackets", lambda tokens: reference)
         assert check(formula) == diags == []
         assert applicable_operators(formula) == ops
 
@@ -725,7 +776,7 @@ def _ref_check(formula, catalog=None, tokens=None):
                 DiagnosticCode.UNTERMINATED_STRING, tok.start, tok.end,
                 "quoted sheet name is not terminated"))
 
-    for idx, args in call_arguments(tokens).items():
+    for idx, args in _ref_calls(tokens):
         tok = tokens[idx]
         limits = catalog.get(tok.text)
         if limits is None:

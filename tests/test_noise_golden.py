@@ -15,7 +15,7 @@ from test_lexer import _corruptions, _envelope_formulas
 
 from formulakit import noise
 from formulakit.catalog import default_catalog
-from formulakit.lexer import TokenKind, call_arguments, check, lex, quote_closed
+from formulakit.lexer import TokenKind, check, lex, match_brackets, quote_closed
 from formulakit.noise import (OPERATORS, NotApplicable, SiteIndex, applicable_operators,
                               apply_noise_operator, is_applicable)
 from formulakit.objectives import user_noise
@@ -332,7 +332,7 @@ def _ref_func_names(tokens, catalog):
 
 def _ref_fixed_arity_calls(tokens, catalog):
     out = []
-    for func_idx, args in call_arguments(tokens).items():
+    for func_idx, args in match_brackets(tokens).calls.items():
         limits = catalog.get(tokens[func_idx].text)
         if limits is None:
             continue
@@ -350,7 +350,7 @@ def _ref_fixed_arity_calls(tokens, catalog):
 
 
 def _ref_swappable_calls(tokens, catalog):
-    calls = [(func_idx, args) for func_idx, args in call_arguments(tokens).items()
+    calls = [(func_idx, args) for func_idx, args in match_brackets(tokens).calls.items()
              if len(args) >= 2]
     if not calls:
         return []
@@ -441,9 +441,9 @@ def test_applicable_operators_runs_call_arguments_at_most_once(monkeypatch):
 
     def counted(tokens):
         runs.append(1)
-        return call_arguments(tokens)
+        return match_brackets(tokens)
 
-    monkeypatch.setattr(noise, "call_arguments", counted)
+    monkeypatch.setattr(noise, "match_brackets", counted)
     for formula in synth_corpus(200, seed=64) + _envelope_formulas(random.Random(65)):
         runs.clear()
         ops = applicable_operators(formula)
