@@ -1,18 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark the token-Levenshtein kernel in formulakit.similarity.
 
-Four workloads:
-  pairs        random id sequences, one levenshtein_ids call per pair
+Three workloads:
+  pairs        random id sequences, one levenshtein_ids call per pair (how
+               build_retrieval_pairs scores the retrieval targets)
   pack         packing the scan corpus into one PackedCorpus
   packed scan  queries against that packed corpus, one similarities_to_many
                call each (the baseline repair scan), then the same scan in
                its two parts: _advance (the match masks and every lane's
                last DP column) and the read-out (lane sums to similarities
                in corpus order)
-  pairwise     all-pairs similarity over constant-masked formulas, interned
-               and packed once, one similarities_to_many call per formula:
-               the kernel part of build_retrieval_pairs (the retrieval
-               fine-tuning targets, the quadratic step)
 
 Sequences are mostly 5-39 tokens, with one in LONG_EVERY of 64-159 tokens,
 so lanes and queries of 64 tokens or more are timed and checked too.
@@ -24,7 +21,6 @@ exits 1 on any disagreement, or if the sample holds no sequence of
 LONG_MIN tokens.
 
 Usage: python benchmarks/bench_kernels.py [--pairs 20000] [--corpus 2000]
-       [--formulas 400]
 """
 
 import argparse
@@ -33,10 +29,7 @@ import statistics
 import sys
 import time
 
-from formulakit.evaluation import mask_constants
-from formulakit.similarity import (PackedCorpus, formula_token_ids, levenshtein_ids,
-                                   similarities_to_many)
-from formulakit.synth import synth_corpus
+from formulakit.similarity import PackedCorpus, levenshtein_ids, similarities_to_many
 
 REPEAT = 5
 SAMPLE = 200  # pairs, and corpus sequences per checked scan query
@@ -104,26 +97,16 @@ def workload_read_out(columns, packed):
         packed._read_out(lq, vp, vn)
 
 
-def workload_pairwise(seqs):
-    packed = PackedCorpus(seqs)
-    for q in seqs:
-        similarities_to_many(q, packed)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=20_000)
     parser.add_argument("--corpus", type=int, default=2_000)
-    parser.add_argument("--formulas", type=int, default=400)
     args = parser.parse_args()
 
     rng = random.Random(0)
     pairs = [(sequence(rng, i), sequence(rng, i + 1)) for i in range(args.pairs)]
     corpus = [sequence(rng, i) for i in range(args.corpus)]
     queries = [sequence(rng, i) for i in range(QUERIES)]
-    intern = {}
-    formula_ids = [formula_token_ids(mask_constants(f), intern)
-                   for f in synth_corpus(args.formulas, seed=1)]
 
     checked = [[seq for pair in pairs[:SAMPLE] for seq in pair], queries[:2], corpus[:SAMPLE]]
     if any(max(map(len, seqs), default=0) < LONG_MIN for seqs in checked):
@@ -144,9 +127,6 @@ def main():
          workload_scan, (queries, packed)),
         ("  _advance", workload_advance, (queries, packed)),
         ("  read-out", workload_read_out, (workload_advance(queries, packed), packed)),
-        (f"pairwise ({args.formulas} formulas, "
-         f"{args.formulas * (args.formulas - 1) // 2} pairs)",
-         workload_pairwise, (formula_ids,)),
     ]
     print(f"median of {REPEAT} runs per workload")
     print(f"{'workload':<44} {'time':>12}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Optional
 
 
@@ -67,12 +66,6 @@ class FunctionCatalog:
                 raise CatalogError(f"{source}:{lineno}: invalid arity range {min_s},{max_s}")
             entries[name.lower()] = (min_arity, max_arity)
         return cls(entries)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "FunctionCatalog":
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as fh:
-            return cls.from_lines(fh, source=str(path))
 
 
 @functools.lru_cache(maxsize=1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -381,6 +382,15 @@ def _field(obj: dict, key: str, kind: type = str):
     return value
 
 
+def _finite(key: str, value: object) -> float:
+    """value, which must be a finite JSON number and not a bool, as a float;
+    raises ValueError."""
+    number = objectives.typed(key, value, float)
+    if not math.isfinite(number):
+        raise ValueError(f"{key}: must be finite, got {value!r}")
+    return number
+
+
 def _repair_task(obj: dict, lineno: int) -> evaluation.RepairTask:
     return evaluation.RepairTask(
         buggy=_field(obj, "buggy"), ground_truth=_field(obj, "ground_truth"),
@@ -400,14 +410,28 @@ _BENCHMARKS = {
 }
 
 
+def _vector(obj: dict) -> list[float]:
+    """obj["vector"]: finite numbers whose squares sum to a finite number,
+    so that every cosine similarity with it is finite; raises ValueError."""
+    vector = [_finite("vector", x) for x in _field(obj, "vector", list)]
+    _finite("vector", sum(x * x for x in vector))
+    return vector
+
+
+def _prediction(obj: dict, lineno: int) -> tuple[str, list[str]]:
+    candidates = _field(obj, "candidates", list)
+    if not all(isinstance(c, str) for c in candidates):
+        raise TypeError("candidates")
+    return _field(obj, "source_id"), candidates
+
+
 def cmd_eval(args) -> int:
     """eval-repair and eval-complete: score replayed predictions."""
     subcommand = args.command
     tasks = _load_rows(args.benchmark, *_BENCHMARKS[subcommand.removeprefix("eval-")])
     predictions = dict(_load_rows(
-        args.predictions, "prediction rows need string `source_id` and list `candidates`",
-        lambda obj, _: (_field(obj, "source_id"),
-                        [str(c) for c in _field(obj, "candidates", list)])))
+        args.predictions, "prediction rows need string `source_id` and string list `candidates`",
+        _prediction))
     ks = sorted(set(args.k or (1, 5)))
     payload = evaluation.evaluate(tasks, evaluation.replay_provider(predictions),
                                   metrics=args.metrics, ks=ks).to_json()
@@ -425,14 +449,13 @@ def cmd_eval(args) -> int:
 
 def cmd_eval_retrieval(args) -> int:
     pairs = _load_rows(
-        args.pairs, "retrieval pair needs string formula_a/formula_b and target_similarity",
+        args.pairs, "retrieval pair needs string formula_a/formula_b and finite target_similarity",
         lambda obj, _: evaluation.RetrievalPair(
             formula_a=_field(obj, "formula_a"), formula_b=_field(obj, "formula_b"),
-            target_similarity=float(obj["target_similarity"])))
+            target_similarity=_finite("target_similarity", obj["target_similarity"])))
     embeddings = dict(_load_rows(
-        args.embeddings, "embedding rows need string `formula` and list `vector`",
-        lambda obj, _: (_field(obj, "formula"),
-                        [float(x) for x in _field(obj, "vector", list)])))
+        args.embeddings, "embedding rows need string `formula` and a finite list `vector`",
+        lambda obj, _: (_field(obj, "formula"), _vector(obj))))
     try:
         r = evaluation.retrieval_eval(pairs, embeddings)
     except ValueError as exc:

@@ -4,6 +4,8 @@ Covers the three downstream tasks: last-mile repair (exact match at k over
 normalized formulas), completion (exact and sketch match over prefixes cut
 at tokenizer-token boundaries), and similar-formula retrieval (Pearson
 correlation between embedding cosine similarity and token edit similarity).
+The retrieval targets score each drawn pair on its own, masking and
+interning only the formulas that occur in a pair.
 Candidate providers are plain callables, so a replayed prediction file, the
 non-neural baseline, or any model wrapper evaluate identically. Repair
 synthesis lexes each source formula once, and a corruption only when its
@@ -16,13 +18,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .curation import dedup_key
 from .lexer import TokenKind, check, fold, lex, normalize
 from .objectives import user_noise
 from .seeds import derive_rng
-from .similarity import PackedCorpus, formula_token_ids, similarities_to_many
+from .similarity import formula_token_ids, similarity_ids
 from .tokenizer import TokenizerModel, decode, encode
 
 
@@ -189,31 +192,23 @@ def build_retrieval_pairs(formulas: Sequence[str], seed: int,
 
     All unordered pairs when max_pairs is None, otherwise a seeded sample,
     drawn as ranks in the all-pairs order so that only the sampled pairs are
-    built. Each formula is masked, interned and packed once; each first
-    formula of a pair is scored against the whole packed set in one
-    similarities_to_many call, which gives the same values as
-    token_edit_similarity on the masked texts.
+    built. Only the formulas in a drawn pair are masked and interned, each
+    once, and each pair is scored on its own with similarity_ids, which
+    gives the same values as token_edit_similarity on the masked texts.
     """
-    masked = [mask_constants(f) for f in formulas]
-    intern: dict[str, int] = {}
-    ids = [formula_token_ids(m, intern) for m in masked]
-    n = len(masked)
+    n = len(formulas)
     total = n * (n - 1) // 2
     if max_pairs is not None and max_pairs < total:
         rng = derive_rng(seed, "retrieval-pairs")
         all_pairs = [_unrank_pair(rank, n) for rank in rng.sample(range(total), max_pairs)]
     else:
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    partners: dict[int, list[int]] = {}
-    for i, j in all_pairs:
-        partners.setdefault(i, []).append(j)
-    packed = PackedCorpus(ids)
-    scores: dict[tuple[int, int], float] = {}
-    for i, js in partners.items():
-        sims = similarities_to_many(ids[i], packed)
-        for j in js:
-            scores[i, j] = sims[j]
-    return [RetrievalPair(masked[i], masked[j], scores[i, j]) for i, j in all_pairs]
+    drawn = dict.fromkeys(chain.from_iterable(all_pairs))  # each formula once
+    masked = {i: mask_constants(formulas[i]) for i in drawn}
+    intern: dict[str, int] = {}
+    ids = {i: formula_token_ids(text, intern) for i, text in masked.items()}
+    return [RetrievalPair(masked[i], masked[j], similarity_ids(ids[i], ids[j]))
+            for i, j in all_pairs]
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
@@ -224,7 +219,10 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     norm_b = math.sqrt(sum(y * y for y in b))
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cannot take cosine similarity with a zero vector")
-    return dot / (norm_a * norm_b)
+    cosine = dot / (norm_a * norm_b)
+    if not math.isfinite(cosine):
+        raise ValueError("cosine similarity is not finite (the vectors overflow a float)")
+    return cosine
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -238,7 +236,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     var_y = sum(d * d for d in dy)
     if var_x == 0.0 or var_y == 0.0:
         raise ValueError("Pearson correlation undefined for a zero-variance axis")
-    return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
+    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
+    if not math.isfinite(r):
+        raise ValueError("Pearson correlation is not finite (the values overflow a float)")
+    return r
 
 
 def retrieval_eval(pairs: Sequence[RetrievalPair],
@@ -287,8 +288,10 @@ def evaluate(tasks: Sequence, candidate_provider: Callable[[object], Sequence[st
     The ground truth is RepairTask.ground_truth or CompletionTask.formula.
     A provider exception counts as a miss for that task, not a crash. Each
     metric keys the truth once per task and the top max(ks) candidates up
-    to the first match.
+    to the first match. A metric named twice is scored once, in the order
+    first named.
     """
+    metrics = list(dict.fromkeys(metrics))
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; choose from {sorted(METRICS)}")

@@ -47,11 +47,11 @@ a query uses the id. Dense masks for every id would cost one int the size
 of the corpus per distinct id (15 MB at 3,000 formulas), and the cap keeps
 their total at DENSE_MAX corpus-sized ints however many ids pass DENSE_MIN.
 
-`similarities_to_many` scores one query against a packed corpus (or packs a
-plain list on the call); it is the hot path of the repair baseline's scan
-and of the retrieval targets. `levenshtein_ids` runs the same kernel on one
-lane. The package has no compiled extension; KERNEL_BACKEND names the kernel
-for `formulakit --version` and benchmark results.
+`similarities_to_many` scores one query against a packed corpus; it is the
+hot path of the repair baseline's scan. `levenshtein_ids` runs the same
+kernel on one lane, and `similarity_ids` scores one pair with it (the
+retrieval targets). The package has no compiled extension; KERNEL_BACKEND
+names the kernel for `formulakit --version` and benchmark results.
 """
 
 from __future__ import annotations
@@ -263,15 +263,20 @@ def levenshtein_ids(a: Sequence[int], b: Sequence[int]) -> int:
     return len(a) + vp.bit_count() - vn.bit_count()
 
 
-def similarities_to_many(query: Sequence[int],
-                         corpus: PackedCorpus | Sequence[Sequence[int]]) -> list[float]:
+def similarity_ids(a: Sequence[int], b: Sequence[int]) -> float:
+    """1 - levenshtein_ids(a, b) / max(len(a), len(b)); two empty sequences
+    count as identical (1.0)."""
+    denom = max(len(a), len(b))
+    if denom == 0:
+        return 1.0
+    return 1.0 - levenshtein_ids(a, b) / denom
+
+
+def similarities_to_many(query: Sequence[int], corpus: PackedCorpus) -> list[float]:
     """1 - normalized edit distance from one query to each corpus sequence.
 
-    A plain list is packed on the call. Two empty sequences count as
-    identical (similarity 1.0).
+    Two empty sequences count as identical (similarity 1.0).
     """
-    if not isinstance(corpus, PackedCorpus):
-        corpus = PackedCorpus(corpus)
     return corpus.similarities(query)
 
 
@@ -317,9 +322,4 @@ def token_edit_similarity(a: str, b: str) -> float:
     Symmetric, and 1.0 exactly when the token sequences are equal.
     """
     intern: dict[str, int] = {}
-    ids_a = formula_token_ids(a, intern)
-    ids_b = formula_token_ids(b, intern)
-    denom = max(len(ids_a), len(ids_b))
-    if denom == 0:
-        return 1.0
-    return 1.0 - levenshtein_ids(ids_a, ids_b) / denom
+    return similarity_ids(formula_token_ids(a, intern), formula_token_ids(b, intern))

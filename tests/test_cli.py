@@ -584,3 +584,42 @@ class TestInputErrors:
             manifest = json.loads((inputs / "report.json.manifest.json").read_text("utf-8"))
             ks[len(extra)] = manifest["config"]["k"]
         assert ks == {0: [1, 5], 6: [1, 5]}
+
+    def test_non_string_candidate_is_data_error(self, inputs, capsys):
+        path = inputs / "input-under-test.jsonl"
+        write_jsonl_atomic(path, [INPUT_ROWS["predictions"][0],
+                                  {"source_id": "r1", "candidates": ["=A1", 1]}])
+        assert main(["eval-repair", "--benchmark", str(inputs / "repair.jsonl"),
+                     "--predictions", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}:2: "), err
+        assert "candidates" in err
+
+    # Each probe replaces fields of the second row of the pairs or the
+    # embeddings file. It must exit 2 naming that file and line, and the
+    # field. A vector whose squares overflow would give a cosine of NaN.
+    @pytest.mark.parametrize("under_test, patch", [
+        ("pairs", {"target_similarity": float("nan")}),
+        ("pairs", {"target_similarity": float("inf")}),
+        ("pairs", {"target_similarity": "0.5"}),
+        ("pairs", {"target_similarity": True}),
+        ("pairs", {"target_similarity": 10**400}),
+        ("embeddings", {"vector": [float("nan"), 0.1]}),
+        ("embeddings", {"vector": [float("-inf"), 0.1]}),
+        ("embeddings", {"vector": [True, 2]}),
+        ("embeddings", {"vector": ["0.9", 0.1]}),
+        ("embeddings", {"vector": [1e308, 1e308]}),
+    ])
+    def test_bad_retrieval_value_is_data_error(self, inputs, capsys, under_test, patch):
+        rows = [dict(row) for row in INPUT_ROWS[under_test]]
+        rows[1].update(patch)
+        path = inputs / f"{under_test}.jsonl"
+        write_jsonl_atomic(path, rows)
+        out = inputs / "retrieval.json"
+        capsys.readouterr()
+        assert main(["eval-retrieval", "--pairs", str(inputs / "pairs.jsonl"),
+                     "--embeddings", str(inputs / "embeddings.jsonl"), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}:2: "), err
+        assert next(iter(patch)) in err, err
+        assert not out.exists()

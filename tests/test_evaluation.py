@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import timeit
 import tracemalloc
 from collections import Counter
 
@@ -296,6 +297,18 @@ class TestRetrievalEval:
         with pytest.raises(ValueError, match="variance"):
             retrieval_eval(pairs, embeddings)
 
+    def test_non_finite_cosine_and_correlation_are_errors_not_nan(self):
+        pairs = [RetrievalPair("=A1", "=B1", 0.5), RetrievalPair("=A2", "=B2", 0.7)]
+        embeddings = {"=A1": [1.0, 0.0], "=B1": [0.0, 1.0],
+                      "=A2": [1e308, 1e308], "=B2": [1.0, 1.0]}
+        with pytest.raises(ValueError, match="cosine similarity is not finite"):
+            retrieval_eval(pairs, embeddings)
+        embeddings["=A2"] = [1.0, 1.0]
+        huge = [RetrievalPair("=A1", "=B1", 1e308), RetrievalPair("=A2", "=B2", 1e308),
+                RetrievalPair("=A1", "=B2", 0.0)]
+        with pytest.raises(ValueError, match="Pearson correlation is not finite"):
+            retrieval_eval(huge, embeddings)
+
     def test_dimension_mismatch(self):
         pairs = [RetrievalPair("=A1", "=B1", 0.5), RetrievalPair("=A1", "=B1", 0.7)]
         with pytest.raises(ValueError, match="dimensions"):
@@ -345,6 +358,28 @@ class TestRetrievalEval:
             tracemalloc.stop()
         assert len(pairs) == 20
         assert peak < 5_000_000, peak
+
+    def test_cost_at_a_fixed_sample_does_not_grow_with_the_corpus(self):
+        # Only the formulas of the drawn pairs are masked and scored, so at
+        # a fixed max_pairs twice the formulas must not cost three times as
+        # much time or memory. Best of several runs, as a ratio: no budget.
+        formulas = synth_corpus(4000, seed=90)
+        half = formulas[:2000]
+
+        def cost(corpus):
+            tracemalloc.start()
+            try:
+                build_retrieval_pairs(corpus, seed=0, max_pairs=200)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            seconds = min(timeit.repeat(lambda: build_retrieval_pairs(corpus, 0, 200),
+                                        number=1, repeat=5))
+            return seconds, peak
+
+        (time_n, peak_n), (time_2n, peak_2n) = cost(half), cost(formulas)
+        assert time_2n < 3 * time_n, (time_n, time_2n)
+        assert peak_2n < 3 * peak_n, (peak_n, peak_2n)
 
     def test_retrieval_targets_equal_pairwise_token_edit_similarity(self):
         formulas = synth_corpus(25, seed=87) + ['=SUM(1,"a")', '=SUM(2,"b")', ""]
@@ -471,6 +506,19 @@ class TestEvaluateHarness:
     def test_k_below_one_rejected_up_front(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             evaluate(self._tasks(), lambda t: [], metrics=("exact_match",), ks=(1, 0))
+
+    def test_repeated_metric_reports_as_named_once(self):
+        def provider(task):
+            return ["=WRONG()"] if task.source_id == "t0" else [task.ground_truth]
+
+        once = evaluate(self._tasks(), provider, metrics=("sketch_match", "exact_match"),
+                        ks=(1, 5))
+        twice = evaluate(self._tasks(), provider, ks=(1, 5),
+                         metrics=("sketch_match", "exact_match", "sketch_match", "exact_match"))
+        assert twice.to_json() == once.to_json()
+        assert twice.value("exact_match", 1) == 0.75
+        assert list(twice.per_task[0]) == list(once.per_task[0]) == [
+            "source_id", "sketch_match@1", "sketch_match@5", "exact_match@1", "exact_match@5"]
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):

@@ -424,14 +424,6 @@ class TestFunctionCatalog:
         assert "sum" in cat and "Sum" in cat
         assert cat.get("sum") == cat.get("SUM") == (1, None)
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "funcs.csv"
-        path.write_text("# comment\nFOO,1,3\nBAR,0,*\n", encoding="utf-8")
-        cat = FunctionCatalog.from_file(path)
-        assert cat.get("foo") == (1, 3)
-        assert cat.get("bar") == (0, None)
-        assert len(cat) == 2
-
     @pytest.mark.parametrize("line", ["FOO,x,3", "FOO,3", "FOO,2,1", ",1,2"])
     def test_malformed_lines_raise(self, line):
         with pytest.raises(CatalogError):

@@ -93,7 +93,7 @@ class TestLevenshteinKernel:
     def test_empty_query(self):
         corpus = [(), (1,), (1, 2, 3), tuple(range(70))]
         assert [levenshtein_ids([], seq) for seq in corpus] == [0, 1, 3, 70]
-        assert similarities_to_many([], corpus) == [1.0, 0.0, 0.0, 0.0]
+        assert similarities_to_many([], PackedCorpus(corpus)) == [1.0, 0.0, 0.0, 0.0]
 
     def test_unseen_and_repeated_query_ids(self):
         intern = {}
@@ -102,8 +102,9 @@ class TestLevenshteinKernel:
                    ("=FOO(Z9,Z9)+BAR(Q1)", "=A1+A1+A1+A1", "=SUM(A1:A10)+SUM(A1:A10)",
                     "=" + "+".join(["Z99"] * 40))]
         assert any(tok_id >= len(intern) for tok_id in queries[0])
+        packed = PackedCorpus(corpus)
         for q in queries:
-            sims = similarities_to_many(q, corpus)
+            sims = similarities_to_many(q, packed)
             for seq, sim in zip(corpus, sims):
                 d = oracle_levenshtein(q, seq)
                 assert levenshtein_ids(q, seq) == d
@@ -124,7 +125,7 @@ class TestLevenshteinKernel:
         rng = random.Random(2)
         corpus = [[rng.randrange(4) for _ in range(rng.randrange(8))] for _ in range(30)]
         q = [rng.randrange(4) for _ in range(5)]
-        sims = similarities_to_many(q, corpus)
+        sims = similarities_to_many(q, PackedCorpus(corpus))
         expected = [1.0 - levenshtein_ids(q, c) / max(len(q), len(c)) for c in corpus]
         assert sims == expected
 
@@ -144,7 +145,7 @@ class TestPackedScan:
         packed = PackedCorpus(corpus)
         assert len(packed) == len(corpus)
         assert packed.similarities(query) == oracle_similarities(query, corpus)
-        assert similarities_to_many(query, corpus) == oracle_similarities(query, corpus)
+        assert similarities_to_many(query, packed) == oracle_similarities(query, corpus)
 
     def test_lanes_straddle_digit_boundaries(self):
         # A lane of 31 or more rows must cross a multiple of 30, where one
@@ -203,7 +204,7 @@ class TestPackedScan:
     def test_empty_corpus_and_empty_query(self):
         assert PackedCorpus([]).similarities([1, 2, 3]) == []
         assert PackedCorpus([]).similarities([]) == []
-        assert similarities_to_many([], []) == []
+        assert similarities_to_many([], PackedCorpus([])) == []
         self.check([], [[], [1], [1, 2], [5] * 40])
 
     def test_packed_once_scores_many_queries(self):
@@ -279,7 +280,7 @@ class TestReadOut:
         assert len(packed) == len(corpus)
         for query in ([], [1], [3, 1], [7, 7, 7], [1, 2] * 25):
             assert packed.similarities(query) == oracle_similarities(query, corpus)
-            assert similarities_to_many(query, corpus) == oracle_similarities(query, corpus)
+            assert similarities_to_many(query, packed) == oracle_similarities(query, corpus)
 
     def test_memo_stays_bounded_under_envelope_queries(self):
         # Queries of up to ~2,000 tokens against lanes of 0-130 tokens ask
@@ -406,7 +407,7 @@ def test_kernel_benchmark_script_runs():
                                                        os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, str(REPO / "benchmarks" / "bench_kernels.py"),
-         "--pairs", "50", "--corpus", "20", "--formulas", "10"],
+         "--pairs", "50", "--corpus", "20"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "pairwise (10 formulas, 45 pairs)" in proc.stdout
+    assert "packed scan (20 queries x 20 corpus)" in proc.stdout
