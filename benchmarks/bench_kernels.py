@@ -6,10 +6,10 @@ Three workloads:
                build_retrieval_pairs scores the retrieval targets)
   pack         packing the scan corpus into one PackedCorpus
   packed scan  queries against that packed corpus, one similarities_to_many
-               call each (the baseline repair scan), then the same scan in
-               its two parts: _advance (the match masks and every lane's
-               last DP column) and the read-out (lane sums to similarities
-               in corpus order)
+               call each with k = K (the baseline repair scan), then the
+               same scan in its two parts: _advance (the match masks and
+               every lane's last DP column) and the ranking (lane sums to
+               the corpus positions at or above the k-th best similarity)
 
 Sequences are mostly 5-39 tokens, with one in LONG_EVERY of 64-159 tokens,
 so lanes and queries of 64 tokens or more are timed and checked too.
@@ -34,6 +34,7 @@ from formulakit.similarity import PackedCorpus, levenshtein_ids, similarities_to
 REPEAT = 5
 SAMPLE = 200  # pairs, and corpus sequences per checked scan query
 QUERIES = 20
+K = 5  # similarities ranked per scan query, as the baseline repair's -k 5
 LONG_EVERY = 10
 LONG_MIN = 64
 
@@ -61,8 +62,9 @@ def disagreements(pairs, queries, corpus):
     sample = corpus[:SAMPLE]
     packed = PackedCorpus(sample)
     for q in queries[:2]:  # one long query, one short
-        for seq, sim in zip(sample, similarities_to_many(q, packed)):
-            if sim != 1.0 - dp_levenshtein(q, seq) / max(len(q), len(seq)):
+        sims = similarities_to_many(q, packed, len(sample))  # every position
+        for i, seq in enumerate(sample):
+            if sims[i] != 1.0 - dp_levenshtein(q, seq) / max(len(q), len(seq)):
                 bad.append((q, seq))
     return bad
 
@@ -84,17 +86,17 @@ def workload_pairs(pairs):
 
 def workload_scan(queries, packed):
     for q in queries:
-        similarities_to_many(q, packed)
+        similarities_to_many(q, packed, K)
 
 
 def workload_advance(queries, packed):
-    """The first part of the scan; returns its columns for the read-out."""
+    """The first part of the scan; returns its columns for the ranking."""
     return [(len(q), *packed._columns(q)) for q in queries]
 
 
-def workload_read_out(columns, packed):
+def workload_rank(columns, packed):
     for lq, vp, vn in columns:
-        packed._read_out(lq, vp, vn)
+        packed._rank(lq, vp, vn, K)
 
 
 def main():
@@ -126,7 +128,7 @@ def main():
         (f"packed scan ({QUERIES} queries x {args.corpus} corpus)",
          workload_scan, (queries, packed)),
         ("  _advance", workload_advance, (queries, packed)),
-        ("  read-out", workload_read_out, (workload_advance(queries, packed), packed)),
+        (f"  rank (k={K})", workload_rank, (workload_advance(queries, packed), packed)),
     ]
     print(f"median of {REPEAT} runs per workload")
     print(f"{'workload':<44} {'time':>12}")

@@ -8,10 +8,11 @@ both, so a loaded index pays for them before its first query). Repair
 retrieves the nearest corpus formulas by token edit similarity: only the
 well-formed formulas are packed, since an ill-formed one never ranks, and
 each query is scored exactly against all of them in one pass of the packed
-bit-parallel kernel (`similarity.PackedCorpus`); only the entries at or
-above the k-th best score are sorted. Completion ranks corpus formulas by
-frequency under a case-insensitive prefix match, backing off to
-sketch-prefix matching. Both matches are range lookups: the formulas
+bit-parallel kernel (`similarity.PackedCorpus`). The kernel's lane sums
+give the entries at or above the k-th best score without a float per
+formula, and only those entries are sorted. Completion ranks corpus
+formulas by frequency under a case-insensitive prefix match, backing off
+to sketch-prefix matching. Both matches are range lookups: the formulas
 sorted by (lowered text, text) and the sorted sketch keys are searched
 with `bisect`, and the matching run is read forward until the first entry
 that does not extend the prefix, so a query touches only its matches,
@@ -20,7 +21,6 @@ never the whole index. Completion never lexes an indexed formula.
 
 from __future__ import annotations
 
-import heapq
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -111,17 +111,11 @@ def repair_candidates(index: SketchIndex, buggy: str, k: int) -> list[str]:
     if k < 1:
         raise ValueError("k must be >= 1")
     formulas, intern, packed = index._repair_view
-    if not formulas:
-        return []
-    sims = similarities_to_many(formula_token_ids_frozen(buggy, intern), packed)
-    ranked = range(len(formulas))
-    if len(formulas) > k:
-        # Only entries at or above the k-th best similarity can rank.
-        kth = heapq.nlargest(k, sims)[-1]
-        ranked = [i for i, sim in enumerate(sims) if sim >= kth]
-    # The key is unique (the text is), so these are the full sort's first k.
+    sims = similarities_to_many(formula_token_ids_frozen(buggy, intern), packed, k)
+    # Only entries at or above the k-th best similarity come back; the key
+    # is unique (the text is), so these are the full sort's first k.
     frequency = index._frequency
-    ranked = sorted(ranked, key=lambda i: (-sims[i], -frequency[formulas[i]], formulas[i]))
+    ranked = sorted(sims, key=lambda i: (-sims[i], -frequency[formulas[i]], formulas[i]))
     return [formulas[i] for i in ranked[:k]]
 
 

@@ -21,7 +21,8 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from . import baseline as baseline_mod
@@ -358,18 +359,29 @@ def cmd_gen_finetune_complete(args) -> int:
     return EXIT_OK
 
 
-def _load_rows(path: str, what: str, build: Callable[[dict, int], object]) -> list:
+def _load_rows(path: str, what: str, build: Callable[[dict, int], object],
+               source_id: Optional[Callable[[Any], str]] = None) -> list:
     """One build(row, line_number) per row of a strict JSONL file. A row that
     is not an object, or lacks a field `build` requires or holds it with the
-    wrong type, is a DataError that says `what` a row needs."""
+    wrong type, is a DataError that says `what` a row needs. With
+    `source_id`, a built row whose source_id(row) an earlier row has is a
+    DataError naming both lines."""
     rows = []
+    lines: dict[str, int] = {}  # source_id -> the line that has it
     for lineno, obj in read_jsonl(path):
         if isinstance(obj, dict):
             try:
-                rows.append(build(obj, lineno))
-                continue
+                row = build(obj, lineno)
             except (KeyError, TypeError, ValueError):
                 pass
+            else:
+                if source_id is not None:
+                    sid = source_id(row)
+                    first = lines.setdefault(sid, lineno)
+                    if first != lineno:
+                        raise DataError(f"source_id {sid!r} repeats line {first}", path, lineno)
+                rows.append(row)
+                continue
         raise DataError(what, path, lineno)
     return rows
 
@@ -399,14 +411,16 @@ def _repair_task(obj: dict, lineno: int) -> evaluation.RepairTask:
 
 def _completion_task(obj: dict, lineno: int) -> evaluation.CompletionTask:
     return evaluation.CompletionTask(
-        formula=_field(obj, "formula"), prefix_fraction=float(obj.get("prefix_fraction", 0)),
+        formula=_field(obj, "formula"),
+        prefix_fraction=_finite("prefix_fraction", obj.get("prefix_fraction", 0)),
         prefix=_field(obj, "prefix"), source_id=str(obj.get("source_id", f"task-{lineno}")))
 
 
 # Per task: what a benchmark row must hold, and how it becomes a task.
 _BENCHMARKS = {
     "repair": ("repair task needs string `buggy` and `ground_truth`", _repair_task),
-    "complete": ("completion task needs string `formula` and `prefix`", _completion_task),
+    "complete": ("completion task needs string `formula` and `prefix`, and a finite "
+                 "number `prefix_fraction` if any", _completion_task),
 }
 
 
@@ -428,10 +442,11 @@ def _prediction(obj: dict, lineno: int) -> tuple[str, list[str]]:
 def cmd_eval(args) -> int:
     """eval-repair and eval-complete: score replayed predictions."""
     subcommand = args.command
-    tasks = _load_rows(args.benchmark, *_BENCHMARKS[subcommand.removeprefix("eval-")])
+    tasks = _load_rows(args.benchmark, *_BENCHMARKS[subcommand.removeprefix("eval-")],
+                       source_id=attrgetter("source_id"))
     predictions = dict(_load_rows(
         args.predictions, "prediction rows need string `source_id` and string list `candidates`",
-        _prediction))
+        _prediction, source_id=itemgetter(0)))
     ks = sorted(set(args.k or (1, 5)))
     payload = evaluation.evaluate(tasks, evaluation.replay_provider(predictions),
                                   metrics=args.metrics, ks=ks).to_json()

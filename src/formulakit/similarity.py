@@ -22,22 +22,34 @@ the `starts` mask, whatever the shift brought in. vp is masked to the lanes
 after every step. vn = hp & d0 needs no mask: a carry reaches a guard bit
 only when the lane's top row has vp set, and then hp is clear there.
 
-Read-out. After the last query token, the last cell of lane j is
+Lane sums. After the last query token, the last cell of lane j is
 D[m_j][lq] = lq + popcount(vp_j) - popcount(vn_j). vp and vn are turned
 into per-byte popcounts with one `bytes.translate`, combined into
 8 + a - b per byte (0..16, no borrow), and the bytes of each lane summed:
 by one multiplication with 1 + 256 + ... + 256**(L-1) for the lanes of L
 bytes (the lane's sum lands in its top byte, at most 16 * L <= 240 for
-L <= 15, so nothing carries), by `sum` for longer lanes. For the summed-
-by-product lanes, each run of equal lengths m maps its sums through a
-table of 1.0 - d / max(lq, m) by sum; a table holds at most min(lq, m) + 1
-similarities, and the last _TABLES of them (by (lq, m)) are kept across
-queries, so a query builds only the tables no recent query needed. Tables
-of one denominator slice one shared tuple of its floats. The longer lanes
-compute the same float expression inline. Either way it is the expression
-of scoring one pair, so every similarity is bit-identical to it. The
-lane-order results go back to corpus order through one `itemgetter` built
-with the corpus.
+L <= 15, so nothing carries), by `sum` for longer lanes. A lane of L bytes
+sums to 8 * L + d - lq for distance d. The sums are one str, a character
+per lane, so that `str.count` and `str.find` search a run of lanes for
+one sum whatever the lanes' size.
+
+Ranking. No float is built per lane. Lanes are ordered by length, so the
+lanes of one length m form a run, and within a run the similarity
+1.0 - d / max(lq, m) falls as the sum rises. A heap over the runs walks
+each run's sums upward from its lowest possible sum (distance |lq - m|),
+the best similarity across the runs first, and counts the lanes at each
+sum until k are found; that sum's similarity is the k-th best. A sparse
+run (at most _SPARSE_RUN lanes per possible sum) with no lane at its
+lowest sum skips to its least sum, one pass over its lanes, which keeps
+queries far from every lane from stepping through many empty sums. The
+lanes at or above the k-th best are then found with `str.find` and mapped
+to corpus positions through one lane-order array. A run of lanes up to 15
+bytes reads its similarities from a table of 1.0 - d / max(lq, m) from
+d = |lq - m| up, which holds min(lq, m) + 1 similarities; the last
+_TABLES tables (by (lq, m)) are kept across queries, and tables of one
+denominator slice one shared tuple of its floats. A run of longer lanes
+computes the same float expression inline. Either way it is the
+expression of scoring one pair, so every similarity is bit-identical to it.
 
 Match masks. The mask of a token id has the bits of every lane row holding
 that id. The DENSE_MAX ids found at the most places (ties by id), of those
@@ -47,7 +59,7 @@ a query uses the id. Dense masks for every id would cost one int the size
 of the corpus per distinct id (15 MB at 3,000 formulas), and the cap keeps
 their total at DENSE_MAX corpus-sized ints however many ids pass DENSE_MIN.
 
-`similarities_to_many` scores one query against a packed corpus; it is the
+`similarities_to_many` ranks a packed corpus against one query; it is the
 hot path of the repair baseline's scan. `levenshtein_ids` runs the same
 kernel on one lane, and `similarity_ids` scores one pair with it (the
 retrieval targets). The package has no compiled extension; KERNEL_BACKEND
@@ -60,8 +72,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
+from heapq import heapify, heappop, heapreplace
 from itertools import chain
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import lexer
@@ -74,6 +86,10 @@ DENSE_MIN = 16
 DENSE_MAX = 128
 _TABLES = 1024  # (query length, lane length) similarity tables kept for reuse
 _SUMMED_BY_PRODUCT = 15  # longest lane, in bytes, summed by one multiplication
+# A run of equal lengths with no lane at its lowest possible sum skips to its
+# least sum, one pass over its lanes, when it holds at most _SPARSE_RUN lanes
+# per possible sum; a denser run steps up one sum at a time.
+_SPARSE_RUN = 4
 _POPCOUNT = bytes(bin(i).count("1") for i in range(256))
 
 
@@ -104,18 +120,16 @@ def _mask_from_positions(positions: Sequence[int], nbytes: int) -> int:
 
 class PackedCorpus:
     """Token-id sequences packed as byte-aligned lanes of one int, with
-    their match masks; `similarities` scores a query against all of them.
+    their match masks; `similarities_to_many` ranks them against a query.
     `len` is the number of sequences. Ids must fit in a signed 64-bit int
     (interned ids count up from 0)."""
 
     def __init__(self, seqs: Sequence[Sequence[int]]) -> None:
         order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
         self._len = len(seqs)
-        rank = [0] * len(seqs)  # corpus position -> lane
         full, starts = bytearray(), bytearray()
         runs: list[list[int]] = []  # [length, lanes] per run of equal lengths
-        for lane, i in enumerate(order):
-            rank[i] = lane
+        for i in order:
             m = len(seqs[i])
             whole, rest = divmod(m, 8)  # the lane's last byte has its guard bit
             full += b"\xff" * whole
@@ -130,16 +144,19 @@ class PackedCorpus:
         self._full = int.from_bytes(full, "little")
         self._starts = int.from_bytes(starts, "little")
         self._eights = int.from_bytes(b"\x08" * nbytes, "little")
-        # Lane order -> corpus order; with fewer than two lanes they agree.
-        self._gather = itemgetter(*rank) if len(rank) > 1 else tuple
-        # Runs of equal lane size: [lane size, bytes, [(length, lanes), ...]].
-        self._regions: list[list] = []
+        self._order = order  # lane -> corpus position
+        # Runs of equal lane size, [lane size, bytes]; and runs of equal
+        # length, (length, lane size, first lane, end lane).
+        self._regions: list[list[int]] = []
+        self._runs: list[tuple[int, int, int, int]] = []
+        end = 0
         for m, lanes in runs:
             size = m // 8 + 1
             if not self._regions or self._regions[-1][0] != size:
-                self._regions.append([size, 0, []])
+                self._regions.append([size, 0])
             self._regions[-1][1] += size * lanes
-            self._regions[-1][2].append((m, lanes))
+            self._runs.append((m, size, end, end + lanes))
+            end += lanes
         # Every row's bit position, grouped by id: a counting sort in which
         # slot[id] runs from the id's first place to one past its last.
         slot = Counter(chain.from_iterable(seqs))
@@ -183,45 +200,85 @@ class PackedCorpus:
         begin = self._sparse_ends[k - 1] if k else 0
         return _mask_from_positions(self._sparse[begin:self._sparse_ends[k]], self._nbytes)
 
-    def similarities(self, query: Sequence[int]) -> list[float]:
-        """1 - normalized edit distance from `query` to each sequence, in
-        corpus order; two empty sequences count as identical (1.0)."""
-        return self._read_out(len(query), *self._columns(query))
-
     def _columns(self, query: Sequence[int]) -> tuple[int, int]:
         """Every lane's last DP column after `query`, as (vp, vn)."""
         masks = {tok_id: self._mask(tok_id) for tok_id in set(query)}
         return _advance([masks[t] for t in query], self._full, 0, self._starts, self._full)
 
-    def _read_out(self, lq: int, vp: int, vn: int) -> list[float]:
-        """The similarities, in corpus order, of a query of lq tokens whose
-        last columns are vp and vn."""
+    def _sums(self, vp: int, vn: int) -> str:
+        """Every lane's sum of 8 + popcount(vp) - popcount(vn) over its
+        bytes, for the last columns vp and vn, as one character per lane in
+        lane order."""
         nbytes = self._nbytes
         plus = vp.to_bytes(nbytes, "little").translate(_POPCOUNT)
         minus = vn.to_bytes(nbytes, "little").translate(_POPCOUNT)
         # Per byte 8 + popcount(vp) - popcount(vn), in 0..16.
         delta = (int.from_bytes(plus, "little") + self._eights
                  - int.from_bytes(minus, "little")).to_bytes(nbytes, "little")
-        in_lane_order: list[float] = []
+        parts = []
         first = 0
-        for size, region_bytes, lengths in self._regions:
+        for size, region_bytes in self._regions:
             last = first + region_bytes
             if size <= _SUMMED_BY_PRODUCT:
                 product = int.from_bytes(delta[first:last], "little") * _ones(size)
-                sums: Sequence[int] = product.to_bytes(region_bytes + size, "little")[
-                    size - 1:region_bytes:size]
-            else:
-                sums = [sum(delta[b:b + size]) for b in range(first, last, size)]
-            lane = 0
-            for m, lanes in lengths:
-                group = sums[lane:lane + lanes]
-                if size <= _SUMMED_BY_PRODUCT:
-                    in_lane_order.extend(map(_table(lq, m).__getitem__, group))
-                else:  # few lanes, each costing its size anyway
-                    in_lane_order.extend(1.0 - (lq + s - 8 * size) / max(lq, m) for s in group)
-                lane += lanes
+                parts.append(product.to_bytes(region_bytes + size, "little")[
+                    size - 1:region_bytes:size].decode("latin-1"))
+            else:  # few lanes, each costing its size anyway
+                parts.append("".join([chr(sum(delta[b:b + size]))
+                                      for b in range(first, last, size)]))
             first = last
-        return list(self._gather(in_lane_order))
+        return "".join(parts)
+
+    def _rank(self, lq: int, vp: int, vn: int, k: int) -> dict[int, float]:
+        """{corpus position: similarity} of every lane at or above the k-th
+        best similarity, for a query of lq tokens whose last columns are vp
+        and vn; every lane when k >= len(self)."""
+        need = min(k, self._len)
+        if need < 1:
+            return {}
+        sums = self._sums(vp, vn)
+        # Per run: its similarities from the lowest sum a lane of length m
+        # can have (distance |lq - m|) upward, that sum, and its lanes.
+        runs = []
+        for m, size, begin, end in self._runs:
+            if size <= _SUMMED_BY_PRODUCT:
+                sims: Sequence[float] = _table(lq, m)
+            else:  # few lanes, and their tables would be long
+                denom = max(lq, m)
+                sims = [1.0 - d / denom for d in range(abs(lq - m), denom + 1)]
+            runs.append((sims, 8 * size - lq + abs(lq - m), begin, end))
+        # Walk every run's sums upward, the best similarity across the runs
+        # first, counting lanes until k are found: that similarity is the
+        # k-th best.
+        first = [0] * len(runs)  # per run, the table entry its lanes start at
+        heap = [(-sims[0], r, 0) for r, (sims, _, _, _) in enumerate(runs)]
+        heapify(heap)
+        while True:
+            negated, r, i = heap[0]
+            sims, low, begin, end = runs[r]
+            count = sums.count(chr(low + i), begin, end)
+            if not count and not i and end - begin <= _SPARSE_RUN * len(sims):
+                i = first[r] = ord(min(sums[begin:end])) - low
+                heapreplace(heap, (-sims[i], r, i))
+                continue
+            need -= count
+            if need <= 0:
+                break
+            if i + 1 < len(sims):
+                heapreplace(heap, (-sims[i + 1], r, i + 1))
+            else:
+                heappop(heap)
+        kth = -negated
+        order, found = self._order, {}
+        for (sims, low, begin, end), i in zip(runs, first):
+            while i < len(sims) and sims[i] >= kth:
+                lane_sum = chr(low + i)
+                lane = sums.find(lane_sum, begin, end)
+                while lane >= 0:
+                    found[order[lane]] = sims[i]
+                    lane = sums.find(lane_sum, lane + 1, end)
+                i += 1
+        return found
 
 
 def _ones(size: int) -> int:
@@ -231,19 +288,18 @@ def _ones(size: int) -> int:
 
 
 @lru_cache(maxsize=_TABLES)
-def _table(lq: int, m: int) -> tuple:
+def _table(lq: int, m: int) -> tuple[float, ...]:
     """Similarity by lane sum for a query of lq tokens against a length-m
-    lane of m // 8 + 1 bytes: the sum is 8 * (m // 8 + 1) + d - lq for
-    distance d, and only |lq - m| <= d <= max(lq, m) can occur, so the
-    table holds at most min(lq, m) + 1 similarities whatever lq is. They
-    are a slice of the denominator's `_fractions`, so tables of one
-    denominator share their floats."""
-    bits = 8 * (m // 8 + 1)
+    lane of m // 8 + 1 bytes, from the lowest sum the lane can have: the
+    sum is 8 * (m // 8 + 1) + d - lq for distance d, and only
+    |lq - m| <= d <= max(lq, m) can occur, so entry i is the similarity of
+    distance |lq - m| + i, and the table holds min(lq, m) + 1 similarities
+    whatever lq is. They are a slice of the denominator's `_fractions`, so
+    tables of one denominator share their floats."""
     denom = max(lq, m)
     if denom == 0:
-        return (None,) * bits + (1.0,)
-    low = abs(lq - m)
-    return (None,) * (bits - lq + low) + _fractions(denom)[low:]
+        return (1.0,)
+    return _fractions(denom)[abs(lq - m):]
 
 
 @lru_cache(maxsize=_TABLES)
@@ -272,12 +328,14 @@ def similarity_ids(a: Sequence[int], b: Sequence[int]) -> float:
     return 1.0 - levenshtein_ids(a, b) / denom
 
 
-def similarities_to_many(query: Sequence[int], corpus: PackedCorpus) -> list[float]:
-    """1 - normalized edit distance from one query to each corpus sequence.
-
-    Two empty sequences count as identical (similarity 1.0).
-    """
-    return corpus.similarities(query)
+def similarities_to_many(query: Sequence[int], corpus: PackedCorpus,
+                         k: int) -> dict[int, float]:
+    """{corpus position: similarity} for every corpus sequence at or above
+    the k-th best similarity to `query` (1 - normalized edit distance; two
+    empty sequences count as identical, 1.0). Ties at the k-th best all
+    count, so it can hold more than k; with k >= len(corpus) it holds every
+    position."""
+    return corpus._rank(len(query), *corpus._columns(query), k)
 
 
 def formula_token_ids(formula: str, intern: dict[str, int],

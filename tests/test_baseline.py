@@ -11,7 +11,7 @@ from formulakit.cli import main
 from formulakit.curation import dedup_key
 from formulakit.lexer import check, normalize, sketch
 from formulakit.similarity import (formula_token_ids, formula_token_ids_frozen,
-                                   token_edit_similarity)
+                                   similarities_to_many, token_edit_similarity)
 from formulakit.synth import synth_corpus
 
 
@@ -59,8 +59,8 @@ class TestBuildIndex:
             formula_token_ids(f, reference_intern)
         assert intern == reference_intern
         query = "=SUM(A1:B2)+max(B2)"
-        assert packed.similarities(formula_token_ids_frozen(query, intern)) == \
-            [token_edit_similarity(query, f) for f in formulas]
+        sims = similarities_to_many(formula_token_ids_frozen(query, intern), packed, len(packed))
+        assert sims == {i: token_edit_similarity(query, f) for i, f in enumerate(formulas)}
         lowered, by_lowered, keys = index._completion_view
         assert list(zip(lowered, by_lowered)) == sorted((f.lower(), f) for f in set(corpus))
         assert keys == sorted(index.entries)
@@ -319,7 +319,8 @@ class TestPersistence:
         fresh_formulas, fresh_intern, fresh_packed = fresh._repair_view
         assert (formulas, intern) == (fresh_formulas, fresh_intern)
         query = formula_token_ids_frozen("=SUM(A1:A9)", intern)
-        assert packed.similarities(query) == fresh_packed.similarities(query)
+        assert similarities_to_many(query, packed, len(packed)) == \
+            similarities_to_many(query, fresh_packed, len(fresh_packed))
         assert loaded._completion_view == fresh._completion_view
 
     def test_save_load_round_trip(self, tmp_path):

@@ -623,3 +623,33 @@ class TestInputErrors:
         assert err.startswith(f"data error: {path}:2: "), err
         assert next(iter(patch)) in err, err
         assert not out.exists()
+
+    # Each probe writes a second row, source_id "x1" unless the patch sets
+    # it, into the benchmark or the predictions file of eval-repair or
+    # eval-complete. It must exit 2 naming that file and line, and the
+    # field; a repeated source_id names the first row's line too.
+    @pytest.mark.parametrize("command, under_test, patch", [
+        ("eval-complete", "complete", {"prefix_fraction": "0.5"}),
+        ("eval-complete", "complete", {"prefix_fraction": True}),
+        ("eval-complete", "complete", {"prefix_fraction": float("nan")}),
+        ("eval-repair", "repair", {"source_id": "r0"}),
+        ("eval-complete", "complete", {"source_id": "c0"}),
+        ("eval-repair", "predictions", {"source_id": "r0"}),
+        ("eval-complete", "predictions", {"source_id": "r0"}),
+    ])
+    def test_bad_eval_row_is_data_error(self, inputs, capsys, command, under_test, patch):
+        files = {"benchmark": inputs / f"{command.removeprefix('eval-')}.jsonl",
+                 "predictions": inputs / "predictions.jsonl"}
+        argv = [command, "--benchmark", str(files["benchmark"]),
+                "--predictions", str(files["predictions"]), "-o", str(inputs / "report.json")]
+        assert main(argv) == 0  # the well-formed files score
+        path = files["predictions" if under_test == "predictions" else "benchmark"]
+        first = INPUT_ROWS[under_test][0]
+        write_jsonl_atomic(path, [first, {**first, "source_id": "x1", **patch}])
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}:2: "), err
+        assert next(iter(patch)) in err, err
+        if "source_id" in patch:
+            assert "line 1" in err, err

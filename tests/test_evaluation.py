@@ -404,7 +404,7 @@ def _ref_build_retrieval_pairs(formulas, seed, max_pairs=None):
     packed = PackedCorpus(ids)
     scores = {}
     for i, js in partners.items():
-        sims = similarities_to_many(ids[i], packed)
+        sims = similarities_to_many(ids[i], packed, len(packed))  # every position
         for j in js:
             scores[i, j] = sims[j]
     return [RetrievalPair(masked[i], masked[j], scores[i, j]) for i, j in all_pairs]

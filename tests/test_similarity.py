@@ -93,7 +93,7 @@ class TestLevenshteinKernel:
     def test_empty_query(self):
         corpus = [(), (1,), (1, 2, 3), tuple(range(70))]
         assert [levenshtein_ids([], seq) for seq in corpus] == [0, 1, 3, 70]
-        assert similarities_to_many([], PackedCorpus(corpus)) == [1.0, 0.0, 0.0, 0.0]
+        assert all_similarities([], PackedCorpus(corpus)) == [1.0, 0.0, 0.0, 0.0]
 
     def test_unseen_and_repeated_query_ids(self):
         intern = {}
@@ -104,7 +104,7 @@ class TestLevenshteinKernel:
         assert any(tok_id >= len(intern) for tok_id in queries[0])
         packed = PackedCorpus(corpus)
         for q in queries:
-            sims = similarities_to_many(q, packed)
+            sims = all_similarities(q, packed)
             for seq, sim in zip(corpus, sims):
                 d = oracle_levenshtein(q, seq)
                 assert levenshtein_ids(q, seq) == d
@@ -125,7 +125,7 @@ class TestLevenshteinKernel:
         rng = random.Random(2)
         corpus = [[rng.randrange(4) for _ in range(rng.randrange(8))] for _ in range(30)]
         q = [rng.randrange(4) for _ in range(5)]
-        sims = similarities_to_many(q, PackedCorpus(corpus))
+        sims = all_similarities(q, PackedCorpus(corpus))
         expected = [1.0 - levenshtein_ids(q, c) / max(len(q), len(c)) for c in corpus]
         assert sims == expected
 
@@ -138,14 +138,31 @@ def oracle_similarities(query, corpus):
     return out
 
 
+def all_similarities(query, packed):
+    """Every similarity, in corpus order: similarities_to_many with
+    k = len(packed) returns every position."""
+    sims = similarities_to_many(query, packed, len(packed))
+    assert sorted(sims) == list(range(len(packed)))
+    return [sims[i] for i in range(len(packed))]
+
+
+def oracle_ranked(query, corpus, k):
+    """{position: similarity} at or above the k-th best, from a full sort
+    of the DP oracle's similarities."""
+    sims = oracle_similarities(query, corpus)
+    if min(k, len(sims)) < 1:
+        return {}
+    kth = sorted(sims, reverse=True)[min(k, len(sims)) - 1]
+    return {i: sim for i, sim in enumerate(sims) if sim >= kth}
+
+
 class TestPackedScan:
     """One query against many lanes of one int, against the DP oracle."""
 
     def check(self, query, corpus):
         packed = PackedCorpus(corpus)
         assert len(packed) == len(corpus)
-        assert packed.similarities(query) == oracle_similarities(query, corpus)
-        assert similarities_to_many(query, packed) == oracle_similarities(query, corpus)
+        assert all_similarities(query, packed) == oracle_similarities(query, corpus)
 
     def test_lanes_straddle_digit_boundaries(self):
         # A lane of 31 or more rows must cross a multiple of 30, where one
@@ -176,7 +193,7 @@ class TestPackedScan:
             query = [1] * m
             corpus = [[1] * m, [1] * (m + 1), [2] * m, [1] * max(m - 1, 0), [1, 2] * m]
             self.check(query, corpus)
-            assert PackedCorpus(corpus).similarities(query)[0] == 1.0
+            assert all_similarities(query, PackedCorpus(corpus))[0] == 1.0
 
     def test_ids_around_the_dense_threshold(self):
         rng = random.Random(16)
@@ -199,12 +216,12 @@ class TestPackedScan:
         for text in ("=ZZZ(QQ1,QQ1)+ZZZ(QQ2)", "=NOPE()", "=A1+" + "+".join(["W7"] * 20)):
             query = formula_token_ids_frozen(text, intern)
             assert any(tok_id >= len(intern) for tok_id in query)
-            assert packed.similarities(query) == oracle_similarities(query, corpus)
+            assert all_similarities(query, packed) == oracle_similarities(query, corpus)
 
     def test_empty_corpus_and_empty_query(self):
-        assert PackedCorpus([]).similarities([1, 2, 3]) == []
-        assert PackedCorpus([]).similarities([]) == []
-        assert similarities_to_many([], PackedCorpus([])) == []
+        for k in (0, 1, 5):
+            assert similarities_to_many([1, 2, 3], PackedCorpus([]), k) == {}
+            assert similarities_to_many([], PackedCorpus([]), k) == {}
         self.check([], [[], [1], [1, 2], [5] * 40])
 
     def test_packed_once_scores_many_queries(self):
@@ -213,14 +230,14 @@ class TestPackedScan:
         packed = PackedCorpus(corpus)
         for _ in range(25):
             query = [rng.randrange(11) for _ in range(rng.randrange(30))]
-            assert packed.similarities(query) == oracle_similarities(query, corpus)
+            assert all_similarities(query, packed) == oracle_similarities(query, corpus)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 5), max_size=40), max_size=25),
            st.lists(st.integers(0, 7), max_size=40))
     def test_random_corpora_against_oracle(self, corpus, query):
         self.check(query, corpus)
-        # The read-out counts vn unmasked: it must never reach a guard bit.
+        # The lane sums count vn unmasked: it must never reach a guard bit.
         packed = PackedCorpus(corpus)
         vp, vn = _advance([packed._mask(t) for t in query], packed._full, 0,
                           packed._starts, packed._full)
@@ -249,12 +266,12 @@ class TestPackedScan:
         for _ in range(12):
             pool = rng.choice([past_cap, list(packed._dense), range(ids + 45)])
             query = [rng.choice(pool) for _ in range(rng.randrange(25))]
-            assert packed.similarities(query) == oracle_similarities(query, corpus)
+            assert all_similarities(query, packed) == oracle_similarities(query, corpus)
 
 
 class TestReadOut:
-    """The read-out reuses its similarity tables across queries and maps
-    lanes back to corpus order with one gather built with the corpus."""
+    """The ranking reads similarities from tables it reuses across queries
+    and maps lanes back to corpus order through one lane-order array."""
 
     def test_many_query_lengths_against_oracle(self):
         _table.cache_clear()
@@ -270,7 +287,7 @@ class TestReadOut:
         assert max(lengths) > longest and 0 in lengths
         for lq in lengths:
             query = [rng.randrange(8) for _ in range(lq)]
-            assert packed.similarities(query) == oracle_similarities(query, corpus)
+            assert all_similarities(query, packed) == oracle_similarities(query, corpus)
         assert _table.cache_info().hits > 0
 
     @pytest.mark.parametrize("corpus", [[], [[]], [[4]], [[1, 2] * 20], [[1, 2, 3], [3]],
@@ -279,8 +296,7 @@ class TestReadOut:
         packed = PackedCorpus(corpus)
         assert len(packed) == len(corpus)
         for query in ([], [1], [3, 1], [7, 7, 7], [1, 2] * 25):
-            assert packed.similarities(query) == oracle_similarities(query, corpus)
-            assert similarities_to_many(query, packed) == oracle_similarities(query, corpus)
+            assert all_similarities(query, packed) == oracle_similarities(query, corpus)
 
     def test_memo_stays_bounded_under_envelope_queries(self):
         # Queries of up to ~2,000 tokens against lanes of 0-130 tokens ask
@@ -298,28 +314,111 @@ class TestReadOut:
         assert max(map(len, queries)) > 2000
         first = []
         for query in queries:
-            sims = packed.similarities(query)
+            sims = all_similarities(query, packed)
             assert sims == [1.0 - levenshtein_ids(seq, query) / max(len(query), len(seq), 1)
                             for seq in corpus]
             first.append(sims)
             assert _table.cache_info().currsize <= _TABLES
         assert _table.cache_info().misses > _TABLES
         for query, sims in zip(reversed(queries), reversed(first)):
-            assert packed.similarities(query) == sims
+            assert all_similarities(query, packed) == sims
         assert _table.cache_info().currsize <= _TABLES
         assert _fractions.cache_info().currsize <= _TABLES
         # A table's size follows the lane, not the query.
-        assert len(_table(2500, 8)) == len(_table(8, 8)) == 17
+        assert len(_table(2500, 8)) == len(_table(8, 8)) == 9
 
     def test_tables_of_one_denominator_share_their_floats(self):
         # query length 9 against lanes of 3, 5 and 9 tokens: denominator 9
         tables = [_table(9, m) for m in (3, 5, 9)]
         for d in range(6, 10):
-            # the lane sum of distance d is 8 * (m // 8 + 1) + d - 9
-            floats = [table[8 * (m // 8 + 1) + d - 9] for table, m in zip(tables, (3, 5, 9))]
+            # a table starts at the least distance, |9 - m|
+            floats = [table[d - abs(9 - m)] for table, m in zip(tables, (3, 5, 9))]
             assert floats[0] == 1.0 - d / 9
             assert floats[0] is floats[1] is floats[2]
-        assert _table(3, 9)[8 * 2 + 6 - 3] is tables[0][8 + 6 - 9]
+        assert [len(table) for table in tables] == [4, 6, 10]
+        assert _table(3, 9)[0] is tables[0][0]
+
+
+class TestRanking:
+    """similarities_to_many(query, corpus, k) against a full sort of the DP
+    oracle: every position at or above the k-th best, with its similarity."""
+
+    def check(self, query, corpus, ks=(1, 2, 3, 5)):
+        packed = PackedCorpus(corpus)
+        for k in (*ks, len(corpus), len(corpus) + 7):
+            assert similarities_to_many(query, packed, k) == oracle_ranked(query, corpus, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 4), max_size=20), max_size=30),
+           st.lists(st.integers(0, 6), max_size=20), st.integers(1, 35))
+    def test_random_corpora_against_the_full_sort(self, corpus, query, k):
+        assert similarities_to_many(query, PackedCorpus(corpus), k) == \
+            oracle_ranked(query, corpus, k)
+
+    def test_ties_straddle_the_kth_entry(self):
+        # Against [1, 2, 3, 4] the lanes of 2, 4 and 8 tokens at distances
+        # 2, 2 and 4 all score 0.5 from three different runs; so do the
+        # three lanes one substitution from [1, 2].
+        corpus = [[1, 2, 3, 4], [1, 2, 9, 9], [1, 2], [3, 4], [9, 2],
+                  [1, 2, 3, 4, 9, 9, 9, 9], [1, 2, 3, 9], [7, 7, 7], [1, 2, 4, 3]]
+        query = [1, 2, 3, 4]
+        sims = oracle_similarities(query, corpus)
+        assert sims.count(0.5) >= 4
+        for k in range(1, len(corpus) + 1):
+            ranked = similarities_to_many(query, PackedCorpus(corpus), k)
+            assert ranked == oracle_ranked(query, corpus, k)
+            assert len(ranked) >= k
+        assert len(similarities_to_many(query, PackedCorpus(corpus), 4)) > 4
+        self.check([1, 2], [[1, 9], [9, 2], [1, 2, 9], [9, 1, 2], [2, 1], [1], [2]])
+
+    def test_lanes_longer_than_fifteen_bytes(self):
+        rng = random.Random(120)
+        long_lane = [rng.randrange(8) for _ in range(200)]
+        corpus = [long_lane, edited(rng, long_lane, 30, 8), long_lane[:120], long_lane[:127],
+                  long_lane[:128], [rng.randrange(8) for _ in range(300)], long_lane[:40],
+                  long_lane[:7], [], [rng.randrange(8) for _ in range(119)], long_lane[:120]]
+        for query in (long_lane, long_lane[:121], edited(rng, long_lane[:150], 20, 8),
+                      long_lane[:10], [], [3]):
+            self.check(query, corpus)
+
+    def test_empty_query_and_unseen_tokens_only(self):
+        corpus = [[], [1], [1, 2], [], [2, 2, 2], [1, 2, 3, 4]]
+        self.check([], corpus)
+        assert similarities_to_many([], PackedCorpus(corpus), 1) == {0: 1.0, 3: 1.0}
+        # No token matches, so every similarity is 0.0 but the two empty
+        # lanes' against a non-empty query: one tie holds the rest.
+        self.check([99, 99, 98], corpus)
+        ranked = similarities_to_many([99, 99, 98], PackedCorpus(corpus), 1)
+        assert ranked == {i: 0.0 for i in range(len(corpus))}
+
+    def test_k_of_one_and_past_the_corpus(self):
+        rng = random.Random(11)
+        corpus = [[rng.randrange(5) for _ in range(rng.randrange(25))] for _ in range(40)]
+        packed = PackedCorpus(corpus)
+        for _ in range(10):
+            query = [rng.randrange(6) for _ in range(rng.randrange(25))]
+            assert similarities_to_many(query, packed, 1) == oracle_ranked(query, corpus, 1)
+            assert similarities_to_many(query, packed, 100) == \
+                dict(enumerate(oracle_similarities(query, corpus)))
+
+    def test_dense_and_sparse_runs(self):
+        # 300 lanes of 4 tokens step up one sum at a time (far more lanes
+        # than possible sums); the lone lanes of other lengths skip to
+        # their least sum. Queries near and far from every lane.
+        rng = random.Random(4)
+        corpus = [[rng.randrange(3) for _ in range(4)] for _ in range(300)]
+        corpus += [[rng.randrange(3) for _ in range(m)] for m in (1, 2, 6, 9, 17, 30)]
+        rng.shuffle(corpus)
+        packed = PackedCorpus(corpus)
+        assert max(end - begin for *_, begin, end in packed._runs) == 300
+        for query in ([0, 1, 2, 0], [2] * 9, [5, 5, 5], [0, 1] * 12, [1]):
+            for k in (1, 5, 40, 299, 306):
+                assert similarities_to_many(query, packed, k) == oracle_ranked(query, corpus, k)
+
+    def test_empty_corpus(self):
+        for query in ([], [1], [1, 2, 3]):
+            for k in (0, 1, 5):
+                assert similarities_to_many(query, PackedCorpus([]), k) == {}
 
 
 class TestTokenEditSimilarity:
@@ -396,7 +495,7 @@ class TestTokenEditSimilarity:
             copy = dict(intern)
             interned = formula_token_ids(f, copy)
             frozen = formula_token_ids_frozen(f, intern)
-            assert packed.similarities(frozen) == packed.similarities(interned)
+            assert all_similarities(frozen, packed) == all_similarities(interned, packed)
             assert [levenshtein_ids(frozen, seq) for seq in corpus] == \
                 [levenshtein_ids(interned, seq) for seq in corpus]
 
