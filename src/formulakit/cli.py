@@ -501,7 +501,8 @@ def cmd_baseline(args) -> int:
     if query is not None:
         items = [("query-0", query)]
     else:
-        tasks = _load_rows(args.benchmark, *_BENCHMARKS[args.baseline_cmd])
+        tasks = _load_rows(args.benchmark, *_BENCHMARKS[args.baseline_cmd],
+                           source_id=attrgetter("source_id"))
         items = [(t.source_id, t.buggy if repair else t.prefix) for t in tasks]
     rank = baseline_mod.repair_candidates if repair else baseline_mod.completion_candidates
     rows = ({"source_id": sid, "candidates": rank(index, q, args.k)} for sid, q in items)

@@ -19,8 +19,24 @@ operations (`_advance`). The guard bits keep lanes apart. A carry of
 zero there. The hp/hn shifts move a lane's top row into its guard bit, and
 the next lane's row 0 takes the +1 of the first DP row (D[0][j] = j) from
 the `starts` mask, whatever the shift brought in. vp is masked to the lanes
-after every step. vn = hp & d0 needs no mask: a carry reaches a guard bit
-only when the lane's top row has vp set, and then hp is clear there.
+(`full`) after every step; vn = hp & d0 needs no mask, because a carry
+reaches a guard bit only when the lane's top row has vp set, and then hp is
+clear there.
+
+Width mask. The recurrence complements twice per token. `~x` on a Python
+int is the negative int -(x + 1), and each `|` with a negative operand
+converts it to two's complement and back, a full-width pass and an
+allocation each. So `_advance` complements as `ones ^ x`, where
+ones = 2**W - 1 and W bits hold every lane and its guard bits: W is
+8 * nbytes for a packed corpus, len(b) + 1 for `levenshtein_ids`'s one
+lane. Every value stays non-negative, and the final (vp, vn) are exactly
+those of the `~` loop:
+- On bits below W, `ones ^ x` equals `~x`.
+- Nothing in the loop moves a bit downward: shifts go left and carries go
+  up. So bits at or above W never reach bits below W.
+- vp is masked to `full`, and d0 < 2**W: vp lies within `full`, and a
+  carry stops in a guard bit inside the last byte. So vn = hp & d0 < 2**W
+  too, and nothing at or above W survives a step.
 
 Lane sums. After the last query token, the last cell of lane j is
 D[m_j][lq] = lq + popcount(vp_j) - popcount(vn_j). vp and vn are turned
@@ -48,7 +64,8 @@ bytes reads its similarities from a table of 1.0 - d / max(lq, m) from
 d = |lq - m| up, which holds min(lq, m) + 1 similarities; the last
 _TABLES tables (by (lq, m)) are kept across queries, and tables of one
 denominator slice one shared tuple of its floats. A run of longer lanes
-computes the same float expression inline. Either way it is the
+computes the same float expression inline (`_Inline`), and only for the
+entries the walk and the survivor pass read. Either way it is the
 expression of scoring one pair, so every similarity is bit-identical to it.
 
 Match masks. The mask of a token id has the bits of every lane row holding
@@ -93,9 +110,13 @@ _SPARSE_RUN = 4
 _POPCOUNT = bytes(bin(i).count("1") for i in range(256))
 
 
-def _advance(eqs: Sequence[int], vp: int, vn: int, starts: int, full: int) -> tuple[int, int]:
+def _advance(eqs: Sequence[int], vp: int, vn: int, starts: int, full: int,
+             ones: int) -> tuple[int, int]:
     """Advance every lane's DP column by the query tokens whose match masks
-    are `eqs`; returns the final (vp, vn).
+    are `eqs`; returns the final (vp, vn). `ones` is 2**W - 1 for a width W
+    that holds every lane and its guard bits: complementing as `ones ^ x`
+    keeps every value a non-negative int of about W bits, and the result is
+    exact (see the module docstring).
 
     Per token: d0 marks the diagonal zero deltas, hp/hn the horizontal
     +1/-1 deltas; shifting hp/hn in by one row (with a +1 at each lane's
@@ -103,10 +124,10 @@ def _advance(eqs: Sequence[int], vp: int, vn: int, starts: int, full: int) -> tu
     """
     for eq in eqs:
         d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = vn | ~(d0 | vp)
+        hp = vn | (ones ^ (d0 | vp))
         hn = d0 & vp
         hp = (hp << 1) | starts
-        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vp = ((hn << 1) | (ones ^ (d0 | hp))) & full
         vn = hp & d0
     return vp, vn
 
@@ -143,6 +164,7 @@ class PackedCorpus:
         self._nbytes = nbytes = len(full)
         self._full = int.from_bytes(full, "little")
         self._starts = int.from_bytes(starts, "little")
+        self._ones = (1 << 8 * nbytes) - 1
         self._eights = int.from_bytes(b"\x08" * nbytes, "little")
         self._order = order  # lane -> corpus position
         # Runs of equal lane size, [lane size, bytes]; and runs of equal
@@ -203,7 +225,8 @@ class PackedCorpus:
     def _columns(self, query: Sequence[int]) -> tuple[int, int]:
         """Every lane's last DP column after `query`, as (vp, vn)."""
         masks = {tok_id: self._mask(tok_id) for tok_id in set(query)}
-        return _advance([masks[t] for t in query], self._full, 0, self._starts, self._full)
+        return _advance([masks[t] for t in query], self._full, 0, self._starts, self._full,
+                        self._ones)
 
     def _sums(self, vp: int, vn: int) -> str:
         """Every lane's sum of 8 + popcount(vp) - popcount(vn) over its
@@ -220,7 +243,7 @@ class PackedCorpus:
         for size, region_bytes in self._regions:
             last = first + region_bytes
             if size <= _SUMMED_BY_PRODUCT:
-                product = int.from_bytes(delta[first:last], "little") * _ones(size)
+                product = int.from_bytes(delta[first:last], "little") * _byte_ones(size)
                 parts.append(product.to_bytes(region_bytes + size, "little")[
                     size - 1:region_bytes:size].decode("latin-1"))
             else:  # few lanes, each costing its size anyway
@@ -242,10 +265,9 @@ class PackedCorpus:
         runs = []
         for m, size, begin, end in self._runs:
             if size <= _SUMMED_BY_PRODUCT:
-                sims: Sequence[float] = _table(lq, m)
+                sims: Sequence[float] | _Inline = _table(lq, m)
             else:  # few lanes, and their tables would be long
-                denom = max(lq, m)
-                sims = [1.0 - d / denom for d in range(abs(lq - m), denom + 1)]
+                sims = _Inline(abs(lq - m), max(lq, m))
             runs.append((sims, 8 * size - lq + abs(lq - m), begin, end))
         # Walk every run's sums upward, the best similarity across the runs
         # first, counting lanes until k are found: that similarity is the
@@ -281,7 +303,25 @@ class PackedCorpus:
         return found
 
 
-def _ones(size: int) -> int:
+class _Inline:
+    """1.0 - d / denom for each distance d from `least` to denom, computed
+    when read: the similarities of a run of lanes over _SUMMED_BY_PRODUCT
+    bytes, which keeps no table. The ranking reads only the entries near
+    the top of a run, so a run that cannot rank builds one float."""
+
+    __slots__ = ("_least", "_denom")
+
+    def __init__(self, least: int, denom: int) -> None:
+        self._least, self._denom = least, denom
+
+    def __len__(self) -> int:
+        return self._denom - self._least + 1
+
+    def __getitem__(self, i: int) -> float:
+        return 1.0 - (self._least + i) / self._denom
+
+
+def _byte_ones(size: int) -> int:
     """1 + 256 + ... + 256**(size - 1): multiplying by it sums each byte
     with the size - 1 bytes below it."""
     return int.from_bytes(b"\x01" * size, "little")
@@ -315,7 +355,8 @@ def levenshtein_ids(a: Sequence[int], b: Sequence[int]) -> int:
     for row, tok_id in enumerate(b):
         masks[tok_id] = masks.get(tok_id, 0) | (1 << row)
     full = (1 << len(b)) - 1
-    vp, vn = _advance([masks.get(t, 0) for t in a], full, 0, 1 if b else 0, full)
+    vp, vn = _advance([masks.get(t, 0) for t in a], full, 0, 1 if b else 0, full,
+                      (1 << len(b) + 1) - 1)
     return len(a) + vp.bit_count() - vn.bit_count()
 
 

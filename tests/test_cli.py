@@ -625,9 +625,10 @@ class TestInputErrors:
         assert not out.exists()
 
     # Each probe writes a second row, source_id "x1" unless the patch sets
-    # it, into the benchmark or the predictions file of eval-repair or
-    # eval-complete. It must exit 2 naming that file and line, and the
-    # field; a repeated source_id names the first row's line too.
+    # it, into the benchmark or the predictions file of a command that reads
+    # tasks (eval-repair, eval-complete, and baseline repair and complete
+    # with --benchmark). It must exit 2 naming that file and line, and the field; a
+    # repeated source_id names the first row's line too.
     @pytest.mark.parametrize("command, under_test, patch", [
         ("eval-complete", "complete", {"prefix_fraction": "0.5"}),
         ("eval-complete", "complete", {"prefix_fraction": True}),
@@ -636,14 +637,19 @@ class TestInputErrors:
         ("eval-complete", "complete", {"source_id": "c0"}),
         ("eval-repair", "predictions", {"source_id": "r0"}),
         ("eval-complete", "predictions", {"source_id": "r0"}),
+        ("baseline-repair", "repair", {"source_id": "r0"}),
+        ("baseline-complete", "complete", {"source_id": "c0"}),
     ])
     def test_bad_eval_row_is_data_error(self, inputs, capsys, command, under_test, patch):
-        files = {"benchmark": inputs / f"{command.removeprefix('eval-')}.jsonl",
-                 "predictions": inputs / "predictions.jsonl"}
-        argv = [command, "--benchmark", str(files["benchmark"]),
-                "--predictions", str(files["predictions"]), "-o", str(inputs / "report.json")]
+        task = command.rsplit("-", 1)[1]
+        if command.startswith("eval-"):
+            argv = [command, "--benchmark", str(inputs / f"{task}.jsonl"), "--predictions",
+                    str(inputs / "predictions.jsonl"), "-o", str(inputs / "report.json")]
+        else:
+            argv = ["baseline", task, "--index", str(inputs / "index.json"), "--benchmark",
+                    str(inputs / f"{task}.jsonl"), "-o", str(inputs / "candidates.jsonl")]
         assert main(argv) == 0  # the well-formed files score
-        path = files["predictions" if under_test == "predictions" else "benchmark"]
+        path = inputs / f"{under_test}.jsonl"
         first = INPUT_ROWS[under_test][0]
         write_jsonl_atomic(path, [first, {**first, "source_id": "x1", **patch}])
         capsys.readouterr()

@@ -3,12 +3,15 @@ import os
 import random
 import subprocess
 import sys
+import timeit
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from formulakit import similarity
 from formulakit.lexer import lex
 from formulakit.similarity import (_TABLES, DENSE_MAX, DENSE_MIN, KERNEL_BACKEND,
                                    PackedCorpus, _advance, _fractions, _table,
@@ -36,6 +39,20 @@ def oracle_levenshtein(a, b):
                 dist[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
     return dist[m][n]
+
+
+def reference_advance(eqs, vp, vn, starts, full):
+    """The kernel's loop in two's complement, with `~`: the oracle that
+    `_advance`, which complements with a width mask, must equal bit for
+    bit."""
+    for eq in eqs:
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        hp = (hp << 1) | starts
+        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vn = hp & d0
+    return vp, vn
 
 
 def edited(rng, seq, edits, alphabet):
@@ -156,6 +173,63 @@ def oracle_ranked(query, corpus, k):
     return {i: sim for i, sim in enumerate(sims) if sim >= kth}
 
 
+def lane(length, seed):
+    """`length` ids drawn from 0-5, the only ids a lane holds."""
+    rng = random.Random(seed)
+    return [rng.randrange(6) for _ in range(length)]
+
+
+# Lane lengths: short; multiples of 8, whose guard bit opens a new byte (0
+# among them, the empty lane); and 120 or more, over 15 bytes.
+LANES = st.builds(lane, st.one_of(st.integers(0, 20), st.integers(0, 25).map(lambda n: 8 * n),
+                                  st.integers(120, 200)), st.integers(0, 2**16))
+
+
+class TestWidthMaskKernel:
+    """_advance complements with `ones ^ x`, never `~x`; its final columns
+    equal the two's-complement loop's bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(LANES, max_size=12), st.lists(st.integers(0, 9), max_size=60))
+    @example([[], [1] * 8, [2] * 120], [])  # the empty query
+    @example([[], [1] * 8, [2] * 120], [6, 7, 8, 9, 6])  # unseen ids only
+    @example([[]], [1, 2])  # one empty lane
+    def test_packed_columns_equal_the_complement_loop(self, corpus, query):
+        packed = PackedCorpus(corpus)
+        eqs = [packed._mask(t) for t in query]
+        args = (eqs, packed._full, 0, packed._starts, packed._full)
+        assert packed._ones == (1 << 8 * packed._nbytes) - 1
+        assert _advance(*args, packed._ones) == reference_advance(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(LANES, st.lists(st.integers(0, 9), max_size=60))
+    @example([], [1, 2])
+    @example([1] * 16, [])
+    @example([2] * 128, [7, 8, 9])
+    def test_one_lane_columns_equal_the_complement_loop(self, b, a):
+        # levenshtein_ids's lane: b at bit 0, its guard bit at len(b), and
+        # a width of len(b) + 1 bits.
+        calls = []
+
+        def spy(eqs, vp, vn, starts, full, ones):
+            columns = _advance(eqs, vp, vn, starts, full, ones)
+            calls.append((ones, columns, reference_advance(eqs, vp, vn, starts, full)))
+            return columns
+
+        with mock.patch.object(similarity, "_advance", spy):
+            assert levenshtein_ids(a, b) == oracle_levenshtein(a, b)
+        [(ones, columns, expected)] = calls
+        assert ones == (1 << len(b) + 1) - 1
+        assert columns == expected
+
+    @pytest.mark.parametrize("m", [0, 8, 16, 64, 120, 128])
+    def test_lanes_of_whole_bytes_against_the_dp(self, m):
+        rng = random.Random(m)
+        b = [rng.randrange(4) for _ in range(m)]
+        for a in ([], [9, 9], b, b[:m // 2], edited(rng, b, 5, 4), [1] * (m + 3)):
+            assert levenshtein_ids(a, b) == oracle_levenshtein(a, b), (a, b)
+
+
 class TestPackedScan:
     """One query against many lanes of one int, against the DP oracle."""
 
@@ -240,8 +314,26 @@ class TestPackedScan:
         # The lane sums count vn unmasked: it must never reach a guard bit.
         packed = PackedCorpus(corpus)
         vp, vn = _advance([packed._mask(t) for t in query], packed._full, 0,
-                          packed._starts, packed._full)
+                          packed._starts, packed._full, packed._ones)
         assert vp & ~packed._full == 0 and vn & ~packed._full == 0
+
+    def test_long_query_at_twice_the_corpus_costs_under_three_times(self):
+        # A query of 2,000 tokens (past Excel's 8,192-character formulas)
+        # against twice the packed formulas must not cost three times as
+        # much. Best of several runs, as a ratio: no wall-clock budget.
+        intern = {}
+        corpus = [formula_token_ids(f, intern) for f in synth_corpus(4000, seed=91)]
+        long_formula = _envelope_formulas(random.Random(2000))[2]
+        query = formula_token_ids_frozen(long_formula, intern)[:2000]
+        assert len(query) == 2000
+
+        def seconds(packed):
+            return min(timeit.repeat(lambda: similarities_to_many(query, packed, 5),
+                                     number=1, repeat=5))
+
+        time_n = seconds(PackedCorpus(corpus[:2000]))
+        time_2n = seconds(PackedCorpus(corpus))
+        assert time_2n < 3 * time_n, (time_n, time_2n)
 
     def test_dense_masks_capped_by_place_count_then_id(self):
         # More than DENSE_MAX ids reach DENSE_MIN places; place counts
