@@ -627,8 +627,8 @@ class TestInputErrors:
     # Each probe writes a second row, source_id "x1" unless the patch sets
     # it, into the benchmark or the predictions file of a command that reads
     # tasks (eval-repair, eval-complete, and baseline repair and complete
-    # with --benchmark). It must exit 2 naming that file and line, and the field; a
-    # repeated source_id names the first row's line too.
+    # with --benchmark). It must exit 2 naming that file and line, and the
+    # field; a repeated source_id names the first row's line too.
     @pytest.mark.parametrize("command, under_test, patch", [
         ("eval-complete", "complete", {"prefix_fraction": "0.5"}),
         ("eval-complete", "complete", {"prefix_fraction": True}),
