@@ -8,6 +8,11 @@ Times `lex`, `check`, `normalize`, `sketch`, `curation.dedup_key` and
   envelope   formulas at Excel's limits (8,192 characters, 64 nesting
              levels, 255 arguments), as in the `envelope` workload
 
+Two more rows time a stage over the whole set, per formula: `dedup`
+(per-workbook, over the set's records with their exact repeats, which it
+keys once per distinct text) and `gen_repair_finetune` (seed 0, over the
+set's formulas, each lexed and bracket-matched once).
+
 Each time is the median of REPEAT passes over the whole set. Before timing,
 the script exits 1 if the joined token texts of any input differ from the
 input, or if `check` flags any envelope input, all of which are well-formed.
@@ -20,13 +25,15 @@ import argparse
 import statistics
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from inputs import envelope_records, typical_records  # noqa: E402
 
-from formulakit.curation import dedup_key  # noqa: E402
+from formulakit.curation import FormulaRecord, dedup, dedup_key  # noqa: E402
+from formulakit.evaluation import gen_repair_finetune  # noqa: E402
 from formulakit.lexer import check, lex, normalize, sketch  # noqa: E402
 from formulakit.noise import applicable_operators  # noqa: E402
 
@@ -34,6 +41,9 @@ REPEAT = 5
 VIEWS = (("lex", lex), ("check", check), ("normalize", normalize),
          ("sketch", sketch), ("dedup_key", dedup_key),
          ("applicable_operators", applicable_operators))
+STAGES = (("dedup", lambda records: list(dedup(records))),
+          ("gen_repair_finetune",
+           lambda records: list(gen_repair_finetune((r.formula for r in records), 0))))
 
 
 def problems(name, formulas, well_formed):
@@ -51,13 +61,16 @@ def problems(name, formulas, well_formed):
 
 
 def per_formula_us(fn, formulas):
+    return per_set_us(lambda: deque(map(fn, formulas), maxlen=0), len(formulas))
+
+
+def per_set_us(run, n):
     times = []
     for _ in range(REPEAT):
         start = time.perf_counter()
-        for formula in formulas:
-            fn(formula)
+        run()
         times.append(time.perf_counter() - start)
-    return statistics.median(times) / len(formulas) * 1e6
+    return statistics.median(times) / n * 1e6
 
 
 def main():
@@ -67,10 +80,11 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    sets = [
-        ("typical", [r["formula"] for r in typical_records(args.seed, args.typical)], False),
-        ("envelope", [r["formula"] for r in envelope_records(args.seed, args.envelope)], True),
-    ]
+    records = {"typical": typical_records(args.seed, args.typical),
+               "envelope": envelope_records(args.seed, args.envelope)}
+    records = {name: [FormulaRecord(r["workbook_id"], r["sheet_id"], r["formula"], r.get("cell"))
+                      for r in rows] for name, rows in records.items()}
+    sets = [(name, [r.formula for r in records[name]], name == "envelope") for name in records]
     found = [p for name, formulas, well_formed in sets
              for p in problems(name, formulas, well_formed)]
     if found:
@@ -86,6 +100,10 @@ def main():
     for view, fn in VIEWS:
         cells = "".join(f"{per_formula_us(fn, formulas):>26.1f}" for _, formulas, _ in sets)
         print(f"{view:<22}{cells}")
+    for stage, run in STAGES:
+        cells = "".join(f"{per_set_us(lambda: run(records[name]), len(records[name])):>26.1f}"
+                        for name, _, _ in sets)
+        print(f"{stage:<22}{cells}")
     return 0
 
 

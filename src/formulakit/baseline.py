@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -91,18 +92,17 @@ class SketchIndex:
 
 
 def build_index(corpus: Iterable[str]) -> SketchIndex:
-    """Count formulas per sketch; deterministic for a fixed corpus."""
+    """Count formulas per sketch; deterministic for a fixed corpus. The
+    texts are counted first, so each distinct text is keyed once."""
+    frequency = Counter(corpus)
     counts: dict[str, dict[str, int]] = {}
-    total = 0
-    for formula in corpus:
-        total += 1
-        bucket = counts.setdefault(dedup_key(formula), {})
-        bucket[formula] = bucket.get(formula, 0) + 1
+    for formula, freq in frequency.items():
+        counts.setdefault(dedup_key(formula), {})[formula] = freq
     entries = {
         s: sorted(bucket.items(), key=lambda item: (-item[1], item[0]))
         for s, bucket in counts.items()
     }
-    return SketchIndex(entries=entries, total_formulas=total)
+    return SketchIndex(entries=entries, total_formulas=frequency.total())
 
 
 def repair_candidates(index: SketchIndex, buggy: str, k: int) -> list[str]:

@@ -3,11 +3,12 @@
 Two dedup scopes: per-workbook (keeps one instance of each sketch within
 every workbook, preserving naturally occurring cross-workbook repetition)
 and global (one instance per sketch corpus-wide). `dedup` serves both in
-one streaming, first-wins pass: it keys each record once, yields it when it
-is new in the chosen scope, and counts the corpus stats for both scopes on
-the way, so the output is a stable subsequence of the input and no record
-list is kept. Memory is O(distinct keys per workbook). `dedup_key` lexes a
-formula once unless it holds whitespace, whose removal can merge tokens.
+one streaming, first-wins pass: it keys each distinct formula text once,
+yields a record when its key is new in the chosen scope, and counts the
+corpus stats for both scopes on the way, so the output is a stable
+subsequence of the input and no record list is kept. Memory is O(distinct
+texts + distinct keys per workbook). `dedup_key` lexes a formula once unless
+it holds whitespace, whose removal can merge tokens.
 `ingest` skips the lines that are not usable records and counts them in a
 skips Counter.
 """
@@ -118,9 +119,12 @@ def dedup(records: Iterable[FormulaRecord], mode: str = "per-workbook",
           stats: Optional[CorpusStats] = None) -> Iterator[FormulaRecord]:
     """First record of each distinct sketch in `mode`'s scope, in order.
 
-    Keys each record once and counts it into `stats` (when given) for both
-    scopes, so one pass yields the retained records and the corpus stats.
-    A mode outside DEDUP_MODES raises ValueError on the first pull.
+    Counts each record into `stats` (when given) for both scopes, so one
+    pass yields the retained records and the corpus stats. `dedup_key` is a
+    function of the text alone, so it runs once per distinct formula text:
+    a dict local to the call maps each text to its key, and a text repeated
+    within or across workbooks reads its key there. A mode outside
+    DEDUP_MODES raises ValueError on the first pull.
     """
     if mode not in DEDUP_MODES:
         raise ValueError(f"unknown dedup mode {mode!r}; expected one of {DEDUP_MODES}")
@@ -130,8 +134,12 @@ def dedup(records: Iterable[FormulaRecord], mode: str = "per-workbook",
     counts = stats.per_workbook_counts
     seen: set[str] = set()
     seen_in_workbook: dict[str, set[str]] = {}
+    keys: dict[str, str] = {}  # formula text -> dedup_key
     for record in records:
-        key = dedup_key(record.formula)
+        formula = record.formula
+        key = keys.get(formula)
+        if key is None:
+            key = keys[formula] = dedup_key(formula)
         workbook = record.workbook_id
         stats.total_formulas += 1
         counts[workbook] = counts.get(workbook, 0) + 1

@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from .catalog import default_catalog
 from .curation import dedup_key
 from .lexer import TokenKind, check, fold, lex, normalize
+from .noise import SiteIndex
 from .objectives import user_noise
 from .seeds import derive_rng
 from .similarity import formula_token_ids, similarity_ids
@@ -148,18 +150,22 @@ def gen_repair_finetune(formulas: Iterable[str], seed: int,
     Inputs that fail the well-formedness check are skipped (skips["malformed"]);
     corruptions that survive normalization unchanged (e.g. an extra space the
     comparison form strips again) are discarded (skips["unchanged"]).
-    Deterministic under the seed. Each source formula is lexed once. A
-    corruption is lexed only when its `fold` equals the source's, since
-    formulas with different folds have different normalized forms.
+    Deterministic under the seed. Each source formula is lexed once and its
+    brackets matched once: one `noise.SiteIndex` serves `check` and
+    `user_noise`. A corruption is lexed only when its `fold` equals the
+    source's, since formulas with different folds have different normalized
+    forms.
     """
     skips = Counter() if skips is None else skips
+    catalog = default_catalog()
     for ordinal, formula in enumerate(formulas):
-        tokens = lex(formula)
-        if check(formula, tokens=tokens):
+        tokens = lex(formula, catalog)
+        index = SiteIndex(tokens, catalog)
+        if check(formula, catalog, tokens, index.brackets()):
             skips["malformed"] += 1
             continue
         rng = derive_rng(seed, "repair", ordinal)
-        example = user_noise(formula, rng, tokens=tokens)
+        example = user_noise(formula, rng, index)
         if fold(example.input) == fold(formula) \
                 and normalize(example.input) == normalize(formula, tokens=tokens):
             skips["unchanged"] += 1

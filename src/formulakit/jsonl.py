@@ -73,14 +73,22 @@ def read_jsonl(path: PathLike) -> Iterator[tuple[int, Any]]:
 def _atomic_text(path: PathLike) -> Iterator[TextIO]:
     """A UTF-8 text handle on a temp file beside `path` that replaces `path`
     when the block ends; on any failure the temp file is removed and
-    `path` is left as it was."""
+    `path` is left as it was. An output that cannot be made (its directory
+    cannot be created, no temp file can be opened there, or `path` cannot
+    be replaced, say because it is a directory) is a DataError naming it."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    except OSError as exc:
+        raise DataError(f"cannot write output: {exc}", str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise DataError(f"cannot write output: {exc}", str(path)) from None
     except BaseException:
         try:
             os.unlink(tmp)

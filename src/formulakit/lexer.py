@@ -258,16 +258,19 @@ def fold(text: str) -> str:
 
 
 def check(formula: str, catalog: Optional[FunctionCatalog] = None,
-          tokens: Optional[list[Token]] = None) -> list[Diagnostic]:
+          tokens: Optional[list[Token]] = None,
+          brackets: Optional[Brackets] = None) -> list[Diagnostic]:
     """Lightweight well-formedness scan; empty list means no issue found.
 
     Reports unbalanced parentheses, unterminated strings, arity violations
     for catalog functions, ill-formed operator adjacency, and leftover lex
     errors, ordered by span start. Not a full parser: a clean result is a
     necessary, not sufficient, validity condition. `tokens`, when given,
-    must be `lex(formula, catalog)`. One `match_brackets` pass gives the
-    bracket and arity diagnostics, and one walk over the non-whitespace
-    tokens the rest. Linear in the token count.
+    must be `lex(formula, catalog)`, and `brackets`, when given, must be
+    `match_brackets` of those tokens (a repair synthesiser that matched them
+    for the noise operators passes its pass here). One `match_brackets`
+    pass gives the bracket and arity diagnostics, and one walk over the
+    non-whitespace tokens the rest. Linear in the token count.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -286,7 +289,8 @@ def check(formula: str, catalog: Optional[FunctionCatalog] = None,
     diags: list[Diagnostic] = []
     append = diags.append
 
-    brackets = match_brackets(tokens)
+    if brackets is None:
+        brackets = match_brackets(tokens)
     for k in brackets.stray:
         tok = tokens[k]
         if tok.text == ")":

@@ -4,28 +4,31 @@ Each operator mirrors a mistake real spreadsheet users make: breaking
 ranges, wrong function arity, mangled quoting, stray operators, and so on.
 
 `OPERATORS` is the one table of them. Each entry pairs a site finder,
-`sites(index)`, which lists where the operator can act in a formula's
-`SiteIndex` and is empty exactly when it does not apply, with a rewrite,
-`rewrite(formula, tokens, sites, rng)`, which corrupts one of those sites
-and never searches again. A `SiteIndex` finds the token sites of every
-operator in one pass over the tokens, and the call sites of the arity and
-swap operators in one `match_brackets` pass, each on first use; operators
-14-17 act anywhere in the text, so their one site is the whole formula and
-they read neither. `is_applicable`, `applicable_operators` and
-`apply_noise_operator` are lookups in that table; the last two take a
-caller's index, so an operator drawn from the applicable ones rewrites the
-sites already found. Applying an applicable
-operator always changes the formula text and is a pure function of
-(formula, rng state).
+`sites(index)`, which iterates in order over where the operator can act in
+a formula's `SiteIndex` and yields nothing exactly when it does not apply,
+with a rewrite, `rewrite(formula, tokens, sites, rng)`, which corrupts one
+of those sites and never searches again. A `SiteIndex` finds the token
+sites of every operator in one pass over the tokens, and the call sites of
+the arity and swap operators in one `match_brackets` pass, each on first
+use; a formula with no FuncName token has no call, so it skips that pass.
+Operators 14-17 act anywhere in the text, so their one site is the whole
+formula and they read neither. `is_applicable`, `applicable_operators` and
+`apply_noise_operator` are lookups in that table. Applicability reads only
+an operator's first site: the arity and swap finders are generators, so
+deciding that they apply stops at the first eligible call. The drawn
+operator lists its sites in full, once, in `apply_noise_operator`; the last
+two take a caller's index, so that listing reuses the token scan and the
+bracket match already made. Applying an applicable operator always changes
+the formula text and is a pure function of (formula, rng state).
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .catalog import FunctionCatalog, default_catalog
 from .lexer import Brackets, Token, TokenKind, lex, match_brackets, quote_closed
@@ -120,10 +123,17 @@ def _scan(tokens: list[Token]) -> _TokenSites:
     return tuple.__new__(_TokenSites, sites)
 
 
-def _scanned(name: str) -> Callable[[SiteIndex], list]:
-    """The site finder that reads one list of the shared token scan."""
-    field = attrgetter(name)
-    return lambda index: field(index.token_sites())
+class _Scanned:
+    """The site finder that reads one list of the shared token scan; `field`
+    is its position in `_TokenSites`."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, name: str):
+        self.field = _TokenSites._fields.index(name)
+
+    def __call__(self, index: SiteIndex) -> list:
+        return index.token_sites()[self.field]
 
 
 class SiteIndex:
@@ -131,7 +141,8 @@ class SiteIndex:
     `lex(formula, catalog)`. `token_sites()` is one `_scan` of the tokens and
     `brackets()` their `match_brackets`; each runs on first use and is kept, so
     the operators that read it share one pass, and an operator that reads
-    neither costs none."""
+    neither costs none. `calls()` reads the brackets only when the formula
+    has a FuncName token."""
 
     __slots__ = ("tokens", "catalog", "_token_sites", "_brackets")
 
@@ -150,6 +161,13 @@ class SiteIndex:
         if self._brackets is None:
             self._brackets = match_brackets(self.tokens)
         return self._brackets
+
+    def calls(self) -> dict[int, list[tuple[int, int]]]:
+        """`brackets().calls`: every call is keyed by a FuncName token, so a
+        formula with none has no call and is not matched for it."""
+        if not self.token_sites().func_names:
+            return {}
+        return self.brackets().calls
 
 
 def _splice(tokens: list[Token], replacements: dict[int, str]) -> str:
@@ -187,11 +205,11 @@ def _space_before_paren(formula: str, tokens: list[Token], sites: list,
     return _splice(tokens, {idx: tokens[idx].text + " "})
 
 
-def _fixed_arity_calls(index: SiteIndex):
-    """Calls eligible for the arity corruption, with the action per call."""
+def _fixed_arity_calls(index: SiteIndex) -> Iterator[tuple]:
+    """Calls eligible for the arity corruption, with the action per call, in
+    token order."""
     tokens, catalog = index.tokens, index.catalog
-    out = []
-    for func_idx, args in index.brackets().calls.items():
+    for func_idx, args in index.calls().items():
         limits = catalog.get(tokens[func_idx].text)
         if limits is None:
             continue
@@ -204,8 +222,7 @@ def _fixed_arity_calls(index: SiteIndex):
         if len(args) == hi and len(args) >= 1:
             actions.append("append")
         if actions:
-            out.append((func_idx, args, actions))
-    return out
+            yield func_idx, args, actions
 
 
 def _change_arity(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
@@ -262,26 +279,47 @@ def _arg_typer(tokens: list[Token]) -> Callable[[tuple[int, int]], str]:
     return arg_type
 
 
-def _swappable_calls(index: SiteIndex):
-    """Calls with arguments of at least two types, with those types."""
-    calls = [(func_idx, args) for func_idx, args in index.brackets().calls.items()
-             if len(args) >= 2]
-    if not calls:
-        return []
-    arg_type = _arg_typer(index.tokens)
-    out = []
-    for func_idx, args in calls:
+def _swappable_calls(index: SiteIndex) -> Iterator[tuple]:
+    """Calls with arguments of at least two types, with those types, in
+    token order. The typer is built at the first call of two arguments."""
+    arg_type = None
+    for func_idx, args in index.calls().items():
+        if len(args) < 2:
+            continue
+        if arg_type is None:
+            arg_type = _arg_typer(index.tokens)
         types = [arg_type(a) for a in args]
         if len(set(types)) > 1:
-            out.append((func_idx, args, types))
-    return out
+            yield func_idx, args, types
+
+
+def _differing_pair(types: list[str], rank: int) -> tuple[int, int]:
+    """The pair (i, j), i < j, of different types at `rank` in the order of
+    i, then j. Row i holds the later positions of another type, so the walk
+    skips whole rows and costs O(len(types))."""
+    later = Counter(types)  # the types at positions after i
+    for i, kind in enumerate(types):
+        later[kind] -= 1
+        row = len(types) - 1 - i - later[kind]
+        if rank < row:
+            break
+        rank -= row
+    for j in range(i + 1, len(types)):
+        if types[j] != kind:
+            if not rank:
+                return i, j
+            rank -= 1
+    raise ValueError("rank past the last pair of different types")
 
 
 def _swap_arguments(formula: str, tokens: list[Token], sites: list, rng: random.Random) -> str:
     _, args, types = rng.choice(sites)
-    pairs = [(i, j) for i in range(len(args)) for j in range(i + 1, len(args))
-             if types[i] != types[j]]
-    i, j = rng.choice(pairs)
+    # A uniform draw over the pairs of different types, by rank: rng.choice
+    # on a range of their count draws as it would on their list, without
+    # building the O(len(args)**2) list.
+    n = len(args)
+    count = n * (n - 1) // 2 - sum(c * (c - 1) // 2 for c in Counter(types).values())
+    i, j = _differing_pair(types, rng.choice(range(count)))
 
     def rebuilt(arg: tuple[int, int], content: str) -> str:
         raw = _arg_text(tokens, arg)
@@ -394,33 +432,34 @@ def _corrupt_delimiters(formula: str, tokens: list[Token], sites: list,
 
 @dataclass(frozen=True)
 class NoiseOperator:
-    """`sites(index)` lists where the operator can act in a formula's
-    `SiteIndex` and is empty when it does not apply;
-    `rewrite(formula, tokens, sites, rng)` corrupts one of those sites."""
+    """`sites(index)` iterates in order over where the operator can act in a
+    formula's `SiteIndex` and yields nothing when it does not apply;
+    `rewrite(formula, tokens, sites, rng)` corrupts one of those sites,
+    given as a list."""
 
     # Left unevaluated (annotations are strings here): typing caches every
     # `Callable[...]` it builds, which would keep each re-imported copy of
     # the lexer alive.
     op_id: int
     name: str
-    sites: Callable[[SiteIndex], list]
+    sites: Callable[[SiteIndex], Iterable]
     rewrite: Callable[[str, list[Token], list, random.Random], str]
 
 
 OPERATORS: dict[int, NoiseOperator] = {op.op_id: op for op in [
-    NoiseOperator(1, "wrong_range", _scanned("range_colons"), _wrong_range),
-    NoiseOperator(2, "malformed_range", _scanned("range_colons"), _malformed_range),
-    NoiseOperator(3, "space_before_call_paren", _scanned("func_names"), _space_before_paren),
+    NoiseOperator(1, "wrong_range", _Scanned("range_colons"), _wrong_range),
+    NoiseOperator(2, "malformed_range", _Scanned("range_colons"), _malformed_range),
+    NoiseOperator(3, "space_before_call_paren", _Scanned("func_names"), _space_before_paren),
     NoiseOperator(4, "change_arity", _fixed_arity_calls, _change_arity),
     NoiseOperator(5, "swap_arguments", _swappable_calls, _swap_arguments),
-    NoiseOperator(6, "space_in_relational_op", _scanned("relational_ops"), _space_in_relational),
-    NoiseOperator(7, "swap_relational_op", _scanned("relational_ops"), _swap_relational),
-    NoiseOperator(8, "inequality_noise", _scanned("inequalities"), _inequality_noise),
-    NoiseOperator(9, "invalid_equality", _scanned("equalities"), _invalid_equality),
-    NoiseOperator(10, "malformed_sheet_name", _scanned("quoted_sheets"), _malformed_sheet_name),
-    NoiseOperator(11, "remove_exclamation", _scanned("sheet_bangs"), _remove_exclamation),
-    NoiseOperator(12, "malformed_string", _scanned("closed_strings"), _malformed_string),
-    NoiseOperator(13, "comma_paren_noise", _scanned("closing_parens"), _comma_paren_noise),
+    NoiseOperator(6, "space_in_relational_op", _Scanned("relational_ops"), _space_in_relational),
+    NoiseOperator(7, "swap_relational_op", _Scanned("relational_ops"), _swap_relational),
+    NoiseOperator(8, "inequality_noise", _Scanned("inequalities"), _inequality_noise),
+    NoiseOperator(9, "invalid_equality", _Scanned("equalities"), _invalid_equality),
+    NoiseOperator(10, "malformed_sheet_name", _Scanned("quoted_sheets"), _malformed_sheet_name),
+    NoiseOperator(11, "remove_exclamation", _Scanned("sheet_bangs"), _remove_exclamation),
+    NoiseOperator(12, "malformed_string", _Scanned("closed_strings"), _malformed_string),
+    NoiseOperator(13, "comma_paren_noise", _Scanned("closing_parens"), _comma_paren_noise),
     NoiseOperator(14, "add_random_operator", _whole_formula, _add_random_operator),
     NoiseOperator(15, "add_operator_at_end", _whole_formula, _add_operator_at_end),
     NoiseOperator(16, "add_parentheses", _whole_formula, _add_parentheses),
@@ -434,9 +473,19 @@ def _site_index(formula: str, catalog: Optional[FunctionCatalog]) -> SiteIndex:
     return SiteIndex(lex(formula, catalog), catalog)
 
 
+# What applicability reads, per operator in id order: a scanned operator's
+# sites are one list of the token scan, so it applies when that list, at
+# the given position, is not empty; any other operator (field -1) is asked
+# for its first site only.
+_APPLICABILITY = [(op.op_id, op.sites.field if isinstance(op.sites, _Scanned) else -1, op.sites)
+                  for op in OPERATORS.values()]
+_NO_SITE = object()
+
+
 def is_applicable(formula: str, op_id: int,
                   catalog: Optional[FunctionCatalog] = None) -> bool:
-    return bool(OPERATORS[op_id].sites(_site_index(formula, catalog)))
+    sites = OPERATORS[op_id].sites(_site_index(formula, catalog))
+    return next(iter(sites), _NO_SITE) is not _NO_SITE
 
 
 def applicable_operators(formula: str,
@@ -446,11 +495,16 @@ def applicable_operators(formula: str,
 
     `index`, when given, must be `SiteIndex(lex(formula, catalog), catalog)`.
     One index serves every operator: one token scan and at most one
-    `match_brackets`.
+    `match_brackets`, none when the formula has no FuncName token. Each
+    operator is asked for its first site only.
     """
     if index is None:
         index = _site_index(formula, catalog)
-    return [op_id for op_id, op in OPERATORS.items() if op.sites(index)]
+    token_sites = index.token_sites()
+    no_site = _NO_SITE
+    return [op_id for op_id, field, sites in _APPLICABILITY
+            if (token_sites[field] if field >= 0
+                else next(iter(sites(index)), no_site) is not no_site)]
 
 
 def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
@@ -459,15 +513,16 @@ def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
     """Corrupt the formula with one operator; raises NotApplicable otherwise.
 
     `index`, when given, must be `SiteIndex(lex(formula, catalog), catalog)`.
-    Passing the index that `applicable_operators` read reuses the sites
-    found there; without one, the operator's sites are found again.
+    The operator lists its sites in full here, once. Passing the index that
+    `applicable_operators` read reuses its token scan and bracket match;
+    without one, they are made again.
     """
     op = OPERATORS.get(op_id)
     if op is None:
         raise ValueError(f"unknown noise operator id {op_id}")
     if index is None:
         index = _site_index(formula, catalog)
-    sites = op.sites(index)
+    sites = list(op.sites(index))
     if not sites:
         raise NotApplicable(f"operator {op_id} ({op.name}) does not apply to {formula!r}")
     result = op.rewrite(formula, index.tokens, sites, rng)

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Optional
 from . import noise
 from .catalog import default_catalog
 from .curation import FormulaRecord
-from .lexer import Token, lex
+from .lexer import lex
 from .seeds import derive_seed
 from .tokenizer import MASK_TOKEN as MASK
 
@@ -259,16 +259,18 @@ def random_noise(formula: str, rng: random.Random,
 
 
 def user_noise(formula: str, rng: random.Random,
-               tokens: Optional[list[Token]] = None) -> PretrainExample:
+               index: Optional[noise.SiteIndex] = None) -> PretrainExample:
     """Corrupt with one uniformly chosen applicable noise operator.
 
-    `tokens`, when given, must be `lex(formula)`; the formula is lexed at
-    most once either way.
+    `index`, when given, must be `noise.SiteIndex(lex(formula), default_catalog())`,
+    which carries the tokens; a caller that has matched its brackets (for
+    `check`) passes that match on with it. The formula is lexed at most
+    once either way, and one index serves both the applicability test and
+    the drawn operator.
     """
-    catalog = default_catalog()
-    if tokens is None:
-        tokens = lex(formula, catalog)
-    index = noise.SiteIndex(tokens, catalog)  # one site pass serves both calls
+    if index is None:
+        catalog = default_catalog()
+        index = noise.SiteIndex(lex(formula, catalog), catalog)
     ops = noise.applicable_operators(formula, index=index)
     op_id = rng.choice(ops) if ops else 15  # add-operator-at-end always applies
     corrupted = noise.apply_noise_operator(formula, op_id, rng, index=index)

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from formulakit import baseline
 from formulakit.baseline import (SketchIndex, build_index, completion_candidates,
                                  repair_candidates)
 from formulakit.cli import main
@@ -47,6 +48,33 @@ class TestBuildIndex:
             brute[dedup_key(f)] = brute.get(dedup_key(f), 0) + 1
         assert {s: sum(c for _, c in b) for s, b in index.entries.items()} == brute
 
+
+    def test_keys_each_distinct_text_once(self, monkeypatch, tmp_path):
+        # The per-formula keyed index, the reference: dedup_key on every
+        # occurrence, counts accumulated per (sketch, text).
+        corpus = synth_corpus(300, seed=92) * 3 + [f.lower() for f in synth_corpus(60, seed=92)]
+        random.Random(93).shuffle(corpus)
+        counts = {}
+        for f in corpus:
+            bucket = counts.setdefault(dedup_key(f), {})
+            bucket[f] = bucket.get(f, 0) + 1
+        reference = SketchIndex(
+            entries={s: sorted(b.items(), key=lambda item: (-item[1], item[0]))
+                     for s, b in counts.items()},
+            total_formulas=len(corpus))
+        reference.save(tmp_path / "reference.json")
+
+        keyed = []
+
+        def counted(formula):
+            keyed.append(formula)
+            return dedup_key(formula)
+
+        monkeypatch.setattr(baseline, "dedup_key", counted)
+        index = build_index(iter(corpus))
+        assert sorted(keyed) == sorted(set(corpus)) and len(keyed) < len(corpus)
+        index.save(tmp_path / "index.json")
+        assert (tmp_path / "index.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     def test_one_lex_gives_the_derived_views(self):
         corpus = synth_corpus(200, seed=91) + ["=SUM(A1", "=IF(A1,,)", "=  max( B2 )"]

@@ -497,6 +497,19 @@ INPUT_CASES = [(reader, fault) for reader, (_, _, field) in sorted(INPUT_READERS
                   if reader in FORMULA_LINE_READERS else ())]
 
 
+# command -> (argv with {out} for the output under test, and where that
+# output points: an existing directory, or a path under a regular file).
+OUTPUT_CASES = {
+    "dedup -o": (["dedup", "--input", "{tmp}/corpus.jsonl", "-o", "{out}"], "directory"),
+    "check -o": (["check", "--input", "{tmp}/corpus.jsonl", "-o", "{out}"], "under-file"),
+    "gen-finetune-repair --reserve-output": (
+        ["gen-finetune-repair", "--input", "{tmp}/corpus.jsonl", "-o", "{tmp}/train.jsonl",
+         "--reserve", "1", "--reserve-output", "{out}"], "directory"),
+    "train-tokenizer -o": (["train-tokenizer", "--input", "{tmp}/corpus.jsonl",
+                            "--budget", "300", "-o", "{out}"], "directory"),
+}
+
+
 class TestInputErrors:
     @pytest.fixture()
     def inputs(self, tmp_path):
@@ -531,6 +544,27 @@ class TestInputErrors:
         assert err.startswith(f"data error: {path}"), err
         if fault in ("object-without-formula", "truncated-object"):
             assert err.startswith(f"data error: {path}:2: "), err
+
+    @pytest.mark.parametrize("command", sorted(OUTPUT_CASES))
+    def test_unwritable_output_is_data_error(self, inputs, capsys, command):
+        argv, where = OUTPUT_CASES[command]
+        if where == "directory":
+            out = inputs / "out-dir"
+            out.mkdir()
+        else:
+            (inputs / "plain-file").write_text("", encoding="utf-8")
+            out = inputs / "plain-file" / "x.jsonl"
+        before = sorted(p.name for p in inputs.iterdir())
+        capsys.readouterr()
+        assert main([a.format(out=out, tmp=inputs) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {out}: cannot write output: "), err
+        assert not list(inputs.glob("*.tmp"))  # the temp file is removed
+        if where == "directory":
+            assert not list(out.iterdir())
+        # A side output fails after the main one is written; nothing else is left.
+        after = set(p.name for p in inputs.iterdir()) - set(before)
+        assert after <= {"train.jsonl", "train.jsonl.manifest.json"}, after
 
     def test_lone_surrogate_formula(self, tmp_path, capsys):
         # "\ud800" in JSON decodes to a string with no UTF-8 form.

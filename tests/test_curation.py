@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_lexer import _corruptions, _envelope_formulas
 
+from formulakit import curation
 from formulakit.curation import (CorpusStats, FormulaRecord, dedup, dedup_key,
                                  ingest, stats)
 from formulakit.lexer import TokenKind, lex, normalize, sketch
@@ -271,3 +272,63 @@ class TestDedupKey:
             lex_calls.clear()
             dedup_key(formula)
             assert lex_calls == expected
+
+
+def _dedup_keying_every_record(records, mode):
+    """dedup's records and stats with `dedup_key` run on every record, as a
+    set-based reference: a record is kept when its key is new in its
+    workbook and, for the global scope, new in the corpus."""
+    kept, stats_ = [], CorpusStats()
+    seen, seen_in_workbook = set(), {}
+    for r in records:
+        key = dedup_key(r.formula)
+        stats_.total_formulas += 1
+        stats_.per_workbook_counts[r.workbook_id] = \
+            stats_.per_workbook_counts.get(r.workbook_id, 0) + 1
+        in_workbook = seen_in_workbook.setdefault(r.workbook_id, set())
+        new_in_workbook, new_globally = key not in in_workbook, key not in seen
+        in_workbook.add(key)
+        seen.add(key)
+        stats_.retained_per_workbook += new_in_workbook
+        stats_.retained_global += new_globally
+        if new_globally or (mode == "per-workbook" and new_in_workbook):
+            kept.append(r)
+    return kept, stats_
+
+
+class TestKeysEachTextOnce:
+    @staticmethod
+    def repeating_records(seed):
+        """Synth records, then the same texts again in shuffled workbooks,
+        and texts that differ but share a key (case and spacing)."""
+        rng = random.Random(seed)
+        records = synth_records(300, seed=seed, workbooks=6)
+        again = [rec(rng.choice(["wb0", "wb1", "wb-new"]), r.formula) for r in records]
+        rng.shuffle(again)
+        variants = [rec("wb1", r.formula.lower()) for r in records[:40]]
+        variants += [rec("wb2", r.formula.replace(",", ", ")) for r in records[:40]]
+        variants += [rec("wb2", f) for f in WHITESPACE_MERGES]
+        return records + again + variants
+
+    @pytest.mark.parametrize("mode", ["per-workbook", "global"])
+    def test_one_key_per_distinct_text_per_call(self, monkeypatch, mode):
+        keyed = []
+
+        def counted(formula):
+            keyed.append(formula)
+            return dedup_key(formula)
+
+        monkeypatch.setattr(curation, "dedup_key", counted)
+        for seed in range(4):
+            records = self.repeating_records(seed)
+            keyed.clear()
+            want_kept, want_stats = _dedup_keying_every_record(records, mode)
+            assert keyed == []  # the reference keys through the unpatched name
+            for _ in range(2):  # the memo lives in one call: each call keys again
+                keyed.clear()
+                got_stats = CorpusStats()
+                got_kept = list(dedup(iter(records), mode, got_stats))
+                assert sorted(keyed) == sorted({r.formula for r in records}), (seed, mode)
+                assert len(keyed) < len(records)
+                assert got_kept == want_kept, (seed, mode)
+                assert got_stats == want_stats, (seed, mode)

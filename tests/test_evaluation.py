@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formulakit import evaluation
+from formulakit import evaluation, lexer, noise
 from formulakit.curation import dedup_key
 from formulakit.evaluation import (CompletionTask, RepairTask, RetrievalPair,
                                    build_retrieval_pairs, cosine_similarity,
@@ -204,6 +204,27 @@ class TestUnchangedDecision:
             assert skips == ref_skips
             assert skips["unchanged"] > 0  # the fold-equal branch is exercised
 
+    def test_matches_brackets_once_per_source_formula(self, monkeypatch):
+        # One SiteIndex serves check and user_noise: its bracket match is
+        # the only one, for a malformed source, a source with no call and a
+        # corrupted one alike.
+        runs = []
+        real = lexer.match_brackets
+
+        def counted(tokens):
+            runs.append(1)
+            return real(tokens)
+
+        monkeypatch.setattr(lexer, "match_brackets", counted)
+        monkeypatch.setattr(noise, "match_brackets", counted)
+        corpus = synth_corpus(300, seed=89) + ["=SUM(A1", "=A1+B1", "=SUM (A1:A3)", "=A1<>B1"]
+        skips = Counter()
+        tasks = list(gen_repair_finetune(corpus, seed=3, skips=skips))
+        assert len(runs) == len(corpus)
+        assert skips["malformed"] > 0 and tasks
+        monkeypatch.undo()
+        assert (tasks, skips) == _ref_gen_repair_finetune(corpus, 3)
+
     def test_matches_full_comparison_on_seeded_corruptions(self):
         for ordinal, formula in enumerate(synth_corpus(300, seed=87)):
             for seed in range(4):
@@ -229,7 +250,7 @@ class TestUnchangedDecision:
         # user_noise's place: a space dropped inside a string, a string's
         # case changed, and (unchanged) a re-spaced, lower-cased call.
         corruptions = {'="a b"&A1': '="ab"&A1', '=A1&"x"': '=a1&"X"', "=SUM(A1)": "=sum( a1 )"}
-        monkeypatch.setattr(evaluation, "user_noise", lambda formula, rng, tokens: (
+        monkeypatch.setattr(evaluation, "user_noise", lambda formula, rng, index: (
             PretrainExample(corruptions[formula], formula, "UN", "", 0)))
         skips = Counter()
         tasks = list(gen_repair_finetune(list(corruptions), seed=0, skips=skips))

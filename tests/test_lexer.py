@@ -1000,7 +1000,8 @@ def test_lexer_benchmark_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert "every input round-trips, no envelope input flagged" in proc.stdout
     assert [line.split()[0] for line in proc.stdout.splitlines()[2:]] == [
-        "lex", "check", "normalize", "sketch", "dedup_key", "applicable_operators"]
+        "lex", "check", "normalize", "sketch", "dedup_key", "applicable_operators",
+        "dedup", "gen_repair_finetune"]
 
 
 def test_lexer_benchmark_script_rejects_flagged_inputs(monkeypatch):

@@ -9,8 +9,11 @@ op 10) are the worked examples reproduced verbatim.
 
 import dataclasses
 import random
+import timeit
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_lexer import _corruptions, _envelope_formulas
 
 from formulakit import noise
@@ -201,8 +204,8 @@ def test_table_entry_agrees_with_is_applicable():
     for formula in formulas:
         tokens = lex(formula, catalog)
         for op_id, op in OPERATORS.items():
-            assert bool(op.sites(SiteIndex(tokens, catalog))) == is_applicable(formula, op_id), \
-                (op_id, formula)
+            has_site = bool(list(op.sites(SiteIndex(tokens, catalog))))
+            assert has_site == is_applicable(formula, op_id), (op_id, formula)
         assert applicable_operators(formula) == [
             op_id for op_id in OPERATORS if is_applicable(formula, op_id)]
 
@@ -430,10 +433,10 @@ def test_site_index_matches_per_operator_finders():
         tokens = lex(formula, catalog)
         index = SiteIndex(tokens, catalog)
         for op_id, op in OPERATORS.items():
-            assert op.sites(index) == REF_SITES[op_id](tokens, catalog), (op_id, formula)
+            assert list(op.sites(index)) == REF_SITES[op_id](tokens, catalog), (op_id, formula)
             # A fresh index per operator, as apply_noise_operator builds
             # one when it is given none.
-            assert op.sites(SiteIndex(tokens, catalog)) == REF_SITES[op_id](tokens, catalog)
+            assert list(op.sites(SiteIndex(tokens, catalog))) == REF_SITES[op_id](tokens, catalog)
 
 
 def test_applicable_operators_runs_call_arguments_at_most_once(monkeypatch):
@@ -444,15 +447,23 @@ def test_applicable_operators_runs_call_arguments_at_most_once(monkeypatch):
         return match_brackets(tokens)
 
     monkeypatch.setattr(noise, "match_brackets", counted)
-    for formula in synth_corpus(200, seed=64) + _envelope_formulas(random.Random(65)):
+    catalog = default_catalog()
+    formulas = synth_corpus(200, seed=64) + _envelope_formulas(random.Random(65))
+    with_calls = 0
+    for formula in formulas:
+        has_func = any(tok.kind is TokenKind.FUNC_NAME for tok in lex(formula, catalog))
+        with_calls += has_func
         runs.clear()
         ops = applicable_operators(formula)
-        assert len(runs) == 1, formula  # operators 4 and 5 share one pass
+        # Operators 4 and 5 share one pass; every call is keyed by a
+        # FuncName token, so a formula with none is not matched at all.
+        assert len(runs) == has_func, formula
         for op_id in ops:
             runs.clear()
             apply_noise_operator(formula, op_id, random.Random(0))
             # Only the call-based operators ask for the call pass.
             assert len(runs) == (op_id in (4, 5)), (op_id, formula)
+    assert 0 < with_calls < len(formulas)  # both cases are exercised
 
 
 def test_user_noise_scans_each_formula_once(monkeypatch):
@@ -470,3 +481,87 @@ def test_user_noise_scans_each_formula_once(monkeypatch):
         user_noise(formula, rng)
         # applicable_operators scans; the drawn operator reuses its sites.
         assert len(scans) == 1, formula
+
+
+def _applicable_by_full_listing(formula, catalog):
+    """The definition `applicable_operators` keeps: the operators whose site
+    finder lists at least one site, every finder listed in full."""
+    index = SiteIndex(lex(formula, catalog), catalog)
+    return [op_id for op_id, op in OPERATORS.items() if list(op.sites(index))]
+
+
+def test_applicable_operators_equals_the_full_listing():
+    catalog = default_catalog()
+    formulas = _site_test_formulas() + ["=A1+B1", '="x"&A1', "=1<>2", "=(A1)", "=B1:B9"]
+    without_calls = 0
+    for formula in formulas:
+        tokens = lex(formula, catalog)
+        without_calls += not any(tok.kind is TokenKind.FUNC_NAME for tok in tokens)
+        want = _applicable_by_full_listing(formula, catalog)
+        assert applicable_operators(formula) == want, formula
+        assert applicable_operators(formula, index=SiteIndex(tokens, catalog)) == want, formula
+    assert without_calls > 100
+
+
+_FORMULA_PIECES = ['"', "'", '"s"', "'S'!", "A1", "B2:C3", "1", "!", "(", ")", ":", ",",
+                   "=", "<>", "<=", "<", " ", "+", "SUM(", "IF(", "LOG10(", "DATE(", "TODAY(",
+                   "ROUND(", "x"]
+
+
+@given(st.lists(st.sampled_from(_FORMULA_PIECES), max_size=24))
+@settings(max_examples=400, deadline=None)
+@example(["A1", "+", "B2:C3"])  # no FuncName token
+@example(["IF(", "A1", "<>", "1", ",", '"s"', ",", "2", ")"])
+@example(["DATE(", "1", ",", "2", ",", "3", ")"])
+def test_applicable_operators_equals_the_full_listing_on_any_pieces(pieces):
+    formula = "=" + "".join(pieces)
+    assert applicable_operators(formula) == _applicable_by_full_listing(
+        formula, default_catalog()), formula
+
+
+@given(st.lists(st.sampled_from("abc"), max_size=30), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_swap_draws_the_pair_the_listed_pairs_give(types, seed):
+    # `_swap_arguments` draws by rank with rng.choice(range(count)); it must
+    # pick, and consume the rng, as rng.choice over the listed pairs did.
+    pairs = [(i, j) for i in range(len(types)) for j in range(i + 1, len(types))
+             if types[i] != types[j]]
+    assert [noise._differing_pair(types, rank) for rank in range(len(pairs))] == pairs
+    if pairs:
+        listed, ranked = random.Random(seed), random.Random(seed)
+        assert noise._differing_pair(types, ranked.choice(range(len(pairs)))) \
+            == listed.choice(pairs)
+        assert ranked.random() == listed.random()
+
+
+class TestBoundedCost:
+    """user_noise at twice the size must not cost three times as much: best
+    of several runs over a fixed set of rng seeds, as a ratio, with no
+    wall-clock budget. The same operators apply at both sizes, so the seeds
+    draw the same operators, the swap among them."""
+
+    SEEDS = range(6)
+
+    def seconds(self, formula):
+        drawn = [user_noise(formula, random.Random(seed)).detail for seed in self.SEEDS]
+
+        def run():
+            for seed in self.SEEDS:
+                user_noise(formula, random.Random(seed))
+
+        return drawn, min(timeit.repeat(run, number=1, repeat=3))
+
+    def assert_linear(self, make, n):
+        drawn_n, time_n = self.seconds(make(n))
+        drawn_2n, time_2n = self.seconds(make(2 * n))
+        assert drawn_n == drawn_2n
+        assert "op=5:swap_arguments" in drawn_n
+        assert time_2n < 3 * time_n, (time_n, time_2n)
+
+    def test_a_call_of_ten_thousand_arguments(self):
+        # A variadic call whose arguments are of four types.
+        self.assert_linear(lambda n: "=CHOOSE(" + ",".join(
+            ("A1", '"s"', "2", "B1:B2<>C1")[i % 4] for i in range(n)) + ")", 5_000)
+
+    def test_nesting_two_thousand_deep(self):
+        self.assert_linear(lambda n: "=" + "IF(A1>0," * n + "B1" + ',"x")' * n, 1_000)
