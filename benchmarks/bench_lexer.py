@@ -8,10 +8,12 @@ Times `lex`, `check`, `normalize`, `sketch`, `curation.dedup_key` and
   envelope   formulas at Excel's limits (8,192 characters, 64 nesting
              levels, 255 arguments), as in the `envelope` workload
 
-Two more rows time a stage over the whole set, per formula: `dedup`
+Three more rows time a stage over the whole set, per formula: `dedup`
 (per-workbook, over the set's records with their exact repeats, which it
-keys once per distinct text) and `gen_repair_finetune` (seed 0, over the
-set's formulas, each lexed and bracket-matched once).
+keys once per distinct text), `dedup_no_repeats` (the same over the
+first record of each distinct text, where keying once saves nothing) and
+`gen_repair_finetune` (seed 0, over the set's formulas, each lexed and
+bracket-matched once).
 
 Each time is the median of REPEAT passes over the whole set. Before timing,
 the script exits 1 if the joined token texts of any input differ from the
@@ -41,9 +43,19 @@ REPEAT = 5
 VIEWS = (("lex", lex), ("check", check), ("normalize", normalize),
          ("sketch", sketch), ("dedup_key", dedup_key),
          ("applicable_operators", applicable_operators))
-STAGES = (("dedup", lambda records: list(dedup(records))),
+# (row, stage, whether it runs on the first record of each distinct text)
+STAGES = (("dedup", lambda records: list(dedup(records)), False),
+          ("dedup_no_repeats", lambda records: list(dedup(records)), True),
           ("gen_repair_finetune",
-           lambda records: list(gen_repair_finetune((r.formula for r in records), 0))))
+           lambda records: list(gen_repair_finetune((r.formula for r in records), 0)), False))
+
+
+def first_of_each_text(records):
+    """The first record of each distinct formula text, in order."""
+    first = {}
+    for record in records:
+        first.setdefault(record.formula, record)
+    return list(first.values())
 
 
 def problems(name, formulas, well_formed):
@@ -100,8 +112,10 @@ def main():
     for view, fn in VIEWS:
         cells = "".join(f"{per_formula_us(fn, formulas):>26.1f}" for _, formulas, _ in sets)
         print(f"{view:<22}{cells}")
-    for stage, run in STAGES:
-        cells = "".join(f"{per_set_us(lambda: run(records[name]), len(records[name])):>26.1f}"
+    distinct = {name: first_of_each_text(rows) for name, rows in records.items()}
+    for stage, run, no_repeats in STAGES:
+        inputs = distinct if no_repeats else records
+        cells = "".join(f"{per_set_us(lambda: run(inputs[name]), len(inputs[name])):>26.1f}"
                         for name, _, _ in sets)
         print(f"{stage:<22}{cells}")
     return 0

@@ -3,12 +3,13 @@
 Two dedup scopes: per-workbook (keeps one instance of each sketch within
 every workbook, preserving naturally occurring cross-workbook repetition)
 and global (one instance per sketch corpus-wide). `dedup` serves both in
-one streaming, first-wins pass: it keys each distinct formula text once,
-yields a record when its key is new in the chosen scope, and counts the
-corpus stats for both scopes on the way, so the output is a stable
-subsequence of the input and no record list is kept. Memory is O(distinct
-texts + distinct keys per workbook). `dedup_key` lexes a formula once unless
-it holds whitespace, whose removal can merge tokens.
+one streaming, first-wins pass: it keys each record, reusing the key of a
+recently keyed text, yields a record when its key is new in the chosen
+scope, and counts the corpus stats for both scopes on the way, so the
+output is a stable subsequence of the input and no record list is kept.
+Memory is O(distinct keys per workbook), plus at most `_KEYED_TEXTS` texts
+and their keys. `dedup_key` lexes a formula once unless it holds
+whitespace, whose removal can merge tokens.
 `ingest` skips the lines that are not usable records and counts them in a
 skips Counter.
 """
@@ -18,12 +19,16 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .jsonl import has_utf8
 from .lexer import TokenKind, lex, normalize, sketch_tokens
 
 DEDUP_MODES = ("per-workbook", "global")
+# How many texts' keys one `dedup` call keeps, dropping the least recently
+# used: a bound on memory where texts rarely repeat.
+_KEYED_TEXTS = 4096
 
 
 @dataclass(frozen=True)
@@ -121,10 +126,11 @@ def dedup(records: Iterable[FormulaRecord], mode: str = "per-workbook",
 
     Counts each record into `stats` (when given) for both scopes, so one
     pass yields the retained records and the corpus stats. `dedup_key` is a
-    function of the text alone, so it runs once per distinct formula text:
-    a dict local to the call maps each text to its key, and a text repeated
-    within or across workbooks reads its key there. A mode outside
-    DEDUP_MODES raises ValueError on the first pull.
+    function of the text alone, so a memo local to the call keeps the keys
+    of the `_KEYED_TEXTS` most recently keyed texts: a text repeated within
+    or across workbooks is keyed once while it stays among them, and a call
+    with no more distinct texts than that keys each of them once. A mode
+    outside DEDUP_MODES raises ValueError on the first pull.
     """
     if mode not in DEDUP_MODES:
         raise ValueError(f"unknown dedup mode {mode!r}; expected one of {DEDUP_MODES}")
@@ -134,12 +140,9 @@ def dedup(records: Iterable[FormulaRecord], mode: str = "per-workbook",
     counts = stats.per_workbook_counts
     seen: set[str] = set()
     seen_in_workbook: dict[str, set[str]] = {}
-    keys: dict[str, str] = {}  # formula text -> dedup_key
+    key_of = lru_cache(maxsize=_KEYED_TEXTS)(dedup_key)
     for record in records:
-        formula = record.formula
-        key = keys.get(formula)
-        if key is None:
-            key = keys[formula] = dedup_key(formula)
+        key = key_of(record.formula)
         workbook = record.workbook_id
         stats.total_formulas += 1
         counts[workbook] = counts.get(workbook, 0) + 1

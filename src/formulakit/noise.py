@@ -28,6 +28,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .catalog import FunctionCatalog, default_catalog
@@ -123,17 +124,10 @@ def _scan(tokens: list[Token]) -> _TokenSites:
     return tuple.__new__(_TokenSites, sites)
 
 
-class _Scanned:
-    """The site finder that reads one list of the shared token scan; `field`
-    is its position in `_TokenSites`."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, name: str):
-        self.field = _TokenSites._fields.index(name)
-
-    def __call__(self, index: SiteIndex) -> list:
-        return index.token_sites()[self.field]
+def _scanned(name: str) -> Callable[[SiteIndex], list]:
+    """The site finder that reads one list of the shared token scan."""
+    field = attrgetter(name)
+    return lambda index: field(index.token_sites())
 
 
 class SiteIndex:
@@ -447,19 +441,19 @@ class NoiseOperator:
 
 
 OPERATORS: dict[int, NoiseOperator] = {op.op_id: op for op in [
-    NoiseOperator(1, "wrong_range", _Scanned("range_colons"), _wrong_range),
-    NoiseOperator(2, "malformed_range", _Scanned("range_colons"), _malformed_range),
-    NoiseOperator(3, "space_before_call_paren", _Scanned("func_names"), _space_before_paren),
+    NoiseOperator(1, "wrong_range", _scanned("range_colons"), _wrong_range),
+    NoiseOperator(2, "malformed_range", _scanned("range_colons"), _malformed_range),
+    NoiseOperator(3, "space_before_call_paren", _scanned("func_names"), _space_before_paren),
     NoiseOperator(4, "change_arity", _fixed_arity_calls, _change_arity),
     NoiseOperator(5, "swap_arguments", _swappable_calls, _swap_arguments),
-    NoiseOperator(6, "space_in_relational_op", _Scanned("relational_ops"), _space_in_relational),
-    NoiseOperator(7, "swap_relational_op", _Scanned("relational_ops"), _swap_relational),
-    NoiseOperator(8, "inequality_noise", _Scanned("inequalities"), _inequality_noise),
-    NoiseOperator(9, "invalid_equality", _Scanned("equalities"), _invalid_equality),
-    NoiseOperator(10, "malformed_sheet_name", _Scanned("quoted_sheets"), _malformed_sheet_name),
-    NoiseOperator(11, "remove_exclamation", _Scanned("sheet_bangs"), _remove_exclamation),
-    NoiseOperator(12, "malformed_string", _Scanned("closed_strings"), _malformed_string),
-    NoiseOperator(13, "comma_paren_noise", _Scanned("closing_parens"), _comma_paren_noise),
+    NoiseOperator(6, "space_in_relational_op", _scanned("relational_ops"), _space_in_relational),
+    NoiseOperator(7, "swap_relational_op", _scanned("relational_ops"), _swap_relational),
+    NoiseOperator(8, "inequality_noise", _scanned("inequalities"), _inequality_noise),
+    NoiseOperator(9, "invalid_equality", _scanned("equalities"), _invalid_equality),
+    NoiseOperator(10, "malformed_sheet_name", _scanned("quoted_sheets"), _malformed_sheet_name),
+    NoiseOperator(11, "remove_exclamation", _scanned("sheet_bangs"), _remove_exclamation),
+    NoiseOperator(12, "malformed_string", _scanned("closed_strings"), _malformed_string),
+    NoiseOperator(13, "comma_paren_noise", _scanned("closing_parens"), _comma_paren_noise),
     NoiseOperator(14, "add_random_operator", _whole_formula, _add_random_operator),
     NoiseOperator(15, "add_operator_at_end", _whole_formula, _add_operator_at_end),
     NoiseOperator(16, "add_parentheses", _whole_formula, _add_parentheses),
@@ -473,12 +467,6 @@ def _site_index(formula: str, catalog: Optional[FunctionCatalog]) -> SiteIndex:
     return SiteIndex(lex(formula, catalog), catalog)
 
 
-# What applicability reads, per operator in id order: a scanned operator's
-# sites are one list of the token scan, so it applies when that list, at
-# the given position, is not empty; any other operator (field -1) is asked
-# for its first site only.
-_APPLICABILITY = [(op.op_id, op.sites.field if isinstance(op.sites, _Scanned) else -1, op.sites)
-                  for op in OPERATORS.values()]
 _NO_SITE = object()
 
 
@@ -500,11 +488,8 @@ def applicable_operators(formula: str,
     """
     if index is None:
         index = _site_index(formula, catalog)
-    token_sites = index.token_sites()
-    no_site = _NO_SITE
-    return [op_id for op_id, field, sites in _APPLICABILITY
-            if (token_sites[field] if field >= 0
-                else next(iter(sites(index)), no_site) is not no_site)]
+    return [op_id for op_id, op in OPERATORS.items()
+            if next(iter(op.sites(index)), _NO_SITE) is not _NO_SITE]
 
 
 def apply_noise_operator(formula: str, op_id: int, rng: random.Random,

@@ -332,3 +332,25 @@ class TestKeysEachTextOnce:
                 assert len(keyed) < len(records)
                 assert got_kept == want_kept, (seed, mode)
                 assert got_stats == want_stats, (seed, mode)
+
+    @pytest.mark.parametrize("mode", ["per-workbook", "global"])
+    def test_bounded_memo_keys_again_and_matches(self, monkeypatch, mode):
+        """Past `_KEYED_TEXTS` texts the least recently keyed are keyed
+        again, so memory stays bounded and the output does not change."""
+        keyed = []
+
+        def counted(formula):
+            keyed.append(formula)
+            return dedup_key(formula)
+
+        monkeypatch.setattr(curation, "_KEYED_TEXTS", 8)
+        monkeypatch.setattr(curation, "dedup_key", counted)
+        for seed in range(4):
+            records = self.repeating_records(seed)
+            want_kept, want_stats = _dedup_keying_every_record(records, mode)
+            keyed.clear()
+            got_stats = CorpusStats()
+            got_kept = list(dedup(iter(records), mode, got_stats))
+            assert len(keyed) > len({r.formula for r in records}), (seed, mode)
+            assert got_kept == want_kept, (seed, mode)
+            assert got_stats == want_stats, (seed, mode)
