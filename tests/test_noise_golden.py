@@ -210,6 +210,20 @@ def test_table_entry_agrees_with_is_applicable():
             op_id for op_id in OPERATORS if is_applicable(formula, op_id)]
 
 
+@pytest.mark.parametrize("op_id", [1, 4, 14])
+def test_edited_table_entry_reaches_every_lookup(monkeypatch, op_id):
+    # The table is read when asked, so an entry whose finder yields nothing
+    # turns the operator off in all three lookups alike.
+    formula = "=ROUND(SUM(A1:A3),B1)"
+    assert op_id in applicable_operators(formula)
+    monkeypatch.setitem(noise.OPERATORS, op_id, dataclasses.replace(
+        OPERATORS[op_id], sites=lambda index: []))
+    assert op_id not in applicable_operators(formula)
+    assert not is_applicable(formula, op_id)
+    with pytest.raises(NotApplicable):
+        apply_noise_operator(formula, op_id, random.Random(0))
+
+
 def test_pre_lexed_tokens_give_the_same_output():
     # One SiteIndex shared by applicable_operators and every application
     # gives what a fresh lex and index per call gives.
