@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the token-Levenshtein kernel in formulakit.similarity.
 
-Three workloads:
+Four workloads:
   pairs        random id sequences, one levenshtein_ids call per pair (how
                build_retrieval_pairs scores the retrieval targets)
   pack         packing the scan corpus into one PackedCorpus
@@ -10,15 +10,21 @@ Three workloads:
                same scan in its two parts: _advance (the match masks and
                every lane's last DP column) and the ranking (lane sums to
                the corpus positions at or above the k-th best similarity)
+  synth scan   the same scan and split over the token ids of --corpus
+               synthetic formulas, queried with corrupted ones (one noise
+               operator each, as the repair benchmarks are made)
 
-Sequences are mostly 5-39 tokens, with one in LONG_EVERY of 64-159 tokens,
-so lanes and queries of 64 tokens or more are timed and checked too.
+The packed scan's sequences are random, mostly 5-39 tokens, with one in
+LONG_EVERY of 64-159 tokens, so lanes and queries of 64 tokens or more are
+timed and checked too. No query is near any lane there, and the k-th best
+similarity is low: the ranking's hard case. The synth scan is the typical
+case, in which each query has a near neighbour.
 
 Each time is the median of REPEAT runs. Before timing, a sample of the
-pairs and of the scan (queries of both kinds against corpus sequences of
-both kinds) is checked against a textbook dynamic programme; the script
-exits 1 on any disagreement, or if the sample holds no sequence of
-LONG_MIN tokens.
+pairs and of both scans (for the packed scan, queries of both kinds
+against corpus sequences of both kinds) is checked against a textbook
+dynamic programme; the script exits 1 on any disagreement, or if the
+sample holds no sequence of LONG_MIN tokens.
 
 Usage: python benchmarks/bench_kernels.py [--pairs 20000] [--corpus 2000]
 """
@@ -29,7 +35,10 @@ import statistics
 import sys
 import time
 
-from formulakit.similarity import PackedCorpus, levenshtein_ids, similarities_to_many
+from formulakit.noise import applicable_operators, apply_noise_operator
+from formulakit.similarity import (PackedCorpus, formula_token_ids, formula_token_ids_frozen,
+                                   levenshtein_ids, similarities_to_many)
+from formulakit.synth import synth_corpus
 
 REPEAT = 5
 SAMPLE = 200  # pairs, and corpus sequences per checked scan query
@@ -56,16 +65,33 @@ def sequence(rng, i):
     return [rng.randrange(40) for _ in range(length)]
 
 
-def disagreements(pairs, queries, corpus):
-    """Sampled pairs and scan scores on which the kernel and the DP differ."""
+def synth_index(n, rng):
+    """Token ids of the distinct formulas among n synthetic ones, and
+    QUERIES of them corrupted by one applicable noise operator each,
+    interned read-only as the baseline repair does."""
+    formulas = sorted(set(synth_corpus(n, seed=1)))
+    intern = {}
+    seqs = [formula_token_ids(f, intern) for f in formulas]
+    queries = []
+    for _ in range(QUERIES):
+        formula = rng.choice(formulas)
+        buggy = apply_noise_operator(formula, rng.choice(applicable_operators(formula)), rng)
+        queries.append(formula_token_ids_frozen(buggy, intern))
+    return seqs, queries
+
+
+def disagreements(pairs, scans):
+    """Sampled pairs and scan scores on which the kernel and the DP differ;
+    `scans` holds (queries, corpus) per scan."""
     bad = [(a, b) for a, b in pairs[:SAMPLE] if levenshtein_ids(a, b) != dp_levenshtein(a, b)]
-    sample = corpus[:SAMPLE]
-    packed = PackedCorpus(sample)
-    for q in queries[:2]:  # one long query, one short
-        sims = similarities_to_many(q, packed, len(sample))  # every position
-        for i, seq in enumerate(sample):
-            if sims[i] != 1.0 - dp_levenshtein(q, seq) / max(len(q), len(seq)):
-                bad.append((q, seq))
+    for queries, corpus in scans:
+        sample = corpus[:SAMPLE]
+        packed = PackedCorpus(sample)
+        for q in queries[:2]:  # for the packed scan, one long query and one short
+            sims = similarities_to_many(q, packed, len(sample))  # every position
+            for i, seq in enumerate(sample):
+                if sims[i] != 1.0 - dp_levenshtein(q, seq) / max(len(q), len(seq)):
+                    bad.append((q, seq))
     return bad
 
 
@@ -109,19 +135,20 @@ def main():
     pairs = [(sequence(rng, i), sequence(rng, i + 1)) for i in range(args.pairs)]
     corpus = [sequence(rng, i) for i in range(args.corpus)]
     queries = [sequence(rng, i) for i in range(QUERIES)]
+    synth_seqs, synth_queries = synth_index(args.corpus, rng)
 
     checked = [[seq for pair in pairs[:SAMPLE] for seq in pair], queries[:2], corpus[:SAMPLE]]
     if any(max(map(len, seqs), default=0) < LONG_MIN for seqs in checked):
         print(f"the checked sample holds no sequence of {LONG_MIN} tokens", file=sys.stderr)
         return 1
-    bad = disagreements(pairs, queries, corpus)
+    bad = disagreements(pairs, [(queries, corpus), (synth_queries, synth_seqs)])
     if bad:
         a, b = bad[0]
         print(f"kernel disagrees with the DP on {len(bad)} sampled pair(s), "
               f"first: {a} vs {b}", file=sys.stderr)
         return 1
 
-    packed = PackedCorpus(corpus)
+    packed, synth_packed = PackedCorpus(corpus), PackedCorpus(synth_seqs)
     workloads = [
         (f"pairs ({args.pairs} random pairs)", workload_pairs, (pairs,)),
         (f"pack ({args.corpus} corpus)", PackedCorpus, (corpus,)),
@@ -129,6 +156,11 @@ def main():
          workload_scan, (queries, packed)),
         ("  _advance", workload_advance, (queries, packed)),
         (f"  rank (k={K})", workload_rank, (workload_advance(queries, packed), packed)),
+        (f"synth scan ({QUERIES} queries x {len(synth_seqs)} synth)",
+         workload_scan, (synth_queries, synth_packed)),
+        ("  _advance", workload_advance, (synth_queries, synth_packed)),
+        (f"  rank (k={K})", workload_rank,
+         (workload_advance(synth_queries, synth_packed), synth_packed)),
     ]
     print(f"median of {REPEAT} runs per workload")
     print(f"{'workload':<44} {'time':>12}")

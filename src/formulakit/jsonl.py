@@ -73,9 +73,11 @@ def read_jsonl(path: PathLike) -> Iterator[tuple[int, Any]]:
 def _atomic_text(path: PathLike) -> Iterator[TextIO]:
     """A UTF-8 text handle on a temp file beside `path` that replaces `path`
     when the block ends; on any failure the temp file is removed and
-    `path` is left as it was. An output that cannot be made (its directory
-    cannot be created, no temp file can be opened there, or `path` cannot
-    be replaced, say because it is a directory) is a DataError naming it."""
+    `path` is left as it was. The output gets the mode of a newly created
+    file, 0o666 less the umask, where the temp file alone would keep its
+    0o600. An output that cannot be made (its directory cannot be created,
+    no temp file can be opened there, or `path` cannot be replaced, say
+    because it is a directory) is a DataError naming it."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -85,7 +87,10 @@ def _atomic_text(path: PathLike) -> Iterator[TextIO]:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
+        umask = os.umask(0)  # os.umask sets as it reads: restore it at once
+        os.umask(umask)
         try:
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except OSError as exc:
             raise DataError(f"cannot write output: {exc}", str(path)) from None

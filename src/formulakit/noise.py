@@ -242,33 +242,36 @@ def _arg_typer(tokens: list[Token]) -> Callable[[tuple[int, int]], str]:
     """Classifier of argument ranges: a comparison anywhere inside, else the
     kind of a lone token, `call` when it starts with a FuncName, or `expr`.
 
-    One O(n) pass builds prefix counts, so each argument costs O(1) however
-    deeply its own calls nest.
+    Prefix counts of the non-whitespace tokens and of the comparisons are
+    extended only as far as the largest argument end asked so far, so the
+    first call's arguments cost only their tokens, every argument costs
+    O(1) however deeply its own calls nest, and a full listing is one O(n)
+    pass. The lexer's whitespace token is maximal, so an argument's first
+    non-whitespace token is at its start or just after it.
     """
     whitespace, operator, func_name = TokenKind.WHITESPACE, TokenKind.OPERATOR, TokenKind.FUNC_NAME
-    n = len(tokens)
-    solid = [0] * (n + 1)  # non-whitespace tokens in tokens[:i]
-    comparisons = [0] * (n + 1)  # comparison operators in tokens[:i]
-    for i, t in enumerate(tokens):
-        kind = t.kind
-        solid[i + 1] = solid[i] + (kind is not whitespace)
-        comparisons[i + 1] = comparisons[i] + (
-            kind is operator and t.text in _COMPARISON_OPS)
-    first_solid = list(range(n + 1))  # first non-whitespace index >= i
-    for i in range(n - 1, -1, -1):
-        if tokens[i].kind is whitespace:
-            first_solid[i] = first_solid[i + 1]
+    solid = [0]  # non-whitespace tokens in tokens[:i]
+    comparisons = [0]  # comparison operators in tokens[:i]
 
     def arg_type(arg: tuple[int, int]) -> str:
         start, end = arg
+        if end >= len(solid):
+            count, compared = solid[-1], comparisons[-1]
+            for t in tokens[len(solid) - 1:end]:
+                kind = t.kind
+                count += kind is not whitespace
+                compared += kind is operator and t.text in _COMPARISON_OPS
+                solid.append(count)
+                comparisons.append(compared)
         if comparisons[end] > comparisons[start]:
             return "comparison"
         count = solid[end] - solid[start]
+        if not count:
+            return "expr"
+        first = tokens[start] if tokens[start].kind is not whitespace else tokens[start + 1]
         if count == 1:
-            return tokens[first_solid[start]].kind.value
-        if count and tokens[first_solid[start]].kind is func_name:
-            return "call"
-        return "expr"
+            return first.kind.value
+        return "call" if first.kind is func_name else "expr"
 
     return arg_type
 

@@ -39,27 +39,41 @@ those of the `~` loop:
   too, and nothing at or above W survives a step.
 
 Lane sums. After the last query token, the last cell of lane j is
-D[m_j][lq] = lq + popcount(vp_j) - popcount(vn_j). vp and vn are turned
-into per-byte popcounts with one `bytes.translate`, combined into
-8 + a - b per byte (0..16, no borrow), and the bytes of each lane summed:
-by one multiplication with 1 + 256 + ... + 256**(L-1) for the lanes of L
-bytes (the lane's sum lands in its top byte, at most 16 * L <= 240 for
-L <= 15, so nothing carries), by `sum` for longer lanes. A lane of L bytes
-sums to 8 * L + d - lq for distance d. The sums are one str, a character
-per lane, so that `str.count` and `str.find` search a run of lanes for
-one sum whatever the lanes' size.
+D[m_j][lq] = lq + popcount(vp_j) - popcount(vn_j). Per byte,
+8 + popcount(vp) - popcount(vn) is popcount(vp) + popcount(ones ^ vn), and
+three SWAR popcount steps on the packed ints give it for every byte at
+once (`_deltas`): the 2-bit and nibble counts of vp and ones ^ vn, then
+their sum's byte counts, 0..16, so nothing carries. A lane of L bytes sums
+its deltas to 8 * L + d - lq for distance d. Lanes of one size form a
+region of contiguous bytes, and a region is summed the first time the
+ranking reads one of its lanes (`_region_sums`), from its bytes sliced out
+of the delta int: a region of 1-byte lanes is its delta bytes as they are;
+lanes of L <= 15 bytes are summed by one multiplication with
+1 + 256 + ... + 256**(L-1) (the lane's sum lands in its top byte, at most
+16 * L <= 240, so nothing carries); longer lanes by `sum`. A region's sums
+are one str, a character per lane, so that `str.count` and `str.find`
+search a run of lanes for one sum whatever the lanes' size.
 
 Ranking. No float is built per lane. Lanes are ordered by length, so the
 lanes of one length m form a run, and within a run the similarity
-1.0 - d / max(lq, m) falls as the sum rises. A heap over the runs walks
-each run's sums upward from its lowest possible sum (distance |lq - m|),
-the best similarity across the runs first, and counts the lanes at each
-sum until k are found; that sum's similarity is the k-th best. A sparse
-run (at most _SPARSE_RUN lanes per possible sum) with no lane at its
-lowest sum skips to its least sum, one pass over its lanes, which keeps
-queries far from every lane from stepping through many empty sums. The
-lanes at or above the k-th best are then found with `str.find` and mapped
-to corpus positions through one lane-order array. A run of lanes up to 15
+1.0 - d / max(lq, m) falls as the sum rises. A run's best similarity,
+1 - |lq - m| / max(lq, m), rises with m up to lq and falls after it, in
+floating point too (correct rounding is monotone). So the runs are
+admitted outward from the query length, starting from `bisect_left` on
+the run lengths: the better of the two frontier runs joins while its best
+beats the best left on a heap over the admitted runs. The heap walks each
+admitted run's sums upward from its lowest possible sum (distance
+|lq - m|), the best similarity first, and counts the lanes at each sum
+until k are found; that sum's similarity is the k-th best. A sparse run
+(at most _SPARSE_RUN lanes per possible sum) starts at its least sum, one
+pass over its lanes, which keeps queries far from every lane from stepping
+through many empty sums. Only admitted runs sum their region and step the
+heap, so a query pays for the runs and regions the walk reaches. The
+survivors are the lanes at or above the k-th best: those the walk counted,
+the heap's other entries at the k-th best, and, since ties at the k-th
+best all count, the lanes of a frontier run whose best equals it though
+the walk never admitted it. They are found with `str.find` and mapped to
+corpus positions through one lane-order array. A run of lanes up to 15
 bytes reads its similarities from a table of 1.0 - d / max(lq, m) from
 d = |lq - m| up, which holds min(lq, m) + 1 similarities; the last
 _TABLES tables (by (lq, m)) are kept across queries, and tables of one
@@ -89,7 +103,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
-from heapq import heapify, heappop, heapreplace
+from heapq import heappop, heappush, heapreplace
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -103,11 +117,11 @@ DENSE_MIN = 16
 DENSE_MAX = 128
 _TABLES = 1024  # (query length, lane length) similarity tables kept for reuse
 _SUMMED_BY_PRODUCT = 15  # longest lane, in bytes, summed by one multiplication
-# A run of equal lengths with no lane at its lowest possible sum skips to its
-# least sum, one pass over its lanes, when it holds at most _SPARSE_RUN lanes
-# per possible sum; a denser run steps up one sum at a time.
+# A run of equal lengths that holds at most _SPARSE_RUN lanes per possible sum
+# starts its walk at its least sum, one pass over its lanes; a denser run
+# steps up one sum at a time from its lowest possible sum.
 _SPARSE_RUN = 4
-_POPCOUNT = bytes(bin(i).count("1") for i in range(256))
+_NO_RUN = (-1.0,)  # the best similarity past either end of the runs: below every other
 
 
 def _advance(eqs: Sequence[int], vp: int, vn: int, starts: int, full: int,
@@ -165,20 +179,29 @@ class PackedCorpus:
         self._full = int.from_bytes(full, "little")
         self._starts = int.from_bytes(starts, "little")
         self._ones = (1 << 8 * nbytes) - 1
-        self._eights = int.from_bytes(b"\x08" * nbytes, "little")
+        # The SWAR popcount steps' masks, bytes of 0x55, 0x33 and 0x0f.
+        self._fives, self._threes, self._fifteens = (
+            int.from_bytes(bytes([byte]) * nbytes, "little") for byte in (0x55, 0x33, 0x0F))
         self._order = order  # lane -> corpus position
-        # Runs of equal lane size, [lane size, bytes]; and runs of equal
-        # length, (length, lane size, first lane, end lane).
+        # Regions, runs of equal lane size: [lane size, first byte, end byte,
+        # first lane, mask]. Runs of equal length: (length, lane size, region,
+        # first lane, end lane), lanes counted from the region's first.
         self._regions: list[list[int]] = []
-        self._runs: list[tuple[int, int, int, int]] = []
-        end = 0
+        self._runs: list[tuple[int, int, int, int, int]] = []
+        lane = 0
         for m, lanes in runs:
             size = m // 8 + 1
             if not self._regions or self._regions[-1][0] != size:
-                self._regions.append([size, 0])
-            self._regions[-1][1] += size * lanes
-            self._runs.append((m, size, end, end + lanes))
-            end += lanes
+                end = self._regions[-1][2] if self._regions else 0
+                self._regions.append([size, end, end, lane])
+            region = self._regions[-1]
+            region[2] += size * lanes
+            begin = lane - region[3]
+            self._runs.append((m, size, len(self._regions) - 1, begin, begin + lanes))
+            lane += lanes
+        for region in self._regions:  # and the mask of its bytes
+            region.append((1 << 8 * (region[2] - region[1])) - 1)
+        self._lengths = [m for m, *_ in self._runs]
         # Every row's bit position, grouped by id: a counting sort in which
         # slot[id] runs from the id's first place to one past its last.
         slot = Counter(chain.from_iterable(seqs))
@@ -228,29 +251,32 @@ class PackedCorpus:
         return _advance([masks[t] for t in query], self._full, 0, self._starts, self._full,
                         self._ones)
 
-    def _sums(self, vp: int, vn: int) -> str:
-        """Every lane's sum of 8 + popcount(vp) - popcount(vn) over its
-        bytes, for the last columns vp and vn, as one character per lane in
-        lane order."""
-        nbytes = self._nbytes
-        plus = vp.to_bytes(nbytes, "little").translate(_POPCOUNT)
-        minus = vn.to_bytes(nbytes, "little").translate(_POPCOUNT)
-        # Per byte 8 + popcount(vp) - popcount(vn), in 0..16.
-        delta = (int.from_bytes(plus, "little") + self._eights
-                 - int.from_bytes(minus, "little")).to_bytes(nbytes, "little")
-        parts = []
-        first = 0
-        for size, region_bytes in self._regions:
-            last = first + region_bytes
-            if size <= _SUMMED_BY_PRODUCT:
-                product = int.from_bytes(delta[first:last], "little") * _byte_ones(size)
-                parts.append(product.to_bytes(region_bytes + size, "little")[
-                    size - 1:region_bytes:size].decode("latin-1"))
-            else:  # few lanes, each costing its size anyway
-                parts.append("".join([chr(sum(delta[b:b + size]))
-                                      for b in range(first, last, size)]))
-            first = last
-        return "".join(parts)
+    def _deltas(self, vp: int, vn: int) -> int:
+        """Per byte, 8 + popcount(vp) - popcount(vn), for the last columns
+        vp and vn: that is popcount(vp) + popcount(ones ^ vn), by three SWAR
+        popcount steps on the two, the last on their sum."""
+        fives, threes, fifteens = self._fives, self._threes, self._fifteens
+        vn ^= self._ones
+        vp -= (vp >> 1) & fives  # 2-bit fields, 0..2
+        vn -= (vn >> 1) & fives
+        both = ((vp & threes) + ((vp >> 2) & threes)  # nibbles, 0..8
+                + (vn & threes) + ((vn >> 2) & threes))
+        return (both & fifteens) + ((both >> 4) & fifteens)
+
+    def _region_sums(self, deltas: int, region: int) -> str:
+        """The sum of the `deltas` bytes over each lane of one region, as
+        one character per lane in lane order."""
+        size, first, end, _, mask = self._regions[region]
+        part = (deltas >> 8 * first) & mask
+        if size == 1:
+            return part.to_bytes(end - first, "little").decode("latin-1")
+        if size <= _SUMMED_BY_PRODUCT:
+            product = part * _byte_ones(size)
+            return product.to_bytes(end - first + size, "little")[
+                size - 1:end - first:size].decode("latin-1")
+        # few lanes, each costing its size anyway
+        part_bytes = part.to_bytes(end - first, "little")
+        return "".join([chr(sum(part_bytes[b:b + size])) for b in range(0, end - first, size)])
 
     def _rank(self, lq: int, vp: int, vn: int, k: int) -> dict[int, float]:
         """{corpus position: similarity} of every lane at or above the k-th
@@ -259,47 +285,86 @@ class PackedCorpus:
         need = min(k, self._len)
         if need < 1:
             return {}
-        sums = self._sums(vp, vn)
-        # Per run: its similarities from the lowest sum a lane of length m
-        # can have (distance |lq - m|) upward, that sum, and its lanes.
-        runs = []
-        for m, size, begin, end in self._runs:
+        deltas = self._deltas(vp, vn)
+        runs, regions = self._runs, self._regions
+        sums: list[Optional[str]] = [None] * len(regions)  # per region, on first use
+
+        def similarities(r: int) -> Sequence[float]:
+            """Run r's similarities from the lowest sum a lane of its length
+            m can have (distance |lq - m|) upward; _NO_RUN past either end."""
+            if not 0 <= r < len(runs):
+                return _NO_RUN
+            m, size = runs[r][:2]
             if size <= _SUMMED_BY_PRODUCT:
-                sims: Sequence[float] | _Inline = _table(lq, m)
-            else:  # few lanes, and their tables would be long
-                sims = _Inline(abs(lq - m), max(lq, m))
-            runs.append((sims, 8 * size - lq + abs(lq - m), begin, end))
-        # Walk every run's sums upward, the best similarity across the runs
-        # first, counting lanes until k are found: that similarity is the
-        # k-th best.
-        first = [0] * len(runs)  # per run, the table entry its lanes start at
-        heap = [(-sims[0], r, 0) for r, (sims, _, _, _) in enumerate(runs)]
-        heapify(heap)
+                return _table(lq, m)
+            return _Inline(abs(lq - m), max(lq, m))  # few lanes, and long tables
+
+        def admit(side: int) -> int:
+            """Admit the frontier run on `side` (0 left, 1 right), summing
+            its region if unread, and move that frontier outward; the run's
+            index among the admitted runs."""
+            r, sims = edge[side], edge_sims[side]
+            m, size, region, begin, end = runs[r]
+            if sums[region] is None:
+                sums[region] = self._region_sums(deltas, region)
+            admitted.append((sims, 8 * size - lq + abs(lq - m), sums[region], begin, end,
+                             regions[region][3]))
+            edge[side] = r + (1 if side else -1)
+            edge_sims[side] = similarities(edge[side])
+            return len(admitted) - 1
+
+        # A run's best similarity rises with its length up to lq and falls
+        # after it, so runs are admitted outward from lq: the better of the
+        # two frontier runs, while its best beats the heap's best. The heap
+        # walks the admitted runs' sums upward, the best similarity first,
+        # counting lanes until k are found: that similarity is the k-th best.
+        right = bisect_left(self._lengths, lq)
+        edge = [right - 1, right]  # the frontier runs, left and right
+        edge_sims = [similarities(r) for r in edge]
+        bar = -max(edge_sims[0][0], edge_sims[1][0])  # negated, as in the heap
+        admitted: list[tuple] = []
+        heap: list[tuple[float, int, int]] = []
+        hits = []  # (admitted run, table entry, lanes) counted by the walk
         while True:
-            negated, r, i = heap[0]
-            sims, low, begin, end = runs[r]
-            count = sums.count(chr(low + i), begin, end)
-            if not count and not i and end - begin <= _SPARSE_RUN * len(sims):
-                i = first[r] = ord(min(sums[begin:end])) - low
-                heapreplace(heap, (-sims[i], r, i))
+            if not heap or bar < heap[0][0]:
+                a = admit(0 if edge_sims[0][0] > edge_sims[1][0] else 1)
+                bar = -max(edge_sims[0][0], edge_sims[1][0])
+                sims, low, lane_sums, begin, end, _ = admitted[a]
+                i = 0
+                if end - begin <= _SPARSE_RUN * len(sims):
+                    i = ord(min(lane_sums[begin:end])) - low
+                heappush(heap, (-sims[i], a, i))
                 continue
-            need -= count
-            if need <= 0:
-                break
+            negated, a, i = heap[0]
+            sims, low, lane_sums, begin, end, _ = admitted[a]
+            count = lane_sums.count(chr(low + i), begin, end)
+            if count:
+                hits.append((a, i, count))
+                need -= count
+                if need <= 0:
+                    break
             if i + 1 < len(sims):
-                heapreplace(heap, (-sims[i + 1], r, i + 1))
+                heapreplace(heap, (-sims[i + 1], a, i + 1))
             else:
                 heappop(heap)
+        # Ties at the k-th best all count: the heap's other entries at it,
+        # and the frontier runs whose best equals it, never admitted (their
+        # tables fall, so only their first entry can tie).
         kth = -negated
+        ties = [(a, i) for neg, a, i in heap[1:] if neg == negated]
+        for side in (0, 1):
+            while edge_sims[side][0] >= kth:
+                ties.append((admit(side), 0))
+        for a, i in ties:
+            sims, low, lane_sums, begin, end, _ = admitted[a]
+            hits.append((a, i, lane_sums.count(chr(low + i), begin, end)))
         order, found = self._order, {}
-        for (sims, low, begin, end), i in zip(runs, first):
-            while i < len(sims) and sims[i] >= kth:
-                lane_sum = chr(low + i)
-                lane = sums.find(lane_sum, begin, end)
-                while lane >= 0:
-                    found[order[lane]] = sims[i]
-                    lane = sums.find(lane_sum, lane + 1, end)
-                i += 1
+        for a, i, count in hits:
+            sims, low, lane_sums, begin, end, base = admitted[a]
+            lane_sum, sim, lane = chr(low + i), sims[i], begin - 1
+            for _ in range(count):
+                lane = lane_sums.find(lane_sum, lane + 1, end)
+                found[order[base + lane]] = sim
         return found
 
 

@@ -1,5 +1,7 @@
 import json
 import hashlib
+import os
+import stat
 from dataclasses import fields
 from pathlib import Path
 
@@ -100,6 +102,18 @@ class TestDedupCli:
         assert manifest["inputs"][corpus_file] == sha(corpus_file)
         assert manifest["artifacts"][str(out)] == sha(out)
         assert manifest["subcommand"] == "dedup"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_honour_the_umask(self, tmp_path, corpus_file, umask, mode):
+        out = tmp_path / "out.jsonl"
+        before = os.umask(umask)
+        try:
+            assert main(["dedup", "--input", corpus_file, "-o", str(out)]) == 0
+        finally:
+            os.umask(before)
+        for path in (out, tmp_path / "out.jsonl.manifest.json",
+                     tmp_path / "out.jsonl.stats.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
 
 class TestTokenizerCli:

@@ -507,6 +507,80 @@ class TestRanking:
             for k in (1, 5, 40, 299, 306):
                 assert similarities_to_many(query, packed, k) == oracle_ranked(query, corpus, k)
 
+    @staticmethod
+    def spy(monkeypatch):
+        """The (query length, lane length) tables the ranking looks up and
+        the lane size of each region it sums, as it runs."""
+        seen = {"tables": [], "regions": []}
+        table, region_sums = similarity._table, PackedCorpus._region_sums
+
+        def counted_table(lq, m):
+            seen["tables"].append((lq, m))
+            return table(lq, m)
+
+        def counted_region_sums(self, deltas, region):
+            seen["regions"].append(self._regions[region][0])
+            return region_sums(self, deltas, region)
+
+        monkeypatch.setattr(similarity, "_table", counted_table)
+        monkeypatch.setattr(PackedCorpus, "_region_sums", counted_region_sums)
+        return seen
+
+    def test_tie_at_the_kth_best_in_a_run_never_admitted(self):
+        # Against 6 tokens, lanes of 4 and 9 tokens at distances 2 and 3
+        # both score 1 - 1/3. On a tie the walk admits the longer run, finds
+        # k = 1 there and stops: the 4-token run joins only the survivor
+        # pass. In the second corpus a 5-token lane at distance 2 ranks
+        # first, and the 9-token run ties it unadmitted.
+        query = [1, 2, 3, 4, 5, 6]
+        assert 1.0 - 2 / 6 == 1.0 - 3 / 9
+        longer = query + [7, 8, 9]
+        assert similarities_to_many(query, PackedCorpus([query[:4], longer]), 1) == \
+            {0: 1.0 - 2 / 6, 1: 1.0 - 3 / 9}
+        far = [[7] * 20, [8]]
+        self.check(query, [query[:4], longer] + far)
+        self.check(query, [[1, 2, 3, 4, 9], longer] + far)
+        self.check(query, [longer, [9, 2, 3, 4, 5, 6, 7, 8, 9], query[:4], [1, 2, 3, 9]] + far)
+
+    def test_query_shorter_or_longer_than_every_lane(self):
+        # The walk starts at one end of the runs, and only one frontier is left.
+        corpus = [lane(m, seed) for seed, m in enumerate([5, 5, 6, 8, 9, 9, 12, 17, 17])]
+        for query in ([], [1], lane(4, 40), corpus[0][:3], corpus[7] + [2, 2, 2],
+                      lane(30, 41), corpus[6] * 3):
+            self.check(query, corpus)
+
+    def test_long_lane_region_summed_only_when_reached(self, monkeypatch):
+        # Lanes of 130 and 150 tokens (17 and 19 bytes) make two regions of
+        # their own. A query near a short lane never reaches them; a query
+        # near the 130-token lane sums its region.
+        rng = random.Random(130)
+        corpus = [lane(m, m) for m in (3, 4, 5, 5, 6, 7, 9)] + [lane(130, 1), lane(150, 2)]
+        packed = PackedCorpus(corpus)
+        seen = self.spy(monkeypatch)
+        for query, reached in ((corpus[2], False), (edited(rng, corpus[4], 1, 6), False),
+                               (edited(rng, corpus[7], 6, 6), True)):
+            seen["regions"].clear()
+            for k in (1, 2):
+                assert similarities_to_many(query, packed, k) == oracle_ranked(query, corpus, k)
+            if reached:
+                assert 17 in seen["regions"]
+            else:
+                assert not {17, 19} & set(seen["regions"])
+            self.check(query, corpus)
+
+    def test_exact_match_reads_few_tables_and_one_region(self, monkeypatch):
+        # 40 lengths of 3 lanes each, in 6 regions. An exact match with
+        # k = 1 is found in its own run: its table and its two neighbours'
+        # are read, and its region is the only one summed.
+        corpus = [lane(m, 100 * m + j) for m in range(1, 41) for j in range(3)]
+        packed = PackedCorpus(corpus)
+        assert len(packed._runs) == 40 and len(packed._regions) == 6
+        seen = self.spy(monkeypatch)
+        query = corpus[60]  # 21 tokens, in the region of 3-byte lanes
+        assert similarities_to_many(query, packed, 1) == oracle_ranked(query, corpus, 1)
+        assert len(seen["tables"]) <= 3
+        assert seen["regions"] == [3]
+
     def test_empty_corpus(self):
         for query in ([], [1], [1, 2, 3]):
             for k in (0, 1, 5):
@@ -602,3 +676,4 @@ def test_kernel_benchmark_script_runs():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "packed scan (20 queries x 20 corpus)" in proc.stdout
+    assert "synth scan (20 queries x " in proc.stdout
