@@ -181,77 +181,79 @@ def _read_records(path: str, skips: Optional[Counter[str]] = None
               file=sys.stderr)
 
 
-def _emit(rows: Iterable[dict], output: Optional[str], *, subcommand: str,
-          config: dict, inputs: Sequence[str] = ()) -> int:
-    """Write rows to stdout or atomically to a file (+ manifest)."""
-    if output is None:
+def _emit(args, payload: dict | Iterable[dict], config: dict,
+          inputs: Sequence[Optional[str]] = ()) -> int:
+    """Write a command's output: a dict as one JSON document, anything else
+    as JSONL rows. With --output it goes atomically to that file, with a
+    manifest of `config` and of the given `inputs` (None entries dropped)
+    beside it; without, to stdout. Returns the number of rows, 1 for a
+    document."""
+    output = args.output
+    if isinstance(payload, dict):
+        count = 1
+        if output is None:
+            print(json.dumps(payload, ensure_ascii=False, indent=2))
+        else:
+            write_json_atomic(output, payload)
+    elif output is None:
         count = 0
-        for row in rows:
+        for row in payload:
             print(dumps(row))
             count += 1
-        return count
-    count = write_jsonl_atomic(output, rows)
-    write_manifest(output, subcommand, config, inputs=[p for p in inputs if p])
+    else:
+        count = write_jsonl_atomic(output, payload)
+    if output is not None:
+        subcommand = (f"baseline-{args.baseline_cmd}" if args.command == "baseline"
+                      else args.command)
+        write_manifest(output, subcommand, config, inputs=[p for p in inputs if p])
     return count
 
 
 # --- subcommand implementations -------------------------------------------
 
 
-def cmd_lex(args) -> int:
+def cmd_lex(args) -> None:
     catalog = _load_catalog(args)
     rows = ({"formula": f,
              "tokens": [{"kind": t.kind.value, "text": t.text,
                          "start": t.start, "end": t.end} for t in lex(f, catalog)]}
             for f in _input_formulas(args))
-    _emit(rows, args.output, subcommand="lex", config={"catalog": args.catalog},
-          inputs=[args.input])
-    return EXIT_OK
+    _emit(args, rows, {"catalog": args.catalog}, [args.input])
 
 
-def cmd_sketch(args) -> int:
+def cmd_sketch(args) -> None:
     rows = ({"formula": f, "sketch": sketch(f)} for f in _input_formulas(args))
-    _emit(rows, args.output, subcommand="sketch", config={}, inputs=[args.input])
-    return EXIT_OK
+    _emit(args, rows, {}, [args.input])
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> None:
     catalog = _load_catalog(args)
     rows = ({"formula": f,
              "diagnostics": [{"code": d.code.value, "start": d.start,
                               "end": d.end, "message": d.message}
                              for d in check(f, catalog)]}
             for f in _input_formulas(args))
-    _emit(rows, args.output, subcommand="check", config={"catalog": args.catalog},
-          inputs=[args.input])
-    return EXIT_OK
+    _emit(args, rows, {"catalog": args.catalog}, [args.input])
 
 
-def cmd_dedup(args) -> int:
+def cmd_dedup(args) -> None:
     stats = curation.CorpusStats()
     retained = curation.dedup(_read_records(args.input), args.mode, stats)
-    count = _emit((r.to_json() for r in retained), args.output,
-                  subcommand="dedup", config={"mode": args.mode, "input": args.input},
-                  inputs=[args.input])
+    count = _emit(args, (r.to_json() for r in retained),
+                  {"mode": args.mode, "input": args.input}, [args.input])
     report = {"mode": args.mode, "retained": count, **stats.to_json()}
     if args.output:
         write_json_atomic(args.output + ".stats.json", report)
     else:
         print(dumps(report), file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     stats = curation.stats(_read_records(args.input))
-    if args.output:
-        write_json_atomic(args.output, stats.to_json())
-        write_manifest(args.output, "stats", {"input": args.input}, inputs=[args.input])
-    else:
-        print(json.dumps(stats.to_json(), ensure_ascii=False, indent=2))
-    return EXIT_OK
+    _emit(args, stats.to_json(), {"input": args.input}, [args.input])
 
 
-def cmd_train_tokenizer(args) -> int:
+def cmd_train_tokenizer(args) -> None:
     config = load_config(args.config, None)
     budget = args.budget if args.budget is not None else config.tokenizer_budget
     catalog = _load_catalog(args)
@@ -259,12 +261,9 @@ def cmd_train_tokenizer(args) -> int:
         model = train_bpe(_iter_formula_lines(args.input), budget, catalog)
     except BudgetTooSmall as exc:
         raise UsageError(str(exc)) from None
-    model.save(args.output)
-    write_manifest(args.output, "train-tokenizer",
-                   {"budget": budget, "catalog": args.catalog}, inputs=[args.input])
+    _emit(args, model.to_json(), {"budget": budget, "catalog": args.catalog}, [args.input])
     print(f"trained tokenizer: |vocab|={len(model.vocab)} merges={len(model.merges)} "
           f"-> {args.output}", file=sys.stderr)
-    return EXIT_OK
 
 
 def _load_artifact(load: Callable[[str], object], path: str, what: str):
@@ -277,7 +276,7 @@ def _load_artifact(load: Callable[[str], object], path: str, what: str):
         raise DataError(f"malformed {what} ({exc})", path)
 
 
-def cmd_tokenize(args) -> int:
+def cmd_tokenize(args) -> None:
     model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
     catalog = _load_catalog(args)
 
@@ -292,28 +291,25 @@ def cmd_tokenize(args) -> int:
                        "pieces": [model.vocab[i] for i in ids],
                        "decoded": decode(model, ids)}
 
-    _emit(rows(), args.output, subcommand="tokenize",
-          config={"model": args.model}, inputs=[args.input])
-    return EXIT_OK
+    _emit(args, rows(), {"model": args.model}, [args.input])
 
 
-def cmd_gen_pretrain(args) -> int:
+def cmd_gen_pretrain(args) -> None:
     config = load_config(args.config, args.seed)
     skips: Counter[str] = Counter()
     examples = objectives.generate_pretrain(_read_records(args.input, skips),
                                             config.objectives, skips, args.workers)
-    count = _emit((ex.to_json() for ex in examples), args.output, subcommand="gen-pretrain",
-                  config={"seed": config.seed, "objectives": asdict(config.objectives),
-                          "workers_independent": True},
-                  inputs=[args.input])
+    count = _emit(args, (ex.to_json() for ex in examples),
+                  {"seed": config.seed, "objectives": asdict(config.objectives),
+                   "workers_independent": True},
+                  [args.input])
     # Every line read is an example or a skip: emitted + skipped == lines read.
     print(f"generated {count} pretrain examples ({skips.total()} skipped: "
           f"{skips['malformed']} malformed, {skips['no objective']} fit no objective)",
           file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_gen_finetune_repair(args) -> int:
+def cmd_gen_finetune_repair(args) -> None:
     config = load_config(args.config, args.seed)
     skips: Counter[str] = Counter()
     tasks = list(evaluation.gen_repair_finetune(_iter_formula_lines(args.input),
@@ -322,18 +318,17 @@ def cmd_gen_finetune_repair(args) -> int:
     if args.reserve:
         tasks, reserved = evaluation.reserve_split(tasks, min(args.reserve, len(tasks)),
                                                    config.seed)
-    _emit((t.to_json() for t in tasks), args.output, subcommand="gen-finetune-repair",
-          config={"seed": config.seed, "reserve": args.reserve}, inputs=[args.input])
+    _emit(args, (t.to_json() for t in tasks), {"seed": config.seed, "reserve": args.reserve},
+          [args.input])
     if args.reserve_output:
         write_jsonl_atomic(args.reserve_output, (t.to_json() for t in reserved))
     print(f"repair tasks: {len(tasks)} fine-tune, {len(reserved)} reserved "
           f"({skips['malformed']} malformed inputs skipped, "
           f"{skips['unchanged']} unchanged corruptions discarded)",
           file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_gen_finetune_complete(args) -> int:
+def cmd_gen_finetune_complete(args) -> None:
     config = load_config(args.config, args.seed)
     model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
     fractions = tuple(args.fractions) if args.fractions else (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
@@ -350,13 +345,11 @@ def cmd_gen_finetune_complete(args) -> int:
                 continue
             yield task.to_json()
 
-    count = _emit(rows(), args.output, subcommand="gen-finetune-complete",
-                  config={"seed": config.seed, "fractions": list(fractions),
-                          "model": args.model},
-                  inputs=[args.input])
+    count = _emit(args, rows(),
+                  {"seed": config.seed, "fractions": list(fractions), "model": args.model},
+                  [args.input])
     print(f"completion tasks: {count} ({skips['under 2 tokens']} skipped: "
           f"under 2 tokens)", file=sys.stderr)
-    return EXIT_OK
 
 
 def _load_rows(path: str, what: str, build: Callable[[dict, int], object],
@@ -439,7 +432,7 @@ def _prediction(obj: dict, lineno: int) -> tuple[str, list[str]]:
     return _field(obj, "source_id"), candidates
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     """eval-repair and eval-complete: score replayed predictions."""
     subcommand = args.command
     tasks = _load_rows(args.benchmark, *_BENCHMARKS[subcommand.removeprefix("eval-")],
@@ -450,19 +443,14 @@ def cmd_eval(args) -> int:
     ks = sorted(set(args.k or (1, 5)))
     payload = evaluation.evaluate(tasks, evaluation.replay_provider(predictions),
                                   metrics=args.metrics, ks=ks).to_json()
-    if args.output:
-        write_json_atomic(args.output, payload)
-        write_manifest(args.output, subcommand, {"k": ks, "metrics": args.metrics},
-                       inputs=[args.benchmark, args.predictions])
-    else:
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
+    _emit(args, payload, {"k": ks, "metrics": args.metrics},
+          [args.benchmark, args.predictions])
     for row in payload["results"]:
         print(f"{subcommand} {row['metric']}@{row['k']}: {row['value']:.4f}",
               file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_eval_retrieval(args) -> int:
+def cmd_eval_retrieval(args) -> None:
     pairs = _load_rows(
         args.pairs, "retrieval pair needs string formula_a/formula_b and finite target_similarity",
         lambda obj, _: evaluation.RetrievalPair(
@@ -475,25 +463,17 @@ def cmd_eval_retrieval(args) -> int:
         r = evaluation.retrieval_eval(pairs, embeddings)
     except ValueError as exc:
         raise DataError(str(exc), args.pairs)
-    payload = {"pearson_r": r, "num_pairs": len(pairs)}
-    if args.output:
-        write_json_atomic(args.output, payload)
-        write_manifest(args.output, "eval-retrieval", {},
-                       inputs=[args.pairs, args.embeddings])
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit(args, {"pearson_r": r, "num_pairs": len(pairs)}, {}, [args.pairs, args.embeddings])
     print(f"eval-retrieval pearson_r: {r:.6f}", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args) -> None:
     if args.baseline_cmd == "build":
         index = baseline_mod.build_index(_iter_formula_lines(args.input))
-        index.save(args.output)
-        write_manifest(args.output, "baseline-build", {}, inputs=[args.input])
+        _emit(args, index.to_json(), {}, [args.input])
         print(f"indexed {index.total_formulas} formulas "
               f"({len(index.entries)} sketches) -> {args.output}", file=sys.stderr)
-        return EXIT_OK
+        return
 
     index = _load_artifact(baseline_mod.SketchIndex.load, args.index, "index")
     repair = args.baseline_cmd == "repair"
@@ -506,16 +486,12 @@ def cmd_baseline(args) -> int:
         items = [(t.source_id, t.buggy if repair else t.prefix) for t in tasks]
     rank = baseline_mod.repair_candidates if repair else baseline_mod.completion_candidates
     rows = ({"source_id": sid, "candidates": rank(index, q, args.k)} for sid, q in items)
-    _emit(rows, args.output, subcommand=f"baseline-{args.baseline_cmd}",
-          config={"k": args.k, "index": args.index}, inputs=[args.benchmark])
-    return EXIT_OK
+    _emit(args, rows, {"k": args.k, "index": args.index}, [args.benchmark])
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     records = synth.synth_records(args.count, args.seed if args.seed is not None else 0)
-    _emit((r.to_json() for r in records), args.output, subcommand="synth",
-          config={"count": args.count, "seed": args.seed})
-    return EXIT_OK
+    _emit(args, (r.to_json() for r in records), {"count": args.count, "seed": args.seed})
 
 
 # --- parser wiring ----------------------------------------------------------
@@ -531,9 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"formulakit {__version__} (similarity kernel: {KERNEL_BACKEND})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, epilog=None):
-        p = sub.add_parser(name, help=help_text, epilog=epilog,
-                           formatter_class=argparse.RawDescriptionHelpFormatter)
+    def add(name, fn, help_text, epilog=None, under=sub):
+        p = under.add_parser(name, help=help_text, epilog=epilog,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
         p.set_defaults(fn=fn)
         return p
 
@@ -626,26 +602,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", type=_fraction, nargs="+",
                    help="prefix fractions to sample from (default 0.2..0.8)")
 
-    p = add("eval-repair", cmd_eval, "score repair predictions",
-            epilog='benchmark: {"buggy": ..., "ground_truth": ..., "source_id": ...}\n'
-                   'predictions: {"source_id": ..., "candidates": ["=...", ...]} '
-                   'ranked best-first')
-    p.add_argument("--benchmark", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("-k", type=_int_at_least(1), action="append")
-    p.add_argument("--metrics", nargs="+", default=["exact_match"],
-                   choices=sorted(evaluation.METRICS))
-    p.add_argument("--output", "-o")
-
-    p = add("eval-complete", cmd_eval, "score completion predictions",
-            epilog='benchmark: {"formula": ..., "prefix": ..., "source_id": ...}\n'
-                   'predictions: {"source_id": ..., "candidates": [...]}')
-    p.add_argument("--benchmark", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("-k", type=_int_at_least(1), action="append")
-    p.add_argument("--metrics", nargs="+", default=["exact_match", "sketch_match"],
-                   choices=sorted(evaluation.METRICS))
-    p.add_argument("--output", "-o")
+    # eval-repair and eval-complete differ only in these rows.
+    for name, help_text, epilog, metrics in [
+            ("eval-repair", "score repair predictions",
+             'benchmark: {"buggy": ..., "ground_truth": ..., "source_id": ...}\n'
+             'predictions: {"source_id": ..., "candidates": ["=...", ...]} ranked best-first',
+             ["exact_match"]),
+            ("eval-complete", "score completion predictions",
+             'benchmark: {"formula": ..., "prefix": ..., "source_id": ...}\n'
+             'predictions: {"source_id": ..., "candidates": [...]}',
+             ["exact_match", "sketch_match"])]:
+        p = add(name, cmd_eval, help_text, epilog=epilog)
+        p.add_argument("--benchmark", required=True)
+        p.add_argument("--predictions", required=True)
+        p.add_argument("-k", type=_int_at_least(1), action="append")
+        p.add_argument("--metrics", nargs="+", default=metrics,
+                       choices=sorted(evaluation.METRICS))
+        p.add_argument("--output", "-o")
 
     p = add("eval-retrieval", cmd_eval_retrieval,
             "correlate embedding cosine with token edit similarity",
@@ -657,38 +630,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("baseline", cmd_baseline, "non-neural reference providers")
     bsub = p.add_subparsers(dest="baseline_cmd", required=True)
-    b = bsub.add_parser(
-        "build", help="build a sketch index from a corpus",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog='index file: {"total_formulas": 3, "sketches": '
-               '{"=SUM(cell:cell)": [["=SUM(A1:A2)", 2]]}}')
-    b.set_defaults(fn=cmd_baseline)
+    b = add("build", cmd_baseline, "build a sketch index from a corpus", under=bsub,
+            epilog='index file: {"total_formulas": 3, "sketches": '
+                   '{"=SUM(cell:cell)": [["=SUM(A1:A2)", 2]]}}')
     b.add_argument("--input", required=True)
     b.add_argument("--output", "-o", required=True)
-    b = bsub.add_parser(
-        "repair", help="nearest-formula repair candidates",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog='output: {"source_id": "repair-0", "candidates": '
-               '["=SUM(A1:A10)", ...]} ranked best-first')
-    b.set_defaults(fn=cmd_baseline)
-    b.add_argument("--index", required=True)
-    query = b.add_mutually_exclusive_group(required=True)
-    query.add_argument("--benchmark")
-    query.add_argument("--buggy", help="single buggy formula instead of a benchmark")
-    b.add_argument("-k", type=_int_at_least(1), default=5)
-    b.add_argument("--output", "-o")
-    b = bsub.add_parser(
-        "complete", help="frequency-ranked completion candidates",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog='output: {"source_id": "complete-0", "candidates": '
-               '["=B2<=EDATE(TODAY(),-33)", ...]}')
-    b.set_defaults(fn=cmd_baseline)
-    b.add_argument("--index", required=True)
-    query = b.add_mutually_exclusive_group(required=True)
-    query.add_argument("--benchmark")
-    query.add_argument("--prefix", help="single prefix instead of a benchmark")
-    b.add_argument("-k", type=_int_at_least(1), default=5)
-    b.add_argument("--output", "-o")
+    # baseline repair and baseline complete differ only in these rows.
+    for name, help_text, epilog, single, single_help in [
+            ("repair", "nearest-formula repair candidates",
+             'output: {"source_id": "repair-0", "candidates": ["=SUM(A1:A10)", ...]} '
+             'ranked best-first', "--buggy", "single buggy formula instead of a benchmark"),
+            ("complete", "frequency-ranked completion candidates",
+             'output: {"source_id": "complete-0", "candidates": '
+             '["=B2<=EDATE(TODAY(),-33)", ...]}', "--prefix",
+             "single prefix instead of a benchmark")]:
+        b = add(name, cmd_baseline, help_text, epilog=epilog, under=bsub)
+        b.add_argument("--index", required=True)
+        query = b.add_mutually_exclusive_group(required=True)
+        query.add_argument("--benchmark")
+        query.add_argument(single, help=single_help)
+        b.add_argument("-k", type=_int_at_least(1), default=5)
+        b.add_argument("--output", "-o")
 
     p = add("synth", cmd_synth, "generate a synthetic formula corpus",
             epilog="well-formed random formulas with workbook/sheet provenance")
@@ -703,7 +665,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        args.fn(args)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
