@@ -3,11 +3,12 @@
 Subcommands cover the full path: lex/sketch/check single formulas or files,
 dedup a corpus (per-workbook or global), train and apply the tokenizer,
 generate pre-training and fine-tuning datasets, evaluate predictions, and
-run the non-neural baseline. All randomness flows from --seed; artifacts
-are written atomically, and each -o/--output file gets a sibling
-.manifest.json with config and content hashes so any two runs can be
-compared. Each generator counts the inputs it skips in one Counter keyed
-by reason and reports it on stderr.
+run the non-neural baseline. All randomness flows from --seed. Each command
+writes its output through one path: to stdout, or atomically to -o/--output
+with a sibling .manifest.json of the config and the content hashes of that
+file and of every file read (data, model, index, catalog), so any two runs
+can be compared. Each generator counts the inputs it skips in one Counter
+keyed by reason and reports it on stderr.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (with file/line),
 3 internal error.
@@ -218,7 +219,7 @@ def cmd_lex(args) -> None:
              "tokens": [{"kind": t.kind.value, "text": t.text,
                          "start": t.start, "end": t.end} for t in lex(f, catalog)]}
             for f in _input_formulas(args))
-    _emit(args, rows, {"catalog": args.catalog}, [args.input])
+    _emit(args, rows, {"catalog": args.catalog}, [args.input, args.catalog])
 
 
 def cmd_sketch(args) -> None:
@@ -233,7 +234,7 @@ def cmd_check(args) -> None:
                               "end": d.end, "message": d.message}
                              for d in check(f, catalog)]}
             for f in _input_formulas(args))
-    _emit(args, rows, {"catalog": args.catalog}, [args.input])
+    _emit(args, rows, {"catalog": args.catalog}, [args.input, args.catalog])
 
 
 def cmd_dedup(args) -> None:
@@ -261,7 +262,8 @@ def cmd_train_tokenizer(args) -> None:
         model = train_bpe(_iter_formula_lines(args.input), budget, catalog)
     except BudgetTooSmall as exc:
         raise UsageError(str(exc)) from None
-    _emit(args, model.to_json(), {"budget": budget, "catalog": args.catalog}, [args.input])
+    _emit(args, model.to_json(), {"budget": budget, "catalog": args.catalog},
+          [args.input, args.catalog])
     print(f"trained tokenizer: |vocab|={len(model.vocab)} merges={len(model.merges)} "
           f"-> {args.output}", file=sys.stderr)
 
@@ -291,7 +293,7 @@ def cmd_tokenize(args) -> None:
                        "pieces": [model.vocab[i] for i in ids],
                        "decoded": decode(model, ids)}
 
-    _emit(args, rows(), {"model": args.model}, [args.input])
+    _emit(args, rows(), {"model": args.model}, [args.input, args.model, args.catalog])
 
 
 def cmd_gen_pretrain(args) -> None:
@@ -310,6 +312,9 @@ def cmd_gen_pretrain(args) -> None:
 
 
 def cmd_gen_finetune_repair(args) -> None:
+    # Reserved tasks need a file to go to, and that file needs tasks.
+    if bool(args.reserve) != bool(args.reserve_output):
+        raise UsageError("--reserve N (N >= 1) and --reserve-output FILE go together")
     config = load_config(args.config, args.seed)
     skips: Counter[str] = Counter()
     tasks = list(evaluation.gen_repair_finetune(_iter_formula_lines(args.input),
@@ -347,7 +352,7 @@ def cmd_gen_finetune_complete(args) -> None:
 
     count = _emit(args, rows(),
                   {"seed": config.seed, "fractions": list(fractions), "model": args.model},
-                  [args.input])
+                  [args.input, args.model])
     print(f"completion tasks: {count} ({skips['under 2 tokens']} skipped: "
           f"under 2 tokens)", file=sys.stderr)
 
@@ -486,11 +491,11 @@ def cmd_baseline(args) -> None:
         items = [(t.source_id, t.buggy if repair else t.prefix) for t in tasks]
     rank = baseline_mod.repair_candidates if repair else baseline_mod.completion_candidates
     rows = ({"source_id": sid, "candidates": rank(index, q, args.k)} for sid, q in items)
-    _emit(args, rows, {"k": args.k, "index": args.index}, [args.benchmark])
+    _emit(args, rows, {"k": args.k, "index": args.index}, [args.benchmark, args.index])
 
 
 def cmd_synth(args) -> None:
-    records = synth.synth_records(args.count, args.seed if args.seed is not None else 0)
+    records = synth.synth_records(args.count, args.seed)
     _emit(args, (r.to_json() for r in records), {"count": args.count, "seed": args.seed})
 
 
@@ -655,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("synth", cmd_synth, "generate a synthetic formula corpus",
             epilog="well-formed random formulas with workbook/sheet provenance")
     p.add_argument("--count", type=_int_at_least(0), default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o")
 
     return parser

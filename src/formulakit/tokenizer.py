@@ -170,10 +170,6 @@ class TokenizerModel:
     def unk_id(self) -> int:
         return self._token_to_id[UNK_TOKEN]
 
-    @property
-    def mask_id(self) -> int:
-        return self._token_to_id[MASK_TOKEN]
-
     def id_of(self, token: str) -> Optional[int]:
         return self._token_to_id.get(token)
 

@@ -381,6 +381,30 @@ class TestBaselineSingleQueries:
         row = json.loads(capsys.readouterr().out)
         assert row["candidates"] == ["=TODAY()"]
 
+    def test_predictions_manifest_hashes_the_index(self, tmp_path):
+        bench = tmp_path / "bench.jsonl"
+        write_jsonl_atomic(bench, [{"buggy": "=SUM(A1:A10", "ground_truth": "=SUM(A1:A10)",
+                                    "source_id": "r0"}])
+        corpus, index = tmp_path / "c.txt", tmp_path / "index.json"
+        inputs = []
+        for formulas in ("=SUM(A1:A10)\n", "=SUM(A1:A10)\n=MAX(B1:B2)\n"):
+            corpus.write_text(formulas, encoding="utf-8")
+            assert main(["baseline", "build", "--input", str(corpus), "-o", str(index)]) == 0
+            assert main(["baseline", "repair", "--index", str(index), "--benchmark", str(bench),
+                         "-o", str(tmp_path / "preds.jsonl")]) == 0
+            manifest = json.loads((tmp_path / "preds.jsonl.manifest.json").read_text("utf-8"))
+            assert manifest["inputs"] == {str(bench): sha(bench), str(index): sha(index)}
+            inputs.append(manifest["inputs"])
+        assert inputs[0] != inputs[1]
+
+    def test_manifest_hashes_the_catalog(self, tmp_path):
+        catalog = tmp_path / "functions.csv"
+        catalog.write_text("SUM,1,*\n", encoding="utf-8")
+        out = tmp_path / "lex.jsonl"
+        assert main(["lex", "=SUM(A1)", "--catalog", str(catalog), "-o", str(out)]) == 0
+        manifest = json.loads((tmp_path / "lex.jsonl.manifest.json").read_text("utf-8"))
+        assert manifest["inputs"] == {str(catalog): sha(catalog)}
+
 
 MALFORMED_INDEXES = {
     "invalid-json": "{broken",
@@ -609,6 +633,8 @@ class TestInputErrors:
         ["eval-repair", "--benchmark", "b.jsonl", "--predictions", "p.jsonl", "-k", "0"],
         ["baseline", "repair", "--index", "i.json", "--buggy", "=A1", "-k", "-1"],
         ["gen-finetune-repair", "--input", "f.txt", "--reserve", "-3"],
+        ["gen-finetune-repair", "--input", "f.txt", "--reserve", "10"],
+        ["gen-finetune-repair", "--input", "f.txt", "--reserve-output", "r.jsonl"],
         ["gen-pretrain", "--input", "c.jsonl", "--workers", "0"],
         ["gen-pretrain", "--input", "c.jsonl", "--workers", "-4"],
         ["synth", "--count", "-3"],

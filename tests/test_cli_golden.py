@@ -162,13 +162,13 @@ FILES = {
         "02ab4d79ddfaf99e2d333f39236c2e976082f551d6fca4e40205037717372df1",
     "complete-preds.jsonl": "293b0d20b79ad749a9ebf6ca20de2af0e5e7142b63f4f133c758f5732b68f863",
     "complete-preds.jsonl.manifest.json":
-        "f84e6d03949c935c75acac03958b88113ab612a885e6de8efc68771040044d0a",
+        "10ee9220a7cb8e3677fac4165b9306a15a4704dc52d0c8abe2801cc38f6e24a9",
     "complete-report.json": "d145a89cd901cf3ed27279fc36d8e3f2ad2b23a0378ae5041821fc389c19acb0",
     "complete-report.json.manifest.json":
         "a8a605bbc456249d586d30e7c13a9d9854b42292703e4c1c6aaadd88347e186d",
     "complete-train.jsonl": "063b934c9673b258bef8d4fc990e653f77029678cdb07a241a50481cb3639c07",
     "complete-train.jsonl.manifest.json":
-        "d9792d349b18dc99c26f63ce7ae71351a1db71097e4c2773c69a1beb24f8e641",
+        "ac23b6391760688d74091a2e8c2e7f87445266db53c1205fb590d5dadd26c6ba",
     "corpus.jsonl": "2970887c3953f0e7d88484ef4aea2970ec67bff96eca1bb614923123f46698e9",
     "corpus.jsonl.manifest.json":
         "f50ffa4cfe7c2b6909e83db918e12916611cf74b571ecd9320efc34f93ae8331",
@@ -184,7 +184,7 @@ FILES = {
     "pairs.jsonl": "02d8d2864ad8895e2c372cfd14b56e8e56cd3a6c7fa9e9ebd797d940b33e9098",
     "preds.jsonl": "1be17c5e12ef6f9a9de2432af6d5f3fc0711384431cdc805095841427db61a1e",
     "preds.jsonl.manifest.json":
-        "c4488d95f2b4988ae6690e7594474be291662641754b912dad2926d112fdaf54",
+        "3acfa23bdd825355993e2c568969a5681cf63c1d98746de02ccb1c121d932d3f",
     "pretrain-2.jsonl": "3cac75edc0f84691e1c6af95d69e9296ba44c612f9a9c782b1e281c93bcc5214",
     "pretrain-2.jsonl.manifest.json":
         "52e7672dab50c2abd81f76f16f5c405aa05ff0de389db81b83c059e1bb537e4a",
@@ -203,7 +203,7 @@ FILES = {
         "dcd31ea3c10734e53be2626890669a40a468c4056ff98969c164222ce526d33a",
     "seedless.jsonl": "b995bc042497a3b51496099f2a5f580805ed61d422b8d4ba4d7f4715889fef28",
     "seedless.jsonl.manifest.json":
-        "99a2522adaf032d62660c4e095b5c6cfd423ab5573751f329a425b39e3f64977",
+        "b182d200ca64ab6cfee93b8a52e7d7f8476830c16bbcf8dbe2bb536ce3e53eea",
     "sketch.jsonl": "8528191efe2859b97bee45070029bd471ef120efbc6831d713fc1711d304c7d5",
     "sketch.jsonl.manifest.json":
         "a5b7a9ef890d2c13b703ff8373969f1369a852ee0936a3c91aa9cccb6547c84e",
@@ -214,7 +214,7 @@ FILES = {
         "87909dc18fdff631b761858a0d13d4daf21885dba4dc3571898792b6ff2c9ffb",
     "tokens.jsonl": "0109223aeee6ed5b1732729f4ab05e7c627bc24b221f331c4dd4581813e9a144",
     "tokens.jsonl.manifest.json":
-        "72d64c7b7d5e61871ecab30a7c3ff664105d49cd6c65a4ed6b166cd4d5c8731f",
+        "f32c53f9ab1af560d52687ed966779c6f4cf1a28f5635089a05a5075a8fdf3a8",
 }
 
 

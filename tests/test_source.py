@@ -42,3 +42,27 @@ def test_pyproject_version_is_the_package_version():
     assert project, "pyproject.toml has no [project] table"
     versions = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project.group(1), re.M)
     assert versions == [formulakit.__version__]
+
+
+def test_cli_writes_every_output_through_one_path():
+    # Every command's artifact and manifest go through cli._emit, and main
+    # alone turns a command's outcome into an exit code.
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "write_manifest" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                # ast.walk is breadth-first, so the innermost function comes last
+                enclosing = [f.name for f in functions
+                             if f.lineno <= node.lineno <= f.end_lineno] or ["<module>"]
+                callers.append(f"{path.stem}.{enclosing[-1]}")
+    assert callers == ["cli._emit"]
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    returning = sorted({f.name for f in tree.body
+                        if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")
+                        for node in ast.walk(f)
+                        if isinstance(node, ast.Return) and node.value is not None})
+    assert returning == [], f"commands that return a value: {returning}"

@@ -408,7 +408,7 @@ class TestEncodeDecode:
 
     def test_mask_literal_maps_to_special_id(self, model):
         ids = encode(model, "=SUM(<mask>)")
-        assert model.mask_id in ids
+        assert model.id_of(MASK_TOKEN) in ids
         assert decode(model, ids) == "=sum(<mask>)"
 
     def test_whitespace_collapses_to_single_spaces(self, model):
