@@ -9,7 +9,7 @@ Four workloads:
                call each with k = K (the baseline repair scan), then the
                same scan in its two parts: _advance (the match masks and
                every lane's last DP column) and the ranking (lane sums to
-               the corpus positions at or above the k-th best similarity)
+               the first k corpus positions under (-similarity, position))
   synth scan   the same scan and split over the token ids of --corpus
                synthetic formulas, queried with corrupted ones (one noise
                operator each, as the repair benchmarks are made)
@@ -23,7 +23,9 @@ case, in which each query has a near neighbour.
 Each time is the median of REPEAT runs. Before timing, a sample of the
 pairs and of both scans (for the packed scan, queries of both kinds
 against corpus sequences of both kinds) is checked against a textbook
-dynamic programme; the script exits 1 on any disagreement, or if the
+dynamic programme: each scan query on every similarity, and on its first
+K positions, which must be the DP's full sort under (-similarity,
+position) cut at K. The script exits 1 on any disagreement, or if the
 sample holds no sequence of LONG_MIN tokens.
 
 Usage: python benchmarks/bench_kernels.py [--pairs 20000] [--corpus 2000]
@@ -81,17 +83,19 @@ def synth_index(n, rng):
 
 
 def disagreements(pairs, scans):
-    """Sampled pairs and scan scores on which the kernel and the DP differ;
-    `scans` holds (queries, corpus) per scan."""
+    """Sampled pairs, scan scores and scan rankings on which the kernel and
+    the DP differ; `scans` holds (queries, corpus) per scan."""
     bad = [(a, b) for a, b in pairs[:SAMPLE] if levenshtein_ids(a, b) != dp_levenshtein(a, b)]
     for queries, corpus in scans:
         sample = corpus[:SAMPLE]
         packed = PackedCorpus(sample)
         for q in queries[:2]:  # for the packed scan, one long query and one short
+            dp = [1.0 - dp_levenshtein(q, seq) / max(len(q), len(seq)) for seq in sample]
             sims = similarities_to_many(q, packed, len(sample))  # every position
-            for i, seq in enumerate(sample):
-                if sims[i] != 1.0 - dp_levenshtein(q, seq) / max(len(q), len(seq)):
-                    bad.append((q, seq))
+            bad += [(q, seq) for i, seq in enumerate(sample) if sims[i] != dp[i]]
+            first = sorted(range(len(sample)), key=lambda i: (-dp[i], i))[:K]
+            if list(similarities_to_many(q, packed, K).items()) != [(i, dp[i]) for i in first]:
+                bad.append((q, f"the DP's first {K}"))
     return bad
 
 

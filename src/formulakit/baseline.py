@@ -8,15 +8,16 @@ both, so a loaded index pays for them before its first query). Repair
 retrieves the nearest corpus formulas by token edit similarity: only the
 well-formed formulas are packed, since an ill-formed one never ranks, and
 each query is scored exactly against all of them in one pass of the packed
-bit-parallel kernel (`similarity.PackedCorpus`). The kernel's lane sums
-give the entries at or above the k-th best score without a float per
-formula, and only those entries are sorted. Completion ranks corpus
-formulas by frequency under a case-insensitive prefix match, backing off
-to sketch-prefix matching. Both matches are range lookups: the formulas
-sorted by (lowered text, text) and the sorted sketch keys are searched
-with `bisect`, and the matching run is read forward until the first entry
-that does not extend the prefix, so a query touches only its matches,
-never the whole index. Completion never lexes an indexed formula.
+bit-parallel kernel (`similarity.PackedCorpus`). They are packed in
+repair's tie-break order, by frequency and then text, so the kernel's lane
+sums give exactly the first k by score, ties in that order, with no float
+per formula and no sort. Completion ranks corpus formulas by frequency
+under a case-insensitive prefix match, backing off to sketch-prefix
+matching. Both matches are range lookups: the formulas sorted by (lowered
+text, text) and the sorted sketch keys are searched with `bisect`, and the
+matching run is read forward until the first entry that does not extend
+the prefix, so a query touches only its matches, never the whole index.
+Completion never lexes an indexed formula.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ class SketchIndex:
 
     @cached_property
     def _repair_view(self) -> tuple[list[str], dict[str, int], PackedCorpus]:
-        """The well-formed formulas in text order, the intern table of their
-        tokens and the PackedCorpus of their token ids; each formula is
-        lexed once."""
+        """The well-formed formulas in repair's tie-break order, by
+        (-frequency, text), the intern table of their tokens and the
+        PackedCorpus of their token ids; each formula is lexed once."""
+        frequency = self._frequency
         formulas, token_ids, intern = [], [], {}
-        for formula in sorted(self._frequency):
+        for formula in sorted(frequency, key=lambda f: (-frequency[f], f)):
             tokens = lex(formula)
             if not check(formula, tokens=tokens):
                 formulas.append(formula)
@@ -82,13 +84,29 @@ class SketchIndex:
     def load(cls, path: str | Path) -> "SketchIndex":
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        entries = {s: [(f, int(c)) for f, c in bucket]
+        entries = {s: [(f, _count(c, 1)) for f, c in bucket]
                    for s, bucket in obj["sketches"].items()}
-        index = cls(entries=entries, total_formulas=int(obj["total_formulas"]))
+        index = cls(entries=entries, total_formulas=_count(obj["total_formulas"], 0))
+        # The repair ranking breaks ties by these counts: as build_index
+        # writes them, each formula is listed once and the total is their sum.
+        if len(index._frequency) != sum(map(len, entries.values())):
+            raise ValueError("a formula is listed more than once")
+        counted = sum(index._frequency.values())
+        if index.total_formulas != counted:
+            raise ValueError(f"total_formulas {index.total_formulas} is not the sum of the "
+                             f"counts, {counted}")
         # A loaded index is for querying: derive both views now.
         index._repair_view
         index._completion_view
         return index
+
+
+def _count(value: object, least: int) -> int:
+    """`value`, which must be a JSON integer (not a bool) of at least
+    `least`."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"count {json.dumps(value)} is not an integer of at least {least}")
+    return value
 
 
 def build_index(corpus: Iterable[str]) -> SketchIndex:
@@ -112,11 +130,7 @@ def repair_candidates(index: SketchIndex, buggy: str, k: int) -> list[str]:
         raise ValueError("k must be >= 1")
     formulas, intern, packed = index._repair_view
     sims = similarities_to_many(formula_token_ids_frozen(buggy, intern), packed, k)
-    # Only entries at or above the k-th best similarity come back; the key
-    # is unique (the text is), so these are the full sort's first k.
-    frequency = index._frequency
-    ranked = sorted(sims, key=lambda i: (-sims[i], -frequency[formulas[i]], formulas[i]))
-    return [formulas[i] for i in ranked[:k]]
+    return [formulas[i] for i in sims]
 
 
 def completion_candidates(index: SketchIndex, prefix: str, k: int) -> list[str]:

@@ -25,8 +25,9 @@ class DataError(Exception):
         super().__init__(f"{where}{message}")
 
 
-def dumps(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# A row's compact JSON text, from one encoder built at import: json.dumps
+# with any argument builds a new JSONEncoder on every call.
+dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def has_utf8(text: str) -> bool:

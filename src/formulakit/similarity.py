@@ -68,27 +68,41 @@ until k are found; that sum's similarity is the k-th best. A sparse run
 (at most _SPARSE_RUN lanes per possible sum) starts at its least sum, one
 pass over its lanes, which keeps queries far from every lane from stepping
 through many empty sums. Only admitted runs sum their region and step the
-heap, so a query pays for the runs and regions the walk reaches. The
-survivors are the lanes at or above the k-th best: those the walk counted,
-the heap's other entries at the k-th best, and, since ties at the k-th
-best all count, the lanes of a frontier run whose best equals it though
-the walk never admitted it. They are found with `str.find` and mapped to
-corpus positions through one lane-order array. A run of lanes up to 15
-bytes reads its similarities from a table of 1.0 - d / max(lq, m) from
-d = |lq - m| up, which holds min(lq, m) + 1 similarities; the last
-_TABLES tables (by (lq, m)) are kept across queries, and tables of one
-denominator slice one shared tuple of its floats. A run of longer lanes
-computes the same float expression inline (`_Inline`), and only for the
-entries the walk and the survivor pass read. Either way it is the
+heap, so a query pays for the runs and regions the walk reaches. A run of
+lanes up to 15 bytes reads its similarities from a table of
+1.0 - d / max(lq, m) from d = |lq - m| up, which holds min(lq, m) + 1
+similarities; the last _TABLES tables (by (lq, m)) are kept across
+queries, and tables of one denominator slice one shared tuple of its
+floats. A run of longer lanes computes the same float expression inline
+(`_Inline`), and only for the entries the walk reads. Either way it is the
 expression of scoring one pair, so every similarity is bit-identical to it.
+
+The result is exactly the first k lanes under (-similarity, corpus
+position). Lanes are sorted stably by length, so a run's lanes are in
+corpus order, and a caller that wants another tie-break packs its
+sequences in that order (the repair baseline packs by frequency, then
+text). Every lane above the k-th best ranks, and there are fewer than k of
+them. The rest come from the tie groups at the k-th best, each one run's
+lanes at one sum: the walk's hits at it, the heap's other entries at it,
+and the frontier runs whose best equals it, which the walk never admitted.
+Each group yields, by `str.find` in lane order, at most the lanes still
+needed, and the groups are merged by position, so a query never pays for
+every tied lane. Lanes map to corpus positions through one lane-order
+array.
 
 Match masks. The mask of a token id has the bits of every lane row holding
 that id. The DENSE_MAX ids found at the most places (ties by id), of those
 found at DENSE_MIN or more, keep a dense int; every other id's bit
-positions sit in one flat array ordered by id and are ORed into a mask when
-a query uses the id. Dense masks for every id would cost one int the size
-of the corpus per distinct id (15 MB at 3,000 formulas), and the cap keeps
-their total at DENSE_MAX corpus-sized ints however many ids pass DENSE_MIN.
+positions sit in one flat array ordered by id and make a mask when a query
+uses the id. An id at fewer than DENSE_MIN places ORs its bits into an int
+one by one, a shift per place; an id past the cap has DENSE_MIN places or
+more and fills a zeroed bytearray, which costs the corpus width once. The
+split is measured (random places, 2-vCPU Xeon, Python 3.11): at 16 places
+the bits cost 4.3 against 6.1 us on 4,483 bytes of lanes and 19 against
+28 us on 28,860, and the two meet between 16 and 24 places at both widths.
+Dense masks for every id would cost one int the size of the corpus per
+distinct id (15 MB at 3,000 formulas), and the cap keeps their total at
+DENSE_MAX corpus-sized ints however many ids pass DENSE_MIN.
 
 `similarities_to_many` ranks a packed corpus against one query; it is the
 hot path of the repair baseline's scan. `levenshtein_ids` runs the same
@@ -243,7 +257,13 @@ class PackedCorpus:
         if k == len(self._sparse_ids) or self._sparse_ids[k] != tok_id:
             return 0
         begin = self._sparse_ends[k - 1] if k else 0
-        return _mask_from_positions(self._sparse[begin:self._sparse_ends[k]], self._nbytes)
+        positions = self._sparse[begin:self._sparse_ends[k]]
+        if len(positions) >= DENSE_MIN:  # an id past the DENSE_MAX cap
+            return _mask_from_positions(positions, self._nbytes)
+        mask = 0
+        for pos in positions:
+            mask |= 1 << pos
+        return mask
 
     def _columns(self, query: Sequence[int]) -> tuple[int, int]:
         """Every lane's last DP column after `query`, as (vp, vn)."""
@@ -279,10 +299,10 @@ class PackedCorpus:
         return "".join([chr(sum(part_bytes[b:b + size])) for b in range(0, end - first, size)])
 
     def _rank(self, lq: int, vp: int, vn: int, k: int) -> dict[int, float]:
-        """{corpus position: similarity} of every lane at or above the k-th
-        best similarity, for a query of lq tokens whose last columns are vp
-        and vn; every lane when k >= len(self)."""
-        need = min(k, self._len)
+        """{corpus position: similarity} of the first min(k, len(self))
+        lanes under (-similarity, corpus position), in that order, for a
+        query of lq tokens whose last columns are vp and vn."""
+        top = need = min(k, self._len)
         if need < 1:
             return {}
         deltas = self._deltas(vp, vn)
@@ -324,7 +344,7 @@ class PackedCorpus:
         bar = -max(edge_sims[0][0], edge_sims[1][0])  # negated, as in the heap
         admitted: list[tuple] = []
         heap: list[tuple[float, int, int]] = []
-        hits = []  # (admitted run, table entry, lanes) counted by the walk
+        hits = []  # (similarity, admitted run, table entry, lanes) counted by the walk
         while True:
             if not heap or bar < heap[0][0]:
                 a = admit(0 if edge_sims[0][0] > edge_sims[1][0] else 1)
@@ -339,7 +359,7 @@ class PackedCorpus:
             sims, low, lane_sums, begin, end, _ = admitted[a]
             count = lane_sums.count(chr(low + i), begin, end)
             if count:
-                hits.append((a, i, count))
+                hits.append((-negated, a, i, count))
                 need -= count
                 if need <= 0:
                     break
@@ -347,24 +367,40 @@ class PackedCorpus:
                 heapreplace(heap, (-sims[i + 1], a, i + 1))
             else:
                 heappop(heap)
-        # Ties at the k-th best all count: the heap's other entries at it,
-        # and the frontier runs whose best equals it, never admitted (their
-        # tables fall, so only their first entry can tie).
+        order = self._order
+
+        def positions(a: int, i: int, most: int) -> list[int]:
+            """The corpus positions of the first `most` lanes at entry i of
+            admitted run a; a run's lanes are in corpus order."""
+            sims, low, lane_sums, begin, end, base = admitted[a]
+            lane_sum, lane, found = chr(low + i), begin - 1, []
+            for _ in range(most):
+                lane = lane_sums.find(lane_sum, lane + 1, end)
+                if lane < 0:
+                    break
+                found.append(order[base + lane])
+            return found
+
+        # Every lane above the k-th best ranks, fewer than k of them. The
+        # rest come from the tie groups at the k-th best, each one run's
+        # lanes at one sum: the walk's hits at it, the heap's other entries
+        # at it, and the frontier runs whose best equals it, never admitted
+        # (their tables fall, so only their first entry can tie). Each group
+        # yields at most the lanes still needed, and the groups are merged
+        # by position.
         kth = -negated
-        ties = [(a, i) for neg, a, i in heap[1:] if neg == negated]
+        ranked = sorted((-sim, position) for sim, a, i, count in hits if sim > kth
+                        for position in positions(a, i, count))
+        ties = [(a, i) for sim, a, i, _ in hits if sim == kth]
+        ties += [(a, i) for neg, a, i in heap[1:] if neg == negated]
         for side in (0, 1):
             while edge_sims[side][0] >= kth:
                 ties.append((admit(side), 0))
-        for a, i in ties:
-            sims, low, lane_sums, begin, end, _ = admitted[a]
-            hits.append((a, i, lane_sums.count(chr(low + i), begin, end)))
-        order, found = self._order, {}
-        for a, i, count in hits:
-            sims, low, lane_sums, begin, end, base = admitted[a]
-            lane_sum, sim, lane = chr(low + i), sims[i], begin - 1
-            for _ in range(count):
-                lane = lane_sums.find(lane_sum, lane + 1, end)
-                found[order[base + lane]] = sim
+        still = top - len(ranked)
+        found = {position: -neg for neg, position in ranked}
+        for position in sorted(chain.from_iterable(
+                positions(a, i, still) for a, i in ties))[:still]:
+            found[position] = kth
         return found
 
 
@@ -436,10 +472,10 @@ def similarity_ids(a: Sequence[int], b: Sequence[int]) -> float:
 
 def similarities_to_many(query: Sequence[int], corpus: PackedCorpus,
                          k: int) -> dict[int, float]:
-    """{corpus position: similarity} for every corpus sequence at or above
-    the k-th best similarity to `query` (1 - normalized edit distance; two
-    empty sequences count as identical, 1.0). Ties at the k-th best all
-    count, so it can hold more than k; with k >= len(corpus) it holds every
+    """{corpus position: similarity} of the first min(k, len(corpus))
+    corpus sequences by similarity to `query` (1 - normalized edit
+    distance; two empty sequences count as identical, 1.0), ties by
+    position, in that order; with k >= len(corpus) it holds every
     position."""
     return corpus._rank(len(query), *corpus._columns(query), k)
 

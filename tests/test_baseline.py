@@ -80,7 +80,11 @@ class TestBuildIndex:
         corpus = synth_corpus(200, seed=91) + ["=SUM(A1", "=IF(A1,,)", "=  max( B2 )"]
         index = build_index(corpus)
         formulas, intern, packed = index._repair_view
-        assert formulas == [f for f in sorted(set(corpus)) if not check(f)]
+        # In repair's tie-break order: by frequency, then text.
+        frequency = Counter(corpus)
+        assert max(frequency.values()) > 1
+        assert formulas == [f for f in sorted(frequency, key=lambda f: (-frequency[f], f))
+                            if not check(f)]
         assert len(formulas) == len(packed) < len(set(corpus))
         reference_intern = {}
         for f in formulas:

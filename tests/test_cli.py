@@ -417,6 +417,13 @@ MALFORMED_INDEXES = {
     "entry-too-short": '{"sketches": {"=SUM(cell)": [["=SUM(A1)"]]}, "total_formulas": 1}',
     "bad-count": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", "x"]]}, "total_formulas": 1}',
     "formula-not-a-string": '{"sketches": {"=SUM(cell)": [[7, 1]]}, "total_formulas": 1}',
+    "count-a-bool": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", true]]}, "total_formulas": 1}',
+    "count-a-float": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", 1.0]]}, "total_formulas": 1}',
+    "count-a-string": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", "1"]]}, "total_formulas": 1}',
+    "count-zero": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", 0]]}, "total_formulas": 0}',
+    "total-not-the-sum": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", 2]]}, "total_formulas": 3}',
+    "formula-listed-twice": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", 1]], '
+                            '"=MAX(cell)": [["=SUM(A1)", 1]]}, "total_formulas": 2}',
 }
 
 

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from formulakit import similarity
 from formulakit.lexer import lex
 from formulakit.similarity import (_TABLES, DENSE_MAX, DENSE_MIN, KERNEL_BACKEND,
-                                   PackedCorpus, _advance, _fractions, _table,
-                                   formula_token_ids, formula_token_ids_frozen, levenshtein_ids,
-                                   similarities_to_many, token_edit_similarity)
+                                   PackedCorpus, _advance, _fractions, _mask_from_positions,
+                                   _table, formula_token_ids, formula_token_ids_frozen,
+                                   levenshtein_ids, similarities_to_many, token_edit_similarity)
 from formulakit.synth import synth_corpus
 from test_lexer import _envelope_formulas
 
@@ -164,13 +164,17 @@ def all_similarities(query, packed):
 
 
 def oracle_ranked(query, corpus, k):
-    """{position: similarity} at or above the k-th best, from a full sort
-    of the DP oracle's similarities."""
+    """[(position, similarity)]: the first k of a full sort of the DP
+    oracle's similarities under (-similarity, position), in that order."""
     sims = oracle_similarities(query, corpus)
-    if min(k, len(sims)) < 1:
-        return {}
-    kth = sorted(sims, reverse=True)[min(k, len(sims)) - 1]
-    return {i: sim for i, sim in enumerate(sims) if sim >= kth}
+    first = sorted(range(len(sims)), key=lambda i: (-sims[i], i))[:max(k, 0)]
+    return [(i, sims[i]) for i in first]
+
+
+def ranked(query, packed, k):
+    """similarities_to_many's entries, [(position, similarity)], in its
+    order."""
+    return list(similarities_to_many(query, packed, k).items())
 
 
 def lane(length, seed):
@@ -360,6 +364,43 @@ class TestPackedScan:
             query = [rng.choice(pool) for _ in range(rng.randrange(25))]
             assert all_similarities(query, packed) == oracle_similarities(query, corpus)
 
+    def test_sparse_masks_equal_the_positions_mask(self):
+        # DENSE_MAX + 3 ids at DENSE_MIN places each: the cap (ties by id)
+        # leaves the last three sparse. With them, ids at one place and at
+        # DENSE_MIN - 1 places. Only the ids past the cap build their mask
+        # from a bytearray; the others OR their few bits.
+        rng = random.Random(15)
+        counts = {tok: DENSE_MIN for tok in range(DENSE_MAX + 3)}
+        counts.update({500: 1, 501: DENSE_MIN - 1})
+        places = [tok for tok, n in counts.items() for _ in range(n)]
+        rng.shuffle(places)
+        corpus = []
+        while places:
+            cut = rng.randrange(1, 30)
+            corpus.append(places[:cut])
+            del places[:cut]
+        packed = PackedCorpus(corpus)
+        past_cap = [DENSE_MAX, DENSE_MAX + 1, DENSE_MAX + 2]
+        assert set(packed._dense) == set(range(DENSE_MAX))
+        # Each id's bit positions, laid out as PackedCorpus lays out lanes.
+        positions, byte = {}, 0
+        for seq in sorted(corpus, key=len):
+            for row, tok in enumerate(seq):
+                positions.setdefault(tok, []).append(8 * byte + row)
+            byte += len(seq) // 8 + 1
+        built = []
+
+        def from_positions(places, nbytes):
+            built.append(len(places))
+            return _mask_from_positions(places, nbytes)
+
+        for tok in [500, 501] + past_cap:
+            assert len(positions[tok]) == counts[tok]
+            with mock.patch.object(similarity, "_mask_from_positions", from_positions):
+                mask = packed._mask(tok)
+            assert mask == _mask_from_positions(positions[tok], packed._nbytes), tok
+        assert built == [DENSE_MIN] * len(past_cap)
+
 
 class TestReadOut:
     """The ranking reads similarities from tables it reuses across queries
@@ -433,19 +474,19 @@ class TestReadOut:
 
 class TestRanking:
     """similarities_to_many(query, corpus, k) against a full sort of the DP
-    oracle: every position at or above the k-th best, with its similarity."""
+    oracle: its first k positions under (-similarity, position), in that
+    order, with their similarities."""
 
     def check(self, query, corpus, ks=(1, 2, 3, 5)):
         packed = PackedCorpus(corpus)
         for k in (*ks, len(corpus), len(corpus) + 7):
-            assert similarities_to_many(query, packed, k) == oracle_ranked(query, corpus, k)
+            assert ranked(query, packed, k) == oracle_ranked(query, corpus, k)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 4), max_size=20), max_size=30),
            st.lists(st.integers(0, 6), max_size=20), st.integers(1, 35))
     def test_random_corpora_against_the_full_sort(self, corpus, query, k):
-        assert similarities_to_many(query, PackedCorpus(corpus), k) == \
-            oracle_ranked(query, corpus, k)
+        assert ranked(query, PackedCorpus(corpus), k) == oracle_ranked(query, corpus, k)
 
     def test_ties_straddle_the_kth_entry(self):
         # Against [1, 2, 3, 4] the lanes of 2, 4 and 8 tokens at distances
@@ -454,13 +495,15 @@ class TestRanking:
         corpus = [[1, 2, 3, 4], [1, 2, 9, 9], [1, 2], [3, 4], [9, 2],
                   [1, 2, 3, 4, 9, 9, 9, 9], [1, 2, 3, 9], [7, 7, 7], [1, 2, 4, 3]]
         query = [1, 2, 3, 4]
+        # The 4th and 5th entries tie at 0.5 with three more: the lanes come
+        # by position across the runs, not run by run.
         sims = oracle_similarities(query, corpus)
-        assert sims.count(0.5) >= 4
+        assert sims.count(0.5) == 5
+        packed = PackedCorpus(corpus)
         for k in range(1, len(corpus) + 1):
-            ranked = similarities_to_many(query, PackedCorpus(corpus), k)
-            assert ranked == oracle_ranked(query, corpus, k)
-            assert len(ranked) >= k
-        assert len(similarities_to_many(query, PackedCorpus(corpus), 4)) > 4
+            assert ranked(query, packed, k) == oracle_ranked(query, corpus, k)
+        assert ranked(query, packed, 4) == [(0, 1.0), (6, 0.75), (1, 0.5), (2, 0.5)]
+        assert ranked(query, packed, 5) == [(0, 1.0), (6, 0.75), (1, 0.5), (2, 0.5), (3, 0.5)]
         self.check([1, 2], [[1, 9], [9, 2], [1, 2, 9], [9, 1, 2], [2, 1], [1], [2]])
 
     def test_lanes_longer_than_fifteen_bytes(self):
@@ -476,12 +519,12 @@ class TestRanking:
     def test_empty_query_and_unseen_tokens_only(self):
         corpus = [[], [1], [1, 2], [], [2, 2, 2], [1, 2, 3, 4]]
         self.check([], corpus)
-        assert similarities_to_many([], PackedCorpus(corpus), 1) == {0: 1.0, 3: 1.0}
-        # No token matches, so every similarity is 0.0 but the two empty
-        # lanes' against a non-empty query: one tie holds the rest.
+        # The two empty lanes tie at 1.0: the first position ranks.
+        assert similarities_to_many([], PackedCorpus(corpus), 1) == {0: 1.0}
+        # No token matches, so every similarity is 0.0, the empty lanes'
+        # too (distance 3 of 3): every lane ties, and the first ranks.
         self.check([99, 99, 98], corpus)
-        ranked = similarities_to_many([99, 99, 98], PackedCorpus(corpus), 1)
-        assert ranked == {i: 0.0 for i in range(len(corpus))}
+        assert similarities_to_many([99, 99, 98], PackedCorpus(corpus), 1) == {0: 0.0}
 
     def test_k_of_one_and_past_the_corpus(self):
         rng = random.Random(11)
@@ -489,9 +532,10 @@ class TestRanking:
         packed = PackedCorpus(corpus)
         for _ in range(10):
             query = [rng.randrange(6) for _ in range(rng.randrange(25))]
-            assert similarities_to_many(query, packed, 1) == oracle_ranked(query, corpus, 1)
+            assert ranked(query, packed, 1) == oracle_ranked(query, corpus, 1)
             assert similarities_to_many(query, packed, 100) == \
                 dict(enumerate(oracle_similarities(query, corpus)))
+            assert ranked(query, packed, 100) == oracle_ranked(query, corpus, 100)
 
     def test_dense_and_sparse_runs(self):
         # 300 lanes of 4 tokens step up one sum at a time (far more lanes
@@ -505,7 +549,7 @@ class TestRanking:
         assert max(end - begin for *_, begin, end in packed._runs) == 300
         for query in ([0, 1, 2, 0], [2] * 9, [5, 5, 5], [0, 1] * 12, [1]):
             for k in (1, 5, 40, 299, 306):
-                assert similarities_to_many(query, packed, k) == oracle_ranked(query, corpus, k)
+                assert ranked(query, packed, k) == oracle_ranked(query, corpus, k)
 
     @staticmethod
     def spy(monkeypatch):
@@ -529,14 +573,17 @@ class TestRanking:
     def test_tie_at_the_kth_best_in_a_run_never_admitted(self):
         # Against 6 tokens, lanes of 4 and 9 tokens at distances 2 and 3
         # both score 1 - 1/3. On a tie the walk admits the longer run, finds
-        # k = 1 there and stops: the 4-token run joins only the survivor
-        # pass. In the second corpus a 5-token lane at distance 2 ranks
-        # first, and the 9-token run ties it unadmitted.
+        # k = 1 there and stops: the 4-token run joins only as a tie group,
+        # and its lane ranks when its position is the smaller. In the second
+        # corpus a 5-token lane at distance 2 ranks first, and the 9-token
+        # run ties it unadmitted.
         query = [1, 2, 3, 4, 5, 6]
         assert 1.0 - 2 / 6 == 1.0 - 3 / 9
         longer = query + [7, 8, 9]
         assert similarities_to_many(query, PackedCorpus([query[:4], longer]), 1) == \
-            {0: 1.0 - 2 / 6, 1: 1.0 - 3 / 9}
+            {0: 1.0 - 2 / 6}
+        assert similarities_to_many(query, PackedCorpus([longer, query[:4]]), 1) == \
+            {0: 1.0 - 3 / 9}
         far = [[7] * 20, [8]]
         self.check(query, [query[:4], longer] + far)
         self.check(query, [[1, 2, 3, 4, 9], longer] + far)
@@ -561,7 +608,7 @@ class TestRanking:
                                (edited(rng, corpus[7], 6, 6), True)):
             seen["regions"].clear()
             for k in (1, 2):
-                assert similarities_to_many(query, packed, k) == oracle_ranked(query, corpus, k)
+                assert ranked(query, packed, k) == oracle_ranked(query, corpus, k)
             if reached:
                 assert 17 in seen["regions"]
             else:
@@ -577,9 +624,32 @@ class TestRanking:
         assert len(packed._runs) == 40 and len(packed._regions) == 6
         seen = self.spy(monkeypatch)
         query = corpus[60]  # 21 tokens, in the region of 3-byte lanes
-        assert similarities_to_many(query, packed, 1) == oracle_ranked(query, corpus, 1)
+        assert ranked(query, packed, 1) == oracle_ranked(query, corpus, 1)
         assert len(seen["tables"]) <= 3
         assert seen["regions"] == [3]
+
+    def test_tie_groups_search_only_the_lanes_needed(self, monkeypatch):
+        # 30 lanes of each of 7 lengths. The empty query ties the 30 empty
+        # lanes at 1.0; a query of unseen tokens only ties all 210 lanes at
+        # 0.0 (the empty lanes at distance 3 of 3). With k = 1 each tie
+        # group, one run's lanes at one sum, is searched at most once.
+        finds = []
+
+        class CountedSums(str):
+            def find(self, *args):
+                finds.append(args)
+                return super().find(*args)
+
+        region_sums = PackedCorpus._region_sums
+        monkeypatch.setattr(PackedCorpus, "_region_sums", lambda self, deltas, region:
+                            CountedSums(region_sums(self, deltas, region)))
+        lengths = (0, 1, 2, 3, 5, 8, 13)
+        corpus = [lane(m, 100 * m + j) for j in range(30) for m in lengths]
+        packed = PackedCorpus(corpus)
+        for query, groups in (([], 1), ([99, 99, 98], len(lengths))):
+            finds.clear()
+            assert ranked(query, packed, 1) == oracle_ranked(query, corpus, 1)
+            assert 1 <= len(finds) <= groups
 
     def test_empty_corpus(self):
         for query in ([], [1], [1, 2, 3]):
