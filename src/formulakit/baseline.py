@@ -13,20 +13,23 @@ repair's tie-break order, by frequency and then text, so the kernel's lane
 sums give exactly the first k by score, ties in that order, with no float
 per formula and no sort. Completion ranks corpus formulas by frequency
 under a case-insensitive prefix match, backing off to sketch-prefix
-matching. Both matches are range lookups: the formulas sorted by (lowered
-text, text) and the sorted sketch keys are searched with `bisect`, and the
-matching run is read forward until the first entry that does not extend
-the prefix, so a query touches only its matches, never the whole index.
-Completion never lexes an indexed formula.
+matching. Both matches are range lookups: the lowered formulas and the
+sorted sketch keys are searched with `bisect`, for the run's start and
+then for its end among the keys cut to the prefix's length. Beside each
+sorted list lies each formula's rank, its position in (-frequency, text)
+order, so a query takes the k smallest ranks of its run with
+`heapq.nsmallest`, with no sort key per match, and never lexes an indexed
+formula.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import nsmallest
 from pathlib import Path
 from typing import Iterable
 
@@ -48,13 +51,19 @@ class SketchIndex:
                            for formula, freq in bucket}
 
     @cached_property
+    def _ranked(self) -> list[str]:
+        """The formulas in the order both query kinds rank them: by
+        (-frequency, text)."""
+        frequency = self._frequency
+        return sorted(frequency, key=lambda f: (-frequency[f], f))
+
+    @cached_property
     def _repair_view(self) -> tuple[list[str], dict[str, int], PackedCorpus]:
         """The well-formed formulas in repair's tie-break order, by
         (-frequency, text), the intern table of their tokens and the
         PackedCorpus of their token ids; each formula is lexed once."""
-        frequency = self._frequency
         formulas, token_ids, intern = [], [], {}
-        for formula in sorted(frequency, key=lambda f: (-frequency[f], f)):
+        for formula in self._ranked:
             tokens = lex(formula)
             if not check(formula, tokens=tokens):
                 formulas.append(formula)
@@ -62,13 +71,25 @@ class SketchIndex:
         return formulas, intern, PackedCorpus(token_ids)
 
     @cached_property
-    def _completion_view(self) -> tuple[list[str], list[str], list[str]]:
-        """The formulas sorted by (lowered text, text): their lowered texts
-        and the formulas themselves, in that order; and the sorted keys of
-        `entries`."""
-        by_lowered = sorted((f.lower(), f) for f in self._frequency)
-        return ([lowered for lowered, _ in by_lowered], [f for _, f in by_lowered],
-                sorted(self.entries))
+    def _completion_view(self) -> tuple[list[str], list[int], list[str], list[int],
+                                        list[int], list[str]]:
+        """Each formula's rank is its position in `_ranked`. The view is:
+        every formula lowered, sorted, and the rank at each place of that
+        list; the sorted keys of `entries`, where key i's formulas have the
+        ranks key_ranks[key_starts[i]:key_starts[i + 1]], and key_ranks; and
+        `_ranked`, to turn ranks back into formulas."""
+        ranked = self._ranked
+        rank = {formula: r for r, formula in enumerate(ranked)}
+        folded = [formula.lower() for formula in ranked]
+        # A stable sort: formulas equal once lowered stay in rank order.
+        lowered_ranks = sorted(range(len(ranked)), key=folded.__getitem__)
+        keys = sorted(self.entries)
+        key_ranks, key_starts = [], [0]
+        for key in keys:
+            key_ranks.extend(rank[formula] for formula, _ in self.entries[key])
+            key_starts.append(len(key_ranks))
+        return ([folded[r] for r in lowered_ranks], lowered_ranks, keys, key_starts,
+                key_ranks, ranked)
 
     def to_json(self) -> dict:
         return {
@@ -143,24 +164,22 @@ def completion_candidates(index: SketchIndex, prefix: str, k: int) -> list[str]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    lowered, by_lowered, keys = index._completion_view
+    lowered, lowered_ranks, keys, key_starts, key_ranks, ranked = index._completion_view
     first, end = _prefix_run(lowered, prefix.lower())
-    matches = by_lowered[first:end]
-    if not matches:
+    ranks = lowered_ranks[first:end]
+    if not ranks:
         key_needle = dedup_key(prefix)
         if key_needle:
             first, end = _prefix_run(keys, key_needle)
-            matches = [f for key in keys[first:end] for f, _ in index.entries[key]]
-    matches.sort(key=lambda f: (-index._frequency[f], f))
-    return matches[:k]
+            ranks = key_ranks[key_starts[first]:key_starts[end]]
+    return [ranked[r] for r in nsmallest(k, ranks)]
 
 
 def _prefix_run(keys: list[str], prefix: str) -> tuple[int, int]:
     """The slice of the sorted `keys` that start with `prefix`. They form
-    one run, beginning where `prefix` would be inserted: a key extending
-    it sorts at or after it, and a later key that does not extend it is
-    greater than every key that does."""
-    first = end = bisect_left(keys, prefix)
-    while end < len(keys) and keys[end].startswith(prefix):
-        end += 1
-    return first, end
+    one run, beginning where `prefix` would be inserted and ending where
+    it would be inserted after its equals among the keys cut to its
+    length, which cutting leaves sorted."""
+    first = bisect_left(keys, prefix)
+    size = len(prefix)
+    return first, bisect_right(keys, prefix, first, key=lambda key: key[:size])

@@ -8,7 +8,9 @@ writes its output through one path: to stdout, or atomically to -o/--output
 with a sibling .manifest.json of the config and the content hashes of that
 file and of every file read (data, model, index, catalog), so any two runs
 can be compared. Each generator counts the inputs it skips in one Counter
-keyed by reason and reports it on stderr.
+keyed by reason and reports it on stderr. Each command is one row of
+COMMANDS, and `main` builds only the subparser of the command it runs;
+top-level help, --version and an unknown command get every subparser.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (with file/line),
 3 internal error.
@@ -502,61 +504,34 @@ def cmd_synth(args) -> None:
 # --- parser wiring ----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="formulakit",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"formulakit {__version__} (similarity kernel: {KERNEL_BACKEND})")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _io_args(p):
+    p.add_argument("formula", nargs="?", help="one formula given inline")
+    p.add_argument("--input", help="file of formulas: JSONL records or plain lines")
+    p.add_argument("--output", "-o", help="output path (default: stdout)")
 
-    def add(name, fn, help_text, epilog=None, under=sub):
-        p = under.add_parser(name, help=help_text, epilog=epilog,
-                             formatter_class=argparse.RawDescriptionHelpFormatter)
-        p.set_defaults(fn=fn)
-        return p
 
-    def io_args(p):
-        p.add_argument("formula", nargs="?", help="one formula given inline")
-        p.add_argument("--input", help="file of formulas: JSONL records or plain lines")
-        p.add_argument("--output", "-o", help="output path (default: stdout)")
-
-    p = add("lex", cmd_lex, "tokenize formulas into lexer tokens",
-            epilog='output: {"formula": "=SUM(A1)", "tokens": [{"kind": "Operator", '
-                   '"text": "=", "start": 0, "end": 1}, ...]}')
-    io_args(p)
+def _lex_args(p):
+    _io_args(p)
     p.add_argument("--catalog", help="function catalog CSV (name,min,max per line)")
 
-    p = add("sketch", cmd_sketch, "replace constants/refs with their token type",
-            epilog='output: {"formula": "=SUM(A1:A10)", "sketch": "=SUM(cell:cell)"}')
-    io_args(p)
 
-    p = add("check", cmd_check, "report well-formedness diagnostics",
-            epilog='output: {"formula": "=A1+)", "diagnostics": [{"code": '
-                   '"UnbalancedParens", "start": 4, "end": 5, "message": "..."}]}')
-    io_args(p)
+def _check_args(p):
+    _io_args(p)
     p.add_argument("--catalog")
 
-    p = add("dedup", cmd_dedup, "sketch-deduplicate a corpus",
-            epilog='input/output: JSONL {"workbook_id": "wb1", "sheet_id": "s1", '
-                   '"cell": "A1", "formula": "=SUM(A1:A10)"}')
+
+def _dedup_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--output", "-o")
     p.add_argument("--mode", choices=list(curation.DEDUP_MODES), default="per-workbook")
 
-    p = add("stats", cmd_stats, "corpus statistics (sketch counts per scope)",
-            epilog='output: {"total_formulas": n, "unique_sketches_global": n, ...}')
+
+def _stats_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--output", "-o")
 
-    p = add("train-tokenizer", cmd_train_tokenizer, "learn a BPE tokenizer",
-            epilog='model file: {"vocab": [...], "merges": [["a","b"], ...], '
-                   '"specials": {...}, "budget": 16000}\n'
-                   'The specials are fixed by the model format (<mask>, <pad>, <unk>, and\n'
-                   '␣ for a space); a model file with other specials, or with a merge\n'
-                   'whose product is missing from vocab, is a data error.')
+
+def _train_tokenizer_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--budget", type=int, default=None,
                    help=f"vocabulary budget (default {DEFAULT_VOCAB_BUDGET})")
@@ -564,18 +539,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--config")
 
-    p = add("tokenize", cmd_tokenize, "encode formulas with a trained model",
-            epilog='output: {"formula": "=A1", "ids": [5, 9, 7], "pieces": '
-                   '["=", "a", "1"], "decoded": "=a1"}')
-    io_args(p)
+
+def _tokenize_args(p):
+    _io_args(p)
     p.add_argument("--model", required=True)
     p.add_argument("--catalog")
     p.add_argument("--pretokenize-only", action="store_true",
                    help="emit pretokens instead of ids")
 
-    p = add("gen-pretrain", cmd_gen_pretrain, "generate pre-training examples",
-            epilog='output: {"input": "=SUM(<mask>)", "target": "=SUM(A1:A10)", '
-                   '"objective": "laMSP", "detail": "...", "record_seed": 123}')
+
+def _gen_pretrain_args(p):
     p.add_argument("--input", required=True, help="JSONL corpus of formula records")
     p.add_argument("--output", "-o")
     p.add_argument("--seed", type=int, default=None)
@@ -583,10 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="worker processes; output is identical for any count")
 
-    p = add("gen-finetune-repair", cmd_gen_finetune_repair,
-            "corrupt well-formed formulas into repair pairs",
-            epilog='output: {"buggy": "=SUM(A1:A10", "ground_truth": "=SUM(A1:A10)", '
-                   '"source_id": "repair-0"}')
+
+def _gen_finetune_repair_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--output", "-o")
     p.add_argument("--seed", type=int, default=None)
@@ -595,10 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hold out this many tasks as a benchmark split")
     p.add_argument("--reserve-output", help="where to write the reserved split")
 
-    p = add("gen-finetune-complete", cmd_gen_finetune_complete,
-            "cut token-boundary prefixes for completion",
-            epilog='output: {"formula": "=B2<=EDATE(TODAY(),-33)", "prefix_fraction": '
-                   '0.5, "prefix": "=b2<=edate(", "source_id": "complete-0"}')
+
+def _gen_finetune_complete_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--output", "-o")
@@ -607,67 +576,167 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", type=_fraction, nargs="+",
                    help="prefix fractions to sample from (default 0.2..0.8)")
 
-    # eval-repair and eval-complete differ only in these rows.
-    for name, help_text, epilog, metrics in [
-            ("eval-repair", "score repair predictions",
-             'benchmark: {"buggy": ..., "ground_truth": ..., "source_id": ...}\n'
-             'predictions: {"source_id": ..., "candidates": ["=...", ...]} ranked best-first',
-             ["exact_match"]),
-            ("eval-complete", "score completion predictions",
-             'benchmark: {"formula": ..., "prefix": ..., "source_id": ...}\n'
-             'predictions: {"source_id": ..., "candidates": [...]}',
-             ["exact_match", "sketch_match"])]:
-        p = add(name, cmd_eval, help_text, epilog=epilog)
+
+def _eval_args(metrics: list[str]) -> Callable[[argparse.ArgumentParser], None]:
+    """eval-repair and eval-complete differ only in their default metrics."""
+    def add(p):
         p.add_argument("--benchmark", required=True)
         p.add_argument("--predictions", required=True)
         p.add_argument("-k", type=_int_at_least(1), action="append")
         p.add_argument("--metrics", nargs="+", default=metrics,
                        choices=sorted(evaluation.METRICS))
         p.add_argument("--output", "-o")
+    return add
 
-    p = add("eval-retrieval", cmd_eval_retrieval,
-            "correlate embedding cosine with token edit similarity",
-            epilog='pairs: {"formula_a": ..., "formula_b": ..., "target_similarity": 0.8}\n'
-                   'embeddings: {"formula": ..., "vector": [0.1, 0.2, ...]}')
+
+def _eval_retrieval_args(p):
     p.add_argument("--pairs", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--output", "-o")
 
-    p = add("baseline", cmd_baseline, "non-neural reference providers")
-    bsub = p.add_subparsers(dest="baseline_cmd", required=True)
-    b = add("build", cmd_baseline, "build a sketch index from a corpus", under=bsub,
-            epilog='index file: {"total_formulas": 3, "sketches": '
-                   '{"=SUM(cell:cell)": [["=SUM(A1:A2)", 2]]}}')
-    b.add_argument("--input", required=True)
-    b.add_argument("--output", "-o", required=True)
-    # baseline repair and baseline complete differ only in these rows.
-    for name, help_text, epilog, single, single_help in [
-            ("repair", "nearest-formula repair candidates",
-             'output: {"source_id": "repair-0", "candidates": ["=SUM(A1:A10)", ...]} '
-             'ranked best-first', "--buggy", "single buggy formula instead of a benchmark"),
-            ("complete", "frequency-ranked completion candidates",
-             'output: {"source_id": "complete-0", "candidates": '
-             '["=B2<=EDATE(TODAY(),-33)", ...]}', "--prefix",
-             "single prefix instead of a benchmark")]:
-        b = add(name, cmd_baseline, help_text, epilog=epilog, under=bsub)
-        b.add_argument("--index", required=True)
-        query = b.add_mutually_exclusive_group(required=True)
+
+def _baseline_args(p):
+    _add_commands(p.add_subparsers(dest="baseline_cmd", required=True), BASELINE_COMMANDS)
+
+
+def _baseline_build_args(p):
+    p.add_argument("--input", required=True)
+    p.add_argument("--output", "-o", required=True)
+
+
+def _baseline_query_args(single: str, single_help: str
+                         ) -> Callable[[argparse.ArgumentParser], None]:
+    """baseline repair and baseline complete differ only in their
+    single-query flag."""
+    def add(p):
+        p.add_argument("--index", required=True)
+        query = p.add_mutually_exclusive_group(required=True)
         query.add_argument("--benchmark")
         query.add_argument(single, help=single_help)
-        b.add_argument("-k", type=_int_at_least(1), default=5)
-        b.add_argument("--output", "-o")
+        p.add_argument("-k", type=_int_at_least(1), default=5)
+        p.add_argument("--output", "-o")
+    return add
 
-    p = add("synth", cmd_synth, "generate a synthetic formula corpus",
-            epilog="well-formed random formulas with workbook/sheet provenance")
+
+def _synth_args(p):
     p.add_argument("--count", type=_int_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o")
 
+
+# Every command, in the order top-level help lists them: its name -> (its
+# handler, help, epilog, and the function that adds its arguments).
+COMMANDS: dict[str, tuple] = {
+    "lex": (
+        cmd_lex, "tokenize formulas into lexer tokens",
+        'output: {"formula": "=SUM(A1)", "tokens": [{"kind": "Operator", '
+        '"text": "=", "start": 0, "end": 1}, ...]}', _lex_args),
+    "sketch": (
+        cmd_sketch, "replace constants/refs with their token type",
+        'output: {"formula": "=SUM(A1:A10)", "sketch": "=SUM(cell:cell)"}', _io_args),
+    "check": (
+        cmd_check, "report well-formedness diagnostics",
+        'output: {"formula": "=A1+)", "diagnostics": [{"code": '
+        '"UnbalancedParens", "start": 4, "end": 5, "message": "..."}]}', _check_args),
+    "dedup": (
+        cmd_dedup, "sketch-deduplicate a corpus",
+        'input/output: JSONL {"workbook_id": "wb1", "sheet_id": "s1", '
+        '"cell": "A1", "formula": "=SUM(A1:A10)"}', _dedup_args),
+    "stats": (
+        cmd_stats, "corpus statistics (sketch counts per scope)",
+        'output: {"total_formulas": n, "unique_sketches_global": n, ...}', _stats_args),
+    "train-tokenizer": (
+        cmd_train_tokenizer, "learn a BPE tokenizer",
+        'model file: {"vocab": [...], "merges": [["a","b"], ...], '
+        '"specials": {...}, "budget": 16000}\n'
+        'The specials are fixed by the model format (<mask>, <pad>, <unk>, and\n'
+        '␣ for a space); a model file with other specials, or with a merge\n'
+        'whose product is missing from vocab, is a data error.', _train_tokenizer_args),
+    "tokenize": (
+        cmd_tokenize, "encode formulas with a trained model",
+        'output: {"formula": "=A1", "ids": [5, 9, 7], "pieces": '
+        '["=", "a", "1"], "decoded": "=a1"}', _tokenize_args),
+    "gen-pretrain": (
+        cmd_gen_pretrain, "generate pre-training examples",
+        'output: {"input": "=SUM(<mask>)", "target": "=SUM(A1:A10)", '
+        '"objective": "laMSP", "detail": "...", "record_seed": 123}', _gen_pretrain_args),
+    "gen-finetune-repair": (
+        cmd_gen_finetune_repair, "corrupt well-formed formulas into repair pairs",
+        'output: {"buggy": "=SUM(A1:A10", "ground_truth": "=SUM(A1:A10)", '
+        '"source_id": "repair-0"}', _gen_finetune_repair_args),
+    "gen-finetune-complete": (
+        cmd_gen_finetune_complete, "cut token-boundary prefixes for completion",
+        'output: {"formula": "=B2<=EDATE(TODAY(),-33)", "prefix_fraction": '
+        '0.5, "prefix": "=b2<=edate(", "source_id": "complete-0"}',
+        _gen_finetune_complete_args),
+    "eval-repair": (
+        cmd_eval, "score repair predictions",
+        'benchmark: {"buggy": ..., "ground_truth": ..., "source_id": ...}\n'
+        'predictions: {"source_id": ..., "candidates": ["=...", ...]} ranked best-first',
+        _eval_args(["exact_match"])),
+    "eval-complete": (
+        cmd_eval, "score completion predictions",
+        'benchmark: {"formula": ..., "prefix": ..., "source_id": ...}\n'
+        'predictions: {"source_id": ..., "candidates": [...]}',
+        _eval_args(["exact_match", "sketch_match"])),
+    "eval-retrieval": (
+        cmd_eval_retrieval, "correlate embedding cosine with token edit similarity",
+        'pairs: {"formula_a": ..., "formula_b": ..., "target_similarity": 0.8}\n'
+        'embeddings: {"formula": ..., "vector": [0.1, 0.2, ...]}', _eval_retrieval_args),
+    "baseline": (cmd_baseline, "non-neural reference providers", None, _baseline_args),
+    "synth": (
+        cmd_synth, "generate a synthetic formula corpus",
+        "well-formed random formulas with workbook/sheet provenance", _synth_args),
+}
+
+BASELINE_COMMANDS: dict[str, tuple] = {  # rows as in COMMANDS
+    "build": (
+        cmd_baseline, "build a sketch index from a corpus",
+        'index file: {"total_formulas": 3, "sketches": '
+        '{"=SUM(cell:cell)": [["=SUM(A1:A2)", 2]]}}', _baseline_build_args),
+    "repair": (
+        cmd_baseline, "nearest-formula repair candidates",
+        'output: {"source_id": "repair-0", "candidates": ["=SUM(A1:A10)", ...]} '
+        'ranked best-first',
+        _baseline_query_args("--buggy", "single buggy formula instead of a benchmark")),
+    "complete": (
+        cmd_baseline, "frequency-ranked completion candidates",
+        'output: {"source_id": "complete-0", "candidates": '
+        '["=B2<=EDATE(TODAY(),-33)", ...]}',
+        _baseline_query_args("--prefix", "single prefix instead of a benchmark")),
+}
+
+
+def _add_commands(sub: argparse._SubParsersAction, table: dict[str, tuple]) -> None:
+    for name, (fn, help_text, epilog, arguments) in table.items():
+        p = sub.add_parser(name, help=help_text, epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.set_defaults(fn=fn)
+        arguments(p)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every command's subparser, or with `command`
+    (a key of COMMANDS) only that one's, which parses that command's argv
+    and prints its help exactly as the full parser does."""
+    parser = _Parser(
+        prog="formulakit",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"formulakit {__version__} (similarity kernel: {KERNEL_BACKEND})")
+    _add_commands(parser.add_subparsers(dest="command", required=True),
+                  COMMANDS if command is None else {command: COMMANDS[command]})
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A command word first needs only its own subparser. Anything else (no
+    # words, an option such as -h or --version, an unknown word) gets the
+    # full parser, whose help, version line and errors name every command.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         args.fn(args)

@@ -186,12 +186,17 @@ class TokenizerModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TokenizerModel":
-        """The model `to_json` wrote; raises ValueError for a vocab that is
-        not a list of strings, merges that are not pairs of strings, a budget
-        that is not an integer at least the vocab's size, specials other than
-        the format's, a special that encode emits missing from vocab, and a
-        merge whose product is missing from vocab."""
+        """The model `to_json` wrote; raises ValueError for a key `to_json`
+        does not write, a vocab that is not a list of distinct strings,
+        merges that are not pairs of strings, a budget that is not an integer
+        at least the vocab's size, specials other than the format's, a
+        special that encode emits missing from vocab, and a merge whose
+        product is missing from vocab."""
         vocab, merges, budget = obj["vocab"], obj["merges"], obj["budget"]
+        unknown = sorted(set(obj) - {"vocab", "merges", "specials", "budget"})
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}; the keys are budget, merges, "
+                             "specials, vocab")
         if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
             raise ValueError("vocab must be a list of strings")
         if not isinstance(merges, list) or not all(
@@ -206,6 +211,10 @@ class TokenizerModel:
                              "which the model format fixes")
         model = cls(vocab=list(vocab), merges=[(left, right) for left, right in merges],
                     budget=budget)
+        if len(model._token_to_id) != len(vocab):
+            # A repeated piece maps to its last id; name its first place.
+            repeated = next(tok for i, tok in enumerate(vocab) if model._token_to_id[tok] != i)
+            raise ValueError(f"vocab piece {repeated!r} is listed more than once")
         for token in (MASK_TOKEN, PAD_TOKEN, UNK_TOKEN):
             if model.id_of(token) is None:
                 raise ValueError(f"special {token!r} is not in vocab")

@@ -93,9 +93,17 @@ class TestBuildIndex:
         query = "=SUM(A1:B2)+max(B2)"
         sims = similarities_to_many(formula_token_ids_frozen(query, intern), packed, len(packed))
         assert sims == {i: token_edit_similarity(query, f) for i, f in enumerate(formulas)}
-        lowered, by_lowered, keys = index._completion_view
-        assert list(zip(lowered, by_lowered)) == sorted((f.lower(), f) for f in set(corpus))
+        lowered, lowered_ranks, keys, key_starts, key_ranks, ranked = index._completion_view
+        # Ranks are positions in (-frequency, text) order, the same as
+        # repair's, and the lowered formulas sort with their ranks.
+        assert ranked == sorted(frequency, key=lambda f: (-frequency[f], f))
+        rank = {f: r for r, f in enumerate(ranked)}
+        assert list(zip(lowered, lowered_ranks)) == sorted((f.lower(), rank[f]) for f in frequency)
         assert keys == sorted(index.entries)
+        assert key_starts[-1] == len(key_ranks) == len(frequency)
+        for i, key in enumerate(keys):
+            assert key_ranks[key_starts[i]:key_starts[i + 1]] == \
+                [rank[f] for f, _ in index.entries[key]]
 
     def test_query_views_derived_on_first_use(self, lex_calls):
         corpus = synth_corpus(50, seed=97)
@@ -313,6 +321,30 @@ class TestRangeLookupCompletion:
                    for p in prefixes) >= 100
         assert index._completion_view[2] == sorted(index.entries)
         self.check(corpus, prefixes, ks=(1, 5, 40))
+
+    def test_first_k_equal_the_full_sorts_first_k(self):
+        # Prefixes matching no formula, one, many and all of them, and ones
+        # that only the sketch back-off matches: the ranks' k smallest give
+        # the full (-frequency, text) sort's first k.
+        corpus = synth_corpus(300, seed=46)
+        corpus += corpus[:90] + corpus[:30]
+        index = build_index(corpus)
+        distinct = set(corpus)
+        unique = next(f for f in sorted(distinct)
+                      if sum(g.lower().startswith(f.lower()) for g in distinct) == 1)
+        cases = {"none": ["~", "=ZZZZ("], "one": [unique], "many": ["=s", "=a", "=I"],
+                 "all": ["", "="], "back-off": ["=SUM(Z9", "=  IF(Q7", '=VLOOKUP("zzz']}
+        for case, prefixes in cases.items():
+            for prefix in prefixes:
+                textual = sum(f.lower().startswith(prefix.lower()) for f in distinct)
+                assert {"none": textual == 0 and not linear_completion(corpus, prefix, 1),
+                        "one": textual == 1, "many": 1 < textual < len(distinct),
+                        "all": textual == len(distinct),
+                        "back-off": textual == 0 and linear_completion(corpus, prefix, 1),
+                        }[case], (case, prefix)
+                for k in (1, 2, 5, 40, len(distinct), len(distinct) + 1):
+                    assert completion_candidates(index, prefix, k) == \
+                        linear_completion(corpus, prefix, k), (case, prefix, k)
 
     def test_k_cap(self):
         corpus = [f"=SUM(A{i}:B{i})" for i in range(1, 30)] + ["=SUM(A3:B3)"] * 4

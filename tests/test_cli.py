@@ -1,16 +1,25 @@
+import argparse
 import json
 import hashlib
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from formulakit.cli import UsageError, load_config, main
+from formulakit import __version__
+from formulakit.cli import (BASELINE_COMMANDS, COMMANDS, UsageError, build_parser,
+                            load_config, main)
 from formulakit.curation import CorpusStats
 from formulakit.jsonl import dumps, write_jsonl_atomic
+from formulakit.similarity import KERNEL_BACKEND
 from formulakit.synth import synth_corpus, synth_records
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def read_jsonl_file(path):
@@ -443,6 +452,9 @@ MALFORMED_MODELS = {
     "vocab-holds-a-non-string": lambda m: {
         **m, "vocab": [None if tok == "<unk>" else tok for tok in m["vocab"]]},
     "vocab-a-string": lambda m: {**m, "vocab": "".join(m["vocab"])},
+    "unknown-top-level-key": lambda m: {**m, "vocab_size": len(m["vocab"])},
+    "vocab-piece-repeated": lambda m: {**m, "vocab": m["vocab"] + [m["vocab"][-1]],
+                                       "budget": len(m["vocab"]) + 1},
 }
 
 
@@ -740,3 +752,96 @@ class TestInputErrors:
         assert next(iter(patch)) in err, err
         if "source_id" in patch:
             assert "line 1" in err, err
+
+
+def subparsers(parser):
+    """name -> subparser, for the parser's one subcommand action."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def run_main(argv):
+    """main(argv)'s exit code; argparse's own exits (-h, --version) raise
+    SystemExit through main."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParserPerCommand:
+    """main builds only the subparser of the command it runs."""
+
+    @pytest.fixture()
+    def added(self, monkeypatch):
+        """Every (subcommand action's dest, name) that add_parser is called with."""
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(action, name, **kwargs):
+            added.append((action.dest, name))
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        return added
+
+    def test_each_subparser_alone_formats_the_full_parsers_help(self):
+        full = subparsers(build_parser())
+        assert list(full) == list(COMMANDS)
+        for name in COMMANDS:
+            alone = subparsers(build_parser(name))
+            assert list(alone) == [name]
+            assert alone[name].format_help() == full[name].format_help(), name
+        full_baseline = subparsers(full["baseline"])
+        alone_baseline = subparsers(subparsers(build_parser("baseline"))["baseline"])
+        assert list(alone_baseline) == list(full_baseline) == list(BASELINE_COMMANDS)
+        for name in BASELINE_COMMANDS:
+            assert alone_baseline[name].format_help() == full_baseline[name].format_help(), name
+
+    def test_a_command_builds_one_top_level_subparser(self, added, capsys, monkeypatch):
+        assert main(["sketch", "=A1"]) == 0
+        assert added == [("command", "sketch")]
+        added.clear()
+        assert main(["baseline", "complete", "--index", "absent.json", "--prefix", "="]) == 2
+        assert added == [("command", "baseline")] + [
+            ("baseline_cmd", name) for name in BASELINE_COMMANDS]
+        added.clear()
+        monkeypatch.setattr(sys, "argv", ["formulakit", "lex", "=A1"])
+        assert main() == 0  # the words come from sys.argv
+        assert added == [("command", "lex")]
+
+    @pytest.mark.parametrize("argv", [[], ["--version"], ["nope"], ["-h"], ["--bogus", "lex"]])
+    def test_no_command_word_builds_every_subparser(self, added, capsys, argv):
+        code = run_main(argv)
+        out, err = capsys.readouterr()
+        assert [name for dest, name in added if dest == "command"] == list(COMMANDS)
+        if argv in ([], ["nope"], ["--bogus", "lex"]):
+            with pytest.raises(UsageError) as caught:
+                build_parser().parse_args(argv)
+            assert (code, out, err) == (1, "", f"usage error: {caught.value}\n")
+        if argv == []:
+            assert err == "usage error: the following arguments are required: command\n"
+        elif argv == ["nope"]:
+            assert err.startswith("usage error: argument command: invalid choice: 'nope'")
+            assert all(name in err for name in COMMANDS), err
+        elif argv == ["--version"]:
+            assert (code, out, err) == (
+                0, f"formulakit {__version__} (similarity kernel: {KERNEL_BACKEND})\n", "")
+        elif argv == ["-h"]:
+            assert code == 0 and err == "" and out == build_parser().format_help()
+            assert all(name in out for name in COMMANDS)
+
+
+def test_cli_benchmark_script_runs():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "bench_cli.py"), "--repeat", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line[:24].strip() for line in proc.stdout.splitlines()[2:]]
+    commands = list(COMMANDS)
+    at = commands.index("baseline")
+    assert rows == commands[:at] + [f"baseline {name}" for name in BASELINE_COMMANDS] + \
+        commands[at + 1:] + ["(full parser)"], proc.stdout

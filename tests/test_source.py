@@ -1,10 +1,12 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import formulakit
+from formulakit import cli
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "formulakit"
@@ -66,3 +68,17 @@ def test_cli_writes_every_output_through_one_path():
                         for node in ast.walk(f)
                         if isinstance(node, ast.Return) and node.value is not None})
     assert returning == [], f"commands that return a value: {returning}"
+
+
+def test_every_command_is_one_row_of_the_cli_table():
+    # main builds only the subparser of the command it runs, from
+    # cli.COMMANDS; a command wired into the parser any other way would
+    # be missing from that subparser, and an unlisted cmd_* never runs.
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    assert list(action.choices) == list(cli.COMMANDS)
+    handlers = {row[0] for row in (*cli.COMMANDS.values(), *cli.BASELINE_COMMANDS.values())}
+    commands = {fn for name, fn in vars(cli).items()
+                if name.startswith("cmd_") and callable(fn)}
+    assert commands, "no cmd_* functions in formulakit.cli"
+    assert sorted(fn.__name__ for fn in commands - handlers) == []
