@@ -8,12 +8,14 @@ Times `lex`, `check`, `normalize`, `sketch`, `curation.dedup_key` and
   envelope   formulas at Excel's limits (8,192 characters, 64 nesting
              levels, 255 arguments), as in the `envelope` workload
 
-Three more rows time a stage over the whole set, per formula: `dedup`
+Five more rows time a stage over the whole set, per formula: `dedup`
 (per-workbook, over the set's records with their exact repeats, which it
 keys once per distinct text), `dedup_no_repeats` (the same over the
-first record of each distinct text, where keying once saves nothing) and
+first record of each distinct text, where keying once saves nothing),
 `gen_repair_finetune` (seed 0, over the set's formulas, each lexed and
-bracket-matched once).
+bracket-matched once), `ingest` (the set's JSONL lines to records) and
+`emit` (`write_jsonl_atomic` of the records' `to_json` rows into a temp
+file).
 
 Each time is the median of REPEAT passes over the whole set. Before timing,
 the script exits 1 if the joined token texts of any input differ from the
@@ -26,6 +28,7 @@ Usage: python benchmarks/bench_lexer.py [--typical 2000] [--envelope 40]
 import argparse
 import statistics
 import sys
+import tempfile
 import time
 from collections import deque
 from pathlib import Path
@@ -34,8 +37,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from inputs import envelope_records, typical_records  # noqa: E402
 
-from formulakit.curation import FormulaRecord, dedup, dedup_key  # noqa: E402
+from formulakit.curation import FormulaRecord, dedup, dedup_key, ingest  # noqa: E402
 from formulakit.evaluation import gen_repair_finetune  # noqa: E402
+from formulakit.jsonl import dumps, write_jsonl_atomic  # noqa: E402
 from formulakit.lexer import check, lex, normalize, sketch  # noqa: E402
 from formulakit.noise import applicable_operators  # noqa: E402
 
@@ -43,11 +47,21 @@ REPEAT = 5
 VIEWS = (("lex", lex), ("check", check), ("normalize", normalize),
          ("sketch", sketch), ("dedup_key", dedup_key),
          ("applicable_operators", applicable_operators))
-# (row, stage, whether it runs on the first record of each distinct text)
-STAGES = (("dedup", lambda records: list(dedup(records)), False),
-          ("dedup_no_repeats", lambda records: list(dedup(records)), True),
-          ("gen_repair_finetune",
-           lambda records: list(gen_repair_finetune((r.formula for r in records), 0)), False))
+
+
+def stages(out_dir):
+    """(row, stage, what it runs on: the set's records, the first record of
+    each distinct text, or the records' JSONL lines); `emit` writes into
+    out_dir."""
+    emitted = Path(out_dir) / "emit.jsonl"
+    return (("dedup", lambda records: list(dedup(records)), "records"),
+            ("dedup_no_repeats", lambda records: list(dedup(records)), "distinct"),
+            ("gen_repair_finetune",
+             lambda records: list(gen_repair_finetune((r.formula for r in records), 0)),
+             "records"),
+            ("ingest", lambda lines: list(ingest(lines)), "lines"),
+            ("emit", lambda records: write_jsonl_atomic(emitted, (r.to_json() for r in records)),
+             "records"))
 
 
 def first_of_each_text(records):
@@ -112,12 +126,16 @@ def main():
     for view, fn in VIEWS:
         cells = "".join(f"{per_formula_us(fn, formulas):>26.1f}" for _, formulas, _ in sets)
         print(f"{view:<22}{cells}")
-    distinct = {name: first_of_each_text(rows) for name, rows in records.items()}
-    for stage, run, no_repeats in STAGES:
-        inputs = distinct if no_repeats else records
-        cells = "".join(f"{per_set_us(lambda: run(inputs[name]), len(inputs[name])):>26.1f}"
-                        for name, _, _ in sets)
-        print(f"{stage:<22}{cells}")
+    inputs = {"records": records,
+              "distinct": {name: first_of_each_text(rows) for name, rows in records.items()},
+              "lines": {name: [dumps(r.to_json()) + "\n" for r in rows]
+                        for name, rows in records.items()}}
+    with tempfile.TemporaryDirectory() as out_dir:
+        for stage, run, kind in stages(out_dir):
+            cells = "".join(
+                f"{per_set_us(lambda: run(inputs[kind][name]), len(inputs[kind][name])):>26.1f}"
+                for name, _, _ in sets)
+            print(f"{stage:<22}{cells}")
     return 0
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .curation import dedup_key
-from .jsonl import write_json_atomic
+from .jsonl import loads, write_json_atomic
 from .lexer import check, lex
 from .similarity import (PackedCorpus, formula_token_ids, formula_token_ids_frozen,
                          similarities_to_many)
@@ -104,7 +104,7 @@ class SketchIndex:
     @classmethod
     def load(cls, path: str | Path) -> "SketchIndex":
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = loads(fh.read())
         entries = {s: [(f, _count(c, 1)) for f, c in bucket]
                    for s, bucket in obj["sketches"].items()}
         index = cls(entries=entries, total_formulas=_count(obj["total_formulas"], 0))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -31,10 +32,10 @@ from . import __version__
 from . import baseline as baseline_mod
 from . import curation, evaluation, objectives, synth
 from .catalog import CatalogError, FunctionCatalog, default_catalog
-from .jsonl import (DataError, dumps, has_utf8, read_jsonl, read_lines,
+from .jsonl import (DataError, dumps, has_utf8, loads, read_jsonl, read_lines,
                     write_json_atomic, write_jsonl_atomic, write_manifest)
 from .lexer import check, lex, sketch
-from .seeds import derive_rng
+from .seeds import seed_prefix
 from .similarity import KERNEL_BACKEND
 from .tokenizer import (DEFAULT_VOCAB_BUDGET, BudgetTooSmall, TokenizerModel,
                         decode, encode, pretokenize, train_bpe)
@@ -94,7 +95,7 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+                obj = loads(fh.read())
         except OSError as exc:
             raise DataError(f"cannot read config: {exc}", path)
         except UnicodeDecodeError as exc:
@@ -141,7 +142,7 @@ def _iter_formula_lines(path: str) -> Iterator[str]:
             continue
         if line.lstrip().startswith("{"):
             try:
-                obj = json.loads(line)
+                obj = loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"line starts with `{{` but is not a JSON object: "
                                 f"{exc.msg} at column {exc.colno}", path, lineno) from None
@@ -340,10 +341,11 @@ def cmd_gen_finetune_complete(args) -> None:
     model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
     fractions = tuple(args.fractions) if args.fractions else (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
     skips: Counter[str] = Counter()
+    record_seed = seed_prefix(config.seed, "complete")
 
     def rows():
         for ordinal, formula in enumerate(_iter_formula_lines(args.input)):
-            fraction = derive_rng(config.seed, "complete", ordinal).choice(fractions)
+            fraction = random.Random(record_seed(ordinal)).choice(fractions)
             try:
                 task = evaluation.make_completion_prefix(
                     formula, fraction, model, source_id=f"complete-{ordinal}")

@@ -10,8 +10,10 @@ output is a stable subsequence of the input and no record list is kept.
 Memory is O(distinct keys per workbook), plus at most `_KEYED_TEXTS` texts
 and their keys. `dedup_key` lexes a formula once unless it holds
 whitespace, whose removal can merge tokens.
-`ingest` skips the lines that are not usable records and counts them in a
-skips Counter.
+`ingest` decodes each line with `jsonl.loads` and skips the lines that are
+not usable records, text nested past the recursion limit among them,
+counting them in a skips Counter. A `FormulaRecord` is a `NamedTuple`:
+immutable, equal and hashed by value, and cheap to build and to pickle.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .jsonl import has_utf8
+from .jsonl import has_utf8, loads
 from .lexer import TokenKind, lex, normalize, sketch_tokens
 
 DEDUP_MODES = ("per-workbook", "global")
@@ -31,8 +33,7 @@ DEDUP_MODES = ("per-workbook", "global")
 _KEYED_TEXTS = 4096
 
 
-@dataclass(frozen=True)
-class FormulaRecord:
+class FormulaRecord(NamedTuple):
     workbook_id: str
     sheet_id: str
     formula: str
@@ -92,7 +93,7 @@ def ingest(lines: Iterable[str], skips: Optional[Counter[str]] = None) -> Iterat
     for line in lines:
         stripped = line.strip()
         try:
-            record = parse_record(json.loads(stripped)) if stripped else None
+            record = parse_record(loads(stripped)) if stripped else None
         except json.JSONDecodeError:
             record = None
         if record is None:

@@ -10,29 +10,31 @@ Candidate providers are plain callables, so a replayed prediction file, the
 non-neural baseline, or any model wrapper evaluate identically. Repair
 synthesis lexes each source formula once, and a corruption only when its
 `lexer.fold` matches the source's, the one case where normalization can
-undo it.
+undo it, and seeds each source from (seed, "repair") hashed once
+(`seeds.seed_prefix`). `RepairTask`, `CompletionTask` and `RetrievalPair`
+are `NamedTuple`s: immutable, equal and hashed by value.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .catalog import default_catalog
 from .curation import dedup_key
 from .lexer import TokenKind, check, fold, lex, normalize
 from .noise import SiteIndex
 from .objectives import user_noise
-from .seeds import derive_rng
+from .seeds import derive_rng, seed_prefix
 from .similarity import formula_token_ids, similarity_ids
 from .tokenizer import TokenizerModel, decode, encode
 
 
-@dataclass(frozen=True)
-class RepairTask:
+class RepairTask(NamedTuple):
     buggy: str
     ground_truth: str
     source_id: str
@@ -42,8 +44,7 @@ class RepairTask:
                 "source_id": self.source_id}
 
 
-@dataclass(frozen=True)
-class CompletionTask:
+class CompletionTask(NamedTuple):
     formula: str
     prefix_fraction: float
     prefix: str
@@ -54,8 +55,7 @@ class CompletionTask:
                 "prefix": self.prefix, "source_id": self.source_id}
 
 
-@dataclass(frozen=True)
-class RetrievalPair:
+class RetrievalPair(NamedTuple):
     formula_a: str
     formula_b: str
     target_similarity: float
@@ -158,13 +158,14 @@ def gen_repair_finetune(formulas: Iterable[str], seed: int,
     """
     skips = Counter() if skips is None else skips
     catalog = default_catalog()
+    record_seed = seed_prefix(seed, "repair")
     for ordinal, formula in enumerate(formulas):
         tokens = lex(formula, catalog)
         index = SiteIndex(tokens, catalog)
         if check(formula, catalog, tokens, index.brackets()):
             skips["malformed"] += 1
             continue
-        rng = derive_rng(seed, "repair", ordinal)
+        rng = random.Random(record_seed(ordinal))
         example = user_noise(formula, rng, index)
         if fold(example.input) == fold(formula) \
                 and normalize(example.input) == normalize(formula, tokens=tokens):

@@ -1,4 +1,16 @@
-"""JSONL and artifact I/O: streaming readers, atomic writers, run manifests."""
+"""JSONL and artifact I/O: streaming readers, atomic writers, run manifests.
+
+Every JSON row and document the package reads goes through `loads`, and
+every JSONL row it writes through `dumps`. Each is the C half of its
+`json` counterpart, built once at import: `loads` runs the steps of
+`json.loads` (the BOM check, the whitespace skip, the C scanner, then
+`Expecting value` or `Extra data` at the same positions) without its two
+Python wrapper frames, and `dumps` calls one prebuilt C encoder, where
+`JSONEncoder.encode` builds one per call. Both give `json`'s values, bytes
+and errors, with one exception: text nested past the recursion limit is a
+`JSONDecodeError`, "nesting too deep", where `json.loads` raises
+RecursionError, so every reader treats it as invalid JSON.
+"""
 
 from __future__ import annotations
 
@@ -25,9 +37,42 @@ class DataError(Exception):
         super().__init__(f"{where}{message}")
 
 
-# A row's compact JSON text, from one encoder built at import: json.dumps
-# with any argument builds a new JSONEncoder on every call.
-dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+_scan = json.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
+# The arguments JSONEncoder(ensure_ascii=False, separators=(",", ":")) passes
+# to the C encoder, but for the circular-reference markers: the package's
+# rows are trees, and a dict shared by every call would keep the containers
+# of a failed call marked. A cycle raises RecursionError instead of
+# ValueError.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring, None,
+    ":", ",", False, False, True)
+
+
+def loads(text: str) -> Any:
+    """`json.loads(text)`: the same value, or a JSONDecodeError with the same
+    msg and position. Text nested past the recursion limit is a
+    JSONDecodeError, "nesting too deep", at the start of its value."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    start = _skip_space(text, 0).end()
+    try:
+        obj, end = _scan(text, start)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", text, err.value) from None
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", text, start) from None
+    if end != len(text):
+        end = _skip_space(text, end).end()
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+    return obj
+
+
+def dumps(value: Any) -> str:
+    """A row's compact JSON text, `json.dumps(value, ensure_ascii=False,
+    separators=(",", ":"))`: a value JSON cannot hold raises TypeError."""
+    return "".join(_encode(value, 0))
 
 
 def has_utf8(text: str) -> bool:
@@ -60,7 +105,7 @@ def read_jsonl(path: PathLike) -> Iterator[tuple[int, Any]]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON ({exc.msg})", str(path), lineno) from None
         # Only a \u escape can decode to a lone surrogate.

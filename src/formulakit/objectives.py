@@ -11,6 +11,11 @@ Four denoising objectives plus an identity pass-through:
 Every example targets the complete original formula. Generation is a pure
 function of (record, ordinal, config): per-record seeds are derived with a
 stable hash, so output is byte-identical no matter how many workers run.
+Each process hashes a config seed's prefix once (`seeds.seed_prefix`) and
+accumulates the objective weights once per set of objectives still in the
+draw; `rng.choices` takes those cumulative weights and draws as it would
+from the weights. A `PretrainExample` is a `NamedTuple`, cheap to build and
+to pickle across the pool.
 `generate_pretrain` is the one pretrain loop, serial or over a process pool,
 and counts the records no objective fits in a skips Counter.
 """
@@ -23,15 +28,16 @@ import random
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from functools import lru_cache
+from itertools import accumulate, count, repeat
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import noise
 from .catalog import default_catalog
 from .curation import FormulaRecord
 from .lexer import lex
-from .seeds import derive_seed
+from .seeds import seed_prefix
 from .tokenizer import MASK_TOKEN as MASK
 
 OBJECTIVE_ORDER = ("laMSP", "TM", "UN", "RN", "ID")
@@ -51,8 +57,7 @@ class PreconditionFailed(ValueError):
     """The formula cannot support this objective (too short, no tokens)."""
 
 
-@dataclass(frozen=True)
-class PretrainExample:
+class PretrainExample(NamedTuple):
     input: str
     target: str
     objective: str
@@ -283,23 +288,35 @@ def user_noise(formula: str, rng: random.Random,
     )
 
 
-def _weighted_draw(rng: random.Random, weights: dict[str, float]) -> str:
-    labels = [name for name in OBJECTIVE_ORDER if name in weights]
-    return rng.choices(labels, weights=[weights[n] for n in labels], k=1)[0]
+@lru_cache(maxsize=8, typed=True)
+def _record_seeds(seed: int) -> Callable[..., int]:
+    """`derive_seed(seed, ...)`, with `seed` hashed once per process."""
+    return seed_prefix(seed)
+
+
+@lru_cache(maxsize=64)
+def _objective_draw(weights: tuple[tuple[str, float], ...]
+                    ) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The objectives of positive weight among the (name, weight) items, in
+    OBJECTIVE_ORDER, and their cumulative weights. A zero-weight objective
+    is never drawn, and rng.choices rejects all-zero weights."""
+    positive = {name: w for name, w in weights if w > 0}
+    labels = tuple(name for name in OBJECTIVE_ORDER if name in positive)
+    return labels, tuple(accumulate(positive[name] for name in labels))
 
 
 def example_for_record(record: FormulaRecord, ordinal: int,
                        config: ObjectiveConfig) -> Optional[PretrainExample]:
     """One example for one record; None when every objective's precondition
     fails. Pure in (record, ordinal, config), hence worker-count independent."""
-    record_seed = derive_seed(config.seed, record.workbook_id, record.sheet_id, ordinal)
+    record_seed = _record_seeds(config.seed)(record.workbook_id, record.sheet_id, ordinal)
     rng = random.Random(record_seed)
-    # A zero-weight objective is never drawn, and rng.choices rejects all-zero
-    # weights, so only positive weights take part; the draws are unchanged.
-    remaining = {name: w for name, w in config.weights.items() if w > 0}
-    example: Optional[PretrainExample] = None
-    while remaining:
-        objective = _weighted_draw(rng, remaining)
+    weights = tuple(config.weights.items())
+    while True:
+        labels, cum_weights = _objective_draw(weights)
+        if not labels:
+            return None
+        objective = rng.choices(labels, cum_weights=cum_weights, k=1)[0]
         try:
             if objective == "laMSP":
                 rate, mean_span = rng.choice(config.lamsp_combos())
@@ -312,13 +329,11 @@ def example_for_record(record: FormulaRecord, ordinal: int,
                 example = random_noise(record.formula, rng, config.rn_rate)
             else:
                 example = PretrainExample(record.formula, record.formula, "ID", "", 0)
-            break
         except PreconditionFailed:
-            del remaining[objective]
-    if example is None:
-        return None
-    return PretrainExample(example.input, example.target, example.objective,
-                           example.detail, record_seed)
+            weights = tuple(item for item in weights if item[0] != objective)
+            continue
+        return PretrainExample(example.input, example.target, example.objective,
+                               example.detail, record_seed)
 
 
 def _example_for_task(task: tuple) -> Optional[PretrainExample]:

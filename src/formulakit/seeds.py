@@ -4,13 +4,18 @@ Python's builtin hash() is salted per process, so per-record seeds are
 derived with blake2b over length-prefixed parts. The same (base seed,
 workbook, sheet, ordinal) tuple yields the same rng stream on any machine
 and under any degree of parallelism.
+
+`derive_seed` is the definition. A generator that seeds every record under
+the same leading parts, (seed, "repair") say, takes `seed_prefix` of them
+once: it hashes the prefix once and copies that blake2b state per record,
+which gives `derive_seed`'s value at about half its cost.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Union
+from typing import Callable, Iterable, Union
 
 Part = Union[int, str, bytes]
 
@@ -26,13 +31,9 @@ def _encode_other(part: Part) -> bytes:
     return part.encode("utf-8")
 
 
-def derive_seed(*parts: Part) -> int:
-    """Mix parts into a 63-bit seed, stable across processes and platforms.
-
-    Each part is hashed as its byte length (4 bytes, little-endian) and its
-    bytes: UTF-8 for str, the decimal str() for int, bytes as given.
-    """
-    h = hashlib.blake2b(digest_size=8)
+def _absorb(h: "hashlib._Hash", parts: Iterable[Part]) -> None:
+    """Hash each part as its byte length (4 bytes, little-endian) and its
+    bytes: UTF-8 for str, the decimal str() for int, bytes as given."""
     for part in parts:
         kind = type(part)  # exact str and int first: nearly every part is one
         if kind is str:
@@ -43,7 +44,32 @@ def derive_seed(*parts: Part) -> int:
             data = _encode_other(part)
         h.update(len(data).to_bytes(4, "little"))
         h.update(data)
+
+
+def derive_seed(*parts: Part) -> int:
+    """Mix parts into a 63-bit seed, stable across processes and platforms.
+
+    Each part is hashed as its byte length (4 bytes, little-endian) and its
+    bytes: UTF-8 for str, the decimal str() for int, bytes as given.
+    """
+    h = hashlib.blake2b(digest_size=8)
+    _absorb(h, parts)
     return int.from_bytes(h.digest(), "little") >> 1
+
+
+def seed_prefix(*prefix: Part) -> Callable[..., int]:
+    """`derive_seed` with its leading parts fixed:
+    `seed_prefix(*prefix)(*rest) == derive_seed(*prefix, *rest)`. The prefix
+    is hashed once, here; each call copies that state and hashes `rest`."""
+    state = hashlib.blake2b(digest_size=8)
+    _absorb(state, prefix)
+
+    def derive(*rest: Part) -> int:
+        h = state.copy()
+        _absorb(h, rest)
+        return int.from_bytes(h.digest(), "little") >> 1
+
+    return derive
 
 
 def derive_rng(*parts: Part) -> random.Random:

@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .catalog import FunctionCatalog, default_catalog
-from .jsonl import write_json_atomic
+from .jsonl import loads, write_json_atomic
 from .lexer import TokenKind, lex
 
 SPACE_MARKER = "␣"  # open box, the visible stand-in for one space
@@ -227,7 +227,7 @@ class TokenizerModel:
     @classmethod
     def load(cls, path: str | Path) -> "TokenizerModel":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            return cls.from_json(loads(fh.read()))
 
 
 def train_bpe(

@@ -20,6 +20,9 @@ from formulakit.synth import synth_corpus, synth_records
 
 
 REPO = Path(__file__).resolve().parent.parent
+# JSON nested far past Python's recursion limit, which `json.loads` meets
+# with RecursionError: every reader must treat it as invalid JSON.
+NESTED = "[" * 100_000 + "]" * 100_000
 
 
 def read_jsonl_file(path):
@@ -149,6 +152,13 @@ class TestTokenizerCli:
         assert sha(a) == sha(b)
 
 
+# A config file's text -> the JSON error it reports.
+MALFORMED_CONFIGS = {
+    "invalid-json": ('{"seed": 1', "Expecting ',' delimiter"),
+    "nested-past-the-recursion-limit": ('{"seed": ' + NESTED + "}", "nesting too deep"),
+}
+
+
 class TestGenPretrainCli:
     def test_seeded_runs_identical(self, tmp_path, corpus_file):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -236,6 +246,15 @@ class TestGenPretrainCli:
         config.write_bytes(b'{"seed": "\xff"}')
         assert main(["gen-pretrain", "--input", corpus_file, "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: {config}: ")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_is_data_error(self, tmp_path, corpus_file, capsys, case):
+        text, message = MALFORMED_CONFIGS[case]
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        assert main(["gen-pretrain", "--input", corpus_file, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {config}:1: config is not valid JSON ({message})\n")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_skipped_count_covers_every_line_without_an_example(self, tmp_path, capsys,
@@ -433,6 +452,7 @@ MALFORMED_INDEXES = {
     "total-not-the-sum": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", 2]]}, "total_formulas": 3}',
     "formula-listed-twice": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", 1]], '
                             '"=MAX(cell)": [["=SUM(A1)", 1]]}, "total_formulas": 2}',
+    "nested-past-the-recursion-limit": NESTED,
 }
 
 
@@ -455,6 +475,8 @@ MALFORMED_MODELS = {
     "unknown-top-level-key": lambda m: {**m, "vocab_size": len(m["vocab"])},
     "vocab-piece-repeated": lambda m: {**m, "vocab": m["vocab"] + [m["vocab"][-1]],
                                        "budget": len(m["vocab"]) + 1},
+    # the whole file, in place of the model's JSON
+    "nested-past-the-recursion-limit": lambda m: NESTED,
 }
 
 
@@ -490,7 +512,8 @@ class TestBaselineIndexErrors:
                      "-o", str(trained)]) == 0
         malformed = MALFORMED_MODELS[case](json.loads(trained.read_text("utf-8")))
         model = tmp_path / "bad.json"
-        model.write_text(json.dumps(malformed), encoding="utf-8")
+        model.write_text(malformed if isinstance(malformed, str) else json.dumps(malformed),
+                         encoding="utf-8")
         for argv in (["tokenize", "=SUM(A1)", "--model", str(model)],
                      ["gen-finetune-complete", "--input", formulas_file, "--model", str(model)]):
             capsys.readouterr()
@@ -542,13 +565,16 @@ INPUT_READERS = {
 
 # Readers that take JSONL records or plain lines, one formula each.
 FORMULA_LINE_READERS = {"lex --input", "train-tokenizer --input", "baseline build --input"}
+# Corpus readers, which skip a row that does not parse and count it.
+ROW_SKIPPING_READERS = {"dedup --input", "gen-pretrain --input"}
 
-# Every reader meets a missing file and non-UTF-8 bytes; strict readers also
-# meet a row that is not an object, a required field that is not a string,
-# and one that holds a lone surrogate escape; formula-line readers meet an
-# object row with no `formula` and a truncated one that does not parse.
+# Every reader meets a missing file, non-UTF-8 bytes and a row nested past
+# the recursion limit; strict readers also meet a row that is not an object,
+# a required field that is not a string, and one that holds a lone
+# surrogate escape; formula-line readers meet an object row with no
+# `formula` and a truncated one that does not parse.
 INPUT_CASES = [(reader, fault) for reader, (_, _, field) in sorted(INPUT_READERS.items())
-               for fault in ("missing-file", "not-utf8")
+               for fault in ("missing-file", "not-utf8", "nested-row")
                + (("non-object-row", "non-string-field", "lone-surrogate") if field else ())
                + (("object-without-formula", "truncated-object")
                   if reader in FORMULA_LINE_READERS else ())]
@@ -595,11 +621,19 @@ class TestInputErrors:
         elif fault == "truncated-object":
             path.write_text(dumps(INPUT_ROWS[rows][0]) + '\n{"formula": "=SUM(A1:A2)"\n',
                             encoding="utf-8")
+        elif fault == "nested-row":
+            path.write_text(dumps(INPUT_ROWS[rows][0]) + '\n{"formula": ' + NESTED + "}\n",
+                            encoding="utf-8")
         capsys.readouterr()
-        assert main([a.format(file=path, tmp=inputs) for a in argv]) == 2
+        code = main([a.format(file=path, tmp=inputs) for a in argv])
         err = capsys.readouterr().err
+        if fault == "nested-row" and reader in ROW_SKIPPING_READERS:
+            assert code == 0, err
+            assert f"note: skipped 1 malformed line(s) in {path}\n" in err, err
+            return
+        assert code == 2, err
         assert err.startswith(f"data error: {path}"), err
-        if fault in ("object-without-formula", "truncated-object"):
+        if fault in ("object-without-formula", "truncated-object", "nested-row"):
             assert err.startswith(f"data error: {path}:2: "), err
 
     @pytest.mark.parametrize("command", sorted(OUTPUT_CASES))

@@ -1001,7 +1001,7 @@ def test_lexer_benchmark_script_runs():
     assert "every input round-trips, no envelope input flagged" in proc.stdout
     assert [line.split()[0] for line in proc.stdout.splitlines()[2:]] == [
         "lex", "check", "normalize", "sketch", "dedup_key", "applicable_operators",
-        "dedup", "dedup_no_repeats", "gen_repair_finetune"]
+        "dedup", "dedup_no_repeats", "gen_repair_finetune", "ingest", "emit"]
 
 
 def test_lexer_benchmark_script_rejects_flagged_inputs(monkeypatch):

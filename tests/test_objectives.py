@@ -5,8 +5,9 @@ import pytest
 
 from formulakit.curation import FormulaRecord
 from formulakit.lexer import lex
-from formulakit.objectives import (DEFAULT_TM_FRACTIONS, MASK, ObjectiveConfig,
-                                   PreconditionFailed, example_for_record,
+from formulakit.objectives import (DEFAULT_TM_FRACTIONS, DEFAULT_WEIGHTS, MASK,
+                                   OBJECTIVE_ORDER, ObjectiveConfig, PreconditionFailed,
+                                   _objective_draw, example_for_record,
                                    generate_pretrain, la_msp, random_noise,
                                    select_mask_runs, tail_mask, user_noise)
 from formulakit.synth import synth_records
@@ -239,6 +240,28 @@ class TestGeneratePretrain:
             assert ex is not None
             assert ex.objective != "TM"
             assert ex.target == "7"
+
+    @pytest.mark.parametrize("weights", [
+        DEFAULT_WEIGHTS, dict(reversed(DEFAULT_WEIGHTS.items())),
+        {"laMSP": 0.0, "TM": 0.7, "UN": 0.0, "RN": 0.2, "ID": 0.1},
+        {"laMSP": 0.1, "TM": 0.2, "UN": 0.3, "RN": 0.4, "ID": 0.0}])
+    def test_cumulative_weights_draw_as_the_weights(self, weights):
+        # The objectives still in the draw after each precondition failure:
+        # rng.choices with the cached cumulative weights draws as it does
+        # from the positive weights in OBJECTIVE_ORDER.
+        remaining = {name: w for name, w in weights.items() if w > 0}
+        items = tuple(weights.items())
+        while remaining:
+            labels, cum_weights = _objective_draw(items)
+            expected = [name for name in OBJECTIVE_ORDER if name in remaining]
+            assert list(labels) == expected
+            for seed in range(300):
+                assert (random.Random(seed).choices(labels, cum_weights=cum_weights, k=1)
+                        == random.Random(seed).choices(
+                            expected, weights=[remaining[n] for n in expected], k=1))
+            del remaining[expected[0]]
+            items = tuple(item for item in items if item[0] != expected[0])
+        assert _objective_draw(items) == ((), ())
 
     def test_ordinal_changes_seed(self):
         record = FormulaRecord("wb", "s", "=SUM(A1:A10)")

@@ -82,3 +82,17 @@ def test_every_command_is_one_row_of_the_cli_table():
                 if name.startswith("cmd_") and callable(fn)}
     assert commands, "no cmd_* functions in formulakit.cli"
     assert sorted(fn.__name__ for fn in commands - handlers) == []
+
+
+def test_every_json_read_goes_through_jsonl_loads():
+    # jsonl.loads is the one decoder: it makes text nested past the
+    # recursion limit a JSONDecodeError, which every reader handles as it
+    # handles any invalid JSON, where json.load and json.loads raise
+    # RecursionError.
+    calls = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("load", "loads")
+             and getattr(node.func.value, "id", None) == "json"]
+    assert calls == [], f"json.load or json.loads calls in formulakit: {calls}"
