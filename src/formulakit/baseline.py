@@ -30,11 +30,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import nsmallest
-from pathlib import Path
 from typing import Iterable
 
 from .curation import dedup_key
-from .jsonl import loads, write_json_atomic
+from .jsonl import PathLike, loads, read_text
 from .lexer import check, lex
 from .similarity import (PackedCorpus, formula_token_ids, formula_token_ids_frozen,
                          similarities_to_many)
@@ -98,13 +97,9 @@ class SketchIndex:
                          for s, bucket in sorted(self.entries.items())},
         }
 
-    def save(self, path: str | Path) -> None:
-        write_json_atomic(path, self.to_json())
-
     @classmethod
-    def load(cls, path: str | Path) -> "SketchIndex":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = loads(fh.read())
+    def load(cls, path: PathLike) -> "SketchIndex":
+        obj = loads(read_text(path, "index"))
         entries = {s: [(f, _count(c, 1)) for f, c in bucket]
                    for s, bucket in obj["sketches"].items()}
         index = cls(entries=entries, total_formulas=_count(obj["total_formulas"], 0))

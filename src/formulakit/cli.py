@@ -12,8 +12,9 @@ keyed by reason and reports it on stderr. Each command is one row of
 COMMANDS, and `main` builds only the subparser of the command it runs;
 top-level help, --version and an unknown command get every subparser.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error (with file/line),
-3 internal error.
+Every input file is opened, and every JSON text judged, by `jsonl`, so
+any command meets a malformed input alike. Exit codes: 0 success, 1
+usage/config error, 2 data error (with file/line), 3 internal error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import __version__
 from . import baseline as baseline_mod
 from . import curation, evaluation, objectives, synth
 from .catalog import CatalogError, FunctionCatalog, default_catalog
-from .jsonl import (DataError, dumps, has_utf8, loads, read_jsonl, read_lines,
+from .jsonl import (DataError, dumps, has_utf8, loads, read_jsonl, read_lines, read_text,
                     write_json_atomic, write_jsonl_atomic, write_manifest)
 from .lexer import check, lex, sketch
 from .seeds import seed_prefix
@@ -94,12 +95,7 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
     obj = {}
     if path:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = loads(fh.read())
-        except OSError as exc:
-            raise DataError(f"cannot read config: {exc}", path)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"config is not UTF-8 text ({exc.reason})", path)
+            obj = loads(read_text(path, "config"))
         except json.JSONDecodeError as exc:
             raise DataError(f"config is not valid JSON ({exc.msg})", path, exc.lineno)
         if not isinstance(obj, dict):
@@ -133,9 +129,9 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
 
 def _iter_formula_lines(path: str) -> Iterator[str]:
     """Formulas from a file: JSONL records (uses .formula) or plain lines.
-    A line that starts with `{` is a JSON object row: one that does not
-    parse (a truncated record, say), has no string `.formula`, or whose
-    formula has no UTF-8 form (a lone surrogate escape) is a DataError."""
+    A line that starts with `{` is a JSON object row: one that `loads`
+    rejects (a truncated record, say) or that has no string `.formula` is a
+    DataError."""
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -149,9 +145,6 @@ def _iter_formula_lines(path: str) -> Iterator[str]:
             formula = obj.get("formula")
             if not isinstance(formula, str):
                 raise DataError("JSON object row needs a string `formula`", path, lineno)
-            if not has_utf8(formula):
-                raise DataError("formula with no UTF-8 form (a lone surrogate escape)",
-                                path, lineno)
             yield formula
             continue
         yield line
@@ -159,6 +152,8 @@ def _iter_formula_lines(path: str) -> Iterator[str]:
 
 def _input_formulas(args) -> list[str]:
     if getattr(args, "formula", None):
+        if not has_utf8(args.formula):
+            raise UsageError("FORMULA is not UTF-8 text")
         return [args.formula]
     if getattr(args, "input", None):
         return list(_iter_formula_lines(args.input))
@@ -275,18 +270,17 @@ def _load_artifact(load: Callable[[str], object], path: str, what: str):
     """load(path); a missing or malformed artifact is a DataError naming it."""
     try:
         return load(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {what}: {exc}", path)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise DataError(f"malformed {what} ({exc})", path)
 
 
 def cmd_tokenize(args) -> None:
+    formulas = _input_formulas(args)
     model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
     catalog = _load_catalog(args)
 
     def rows():
-        for f in _input_formulas(args):
+        for f in formulas:
             if args.pretokenize_only:
                 yield {"formula": f,
                        "pretokens": [[p.text, p.atomic] for p in pretokenize(f, catalog)]}

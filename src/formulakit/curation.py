@@ -11,9 +11,9 @@ Memory is O(distinct keys per workbook), plus at most `_KEYED_TEXTS` texts
 and their keys. `dedup_key` lexes a formula once unless it holds
 whitespace, whose removal can merge tokens.
 `ingest` decodes each line with `jsonl.loads` and skips the lines that are
-not usable records, text nested past the recursion limit among them,
-counting them in a skips Counter. A `FormulaRecord` is a `NamedTuple`:
-immutable, equal and hashed by value, and cheap to build and to pickle.
+not usable records (any line `loads` rejects among them), counting them in
+a skips Counter. A `FormulaRecord` is a `NamedTuple`: immutable, equal and
+hashed by value, and cheap to build and to pickle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .jsonl import has_utf8, loads
+from .jsonl import loads
 from .lexer import TokenKind, lex, normalize, sketch_tokens
 
 DEDUP_MODES = ("per-workbook", "global")
@@ -81,8 +81,6 @@ def parse_record(obj: object) -> Optional[FormulaRecord]:
         return None
     if cell is not None and not isinstance(cell, str):
         return None
-    if not has_utf8(workbook_id + sheet_id + formula + (cell or "")):
-        return None  # it could neither seed the record's rng nor be written out
     return FormulaRecord(workbook_id, sheet_id, formula, cell)
 
 

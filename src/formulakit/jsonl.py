@@ -1,15 +1,16 @@
-"""JSONL and artifact I/O: streaming readers, atomic writers, run manifests.
+"""JSONL and artifact I/O: the input readers, atomic writers, run manifests.
 
-Every JSON row and document the package reads goes through `loads`, and
-every JSONL row it writes through `dumps`. Each is the C half of its
-`json` counterpart, built once at import: `loads` runs the steps of
+Only this module opens input text (`read_lines`, `read_text`) and judges
+JSON text. Every JSON row and document the package reads goes through
+`loads`, and every JSONL row it writes through `dumps`. Each is the C half
+of its `json` counterpart, built once at import: `loads` runs the steps of
 `json.loads` (the BOM check, the whitespace skip, the C scanner, then
 `Expecting value` or `Extra data` at the same positions) without its two
 Python wrapper frames, and `dumps` calls one prebuilt C encoder, where
 `JSONEncoder.encode` builds one per call. Both give `json`'s values, bytes
-and errors, with one exception: text nested past the recursion limit is a
-`JSONDecodeError`, "nesting too deep", where `json.loads` raises
-RecursionError, so every reader treats it as invalid JSON.
+and errors, but `loads` also rejects three kinds of text, so that every
+reader treats them as invalid JSON: nesting past the recursion limit, an
+integer past the digit limit and a lone surrogate escape in the value.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,14 +28,10 @@ PathLike = Union[str, Path]
 
 
 class DataError(Exception):
-    """Bad input data; carries file/line context for CLI error reporting."""
+    """Bad input data; the message starts `<file>: ` or `<file>:<line>: `."""
 
     def __init__(self, message: str, path: Optional[str] = None, line: Optional[int] = None):
-        self.path = path
-        self.line = line
-        where = ""
-        if path is not None:
-            where = f"{path}: " if line is None else f"{path}:{line}: "
+        where = "" if path is None else f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{where}{message}")
 
 
@@ -51,21 +49,33 @@ _encode = json.encoder.c_make_encoder(
 
 def loads(text: str) -> Any:
     """`json.loads(text)`: the same value, or a JSONDecodeError with the same
-    msg and position. Text nested past the recursion limit is a
-    JSONDecodeError, "nesting too deep", at the start of its value."""
+    msg and position, except that text nested past the recursion limit, an
+    integer past `sys.get_int_max_str_digits()` and a string with no UTF-8
+    form (a lone surrogate escape) are each a JSONDecodeError at the start
+    of the value."""
     if text.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     start = _skip_space(text, 0).end()
     try:
         obj, end = _scan(text, start)
+        # Only a \u escape makes a lone surrogate in UTF-8 text; dumps nests as deep.
+        surrogate = "\\u" in text and not has_utf8(dumps(obj))
     except StopIteration as err:
         raise json.JSONDecodeError("Expecting value", text, err.value) from None
     except RecursionError:
         raise json.JSONDecodeError("nesting too deep", text, start) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refuses a literal past the digit limit
+        raise json.JSONDecodeError(f"integer longer than {sys.get_int_max_str_digits()} "
+                                   "digits", text, start) from None
     if end != len(text):
         end = _skip_space(text, end).end()
         if end != len(text):
             raise json.JSONDecodeError("Extra data", text, end)
+    if surrogate:
+        raise json.JSONDecodeError("string with no UTF-8 form (a lone surrogate escape)",
+                                   text, start)
     return obj
 
 
@@ -76,8 +86,7 @@ def dumps(value: Any) -> str:
 
 
 def has_utf8(text: str) -> bool:
-    """False when text holds a lone surrogate, as a JSON `\\ud800` escape
-    decodes to: such text has no UTF-8 form, so it cannot be written out."""
+    """False when text holds a lone surrogate, which has no UTF-8 form."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
@@ -85,21 +94,34 @@ def has_utf8(text: str) -> bool:
     return True
 
 
-def read_lines(path: PathLike) -> Iterator[str]:
-    """The lines of a UTF-8 text file. A file that cannot be opened or read,
-    or is not UTF-8, is a DataError naming the file."""
+@contextmanager
+def _open_text(path: PathLike, what: str) -> Iterator[TextIO]:
+    """A UTF-8 handle on `path`; unreadable or non-UTF-8 text is a DataError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield from fh
+            yield fh
     except OSError as exc:
-        raise DataError(f"cannot read input: {exc}", str(path)) from None
+        raise DataError(f"cannot read {what}: {exc}", str(path)) from None
     except UnicodeDecodeError as exc:
-        raise DataError(f"input is not UTF-8 text ({exc.reason})", str(path)) from None
+        raise DataError(f"{what} is not UTF-8 text ({exc.reason})", str(path)) from None
+
+
+def read_lines(path: PathLike) -> Iterator[str]:
+    """The lines of a UTF-8 input file, read as they are pulled."""
+    with _open_text(path, "input") as fh:
+        yield from fh
+
+
+def read_text(path: PathLike, what: str) -> str:
+    """The whole text of a UTF-8 file, in one `read()`; `what` names the
+    file's kind in a DataError."""
+    with _open_text(path, what) as fh:
+        return fh.read()
 
 
 def read_jsonl(path: PathLike) -> Iterator[tuple[int, Any]]:
     """Yield (line_number, parsed_object), skipping blank lines; raises
-    DataError on bad JSON and on a string with no UTF-8 form."""
+    DataError on a line `loads` rejects."""
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
@@ -108,10 +130,6 @@ def read_jsonl(path: PathLike) -> Iterator[tuple[int, Any]]:
             obj = loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON ({exc.msg})", str(path), lineno) from None
-        # Only a \u escape can decode to a lone surrogate.
-        if "\\u" in line and not has_utf8(dumps(obj)):
-            raise DataError("string with no UTF-8 form (a lone surrogate escape)",
-                            str(path), lineno)
         yield lineno, obj
 
 

@@ -55,11 +55,10 @@ import heapq
 import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .catalog import FunctionCatalog, default_catalog
-from .jsonl import loads, write_json_atomic
+from .jsonl import PathLike, loads, read_text
 from .lexer import TokenKind, lex
 
 SPACE_MARKER = "␣"  # open box, the visible stand-in for one space
@@ -181,9 +180,6 @@ class TokenizerModel:
             "budget": self.budget,
         }
 
-    def save(self, path: str | Path) -> None:
-        write_json_atomic(path, self.to_json())
-
     @classmethod
     def from_json(cls, obj: dict) -> "TokenizerModel":
         """The model `to_json` wrote; raises ValueError for a key `to_json`
@@ -225,9 +221,8 @@ class TokenizerModel:
         return model
 
     @classmethod
-    def load(cls, path: str | Path) -> "TokenizerModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(loads(fh.read()))
+    def load(cls, path: PathLike) -> "TokenizerModel":
+        return cls.from_json(loads(read_text(path, "tokenizer model")))
 
 
 def train_bpe(

@@ -10,6 +10,7 @@ from formulakit.baseline import (SketchIndex, build_index, completion_candidates
                                  repair_candidates)
 from formulakit.cli import main
 from formulakit.curation import dedup_key
+from formulakit.jsonl import write_json_atomic
 from formulakit.lexer import check, normalize, sketch
 from formulakit.similarity import (formula_token_ids, formula_token_ids_frozen,
                                    similarities_to_many, token_edit_similarity)
@@ -62,7 +63,7 @@ class TestBuildIndex:
             entries={s: sorted(b.items(), key=lambda item: (-item[1], item[0]))
                      for s, b in counts.items()},
             total_formulas=len(corpus))
-        reference.save(tmp_path / "reference.json")
+        write_json_atomic(tmp_path / "reference.json", reference.to_json())
 
         keyed = []
 
@@ -73,7 +74,7 @@ class TestBuildIndex:
         monkeypatch.setattr(baseline, "dedup_key", counted)
         index = build_index(iter(corpus))
         assert sorted(keyed) == sorted(set(corpus)) and len(keyed) < len(corpus)
-        index.save(tmp_path / "index.json")
+        write_json_atomic(tmp_path / "index.json", index.to_json())
         assert (tmp_path / "index.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     def test_one_lex_gives_the_derived_views(self):
@@ -368,12 +369,12 @@ class TestPersistence:
         assert main(["baseline", "build", "--input", str(source), "-o", str(built)]) == 0
         fresh = build_index(corpus)
         assert json.loads(built.read_text(encoding="utf-8")) == fresh.to_json()
-        fresh.save(tmp_path / "fresh.json")
+        write_json_atomic(tmp_path / "fresh.json", fresh.to_json())
         assert built.read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
     def test_load_derives_the_query_views(self, tmp_path, lex_calls):
         corpus = synth_corpus(60, seed=99) + ["=SUM(A1"]
-        build_index(corpus).save(tmp_path / "index.json")
+        write_json_atomic(tmp_path / "index.json", build_index(corpus).to_json())
         del lex_calls[:]
         loaded = SketchIndex.load(tmp_path / "index.json")
         assert "_repair_view" in vars(loaded) and "_completion_view" in vars(loaded)
@@ -391,7 +392,7 @@ class TestPersistence:
         corpus = synth_corpus(80, seed=95)
         index = build_index(corpus)
         path = tmp_path / "index.json"
-        index.save(path)
+        write_json_atomic(path, index.to_json())
         loaded = SketchIndex.load(path)
         assert loaded.entries == index.entries
         assert loaded.total_formulas == index.total_formulas

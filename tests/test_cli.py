@@ -23,6 +23,9 @@ REPO = Path(__file__).resolve().parent.parent
 # JSON nested far past Python's recursion limit, which `json.loads` meets
 # with RecursionError: every reader must treat it as invalid JSON.
 NESTED = "[" * 100_000 + "]" * 100_000
+# An integer past Python's 4,300-digit limit, which `json.loads` meets with
+# ValueError: every reader must treat it as invalid JSON too.
+HUGE_INT = "1" * 5000
 
 
 def read_jsonl_file(path):
@@ -156,6 +159,8 @@ class TestTokenizerCli:
 MALFORMED_CONFIGS = {
     "invalid-json": ('{"seed": 1', "Expecting ',' delimiter"),
     "nested-past-the-recursion-limit": ('{"seed": ' + NESTED + "}", "nesting too deep"),
+    "integer-past-the-digit-limit": ('{"seed": ' + HUGE_INT + "}",
+                                     f"integer longer than {sys.get_int_max_str_digits()} digits"),
 }
 
 
@@ -453,6 +458,7 @@ MALFORMED_INDEXES = {
     "formula-listed-twice": '{"sketches": {"=SUM(cell)": [["=SUM(A1)", 1]], '
                             '"=MAX(cell)": [["=SUM(A1)", 1]]}, "total_formulas": 2}',
     "nested-past-the-recursion-limit": NESTED,
+    "integer-past-the-digit-limit": '{"sketches": {}, "total_formulas": ' + HUGE_INT + "}",
 }
 
 
@@ -477,6 +483,7 @@ MALFORMED_MODELS = {
                                        "budget": len(m["vocab"]) + 1},
     # the whole file, in place of the model's JSON
     "nested-past-the-recursion-limit": lambda m: NESTED,
+    "integer-past-the-digit-limit": lambda m: '{"budget": ' + HUGE_INT + "}",
 }
 
 
@@ -568,13 +575,16 @@ FORMULA_LINE_READERS = {"lex --input", "train-tokenizer --input", "baseline buil
 # Corpus readers, which skip a row that does not parse and count it.
 ROW_SKIPPING_READERS = {"dedup --input", "gen-pretrain --input"}
 
-# Every reader meets a missing file, non-UTF-8 bytes and a row nested past
-# the recursion limit; strict readers also meet a row that is not an object,
-# a required field that is not a string, and one that holds a lone
-# surrogate escape; formula-line readers meet an object row with no
+# Every reader meets a missing file, non-UTF-8 bytes, and a second row that
+# `jsonl.loads` rejects: one nested past the recursion limit, one holding an
+# integer past the digit limit, and one holding a lone surrogate escape in
+# a field the reader does not use. Strict readers also meet a row that is
+# not an object, a required field that is not a string, and one that holds
+# a lone surrogate escape; formula-line readers meet an object row with no
 # `formula` and a truncated one that does not parse.
+SECOND_ROW_FAULTS = ("nested-row", "huge-int", "unused-field-surrogate")
 INPUT_CASES = [(reader, fault) for reader, (_, _, field) in sorted(INPUT_READERS.items())
-               for fault in ("missing-file", "not-utf8", "nested-row")
+               for fault in ("missing-file", "not-utf8") + SECOND_ROW_FAULTS
                + (("non-object-row", "non-string-field", "lone-surrogate") if field else ())
                + (("object-without-formula", "truncated-object")
                   if reader in FORMULA_LINE_READERS else ())]
@@ -621,19 +631,22 @@ class TestInputErrors:
         elif fault == "truncated-object":
             path.write_text(dumps(INPUT_ROWS[rows][0]) + '\n{"formula": "=SUM(A1:A2)"\n',
                             encoding="utf-8")
-        elif fault == "nested-row":
-            path.write_text(dumps(INPUT_ROWS[rows][0]) + '\n{"formula": ' + NESTED + "}\n",
-                            encoding="utf-8")
+        elif fault in SECOND_ROW_FAULTS:
+            row = INPUT_ROWS[rows][0]
+            second = {"nested-row": '{"formula": ' + NESTED + "}",
+                      "huge-int": '{"formula": ' + HUGE_INT + "}",
+                      "unused-field-surrogate": json.dumps({**row, "note": "\ud800"})}[fault]
+            path.write_text(dumps(row) + "\n" + second + "\n", encoding="utf-8")
         capsys.readouterr()
         code = main([a.format(file=path, tmp=inputs) for a in argv])
         err = capsys.readouterr().err
-        if fault == "nested-row" and reader in ROW_SKIPPING_READERS:
+        if fault in SECOND_ROW_FAULTS and reader in ROW_SKIPPING_READERS:
             assert code == 0, err
             assert f"note: skipped 1 malformed line(s) in {path}\n" in err, err
             return
         assert code == 2, err
         assert err.startswith(f"data error: {path}"), err
-        if fault in ("object-without-formula", "truncated-object", "nested-row"):
+        if fault in ("object-without-formula", "truncated-object") + SECOND_ROW_FAULTS:
             assert err.startswith(f"data error: {path}:2: "), err
 
     @pytest.mark.parametrize("command", sorted(OUTPUT_CASES))
@@ -669,6 +682,19 @@ class TestInputErrors:
         assert main(["check", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: {path}:2: ")
 
+    @pytest.mark.parametrize("argv, what", [
+        (["tokenize", "=A1", "--model", "{file}"], "tokenizer model"),
+        (["baseline", "repair", "--index", "{file}", "--buggy", "=A1"], "index"),
+        (["gen-pretrain", "--input", "{tmp}/corpus.jsonl", "--config", "{file}"], "config"),
+    ])
+    def test_non_utf8_document_says_so(self, inputs, capsys, argv, what):
+        path = inputs / "document.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        capsys.readouterr()
+        assert main([a.format(file=path, tmp=inputs) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: {what} is not UTF-8 text (invalid start byte)\n")
+
     def test_non_utf8_catalog_is_data_error(self, tmp_path, capsys):
         catalog = tmp_path / "functions.csv"
         catalog.write_bytes(b"SUM,1,*\n\xff,0,0\n")
@@ -696,6 +722,11 @@ class TestInputErrors:
         ["gen-finetune-complete", "--input", "f.txt", "--model", "m.json",
          "--fractions", "0.5", "1"],
         ["baseline", "repair", "--index", "i.json"],  # neither --benchmark nor --buggy
+        # a FORMULA word that is not UTF-8, as Python decodes `=A1\xff` from argv
+        ["lex", "=A1\udcff"],
+        ["sketch", "=A1\udcff"],
+        ["check", "=A1\udcff"],
+        ["tokenize", "=A1\udcff", "--model", "m.json"],
     ])
     def test_bad_flags_are_usage_errors(self, argv, capsys):
         assert main(argv) == 1

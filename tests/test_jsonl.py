@@ -1,6 +1,11 @@
-"""`jsonl.loads` and `jsonl.dumps` against the `json` calls they stand for."""
+"""`jsonl.loads` and `jsonl.dumps` against the `json` calls they stand for.
+
+`loads` is `json.loads` but for three kinds of text it makes a
+JSONDecodeError at the start of the value: nesting past the recursion
+limit, an integer past the digit limit and a lone surrogate escape."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 from formulakit.jsonl import dumps, loads
 
 NESTED = "[" * 100_000 + "]" * 100_000
+HUGE_INT = "1" * 5000
 BOM = "\ufeff"
 
 # JSON values, with the tuples and the non-string keys the encoder converts.
@@ -27,7 +33,8 @@ VALUES = st.recursive(
 FRAGMENTS = st.sampled_from([
     '"\\ud800"', '"a\\udfffb"', '"\\ud83d\\ude00"', "\\ud800", '"\\u00e9"',
     '"\xe9\u20ac\U0001f600"', "NaN", "-Infinity", "Infinity", "nan", "1e999", "-0",
-    "0.5e-3", "123456789012345678901234567890", ",", ":", "[", "]", "{", "}", '"', "x", " 1",
+    "0.5e-3", "123456789012345678901234567890", "9" * 4301, ",", ":", "[", "]", "{", "}",
+    '"', "x", " 1",
 ])
 # JSON whitespace, and two characters that str.strip drops but JSON does not.
 SPACE = st.text(alphabet=" \t\n\r\x0c\xa0", max_size=3)
@@ -54,6 +61,27 @@ def outcome(decode, text):
         return "error", exc.msg, exc.pos, exc.lineno, exc.colno
 
 
+def reference_loads(text):
+    """json.loads(text), with the three cases `loads` documents made a
+    JSONDecodeError at the start of the value."""
+    start = len(text) - len(text.lstrip(" \t\n\r"))
+    try:
+        value = json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", text, start) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise json.JSONDecodeError(f"integer longer than {sys.get_int_max_str_digits()} digits",
+                                   text, start) from None
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise json.JSONDecodeError("string with no UTF-8 form (a lone surrogate escape)",
+                                   text, start) from None
+    return value
+
+
 class TestLoads:
     @given(json_texts())
     @settings(max_examples=1500, deadline=None)
@@ -66,8 +94,11 @@ class TestLoads:
     @example('"\\ud800"')
     @example("[NaN, -Infinity, 1e999]")
     @example("12345678901234567890123456789012345678901234567890")
+    @example(NESTED)
+    @example(" [" + HUGE_INT + ", x")
+    @example('\n{"a": [1, {"\\udc00": 2}]}')
     def test_equals_json_loads(self, text):
-        assert outcome(loads, text) == outcome(json.loads, text)
+        assert outcome(loads, text) == outcome(reference_loads, text)
 
     @pytest.mark.parametrize("text, start", [(NESTED, 0), (' \n{"a": ' + NESTED + "}", 2)])
     def test_nesting_past_the_recursion_limit_is_a_decode_error(self, text, start):
@@ -76,6 +107,14 @@ class TestLoads:
         with pytest.raises(json.JSONDecodeError) as info:
             loads(text)
         assert (info.value.msg, info.value.pos) == ("nesting too deep", start)
+
+    def test_a_lone_surrogate_at_the_recursion_limit_is_a_decode_error(self):
+        # Encoding the value back, to find the surrogate, recurses as deep as
+        # scanning it, so text just inside the limit must not escape as
+        # RecursionError.
+        for depth in range(sys.getrecursionlimit() - 60, sys.getrecursionlimit() + 5):
+            with pytest.raises(json.JSONDecodeError):
+                loads("[" * depth + '"\\ud800"' + "]" * depth)
 
 
 class TestDumps:

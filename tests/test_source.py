@@ -85,10 +85,11 @@ def test_every_command_is_one_row_of_the_cli_table():
 
 
 def test_every_json_read_goes_through_jsonl_loads():
-    # jsonl.loads is the one decoder: it makes text nested past the
-    # recursion limit a JSONDecodeError, which every reader handles as it
+    # jsonl.loads is the one judge of JSON text: it makes text nested past
+    # the recursion limit, an integer past the digit limit and a lone
+    # surrogate escape a JSONDecodeError, which every reader handles as it
     # handles any invalid JSON, where json.load and json.loads raise
-    # RecursionError.
+    # RecursionError or ValueError, or return the lone surrogate.
     calls = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
              for path in sorted(PACKAGE.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
@@ -96,3 +97,28 @@ def test_every_json_read_goes_through_jsonl_loads():
              and node.func.attr in ("load", "loads")
              and getattr(node.func.value, "id", None) == "json"]
     assert calls == [], f"json.load or json.loads calls in formulakit: {calls}"
+
+
+def test_only_jsonl_opens_input_text():
+    # jsonl.read_lines and jsonl.read_text are the one place that opens an
+    # input file, so every reader reports a file that cannot be read, or is
+    # not UTF-8, alike. The bundled catalog is a package resource, read in
+    # default_catalog, not an input.
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "jsonl.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (getattr(func, "id", None) == "open"
+                    or getattr(func, "attr", None) in ("open", "fdopen", "read_text",
+                                                       "read_bytes")):
+                enclosing = [f.name for f in functions
+                             if f.lineno <= node.lineno <= f.end_lineno] or ["<module>"]
+                callers.append(f"{path.stem}.{enclosing[-1]}")
+    assert callers == ["catalog.default_catalog"]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from test_lexer import _corruptions, _envelope_formulas
 
 from formulakit.catalog import FunctionCatalog, default_catalog
+from formulakit.jsonl import write_json_atomic
 from formulakit.lexer import TokenKind, lex
 from formulakit.synth import synth_corpus
 from formulakit.tokenizer import (MASK_TOKEN, PAD_TOKEN, SPACE_MARKER, UNK_TOKEN,
@@ -342,8 +343,8 @@ class TestTrainBpe:
     def test_deterministic_model_bytes(self, tmp_path):
         corpus = synth_corpus(80, seed=6)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        train_bpe(corpus, budget=256).save(a)
-        train_bpe(list(corpus), budget=256).save(b)
+        write_json_atomic(a, train_bpe(corpus, budget=256).to_json())
+        write_json_atomic(b, train_bpe(list(corpus), budget=256).to_json())
         assert a.read_bytes() == b.read_bytes()
 
     def test_atomic_inventory_covered_by_vocab(self):
@@ -647,7 +648,7 @@ class TestModelFile:
     def test_save_load_round_trip(self, tmp_path):
         model = train_bpe(synth_corpus(60, seed=40), budget=256)
         path = tmp_path / "model.json"
-        model.save(path)
+        write_json_atomic(path, model.to_json())
         loaded = TokenizerModel.load(path)
         assert loaded.vocab == model.vocab
         assert loaded.merges == model.merges
@@ -659,7 +660,7 @@ class TestModelFile:
     def test_stable_schema(self, tmp_path):
         model = train_bpe(["=A1"], budget=16)
         path = tmp_path / "m.json"
-        model.save(path)
+        write_json_atomic(path, model.to_json())
         obj = json.loads(path.read_text("utf-8"))
         assert list(obj) == ["vocab", "merges", "specials", "budget"]
         assert list(obj["specials"]) == ["mask_token", "pad", "unknown", "space_marker"]
