@@ -101,8 +101,9 @@ def rescan_apply(run, rank):
 
 
 def pretokenize_encode(model, formulas):
-    """Each formula's ids by a loop over its pretokens: atomic ones from
-    the id table, letter runs by the heap pass, memoised per run."""
+    """Each formula's ids by a loop over its pretokens under the model's
+    catalog: atomic ones from the id table, letter runs by the heap pass,
+    memoised per run."""
     unk, id_of = model.unk_id, model.id_of
     runs = {}
     out = []
@@ -112,7 +113,7 @@ def pretokenize_encode(model, formulas):
             if is_special:
                 ids.append(id_of(chunk))
                 continue
-            for pre in pretokenize(chunk):
+            for pre in pretokenize(chunk, model.catalog):
                 if pre.atomic:
                     ids.append(unk if id_of(pre.text) is None else id_of(pre.text))
                     continue

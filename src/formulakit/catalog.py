@@ -38,6 +38,14 @@ class FunctionCatalog:
     def names(self) -> frozenset[str]:
         return frozenset(self._entries)
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FunctionCatalog) and self._entries == other._entries
+
+    def lines(self) -> list[str]:
+        """The entries as `name,min,max` lines sorted by name, as `from_lines` reads them."""
+        return [f"{name},{low},{'*' if high is None else high}"
+                for name, (low, high) in sorted(self._entries.items())]
+
     @classmethod
     def from_lines(cls, lines: Iterable[str], source: str = "<catalog>") -> "FunctionCatalog":
         entries: dict[str, tuple[int, Optional[int]]] = {}

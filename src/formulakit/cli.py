@@ -152,8 +152,6 @@ def _iter_formula_lines(path: str) -> Iterator[str]:
 
 def _input_formulas(args) -> list[str]:
     if getattr(args, "formula", None):
-        if not has_utf8(args.formula):
-            raise UsageError("FORMULA is not UTF-8 text")
         return [args.formula]
     if getattr(args, "input", None):
         return list(_iter_formula_lines(args.input))
@@ -277,20 +275,19 @@ def _load_artifact(load: Callable[[str], object], path: str, what: str):
 def cmd_tokenize(args) -> None:
     formulas = _input_formulas(args)
     model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
-    catalog = _load_catalog(args)
 
     def rows():
         for f in formulas:
             if args.pretokenize_only:
                 yield {"formula": f,
-                       "pretokens": [[p.text, p.atomic] for p in pretokenize(f, catalog)]}
+                       "pretokens": [[p.text, p.atomic] for p in pretokenize(f, model.catalog)]}
             else:
-                ids = encode(model, f, catalog)
+                ids = encode(model, f)
                 yield {"formula": f, "ids": ids,
                        "pieces": [model.vocab[i] for i in ids],
                        "decoded": decode(model, ids)}
 
-    _emit(args, rows(), {"model": args.model}, [args.input, args.model, args.catalog])
+    _emit(args, rows(), {"model": args.model}, [args.input, args.model])
 
 
 def cmd_gen_pretrain(args) -> None:
@@ -511,11 +508,6 @@ def _lex_args(p):
     p.add_argument("--catalog", help="function catalog CSV (name,min,max per line)")
 
 
-def _check_args(p):
-    _io_args(p)
-    p.add_argument("--catalog")
-
-
 def _dedup_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--output", "-o")
@@ -539,7 +531,6 @@ def _train_tokenizer_args(p):
 def _tokenize_args(p):
     _io_args(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--catalog")
     p.add_argument("--pretokenize-only", action="store_true",
                    help="emit pretokens instead of ids")
 
@@ -633,7 +624,7 @@ COMMANDS: dict[str, tuple] = {
     "check": (
         cmd_check, "report well-formedness diagnostics",
         'output: {"formula": "=A1+)", "diagnostics": [{"code": '
-        '"UnbalancedParens", "start": 4, "end": 5, "message": "..."}]}', _check_args),
+        '"UnbalancedParens", "start": 4, "end": 5, "message": "..."}]}', _lex_args),
     "dedup": (
         cmd_dedup, "sketch-deduplicate a corpus",
         'input/output: JSONL {"workbook_id": "wb1", "sheet_id": "s1", '
@@ -647,7 +638,9 @@ COMMANDS: dict[str, tuple] = {
         '"specials": {...}, "budget": 16000}\n'
         'The specials are fixed by the model format (<mask>, <pad>, <unk>, and\n'
         '␣ for a space); a model file with other specials, or with a merge\n'
-        'whose product is missing from vocab, is a data error.', _train_tokenizer_args),
+        'whose product is missing from vocab, is a data error. A --catalog other\n'
+        'than the default is kept in the model as "catalog": ["name,min,max", ...]\n'
+        'and used by tokenize and gen-finetune-complete.', _train_tokenizer_args),
     "tokenize": (
         cmd_tokenize, "encode formulas with a trained model",
         'output: {"formula": "=A1", "ids": [5, 9, 7], "pieces": '
@@ -735,6 +728,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
+        # Manifests hold paths, and outputs formulas, as UTF-8 text.
+        for dest in ("formula", "input", "output", "model", "index", "catalog", "config",
+                     "benchmark", "predictions", "pairs", "embeddings", "reserve_output"):
+            if not has_utf8(getattr(args, dest, None) or ""):
+                raise UsageError(f"{dest.upper()} is not UTF-8 text")
         args.fn(args)
         return EXIT_OK
     except UsageError as exc:

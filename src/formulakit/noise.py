@@ -464,43 +464,33 @@ OPERATORS: dict[int, NoiseOperator] = {op.op_id: op for op in [
 ]}
 
 
-def _site_index(formula: str, catalog: Optional[FunctionCatalog]) -> SiteIndex:
-    if catalog is None:
-        catalog = default_catalog()
-    return SiteIndex(lex(formula, catalog), catalog)
-
-
 _NO_SITE = object()
 
 
-def is_applicable(formula: str, op_id: int,
-                  catalog: Optional[FunctionCatalog] = None) -> bool:
-    sites = OPERATORS[op_id].sites(_site_index(formula, catalog))
+def is_applicable(formula: str, op_id: int) -> bool:
+    sites = OPERATORS[op_id].sites(SiteIndex(lex(formula), default_catalog()))
     return next(iter(sites), _NO_SITE) is not _NO_SITE
 
 
-def applicable_operators(formula: str,
-                         catalog: Optional[FunctionCatalog] = None,
-                         index: Optional[SiteIndex] = None) -> list[int]:
+def applicable_operators(formula: str, index: Optional[SiteIndex] = None) -> list[int]:
     """Ids of the operators that find a site in the formula, ascending.
 
-    `index`, when given, must be `SiteIndex(lex(formula, catalog), catalog)`.
+    `index`, when given, must be `SiteIndex(lex(formula), default_catalog())`.
     One index serves every operator: one token scan and at most one
     `match_brackets`, none when the formula has no FuncName token. Each
     operator is asked for its first site only.
     """
     if index is None:
-        index = _site_index(formula, catalog)
+        index = SiteIndex(lex(formula), default_catalog())
     return [op_id for op_id, op in OPERATORS.items()
             if next(iter(op.sites(index)), _NO_SITE) is not _NO_SITE]
 
 
 def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
-                         catalog: Optional[FunctionCatalog] = None,
                          index: Optional[SiteIndex] = None) -> str:
     """Corrupt the formula with one operator; raises NotApplicable otherwise.
 
-    `index`, when given, must be `SiteIndex(lex(formula, catalog), catalog)`.
+    `index`, when given, must be `SiteIndex(lex(formula), default_catalog())`.
     The operator lists its sites in full here, once. Passing the index that
     `applicable_operators` read reuses its token scan and bracket match;
     without one, they are made again.
@@ -509,7 +499,7 @@ def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
     if op is None:
         raise ValueError(f"unknown noise operator id {op_id}")
     if index is None:
-        index = _site_index(formula, catalog)
+        index = SiteIndex(lex(formula), default_catalog())
     sites = list(op.sites(index))
     if not sites:
         raise NotApplicable(f"operator {op_id} ({op.name}) does not apply to {formula!r}")

@@ -39,10 +39,10 @@ the next. One heap of (rank, position) over the run, kept as a linked list
 of positions, does this in one pass, so a run costs its merges rather than
 a rescan per merge; the rescan in the tests is the oracle for it. `encode`
 maps atomic tokens straight to their ids and memoises on the model the ids
-of each residual token's text, per catalog (a letter run that names a
-function of one catalog is atomic under it only), and of each letter run,
-since identifiers, strings and sheet names repeat across a corpus far more
-than they vary. Both memos grow with the distinct texts a model encodes.
+of each residual token's text and of each letter run, since identifiers,
+strings and sheet names repeat across a corpus far more than they vary.
+Both memos grow with the distinct texts a model encodes. A model encodes
+under the catalog it was trained with, listed in its file unless default.
 
 The special tokens are fixed by the model format, not set per model: `<pad>`,
 `<unk>` and `<mask>` head every vocab and `␣` stands for a space. A model
@@ -149,15 +149,13 @@ class TokenizerModel:
     vocab: list[str]
     merges: list[tuple[str, str]]
     budget: int
-    # Derived from vocab and merges; encode fills _segment_ids (letter run ->
-    # its ids) and _token_ids (catalog -> residual token text -> its ids; a
-    # letter run that names a catalog function is atomic under that catalog
-    # only). None of them is part of the model's value.
+    catalog: FunctionCatalog = field(default_factory=default_catalog, repr=False)
+    # Derived from vocab and merges, then encode's memos of the ids of each
+    # letter run and of each residual token text; none is part of the value.
     _token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _merge_rank: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     _segment_ids: dict[str, list[int]] = field(init=False, repr=False, compare=False)
-    _token_ids: dict[FunctionCatalog, dict[str, list[int]]] = field(
-        init=False, repr=False, compare=False)
+    _token_ids: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._token_to_id = {tok: i for i, tok in enumerate(self.vocab)}
@@ -173,12 +171,15 @@ class TokenizerModel:
         return self._token_to_id.get(token)
 
     def to_json(self) -> dict:
-        return {
+        obj = {
             "vocab": list(self.vocab),
             "merges": [list(pair) for pair in self.merges],
             "specials": dict(_SPECIALS),
             "budget": self.budget,
         }
+        if self.catalog != default_catalog():
+            obj["catalog"] = self.catalog.lines()
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "TokenizerModel":
@@ -186,13 +187,13 @@ class TokenizerModel:
         does not write, a vocab that is not a list of distinct strings,
         merges that are not pairs of strings, a budget that is not an integer
         at least the vocab's size, specials other than the format's, a
-        special that encode emits missing from vocab, and a merge whose
-        product is missing from vocab."""
+        special that encode emits missing from vocab, a merge whose product
+        is missing from vocab, and a catalog that `to_json` would not write."""
         vocab, merges, budget = obj["vocab"], obj["merges"], obj["budget"]
-        unknown = sorted(set(obj) - {"vocab", "merges", "specials", "budget"})
+        unknown = sorted(set(obj) - {"vocab", "merges", "specials", "budget", "catalog"})
         if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r}; the keys are budget, merges, "
-                             "specials, vocab")
+            raise ValueError(f"unknown key {unknown[0]!r}; the keys are budget, catalog, "
+                             "merges, specials, vocab")
         if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
             raise ValueError("vocab must be a list of strings")
         if not isinstance(merges, list) or not all(
@@ -205,8 +206,17 @@ class TokenizerModel:
         if obj["specials"] != _SPECIALS:
             raise ValueError(f"specials must be {json.dumps(_SPECIALS, ensure_ascii=False)}, "
                              "which the model format fixes")
+        catalog = default_catalog()
+        if "catalog" in obj:
+            lines = obj["catalog"]
+            if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
+                raise ValueError("catalog must be a list of strings")
+            catalog = FunctionCatalog.from_lines(lines, source="catalog")
+            if catalog.lines() != lines or catalog == default_catalog():
+                raise ValueError("catalog must list a catalog other than the default, one "
+                                 "`name,min,max` line per function, sorted by name")
         model = cls(vocab=list(vocab), merges=[(left, right) for left, right in merges],
-                    budget=budget)
+                    budget=budget, catalog=catalog)
         if len(model._token_to_id) != len(vocab):
             # A repeated piece maps to its last id; name its first place.
             repeated = next(tok for i, tok in enumerate(vocab) if model._token_to_id[tok] != i)
@@ -370,7 +380,7 @@ def train_bpe(
             if pair in counts:
                 heapq.heappush(heap, (-counts[pair], pair[0] + pair[1], pair))
 
-    return TokenizerModel(vocab=vocab, merges=merges, budget=budget)
+    return TokenizerModel(vocab=vocab, merges=merges, budget=budget, catalog=catalog)
 
 
 def _bpe_apply(chars: Sequence[str], model: TokenizerModel) -> list[str]:
@@ -425,13 +435,13 @@ def _split_on_specials(text: str) -> list[tuple[str, bool]]:
     return [(chunk, i % 2 == 1) for i, chunk in enumerate(_SPECIAL_LITERALS.split(text)) if chunk]
 
 
-def _residual_ids(model: TokenizerModel, text: str, catalog: FunctionCatalog) -> list[int]:
+def _residual_ids(model: TokenizerModel, text: str) -> list[int]:
     """The ids of one residual token's text: its atomic characters and
     catalog names from the id table, its letter runs by the heap pass,
     memoised per run on the model."""
     unk, id_of, memo = model.unk_id, model.id_of, model._segment_ids
     pres: list[PreToken] = []
-    _explode(text.lower(), catalog, pres)
+    _explode(text.lower(), model.catalog, pres)
     ids: list[int] = []
     for word, atomic in pres:
         if atomic:
@@ -446,25 +456,19 @@ def _residual_ids(model: TokenizerModel, text: str, catalog: FunctionCatalog) ->
     return ids
 
 
-def encode(
-    model: TokenizerModel,
-    formula: str,
-    catalog: Optional[FunctionCatalog] = None,
-) -> list[int]:
-    """Token ids for a formula; out-of-vocabulary pieces map to <unk>.
+def encode(model: TokenizerModel, formula: str) -> list[int]:
+    """Token ids for a formula under the model's catalog; out-of-vocabulary
+    pieces map to <unk>.
 
     Atomic lexer tokens map straight to their ids. A residual token's ids
-    are worked out the first time the model meets its text under a catalog
-    and memoised on the model, since identifiers, strings and sheet names
-    repeat across a corpus far more than they vary. Occurrences of the
-    special-token literals (e.g. a <mask> inserted by an objective
-    generator) map to their special ids instead of being shredded into
-    characters.
+    are worked out the first time the model meets its text and memoised on
+    the model, since identifiers, strings and sheet names repeat across a
+    corpus far more than they vary. Occurrences of the special-token
+    literals (e.g. a <mask> inserted by an objective generator) map to
+    their special ids instead of being shredded into characters.
     """
-    if catalog is None:
-        catalog = default_catalog()
-    unk, id_of = model.unk_id, model._token_to_id.get
-    memo = model._token_ids.setdefault(catalog, {})
+    catalog, unk, id_of = model.catalog, model.unk_id, model._token_to_id.get
+    memo = model._token_ids
     ids: list[int] = []
     append, extend = ids.append, ids.extend
     for chunk, is_special in _split_on_specials(formula):
@@ -476,7 +480,7 @@ def encode(
             if units is None:
                 tok_ids = memo.get(text)
                 if tok_ids is None:
-                    tok_ids = memo[text] = _residual_ids(model, text, catalog)
+                    tok_ids = memo[text] = _residual_ids(model, text)
                 extend(tok_ids)
             else:
                 for unit in units:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from formulakit import __version__
+from formulakit.catalog import default_catalog
 from formulakit.cli import (BASELINE_COMMANDS, COMMANDS, UsageError, build_parser,
                             load_config, main)
 from formulakit.curation import CorpusStats
@@ -145,6 +146,31 @@ class TestTokenizerCli:
     def test_budget_too_small_is_usage_error(self, formulas_file, tmp_path):
         assert main(["train-tokenizer", "--input", formulas_file,
                      "--budget", "5", "--output", str(tmp_path / "m.json")]) == 1
+
+    def test_a_catalog_trained_model_encodes_under_its_catalog(self, tmp_path, formulas_file):
+        catalog = tmp_path / "my.csv"
+        catalog.write_text("\n".join(default_catalog().lines() + ["myfunc,1,2"]) + "\n",
+                           encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(Path(formulas_file).read_text("utf-8") + "=MYFUNC(A1)\n",
+                          encoding="utf-8")
+        task = tmp_path / "task.txt"
+        task.write_text("=MYFUNC(A1)\n", encoding="utf-8")
+        model, tokens, completions = (tmp_path / name for name in
+                                      ("model.json", "tokens.jsonl", "complete.jsonl"))
+        assert main(["train-tokenizer", "--input", str(corpus), "--budget", "300",
+                     "--catalog", str(catalog), "-o", str(model)]) == 0
+        assert "myfunc,1,2" in json.loads(model.read_text("utf-8"))["catalog"]
+        # neither command is told the catalog: the model file carries it
+        assert main(["tokenize", "=MYFUNC(A1)", "--model", str(model), "-o", str(tokens)]) == 0
+        row = read_jsonl_file(tokens)[0]
+        assert row["pieces"] == ["=", "myfunc", "(", "a", "1", ")"]
+        assert main(["gen-finetune-complete", "--input", str(task), "--model", str(model),
+                     "--fractions", "0.5", "-o", str(completions)]) == 0
+        assert read_jsonl_file(completions)[0]["prefix"] == "=myfunc("
+        assert main(["tokenize", "=MYFUNC(A1)", "--model", str(model), "--pretokenize-only",
+                     "-o", str(tokens)]) == 0
+        assert read_jsonl_file(tokens)[0]["pretokens"][1] == ["myfunc", True]
 
     def test_training_deterministic_bytes(self, tmp_path, formulas_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -481,6 +507,15 @@ MALFORMED_MODELS = {
     "unknown-top-level-key": lambda m: {**m, "vocab_size": len(m["vocab"])},
     "vocab-piece-repeated": lambda m: {**m, "vocab": m["vocab"] + [m["vocab"][-1]],
                                        "budget": len(m["vocab"]) + 1},
+    # the catalog, which to_json writes only for a catalog other than the
+    # default, as its sorted `name,min,max` lines
+    "catalog-not-a-list": lambda m: {**m, "catalog": "myfunc,1,2"},
+    "catalog-row-not-a-string": lambda m: {**m, "catalog": ["myfunc,1,2", ["zeta", 0, 0]]},
+    "catalog-bad-arity": lambda m: {**m, "catalog": ["myfunc,2,1"]},
+    "catalog-comment-line": lambda m: {**m, "catalog": ["# mine", "myfunc,1,2"]},
+    "catalog-name-repeated": lambda m: {**m, "catalog": ["myfunc,1,2", "myfunc,1,2"]},
+    "catalog-unsorted": lambda m: {**m, "catalog": ["zeta,0,0", "myfunc,1,2"]},
+    "catalog-is-the-default": lambda m: {**m, "catalog": default_catalog().lines()},
     # the whole file, in place of the model's JSON
     "nested-past-the-recursion-limit": lambda m: NESTED,
     "integer-past-the-digit-limit": lambda m: '{"budget": ' + HUGE_INT + "}",
@@ -727,10 +762,34 @@ class TestInputErrors:
         ["sketch", "=A1\udcff"],
         ["check", "=A1\udcff"],
         ["tokenize", "=A1\udcff", "--model", "m.json"],
+        # the model decides the catalog
+        ["tokenize", "=A1", "--model", "m.json", "--catalog", "functions.csv"],
+        # a path that is not UTF-8, as Python decodes `\xff.jsonl` from argv:
+        # a manifest could not record it
+        ["synth", "--count", "2", "-o", "\udcff.jsonl"],
+        ["dedup", "--input", "\udcfe.jsonl", "-o", "out.jsonl"],
+        ["lex", "--input", "\udcfe.jsonl"],
+        ["train-tokenizer", "--input", "c.jsonl", "--catalog", "\udcff.csv", "-o", "m.json"],
+        ["train-tokenizer", "--input", "c.jsonl", "--config", "\udcff.json", "-o", "m.json"],
+        ["gen-finetune-complete", "--input", "c.jsonl", "--model", "\udcff.json"],
+        ["gen-finetune-repair", "--input", "c.jsonl", "--reserve", "1",
+         "--reserve-output", "\udcff.jsonl", "-o", "train.jsonl"],
+        ["baseline", "repair", "--index", "\udcff.json", "--buggy", "=A1"],
+        ["eval-repair", "--benchmark", "\udcff.jsonl", "--predictions", "p.jsonl"],
+        ["eval-complete", "--benchmark", "b.jsonl", "--predictions", "\udcff.jsonl"],
+        ["eval-retrieval", "--pairs", "\udcff.jsonl", "--embeddings", "e.jsonl"],
+        ["eval-retrieval", "--pairs", "p.jsonl", "--embeddings", "\udcff.jsonl"],
     ])
-    def test_bad_flags_are_usage_errors(self, argv, capsys):
+    def test_bad_flags_are_usage_errors(self, argv, capsys, tmp_path, monkeypatch):
+        # every --input exists and is well-formed, so that nothing but the
+        # flags can stop the command, and nothing may be written
+        monkeypatch.chdir(tmp_path)
+        inputs = {argv[i + 1] for i, flag in enumerate(argv) if flag == "--input"}
+        for name in inputs:
+            write_jsonl_atomic(name, INPUT_ROWS["corpus"])
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+        assert set(os.listdir(tmp_path)) == inputs
 
     def test_eval_k_default_sorted_and_deduplicated(self, inputs):
         ks = {}

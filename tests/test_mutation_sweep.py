@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from formulakit.catalog import default_catalog
 from formulakit.cli import main
 from formulakit.jsonl import write_jsonl_atomic
 from formulakit.synth import synth_records
@@ -28,6 +29,9 @@ SWAPS = (None, True, -3, 1.5, "x", [], {}, [1, "a"], {"k": None}, HUGE, "\ud800"
 ARTIFACTS = {
     "tokenizer": ("tokenizer.json", False,
                   ["tokenize", "=SUM(A1:B2)+Sheet1!C3", "--model", "{mut}"]),
+    # a model trained with --catalog, whose file lists that catalog
+    "tokenizer with a catalog": ("tokenizer-catalog.json", False,
+                                 ["tokenize", "=MYFUNC(A1)+SUM(A1:B2)", "--model", "{mut}"]),
     "index": ("index.json", False,
               ["baseline", "repair", "--index", "{mut}", "--buggy", "=SUM(A1:A3"]),
     "config": ("config.json", False,
@@ -59,9 +63,14 @@ def pipeline(tmp_path_factory):
                        "tm_fractions": [0.3, 0.5], "lamsp_rates": {"high": 0.35, "low": 0.15},
                        "lamsp_mean_spans": {"long": 6, "short": 2}, "rn_rate": 0.1}},
         indent=2), encoding="utf-8")
+    # the default catalog and one more function: the model lists ~140 lines
+    (d / "catalog.csv").write_text("\n".join(default_catalog().lines() + ["myfunc,1,2"]),
+                                   encoding="utf-8")
     for argv in (["dedup", "--input", "{d}/corpus.jsonl", "-o", "{d}/dedup.jsonl"],
                  ["train-tokenizer", "--input", "{d}/dedup.jsonl", "--budget", "300",
                   "-o", "{d}/tokenizer.json"],
+                 ["train-tokenizer", "--input", "{d}/dedup.jsonl", "--budget", "300",
+                  "--catalog", "{d}/catalog.csv", "-o", "{d}/tokenizer-catalog.json"],
                  ["baseline", "build", "--input", "{d}/dedup.jsonl", "-o", "{d}/index.json"],
                  ["gen-finetune-repair", "--input", "{d}/dedup.jsonl", "--seed", "4",
                   "--reserve", "8", "--reserve-output", "{d}/bench.jsonl",

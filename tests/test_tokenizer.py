@@ -540,7 +540,7 @@ class TestEncodeMemo:
     def test_memo_is_not_part_of_the_model(self, model):
         fresh = TokenizerModel.from_json(model.to_json())
         encode(model, "=revenue_total+SUM(A1)")
-        assert model._segment_ids and model._token_ids[default_catalog()]
+        assert model._segment_ids and model._token_ids["revenue_total"]
         assert model == TokenizerModel.from_json(model.to_json()) == fresh
         assert model.to_json() == fresh.to_json()
         assert "_segment_ids" not in repr(model) and "_token_ids" not in repr(model)
@@ -554,16 +554,17 @@ class TestEncodeMemo:
         assert _split_on_specials(text) == scan_split_on_specials(text, specials)
 
 
-def oracle_encode(model, formula, catalog=None):
+def oracle_encode(model, formula):
     """encode as a loop over pretokens: split on the special literals,
-    pretokenize each chunk, split each letter run by the heap pass."""
+    pretokenize each chunk under the model's catalog, split each letter run
+    by the heap pass."""
     unk = model.unk_id
     ids = []
     for chunk, is_special in _split_on_specials(formula):
         if is_special:
             ids.append(model.id_of(chunk))
             continue
-        for pre in pretokenize(chunk, catalog):
+        for pre in pretokenize(chunk, model.catalog):
             pieces = [pre.text] if pre.atomic else _bpe_apply(pre.text, model)
             ids.extend(unk if model.id_of(p) is None else model.id_of(p) for p in pieces)
     return ids
@@ -601,20 +602,22 @@ class TestTokenMemo:
 
     def test_catalogs_keep_their_own_entries(self):
         formulas = ["=SUM(A1:A3)", "=SUM(SUM)", '="sum"&Sum', "=sum_total+SUM(B1)"]
-        # letters never merge to `sum` here, so it reads as letters unless the
-        # catalog makes it one atomic token
-        model = train_bpe(formulas + ['="sun mug"'] * 3, budget=64)
-        assert "sum" not in {left + right for left, right in model.merges}
-        results = []
-        for catalog in (default_catalog(), CATALOG_WITHOUT_SUM, default_catalog()):
-            got = [encode(model, f, catalog) for f in formulas]
-            assert got == [oracle_encode(model, f, catalog) for f in formulas], catalog
-            results.append(got)
-        assert results[0] == results[2]
+        pieces = []
+        for catalog in (default_catalog(), CATALOG_WITHOUT_SUM):
+            model = train_bpe(["=SUM(A1)"] + ['="sun mug"'] * 3, budget=64, catalog=catalog)
+            assert model.catalog == catalog
+            # letters never merge to `sum` here, so it reads as letters
+            # unless the catalog makes it one atomic token
+            assert "sum" not in {left + right for left, right in model.merges}
+            got = [encode(model, f) for f in formulas]
+            assert got == [oracle_encode(model, f) for f in formulas], catalog
+            loaded = TokenizerModel.from_json(model.to_json())
+            assert loaded == model and [encode(loaded, f) for f in formulas] == got
+            pieces.append([[model.vocab[i] for i in ids] for ids in got])
         # `sum` is one atomic token under the default catalog and letters
-        # under the other, so a shared memo would show here
-        assert all(a != b for a, b in zip(results[0][1:3], results[1][1:3]))
-        assert set(model._token_ids) == {default_catalog(), CATALOG_WITHOUT_SUM}
+        # under the other
+        for default, without in zip(pieces[0][1:3], pieces[1][1:3]):
+            assert "sum" in default and "sum" not in without
 
     def test_train_matches_oracle_under_custom_catalog(self):
         catalog = FunctionCatalog.from_lines(["total,1,1", "log10,1,1", "if,1,3", "rate,0,0"])
@@ -628,7 +631,10 @@ class TestTokenMemo:
                 merges = oracle_merges(corpus, budget, catalog)
                 assert model.merges == merges
                 assert model.vocab == oracle_vocab(corpus, merges, catalog)
-                assert model != train_bpe(corpus, budget)  # the catalog matters here
+                assert model.catalog == catalog
+                # the catalog matters here
+                default = train_bpe(corpus, budget)
+                assert (model.vocab, model.merges) != (default.vocab, default.merges)
 
 
 def oracle_vocab(formulas, merges, catalog=None):
@@ -666,6 +672,19 @@ class TestModelFile:
         assert list(obj["specials"]) == ["mask_token", "pad", "unknown", "space_marker"]
         assert obj["specials"] == {"mask_token": "<mask>", "pad": "<pad>", "unknown": "<unk>",
                                    "space_marker": "␣"}
+
+    def test_a_catalog_other_than_the_default_is_kept(self):
+        model = train_bpe(["=MYFN(total)+A(1)"], budget=40, catalog=_PRE_CATALOG)
+        obj = model.to_json()
+        assert list(obj) == ["vocab", "merges", "specials", "budget", "catalog"]
+        assert obj["catalog"] == ["a,0,*", "myfn,1,1", "total,0,*"]
+        loaded = TokenizerModel.from_json(json.loads(json.dumps(obj)))
+        assert loaded == model and loaded.catalog == _PRE_CATALOG
+        assert loaded != TokenizerModel(model.vocab, model.merges, model.budget)
+        # the default catalog, given explicitly, is still left out
+        explicit = train_bpe(["=SUM(A1)"], budget=40, catalog=FunctionCatalog.from_lines(
+            default_catalog().lines()))
+        assert "catalog" not in explicit.to_json()
 
 
 def test_bpe_benchmark_script_runs():
