@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .catalog import default_catalog
 from .curation import dedup_key
 from .lexer import TokenKind, check, fold, lex, normalize
 from .noise import SiteIndex
@@ -157,12 +156,11 @@ def gen_repair_finetune(formulas: Iterable[str], seed: int,
     forms.
     """
     skips = Counter() if skips is None else skips
-    catalog = default_catalog()
     record_seed = seed_prefix(seed, "repair")
     for ordinal, formula in enumerate(formulas):
-        tokens = lex(formula, catalog)
-        index = SiteIndex(tokens, catalog)
-        if check(formula, catalog, tokens, index.brackets()):
+        tokens = lex(formula)
+        index = SiteIndex(tokens)
+        if check(formula, tokens=tokens, brackets=index.brackets()):
             skips["malformed"] += 1
             continue
         rng = random.Random(record_seed(ordinal))

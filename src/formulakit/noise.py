@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .catalog import FunctionCatalog, default_catalog
+from .catalog import default_catalog
 from .lexer import Brackets, Token, TokenKind, lex, match_brackets, quote_closed
 
 
@@ -132,17 +132,16 @@ def _scanned(name: str) -> Callable[[SiteIndex], list]:
 
 class SiteIndex:
     """The sites of one formula, for every operator: `tokens` must be
-    `lex(formula, catalog)`. `token_sites()` is one `_scan` of the tokens and
-    `brackets()` their `match_brackets`; each runs on first use and is kept, so
-    the operators that read it share one pass, and an operator that reads
-    neither costs none. `calls()` reads the brackets only when the formula
-    has a FuncName token."""
+    `lex(formula)`, as the operators use the bundled catalog. `token_sites()`
+    is one `_scan` of the tokens and `brackets()` their `match_brackets`; each
+    runs on first use and is kept, so the operators that read it share one
+    pass, and an operator that reads neither costs none. `calls()` reads the
+    brackets only when the formula has a FuncName token."""
 
-    __slots__ = ("tokens", "catalog", "_token_sites", "_brackets")
+    __slots__ = ("tokens", "_token_sites", "_brackets")
 
-    def __init__(self, tokens: list[Token], catalog: FunctionCatalog):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.catalog = catalog
         self._token_sites: Optional[_TokenSites] = None
         self._brackets: Optional[Brackets] = None
 
@@ -202,7 +201,7 @@ def _space_before_paren(formula: str, tokens: list[Token], sites: list,
 def _fixed_arity_calls(index: SiteIndex) -> Iterator[tuple]:
     """Calls eligible for the arity corruption, with the action per call, in
     token order."""
-    tokens, catalog = index.tokens, index.catalog
+    tokens, catalog = index.tokens, default_catalog()
     for func_idx, args in index.calls().items():
         limits = catalog.get(tokens[func_idx].text)
         if limits is None:
@@ -468,20 +467,20 @@ _NO_SITE = object()
 
 
 def is_applicable(formula: str, op_id: int) -> bool:
-    sites = OPERATORS[op_id].sites(SiteIndex(lex(formula), default_catalog()))
+    sites = OPERATORS[op_id].sites(SiteIndex(lex(formula)))
     return next(iter(sites), _NO_SITE) is not _NO_SITE
 
 
 def applicable_operators(formula: str, index: Optional[SiteIndex] = None) -> list[int]:
     """Ids of the operators that find a site in the formula, ascending.
 
-    `index`, when given, must be `SiteIndex(lex(formula), default_catalog())`.
+    `index`, when given, must be `SiteIndex(lex(formula))`.
     One index serves every operator: one token scan and at most one
     `match_brackets`, none when the formula has no FuncName token. Each
     operator is asked for its first site only.
     """
     if index is None:
-        index = SiteIndex(lex(formula), default_catalog())
+        index = SiteIndex(lex(formula))
     return [op_id for op_id, op in OPERATORS.items()
             if next(iter(op.sites(index)), _NO_SITE) is not _NO_SITE]
 
@@ -490,7 +489,7 @@ def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
                          index: Optional[SiteIndex] = None) -> str:
     """Corrupt the formula with one operator; raises NotApplicable otherwise.
 
-    `index`, when given, must be `SiteIndex(lex(formula), default_catalog())`.
+    `index`, when given, must be `SiteIndex(lex(formula))`.
     The operator lists its sites in full here, once. Passing the index that
     `applicable_operators` read reuses its token scan and bracket match;
     without one, they are made again.
@@ -499,7 +498,7 @@ def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
     if op is None:
         raise ValueError(f"unknown noise operator id {op_id}")
     if index is None:
-        index = SiteIndex(lex(formula), default_catalog())
+        index = SiteIndex(lex(formula))
     sites = list(op.sites(index))
     if not sites:
         raise NotApplicable(f"operator {op_id} ({op.name}) does not apply to {formula!r}")

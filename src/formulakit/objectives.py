@@ -30,11 +30,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, count, repeat
-from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import noise
-from .catalog import default_catalog
 from .curation import FormulaRecord
 from .lexer import lex
 from .seeds import seed_prefix
@@ -267,15 +265,14 @@ def user_noise(formula: str, rng: random.Random,
                index: Optional[noise.SiteIndex] = None) -> PretrainExample:
     """Corrupt with one uniformly chosen applicable noise operator.
 
-    `index`, when given, must be `noise.SiteIndex(lex(formula), default_catalog())`,
-    which carries the tokens; a caller that has matched its brackets (for
-    `check`) passes that match on with it. The formula is lexed at most
-    once either way, and one index serves both the applicability test and
-    the drawn operator.
+    `index`, when given, must be `noise.SiteIndex(lex(formula))`, which
+    carries the tokens; a caller that has matched its brackets (for `check`)
+    passes that match on with it. The formula is lexed at most once either
+    way, and one index serves both the applicability test and the drawn
+    operator.
     """
     if index is None:
-        catalog = default_catalog()
-        index = noise.SiteIndex(lex(formula, catalog), catalog)
+        index = noise.SiteIndex(lex(formula))
     ops = noise.applicable_operators(formula, index=index)
     op_id = rng.choice(ops) if ops else 15  # add-operator-at-end always applies
     corrupted = noise.apply_noise_operator(formula, op_id, rng, index=index)
@@ -350,6 +347,8 @@ def generate_pretrain(records: Iterable[FormulaRecord], config: ObjectiveConfig,
     config.validate()
     skips = Counter() if skips is None else skips
     tasks = zip(records, count(), repeat(config))
+    if workers > 1:
+        from multiprocessing import Pool  # only a pool run pays for the import
     with (Pool(workers) if workers > 1 else contextlib.nullcontext()) as pool:
         examples = (pool.imap(_example_for_task, tasks, chunksize=256) if pool
                     else map(_example_for_task, tasks))

@@ -47,12 +47,12 @@ their sum's byte counts, 0..16, so nothing carries. A lane of L bytes sums
 its deltas to 8 * L + d - lq for distance d. Lanes of one size form a
 region of contiguous bytes, and a region is summed the first time the
 ranking reads one of its lanes (`_region_sums`), from its bytes sliced out
-of the delta int: a region of 1-byte lanes is its delta bytes as they are;
-lanes of L <= 15 bytes are summed by one multiplication with
-1 + 256 + ... + 256**(L-1) (the lane's sum lands in its top byte, at most
-16 * L <= 240, so nothing carries); longer lanes by `sum`. A region's sums
-are one str, a character per lane, so that `str.count` and `str.find`
-search a run of lanes for one sum whatever the lanes' size.
+of the delta int: lanes of L <= 15 bytes are summed by one multiplication
+with 1 + 256 + ... + 256**(L-1), which is 1 for 1-byte lanes (the lane's
+sum lands in its top byte, at most 16 * L <= 240, so nothing carries);
+longer lanes by `sum`. A region's sums are one str, a character per lane,
+so that `str.count` and `str.find` search a run of lanes for one sum
+whatever the lanes' size.
 
 Ranking. No float is built per lane. Lanes are ordered by length, so the
 lanes of one length m form a run, and within a run the similarity
@@ -288,8 +288,6 @@ class PackedCorpus:
         one character per lane in lane order."""
         size, first, end, _, mask = self._regions[region]
         part = (deltas >> 8 * first) & mask
-        if size == 1:
-            return part.to_bytes(end - first, "little").decode("latin-1")
         if size <= _SUMMED_BY_PRODUCT:
             product = part * _byte_ones(size)
             return product.to_bytes(end - first + size, "little")[

@@ -930,12 +930,11 @@ class TestViewsReference:
         # tail are easiest to confuse.
         pieces = ['"', "'", '""', "''", "a", "B", "1", "!", "(", ")"]
         rng = random.Random(25)
-        catalog = default_catalog()
         for _ in range(3000):
             formula = "=" + "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
             _assert_views_match_reference(formula)
             tokens = lex(formula)
-            sites = noise.SiteIndex(tokens, catalog)
+            sites = noise.SiteIndex(tokens)
             assert noise.OPERATORS[12].sites(sites) == [
                 i for i, t in enumerate(tokens)
                 if t.kind is K.STRING_LIT and _ref_closed(t.text, '"')], formula

@@ -204,7 +204,7 @@ def test_table_entry_agrees_with_is_applicable():
     for formula in formulas:
         tokens = lex(formula, catalog)
         for op_id, op in OPERATORS.items():
-            has_site = bool(list(op.sites(SiteIndex(tokens, catalog))))
+            has_site = bool(list(op.sites(SiteIndex(tokens))))
             assert has_site == is_applicable(formula, op_id), (op_id, formula)
         assert applicable_operators(formula) == [
             op_id for op_id in OPERATORS if is_applicable(formula, op_id)]
@@ -229,7 +229,7 @@ def test_pre_lexed_tokens_give_the_same_output():
     # gives what a fresh lex and index per call gives.
     catalog = default_catalog()
     for formula in synth_corpus(40, seed=51) + _envelope_formulas(random.Random(52))[:5]:
-        index = SiteIndex(lex(formula, catalog), catalog)
+        index = SiteIndex(lex(formula, catalog))
         ops = applicable_operators(formula, index=index)
         assert ops == applicable_operators(formula)
         for op_id in ops:
@@ -333,10 +333,9 @@ def test_range_colons_match_reference():
     formulas = cases + synth_corpus(800, seed=42)
     formulas += [c for f in synth_corpus(300, seed=43) for c in _corruptions(f, rng, 4, ": ")]
     formulas += _envelope_formulas(rng)
-    catalog = default_catalog()
     for formula in formulas:
         tokens = lex(formula)
-        assert OPERATORS[1].sites(SiteIndex(tokens, catalog)) == _ref_range_colons(tokens), \
+        assert OPERATORS[1].sites(SiteIndex(tokens)) == _ref_range_colons(tokens), \
             formula
 
 
@@ -445,12 +444,12 @@ def test_site_index_matches_per_operator_finders():
     catalog = default_catalog()
     for formula in _site_test_formulas():
         tokens = lex(formula, catalog)
-        index = SiteIndex(tokens, catalog)
+        index = SiteIndex(tokens)
         for op_id, op in OPERATORS.items():
             assert list(op.sites(index)) == REF_SITES[op_id](tokens, catalog), (op_id, formula)
             # A fresh index per operator, as apply_noise_operator builds
             # one when it is given none.
-            assert list(op.sites(SiteIndex(tokens, catalog))) == REF_SITES[op_id](tokens, catalog)
+            assert list(op.sites(SiteIndex(tokens))) == REF_SITES[op_id](tokens, catalog)
 
 
 def test_applicable_operators_runs_call_arguments_at_most_once(monkeypatch):
@@ -500,7 +499,7 @@ def test_user_noise_scans_each_formula_once(monkeypatch):
 def _applicable_by_full_listing(formula, catalog):
     """The definition `applicable_operators` keeps: the operators whose site
     finder lists at least one site, every finder listed in full."""
-    index = SiteIndex(lex(formula, catalog), catalog)
+    index = SiteIndex(lex(formula, catalog))
     return [op_id for op_id, op in OPERATORS.items() if list(op.sites(index))]
 
 
@@ -513,7 +512,7 @@ def test_applicable_operators_equals_the_full_listing():
         without_calls += not any(tok.kind is TokenKind.FUNC_NAME for tok in tokens)
         want = _applicable_by_full_listing(formula, catalog)
         assert applicable_operators(formula) == want, formula
-        assert applicable_operators(formula, index=SiteIndex(tokens, catalog)) == want, formula
+        assert applicable_operators(formula, index=SiteIndex(tokens)) == want, formula
     assert without_calls > 100
 
 

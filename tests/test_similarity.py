@@ -471,6 +471,25 @@ class TestReadOut:
         assert [len(table) for table in tables] == [4, 6, 10]
         assert _table(3, 9)[0] is tables[0][0]
 
+    def test_region_sums_are_the_lane_byte_sums(self):
+        # Regions of 1-, 2-, 15-, 16- and 19-byte lanes: up to 15 bytes a
+        # region is summed by one multiplication (by 1 for 1-byte lanes),
+        # past that by `sum`. Each region gives one character per lane, the
+        # sum of that lane's delta bytes, for real columns and for every
+        # byte at its most, 16.
+        corpus = [lane(m, m) for m in (0, 3, 7, 7, 8, 15, 112, 119, 120, 127, 150)]
+        packed = PackedCorpus(corpus)
+        assert [region[0] for region in packed._regions] == [1, 2, 15, 16, 19]
+        queries = ([], lane(5, 1), corpus[5], corpus[7], corpus[-1])
+        all_deltas = [packed._deltas(*packed._columns(query)) for query in queries]
+        all_deltas.append(int.from_bytes(bytes([16]) * packed._nbytes, "little"))
+        for deltas in all_deltas:
+            delta_bytes = deltas.to_bytes(packed._nbytes, "little")
+            for r, (size, first, end, _, _) in enumerate(packed._regions):
+                want = "".join(chr(sum(delta_bytes[b:b + size]))
+                               for b in range(first, end, size))
+                assert packed._region_sums(deltas, r) == want, (size, deltas)
+
 
 class TestRanking:
     """similarities_to_many(query, corpus, k) against a full sort of the DP

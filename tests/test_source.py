@@ -2,7 +2,10 @@
 
 import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import formulakit
@@ -44,6 +47,20 @@ def test_pyproject_version_is_the_package_version():
     assert project, "pyproject.toml has no [project] table"
     versions = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project.group(1), re.M)
     assert versions == [formulakit.__version__]
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # Only `generate_pretrain` with workers > 1 needs a process pool, so
+    # the import costs nothing to the commands that never start one.
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, formulakit.cli; "
+         "print(sorted(name for name in sys.modules if name.startswith('multiprocessing')))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_writes_every_output_through_one_path():
