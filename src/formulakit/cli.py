@@ -5,12 +5,14 @@ dedup a corpus (per-workbook or global), train and apply the tokenizer,
 generate pre-training and fine-tuning datasets, evaluate predictions, and
 run the non-neural baseline. All randomness flows from --seed. Each command
 writes its output through one path: to stdout, or atomically to -o/--output
-with a sibling .manifest.json of the config and the content hashes of that
-file and of every file read (data, model, index, catalog), so any two runs
-can be compared. Each generator counts the inputs it skips in one Counter
-keyed by reason and reports it on stderr. Each command is one row of
-COMMANDS, and `main` builds only the subparser of the command it runs;
-top-level help, --version and an unknown command get every subparser.
+with a sibling .manifest.json, so any two runs can be compared. The
+manifest holds the content hash of that file and of every input file flag
+given (INPUT_FLAGS), the inline values given (FORMULA, --buggy, --prefix)
+and --pretokenize-only by value, and --config by the values it set, beside
+the command's other settings. Each generator counts the inputs it skips
+in one Counter keyed by reason and reports it on stderr. Each command is
+one row of COMMANDS, and `main` builds only the subparser of the command it
+runs; top-level help, --version and an unknown command get every subparser.
 
 Every input file is opened, and every JSON text judged, by `jsonl`, so
 any command meets a malformed input alike. Exit codes: 0 success, 1
@@ -45,6 +47,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+
+# The flags that name input files: a manifest hashes each one given, in this order.
+INPUT_FLAGS = ("input", "benchmark", "predictions", "pairs", "embeddings", "model", "index",
+               "catalog")
+# The inline values and switches a manifest's config records, each only when given.
+INLINE_FLAGS = ("formula", "buggy", "prefix", "pretokenize_only")
 
 
 class UsageError(Exception):
@@ -159,12 +167,9 @@ def _input_formulas(args) -> list[str]:
 
 
 def _load_catalog(args) -> FunctionCatalog:
-    if not getattr(args, "catalog", None):
+    if not args.catalog:
         return default_catalog()
-    try:
-        return FunctionCatalog.from_lines(read_lines(args.catalog), source=args.catalog)
-    except CatalogError as exc:
-        raise DataError(str(exc)) from None  # the message starts `<path>:<line>:`
+    return FunctionCatalog.from_lines(read_lines(args.catalog), source=args.catalog)
 
 
 def _read_records(path: str, skips: Optional[Counter[str]] = None
@@ -178,13 +183,12 @@ def _read_records(path: str, skips: Optional[Counter[str]] = None
               file=sys.stderr)
 
 
-def _emit(args, payload: dict | Iterable[dict], config: dict,
-          inputs: Sequence[Optional[str]] = ()) -> int:
+def _emit(args, payload: dict | Iterable[dict], config: dict) -> int:
     """Write a command's output: a dict as one JSON document, anything else
     as JSONL rows. With --output it goes atomically to that file, with a
-    manifest of `config` and of the given `inputs` (None entries dropped)
-    beside it; without, to stdout. Returns the number of rows, 1 for a
-    document."""
+    manifest beside it of `config` and the INLINE_FLAGS given, and of the
+    hash of every INPUT_FLAGS file given; without, to stdout. Returns the
+    number of rows, 1 for a document."""
     output = args.output
     if isinstance(payload, dict):
         count = 1
@@ -202,7 +206,10 @@ def _emit(args, payload: dict | Iterable[dict], config: dict,
     if output is not None:
         subcommand = (f"baseline-{args.baseline_cmd}" if args.command == "baseline"
                       else args.command)
-        write_manifest(output, subcommand, config, inputs=[p for p in inputs if p])
+        given = vars(args)
+        config = {**config, **{f: given[f] for f in INLINE_FLAGS if given.get(f)}}
+        write_manifest(output, subcommand, config,
+                       inputs=[given[f] for f in INPUT_FLAGS if given.get(f)])
     return count
 
 
@@ -215,12 +222,12 @@ def cmd_lex(args) -> None:
              "tokens": [{"kind": t.kind.value, "text": t.text,
                          "start": t.start, "end": t.end} for t in lex(f, catalog)]}
             for f in _input_formulas(args))
-    _emit(args, rows, {"catalog": args.catalog}, [args.input, args.catalog])
+    _emit(args, rows, {"catalog": args.catalog})
 
 
 def cmd_sketch(args) -> None:
     rows = ({"formula": f, "sketch": sketch(f)} for f in _input_formulas(args))
-    _emit(args, rows, {}, [args.input])
+    _emit(args, rows, {})
 
 
 def cmd_check(args) -> None:
@@ -230,14 +237,13 @@ def cmd_check(args) -> None:
                               "end": d.end, "message": d.message}
                              for d in check(f, catalog)]}
             for f in _input_formulas(args))
-    _emit(args, rows, {"catalog": args.catalog}, [args.input, args.catalog])
+    _emit(args, rows, {"catalog": args.catalog})
 
 
 def cmd_dedup(args) -> None:
     stats = curation.CorpusStats()
     retained = curation.dedup(_read_records(args.input), args.mode, stats)
-    count = _emit(args, (r.to_json() for r in retained),
-                  {"mode": args.mode, "input": args.input}, [args.input])
+    count = _emit(args, (r.to_json() for r in retained), {"mode": args.mode, "input": args.input})
     report = {"mode": args.mode, "retained": count, **stats.to_json()}
     if args.output:
         write_json_atomic(args.output + ".stats.json", report)
@@ -247,19 +253,15 @@ def cmd_dedup(args) -> None:
 
 def cmd_stats(args) -> None:
     stats = curation.stats(_read_records(args.input))
-    _emit(args, stats.to_json(), {"input": args.input}, [args.input])
+    _emit(args, stats.to_json(), {"input": args.input})
 
 
 def cmd_train_tokenizer(args) -> None:
     config = load_config(args.config, None)
     budget = args.budget if args.budget is not None else config.tokenizer_budget
     catalog = _load_catalog(args)
-    try:
-        model = train_bpe(_iter_formula_lines(args.input), budget, catalog)
-    except BudgetTooSmall as exc:
-        raise UsageError(str(exc)) from None
-    _emit(args, model.to_json(), {"budget": budget, "catalog": args.catalog},
-          [args.input, args.catalog])
+    model = train_bpe(_iter_formula_lines(args.input), budget, catalog)
+    _emit(args, model.to_json(), {"budget": budget, "catalog": args.catalog})
     print(f"trained tokenizer: |vocab|={len(model.vocab)} merges={len(model.merges)} "
           f"-> {args.output}", file=sys.stderr)
 
@@ -287,7 +289,7 @@ def cmd_tokenize(args) -> None:
                        "pieces": [model.vocab[i] for i in ids],
                        "decoded": decode(model, ids)}
 
-    _emit(args, rows(), {"model": args.model}, [args.input, args.model])
+    _emit(args, rows(), {"model": args.model})
 
 
 def cmd_gen_pretrain(args) -> None:
@@ -297,8 +299,7 @@ def cmd_gen_pretrain(args) -> None:
                                             config.objectives, skips, args.workers)
     count = _emit(args, (ex.to_json() for ex in examples),
                   {"seed": config.seed, "objectives": asdict(config.objectives),
-                   "workers_independent": True},
-                  [args.input])
+                   "workers_independent": True})
     # Every line read is an example or a skip: emitted + skipped == lines read.
     print(f"generated {count} pretrain examples ({skips.total()} skipped: "
           f"{skips['malformed']} malformed, {skips['no objective']} fit no objective)",
@@ -317,8 +318,7 @@ def cmd_gen_finetune_repair(args) -> None:
     if args.reserve:
         tasks, reserved = evaluation.reserve_split(tasks, min(args.reserve, len(tasks)),
                                                    config.seed)
-    _emit(args, (t.to_json() for t in tasks), {"seed": config.seed, "reserve": args.reserve},
-          [args.input])
+    _emit(args, (t.to_json() for t in tasks), {"seed": config.seed, "reserve": args.reserve})
     if args.reserve_output:
         write_jsonl_atomic(args.reserve_output, (t.to_json() for t in reserved))
     print(f"repair tasks: {len(tasks)} fine-tune, {len(reserved)} reserved "
@@ -346,8 +346,7 @@ def cmd_gen_finetune_complete(args) -> None:
             yield task.to_json()
 
     count = _emit(args, rows(),
-                  {"seed": config.seed, "fractions": list(fractions), "model": args.model},
-                  [args.input, args.model])
+                  {"seed": config.seed, "fractions": list(fractions), "model": args.model})
     print(f"completion tasks: {count} ({skips['under 2 tokens']} skipped: "
           f"under 2 tokens)", file=sys.stderr)
 
@@ -443,8 +442,7 @@ def cmd_eval(args) -> None:
     ks = sorted(set(args.k or (1, 5)))
     payload = evaluation.evaluate(tasks, evaluation.replay_provider(predictions),
                                   metrics=args.metrics, ks=ks).to_json()
-    _emit(args, payload, {"k": ks, "metrics": args.metrics},
-          [args.benchmark, args.predictions])
+    _emit(args, payload, {"k": ks, "metrics": args.metrics})
     for row in payload["results"]:
         print(f"{subcommand} {row['metric']}@{row['k']}: {row['value']:.4f}",
               file=sys.stderr)
@@ -463,14 +461,14 @@ def cmd_eval_retrieval(args) -> None:
         r = evaluation.retrieval_eval(pairs, embeddings)
     except ValueError as exc:
         raise DataError(str(exc), args.pairs)
-    _emit(args, {"pearson_r": r, "num_pairs": len(pairs)}, {}, [args.pairs, args.embeddings])
+    _emit(args, {"pearson_r": r, "num_pairs": len(pairs)}, {})
     print(f"eval-retrieval pearson_r: {r:.6f}", file=sys.stderr)
 
 
 def cmd_baseline(args) -> None:
     if args.baseline_cmd == "build":
         index = baseline_mod.build_index(_iter_formula_lines(args.input))
-        _emit(args, index.to_json(), {}, [args.input])
+        _emit(args, index.to_json(), {})
         print(f"indexed {index.total_formulas} formulas "
               f"({len(index.entries)} sketches) -> {args.output}", file=sys.stderr)
         return
@@ -486,7 +484,7 @@ def cmd_baseline(args) -> None:
         items = [(t.source_id, t.buggy if repair else t.prefix) for t in tasks]
     rank = baseline_mod.repair_candidates if repair else baseline_mod.completion_candidates
     rows = ({"source_id": sid, "candidates": rank(index, q, args.k)} for sid, q in items)
-    _emit(args, rows, {"k": args.k, "index": args.index}, [args.benchmark, args.index])
+    _emit(args, rows, {"k": args.k, "index": args.index})
 
 
 def cmd_synth(args) -> None:
@@ -498,8 +496,9 @@ def cmd_synth(args) -> None:
 
 
 def _io_args(p):
-    p.add_argument("formula", nargs="?", help="one formula given inline")
-    p.add_argument("--input", help="file of formulas: JSONL records or plain lines")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("formula", nargs="?", help="one formula given inline")
+    source.add_argument("--input", help="file of formulas: JSONL records or plain lines")
     p.add_argument("--output", "-o", help="output path (default: stdout)")
 
 
@@ -728,17 +727,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        # Manifests hold paths, and outputs formulas, as UTF-8 text.
-        for dest in ("formula", "input", "output", "model", "index", "catalog", "config",
-                     "benchmark", "predictions", "pairs", "embeddings", "reserve_output"):
-            if not has_utf8(getattr(args, dest, None) or ""):
+        # Manifests hold paths and inline values, and outputs formulas, as UTF-8
+        # text: the first string argument with no UTF-8 form is refused.
+        for dest, value in vars(args).items():
+            if isinstance(value, str) and not has_utf8(value):
                 raise UsageError(f"{dest.upper()} is not UTF-8 text")
         args.fn(args)
         return EXIT_OK
-    except UsageError as exc:
+    except (UsageError, BudgetTooSmall) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, CatalogError) as exc:  # a CatalogError starts `<path>:<line>:`
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BrokenPipeError:

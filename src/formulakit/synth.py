@@ -52,6 +52,7 @@ _WORDS = ["total", "rate", "flag", "Not available", "yes", "no", "n/a", "x",
 _SHEETS = ["Data", "Summary", "Sheet1", "My Sheet", "Q1 Report", "Inputs"]
 # Defined names are chosen so none can be mistaken for fused cell references.
 _NAMES = ["tax_rate", "Total", "basis", "limit_x", "FX.rate"]
+_SHEETS_PER_WORKBOOK = 3
 
 
 def random_cell(rng: random.Random) -> str:
@@ -136,13 +137,12 @@ def random_formula(rng: random.Random, max_depth: int = 3) -> str:
     return "=" + _expr(rng, rng.randint(1, max_depth))
 
 
-def synth_corpus(n: int, seed: int, max_depth: int = 3) -> list[str]:
+def synth_corpus(n: int, seed: int) -> list[str]:
     rng = random.Random(seed)
-    return [random_formula(rng, max_depth) for _ in range(n)]
+    return [random_formula(rng) for _ in range(n)]
 
 
-def synth_records(n: int, seed: int, workbooks: Optional[int] = None,
-                  sheets_per_workbook: int = 3) -> list[FormulaRecord]:
+def synth_records(n: int, seed: int, workbooks: Optional[int] = None) -> list[FormulaRecord]:
     """A corpus with workbook/sheet provenance for dedup and objective runs."""
     rng = random.Random(seed)
     if workbooks is None:
@@ -150,7 +150,7 @@ def synth_records(n: int, seed: int, workbooks: Optional[int] = None,
     records = []
     for i in range(n):
         wb = rng.randrange(workbooks)
-        sheet = rng.randrange(sheets_per_workbook)
+        sheet = rng.randrange(_SHEETS_PER_WORKBOOK)
         records.append(FormulaRecord(
             workbook_id=f"wb{wb:04d}",
             sheet_id=f"s{sheet}",

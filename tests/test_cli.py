@@ -9,12 +9,14 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+import test_cli_golden as golden
 
 from formulakit import __version__
 from formulakit.catalog import default_catalog
 from formulakit.cli import (BASELINE_COMMANDS, COMMANDS, UsageError, build_parser,
                             load_config, main)
 from formulakit.curation import CorpusStats
+from formulakit import jsonl
 from formulakit.jsonl import dumps, write_jsonl_atomic
 from formulakit.similarity import KERNEL_BACKEND
 from formulakit.synth import synth_corpus, synth_records
@@ -465,6 +467,69 @@ class TestBaselineSingleQueries:
         assert manifest["inputs"] == {str(catalog): sha(catalog)}
 
 
+def manifest_of(output):
+    return json.loads(Path(f"{output}.manifest.json").read_text("utf-8"))
+
+
+class TestManifestContents:
+    def test_each_manifest_lists_exactly_the_files_its_command_read(
+            self, tmp_path, monkeypatch, capsys):
+        # every golden command, in order, with the paths it opens recorded
+        monkeypatch.chdir(tmp_path)
+        write_jsonl_atomic("pairs.jsonl", golden.PAIRS)
+        write_jsonl_atomic("embeddings.jsonl", golden.EMBEDDINGS)
+        opened = []
+        open_text = jsonl._open_text
+
+        def recording(path, what):
+            if what != "config":  # --config is recorded by the values it set
+                opened.append(str(path))
+            return open_text(path, what)
+
+        monkeypatch.setattr(jsonl, "_open_text", recording)
+        checked = []
+        for name, argv in golden.COMMANDS.items():
+            opened.clear()
+            assert main(argv) == 0, name
+            if "-o" in argv:
+                inputs = manifest_of(argv[argv.index("-o") + 1])["inputs"]
+                assert sorted(inputs) == sorted(set(opened)), name
+                checked.append(name)
+        capsys.readouterr()
+        assert len(checked) == 19
+
+    def test_two_inline_formulas_give_two_configs(self, tmp_path):
+        out = tmp_path / "lex.jsonl"
+        configs = []
+        for formula in ("=A1", "=B2"):
+            assert main(["lex", formula, "-o", str(out)]) == 0
+            configs.append(manifest_of(out)["config"])
+        assert configs == [{"catalog": None, "formula": "=A1"},
+                           {"catalog": None, "formula": "=B2"}]
+
+    def test_pretokenize_only_is_recorded(self, tmp_path, formulas_file):
+        model, out = tmp_path / "model.json", tmp_path / "tokens.jsonl"
+        assert main(["train-tokenizer", "--input", formulas_file, "--budget", "300",
+                     "-o", str(model)]) == 0
+        configs = []
+        for extra in ([], ["--pretokenize-only"]):
+            assert main(["tokenize", "--input", formulas_file, "--model", str(model),
+                         "-o", str(out), *extra]) == 0
+            configs.append(manifest_of(out)["config"])
+        assert configs == [{"model": str(model)},
+                           {"model": str(model), "pretokenize_only": True}]
+
+    def test_single_queries_are_recorded(self, tmp_path):
+        corpus, index, out = tmp_path / "c.txt", tmp_path / "index.json", tmp_path / "p.jsonl"
+        corpus.write_text("=SUM(A1:A10)\n", encoding="utf-8")
+        assert main(["baseline", "build", "--input", str(corpus), "-o", str(index)]) == 0
+        for command, flag in (("repair", "--buggy"), ("complete", "--prefix")):
+            assert main(["baseline", command, "--index", str(index), flag, "=SUM(",
+                         "-o", str(out)]) == 0
+            assert manifest_of(out)["config"] == {"k": 5, "index": str(index),
+                                                  flag.lstrip("-"): "=SUM("}
+
+
 MALFORMED_INDEXES = {
     "invalid-json": "{broken",
     "not-an-object": "[1, 2]",
@@ -779,6 +844,13 @@ class TestInputErrors:
         ["eval-complete", "--benchmark", "b.jsonl", "--predictions", "\udcff.jsonl"],
         ["eval-retrieval", "--pairs", "\udcff.jsonl", "--embeddings", "e.jsonl"],
         ["eval-retrieval", "--pairs", "p.jsonl", "--embeddings", "\udcff.jsonl"],
+        # single queries, which a manifest records, that are not UTF-8
+        ["baseline", "repair", "--index", "i.json", "--buggy", "=A1\udcff"],
+        ["baseline", "complete", "--index", "i.json", "--prefix", "=A1\udcff"],
+        # an inline FORMULA and --input exclude each other: the file would go
+        # unread but into the manifest
+        ["lex", "=A1", "--input", "c.jsonl", "-o", "out.jsonl"],
+        ["tokenize", "--input", "c.jsonl", "=A1", "--model", "m.json"],
     ])
     def test_bad_flags_are_usage_errors(self, argv, capsys, tmp_path, monkeypatch):
         # every --input exists and is well-formed, so that nothing but the

@@ -1,3 +1,4 @@
+import heapq
 import importlib.util
 import json
 import os
@@ -5,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -507,6 +509,42 @@ class TestEncodeOracle:
                 expected.extend(unk if fresh.id_of(p) is None else fresh.id_of(p)
                                 for p in pieces)
             assert encode(fresh, formula) == expected, formula
+
+
+# Fifteen merges over a, b, c and d, some of whose products merge again.
+SCALING_MODEL = _hand_model([("a", "b"), ("c", "d"), ("a", "a"), ("b", "c"), ("d", "a"),
+                             ("ab", "cd"), ("aa", "b"), ("cd", "a"), ("b", "b"), ("c", "c"),
+                             ("d", "d"), ("ab", "ab"), ("bc", "d"), ("a", "c"), ("da", "b")])
+
+
+class TestEncodeScaling:
+    """The heap pass over a letter run twice as long does under three times
+    the heap operations: counted, not timed, so load cannot fail it."""
+
+    def heap_operations(self, run):
+        counts = Counter()
+
+        def counting(name):
+            operation = getattr(heapq, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return operation(*args)
+            return counted
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("heappop", "heappush"):
+                patch.setattr(heapq, name, counting(name))
+            pieces = _bpe_apply(run, SCALING_MODEL)
+        assert "".join(pieces) == run
+        return counts.total()
+
+    def test_twice_the_letters_under_three_times_the_work(self):
+        rng = random.Random(0)
+        letters = "".join(rng.choice("abcd") for _ in range(8_000))
+        n, twice = self.heap_operations(letters[:4_000]), self.heap_operations(letters)
+        assert n > 0  # the counting wrappers saw the pass
+        assert twice < 3 * n, (n, twice)
 
 
 def scan_split_on_specials(text, specials):
