@@ -15,30 +15,28 @@ one row of COMMANDS, and `main` builds only the subparser of the command it
 runs; top-level help, --version and an unknown command get every subparser.
 
 Every input file is opened, and every JSON text judged, by `jsonl`, so
-any command meets a malformed input alike. Exit codes: 0 success, 1
-usage/config error, 2 data error (with file/line), 3 internal error.
+any command meets a malformed input alike. No input row format is defined
+here (see `evaluation.ROW_FORMATS`, `jsonl.read_formulas`). Exit codes: 0
+success, 1 usage/config error, 2 data error (with file/line), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from . import baseline as baseline_mod
 from . import curation, evaluation, objectives, synth
 from .catalog import CatalogError, FunctionCatalog, default_catalog
-from .jsonl import (DataError, dumps, has_utf8, loads, read_jsonl, read_lines, read_text,
-                    write_json_atomic, write_jsonl_atomic, write_manifest)
+from .jsonl import (DataError, dumps, has_utf8, loads, read_formulas, read_lines, read_rows,
+                    read_text, write_json_atomic, write_jsonl_atomic, write_manifest)
 from .lexer import check, lex, sketch
-from .seeds import seed_prefix
 from .similarity import KERNEL_BACKEND
 from .tokenizer import (DEFAULT_VOCAB_BUDGET, BudgetTooSmall, TokenizerModel,
                         decode, encode, pretokenize, train_bpe)
@@ -51,7 +49,7 @@ EXIT_INTERNAL = 3
 # The flags that name input files: a manifest hashes each one given, in this order.
 INPUT_FLAGS = ("input", "benchmark", "predictions", "pairs", "embeddings", "model", "index",
                "catalog")
-# The inline values and switches a manifest's config records, each only when given.
+# The inline values and switches a manifest's config records, each when not None.
 INLINE_FLAGS = ("formula", "buggy", "prefix", "pretokenize_only")
 
 
@@ -135,34 +133,11 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
     return PipelineConfig(seed, budget, obj_cfg)
 
 
-def _iter_formula_lines(path: str) -> Iterator[str]:
-    """Formulas from a file: JSONL records (uses .formula) or plain lines.
-    A line that starts with `{` is a JSON object row: one that `loads`
-    rejects (a truncated record, say) or that has no string `.formula` is a
-    DataError."""
-    for lineno, line in enumerate(read_lines(path), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.lstrip().startswith("{"):
-            try:
-                obj = loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line starts with `{{` but is not a JSON object: "
-                                f"{exc.msg} at column {exc.colno}", path, lineno) from None
-            formula = obj.get("formula")
-            if not isinstance(formula, str):
-                raise DataError("JSON object row needs a string `formula`", path, lineno)
-            yield formula
-            continue
-        yield line
-
-
 def _input_formulas(args) -> list[str]:
     if getattr(args, "formula", None):
         return [args.formula]
     if getattr(args, "input", None):
-        return list(_iter_formula_lines(args.input))
+        return list(read_formulas(args.input))
     raise UsageError("provide a FORMULA argument or --input FILE")
 
 
@@ -207,7 +182,7 @@ def _emit(args, payload: dict | Iterable[dict], config: dict) -> int:
         subcommand = (f"baseline-{args.baseline_cmd}" if args.command == "baseline"
                       else args.command)
         given = vars(args)
-        config = {**config, **{f: given[f] for f in INLINE_FLAGS if given.get(f)}}
+        config = {**config, **{f: given[f] for f in INLINE_FLAGS if given.get(f) is not None}}
         write_manifest(output, subcommand, config,
                        inputs=[given[f] for f in INPUT_FLAGS if given.get(f)])
     return count
@@ -260,7 +235,7 @@ def cmd_train_tokenizer(args) -> None:
     config = load_config(args.config, None)
     budget = args.budget if args.budget is not None else config.tokenizer_budget
     catalog = _load_catalog(args)
-    model = train_bpe(_iter_formula_lines(args.input), budget, catalog)
+    model = train_bpe(read_formulas(args.input), budget, catalog)
     _emit(args, model.to_json(), {"budget": budget, "catalog": args.catalog})
     print(f"trained tokenizer: |vocab|={len(model.vocab)} merges={len(model.merges)} "
           f"-> {args.output}", file=sys.stderr)
@@ -312,7 +287,7 @@ def cmd_gen_finetune_repair(args) -> None:
         raise UsageError("--reserve N (N >= 1) and --reserve-output FILE go together")
     config = load_config(args.config, args.seed)
     skips: Counter[str] = Counter()
-    tasks = list(evaluation.gen_repair_finetune(_iter_formula_lines(args.input),
+    tasks = list(evaluation.gen_repair_finetune(read_formulas(args.input),
                                                 config.seed, skips))
     reserved: list[evaluation.RepairTask] = []
     if args.reserve:
@@ -323,122 +298,27 @@ def cmd_gen_finetune_repair(args) -> None:
         write_jsonl_atomic(args.reserve_output, (t.to_json() for t in reserved))
     print(f"repair tasks: {len(tasks)} fine-tune, {len(reserved)} reserved "
           f"({skips['malformed']} malformed inputs skipped, "
-          f"{skips['unchanged']} unchanged corruptions discarded)",
-          file=sys.stderr)
+          f"{skips['unchanged']} unchanged corruptions discarded)", file=sys.stderr)
 
 
 def cmd_gen_finetune_complete(args) -> None:
     config = load_config(args.config, args.seed)
     model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
-    fractions = tuple(args.fractions) if args.fractions else (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+    fractions = tuple(args.fractions or evaluation.COMPLETION_FRACTIONS)
     skips: Counter[str] = Counter()
-    record_seed = seed_prefix(config.seed, "complete")
-
-    def rows():
-        for ordinal, formula in enumerate(_iter_formula_lines(args.input)):
-            fraction = random.Random(record_seed(ordinal)).choice(fractions)
-            try:
-                task = evaluation.make_completion_prefix(
-                    formula, fraction, model, source_id=f"complete-{ordinal}")
-            except ValueError:  # the fractions are checked at parse time
-                skips["under 2 tokens"] += 1
-                continue
-            yield task.to_json()
-
-    count = _emit(args, rows(),
+    tasks = evaluation.gen_completion_finetune(read_formulas(args.input), model,
+                                               config.seed, fractions, skips)
+    count = _emit(args, (t.to_json() for t in tasks),
                   {"seed": config.seed, "fractions": list(fractions), "model": args.model})
     print(f"completion tasks: {count} ({skips['under 2 tokens']} skipped: "
           f"under 2 tokens)", file=sys.stderr)
 
 
-def _load_rows(path: str, what: str, build: Callable[[dict, int], object],
-               source_id: Optional[Callable[[Any], str]] = None) -> list:
-    """One build(row, line_number) per row of a strict JSONL file. A row that
-    is not an object, or lacks a field `build` requires or holds it with the
-    wrong type, is a DataError that says `what` a row needs. With
-    `source_id`, a built row whose source_id(row) an earlier row has is a
-    DataError naming both lines."""
-    rows = []
-    lines: dict[str, int] = {}  # source_id -> the line that has it
-    for lineno, obj in read_jsonl(path):
-        if isinstance(obj, dict):
-            try:
-                row = build(obj, lineno)
-            except (KeyError, TypeError, ValueError):
-                pass
-            else:
-                if source_id is not None:
-                    sid = source_id(row)
-                    first = lines.setdefault(sid, lineno)
-                    if first != lineno:
-                        raise DataError(f"source_id {sid!r} repeats line {first}", path, lineno)
-                rows.append(row)
-                continue
-        raise DataError(what, path, lineno)
-    return rows
-
-
-def _field(obj: dict, key: str, kind: type = str):
-    """obj[key], which must be a `kind`; raises KeyError or TypeError."""
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise TypeError(key)
-    return value
-
-
-def _finite(key: str, value: object) -> float:
-    """value, which must be a finite JSON number and not a bool, as a float;
-    raises ValueError."""
-    number = objectives.typed(key, value, float)
-    if not math.isfinite(number):
-        raise ValueError(f"{key}: must be finite, got {value!r}")
-    return number
-
-
-def _repair_task(obj: dict, lineno: int) -> evaluation.RepairTask:
-    return evaluation.RepairTask(
-        buggy=_field(obj, "buggy"), ground_truth=_field(obj, "ground_truth"),
-        source_id=str(obj.get("source_id", f"task-{lineno}")))
-
-
-def _completion_task(obj: dict, lineno: int) -> evaluation.CompletionTask:
-    return evaluation.CompletionTask(
-        formula=_field(obj, "formula"),
-        prefix_fraction=_finite("prefix_fraction", obj.get("prefix_fraction", 0)),
-        prefix=_field(obj, "prefix"), source_id=str(obj.get("source_id", f"task-{lineno}")))
-
-
-# Per task: what a benchmark row must hold, and how it becomes a task.
-_BENCHMARKS = {
-    "repair": ("repair task needs string `buggy` and `ground_truth`", _repair_task),
-    "complete": ("completion task needs string `formula` and `prefix`, and a finite "
-                 "number `prefix_fraction` if any", _completion_task),
-}
-
-
-def _vector(obj: dict) -> list[float]:
-    """obj["vector"]: finite numbers whose squares sum to a finite number,
-    so that every cosine similarity with it is finite; raises ValueError."""
-    vector = [_finite("vector", x) for x in _field(obj, "vector", list)]
-    _finite("vector", sum(x * x for x in vector))
-    return vector
-
-
-def _prediction(obj: dict, lineno: int) -> tuple[str, list[str]]:
-    candidates = _field(obj, "candidates", list)
-    if not all(isinstance(c, str) for c in candidates):
-        raise TypeError("candidates")
-    return _field(obj, "source_id"), candidates
-
-
 def cmd_eval(args) -> None:
     """eval-repair and eval-complete: score replayed predictions."""
     subcommand = args.command
-    tasks = _load_rows(args.benchmark, *_BENCHMARKS[subcommand.removeprefix("eval-")],
-                       source_id=attrgetter("source_id"))
-    predictions = dict(_load_rows(
-        args.predictions, "prediction rows need string `source_id` and string list `candidates`",
-        _prediction, source_id=itemgetter(0)))
+    tasks = read_rows(args.benchmark, *evaluation.ROW_FORMATS[subcommand.removeprefix("eval-")])
+    predictions = dict(read_rows(args.predictions, *evaluation.ROW_FORMATS["predictions"]))
     ks = sorted(set(args.k or (1, 5)))
     payload = evaluation.evaluate(tasks, evaluation.replay_provider(predictions),
                                   metrics=args.metrics, ks=ks).to_json()
@@ -449,14 +329,8 @@ def cmd_eval(args) -> None:
 
 
 def cmd_eval_retrieval(args) -> None:
-    pairs = _load_rows(
-        args.pairs, "retrieval pair needs string formula_a/formula_b and finite target_similarity",
-        lambda obj, _: evaluation.RetrievalPair(
-            formula_a=_field(obj, "formula_a"), formula_b=_field(obj, "formula_b"),
-            target_similarity=_finite("target_similarity", obj["target_similarity"])))
-    embeddings = dict(_load_rows(
-        args.embeddings, "embedding rows need string `formula` and a finite list `vector`",
-        lambda obj, _: (_field(obj, "formula"), _vector(obj))))
+    pairs = read_rows(args.pairs, *evaluation.ROW_FORMATS["pairs"])
+    embeddings = dict(read_rows(args.embeddings, *evaluation.ROW_FORMATS["embeddings"]))
     try:
         r = evaluation.retrieval_eval(pairs, embeddings)
     except ValueError as exc:
@@ -467,7 +341,7 @@ def cmd_eval_retrieval(args) -> None:
 
 def cmd_baseline(args) -> None:
     if args.baseline_cmd == "build":
-        index = baseline_mod.build_index(_iter_formula_lines(args.input))
+        index = baseline_mod.build_index(read_formulas(args.input))
         _emit(args, index.to_json(), {})
         print(f"indexed {index.total_formulas} formulas "
               f"({len(index.entries)} sketches) -> {args.output}", file=sys.stderr)
@@ -479,8 +353,7 @@ def cmd_baseline(args) -> None:
     if query is not None:
         items = [("query-0", query)]
     else:
-        tasks = _load_rows(args.benchmark, *_BENCHMARKS[args.baseline_cmd],
-                           source_id=attrgetter("source_id"))
+        tasks = read_rows(args.benchmark, *evaluation.ROW_FORMATS[args.baseline_cmd])
         items = [(t.source_id, t.buggy if repair else t.prefix) for t in tasks]
     rank = baseline_mod.repair_candidates if repair else baseline_mod.completion_candidates
     rows = ({"source_id": sid, "candidates": rank(index, q, args.k)} for sid, q in items)
@@ -507,15 +380,14 @@ def _lex_args(p):
     p.add_argument("--catalog", help="function catalog CSV (name,min,max per line)")
 
 
-def _dedup_args(p):
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", "-o")
-    p.add_argument("--mode", choices=list(curation.DEDUP_MODES), default="per-workbook")
-
-
 def _stats_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--output", "-o")
+
+
+def _dedup_args(p):
+    _stats_args(p)
+    p.add_argument("--mode", choices=list(curation.DEDUP_MODES), default="per-workbook")
 
 
 def _train_tokenizer_args(p):
@@ -530,7 +402,7 @@ def _train_tokenizer_args(p):
 def _tokenize_args(p):
     _io_args(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--pretokenize-only", action="store_true",
+    p.add_argument("--pretokenize-only", action="store_true", default=None,
                    help="emit pretokens instead of ids")
 
 
@@ -732,6 +604,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for dest, value in vars(args).items():
             if isinstance(value, str) and not has_utf8(value):
                 raise UsageError(f"{dest.upper()} is not UTF-8 text")
+        # No output may resolve to a given input file, to --config or to the other output.
+        given, seen = vars(args), {}
+        for dest in (*INPUT_FLAGS, "config", "output", "reserve_output"):
+            if given.get(dest):
+                first = seen.setdefault(os.path.realpath(given[dest]), dest)
+                if first != dest and dest.endswith("output"):
+                    raise UsageError(f"{dest.upper()} and {first.upper()} name the same file")
         args.fn(args)
         return EXIT_OK
     except (UsageError, BudgetTooSmall) as exc:

@@ -22,15 +22,18 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .curation import dedup_key
 from .lexer import TokenKind, check, fold, lex, normalize
 from .noise import SiteIndex
-from .objectives import user_noise
+from .objectives import typed, user_noise
 from .seeds import derive_rng, seed_prefix
 from .similarity import formula_token_ids, similarity_ids
 from .tokenizer import TokenizerModel, decode, encode
+
+COMPLETION_FRACTIONS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)  # gen_completion_finetune's default
 
 
 class RepairTask(NamedTuple):
@@ -62,6 +65,69 @@ class RetrievalPair(NamedTuple):
     def to_json(self) -> dict:
         return {"formula_a": self.formula_a, "formula_b": self.formula_b,
                 "target_similarity": self.target_similarity}
+
+
+def _field(obj: dict, key: str, kind: type = str):
+    """obj[key], which must be a `kind`; raises KeyError or TypeError."""
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise TypeError(key)
+    return value
+
+
+def _finite(key: str, value: object) -> float:
+    """value, a finite JSON number and not a bool, as a float; raises ValueError."""
+    number = typed(key, value, float)
+    if not math.isfinite(number):
+        raise ValueError(f"{key}: must be finite, got {value!r}")
+    return number
+
+
+def _repair_task(obj: dict, lineno: int) -> RepairTask:
+    return RepairTask(buggy=_field(obj, "buggy"), ground_truth=_field(obj, "ground_truth"),
+                      source_id=str(obj.get("source_id", f"task-{lineno}")))
+
+
+def _completion_task(obj: dict, lineno: int) -> CompletionTask:
+    return CompletionTask(
+        _field(obj, "formula"), _finite("prefix_fraction", obj.get("prefix_fraction", 0)),
+        _field(obj, "prefix"), str(obj.get("source_id", f"task-{lineno}")))
+
+
+def _prediction(obj: dict, lineno: int) -> tuple[str, list[str]]:
+    candidates = _field(obj, "candidates", list)
+    if not all(isinstance(c, str) for c in candidates):
+        raise TypeError("candidates")
+    return _field(obj, "source_id"), candidates
+
+
+def _retrieval_pair(obj: dict, lineno: int) -> RetrievalPair:
+    return RetrievalPair(formula_a=_field(obj, "formula_a"), formula_b=_field(obj, "formula_b"),
+                         target_similarity=_finite("target_similarity", obj["target_similarity"]))
+
+
+def _embedding(obj: dict, lineno: int) -> tuple[str, list[float]]:
+    """(formula, vector), finite numbers whose squares' sum is finite, so no cosine is NaN."""
+    vector = [_finite("vector", x) for x in _field(obj, "vector", list)]
+    _finite("vector", sum(x * x for x in vector))
+    return _field(obj, "formula"), vector
+
+
+# Per strict JSONL input, the arguments of `jsonl.read_rows` after the path:
+# what a row must hold, the builder of a row from (object, line number), and
+# the source id no two rows may share (None for rows that have none).
+ROW_FORMATS: dict[str, tuple] = {
+    "repair": ("repair task needs string `buggy` and `ground_truth`", _repair_task,
+               attrgetter("source_id")),
+    "complete": ("completion task needs string `formula` and `prefix`, and a finite "
+                 "number `prefix_fraction` if any", _completion_task, attrgetter("source_id")),
+    "predictions": ("prediction rows need string `source_id` and string list `candidates`",
+                    _prediction, itemgetter(0)),
+    "pairs": ("retrieval pair needs string formula_a/formula_b and finite target_similarity",
+              _retrieval_pair, None),
+    "embeddings": ("embedding rows need string `formula` and a finite list `vector`",
+                   _embedding, None),
+}
 
 
 # Each metric's comparison key: a candidate matches when its key equals the
@@ -171,6 +237,27 @@ def gen_repair_finetune(formulas: Iterable[str], seed: int,
             continue
         yield RepairTask(buggy=example.input, ground_truth=formula,
                          source_id=f"repair-{ordinal}")
+
+
+def gen_completion_finetune(formulas: Iterable[str], model: TokenizerModel, seed: int,
+                            fractions: Sequence[float] = COMPLETION_FRACTIONS,
+                            skips: Optional[Counter[str]] = None) -> Iterator[CompletionTask]:
+    """Cut each formula at a fraction drawn under (seed, "complete", ordinal)
+    into a completion task. A formula of under 2 tokens is skipped and counted
+    (skips["under 2 tokens"]); no fraction, or one outside (0, 1), is a ValueError."""
+    if not fractions or not all(0 < fraction < 1 for fraction in fractions):
+        raise ValueError(f"fractions must be in (0, 1), at least one, got {list(fractions)}")
+    skips = Counter() if skips is None else skips
+    record_seed = seed_prefix(seed, "complete")
+    for ordinal, formula in enumerate(formulas):
+        fraction = random.Random(record_seed(ordinal)).choice(fractions)
+        try:
+            task = make_completion_prefix(formula, fraction, model,
+                                          source_id=f"complete-{ordinal}")
+        except ValueError:  # the fractions are checked above
+            skips["under 2 tokens"] += 1
+        else:
+            yield task
 
 
 def reserve_split(items: Sequence, n: int, seed: int) -> tuple[list, list]:
@@ -308,8 +395,7 @@ def evaluate(tasks: Sequence, candidate_provider: Callable[[object], Sequence[st
     failures = 0
     for task in tasks:
         truth = task.ground_truth if isinstance(task, RepairTask) else task.formula
-        source_id = getattr(task, "source_id", "")
-        row: dict = {"source_id": source_id}
+        row: dict = {"source_id": getattr(task, "source_id", "")}
         try:
             candidates = list(candidate_provider(task))
         except Exception as exc:  # provider bugs score as misses

@@ -22,7 +22,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, TextIO, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
 
 PathLike = Union[str, Path]
 
@@ -131,6 +131,53 @@ def read_jsonl(path: PathLike) -> Iterator[tuple[int, Any]]:
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON ({exc.msg})", str(path), lineno) from None
         yield lineno, obj
+
+
+def read_formulas(path: PathLike) -> Iterator[str]:
+    """Formulas from a file: JSONL records (uses .formula) or plain lines.
+    A line that starts with `{` is a JSON object row: one that `loads`
+    rejects (a truncated record, say) or that has no string `.formula` is a
+    DataError."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.lstrip().startswith("{"):
+            try:
+                obj = loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"line starts with `{{` but is not a JSON object: "
+                                f"{exc.msg} at column {exc.colno}", str(path), lineno) from None
+            formula = obj.get("formula")
+            if not isinstance(formula, str):
+                raise DataError("JSON object row needs a string `formula`", str(path), lineno)
+            yield formula
+            continue
+        yield line
+
+
+def read_rows(path: PathLike, what: str, build: Callable[[dict, int], Any],
+              source_id: Optional[Callable[[Any], str]] = None) -> list:
+    """One build(row, line_number) per row of a strict JSONL file. A row that
+    is not an object, or that `build` rejects (KeyError, TypeError, ValueError),
+    is a DataError saying `what` a row needs; with `source_id`, so is a row
+    whose source_id(row) an earlier row has, naming both lines."""
+    rows = []
+    lines: dict[str, int] = {}  # source_id -> the line that has it
+    for lineno, obj in read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise DataError(what, str(path), lineno)
+        try:
+            row = build(obj, lineno)
+        except (KeyError, TypeError, ValueError):
+            raise DataError(what, str(path), lineno) from None
+        if source_id is not None:
+            sid = source_id(row)
+            first = lines.setdefault(sid, lineno)
+            if first != lineno:
+                raise DataError(f"source_id {sid!r} repeats line {first}", str(path), lineno)
+        rows.append(row)
+    return rows
 
 
 @contextmanager

@@ -302,14 +302,11 @@ def check(formula: str, catalog: Optional[FunctionCatalog] = None,
     for k in brackets.unclosed:
         tok = tokens[k]
         append(Diagnostic(unbalanced, tok.start, tok.end, "unclosed parenthesis"))
-    # Arity of known functions; a call that never closes has no entry.
+    # Arity of each call (`lex` takes every FuncName from the catalog); an unclosed call has none.
     for idx, args in brackets.calls.items():
         tok = tokens[idx]
-        limits = catalog.get(tok.text)
-        if limits is None:
-            continue
         argc = len(args)
-        lo, hi = limits
+        lo, hi = catalog.get(tok.text)
         if argc < lo or (hi is not None and argc > hi):
             bound = "unbounded" if hi is None else str(hi)
             append(Diagnostic(

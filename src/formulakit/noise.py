@@ -12,7 +12,7 @@ sites of every operator in one pass over the tokens, and the call sites of
 the arity and swap operators in one `match_brackets` pass, each on first
 use; a formula with no FuncName token has no call, so it skips that pass.
 Operators 14-17 act anywhere in the text, so their one site is the whole
-formula and they read neither. `is_applicable`, `applicable_operators` and
+formula and they read neither. `applicable_operators` and
 `apply_noise_operator` are lookups in that table. Applicability reads only
 an operator's first site: the arity and swap finders are generators, so
 deciding that they apply stops at the first eligible call. The drawn
@@ -203,10 +203,7 @@ def _fixed_arity_calls(index: SiteIndex) -> Iterator[tuple]:
     token order."""
     tokens, catalog = index.tokens, default_catalog()
     for func_idx, args in index.calls().items():
-        limits = catalog.get(tokens[func_idx].text)
-        if limits is None:
-            continue
-        lo, hi = limits
+        lo, hi = catalog.get(tokens[func_idx].text)
         if hi is None:
             continue  # only fixed-arity functions
         actions = []
@@ -464,11 +461,6 @@ OPERATORS: dict[int, NoiseOperator] = {op.op_id: op for op in [
 
 
 _NO_SITE = object()
-
-
-def is_applicable(formula: str, op_id: int) -> bool:
-    sites = OPERATORS[op_id].sites(SiteIndex(lex(formula)))
-    return next(iter(sites), _NO_SITE) is not _NO_SITE
 
 
 def applicable_operators(formula: str, index: Optional[SiteIndex] = None) -> list[int]:

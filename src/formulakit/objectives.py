@@ -274,7 +274,7 @@ def user_noise(formula: str, rng: random.Random,
     if index is None:
         index = noise.SiteIndex(lex(formula))
     ops = noise.applicable_operators(formula, index=index)
-    op_id = rng.choice(ops) if ops else 15  # add-operator-at-end always applies
+    op_id = rng.choice(ops)  # never empty: operators 14-17 apply to every formula
     corrupted = noise.apply_noise_operator(formula, op_id, rng, index=index)
     return PretrainExample(
         input=corrupted,

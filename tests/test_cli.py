@@ -529,6 +529,81 @@ class TestManifestContents:
             assert manifest_of(out)["config"] == {"k": 5, "index": str(index),
                                                   flag.lstrip("-"): "=SUM("}
 
+    def test_empty_single_queries_are_recorded(self, tmp_path):
+        # An empty query is a query: the manifest records it by value.
+        corpus, index, out = tmp_path / "c.txt", tmp_path / "index.json", tmp_path / "p.jsonl"
+        corpus.write_text("=SUM(A1:A10)\n", encoding="utf-8")
+        assert main(["baseline", "build", "--input", str(corpus), "-o", str(index)]) == 0
+        for command, flag in (("repair", "--buggy"), ("complete", "--prefix")):
+            assert main(["baseline", command, "--index", str(index), flag, "",
+                         "-o", str(out)]) == 0
+            assert manifest_of(out)["config"] == {"k": 5, "index": str(index),
+                                                  flag.lstrip("-"): ""}
+
+
+class TestOutputCollisions:
+    """An output that resolves to an input file, to --config or to the other
+    output is refused before anything is read or written."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, corpus_file):
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": 3}', encoding="utf-8")
+        return {"corpus": corpus_file, "config": str(config)}
+
+    def _refused(self, argv, untouched, capsys, message):
+        before = {path: Path(path).read_bytes() for path in untouched}
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert {path: Path(path).read_bytes() for path in untouched} == before
+        assert not list(Path(untouched[0]).parent.glob("*.manifest.json"))
+
+    def test_dedup_output_naming_its_input(self, files, capsys):
+        corpus = files["corpus"]
+        self._refused(["dedup", "--input", corpus, "-o", corpus], [corpus], capsys,
+                      "OUTPUT and INPUT name the same file")
+
+    def test_output_naming_an_input_by_another_path(self, files, capsys, tmp_path):
+        corpus = files["corpus"]
+        (tmp_path / "sub").mkdir()
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(corpus)
+        for output in (str(tmp_path / "sub" / ".." / "corpus.jsonl"), str(link)):
+            self._refused(["gen-pretrain", "--input", corpus, "-o", output], [corpus],
+                          capsys, "OUTPUT and INPUT name the same file")
+
+    def test_output_naming_the_config(self, files, capsys):
+        corpus, config = files["corpus"], files["config"]
+        self._refused(["gen-pretrain", "--input", corpus, "--config", config, "-o", config],
+                      [corpus, config], capsys, "OUTPUT and CONFIG name the same file")
+
+    def test_reserve_output_naming_the_output(self, files, capsys, tmp_path):
+        corpus, out = files["corpus"], str(tmp_path / "x.jsonl")
+        self._refused(["gen-finetune-repair", "--input", corpus, "--reserve", "5",
+                       "--reserve-output", out, "-o", out], [corpus], capsys,
+                      "RESERVE_OUTPUT and OUTPUT name the same file")
+        assert not Path(out).exists()
+
+    def test_reserve_output_naming_the_input(self, files, capsys, tmp_path):
+        corpus = files["corpus"]
+        self._refused(["gen-finetune-repair", "--input", corpus, "--reserve", "5",
+                       "--reserve-output", corpus, "-o", str(tmp_path / "r.jsonl")],
+                      [corpus], capsys, "RESERVE_OUTPUT and INPUT name the same file")
+
+    def test_output_naming_a_strict_input(self, tmp_path, capsys):
+        bench, preds = tmp_path / "bench.jsonl", tmp_path / "preds.jsonl"
+        write_jsonl_atomic(bench, [{"buggy": "=A1+", "ground_truth": "=A1", "source_id": "r"}])
+        write_jsonl_atomic(preds, [{"source_id": "r", "candidates": ["=A1"]}])
+        self._refused(["eval-repair", "--benchmark", str(bench), "--predictions", str(preds),
+                       "-o", str(preds)], [str(bench), str(preds)], capsys,
+                      "OUTPUT and PREDICTIONS name the same file")
+
+    def test_an_output_beside_its_input_runs(self, files, tmp_path):
+        corpus, out = files["corpus"], tmp_path / "dedup.jsonl"
+        assert main(["dedup", "--input", corpus, "-o", str(out)]) == 0
+        assert out.exists() and Path(f"{out}.manifest.json").exists()
+
 
 MALFORMED_INDEXES = {
     "invalid-json": "{broken",

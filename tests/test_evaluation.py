@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formulakit import evaluation, lexer, noise
+from formulakit.cli import main
 from formulakit.curation import dedup_key
+from formulakit.jsonl import dumps, write_json_atomic
 from formulakit.evaluation import (CompletionTask, RepairTask, RetrievalPair,
                                    build_retrieval_pairs, cosine_similarity,
                                    evaluate, exact_match_at_k,
-                                   gen_repair_finetune, make_completion_prefix,
+                                   gen_completion_finetune, gen_repair_finetune,
+                                   make_completion_prefix,
                                    mask_constants, reserve_split,
                                    retrieval_eval, sketch_match_at_k)
 from formulakit.lexer import check, fold, normalize
@@ -103,6 +106,32 @@ class TestCompletionPrefix:
     def test_short_formula_rejected(self, model):
         with pytest.raises(ValueError, match="at least 2"):
             make_completion_prefix("a", 0.5, model)
+
+
+class TestCompletionSynthesis:
+    def test_rows_equal_the_cli_output(self, model, tmp_path):
+        formulas = synth_corpus(150, seed=82)
+        model_path, corpus, out = (tmp_path / "model.json", tmp_path / "corpus.txt",
+                                   tmp_path / "complete.jsonl")
+        write_json_atomic(model_path, model.to_json())
+        corpus.write_text("\n".join(formulas) + "\n", encoding="utf-8")
+        assert main(["gen-finetune-complete", "--input", str(corpus), "--model",
+                     str(model_path), "--seed", "9", "-o", str(out)]) == 0
+        rows = [t.to_json() for t in gen_completion_finetune(formulas, model, 9)]
+        assert rows and out.read_text("utf-8") == "".join(dumps(r) + "\n" for r in rows)
+
+    def test_formula_under_two_tokens_counts_one_skip(self, model):
+        skips = Counter()
+        tasks = list(gen_completion_finetune(["=SUM(A1:A2)", "="], model, 0, skips=skips))
+        assert [t.source_id for t in tasks] == ["complete-0"]
+        assert skips == {"under 2 tokens": 1}
+
+    def test_no_fraction_or_one_outside_the_unit_interval_raises_and_counts_no_skip(self, model):
+        skips = Counter()
+        for fractions in ((0.5, 1.5), ()):
+            with pytest.raises(ValueError, match="fractions must be in"):
+                list(gen_completion_finetune(["=SUM(A1:A2)", "="], model, 0, fractions, skips))
+        assert skips == Counter()
 
 
 class TestMaskConstants:

@@ -434,6 +434,38 @@ class TestFunctionCatalog:
         assert [t.kind for t in lex("=MYFN(A1)", cat)][1] is K.FUNC_NAME
         assert [t.kind for t in lex("=SUM(A1)", cat)][1] is K.IDENTIFIER
 
+    # `check`'s arity pass and the noise arity operator look up each call's
+    # FuncName in the catalog its tokens were lexed with, with no branch for
+    # a name that is missing: `lex` must give FuncName only to catalog names.
+    CUSTOM = FunctionCatalog.from_lines(["MYFN,1,1", "LOG10,1,2", "Ä1,0,3"])
+
+    @staticmethod
+    def _assert_func_names_in_catalog(formula, catalog):
+        tokens = lex(formula, catalog)
+        for tok in tokens:
+            if tok.kind is K.FUNC_NAME:
+                assert tok.text in catalog and catalog.get(tok.text) is not None, formula
+        check(formula, catalog, tokens=tokens)
+
+    def test_func_names_are_catalog_names_on_synthetic_and_envelope_formulas(self):
+        rng = random.Random(17)
+        formulas = synth_corpus(400, seed=18) + [
+            f for _ in range(2) for f in _envelope_formulas(rng)]
+        formulas += [f.replace("SUM(", "MyFn(").replace("IF(", "log10 (") for f in formulas]
+        for catalog in (default_catalog(), self.CUSTOM):
+            for formula in formulas:
+                self._assert_func_names_in_catalog(formula, catalog)
+        for formula in formulas:
+            applicable_operators(formula)  # the arity operator's sites, bundled catalog
+
+    @given(st.text(alphabet=st.sampled_from(list("=MYFNLOGSUMIFÄäİ10()!, A'"))
+                   | st.characters(), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    @example("=myfn(A1)+Ä1(1)+log10 (2)+SUM(3)")
+    def test_func_names_are_catalog_names_on_any_text(self, s):
+        for catalog in (default_catalog(), self.CUSTOM):
+            self._assert_func_names_in_catalog(s, catalog)
+
     def test_diagnostic_dataclass(self):
         d = Diagnostic(DiagnosticCode.LEX_ERROR, 0, 1, "msg")
         assert d.code.value == "LexError"

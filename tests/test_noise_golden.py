@@ -20,7 +20,7 @@ from formulakit import noise
 from formulakit.catalog import default_catalog
 from formulakit.lexer import TokenKind, check, lex, match_brackets, quote_closed
 from formulakit.noise import (OPERATORS, NotApplicable, SiteIndex, applicable_operators,
-                              apply_noise_operator, is_applicable)
+                              apply_noise_operator)
 from formulakit.objectives import user_noise
 from formulakit.synth import synth_corpus
 
@@ -170,7 +170,7 @@ def test_applicable_output_always_differs(op_id):
     (13, "=A1+1"),          # no closing paren
 ])
 def test_not_applicable(op_id, formula):
-    assert not is_applicable(formula, op_id)
+    assert op_id not in applicable_operators(formula)
     with pytest.raises(NotApplicable):
         apply_noise_operator(formula, op_id, random.Random(0))
 
@@ -193,21 +193,19 @@ def test_unchanged_output_raises(monkeypatch):
         apply_noise_operator("=A1", 15, random.Random(0))
 
 
-def test_table_entry_agrees_with_is_applicable():
+def test_table_entry_agrees_with_applicable_operators():
     # Each operator's own table entry decides applicability: there is no
     # per-operator branch that could make the two disagree (operator 4's
-    # entry once claimed `=1` while `is_applicable` said no).
+    # entry once claimed `=1` while the applicability lookup said no).
     catalog = default_catalog()
     formulas = (synth_corpus(300, seed=52) + list(FIXTURE_FORMULAS.values())
                 + [f for cases in GOLDENS.values() for f, _, _ in cases]
                 + TestSyntaxBreaking.FIXTURES + ["=1", ""])
     for formula in formulas:
         tokens = lex(formula, catalog)
-        for op_id, op in OPERATORS.items():
-            has_site = bool(list(op.sites(SiteIndex(tokens))))
-            assert has_site == is_applicable(formula, op_id), (op_id, formula)
-        assert applicable_operators(formula) == [
-            op_id for op_id in OPERATORS if is_applicable(formula, op_id)]
+        listed = [op_id for op_id, op in OPERATORS.items()
+                  if list(op.sites(SiteIndex(tokens)))]
+        assert applicable_operators(formula) == listed, formula
 
 
 @pytest.mark.parametrize("op_id", [1, 4, 14])
@@ -219,7 +217,6 @@ def test_edited_table_entry_reaches_every_lookup(monkeypatch, op_id):
     monkeypatch.setitem(noise.OPERATORS, op_id, dataclasses.replace(
         OPERATORS[op_id], sites=lambda index: []))
     assert op_id not in applicable_operators(formula)
-    assert not is_applicable(formula, op_id)
     with pytest.raises(NotApplicable):
         apply_noise_operator(formula, op_id, random.Random(0))
 
@@ -254,7 +251,7 @@ class TestSyntaxBreaking:
 
     def _runs(self, op_id, n=60):
         for formula in self.FIXTURES:
-            if not is_applicable(formula, op_id):
+            if op_id not in applicable_operators(formula):
                 continue
             for seed in range(n):
                 yield formula, apply_noise_operator(formula, op_id, random.Random(seed))
