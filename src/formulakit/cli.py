@@ -34,8 +34,8 @@ from . import __version__
 from . import baseline as baseline_mod
 from . import curation, evaluation, objectives, synth
 from .catalog import CatalogError, FunctionCatalog, default_catalog
-from .jsonl import (DataError, dumps, has_utf8, loads, read_formulas, read_lines, read_rows,
-                    read_text, write_json_atomic, write_jsonl_atomic, write_manifest)
+from .jsonl import (MANIFEST_SUFFIX, DataError, dumps, has_utf8, loads, read_formulas, read_lines,
+                    read_rows, read_text, write_json_atomic, write_jsonl_atomic, write_manifest)
 from .lexer import check, lex, sketch
 from .similarity import KERNEL_BACKEND
 from .tokenizer import (DEFAULT_VOCAB_BUDGET, BudgetTooSmall, TokenizerModel,
@@ -51,6 +51,8 @@ INPUT_FLAGS = ("input", "benchmark", "predictions", "pairs", "embeddings", "mode
                "catalog")
 # The inline values and switches a manifest's config records, each when not None.
 INLINE_FLAGS = ("formula", "buggy", "prefix", "pretokenize_only")
+# What dedup writes beside OUTPUT, as every command writes its manifest there.
+STATS_SUFFIX = ".stats.json"
 
 
 class UsageError(Exception):
@@ -221,7 +223,7 @@ def cmd_dedup(args) -> None:
     count = _emit(args, (r.to_json() for r in retained), {"mode": args.mode, "input": args.input})
     report = {"mode": args.mode, "retained": count, **stats.to_json()}
     if args.output:
-        write_json_atomic(args.output + ".stats.json", report)
+        write_json_atomic(args.output + STATS_SUFFIX, report)
     else:
         print(dumps(report), file=sys.stderr)
 
@@ -604,13 +606,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for dest, value in vars(args).items():
             if isinstance(value, str) and not has_utf8(value):
                 raise UsageError(f"{dest.upper()} is not UTF-8 text")
-        # No output may resolve to a given input file, to --config or to the other output.
+        # No file a command writes (OUTPUT, the side files beside it,
+        # RESERVE_OUTPUT) may resolve to a given input file, to --config or to
+        # another file it writes.
         given, seen = vars(args), {}
-        for dest in (*INPUT_FLAGS, "config", "output", "reserve_output"):
-            if given.get(dest):
-                first = seen.setdefault(os.path.realpath(given[dest]), dest)
-                if first != dest and dest.endswith("output"):
-                    raise UsageError(f"{dest.upper()} and {first.upper()} name the same file")
+        output = given.get("output")
+        files = [(dest.upper(), given[dest], False) for dest in (*INPUT_FLAGS, "config")
+                 if given.get(dest)]
+        if output:
+            sides = [MANIFEST_SUFFIX] + ([STATS_SUFFIX] if args.command == "dedup" else [])
+            files += [("OUTPUT", output, True)] + [(f"OUTPUT{side}", output + side, True)
+                                                   for side in sides]
+        if given.get("reserve_output"):
+            files.append(("RESERVE_OUTPUT", given["reserve_output"], True))
+        for name, path, written in files:
+            first = seen.setdefault(os.path.realpath(path), name)
+            if written and first != name:
+                raise UsageError(f"{name} and {first} name the same file")
         args.fn(args)
         return EXIT_OK
     except (UsageError, BudgetTooSmall) as exc:

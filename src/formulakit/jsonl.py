@@ -25,6 +25,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, Union
 
 PathLike = Union[str, Path]
+# What `write_manifest` appends to an artifact's name.
+MANIFEST_SUFFIX = ".manifest.json"
 
 
 class DataError(Exception):
@@ -257,6 +259,6 @@ def write_manifest(
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "artifacts": {str(artifact): sha256_file(artifact)},
     }
-    out = artifact.with_name(artifact.name + ".manifest.json")
+    out = artifact.with_name(artifact.name + MANIFEST_SUFFIX)
     write_json_atomic(out, manifest)
     return out

@@ -15,13 +15,15 @@ The trainer counts adjacent pairs once, then keeps the counts current as it
 merges, with the bookkeeping of the reference `learn_bpe` (Sennrich et al.
 2016, arXiv:1508.07909): pair -> count, and pair -> the distinct words that
 hold it. A round visits only the words that hold the chosen pair, and in
-each only the merge sites, found greedily from the left: (prev, left) and
-(right, next) go out, (prev, merged) and (merged, next) come in, and two
-adjacent sites share one neighbour pair, (right, left) out and (merged,
-merged) in. The round's net changes are applied once at its end; a pair
-whose count reaches 0 is dropped. The next pair comes off a lazily
-invalidated heap, so a round's Python work follows its merge sites, not
-the corpus or the lengths of its words. The merge rule is unchanged: the
+each only the merge sites, found greedily from the left by `list.index`:
+(prev, left) and (right, next) go out, (prev, merged) and (merged, next)
+come in, and two adjacent sites share one neighbour pair, (right, left)
+out and (merged, merged) in. The round's net changes are applied once at
+its end; a pair whose count reaches 0 is dropped. The next pair comes off
+a lazily invalidated heap of the pairs counted at least twice: only pairs
+that hold the merged token gain count, so a pair counted once goes on in
+the round it reaches 2. A round's Python work follows its merge sites,
+not the corpus or the lengths of its words. The merge rule is unchanged: the
 most frequent pair, ties by the merged string, then by the pair; the
 brute-force recount in the tests is the oracle for it.
 
@@ -37,7 +39,9 @@ vocab are those of a per-occurrence count.
 ranked pair present, all of its occurrences greedily from the left, then
 the next. One heap of (rank, position) over the run, kept as a linked list
 of positions, does this in one pass, so a run costs its merges rather than
-a rescan per merge; the rescan in the tests is the oracle for it. `encode`
+a rescan per merge; the rescan in the tests is the oracle for it. The pairs
+a rank's merges make, read at each merge site's two neighbours, go on the
+heap once that rank's last entry is popped, so no other rank cuts in. `encode`
 maps atomic tokens straight to their ids and memoises on the model the ids
 of each residual token's text and of each letter run, since identifiers,
 strings and sheet names repeat across a corpus far more than they vary.
@@ -54,6 +58,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -293,15 +298,16 @@ def train_bpe(
     words: list[list[str]] = [list(word) for word in word_freq]
     freqs: list[int] = list(word_freq.values())
     counts: dict[tuple[str, str], int] = {}
-    where: dict[tuple[str, str], set[int]] = {}
+    where: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
     for index, word in enumerate(words):
         for pair in zip(word, word[1:]):
             counts[pair] = counts.get(pair, 0) + freqs[index]
-            where.setdefault(pair, set()).add(index)
+            where[pair].add(index)
 
-    # Every live pair has an entry whose count is at least its current one;
-    # an entry whose count is stale is refreshed when it reaches the top.
-    heap = [(-count, pair[0] + pair[1], pair) for pair, count in counts.items()]
+    # Every pair counted at least twice has an entry whose count is at least
+    # its current one; an entry whose count is stale is refreshed, or dropped
+    # below 2, when it reaches the top. A pair goes on again on reaching 2.
+    heap = [(-count, pair[0] + pair[1], pair) for pair, count in counts.items() if count > 1]
     heapq.heapify(heap)
 
     while len(vocab) < budget:
@@ -310,75 +316,67 @@ def train_bpe(
             count = counts.get(best, 0)
             if count == -neg_count:
                 break
-            if count:
+            if count > 1:
                 heapq.heapreplace(heap, (-count, merged, best))
             else:
                 heapq.heappop(heap)
-        if not heap or count < 2:
-            break
+        if not heap:
+            break  # no pair is counted twice
         merges.append(best)
         if merged not in in_vocab:
             vocab.append(merged)
             in_vocab.add(merged)
 
         left, right = best
-        # Net count changes of the round, applied once it ends, and the new
-        # pairs, which all hold the merged token and so are the only ones
-        # that can have gained count.
-        delta: dict[tuple[str, str], int] = {}
-        gained: set[tuple[str, str]] = set()
+        same = int(left == right)  # a site then uses up two occurrences of left
+        delta: dict[tuple[str, str], int] = {}  # net changes, applied once the round ends
         for index in where.pop(best):
             word = words[index]
             last = len(word) - 1
             sites: list[int] = []  # greedy left-to-right merge sites
-            i = 0
-            try:
-                while True:
-                    i = word.index(left, i, last)
-                    if word[i + 1] == right:
-                        sites.append(i)
-                        i += 2
-                    else:
-                        i += 1
-            except ValueError:
-                pass
+            i, unseen = -1, word.count(left)
+            while unseen > 0:
+                i = word.index(left, i + 1)
+                unseen -= 1
+                if i < last and word[i + 1] == right:
+                    sites.append(i)
+                    i += 1
+                    unseen -= same
             if not sites:
                 continue  # stale index: the word no longer holds the pair
             freq = freqs[index]
             delta[best] = delta.get(best, 0) - freq * len(sites)
             # Neighbours are found by position: the text of a neighbour cannot
             # tell a token this round made from an older one that reads the
-            # same. Two adjacent sites share one neighbour pair.
-            swaps: list[tuple[tuple[str, str], tuple[str, str]]] = []  # (out, in)
+            # same. Two adjacent sites share one neighbour pair, (right, left)
+            # out and (merged, merged) in.
             after_prev = -1  # index just past the previous site
             for k, site in enumerate(sites):
-                if site == after_prev:
-                    swaps.append(((right, left), (merged, merged)))
-                elif site:
+                if site:
                     prev = word[site - 1]
-                    swaps.append(((prev, left), (prev, merged)))
+                    old_pair = (prev, left)
+                    new_pair = (merged, merged) if site == after_prev else (prev, merged)
+                    delta[old_pair] = delta.get(old_pair, 0) - freq
+                    delta[new_pair] = delta.get(new_pair, 0) + freq
+                    where[new_pair].add(index)
                 after_prev = site + 2
                 if after_prev <= last and (k + 1 == len(sites) or sites[k + 1] != after_prev):
                     nxt = word[after_prev]
-                    swaps.append(((right, nxt), (merged, nxt)))
-            for old_pair, new_pair in swaps:
-                delta[old_pair] = delta.get(old_pair, 0) - freq
-                delta[new_pair] = delta.get(new_pair, 0) + freq
-                where.setdefault(new_pair, set()).add(index)
-                gained.add(new_pair)
+                    old_pair, new_pair = (right, nxt), (merged, nxt)
+                    delta[old_pair] = delta.get(old_pair, 0) - freq
+                    delta[new_pair] = delta.get(new_pair, 0) + freq
+                    where[new_pair].add(index)
             for site in reversed(sites):
                 word[site:site + 2] = (merged,)
+        # Only pairs that hold the merged token gain count; one that reaches
+        # 2 goes on the heap.
         for pair, change in delta.items():
-            if change:
-                count = counts.get(pair, 0) + change
-                if count:
-                    counts[pair] = count
-                else:
-                    del counts[pair]
-                    where.pop(pair, None)
-        for pair in gained:
-            if pair in counts:
-                heapq.heappush(heap, (-counts[pair], pair[0] + pair[1], pair))
+            count = counts[pair] = counts.get(pair, 0) + change
+            if not count:
+                del counts[pair]
+                where.pop(pair, None)
+            elif change > 0 and count > 1:
+                heapq.heappush(heap, (-count, pair[0] + pair[1], pair))
 
     return TokenizerModel(vocab=vocab, merges=merges, budget=budget, catalog=catalog)
 
@@ -393,40 +391,40 @@ def _bpe_apply(chars: Sequence[str], model: TokenizerModel) -> list[str]:
     before it pushes the pairs those merges made.
     """
     rank, merges = model._merge_rank, model.merges
-    tokens: list[Optional[str]] = list(chars)
-    end = len(tokens)
+    tokens: list[Optional[str]] = [*chars, None]  # None ends the run; tokens[-1] reads it too
+    end = len(tokens) - 1
     heap = [(r, i) for i, r in enumerate(map(rank.get, zip(tokens, tokens[1:])))
             if r is not None]
     heapq.heapify(heap)
     after = list(range(1, end + 1))  # next live position; `end` past the last
-    before = list(range(-1, end - 1))  # previous live position; -1 before the first
+    before = list(range(-1, end))  # previous live position; -1 before the first
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         r = heap[0][0]
         left, right = merges[r]
         merged = left + right
-        changed: set[int] = set()  # positions whose pair to the right changed
+        sites: list[int] = []  # in increasing position
         while heap and heap[0][0] == r:
             i = pop(heap)[1]
-            # absorbed positions hold None, so a stale entry fails here
-            if tokens[i] != left:
-                continue
             j = after[i]
-            if j == end or tokens[j] != right:
+            # absorbed positions hold None, so a stale entry fails here
+            if tokens[i] != left or tokens[j] != right:
                 continue
             tokens[i], tokens[j] = merged, None
-            k = after[i] = after[j]
-            if k < end:
-                before[k] = i
-            changed.add(i)
-            if before[i] >= 0:
-                changed.add(before[i])
-        for i in changed:
-            j = after[i]
-            if j < end:
-                r = rank.get((tokens[i], tokens[j]))  # type: ignore[arg-type]
+            before[after[j]] = i
+            after[i] = after[j]
+            sites.append(i)
+        previous = -1
+        for i in sites:
+            h = before[i]
+            if h != previous:  # -1 has no pair; the previous site pushed this one
+                r = rank.get((tokens[h], merged))  # type: ignore[arg-type]
                 if r is not None:
-                    push(heap, (r, i))
+                    push(heap, (r, h))
+            r = rank.get((merged, tokens[after[i]]))  # type: ignore[arg-type]
+            if r is not None:
+                push(heap, (r, i))
+            previous = i
     return [token for token in tokens if token is not None]
 
 

@@ -542,8 +542,9 @@ class TestManifestContents:
 
 
 class TestOutputCollisions:
-    """An output that resolves to an input file, to --config or to the other
-    output is refused before anything is read or written."""
+    """A file a command writes (the output, its manifest, dedup's stats, the
+    reserve output) that resolves to an input file, to --config or to another
+    file it writes is refused before anything is read or written."""
 
     @pytest.fixture()
     def files(self, tmp_path, corpus_file):
@@ -553,11 +554,12 @@ class TestOutputCollisions:
 
     def _refused(self, argv, untouched, capsys, message):
         before = {path: Path(path).read_bytes() for path in untouched}
+        listing = sorted(Path(untouched[0]).parent.iterdir())
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert {path: Path(path).read_bytes() for path in untouched} == before
-        assert not list(Path(untouched[0]).parent.glob("*.manifest.json"))
+        assert sorted(Path(untouched[0]).parent.iterdir()) == listing
 
     def test_dedup_output_naming_its_input(self, files, capsys):
         corpus = files["corpus"]
@@ -598,6 +600,41 @@ class TestOutputCollisions:
         self._refused(["eval-repair", "--benchmark", str(bench), "--predictions", str(preds),
                        "-o", str(preds)], [str(bench), str(preds)], capsys,
                       "OUTPUT and PREDICTIONS name the same file")
+
+    def _renamed(self, corpus, name):
+        path = Path(corpus).with_name(name)
+        path.write_bytes(Path(corpus).read_bytes())
+        return str(path)
+
+    def test_dedup_input_naming_its_stats(self, files, capsys, tmp_path):
+        corpus = self._renamed(files["corpus"], "c.jsonl.stats.json")
+        self._refused(["dedup", "--input", corpus, "-o", str(tmp_path / "c.jsonl")], [corpus],
+                      capsys, "OUTPUT.stats.json and INPUT name the same file")
+
+    def test_input_naming_the_manifest(self, files, capsys, tmp_path):
+        corpus = self._renamed(files["corpus"], "c2.jsonl.manifest.json")
+        for command in ("gen-finetune-repair", "dedup"):
+            self._refused([command, "--input", corpus, "-o", str(tmp_path / "c2.jsonl")],
+                          [corpus], capsys, "OUTPUT.manifest.json and INPUT name the same file")
+
+    def test_config_naming_the_manifest(self, files, capsys, tmp_path):
+        corpus, config = files["corpus"], self._renamed(files["config"], "g.jsonl.manifest.json")
+        self._refused(["gen-pretrain", "--input", corpus, "--config", config,
+                       "-o", str(tmp_path / "g.jsonl")], [corpus, config], capsys,
+                      "OUTPUT.manifest.json and CONFIG name the same file")
+
+    def test_reserve_output_naming_a_side_file(self, files, capsys, tmp_path):
+        corpus, out = files["corpus"], str(tmp_path / "x.jsonl")
+        self._refused(["gen-finetune-repair", "--input", corpus, "--reserve", "5",
+                       "--reserve-output", f"{out}.manifest.json", "-o", out], [corpus], capsys,
+                      "RESERVE_OUTPUT and OUTPUT.manifest.json name the same file")
+
+    def test_stats_name_is_free_beside_other_commands(self, files, tmp_path):
+        # only dedup writes <output>.stats.json
+        corpus = self._renamed(files["corpus"], "p.jsonl.stats.json")
+        before = Path(corpus).read_bytes()
+        assert main(["gen-pretrain", "--input", corpus, "-o", str(tmp_path / "p.jsonl")]) == 0
+        assert Path(corpus).read_bytes() == before
 
     def test_an_output_beside_its_input_runs(self, files, tmp_path):
         corpus, out = files["corpus"], tmp_path / "dedup.jsonl"

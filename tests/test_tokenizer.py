@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_lexer import _corruptions, _envelope_formulas
 
+from formulakit import tokenizer as tokenizer_module
 from formulakit.catalog import FunctionCatalog, default_catalog
 from formulakit.jsonl import write_json_atomic
 from formulakit.lexer import TokenKind, lex
@@ -342,6 +343,53 @@ class TestTrainBpe:
         corpus = [f'="{run}"' for run in runs]
         assert train_bpe(corpus, budget=budget).merges == oracle_merges(corpus, budget)
 
+    @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=10), min_size=1, max_size=10),
+           st.sampled_from([8, 12, 40]))
+    @settings(max_examples=300, deadline=None)
+    @example(["aabb", "aabb"], 40)  # (a, a), then (b, b), takes a word's last two letters
+    @example(["baaa", "baaa"], 40)  # a site at the second a leaves the last one
+    @example(["aaaa", "aaaa", "aa"], 40)  # the second site takes the last two
+    @example(["aabb", "baaa", "aaaa"], 40)
+    @example(["abc", "xabc", "xab", "bc"], 40)  # (ab, c) reaches 2 from two words
+    def test_oracle_two_letter_runs(self, runs, budget):
+        # a site is sought by `list.index` no more often than its word holds
+        # left, and uses up two occurrences when left == right
+        corpus = [f'="{run}"' for run in runs]
+        assert train_bpe(corpus, budget=budget).merges == oracle_merges(corpus, budget)
+
+    def test_pairs_counted_once_stay_off_the_heap(self, monkeypatch):
+        entries = []  # every entry the trainer puts on its heap
+
+        class RecordingHeapq:
+            heappop = staticmethod(heapq.heappop)
+
+            @staticmethod
+            def heapify(heap):
+                entries.extend(heap)
+                heapq.heapify(heap)
+
+            @staticmethod
+            def heappush(heap, entry):
+                entries.append(entry)
+                heapq.heappush(heap, entry)
+
+            @staticmethod
+            def heapreplace(heap, entry):
+                entries.append(entry)
+                return heapq.heapreplace(heap, entry)
+
+        monkeypatch.setattr(tokenizer_module, "heapq", RecordingHeapq)
+        # "abc" is reachable as (ab, c) and as (a, bc). (a, b) goes first, so
+        # (ab, c) reaches 2 from two words that each hold it once, (b, c)
+        # falls from 3 to 1, and (x, abc) is only ever counted once.
+        corpus = [f'="{run}"' for run in ("abc", "xabc", "xab", "bc")]
+        model = train_bpe(corpus, budget=40)
+        assert model.merges == oracle_merges(corpus, 40) == [("a", "b"), ("ab", "c")]
+        assert all(-count >= 2 for count, _, _ in entries)
+        pushed = {pair for _, _, pair in entries}
+        assert ("ab", "c") in pushed and ("b", "c") in pushed
+        assert ("x", "abc") not in pushed and ("x", "a") in pushed
+
     def test_deterministic_model_bytes(self, tmp_path):
         corpus = synth_corpus(80, seed=6)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -488,6 +536,14 @@ class TestEncodeOracle:
         # both (a, b) merge before the (ab, a) the first one makes is seen
         assert _bpe_apply("abab", LOW_RANK_MODEL) == ["ab", "ab"]
         assert _bpe_apply("aba", LOW_RANK_MODEL) == ["aba"]
+
+    def test_a_rank_pushes_its_pairs_after_its_last_pop(self):
+        # (b, c) makes [a, bc, a, bc] and (a, bc) then makes two "abc". The
+        # first of those makes (abc, a), which outranks (a, bc): pushed before
+        # the second (a, bc) is popped, it would cut in and give ["abca", "bc"].
+        model = _hand_model([("b", "c"), ("a", "b"), ("ab", "c"), ("abc", "a"), ("a", "bc")])
+        assert _bpe_apply("abcabc", model) == oracle_bpe_apply("abcabc", model._merge_rank)
+        assert _bpe_apply("abcabc", model) == ["abc", "abc"]
 
     @pytest.mark.parametrize("name", ["synth", "identifier"])
     def test_matches_rescan_on_corpus_runs(self, name):
