@@ -11,9 +11,9 @@ from .baseline import SketchIndex, build_index, completion_candidates, repair_ca
 from .catalog import FunctionCatalog, default_catalog
 from .curation import CorpusStats, FormulaRecord, dedup, dedup_key, ingest, stats
 from .evaluation import (CompletionTask, EvalReport, RepairTask, RetrievalPair,
-                         build_retrieval_pairs, evaluate, exact_match_at_k,
-                         gen_completion_finetune, gen_repair_finetune, make_completion_prefix,
-                         mask_constants, retrieval_eval, sketch_match_at_k)
+                         build_retrieval_pairs, evaluate, gen_completion_finetune,
+                         gen_repair_finetune, make_completion_prefix, mask_constants,
+                         retrieval_eval)
 from .lexer import Diagnostic, DiagnosticCode, Token, TokenKind, check, lex, normalize, sketch
 from .noise import NotApplicable, OPERATORS, applicable_operators, apply_noise_operator
 from .objectives import (MASK, ObjectiveConfig, PretrainExample, generate_pretrain,
@@ -33,9 +33,9 @@ __all__ = [
     "TokenizerModel", "applicable_operators", "apply_noise_operator",
     "build_index", "build_retrieval_pairs", "check", "completion_candidates",
     "decode", "dedup", "dedup_key", "default_catalog", "encode", "evaluate",
-    "exact_match_at_k", "gen_completion_finetune", "gen_repair_finetune",
+    "gen_completion_finetune", "gen_repair_finetune",
     "generate_pretrain", "ingest", "la_msp", "lex", "make_completion_prefix",
     "mask_constants", "normalize", "pretokenize", "random_noise", "repair_candidates",
-    "retrieval_eval", "sketch", "sketch_match_at_k", "stats", "tail_mask",
+    "retrieval_eval", "sketch", "stats", "tail_mask",
     "token_edit_similarity", "train_bpe", "user_noise",
 ]

@@ -50,6 +50,9 @@ class FunctionCatalog:
     def from_lines(cls, lines: Iterable[str], source: str = "<catalog>") -> "FunctionCatalog":
         entries: dict[str, tuple[int, Optional[int]]] = {}
         for lineno, raw in enumerate(lines, start=1):
+            if lineno == 1 and raw.startswith("\ufeff"):
+                raise CatalogError(f"{source}:1: starts with a UTF-8 BOM; save the file as "
+                                   "UTF-8 without one")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -7,8 +7,9 @@ run the non-neural baseline. All randomness flows from --seed. Each command
 writes its output through one path: to stdout, or atomically to -o/--output
 with a sibling .manifest.json, so any two runs can be compared. The
 manifest holds the content hash of that file and of every input file flag
-given (INPUT_FLAGS), the inline values given (FORMULA, --buggy, --prefix)
-and --pretokenize-only by value, and --config by the values it set, beside
+given (INPUT_FLAGS), the only place an input's path appears; its config
+holds the inline values given (FORMULA, --buggy, --prefix) and
+--pretokenize-only by value, and --config by the values it set, beside
 the command's other settings. Each generator counts the inputs it skips
 in one Counter keyed by reason and reports it on stderr. Each command is
 one row of COMMANDS, and `main` builds only the subparser of the command it
@@ -90,7 +91,6 @@ _fraction.__name__ = "float"
 
 @dataclass
 class PipelineConfig:
-    seed: int
     tokenizer_budget: int
     objectives: objectives.ObjectiveConfig
 
@@ -132,7 +132,7 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
         obj_cfg = objectives.ObjectiveConfig.from_json({**table, "seed": seed})
     except ValueError as exc:
         raise UsageError(f"config field objectives.{exc}") from None
-    return PipelineConfig(seed, budget, obj_cfg)
+    return PipelineConfig(budget, obj_cfg)
 
 
 def _input_formulas(args) -> list[str]:
@@ -199,7 +199,7 @@ def cmd_lex(args) -> None:
              "tokens": [{"kind": t.kind.value, "text": t.text,
                          "start": t.start, "end": t.end} for t in lex(f, catalog)]}
             for f in _input_formulas(args))
-    _emit(args, rows, {"catalog": args.catalog})
+    _emit(args, rows, {})
 
 
 def cmd_sketch(args) -> None:
@@ -214,13 +214,13 @@ def cmd_check(args) -> None:
                               "end": d.end, "message": d.message}
                              for d in check(f, catalog)]}
             for f in _input_formulas(args))
-    _emit(args, rows, {"catalog": args.catalog})
+    _emit(args, rows, {})
 
 
 def cmd_dedup(args) -> None:
     stats = curation.CorpusStats()
     retained = curation.dedup(_read_records(args.input), args.mode, stats)
-    count = _emit(args, (r.to_json() for r in retained), {"mode": args.mode, "input": args.input})
+    count = _emit(args, (r.to_json() for r in retained), {"mode": args.mode})
     report = {"mode": args.mode, "retained": count, **stats.to_json()}
     if args.output:
         write_json_atomic(args.output + STATS_SUFFIX, report)
@@ -230,7 +230,7 @@ def cmd_dedup(args) -> None:
 
 def cmd_stats(args) -> None:
     stats = curation.stats(_read_records(args.input))
-    _emit(args, stats.to_json(), {"input": args.input})
+    _emit(args, stats.to_json(), {})
 
 
 def cmd_train_tokenizer(args) -> None:
@@ -238,7 +238,7 @@ def cmd_train_tokenizer(args) -> None:
     budget = args.budget if args.budget is not None else config.tokenizer_budget
     catalog = _load_catalog(args)
     model = train_bpe(read_formulas(args.input), budget, catalog)
-    _emit(args, model.to_json(), {"budget": budget, "catalog": args.catalog})
+    _emit(args, model.to_json(), {"budget": budget})
     print(f"trained tokenizer: |vocab|={len(model.vocab)} merges={len(model.merges)} "
           f"-> {args.output}", file=sys.stderr)
 
@@ -266,7 +266,7 @@ def cmd_tokenize(args) -> None:
                        "pieces": [model.vocab[i] for i in ids],
                        "decoded": decode(model, ids)}
 
-    _emit(args, rows(), {"model": args.model})
+    _emit(args, rows(), {})
 
 
 def cmd_gen_pretrain(args) -> None:
@@ -275,8 +275,7 @@ def cmd_gen_pretrain(args) -> None:
     examples = objectives.generate_pretrain(_read_records(args.input, skips),
                                             config.objectives, skips, args.workers)
     count = _emit(args, (ex.to_json() for ex in examples),
-                  {"seed": config.seed, "objectives": asdict(config.objectives),
-                   "workers_independent": True})
+                  {"seed": config.objectives.seed, "objectives": asdict(config.objectives)})
     # Every line read is an example or a skip: emitted + skipped == lines read.
     print(f"generated {count} pretrain examples ({skips.total()} skipped: "
           f"{skips['malformed']} malformed, {skips['no objective']} fit no objective)",
@@ -287,15 +286,13 @@ def cmd_gen_finetune_repair(args) -> None:
     # Reserved tasks need a file to go to, and that file needs tasks.
     if bool(args.reserve) != bool(args.reserve_output):
         raise UsageError("--reserve N (N >= 1) and --reserve-output FILE go together")
-    config = load_config(args.config, args.seed)
+    seed = load_config(args.config, args.seed).objectives.seed
     skips: Counter[str] = Counter()
-    tasks = list(evaluation.gen_repair_finetune(read_formulas(args.input),
-                                                config.seed, skips))
+    tasks = list(evaluation.gen_repair_finetune(read_formulas(args.input), seed, skips))
     reserved: list[evaluation.RepairTask] = []
     if args.reserve:
-        tasks, reserved = evaluation.reserve_split(tasks, min(args.reserve, len(tasks)),
-                                                   config.seed)
-    _emit(args, (t.to_json() for t in tasks), {"seed": config.seed, "reserve": args.reserve})
+        tasks, reserved = evaluation.reserve_split(tasks, min(args.reserve, len(tasks)), seed)
+    _emit(args, (t.to_json() for t in tasks), {"seed": seed, "reserve": args.reserve})
     if args.reserve_output:
         write_jsonl_atomic(args.reserve_output, (t.to_json() for t in reserved))
     print(f"repair tasks: {len(tasks)} fine-tune, {len(reserved)} reserved "
@@ -304,14 +301,14 @@ def cmd_gen_finetune_repair(args) -> None:
 
 
 def cmd_gen_finetune_complete(args) -> None:
-    config = load_config(args.config, args.seed)
+    seed = load_config(args.config, args.seed).objectives.seed
     model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
     fractions = tuple(args.fractions or evaluation.COMPLETION_FRACTIONS)
     skips: Counter[str] = Counter()
-    tasks = evaluation.gen_completion_finetune(read_formulas(args.input), model,
-                                               config.seed, fractions, skips)
+    tasks = evaluation.gen_completion_finetune(read_formulas(args.input), model, seed,
+                                               fractions, skips)
     count = _emit(args, (t.to_json() for t in tasks),
-                  {"seed": config.seed, "fractions": list(fractions), "model": args.model})
+                  {"seed": seed, "fractions": list(fractions)})
     print(f"completion tasks: {count} ({skips['under 2 tokens']} skipped: "
           f"under 2 tokens)", file=sys.stderr)
 
@@ -359,7 +356,7 @@ def cmd_baseline(args) -> None:
         items = [(t.source_id, t.buggy if repair else t.prefix) for t in tasks]
     rank = baseline_mod.repair_candidates if repair else baseline_mod.completion_candidates
     rows = ({"source_id": sid, "candidates": rank(index, q, args.k)} for sid, q in items)
-    _emit(args, rows, {"k": args.k, "index": args.index})
+    _emit(args, rows, {"k": args.k})
 
 
 def cmd_synth(args) -> None:

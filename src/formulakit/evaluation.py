@@ -154,20 +154,6 @@ def _match_rank(candidates: Sequence[str], ground_truth: str, key: Callable[[str
     return depth
 
 
-def exact_match_at_k(candidates: Sequence[str], ground_truth: str, k: int) -> bool:
-    """True when a top-k candidate equals the truth after normalization."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _match_rank(candidates, ground_truth, normalize, k) < k
-
-
-def sketch_match_at_k(candidates: Sequence[str], ground_truth: str, k: int) -> bool:
-    """True when a top-k candidate has the truth's dedup key."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _match_rank(candidates, ground_truth, dedup_key, k) < k
-
-
 def make_completion_prefix(formula: str, fraction: float, model: TokenizerModel,
                            source_id: str = "") -> CompletionTask:
     """Cut a prefix at round(fraction * n_tokens) tokenizer tokens.

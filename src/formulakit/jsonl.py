@@ -139,8 +139,12 @@ def read_formulas(path: PathLike) -> Iterator[str]:
     """Formulas from a file: JSONL records (uses .formula) or plain lines.
     A line that starts with `{` is a JSON object row: one that `loads`
     rejects (a truncated record, say) or that has no string `.formula` is a
-    DataError."""
+    DataError, and so is a file that starts with a UTF-8 BOM, which `loads`
+    rejects too."""
     for lineno, line in enumerate(read_lines(path), start=1):
+        if lineno == 1 and line.startswith("\ufeff"):
+            raise DataError("starts with a UTF-8 BOM; save the file as UTF-8 without one",
+                            str(path), lineno)
         line = line.rstrip("\n")
         if not line.strip():
             continue

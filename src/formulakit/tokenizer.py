@@ -45,8 +45,11 @@ heap once that rank's last entry is popped, so no other rank cuts in. `encode`
 maps atomic tokens straight to their ids and memoises on the model the ids
 of each residual token's text and of each letter run, since identifiers,
 strings and sheet names repeat across a corpus far more than they vary.
-Both memos grow with the distinct texts a model encodes. A model encodes
-under the catalog it was trained with, listed in its file unless default.
+Both go in one memo, which grows with the distinct texts a model encodes:
+a letter run encodes exactly as the residual token of the same text, and a
+catalog name is atomic, so it never enters the memo as a run. A model
+encodes under the catalog it was trained with, listed in its file unless
+default.
 
 The special tokens are fixed by the model format, not set per model: `<pad>`,
 `<unk>` and `<mask>` head every vocab and `␣` stands for a space. A model
@@ -155,18 +158,16 @@ class TokenizerModel:
     merges: list[tuple[str, str]]
     budget: int
     catalog: FunctionCatalog = field(default_factory=default_catalog, repr=False)
-    # Derived from vocab and merges, then encode's memos of the ids of each
-    # letter run and of each residual token text; none is part of the value.
+    # Derived from vocab and merges, then encode's memo of the ids of each
+    # residual token text and letter run; none is part of the value.
     _token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _merge_rank: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    _segment_ids: dict[str, list[int]] = field(init=False, repr=False, compare=False)
-    _token_ids: dict[str, list[int]] = field(init=False, repr=False, compare=False)
+    _ids: dict[str, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._token_to_id = {tok: i for i, tok in enumerate(self.vocab)}
         self._merge_rank = {pair: i for i, pair in enumerate(self.merges)}
-        self._segment_ids = {}
-        self._token_ids = {}
+        self._ids = {}
 
     @property
     def unk_id(self) -> int:
@@ -437,7 +438,7 @@ def _residual_ids(model: TokenizerModel, text: str) -> list[int]:
     """The ids of one residual token's text: its atomic characters and
     catalog names from the id table, its letter runs by the heap pass,
     memoised per run on the model."""
-    unk, id_of, memo = model.unk_id, model.id_of, model._segment_ids
+    unk, id_of, memo = model.unk_id, model.id_of, model._ids
     pres: list[PreToken] = []
     _explode(text.lower(), model.catalog, pres)
     ids: list[int] = []
@@ -466,7 +467,7 @@ def encode(model: TokenizerModel, formula: str) -> list[int]:
     their special ids instead of being shredded into characters.
     """
     catalog, unk, id_of = model.catalog, model.unk_id, model._token_to_id.get
-    memo = model._token_ids
+    memo = model._ids
     ids: list[int] = []
     append, extend = ids.append, ids.extend
     for chunk, is_special in _split_on_specials(formula):

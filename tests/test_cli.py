@@ -3,7 +3,6 @@ import json
 import hashlib
 import os
 import stat
-import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -315,7 +314,7 @@ class TestGenPretrainCli:
         with pytest.raises(UsageError, match="^config field dedup_mode: not a config field"):
             load_config(str(config), None)
         config.write_text(json.dumps({"seed": 3}), encoding="utf-8")
-        assert load_config(str(config), None).seed == 3
+        assert load_config(str(config), None).objectives.seed == 3
 
 
 class TestFinetuneAndEvalCli:
@@ -471,6 +470,39 @@ def manifest_of(output):
     return json.loads(Path(f"{output}.manifest.json").read_text("utf-8"))
 
 
+# Run in a child interpreter, in its working directory, with the tests
+# directory as its argument: every golden command in order, then one JSON
+# object of each one's exit code and stream digests.
+GOLDEN_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from formulakit.cli import main
+from formulakit.jsonl import write_jsonl_atomic
+from test_cli_golden import COMMANDS, EMBEDDINGS, PAIRS, digest
+write_jsonl_atomic("pairs.jsonl", PAIRS)
+write_jsonl_atomic("embeddings.jsonl", EMBEDDINGS)
+runs = {}
+for name, argv in COMMANDS.items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs[name] = [code, digest(out.getvalue().encode("utf-8")),
+                  digest(err.getvalue().encode("utf-8"))]
+print(json.dumps({"optimize": sys.flags.optimize, "runs": runs}))
+"""
+
+
+def test_golden_commands_write_the_pinned_bytes_under_python_O(tmp_path, run_python):
+    # -O strips assert statements: no check the commands make may rest on one.
+    proc = run_python("-O", "-c", GOLDEN_CHILD, str(REPO / "tests"), cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["optimize"] == 1
+    assert report["runs"] == {name: [0, *golden.STREAMS[name]] for name in golden.COMMANDS}
+    assert {p.name: golden.digest(p.read_bytes())
+            for p in sorted(tmp_path.iterdir())} == golden.FILES
+
+
 class TestManifestContents:
     def test_each_manifest_lists_exactly_the_files_its_command_read(
             self, tmp_path, monkeypatch, capsys):
@@ -504,8 +536,7 @@ class TestManifestContents:
         for formula in ("=A1", "=B2"):
             assert main(["lex", formula, "-o", str(out)]) == 0
             configs.append(manifest_of(out)["config"])
-        assert configs == [{"catalog": None, "formula": "=A1"},
-                           {"catalog": None, "formula": "=B2"}]
+        assert configs == [{"formula": "=A1"}, {"formula": "=B2"}]
 
     def test_pretokenize_only_is_recorded(self, tmp_path, formulas_file):
         model, out = tmp_path / "model.json", tmp_path / "tokens.jsonl"
@@ -516,8 +547,7 @@ class TestManifestContents:
             assert main(["tokenize", "--input", formulas_file, "--model", str(model),
                          "-o", str(out), *extra]) == 0
             configs.append(manifest_of(out)["config"])
-        assert configs == [{"model": str(model)},
-                           {"model": str(model), "pretokenize_only": True}]
+        assert configs == [{}, {"pretokenize_only": True}]
 
     def test_single_queries_are_recorded(self, tmp_path):
         corpus, index, out = tmp_path / "c.txt", tmp_path / "index.json", tmp_path / "p.jsonl"
@@ -526,8 +556,7 @@ class TestManifestContents:
         for command, flag in (("repair", "--buggy"), ("complete", "--prefix")):
             assert main(["baseline", command, "--index", str(index), flag, "=SUM(",
                          "-o", str(out)]) == 0
-            assert manifest_of(out)["config"] == {"k": 5, "index": str(index),
-                                                  flag.lstrip("-"): "=SUM("}
+            assert manifest_of(out)["config"] == {"k": 5, flag.lstrip("-"): "=SUM("}
 
     def test_empty_single_queries_are_recorded(self, tmp_path):
         # An empty query is a query: the manifest records it by value.
@@ -537,8 +566,7 @@ class TestManifestContents:
         for command, flag in (("repair", "--buggy"), ("complete", "--prefix")):
             assert main(["baseline", command, "--index", str(index), flag, "",
                          "-o", str(out)]) == 0
-            assert manifest_of(out)["config"] == {"k": 5, "index": str(index),
-                                                  flag.lstrip("-"): ""}
+            assert manifest_of(out)["config"] == {"k": 5, flag.lstrip("-"): ""}
 
 
 class TestOutputCollisions:
@@ -793,13 +821,15 @@ ROW_SKIPPING_READERS = {"dedup --input", "gen-pretrain --input"}
 # a field the reader does not use. Strict readers also meet a row that is
 # not an object, a required field that is not a string, and one that holds
 # a lone surrogate escape; formula-line readers meet an object row with no
-# `formula` and a truncated one that does not parse.
+# `formula` and a truncated one that does not parse. Both meet a file that
+# starts with a UTF-8 BOM.
 SECOND_ROW_FAULTS = ("nested-row", "huge-int", "unused-field-surrogate")
 INPUT_CASES = [(reader, fault) for reader, (_, _, field) in sorted(INPUT_READERS.items())
                for fault in ("missing-file", "not-utf8") + SECOND_ROW_FAULTS
                + (("non-object-row", "non-string-field", "lone-surrogate") if field else ())
                + (("object-without-formula", "truncated-object")
-                  if reader in FORMULA_LINE_READERS else ())]
+                  if reader in FORMULA_LINE_READERS else ())
+               + (("bom",) if field or reader in FORMULA_LINE_READERS else ())]
 
 
 # command -> (argv with {out} for the output under test, and where that
@@ -843,6 +873,8 @@ class TestInputErrors:
         elif fault == "truncated-object":
             path.write_text(dumps(INPUT_ROWS[rows][0]) + '\n{"formula": "=SUM(A1:A2)"\n',
                             encoding="utf-8")
+        elif fault == "bom":
+            path.write_text("\ufeff" + dumps(INPUT_ROWS[rows][0]) + "\n", encoding="utf-8")
         elif fault in SECOND_ROW_FAULTS:
             row = INPUT_ROWS[rows][0]
             second = {"nested-row": '{"formula": ' + NESTED + "}",
@@ -860,6 +892,8 @@ class TestInputErrors:
         assert err.startswith(f"data error: {path}"), err
         if fault in ("object-without-formula", "truncated-object") + SECOND_ROW_FAULTS:
             assert err.startswith(f"data error: {path}:2: "), err
+        if fault == "bom":
+            assert err.startswith(f"data error: {path}:1: "), err
 
     @pytest.mark.parametrize("command", sorted(OUTPUT_CASES))
     def test_unwritable_output_is_data_error(self, inputs, capsys, command):
@@ -919,6 +953,26 @@ class TestInputErrors:
         assert main(["lex", "=A1", "--catalog", str(catalog)]) == 2
         assert capsys.readouterr().err == \
             f"data error: {catalog}:1: expected `name,min,max`, got 'SUM,1'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["lex", "=SUM(A1,A2,A3)"],
+        ["check", "=SUM(A1,A2,A3)"],
+        ["train-tokenizer", "--input", "{tmp}/corpus.jsonl", "--budget", "300",
+         "-o", "{tmp}/tok.json"],
+    ])
+    def test_catalog_that_starts_with_a_bom_is_data_error(self, inputs, capsys, argv):
+        catalog = inputs / "bom.csv"
+        catalog.write_text("\ufeffsum,1,2\n", encoding="utf-8")
+        argv = [a.format(tmp=inputs) for a in argv] + ["--catalog", str(catalog)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"data error: {catalog}:1: starts with a UTF-8 "
+                                           "BOM; save the file as UTF-8 without one\n")
+        assert not (inputs / "tok.json").exists()
+        # Without the BOM the first line names SUM, which takes 1..2 arguments.
+        catalog.write_text("sum,1,2\n", encoding="utf-8")
+        assert main(argv) == 0
+        assert ("BadArity" in capsys.readouterr().out) == (argv[0] == "check")
 
     @pytest.mark.parametrize("argv", [
         ["eval-repair", "--benchmark", "b.jsonl", "--predictions", "p.jsonl", "-k", "0"],
@@ -1140,13 +1194,8 @@ class TestParserPerCommand:
             assert all(name in out for name in COMMANDS)
 
 
-def test_cli_benchmark_script_runs():
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "benchmarks" / "bench_cli.py"), "--repeat", "2"],
-        env=env, capture_output=True, text=True, timeout=120)
+def test_cli_benchmark_script_runs(run_python):
+    proc = run_python(str(REPO / "benchmarks" / "bench_cli.py"), "--repeat", "2")
     assert proc.returncode == 0, proc.stderr
     rows = [line[:24].strip() for line in proc.stdout.splitlines()[2:]]
     commands = list(COMMANDS)

@@ -159,38 +159,38 @@ STREAMS = {
 FILES = {
     "check.jsonl": "41e7412876f529cd01b10b7f1e48605b71ec4855ee33159ef3c5aafd339b1816",
     "check.jsonl.manifest.json":
-        "02ab4d79ddfaf99e2d333f39236c2e976082f551d6fca4e40205037717372df1",
+        "4606fe28b5ec2074bee7df0253a6df5949775235f94d5398114c717087402e10",
     "complete-preds.jsonl": "293b0d20b79ad749a9ebf6ca20de2af0e5e7142b63f4f133c758f5732b68f863",
     "complete-preds.jsonl.manifest.json":
-        "10ee9220a7cb8e3677fac4165b9306a15a4704dc52d0c8abe2801cc38f6e24a9",
+        "7e096ccb21c6c54d7146a7dc219c508359d158453c2376d09ec2467dd62a8b59",
     "complete-report.json": "d145a89cd901cf3ed27279fc36d8e3f2ad2b23a0378ae5041821fc389c19acb0",
     "complete-report.json.manifest.json":
         "a8a605bbc456249d586d30e7c13a9d9854b42292703e4c1c6aaadd88347e186d",
     "complete-train.jsonl": "063b934c9673b258bef8d4fc990e653f77029678cdb07a241a50481cb3639c07",
     "complete-train.jsonl.manifest.json":
-        "ac23b6391760688d74091a2e8c2e7f87445266db53c1205fb590d5dadd26c6ba",
+        "3ef8d53db8796e655c4da680f438493e6baabfe97ca3a7b6fc2b289c82a49585",
     "corpus.jsonl": "2970887c3953f0e7d88484ef4aea2970ec67bff96eca1bb614923123f46698e9",
     "corpus.jsonl.manifest.json":
         "f50ffa4cfe7c2b6909e83db918e12916611cf74b571ecd9320efc34f93ae8331",
     "dedup.jsonl": "e71ccf871a31a00f08a30de9f9729584a562d3cd554ae53c77f2a6e0bee383c6",
     "dedup.jsonl.manifest.json":
-        "874f5a84e49a218624a0d5de255e4afa6aff69e2f40e7ee353a3044e1ef2e94f",
+        "84821a086e85a650fdb8f198c09b64f0b258739ba989a174b98017c678f3e39c",
     "dedup.jsonl.stats.json": "49518451b7ffbdd1b9a1c26abfbd36d828d723e189c639721189304713b7a350",
     "embeddings.jsonl": "6991e9620dfb78c0818640a1159ce216be34f3b99907de5ffc4414935cb2367a",
     "index.json": "f411f74e49da57e05d8d735aafec4a7ea1071c22c8ea5961edb67bb81d0c1c92",
     "index.json.manifest.json": "72837c8323a070b1e0fe853137af64ae3138af63e3040799ac6b8f6d0fc501f7",
     "lex.jsonl": "d58362ce0c6a0ba6a7ccd66bfa758ee50974b4a390391efee397eb918695c035",
-    "lex.jsonl.manifest.json": "0207292ec203bcbadff062dd6a3e2ac4804a9792bb21f04635204a25e0bb1678",
+    "lex.jsonl.manifest.json": "ee585b736a9b705153f7979b7381974d3ccf6139610d79c5d3de0ebc3afe996b",
     "pairs.jsonl": "02d8d2864ad8895e2c372cfd14b56e8e56cd3a6c7fa9e9ebd797d940b33e9098",
     "preds.jsonl": "1be17c5e12ef6f9a9de2432af6d5f3fc0711384431cdc805095841427db61a1e",
     "preds.jsonl.manifest.json":
-        "3acfa23bdd825355993e2c568969a5681cf63c1d98746de02ccb1c121d932d3f",
+        "2721ca098961a0ca28078de8ea0d055322401bad0e8b280df5fe689bc5523487",
     "pretrain-2.jsonl": "3cac75edc0f84691e1c6af95d69e9296ba44c612f9a9c782b1e281c93bcc5214",
     "pretrain-2.jsonl.manifest.json":
-        "52e7672dab50c2abd81f76f16f5c405aa05ff0de389db81b83c059e1bb537e4a",
+        "f9c7146846fce5845a50bc4ede6d905ae13dddc8cd8716cee91c8e3f67640c61",
     "pretrain.jsonl": "3cac75edc0f84691e1c6af95d69e9296ba44c612f9a9c782b1e281c93bcc5214",
     "pretrain.jsonl.manifest.json":
-        "dc2b2f1a95eb5c2c5d2b2bdd8e0adbc292389326407a39a6150fd6ca899695ea",
+        "7bf0b3a534ceea14fc5218739a0df0eb6cc53b690b05e6aa7b7a5f61e86e5a4f",
     "repair-bench.jsonl": "dace7f8c5a04d52aa9fd9b2f3dce05cd89cc8795337f038803e3a7def4f7d05f",
     "repair-train.jsonl": "61b28d9b5ba3d20ea62c7d0a5ad7e3dca6b597c51f7ff85ef734d034c1bea990",
     "repair-train.jsonl.manifest.json":
@@ -208,13 +208,13 @@ FILES = {
     "sketch.jsonl.manifest.json":
         "a5b7a9ef890d2c13b703ff8373969f1369a852ee0936a3c91aa9cccb6547c84e",
     "stats.json": "d16efd24366c7a675a7c78dcf6a992dc1a1c6bedb0a72a2123edcb730c46fba5",
-    "stats.json.manifest.json": "07bf2194b624cdf090e98fefd13ba70b811207603983c997bc81b9d654b1ef4a",
+    "stats.json.manifest.json": "481dd4ccc47aa76537a8fe3cfb7c0932ded3f7c43db2258557e3281fd8895eb2",
     "tokenizer.json": "7352cd983812eb03448dbc5d6b2f2e7e1991a157da6b6c5fbe0c120d85437f9a",
     "tokenizer.json.manifest.json":
-        "87909dc18fdff631b761858a0d13d4daf21885dba4dc3571898792b6ff2c9ffb",
+        "635bdecdc580de8b3bfa99b9a3da73127b2a8b71007842ec87378cc9504617e4",
     "tokens.jsonl": "0109223aeee6ed5b1732729f4ab05e7c627bc24b221f331c4dd4581813e9a144",
     "tokens.jsonl.manifest.json":
-        "f32c53f9ab1af560d52687ed966779c6f4cf1a28f5635089a05a5075a8fdf3a8",
+        "8dc15761e9bf203c005c3b11ea960a7368114a8570118bb09d1b0ee474a8c9d5",
 }
 
 

@@ -15,11 +15,9 @@ from formulakit.curation import dedup_key
 from formulakit.jsonl import dumps, write_json_atomic
 from formulakit.evaluation import (CompletionTask, RepairTask, RetrievalPair,
                                    build_retrieval_pairs, cosine_similarity,
-                                   evaluate, exact_match_at_k,
-                                   gen_completion_finetune, gen_repair_finetune,
-                                   make_completion_prefix,
-                                   mask_constants, reserve_split,
-                                   retrieval_eval, sketch_match_at_k)
+                                   evaluate, gen_completion_finetune, gen_repair_finetune,
+                                   make_completion_prefix, mask_constants, reserve_split,
+                                   retrieval_eval)
 from formulakit.lexer import check, fold, normalize
 from formulakit.noise import apply_noise_operator
 from formulakit.objectives import PretrainExample, user_noise
@@ -30,49 +28,57 @@ from formulakit.synth import synth_corpus
 from formulakit.tokenizer import encode, train_bpe
 
 
+def hit(metric, candidates, truth, k):
+    """Whether `evaluate` scores the ranked candidates a hit at k under the
+    metric, for one repair task whose ground truth is `truth`."""
+    report = evaluate([RepairTask("", truth, "task-0")], lambda task: candidates,
+                      metrics=[metric], ks=[k])
+    return report.value(metric, k) == 1.0
+
+
 class TestExactMatch:
     def test_repair_match_ignores_whitespace(self):
         candidates = ['=IF(ISERROR(G6*1.2),"")']
         truth = '=IF(ISERROR(G6 *1.2), "")'
-        assert exact_match_at_k(candidates, truth, 1)
+        assert hit("exact_match", candidates, truth, 1)
 
     def test_empty_candidates(self):
-        assert not exact_match_at_k([], "=A1", 1)
+        assert not hit("exact_match", [], "=A1", 1)
 
     def test_rank_cutoff(self):
         candidates = ["=B1", "=B2", "=B3", "=B4", "=A1"]
-        assert not exact_match_at_k(candidates, "=A1", 1)
-        assert exact_match_at_k(candidates, "=A1", 5)
+        assert not hit("exact_match", candidates, "=A1", 1)
+        assert hit("exact_match", candidates, "=A1", 5)
 
     def test_case_insensitive_refs(self):
-        assert exact_match_at_k(["=sum(a1)"], "=SUM(A1)", 1)
+        assert hit("exact_match", ["=sum(a1)"], "=SUM(A1)", 1)
 
     def test_string_case_sensitive(self):
-        assert not exact_match_at_k(['=IF(A1,"X",1)'], '=IF(A1,"x",1)', 1)
+        assert not hit("exact_match", ['=IF(A1,"X",1)'], '=IF(A1,"x",1)', 1)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            exact_match_at_k(["=A1"], "=A1", 0)
+            hit("exact_match", ["=A1"], "=A1", 0)
 
 
 class TestSketchMatch:
     def test_contextual_number_matches_by_type(self):
         candidate = "=B2<=EDATE(TODAY(),-5)"
         truth = "=B2<=EDATE(TODAY(),-33)"
-        assert sketch_match_at_k([candidate], truth, 1)
-        assert not exact_match_at_k([candidate], truth, 1)
+        assert hit("sketch_match", [candidate], truth, 1)
+        assert not hit("exact_match", [candidate], truth, 1)
 
     def test_exact_implies_sketch(self):
         corpus = synth_corpus(100, seed=80)
         for truth in corpus:
             candidates = [truth]
-            if exact_match_at_k(candidates, truth, 1):
-                assert sketch_match_at_k(candidates, truth, 1)
+            if hit("exact_match", candidates, truth, 1):
+                assert hit("sketch_match", candidates, truth, 1)
 
     def test_arity_difference_breaks_sketch(self):
         candidate = "=B2<=EDATE(TODAY())"
         truth = "=B2<=EDATE(TODAY(),-33)"
-        assert not sketch_match_at_k([candidate], truth, 1)
+        assert not hit("sketch_match", [candidate], truth, 1)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,7 @@
 import importlib.util
-import os
 import pickle
 import random
 import re
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -1020,14 +1018,9 @@ class TestTokenContract:
             assert [t.kind for t in back] == [t.kind for t in toks]
 
 
-def test_lexer_benchmark_script_runs():
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "benchmarks" / "bench_lexer.py"),
-         "--typical", "50", "--envelope", "5"],
-        env=env, capture_output=True, text=True, timeout=120)
+def test_lexer_benchmark_script_runs(run_python):
+    proc = run_python(str(REPO / "benchmarks" / "bench_lexer.py"),
+                      "--typical", "50", "--envelope", "5")
     assert proc.returncode == 0, proc.stderr
     assert "every input round-trips, no envelope input flagged" in proc.stdout
     assert [line.split()[0] for line in proc.stdout.splitlines()[2:]] == [

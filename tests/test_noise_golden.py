@@ -9,14 +9,14 @@ op 10) are the worked examples reproduced verbatim.
 
 import dataclasses
 import random
-import timeit
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_lexer import _corruptions, _envelope_formulas
 
-from formulakit import noise
+from formulakit import noise, objectives
 from formulakit.catalog import default_catalog
 from formulakit.lexer import TokenKind, check, lex, match_brackets, quote_closed
 from formulakit.noise import (OPERATORS, NotApplicable, SiteIndex, applicable_operators,
@@ -545,28 +545,56 @@ def test_swap_draws_the_pair_the_listed_pairs_give(types, seed):
 
 
 class TestBoundedCost:
-    """user_noise at twice the size must not cost three times as much: best
-    of several runs over a fixed set of rng seeds, as a ratio, with no
-    wall-clock budget. The same operators apply at both sizes, so the seeds
-    draw the same operators, the swap among them."""
+    """user_noise at twice the size must not do three times the work: the
+    tokens each pass receives are counted through wrappers, not timed, so
+    load cannot fail it. The same operators apply at both sizes, so the
+    seeds draw the same operators, the swap among them."""
 
     SEEDS = range(6)
+    # Each pass, and the tokens (or argument types) one call of it receives.
+    PASSES = {
+        (objectives, "lex"): lambda args, tokens: len(tokens),
+        (noise, "_scan"): lambda args, _: len(args[0]),
+        (noise, "match_brackets"): lambda args, _: len(args[0]),
+        (noise, "_differing_pair"): lambda args, _: len(args[0]),
+        (noise, "_splice"): lambda args, _: len(args[0]),
+    }
 
-    def seconds(self, formula):
-        drawn = [user_noise(formula, random.Random(seed)).detail for seed in self.SEEDS]
+    def work(self, formula):
+        counts = Counter()
 
-        def run():
-            for seed in self.SEEDS:
-                user_noise(formula, random.Random(seed))
+        def counting(name, function, size):
+            def counted(*args):
+                result = function(*args)
+                counts[name] += size(args, result)
+                return result
+            return counted
 
-        return drawn, min(timeit.repeat(run, number=1, repeat=3))
+        class Tokens(list):
+            # `_arg_typer` extends its prefix counts over one slice of the
+            # tokens per extension; its other reads are single tokens.
+            def __getitem__(self, key):
+                item = super().__getitem__(key)
+                if isinstance(key, slice):
+                    counts["_arg_typer"] += len(item)
+                return item
+
+        arg_typer = noise._arg_typer
+        with pytest.MonkeyPatch.context() as patch:
+            for (module, name), size in self.PASSES.items():
+                patch.setattr(module, name, counting(name, getattr(module, name), size))
+            patch.setattr(noise, "_arg_typer", lambda tokens: arg_typer(Tokens(tokens)))
+            drawn = [user_noise(formula, random.Random(seed)).detail for seed in self.SEEDS]
+        return drawn, counts
 
     def assert_linear(self, make, n):
-        drawn_n, time_n = self.seconds(make(n))
-        drawn_2n, time_2n = self.seconds(make(2 * n))
+        drawn_n, work_n = self.work(make(n))
+        drawn_2n, work_2n = self.work(make(2 * n))
         assert drawn_n == drawn_2n
         assert "op=5:swap_arguments" in drawn_n
-        assert time_2n < 3 * time_n, (time_n, time_2n)
+        passes = {name for _, name in self.PASSES} | {"_arg_typer"}
+        assert set(work_n) == set(work_2n) == passes  # the wrappers saw every pass
+        assert all(work_2n[name] < 3 * work_n[name] for name in passes), (work_n, work_2n)
 
     def test_a_call_of_ten_thousand_arguments(self):
         # A variadic call whose arguments are of four types.

@@ -2,10 +2,7 @@
 
 import argparse
 import ast
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import formulakit
@@ -49,16 +46,13 @@ def test_pyproject_version_is_the_package_version():
     assert versions == [formulakit.__version__]
 
 
-def test_importing_the_cli_does_not_import_multiprocessing():
+def test_importing_the_cli_does_not_import_multiprocessing(run_python):
     # Only `generate_pretrain` with workers > 1 needs a process pool, so
     # the import costs nothing to the commands that never start one.
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, formulakit.cli; "
-         "print(sorted(name for name in sys.modules if name.startswith('multiprocessing')))"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = run_python(
+        "-c", "import sys, formulakit.cli; "
+        "print(sorted(name for name in sys.modules if name.startswith('multiprocessing')))",
+        timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

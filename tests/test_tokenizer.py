@@ -1,11 +1,8 @@
 import heapq
 import importlib.util
 import json
-import os
 import pickle
 import random
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -634,10 +631,20 @@ class TestEncodeMemo:
     def test_memo_is_not_part_of_the_model(self, model):
         fresh = TokenizerModel.from_json(model.to_json())
         encode(model, "=revenue_total+SUM(A1)")
-        assert model._segment_ids and model._token_ids["revenue_total"]
+        assert model._ids["revenue_total"]
         assert model == TokenizerModel.from_json(model.to_json()) == fresh
         assert model.to_json() == fresh.to_json()
-        assert "_segment_ids" not in repr(model) and "_token_ids" not in repr(model)
+        assert "_ids=" not in repr(model)
+
+    def test_texts_and_runs_share_one_memo(self, model):
+        # "total" is a residual token text in some formulas and a letter run
+        # of a longer text in others; whichever fills its memo entry first,
+        # each formula encodes as on a model that has encoded nothing.
+        corpus = ["=total", "=Total_2", "='total'!A1", '="a total"', "=x1total+total"]
+        alone = [encode(TokenizerModel.from_json(model.to_json()), f) for f in corpus]
+        for order in (corpus, corpus[::-1]):
+            fresh = TokenizerModel.from_json(model.to_json())
+            assert {f: encode(fresh, f) for f in order} == dict(zip(corpus, alone))
 
     @pytest.mark.parametrize("text", [
         "<mask><pad>", "<<mask>>", "<mas", "<mask>=A1", "=A1<unk>", "", "<pad>",
@@ -781,14 +788,9 @@ class TestModelFile:
         assert "catalog" not in explicit.to_json()
 
 
-def test_bpe_benchmark_script_runs():
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "benchmarks" / "bench_bpe.py"),
-         "--formulas", "30", "--budget", "90"],
-        env=env, capture_output=True, text=True, timeout=120)
+def test_bpe_benchmark_script_runs(run_python):
+    proc = run_python(str(REPO / "benchmarks" / "bench_bpe.py"),
+                      "--formulas", "30", "--budget", "90")
     assert proc.returncode == 0, proc.stderr
     assert "identical to the from-scratch trainer" in proc.stdout
     assert "ids identical to the pretokenize loop" in proc.stdout
