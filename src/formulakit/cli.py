@@ -9,11 +9,13 @@ with a sibling .manifest.json, so any two runs can be compared. The
 manifest holds the content hash of that file and of every input file flag
 given (INPUT_FLAGS), the only place an input's path appears; its config
 holds the inline values given (FORMULA, --buggy, --prefix) and
---pretokenize-only by value, and --config by the values it set, beside
-the command's other settings. Each generator counts the inputs it skips
-in one Counter keyed by reason and reports it on stderr. Each command is
-one row of COMMANDS, and `main` builds only the subparser of the command it
-runs; top-level help, --version and an unknown command get every subparser.
+--pretokenize-only by value, beside the command's other settings. Flags
+set every scalar; --config is gen-pretrain's objective table alone, and
+its manifest records the objective settings in force, seed included.
+Each generator counts the inputs it skips in one Counter keyed by reason
+and reports it on stderr. Each command is one row of COMMANDS, and `main`
+builds only the subparser of the command it runs; top-level help,
+--version and an unknown command get every subparser.
 
 Every input file is opened, and every JSON text judged, by `jsonl`, so
 any command meets a malformed input alike. No input row format is defined
@@ -28,7 +30,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
@@ -89,14 +91,9 @@ def _fraction(text: str) -> float:
 _fraction.__name__ = "float"
 
 
-@dataclass
-class PipelineConfig:
-    tokenizer_budget: int
-    objectives: objectives.ObjectiveConfig
-
-
-def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig:
-    """Config file first, then flags override (precedence: flags > file > defaults).
+def load_config(path: Optional[str], seed: int) -> objectives.ObjectiveConfig:
+    """gen-pretrain's objective table: a JSON object of the ObjectiveConfig
+    fields but `seed`, which --seed sets; the defaults without a file.
 
     An unknown key or a bad value is a UsageError that names the field.
     """
@@ -108,31 +105,12 @@ def load_config(path: Optional[str], seed_flag: Optional[int]) -> PipelineConfig
             raise DataError(f"config is not valid JSON ({exc.msg})", path, exc.lineno)
         if not isinstance(obj, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = set(obj) - {"objectives", "seed", "tokenizer_budget"}
-    if unknown:
-        raise UsageError(f"config field {min(unknown)}: not a config field; "
-                         "the fields are objectives, seed, tokenizer_budget")
+    if "seed" in obj:
+        raise UsageError("config field seed: not a config field; --seed seeds the objectives")
     try:
-        seed = seed_flag if seed_flag is not None else objectives.typed(
-            "seed", obj.get("seed", 0), int)
-        budget = objectives.typed("tokenizer_budget",
-                                  obj.get("tokenizer_budget", DEFAULT_VOCAB_BUDGET), int)
+        return objectives.ObjectiveConfig.from_json({**obj, "seed": seed})
     except ValueError as exc:
         raise UsageError(f"config field {exc}") from None
-    if budget < 1:
-        raise UsageError(f"config field tokenizer_budget: must be >= 1, got {budget}")
-    table = obj.get("objectives", {})
-    if not isinstance(table, dict):
-        raise UsageError(f"config field objectives: must be an object, "
-                         f"got {type(table).__name__}")
-    if "seed" in table:
-        raise UsageError("config field objectives.seed: not a config field; "
-                         "the top-level seed (or --seed) seeds the objectives")
-    try:
-        obj_cfg = objectives.ObjectiveConfig.from_json({**table, "seed": seed})
-    except ValueError as exc:
-        raise UsageError(f"config field objectives.{exc}") from None
-    return PipelineConfig(budget, obj_cfg)
 
 
 def _input_formulas(args) -> list[str]:
@@ -234,11 +212,9 @@ def cmd_stats(args) -> None:
 
 
 def cmd_train_tokenizer(args) -> None:
-    config = load_config(args.config, None)
-    budget = args.budget if args.budget is not None else config.tokenizer_budget
     catalog = _load_catalog(args)
-    model = train_bpe(read_formulas(args.input), budget, catalog)
-    _emit(args, model.to_json(), {"budget": budget})
+    model = train_bpe(read_formulas(args.input), args.budget, catalog)
+    _emit(args, model.to_json(), {"budget": args.budget})
     print(f"trained tokenizer: |vocab|={len(model.vocab)} merges={len(model.merges)} "
           f"-> {args.output}", file=sys.stderr)
 
@@ -273,9 +249,8 @@ def cmd_gen_pretrain(args) -> None:
     config = load_config(args.config, args.seed)
     skips: Counter[str] = Counter()
     examples = objectives.generate_pretrain(_read_records(args.input, skips),
-                                            config.objectives, skips, args.workers)
-    count = _emit(args, (ex.to_json() for ex in examples),
-                  {"seed": config.objectives.seed, "objectives": asdict(config.objectives)})
+                                            config, skips, args.workers)
+    count = _emit(args, (ex.to_json() for ex in examples), asdict(config))
     # Every line read is an example or a skip: emitted + skipped == lines read.
     print(f"generated {count} pretrain examples ({skips.total()} skipped: "
           f"{skips['malformed']} malformed, {skips['no objective']} fit no objective)",
@@ -286,13 +261,13 @@ def cmd_gen_finetune_repair(args) -> None:
     # Reserved tasks need a file to go to, and that file needs tasks.
     if bool(args.reserve) != bool(args.reserve_output):
         raise UsageError("--reserve N (N >= 1) and --reserve-output FILE go together")
-    seed = load_config(args.config, args.seed).objectives.seed
     skips: Counter[str] = Counter()
-    tasks = list(evaluation.gen_repair_finetune(read_formulas(args.input), seed, skips))
+    tasks = list(evaluation.gen_repair_finetune(read_formulas(args.input), args.seed, skips))
     reserved: list[evaluation.RepairTask] = []
     if args.reserve:
-        tasks, reserved = evaluation.reserve_split(tasks, min(args.reserve, len(tasks)), seed)
-    _emit(args, (t.to_json() for t in tasks), {"seed": seed, "reserve": args.reserve})
+        tasks, reserved = evaluation.reserve_split(tasks, min(args.reserve, len(tasks)),
+                                                   args.seed)
+    _emit(args, (t.to_json() for t in tasks), {"seed": args.seed, "reserve": args.reserve})
     if args.reserve_output:
         write_jsonl_atomic(args.reserve_output, (t.to_json() for t in reserved))
     print(f"repair tasks: {len(tasks)} fine-tune, {len(reserved)} reserved "
@@ -301,14 +276,13 @@ def cmd_gen_finetune_repair(args) -> None:
 
 
 def cmd_gen_finetune_complete(args) -> None:
-    seed = load_config(args.config, args.seed).objectives.seed
     model = _load_artifact(TokenizerModel.load, args.model, "tokenizer model")
     fractions = tuple(args.fractions or evaluation.COMPLETION_FRACTIONS)
     skips: Counter[str] = Counter()
-    tasks = evaluation.gen_completion_finetune(read_formulas(args.input), model, seed,
+    tasks = evaluation.gen_completion_finetune(read_formulas(args.input), model, args.seed,
                                                fractions, skips)
     count = _emit(args, (t.to_json() for t in tasks),
-                  {"seed": seed, "fractions": list(fractions)})
+                  {"seed": args.seed, "fractions": list(fractions)})
     print(f"completion tasks: {count} ({skips['under 2 tokens']} skipped: "
           f"under 2 tokens)", file=sys.stderr)
 
@@ -391,11 +365,10 @@ def _dedup_args(p):
 
 def _train_tokenizer_args(p):
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=int, default=DEFAULT_VOCAB_BUDGET,
                    help=f"vocabulary budget (default {DEFAULT_VOCAB_BUDGET})")
     p.add_argument("--catalog")
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--config")
 
 
 def _tokenize_args(p):
@@ -408,8 +381,9 @@ def _tokenize_args(p):
 def _gen_pretrain_args(p):
     p.add_argument("--input", required=True, help="JSONL corpus of formula records")
     p.add_argument("--output", "-o")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", help="JSON pipeline config; flags override")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", help="JSON object of objective settings: weights, "
+                   "tm_fractions, lamsp_rates, lamsp_mean_spans, rn_rate")
     p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="worker processes; output is identical for any count")
 
@@ -417,8 +391,7 @@ def _gen_pretrain_args(p):
 def _gen_finetune_repair_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--output", "-o")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reserve", type=_int_at_least(0), default=0,
                    help="hold out this many tasks as a benchmark split")
     p.add_argument("--reserve-output", help="where to write the reserved split")
@@ -428,8 +401,7 @@ def _gen_finetune_complete_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--output", "-o")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fractions", type=_fraction, nargs="+",
                    help="prefix fractions to sample from (default 0.2..0.8)")
 

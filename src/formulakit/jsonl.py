@@ -109,8 +109,16 @@ def _open_text(path: PathLike, what: str) -> Iterator[TextIO]:
 
 
 def read_lines(path: PathLike) -> Iterator[str]:
-    """The lines of a UTF-8 input file, read as they are pulled."""
+    """The lines of a UTF-8 input file, read as they are pulled. A file
+    that starts with a UTF-8 BOM is a DataError naming line 1, so that no
+    reader takes the BOM for text or skips the line it starts."""
     with _open_text(path, "input") as fh:
+        first = fh.readline()
+        if first.startswith("\ufeff"):
+            raise DataError("starts with a UTF-8 BOM; save the file as UTF-8 without one",
+                            str(path), 1)
+        if first:
+            yield first
         yield from fh
 
 
@@ -139,12 +147,8 @@ def read_formulas(path: PathLike) -> Iterator[str]:
     """Formulas from a file: JSONL records (uses .formula) or plain lines.
     A line that starts with `{` is a JSON object row: one that `loads`
     rejects (a truncated record, say) or that has no string `.formula` is a
-    DataError, and so is a file that starts with a UTF-8 BOM, which `loads`
-    rejects too."""
+    DataError."""
     for lineno, line in enumerate(read_lines(path), start=1):
-        if lineno == 1 and line.startswith("\ufeff"):
-            raise DataError("starts with a UTF-8 BOM; save the file as UTF-8 without one",
-                            str(path), lineno)
         line = line.rstrip("\n")
         if not line.strip():
             continue

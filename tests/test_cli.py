@@ -17,6 +17,7 @@ from formulakit.cli import (BASELINE_COMMANDS, COMMANDS, UsageError, build_parse
 from formulakit.curation import CorpusStats
 from formulakit import jsonl
 from formulakit.jsonl import dumps, write_jsonl_atomic
+from formulakit.objectives import ObjectiveConfig
 from formulakit.similarity import KERNEL_BACKEND
 from formulakit.synth import synth_corpus, synth_records
 
@@ -224,38 +225,54 @@ class TestGenPretrainCli:
             assert set(row) == {"input", "target", "objective", "detail", "record_seed"}
             assert row["objective"] in {"TM", "laMSP", "RN", "UN", "ID"}
 
-    def test_config_file_with_flag_override(self, tmp_path, corpus_file):
+    def test_flat_objective_file_changes_the_output(self, tmp_path, corpus_file):
+        # The file's fields sit at top level; --seed still seeds the draws.
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 1}), encoding="utf-8")
+        weights = {"laMSP": 0.0, "TM": 1.0, "UN": 0.0, "RN": 0.0, "ID": 0.0}
+        config.write_text(json.dumps({"weights": weights, "tm_fractions": [0.5]}),
+                          encoding="utf-8")
         a, b, c = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "c.jsonl"))
-        main(["gen-pretrain", "--input", corpus_file, "--config", str(config),
-              "--output", str(a)])
-        main(["gen-pretrain", "--input", corpus_file, "--seed", "1", "--output", str(b)])
-        main(["gen-pretrain", "--input", corpus_file, "--config", str(config),
-              "--seed", "2", "--output", str(c)])
-        assert sha(a) == sha(b)   # file seed used
-        assert sha(c) != sha(a)   # flag overrides file
+        for argv, out in (([], a), (["--config", str(config)], b),
+                          (["--config", str(config), "--seed", "2"], c)):
+            assert main(["gen-pretrain", "--input", corpus_file, *argv, "-o", str(out)]) == 0
+        assert sha(b) != sha(a)
+        assert {row["objective"] for row in read_jsonl_file(b)} == {"TM"}
+        assert sha(c) != sha(b)
+        config_b = manifest_of(b)["config"]
+        assert config_b["seed"] == 0 and config_b["weights"] == weights
+        assert config_b["tm_fractions"] == [0.5]
+        assert manifest_of(c)["config"] == {**config_b, "seed": 2}
+
+    @pytest.mark.parametrize("command", ["train-tokenizer", "gen-finetune-repair",
+                                         "gen-finetune-complete"])
+    def test_only_gen_pretrain_takes_config(self, tmp_path, corpus_file, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rn_rate": 0.2}), encoding="utf-8")
+        argv = {"train-tokenizer": ["-o", str(tmp_path / "m.json")],
+                "gen-finetune-complete": ["--model", str(tmp_path / "m.json")]}.get(command, [])
+        capsys.readouterr()
+        assert main([command, "--input", corpus_file, *argv, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: unrecognized arguments: --config {config}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus.jsonl"]
 
     def test_invalid_config_field_message(self, tmp_path, corpus_file, capsys):
         nan_weights = {"laMSP": float("nan"), "TM": 0.5, "UN": 0.5, "RN": 0.0, "ID": 0.0}
-        # an objectives table -> how its message goes on after "config field "
-        cases = [({"rn_rate": 3.0}, "objectives.rn_rate: must be in (0, 1)"),
-                 ({"lamsp_rates": {"hi": 0.3}}, "objectives.lamsp_rates: must have exactly"),
-                 ({"lamsp_mean_spans": {"long": 3}}, "objectives.lamsp_mean_spans: must have"),
-                 ({"tm_fractions": []}, "objectives.tm_fractions: must not be empty"),
-                 ({"weights": nan_weights}, "objectives.weights: must be finite"),
-                 ({"weights": [1.0]}, "objectives.weights: must be an object of names to "
-                                      "numbers, got list"),
+        # a config file -> how its message goes on after "config field "
+        cases = [({"rn_rate": 3.0}, "rn_rate: must be in (0, 1)"),
+                 ({"lamsp_rates": {"hi": 0.3}}, "lamsp_rates: must have exactly"),
+                 ({"lamsp_mean_spans": {"long": 3}}, "lamsp_mean_spans: must have"),
+                 ({"tm_fractions": []}, "tm_fractions: must not be empty"),
+                 ({"weights": nan_weights}, "weights: must be finite"),
+                 ({"weights": [1.0]}, "weights: must be an object of names to numbers, "
+                                      "got list"),
                  ({"lamsp_mean_spans": {"long": 1e400, "short": 2}},
-                  "objectives.lamsp_mean_spans.long: must be an integer, got inf"),
+                  "lamsp_mean_spans.long: must be an integer, got inf"),
                  ({"lamsp_mean_spans": {"long": 2.9, "short": 2}},
-                  "objectives.lamsp_mean_spans.long: must be an integer, got 2.9"),
-                 ({"weight": {"ID": 1.0}}, "objectives.weight: not a field"),
-                 ({"seed": 4}, "objectives.seed: not a config field"),
-                 ([1.0], "objectives: must be an object, got list")]
-        cases = [({"objectives": table}, expected) for table, expected in cases]
-        cases += [({"tokenizer_budjet": 5}, "tokenizer_budjet: not a config field"),
-                  ({"seed": 2.9}, "seed: must be an integer, got 2.9")]
+                  "lamsp_mean_spans.long: must be an integer, got 2.9"),
+                 ({"weight": {"ID": 1.0}}, "weight: not a field"),
+                 # no `objectives` wrapper: the fields sit at top level
+                 ({"objectives": {"rn_rate": 0.2}}, "objectives: not a field")]
         for obj, expected in cases:
             config = tmp_path / "config.json"
             config.write_text(json.dumps(obj), encoding="utf-8")
@@ -263,15 +280,23 @@ class TestGenPretrainCli:
                          "--config", str(config)]) == 1, obj
             err = capsys.readouterr().err
             assert err.startswith("usage error: config field " + expected), err
+        config.write_text("[1.0]", encoding="utf-8")
+        assert main(["gen-pretrain", "--input", corpus_file, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: config file {config} must hold a JSON object\n")
 
     @pytest.mark.parametrize("field", ["seed", "tokenizer_budget"])
     def test_non_integer_config_field_is_config_error(self, tmp_path, corpus_file,
                                                       capsys, field):
+        # Neither is a config field at all: --seed and --budget set them.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({field: "x"}), encoding="utf-8")
-        assert main(["train-tokenizer", "--input", corpus_file, "--config", str(config),
-                     "-o", str(tmp_path / "tok.json")]) == 1
-        assert capsys.readouterr().err.startswith(f"usage error: config field {field}: ")
+        assert main(["gen-pretrain", "--input", corpus_file, "--config", str(config),
+                     "-o", str(tmp_path / "out.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: config field {field}: "), err
+        assert ("--seed" in err) == (field == "seed"), err
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_non_utf8_config_is_data_error(self, tmp_path, corpus_file, capsys):
         config = tmp_path / "config.json"
@@ -299,7 +324,7 @@ class TestGenPretrainCli:
                           encoding="utf-8")
         config = tmp_path / "config.json"
         weights = {"laMSP": 0.0, "TM": 1.0, "UN": 0.0, "RN": 0.0, "ID": 0.0}
-        config.write_text(json.dumps({"objectives": {"weights": weights}}), encoding="utf-8")
+        config.write_text(json.dumps({"weights": weights}), encoding="utf-8")
         out = tmp_path / "out.jsonl"
         assert main(["gen-pretrain", "--input", str(corpus), "--config", str(config),
                      "--workers", workers, "-o", str(out)]) == 0
@@ -310,11 +335,13 @@ class TestGenPretrainCli:
     def test_unknown_config_keys_rejected(self, tmp_path):
         # dedup mode and completion fractions are flags, not config fields
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 3, "dedup_mode": "bogus"}), encoding="utf-8")
-        with pytest.raises(UsageError, match="^config field dedup_mode: not a config field"):
-            load_config(str(config), None)
-        config.write_text(json.dumps({"seed": 3}), encoding="utf-8")
-        assert load_config(str(config), None).objectives.seed == 3
+        config.write_text(json.dumps({"rn_rate": 0.2, "dedup_mode": "bogus"}),
+                          encoding="utf-8")
+        with pytest.raises(UsageError, match="^config field dedup_mode: not a field"):
+            load_config(str(config), 3)
+        config.write_text(json.dumps({"rn_rate": 0.2}), encoding="utf-8")
+        assert load_config(str(config), 3) == ObjectiveConfig(seed=3, rn_rate=0.2)
+        assert load_config(None, 3) == ObjectiveConfig(seed=3)
 
 
 class TestFinetuneAndEvalCli:
@@ -577,7 +604,7 @@ class TestOutputCollisions:
     @pytest.fixture()
     def files(self, tmp_path, corpus_file):
         config = tmp_path / "config.json"
-        config.write_text('{"seed": 3}', encoding="utf-8")
+        config.write_text('{"rn_rate": 0.2}', encoding="utf-8")
         return {"corpus": corpus_file, "config": str(config)}
 
     def _refused(self, argv, untouched, capsys, message):
@@ -786,6 +813,7 @@ INPUT_ROWS = {
 INPUT_READERS = {
     "lex --input": (["lex", "--input", "{file}"], "corpus", None),
     "dedup --input": (["dedup", "--input", "{file}"], "corpus", None),
+    "stats --input": (["stats", "--input", "{file}"], "corpus", None),
     "gen-pretrain --input": (["gen-pretrain", "--input", "{file}", "--workers", "2"],
                              "corpus", None),
     "train-tokenizer --input": (["train-tokenizer", "--input", "{file}", "--budget", "300",
@@ -813,7 +841,7 @@ INPUT_READERS = {
 # Readers that take JSONL records or plain lines, one formula each.
 FORMULA_LINE_READERS = {"lex --input", "train-tokenizer --input", "baseline build --input"}
 # Corpus readers, which skip a row that does not parse and count it.
-ROW_SKIPPING_READERS = {"dedup --input", "gen-pretrain --input"}
+ROW_SKIPPING_READERS = {"dedup --input", "stats --input", "gen-pretrain --input"}
 
 # Every reader meets a missing file, non-UTF-8 bytes, and a second row that
 # `jsonl.loads` rejects: one nested past the recursion limit, one holding an
@@ -821,15 +849,15 @@ ROW_SKIPPING_READERS = {"dedup --input", "gen-pretrain --input"}
 # a field the reader does not use. Strict readers also meet a row that is
 # not an object, a required field that is not a string, and one that holds
 # a lone surrogate escape; formula-line readers meet an object row with no
-# `formula` and a truncated one that does not parse. Both meet a file that
-# starts with a UTF-8 BOM.
+# `formula` and a truncated one that does not parse. Every reader meets a
+# file that starts with a UTF-8 BOM, which none may skip as a malformed row.
 SECOND_ROW_FAULTS = ("nested-row", "huge-int", "unused-field-surrogate")
 INPUT_CASES = [(reader, fault) for reader, (_, _, field) in sorted(INPUT_READERS.items())
                for fault in ("missing-file", "not-utf8") + SECOND_ROW_FAULTS
                + (("non-object-row", "non-string-field", "lone-surrogate") if field else ())
                + (("object-without-formula", "truncated-object")
                   if reader in FORMULA_LINE_READERS else ())
-               + (("bom",) if field or reader in FORMULA_LINE_READERS else ())]
+               + ("bom",)]
 
 
 # command -> (argv with {out} for the output under test, and where that
@@ -893,7 +921,8 @@ class TestInputErrors:
         if fault in ("object-without-formula", "truncated-object") + SECOND_ROW_FAULTS:
             assert err.startswith(f"data error: {path}:2: "), err
         if fault == "bom":
-            assert err.startswith(f"data error: {path}:1: "), err
+            assert err == (f"data error: {path}:1: starts with a UTF-8 BOM; "
+                           "save the file as UTF-8 without one\n"), err
 
     @pytest.mark.parametrize("command", sorted(OUTPUT_CASES))
     def test_unwritable_output_is_data_error(self, inputs, capsys, command):
@@ -1001,7 +1030,7 @@ class TestInputErrors:
         ["dedup", "--input", "\udcfe.jsonl", "-o", "out.jsonl"],
         ["lex", "--input", "\udcfe.jsonl"],
         ["train-tokenizer", "--input", "c.jsonl", "--catalog", "\udcff.csv", "-o", "m.json"],
-        ["train-tokenizer", "--input", "c.jsonl", "--config", "\udcff.json", "-o", "m.json"],
+        ["gen-pretrain", "--input", "c.jsonl", "--config", "\udcff.json", "-o", "out.jsonl"],
         ["gen-finetune-complete", "--input", "c.jsonl", "--model", "\udcff.json"],
         ["gen-finetune-repair", "--input", "c.jsonl", "--reserve", "1",
          "--reserve-output", "\udcff.jsonl", "-o", "train.jsonl"],

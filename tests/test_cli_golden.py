@@ -187,10 +187,10 @@ FILES = {
         "2721ca098961a0ca28078de8ea0d055322401bad0e8b280df5fe689bc5523487",
     "pretrain-2.jsonl": "3cac75edc0f84691e1c6af95d69e9296ba44c612f9a9c782b1e281c93bcc5214",
     "pretrain-2.jsonl.manifest.json":
-        "f9c7146846fce5845a50bc4ede6d905ae13dddc8cd8716cee91c8e3f67640c61",
+        "8d52b551e38f91b42039008cb60a992b4b67801d9a31767104de78f038259ae4",
     "pretrain.jsonl": "3cac75edc0f84691e1c6af95d69e9296ba44c612f9a9c782b1e281c93bcc5214",
     "pretrain.jsonl.manifest.json":
-        "7bf0b3a534ceea14fc5218739a0df0eb6cc53b690b05e6aa7b7a5f61e86e5a4f",
+        "9b57c3fd04f1cca2738e4bfcde1eb91098d9aaf68408a317c09b59ce1d5753b8",
     "repair-bench.jsonl": "dace7f8c5a04d52aa9fd9b2f3dce05cd89cc8795337f038803e3a7def4f7d05f",
     "repair-train.jsonl": "61b28d9b5ba3d20ea62c7d0a5ad7e3dca6b597c51f7ff85ef734d034c1bea990",
     "repair-train.jsonl.manifest.json":

@@ -1,7 +1,6 @@
 import math
 import random
 import statistics
-import timeit
 import tracemalloc
 from collections import Counter
 
@@ -417,24 +416,41 @@ class TestRetrievalEval:
 
     def test_cost_at_a_fixed_sample_does_not_grow_with_the_corpus(self):
         # Only the formulas of the drawn pairs are masked and scored, so at
-        # a fixed max_pairs twice the formulas must not cost three times as
-        # much time or memory. Best of several runs, as a ratio: no budget.
+        # a fixed max_pairs the calls of each pass, counted through wrappers
+        # (not timed), stay within the sample at n and 2n formulas, and twice
+        # the formulas must not take three times the memory.
         formulas = synth_corpus(4000, seed=90)
         half = formulas[:2000]
+        per_pair, per_formula = ("_unrank_pair", "similarity_ids"), ("mask_constants",
+                                                                     "formula_token_ids")
 
         def cost(corpus):
+            calls = Counter()
+
+            def counting(name):
+                function = getattr(evaluation, name)
+
+                def counted(*args):
+                    calls[name] += 1
+                    return function(*args)
+                return counted
+
+            with pytest.MonkeyPatch.context() as patch:
+                for name in per_pair + per_formula:
+                    patch.setattr(evaluation, name, counting(name))
+                build_retrieval_pairs(corpus, seed=0, max_pairs=200)
             tracemalloc.start()
             try:
                 build_retrieval_pairs(corpus, seed=0, max_pairs=200)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            seconds = min(timeit.repeat(lambda: build_retrieval_pairs(corpus, 0, 200),
-                                        number=1, repeat=5))
-            return seconds, peak
+            return calls, peak
 
-        (time_n, peak_n), (time_2n, peak_2n) = cost(half), cost(formulas)
-        assert time_2n < 3 * time_n, (time_n, time_2n)
+        (calls_n, peak_n), (calls_2n, peak_2n) = cost(half), cost(formulas)
+        for calls in (calls_n, calls_2n):
+            assert all(calls[name] == 200 for name in per_pair), calls
+            assert all(0 < calls[name] <= 2 * 200 for name in per_formula), calls
         assert peak_2n < 3 * peak_n, (peak_n, peak_2n)
 
     def test_retrieval_targets_equal_pairwise_token_edit_similarity(self):

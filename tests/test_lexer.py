@@ -3,7 +3,7 @@ import pickle
 import random
 import re
 import sys
-import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -670,15 +670,36 @@ class TestCallMatcher:
         assert match_brackets(lex("=IF(A1,SUM(B1)")) == ({5: [(7, 8)]}, [], [2])
         assert match_brackets(lex("),=(A1),)")) == ({}, [0, 1, 6, 7], [])
 
+    @staticmethod
+    def _token_reads(formula):
+        """check and applicable_operators of formula, and the tokens their
+        passes read from `lex`'s output: each one iterated over or indexed
+        (a slice reads its length), counted through wrappers, not timed."""
+        reads = Counter()
+
+        class Tokens(list):
+            def __iter__(self):
+                for tok in super().__iter__():
+                    reads["tokens"] += 1
+                    yield tok
+
+            def __getitem__(self, key):
+                item = super().__getitem__(key)
+                reads["tokens"] += len(item) if isinstance(key, slice) else 1
+                return item
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (lexer, noise):
+                patch.setattr(module, "lex", lambda *args, lex=module.lex: Tokens(lex(*args)))
+            result = check(formula), applicable_operators(formula)
+        return result, reads["tokens"]
+
     def test_nesting_2000_deep_is_linear_and_matches_reference(self, monkeypatch):
+        # Twice the depth must not read three times the tokens.
         formula = "=" + "SUM(" * 2000 + "1" + ")" * 2000
-        start = time.perf_counter()
-        diags = check(formula)
-        check_s = time.perf_counter() - start
-        start = time.perf_counter()
-        ops = applicable_operators(formula)
-        ops_s = time.perf_counter() - start
-        assert check_s < 1.0 and ops_s < 1.0, (check_s, ops_s)
+        _, reads_n = self._token_reads("=" + "SUM(" * 1000 + "1" + ")" * 1000)
+        (diags, ops), reads_2n = self._token_reads(formula)
+        assert 0 < reads_n and reads_2n < 3 * reads_n, (reads_n, reads_2n)
 
         # The reference rescans every call, O(depth * n): seconds at this depth.
         tokens = lex(formula)

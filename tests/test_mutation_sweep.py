@@ -57,12 +57,12 @@ ARTIFACTS = {
 def pipeline(tmp_path_factory):
     d = tmp_path_factory.mktemp("pipeline")
     write_jsonl_atomic(d / "corpus.jsonl", (r.to_json() for r in synth_records(60, seed=8)))
+    # gen-pretrain's objective table, every field given
     (d / "config.json").write_text(json.dumps({
-        "seed": 3, "tokenizer_budget": 300,
-        "objectives": {"weights": {"laMSP": 0.5, "TM": 0.2, "UN": 0.2, "RN": 0.05, "ID": 0.05},
-                       "tm_fractions": [0.3, 0.5], "lamsp_rates": {"high": 0.35, "low": 0.15},
-                       "lamsp_mean_spans": {"long": 6, "short": 2}, "rn_rate": 0.1}},
-        indent=2), encoding="utf-8")
+        "weights": {"laMSP": 0.5, "TM": 0.2, "UN": 0.2, "RN": 0.05, "ID": 0.05},
+        "tm_fractions": [0.3, 0.5], "lamsp_rates": {"high": 0.35, "low": 0.15},
+        "lamsp_mean_spans": {"long": 6, "short": 2}, "rn_rate": 0.1}, indent=2),
+        encoding="utf-8")
     # the default catalog and one more function: the model lists ~140 lines
     (d / "catalog.csv").write_text("\n".join(default_catalog().lines() + ["myfunc,1,2"]),
                                    encoding="utf-8")
@@ -131,6 +131,11 @@ def test_every_mutation_exits_0_or_2(pipeline, capsys, artifact):
     data = (pipeline / name).read_bytes()
     mut = pipeline / f"mutated-{name}"
     rng = random.Random(sorted(ARTIFACTS).index(artifact))
+    # The unmutated file must be read cleanly, or every mutation could pass
+    # by failing as the original does.
+    mut.write_bytes(data)
+    capsys.readouterr()
+    assert main([a.format(mut=mut, d=pipeline) for a in argv]) == 0, capsys.readouterr().err
     wrong = []
     for n in range(MUTATIONS_PER_ARTIFACT):
         kind = KINDS[n % len(KINDS)]
