@@ -17,9 +17,13 @@ bracket-matched once), `ingest` (the set's JSONL lines to records) and
 `emit` (`write_jsonl_atomic` of the records' `to_json` rows into a temp
 file).
 
-Each time is the median of REPEAT passes over the whole set. Before timing,
-the script exits 1 if the joined token texts of any input differ from the
-input, or if `check` flags any envelope input, all of which are well-formed.
+Each time is the median of REPEAT passes over the whole set. `lex` keeps a
+memo of token kinds, emptied before each figure: one untimed pass fills it
+before the timed ones, except in the `lex_cold` row, which empties it
+before every pass and so shows what a first pass over the set costs.
+Before timing, the script exits 1 if the joined token texts of any input
+differ from the input, or if `check` flags any envelope input, all of
+which are well-formed.
 
 Usage: python benchmarks/bench_lexer.py [--typical 2000] [--envelope 40]
        [--seed 0]
@@ -40,13 +44,13 @@ from inputs import envelope_records, typical_records  # noqa: E402
 from formulakit.curation import FormulaRecord, dedup, dedup_key, ingest  # noqa: E402
 from formulakit.evaluation import gen_repair_finetune  # noqa: E402
 from formulakit.jsonl import dumps, write_jsonl_atomic  # noqa: E402
-from formulakit.lexer import check, lex, normalize, sketch  # noqa: E402
+from formulakit.lexer import _KINDS, check, lex, normalize, sketch  # noqa: E402
 from formulakit.noise import applicable_operators  # noqa: E402
 
 REPEAT = 5
-VIEWS = (("lex", lex), ("check", check), ("normalize", normalize),
-         ("sketch", sketch), ("dedup_key", dedup_key),
-         ("applicable_operators", applicable_operators))
+VIEWS = (("lex", lex, False), ("lex_cold", lex, True), ("check", check, False),
+         ("normalize", normalize, False), ("sketch", sketch, False),
+         ("dedup_key", dedup_key, False), ("applicable_operators", applicable_operators, False))
 
 
 def stages(out_dir):
@@ -86,13 +90,20 @@ def problems(name, formulas, well_formed):
     return out
 
 
-def per_formula_us(fn, formulas):
-    return per_set_us(lambda: deque(map(fn, formulas), maxlen=0), len(formulas))
+def per_formula_us(fn, formulas, cold=False):
+    return per_set_us(lambda: deque(map(fn, formulas), maxlen=0), len(formulas), cold)
 
 
-def per_set_us(run, n):
+def per_set_us(run, n, cold=False):
+    """Median microseconds per item of REPEAT runs, on a kind memo that an
+    untimed run fills or, when `cold`, that is empty at every run."""
+    _KINDS.clear()
+    if not cold:
+        run()
     times = []
     for _ in range(REPEAT):
+        if cold:
+            _KINDS.clear()
         start = time.perf_counter()
         run()
         times.append(time.perf_counter() - start)
@@ -123,8 +134,9 @@ def main():
     print(f"median of {REPEAT} passes, microseconds per formula; "
           f"every input round-trips, no envelope input flagged")
     print(f"{'view':<22}{header}")
-    for view, fn in VIEWS:
-        cells = "".join(f"{per_formula_us(fn, formulas):>26.1f}" for _, formulas, _ in sets)
+    for view, fn, cold in VIEWS:
+        cells = "".join(f"{per_formula_us(fn, formulas, cold):>26.1f}"
+                        for _, formulas, _ in sets)
         print(f"{view:<22}{cells}")
     inputs = {"records": records,
               "distinct": {name: first_of_each_text(rows) for name, rows in records.items()},

@@ -19,6 +19,15 @@ metaclass and a set or dict probe keyed on a member calls the Python-level
 `Enum.__hash__`; kinds are tested by identity or with tuples of locals,
 whose `in` compares by identity first.
 
+`lex` runs every per-token step in C. `findall` gives the token texts, the
+`_KINDS` memo each text's kind out of context, `accumulate` the byte
+offsets and `map` the tokens; Python decides a kind only for a text the
+memo does not hold. The memo keeps at most MEMO_ENTRIES texts of at most
+MEMO_TEXT_CHARS characters, so its size is bounded whatever the input.
+The two kinds that depend on context are set afterwards, in a pass that
+visits only the `!` and `(` tokens: the name directly before a `!` is a
+SheetName, and a catalog name before a `(` is a FuncName.
+
 `match_brackets` is the one paren and comma matcher: its single stack pass
 gives `check` its bracket and arity diagnostics and the arity and swap
 noise operators their call arguments.
@@ -33,6 +42,7 @@ import re
 import string
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple, Optional
 
 from .catalog import FunctionCatalog, default_catalog
@@ -128,6 +138,40 @@ def _rare_kind(text: str) -> TokenKind:
     return TokenKind.CELL_REF if text[0] == "$" else TokenKind.NUMBER
 
 
+# `_KINDS` memoizes each token text's kind out of context; `__missing__`
+# applies the first-character rule above. It holds no FuncName, which needs
+# the catalog and a following `(`, and no SheetName of a name before `!`; a
+# quoted sheet name is a SheetName by its text alone. It keeps no text
+# longer than MEMO_TEXT_CHARS and stops growing at MEMO_ENTRIES, so a text
+# it does not hold costs a miss each time. Sized on the benchmark's inputs:
+# the five envelope formulas hold 2,181 distinct texts and 2,000 typical
+# formulas 2,920, and in identifier-rich formulas one token in six is a
+# name of 17 to 32 characters. 2,730 entries is the most a dict keeps in a
+# 4,096-slot table (about 0.2 MB with its texts); one more doubles it.
+MEMO_ENTRIES = 2730
+MEMO_TEXT_CHARS = 32
+
+_IDENTIFIER, _CELL_REF = TokenKind.IDENTIFIER, TokenKind.CELL_REF
+_WHITESPACE, _SHEET_NAME = TokenKind.WHITESPACE, TokenKind.SHEET_NAME
+_FUNC_NAME = TokenKind.FUNC_NAME
+_NAMES = (_IDENTIFIER, _CELL_REF)
+
+
+class _KindMemo(dict):
+    def __missing__(self, text: str) -> TokenKind:
+        kind = _FIRST_CHAR_KIND.get(text[0])
+        if kind is None:
+            kind = _rare_kind(text)
+        elif kind is _IDENTIFIER and text[-1].isdecimal() and _CELL_SHAPE.fullmatch(text):
+            kind = _CELL_REF
+        if len(text) <= MEMO_TEXT_CHARS and len(self) < MEMO_ENTRIES:
+            self[text] = kind
+        return kind
+
+
+_KINDS = _KindMemo()
+
+
 # Operators that cannot act as a prefix (unary) operator. `+`/`-` can, and
 # `%` is postfix, so only these make an operator pair ill-formed.
 _BINARY_ONLY_OPS = frozenset({"*", "/", "^", "&", "<", ">", "=", "<=", ">=", "<>"})
@@ -144,44 +188,33 @@ def lex(formula: str, catalog: Optional[FunctionCatalog] = None) -> list[Token]:
     tokens. FuncName is assigned to identifiers, and to ref-shaped names
     such as `LOG10`, that appear in the catalog and are followed (ignoring
     whitespace) by `(`; a name directly before `!` is a SheetName instead.
+
+    Each per-token step runs in C, and Python decides a kind only when the
+    `_KINDS` memo misses; the contextual kinds are set in a pass that visits
+    only the `!` and `(` tokens, which `list.index` finds.
     """
     if catalog is None:
         catalog = default_catalog()
     texts = _MASTER.findall(formula)
-
-    # One pass right to left, so the next token and the next non-whitespace
-    # token are at hand for the contextual kinds; byte offsets count down
-    # from the end of the input.
-    new, token = tuple.__new__, Token
-    first_char_kind, cell_shape = _FIRST_CHAR_KIND.get, _CELL_SHAPE.fullmatch
-    identifier, cell_ref = TokenKind.IDENTIFIER, TokenKind.CELL_REF
-    whitespace, sheet_name, func_name = (TokenKind.WHITESPACE, TokenKind.SHEET_NAME,
-                                         TokenKind.FUNC_NAME)
-    ascii_only = formula.isascii()
-    end = len(formula) if ascii_only else len(formula.encode("utf-8", "surrogatepass"))
-    tokens: list[Token] = [None] * len(texts)  # type: ignore[list-item]
-    next_text: Optional[str] = None
-    next_solid: Optional[str] = None
-    for i in range(len(texts) - 1, -1, -1):
-        text = texts[i]
-        kind = first_char_kind(text[0])
-        if kind is None:
-            kind = _rare_kind(text)
-        elif kind is identifier and text[-1].isdecimal() and cell_shape(text):
-            kind = cell_ref
-        if kind is identifier or kind is cell_ref:
-            if next_text == "!":
-                kind = sheet_name
-            elif next_solid == "(" and text.lower() in catalog:
-                kind = func_name
-        start = end - (len(text) if ascii_only
-                       else len(text.encode("utf-8", "surrogatepass")))
-        tokens[i] = new(token, (kind, text, start, end))
-        end = start
-        next_text = text
-        if kind is not whitespace:
-            next_solid = text
-    return tokens
+    kinds = list(map(_KINDS.__getitem__, texts))
+    i = -1
+    for _ in range(texts.count("!")):
+        i = texts.index("!", i + 1)
+        if i and kinds[i - 1] in _NAMES:
+            kinds[i - 1] = _SHEET_NAME
+    # Whitespace runs are one token, so at most one stands between a name and its `(`.
+    i = -1
+    for _ in range(texts.count("(")):
+        i = texts.index("(", i + 1)
+        name = i - 2 if i and kinds[i - 1] is _WHITESPACE else i - 1
+        if name >= 0 and kinds[name] in _NAMES and texts[name].lower() in catalog:
+            kinds[name] = _FUNC_NAME
+    if formula.isascii():
+        ends = list(accumulate(map(len, texts)))
+    else:
+        ends = list(accumulate(map(len, map(str.encode, texts, repeat("utf-8"),
+                                            repeat("surrogatepass")))))
+    return list(map(tuple.__new__, repeat(Token), zip(kinds, texts, chain((0,), ends), ends)))
 
 
 def sketch(formula: str) -> str:

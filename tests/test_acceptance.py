@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each timed against its budget.
+"""Acceptance suite: one test per criterion, each timed against its budget,
+or counting its work where a time would follow the machine's load.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion with its elapsed time.
@@ -11,9 +12,11 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from typing import Optional
 
 import pytest
 
+from formulakit import noise, objectives
 from formulakit.baseline import build_index, repair_candidates
 from formulakit.cli import main
 from formulakit.curation import FormulaRecord, dedup, dedup_key
@@ -34,13 +37,18 @@ from test_tokenizer import oracle_merges
 
 
 @contextmanager
-def criterion(num: int, budget_s: float, description: str):
+def criterion(num: int, budget_s: Optional[float], description: str):
+    """Time a criterion against its budget; with no budget, the criterion
+    counts its work instead and the time is only printed."""
     start = time.perf_counter()
     yield
     elapsed = time.perf_counter() - start
-    line = f"ACCEPTANCE C{num:02d} PASS ({elapsed:6.2f}s / budget {budget_s:g}s): {description}"
-    print(line, file=sys.stderr)
-    assert elapsed < budget_s, f"criterion {num} exceeded its {budget_s}s budget: {elapsed:.2f}s"
+    budget = "counted" if budget_s is None else f"budget {budget_s:g}s"
+    print(f"ACCEPTANCE C{num:02d} PASS ({elapsed:6.2f}s / {budget}): {description}",
+          file=sys.stderr)
+    if budget_s is not None:
+        assert elapsed < budget_s, (
+            f"criterion {num} exceeded its {budget_s}s budget: {elapsed:.2f}s")
 
 
 def test_c01_sumif_pretokenization_exact():
@@ -109,7 +117,22 @@ def test_c05_objective_sampler_weights():
     ]
     records = [FormulaRecord(f"wb{i % 997}", f"s{i % 5}", pool[i % len(pool)])
                for i in range(100_000)]
-    with criterion(5, 10.0, "objective mix over 100k draws within 1pp of 50/20/20/5/5"):
+    # Count the work, not the seconds: one example per record, and each
+    # record lexed at most once (laMSP, UN and RN lex; TM and ID do not).
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    with criterion(5, None, "objective mix over 100k draws within 1pp of 50/20/20/5/5"), \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objectives, "example_for_record",
+                      counted("example_for_record", objectives.example_for_record))
+        for module in (objectives, noise):
+            patch.setattr(module, "lex", counted("lex", module.lex))
         counts = Counter(ex.objective for ex in
                          generate_pretrain(iter(records), ObjectiveConfig(seed=5)))
         n = sum(counts.values())
@@ -117,6 +140,8 @@ def test_c05_objective_sampler_weights():
         for name, weight in (("laMSP", 0.50), ("TM", 0.20), ("UN", 0.20),
                              ("RN", 0.05), ("ID", 0.05)):
             assert abs(counts[name] / n - weight) < 0.01, (name, counts[name] / n)
+        assert calls["example_for_record"] == 100_000, calls
+        assert 0 < calls["lex"] <= 100_000, calls
 
 
 def test_c06_noise_operator_goldens():

@@ -204,6 +204,20 @@ def _ref_lex(formula, catalog=None):
     return tokens
 
 
+_CUSTOM_CATALOG = FunctionCatalog.from_lines(["MYFN,1,1", "A,0,*"])
+# Whitespace before `!` or `(`, and a formula that starts with one, probe the two
+# contextual rules.
+_LEX_EDGE_CASES = ["=Data !A1", "=A1 !B2", "=A1!B2", "=sum (A1)", "=SUM\n(A1) ", "=SUM!A1",
+                   "='S' !A1", "=myfn (1)", "=Ä1+\"é\"&A1", "'open", '"open', "=A(1)+a (2)",
+                   "=(A1)", "!A1", "(1)", "=LOG10(1)+LOG10!A1+log10 (2)"]
+
+
+def _memo_cases():
+    """Edge cases, synthetic formulas and envelope formulas, for the memo checks."""
+    rng = random.Random(16)
+    return _LEX_EDGE_CASES + synth_corpus(300, seed=17) + _envelope_formulas(rng)
+
+
 class TestLexReference:
     @given(st.text(alphabet=st.sampled_from(list('AZaz019$:!,()"\' \t\n=<>+-*/^&%._#;@Äé€'))
                    | st.characters(), max_size=40))
@@ -213,13 +227,48 @@ class TestLexReference:
         assert lex(s) == _ref_lex(s)
 
     def test_matches_reference_on_corpus(self):
-        custom = FunctionCatalog.from_lines(["MYFN,1,1", "A,0,*"])
-        # Whitespace before `!` or `(` separates the two lookahead rules.
-        edge = ["=Data !A1", "=A1 !B2", "=A1!B2", "=sum (A1)", "=SUM\n(A1) ", "=SUM!A1",
-                "='S' !A1", "=myfn (1)", "=Ä1+\"é\"&A1", "'open", '"open']
-        for formula in edge + synth_corpus(1000, seed=15):
+        for formula in _LEX_EDGE_CASES + synth_corpus(1000, seed=15):
             assert lex(formula) == _ref_lex(formula)
-            assert lex(formula, custom) == _ref_lex(formula, custom)
+            assert lex(formula, _CUSTOM_CATALOG) == _ref_lex(formula, _CUSTOM_CATALOG)
+
+    def test_matches_reference_on_envelope_formulas(self):
+        rng = random.Random(18)
+        for _ in range(2):
+            for formula in _envelope_formulas(rng):
+                assert lex(formula) == _ref_lex(formula)
+                assert lex(formula, _CUSTOM_CATALOG) == _ref_lex(formula, _CUSTOM_CATALOG)
+
+    def test_cold_then_warm_memo(self, monkeypatch):
+        for formula in _memo_cases():
+            monkeypatch.setattr(lexer, "_KINDS", lexer._KindMemo())
+            assert lex(formula) == _ref_lex(formula), formula  # cold: each text a miss
+            assert lex(formula) == _ref_lex(formula), formula  # warm: what it kept hits
+
+    def test_custom_catalog_then_default(self, monkeypatch):
+        # The memo holds no kind that depends on the catalog, so a formula
+        # lexed under one catalog lexes the same as ever under the other.
+        for formula in _memo_cases():
+            monkeypatch.setattr(lexer, "_KINDS", lexer._KindMemo())
+            assert lex(formula, _CUSTOM_CATALOG) == _ref_lex(formula, _CUSTOM_CATALOG), formula
+            assert lex(formula) == _ref_lex(formula), formula
+            assert lex(formula, _CUSTOM_CATALOG) == _ref_lex(formula, _CUSTOM_CATALOG), formula
+
+    def test_memo_stays_within_its_bounds(self, monkeypatch):
+        memo = lexer._KindMemo()
+        monkeypatch.setattr(lexer, "_KINDS", memo)
+        long_string = '"' + "x" * 7_990 + '{:08d}"'
+        texts = [long_string.format(i) if i % 50 == 0 else
+                 f"name_{i:05d}".ljust(100, "x") if i % 50 == 1 else
+                 f"{i}.5" if i % 2 else f"N{i}" for i in range(20_000)]
+        assert len(set(texts)) == 20_000
+        assert {len(t) for t in texts[:2]} == {8_000, 100}
+        for text in texts:
+            formula = "=SUM(" + text + ")+Data!" + text
+            assert lex(formula) == _ref_lex(formula)
+        assert len(memo) == lexer.MEMO_ENTRIES  # full, and stopped there
+        assert max(map(len, memo)) <= lexer.MEMO_TEXT_CHARS
+        assert K.FUNC_NAME not in memo.values()
+        assert all(text.startswith("'") for text, kind in memo.items() if kind is K.SHEET_NAME)
 
 
     def test_matches_reference_on_first_character_edge_cases(self):
@@ -640,6 +689,30 @@ def _envelope_formulas(rng):
     return ["=" + deep, "=" + wide, "=" + long]
 
 
+def _token_reads(formula, passes=(check, applicable_operators)):
+    """The results of `passes` on formula, and the tokens they read from
+    `lex`'s output: each one iterated over or indexed (a slice reads its
+    length), counted through wrappers, not timed."""
+    reads = Counter()
+
+    class Tokens(list):
+        def __iter__(self):
+            for tok in super().__iter__():
+                reads["tokens"] += 1
+                yield tok
+
+        def __getitem__(self, key):
+            item = super().__getitem__(key)
+            reads["tokens"] += len(item) if isinstance(key, slice) else 1
+            return item
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (lexer, noise):
+            patch.setattr(module, "lex", lambda *args, lex=module.lex: Tokens(lex(*args)))
+        result = tuple(run(formula) for run in passes)
+    return result, reads["tokens"]
+
+
 class TestCallMatcher:
     def test_agrees_with_reference_on_synth_corpus(self):
         for formula in synth_corpus(1500, seed=11):
@@ -670,35 +743,11 @@ class TestCallMatcher:
         assert match_brackets(lex("=IF(A1,SUM(B1)")) == ({5: [(7, 8)]}, [], [2])
         assert match_brackets(lex("),=(A1),)")) == ({}, [0, 1, 6, 7], [])
 
-    @staticmethod
-    def _token_reads(formula):
-        """check and applicable_operators of formula, and the tokens their
-        passes read from `lex`'s output: each one iterated over or indexed
-        (a slice reads its length), counted through wrappers, not timed."""
-        reads = Counter()
-
-        class Tokens(list):
-            def __iter__(self):
-                for tok in super().__iter__():
-                    reads["tokens"] += 1
-                    yield tok
-
-            def __getitem__(self, key):
-                item = super().__getitem__(key)
-                reads["tokens"] += len(item) if isinstance(key, slice) else 1
-                return item
-
-        with pytest.MonkeyPatch.context() as patch:
-            for module in (lexer, noise):
-                patch.setattr(module, "lex", lambda *args, lex=module.lex: Tokens(lex(*args)))
-            result = check(formula), applicable_operators(formula)
-        return result, reads["tokens"]
-
     def test_nesting_2000_deep_is_linear_and_matches_reference(self, monkeypatch):
         # Twice the depth must not read three times the tokens.
         formula = "=" + "SUM(" * 2000 + "1" + ")" * 2000
-        _, reads_n = self._token_reads("=" + "SUM(" * 1000 + "1" + ")" * 1000)
-        (diags, ops), reads_2n = self._token_reads(formula)
+        _, reads_n = _token_reads("=" + "SUM(" * 1000 + "1" + ")" * 1000)
+        (diags, ops), reads_2n = _token_reads(formula)
         assert 0 < reads_n and reads_2n < 3 * reads_n, (reads_n, reads_2n)
 
         # The reference rescans every call, O(depth * n): seconds at this depth.
@@ -708,6 +757,61 @@ class TestCallMatcher:
         monkeypatch.setattr(noise, "match_brackets", lambda tokens: reference)
         assert check(formula) == diags == []
         assert applicable_operators(formula) == ops
+
+
+class TestLexScaling:
+    """`lex` and `check` on a formula of 80,000 characters do under three
+    times the work they do on its first 40,000: counted, not timed."""
+
+    @staticmethod
+    def _formula(chars):
+        """Random formulas, sheet references and calls among them, joined by
+        `+` up to `chars` characters; seeded, so a shorter one is a prefix
+        of a longer one."""
+        rng = random.Random(19)
+        formula = "="
+        while len(formula) < chars:
+            formula += random_formula(rng, 2)[1:] + "+"
+        return formula[:-1]
+
+    @staticmethod
+    def _lex_work(formula):
+        """Kind-memo misses on a cold memo, and the text positions the
+        contextual pass's `index` calls scan to reach each `!` and `(`."""
+        work = Counter()
+
+        class Texts(list):
+            def index(self, value, start=0):
+                found = super().index(value, start)
+                work["scanned"] += found - start + 1
+                return found
+
+        class Master:
+            def findall(self, text, master=lexer._MASTER):
+                return Texts(master.findall(text))
+
+        def counted_missing(memo, text, missing=lexer._KindMemo.__missing__):
+            work["misses"] += 1
+            return missing(memo, text)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexer, "_KINDS", lexer._KindMemo())
+            patch.setattr(lexer, "_MASTER", Master())
+            patch.setattr(lexer._KindMemo, "__missing__", counted_missing)
+            tokens = lex(formula)
+        assert tokens == _ref_lex(formula)
+        return work
+
+    def test_twice_the_characters_under_three_times_the_work(self):
+        n, twice = self._formula(40_000), self._formula(80_000)
+        assert twice.startswith(n)
+        lex_n, lex_2n = self._lex_work(n), self._lex_work(twice)
+        (diags_n,), reads_n = _token_reads(n, (check,))
+        (diags_2n,), reads_2n = _token_reads(twice, (check,))
+        assert diags_n == _ref_check(n) and diags_2n == _ref_check(twice)
+        for key in ("misses", "scanned"):
+            assert 0 < lex_n[key] and lex_2n[key] < 3 * lex_n[key], (key, lex_n, lex_2n)
+        assert 0 < reads_n and reads_2n < 3 * reads_n, (reads_n, reads_2n)
 
 
 # --- view oracles ----------------------------------------------------------
@@ -1045,7 +1149,7 @@ def test_lexer_benchmark_script_runs(run_python):
     assert proc.returncode == 0, proc.stderr
     assert "every input round-trips, no envelope input flagged" in proc.stdout
     assert [line.split()[0] for line in proc.stdout.splitlines()[2:]] == [
-        "lex", "check", "normalize", "sketch", "dedup_key", "applicable_operators",
+        "lex", "lex_cold", "check", "normalize", "sketch", "dedup_key", "applicable_operators",
         "dedup", "dedup_no_repeats", "gen_repair_finetune", "ingest", "emit"]
 
 
