@@ -11,9 +11,10 @@ Memory is O(distinct keys per workbook), plus at most `_KEYED_TEXTS` texts
 and their keys. `dedup_key` lexes a formula once unless it holds
 whitespace, whose removal can merge tokens.
 `ingest` decodes each line with `jsonl.loads` and skips the lines that are
-not usable records (any line `loads` rejects among them), counting them in
-a skips Counter. A `FormulaRecord` is a `NamedTuple`: immutable, equal and
-hashed by value, and cheap to build and to pickle.
+not usable records (any line `loads` rejects among them); it walks the
+lines with `seeds.map_records`, which counts them in a skips Counter. A
+`FormulaRecord` is a `NamedTuple`: immutable, equal and hashed by value,
+and cheap to build and to pickle.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .jsonl import loads
 from .lexer import TokenKind, lex, normalize, sketch_tokens
+from .seeds import map_records
 
 DEDUP_MODES = ("per-workbook", "global")
 # How many texts' keys one `dedup` call keeps, dropping the least recently
@@ -84,20 +86,20 @@ def parse_record(obj: object) -> Optional[FormulaRecord]:
     return FormulaRecord(workbook_id, sheet_id, formula, cell)
 
 
+def _record_of(ordinal: int, line: str) -> Union[FormulaRecord, str]:
+    """ingest's work on one line: its record, or "malformed"."""
+    stripped = line.strip()
+    try:
+        record = parse_record(loads(stripped)) if stripped else None
+    except json.JSONDecodeError:
+        record = None
+    return "malformed" if record is None else record
+
+
 def ingest(lines: Iterable[str], skips: Optional[Counter[str]] = None) -> Iterator[FormulaRecord]:
     """Parse JSONL lines into records; a line that is not a usable record is
     skipped and counted as skips["malformed"]."""
-    skips = Counter() if skips is None else skips
-    for line in lines:
-        stripped = line.strip()
-        try:
-            record = parse_record(loads(stripped)) if stripped else None
-        except json.JSONDecodeError:
-            record = None
-        if record is None:
-            skips["malformed"] += 1
-            continue
-        yield record
+    yield from map_records(_record_of, lines, skips)
 
 
 @dataclass

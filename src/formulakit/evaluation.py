@@ -7,12 +7,15 @@ correlation between embedding cosine similarity and token edit similarity).
 The retrieval targets score each drawn pair on its own, masking and
 interning only the formulas that occur in a pair.
 Candidate providers are plain callables, so a replayed prediction file, the
-non-neural baseline, or any model wrapper evaluate identically. Repair
-synthesis lexes each source formula once, and a corruption only when its
-`lexer.fold` matches the source's, the one case where normalization can
-undo it, and seeds each source from (seed, "repair") hashed once
-(`seeds.seed_prefix`). `RepairTask`, `CompletionTask` and `RetrievalPair`
-are `NamedTuple`s: immutable, equal and hashed by value.
+non-neural baseline, or any model wrapper evaluate identically. Both
+fine-tune generators run a per-formula function through `seeds.map_records`,
+which numbers the formulas and counts the skips by reason, and seed formula
+i from (seed, "repair", i) or (seed, "complete", i), the prefix hashed once
+per process (`seeds.seed_prefix`). Repair synthesis lexes each source
+formula once, and a corruption only when its `lexer.fold` matches the
+source's, the one case where normalization can undo it. `RepairTask`,
+`CompletionTask` and `RetrievalPair` are `NamedTuple`s: immutable, equal
+and hashed by value.
 """
 
 from __future__ import annotations
@@ -21,15 +24,16 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .curation import dedup_key
 from .lexer import TokenKind, check, fold, lex, normalize
 from .noise import SiteIndex
 from .objectives import typed, user_noise
-from .seeds import derive_rng, seed_prefix
+from .seeds import derive_rng, map_records, seed_prefix
 from .similarity import formula_token_ids, similarity_ids
 from .tokenizer import TokenizerModel, decode, encode
 
@@ -194,6 +198,21 @@ def mask_constants(formula: str) -> str:
     return "".join(parts)
 
 
+def _repair_for(seed: int, ordinal: int, formula: str) -> Union[RepairTask, str]:
+    """gen_repair_finetune's work on formula `ordinal`: its task, or why it
+    has none."""
+    tokens = lex(formula)
+    index = SiteIndex(tokens)
+    if check(formula, tokens=tokens, brackets=index.brackets()):
+        return "malformed"
+    rng = random.Random(seed_prefix(seed, "repair")(ordinal))
+    example = user_noise(formula, rng, index)
+    if fold(example.input) == fold(formula) \
+            and normalize(example.input) == normalize(formula, tokens=tokens):
+        return "unchanged"
+    return RepairTask(buggy=example.input, ground_truth=formula, source_id=f"repair-{ordinal}")
+
+
 def gen_repair_finetune(formulas: Iterable[str], seed: int,
                         skips: Optional[Counter[str]] = None) -> Iterator[RepairTask]:
     """Corrupt well-formed formulas with user-inspired noise into repair pairs.
@@ -207,22 +226,18 @@ def gen_repair_finetune(formulas: Iterable[str], seed: int,
     source's, since formulas with different folds have different normalized
     forms.
     """
-    skips = Counter() if skips is None else skips
-    record_seed = seed_prefix(seed, "repair")
-    for ordinal, formula in enumerate(formulas):
-        tokens = lex(formula)
-        index = SiteIndex(tokens)
-        if check(formula, tokens=tokens, brackets=index.brackets()):
-            skips["malformed"] += 1
-            continue
-        rng = random.Random(record_seed(ordinal))
-        example = user_noise(formula, rng, index)
-        if fold(example.input) == fold(formula) \
-                and normalize(example.input) == normalize(formula, tokens=tokens):
-            skips["unchanged"] += 1
-            continue
-        yield RepairTask(buggy=example.input, ground_truth=formula,
-                         source_id=f"repair-{ordinal}")
+    yield from map_records(partial(_repair_for, seed), formulas, skips)
+
+
+def _completion_for(model: TokenizerModel, seed: int, fractions: Sequence[float],
+                    ordinal: int, formula: str) -> Union[CompletionTask, str]:
+    """gen_completion_finetune's work on formula `ordinal`: its task, or why
+    it has none."""
+    fraction = random.Random(seed_prefix(seed, "complete")(ordinal)).choice(fractions)
+    try:
+        return make_completion_prefix(formula, fraction, model, source_id=f"complete-{ordinal}")
+    except ValueError:  # the fractions are checked in gen_completion_finetune
+        return "under 2 tokens"
 
 
 def gen_completion_finetune(formulas: Iterable[str], model: TokenizerModel, seed: int,
@@ -233,17 +248,7 @@ def gen_completion_finetune(formulas: Iterable[str], model: TokenizerModel, seed
     (skips["under 2 tokens"]); no fraction, or one outside (0, 1), is a ValueError."""
     if not fractions or not all(0 < fraction < 1 for fraction in fractions):
         raise ValueError(f"fractions must be in (0, 1), at least one, got {list(fractions)}")
-    skips = Counter() if skips is None else skips
-    record_seed = seed_prefix(seed, "complete")
-    for ordinal, formula in enumerate(formulas):
-        fraction = random.Random(record_seed(ordinal)).choice(fractions)
-        try:
-            task = make_completion_prefix(formula, fraction, model,
-                                          source_id=f"complete-{ordinal}")
-        except ValueError:  # the fractions are checked above
-            skips["under 2 tokens"] += 1
-        else:
-            yield task
+    yield from map_records(partial(_completion_for, model, seed, fractions), formulas, skips)
 
 
 def reserve_split(items: Sequence, n: int, seed: int) -> tuple[list, list]:

@@ -11,13 +11,14 @@ Four denoising objectives plus an identity pass-through:
 Every example targets the complete original formula. Generation is a pure
 function of (record, ordinal, config): per-record seeds are derived with a
 stable hash, so output is byte-identical no matter how many workers run.
-Each process hashes a config seed's prefix once (`seeds.seed_prefix`) and
-accumulates the objective weights once per set of objectives still in the
-draw; `rng.choices` takes those cumulative weights and draws as it would
-from the weights. A `PretrainExample` is a `NamedTuple`, cheap to build and
-to pickle across the pool.
-`generate_pretrain` is the one pretrain loop, serial or over a process pool,
-and counts the records no objective fits in a skips Counter.
+Each process hashes a config seed's prefix once (`seeds.seed_prefix` is
+cached) and accumulates the objective weights once per set of objectives
+still in the draw; `rng.choices` takes those cumulative weights and draws
+as it would from the weights. A `PretrainExample` is a `NamedTuple`, cheap
+to build and to pickle across the pool.
+`generate_pretrain` is the one pretrain loop, serial or over a process pool:
+it runs `example_for_record` through `seeds.map_records`, which counts the
+records no objective fits in a skips Counter.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ import random
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate, count, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from functools import lru_cache, partial
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import noise
 from .curation import FormulaRecord
 from .lexer import lex
-from .seeds import seed_prefix
+from .seeds import map_records, seed_prefix
 from .tokenizer import MASK_TOKEN as MASK
 
 OBJECTIVE_ORDER = ("laMSP", "TM", "UN", "RN", "ID")
@@ -285,12 +286,6 @@ def user_noise(formula: str, rng: random.Random,
     )
 
 
-@lru_cache(maxsize=8, typed=True)
-def _record_seeds(seed: int) -> Callable[..., int]:
-    """`derive_seed(seed, ...)`, with `seed` hashed once per process."""
-    return seed_prefix(seed)
-
-
 @lru_cache(maxsize=64)
 def _objective_draw(weights: tuple[tuple[str, float], ...]
                     ) -> tuple[tuple[str, ...], tuple[float, ...]]:
@@ -306,7 +301,7 @@ def example_for_record(record: FormulaRecord, ordinal: int,
                        config: ObjectiveConfig) -> Optional[PretrainExample]:
     """One example for one record; None when every objective's precondition
     fails. Pure in (record, ordinal, config), hence worker-count independent."""
-    record_seed = _record_seeds(config.seed)(record.workbook_id, record.sheet_id, ordinal)
+    record_seed = seed_prefix(config.seed)(record.workbook_id, record.sheet_id, ordinal)
     rng = random.Random(record_seed)
     weights = tuple(config.weights.items())
     while True:
@@ -333,9 +328,11 @@ def example_for_record(record: FormulaRecord, ordinal: int,
                                example.detail, record_seed)
 
 
-def _example_for_task(task: tuple) -> Optional[PretrainExample]:
-    """example_for_record on one (record, ordinal, config) tuple, as imap passes it."""
-    return example_for_record(*task)
+def _example_or_skip(config: ObjectiveConfig, ordinal: int,
+                     record: FormulaRecord) -> Union[PretrainExample, str]:
+    """example_for_record as `seeds.map_records` calls it: None is a skip."""
+    example = example_for_record(record, ordinal, config)
+    return "no objective" if example is None else example
 
 
 def generate_pretrain(records: Iterable[FormulaRecord], config: ObjectiveConfig,
@@ -345,15 +342,4 @@ def generate_pretrain(records: Iterable[FormulaRecord], config: ObjectiveConfig,
     sampling; a record no objective fits counts as skips["no objective"].
     workers > 1 spreads the records over a process pool; same output."""
     config.validate()
-    skips = Counter() if skips is None else skips
-    tasks = zip(records, count(), repeat(config))
-    if workers > 1:
-        from multiprocessing import Pool  # only a pool run pays for the import
-    with (Pool(workers) if workers > 1 else contextlib.nullcontext()) as pool:
-        examples = (pool.imap(_example_for_task, tasks, chunksize=256) if pool
-                    else map(_example_for_task, tasks))
-        for example in examples:
-            if example is None:
-                skips["no objective"] += 1
-            else:
-                yield example
+    yield from map_records(partial(_example_or_skip, config), records, skips, workers)

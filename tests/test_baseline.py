@@ -4,6 +4,7 @@ import re
 from collections import Counter
 
 import pytest
+from test_curation import envelope_records, lex_work
 
 from formulakit import baseline
 from formulakit.baseline import (SketchIndex, build_index, completion_candidates,
@@ -121,6 +122,20 @@ class TestBuildIndex:
         repair_candidates(index, corpus[0], 5)
         assert "_repair_view" in vars(index)
         assert len(lex_calls) == built + len(set(corpus)) + 1  # and the query
+
+
+class TestEnvelopeScaling:
+    """build_index on twice the envelope formulas makes under three times the
+    `lex` calls, which return under three times the tokens: counted, not
+    timed."""
+
+    def test_twice_the_formulas_under_three_times_the_work(self, lex_calls):
+        formulas = [r.formula for r in envelope_records(24)]
+        (index_n, n), (index_2n, twice) = (lex_work(lex_calls, lambda: build_index(some))
+                                           for some in (formulas[:12], formulas))
+        assert (index_n.total_formulas, index_2n.total_formulas) == (12, 24)
+        for key in ("calls", "tokens"):
+            assert 0 < n[key] and twice[key] < 3 * n[key], (key, n, twice)
 
 
 class TestRepairCandidates:

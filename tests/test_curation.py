@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_lexer import _corruptions, _envelope_formulas
 
 from formulakit import curation
-from formulakit.curation import (CorpusStats, FormulaRecord, dedup, dedup_key,
+from formulakit.curation import (DEDUP_MODES, CorpusStats, FormulaRecord, dedup, dedup_key,
                                  ingest, stats)
 from formulakit.lexer import TokenKind, lex, normalize, sketch
 from formulakit.synth import synth_corpus, synth_records
@@ -354,3 +354,36 @@ class TestKeysEachTextOnce:
             assert len(keyed) > len({r.formula for r in records}), (seed, mode)
             assert got_kept == want_kept, (seed, mode)
             assert got_stats == want_stats, (seed, mode)
+
+
+def envelope_records(n, seed=23):
+    """n records of formulas at Excel's limits (`_envelope_formulas`), each
+    text in two of four workbooks; seeded, so fewer are a prefix of more."""
+    rng = random.Random(seed)
+    formulas = []
+    while len(formulas) < n:
+        formulas += _envelope_formulas(rng)
+    return [rec(f"wb{i % 4}", formulas[i // 2]) for i in range(n)]
+
+
+def lex_work(lex_calls, run):
+    """run()'s result, and the `lex` calls it makes (`lex_calls`, the
+    fixture) and the tokens they return: counted, not timed."""
+    lex_calls.clear()
+    result = run()
+    return result, Counter(calls=len(lex_calls), tokens=sum(len(lex(f)) for f in lex_calls))
+
+
+class TestEnvelopeScaling:
+    """dedup on twice the envelope records makes under three times the `lex`
+    calls, which return under three times the tokens: counted, not timed."""
+
+    @pytest.mark.parametrize("mode", DEDUP_MODES)
+    def test_twice_the_records_under_three_times_the_work(self, lex_calls, mode):
+        records = envelope_records(24)
+        (kept_n, n), (kept_2n, twice) = (lex_work(lex_calls, lambda: list(dedup(some, mode)))
+                                         for some in (records[:12], records))
+        assert kept_n == _dedup_keying_every_record(records[:12], mode)[0]
+        assert kept_2n == _dedup_keying_every_record(records, mode)[0]
+        for key in ("calls", "tokens"):
+            assert 0 < n[key] and twice[key] < 3 * n[key], (key, n, twice)

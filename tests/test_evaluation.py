@@ -3,6 +3,7 @@ import random
 import statistics
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +13,15 @@ from formulakit import evaluation, lexer, noise
 from formulakit.cli import main
 from formulakit.curation import dedup_key
 from formulakit.jsonl import dumps, write_json_atomic
-from formulakit.evaluation import (CompletionTask, RepairTask, RetrievalPair,
-                                   build_retrieval_pairs, cosine_similarity,
+from formulakit.evaluation import (COMPLETION_FRACTIONS, CompletionTask, RepairTask,
+                                   RetrievalPair, build_retrieval_pairs, cosine_similarity,
                                    evaluate, gen_completion_finetune, gen_repair_finetune,
                                    make_completion_prefix, mask_constants, reserve_split,
                                    retrieval_eval)
 from formulakit.lexer import check, fold, normalize
 from formulakit.noise import apply_noise_operator
 from formulakit.objectives import PretrainExample, user_noise
-from formulakit.seeds import derive_rng
+from formulakit.seeds import derive_rng, map_records
 from formulakit.similarity import (PackedCorpus, formula_token_ids, similarities_to_many,
                                    token_edit_similarity)
 from formulakit.synth import synth_corpus
@@ -137,6 +138,34 @@ class TestCompletionSynthesis:
             with pytest.raises(ValueError, match="fractions must be in"):
                 list(gen_completion_finetune(["=SUM(A1:A2)", "="], model, 0, fractions, skips))
         assert skips == Counter()
+
+
+class TestOneMap:
+    """The fine-tune generators' per-formula functions run through
+    `seeds.map_records` give the same rows and skips at two workers as at
+    one, which also shows that they pickle for the pool."""
+
+    CORPUS = synth_corpus(400, seed=86) + ["=SUM (A1:A3)", "=SUM(A1", "=A1+", "=", "a"]
+
+    @pytest.mark.parametrize("kind", ["repair", "complete"])
+    def test_two_workers_give_the_rows_and_skips_of_one(self, model, kind):
+        if kind == "repair":
+            task = partial(evaluation._repair_for, 6)
+            generated = gen_repair_finetune(self.CORPUS, 6)
+            reasons = {"malformed", "unchanged"}
+        else:
+            task = partial(evaluation._completion_for, model, 6, COMPLETION_FRACTIONS)
+            generated = gen_completion_finetune(self.CORPUS, model, 6)
+            reasons = {"under 2 tokens"}
+        runs = []
+        for workers in (1, 2):
+            skips = Counter()
+            runs.append((list(map_records(task, self.CORPUS, skips, workers)), skips))
+        (rows, skips), (pooled_rows, pooled_skips) = runs
+        assert rows == list(generated) and pooled_rows == rows
+        assert set(skips) == reasons and all(skips.values())
+        assert pooled_skips == skips
+        assert len(rows) + skips.total() == len(self.CORPUS)
 
 
 class TestMaskConstants:

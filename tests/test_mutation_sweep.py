@@ -50,6 +50,23 @@ ARTIFACTS = {
         ["gen-finetune-repair", "--input", "{mut}", "--seed", "5", "-o", "{d}/out.jsonl"]),
     "dedup-corpus via dedup": ("dedup.jsonl", True,
                                ["dedup", "--input", "{mut}", "-o", "{d}/out.jsonl"]),
+    # the readers of the generators that walk their records through
+    # seeds.map_records, gen-pretrain serially and over a pool, and the two
+    # other corpus readers of the pipeline
+    "dedup-corpus via gen-pretrain": ("dedup.jsonl", True,
+                                      ["gen-pretrain", "--input", "{mut}", "-o", "{d}/out.jsonl"]),
+    "dedup-corpus via gen-pretrain --workers 2": (
+        "dedup.jsonl", True,
+        ["gen-pretrain", "--input", "{mut}", "--workers", "2", "-o", "{d}/out.jsonl"]),
+    "dedup-corpus via gen-finetune-complete": (
+        "dedup.jsonl", True,
+        ["gen-finetune-complete", "--input", "{mut}", "--model", "{d}/tokenizer.json",
+         "-o", "{d}/out.jsonl"]),
+    "dedup-corpus via train-tokenizer": (
+        "dedup.jsonl", True,
+        ["train-tokenizer", "--input", "{mut}", "--budget", "300", "-o", "{d}/out.json"]),
+    "dedup-corpus via baseline build": (
+        "dedup.jsonl", True, ["baseline", "build", "--input", "{mut}", "-o", "{d}/out.json"]),
 }
 
 

@@ -12,7 +12,7 @@ from test_seeds import GOLDEN
 from formulakit.curation import FormulaRecord
 from formulakit.evaluation import CompletionTask, RepairTask, RetrievalPair
 from formulakit.objectives import PretrainExample
-from formulakit.seeds import seed_prefix
+from formulakit.seeds import derive_seed, seed_prefix
 
 # type -> (its fields in order, an instance, the row its to_json gives)
 RECORDS = {
@@ -93,3 +93,10 @@ def test_prefix_hashed_seeds_equal_derive_seed(parts, expected):
         derive = seed_prefix(*parts[:cut])
         assert derive(*parts[cut:]) == expected
         assert derive(*parts[cut:]) == expected  # each call copies the prefix's state
+
+
+def test_cached_prefixes_are_keyed_by_value_and_type():
+    # 1 == True and hash(1) == hash(True), yet they hash as "1" and "True":
+    # a cache keyed by value alone would give the second the first's seeds.
+    assert seed_prefix(5, "repair") is seed_prefix(5, "repair")
+    assert seed_prefix(1)() == derive_seed(1) != derive_seed(True) == seed_prefix(True)()

@@ -47,8 +47,9 @@ def test_pyproject_version_is_the_package_version():
 
 
 def test_importing_the_cli_does_not_import_multiprocessing(run_python):
-    # Only `generate_pretrain` with workers > 1 needs a process pool, so
-    # the import costs nothing to the commands that never start one.
+    # Only `seeds.map_records` with workers > 1 starts a process pool, and
+    # it imports multiprocessing there, so the import costs nothing to the
+    # commands that never start one.
     proc = run_python(
         "-c", "import sys, formulakit.cli; "
         "print(sorted(name for name in sys.modules if name.startswith('multiprocessing')))",
@@ -57,22 +58,38 @@ def test_importing_the_cli_does_not_import_multiprocessing(run_python):
     assert proc.stdout.strip() == "[]"
 
 
-def test_cli_writes_every_output_through_one_path():
-    # Every command's artifact and manifest go through cli._emit, and main
-    # alone turns a command's outcome into an exit code.
+def _enclosing_calls(name):
+    """`module.function` of every call of `name` (a plain name or an
+    attribute) in the package, by the innermost function around it."""
     callers = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         functions = [node for node in ast.walk(tree)
                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "write_manifest" in (
+            if isinstance(node, ast.Call) and name in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 # ast.walk is breadth-first, so the innermost function comes last
                 enclosing = [f.name for f in functions
                              if f.lineno <= node.lineno <= f.end_lineno] or ["<module>"]
                 callers.append(f"{path.stem}.{enclosing[-1]}")
-    assert callers == ["cli._emit"]
+    return callers
+
+
+def test_every_generator_walks_its_records_through_one_map():
+    # ingest, generate_pretrain and both fine-tune generators run their
+    # per-record function through seeds.map_records, the one place that
+    # numbers the records, counts the skips and starts a process pool.
+    assert _enclosing_calls("Pool") == ["seeds.map_records"]
+    assert sorted(_enclosing_calls("map_records")) == [
+        "curation.ingest", "evaluation.gen_completion_finetune",
+        "evaluation.gen_repair_finetune", "objectives.generate_pretrain"]
+
+
+def test_cli_writes_every_output_through_one_path():
+    # Every command's artifact and manifest go through cli._emit, and main
+    # alone turns a command's outcome into an exit code.
+    assert _enclosing_calls("write_manifest") == ["cli._emit"]
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     returning = sorted({f.name for f in tree.body
                         if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")
