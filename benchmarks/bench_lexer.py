@@ -7,6 +7,9 @@ Times `lex`, `check`, `normalize`, `sketch`, `curation.dedup_key` and
   typical    short formulas, as in the `corpus` workload
   envelope   formulas at Excel's limits (8,192 characters, 64 nesting
              levels, 255 arguments), as in the `envelope` workload
+A `findall` row before them times the lexer's master pattern alone over
+each set, so that a change to the pattern shows apart from building the
+tokens.
 
 Five more rows time a stage over the whole set, per formula: `dedup`
 (per-workbook, over the set's records with their exact repeats, which it
@@ -44,12 +47,12 @@ from inputs import envelope_records, typical_records  # noqa: E402
 from formulakit.curation import FormulaRecord, dedup, dedup_key, ingest  # noqa: E402
 from formulakit.evaluation import gen_repair_finetune  # noqa: E402
 from formulakit.jsonl import dumps, write_jsonl_atomic  # noqa: E402
-from formulakit.lexer import _KINDS, check, lex, normalize, sketch  # noqa: E402
+from formulakit.lexer import _KINDS, _MASTER, check, lex, normalize, sketch  # noqa: E402
 from formulakit.noise import applicable_operators  # noqa: E402
 
 REPEAT = 5
-VIEWS = (("lex", lex, False), ("lex_cold", lex, True), ("check", check, False),
-         ("normalize", normalize, False), ("sketch", sketch, False),
+VIEWS = (("findall", _MASTER.findall, False), ("lex", lex, False), ("lex_cold", lex, True),
+         ("check", check, False), ("normalize", normalize, False), ("sketch", sketch, False),
          ("dedup_key", dedup_key, False), ("applicable_operators", applicable_operators, False))
 
 

@@ -187,12 +187,25 @@ def cmd_sketch(args) -> None:
 
 def cmd_check(args) -> None:
     catalog = _load_catalog(args)
-    rows = ({"formula": f,
-             "diagnostics": [{"code": d.code.value, "start": d.start,
-                              "end": d.end, "message": d.message}
-                             for d in check(f, catalog)]}
-            for f in _input_formulas(args))
-    _emit(args, rows, {})
+    formulas = _input_formulas(args)
+
+    def rows():
+        # A well-formed text's row is the same wherever it repeats, so each
+        # is checked once; the set holds only texts `formulas` holds.
+        clean: set[str] = set()
+        for f in formulas:
+            if f in clean:
+                yield {"formula": f, "diagnostics": []}
+                continue
+            diagnostics = check(f, catalog)
+            if not diagnostics:
+                clean.add(f)
+            yield {"formula": f,
+                   "diagnostics": [{"code": d.code.value, "start": d.start,
+                                    "end": d.end, "message": d.message}
+                                   for d in diagnostics]}
+
+    _emit(args, rows(), {})
 
 
 def cmd_dedup(args) -> None:

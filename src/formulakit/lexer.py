@@ -88,9 +88,14 @@ class Diagnostic:
     message: str
 
 
-# One master pattern, alternatives ordered so the longest sensible match wins.
-# CELLREF carries a lookahead so `A1B2` falls through to NAME, and NUMBER is
-# tried before CELLREF so `1E5` reads as a number, not a cell reference.
+# One master pattern. The regex engine tries the alternatives in order at
+# each position, so they follow token frequency, the most common first:
+# the one-character punctuation and operators, then cell references and
+# names, the relational operators, numbers, whitespace and the string
+# forms. Only alternatives whose first characters overlap need an order
+# among them, and keep it: CELLREF before NAME (CELLREF carries a lookahead
+# so `A1B2` falls through to NAME), NUMBER's `.` and CELLREF's `$` before
+# ERROR, and the closed STRING and SHEETQ before their unterminated forms.
 # ERROR takes any single character no other rule matches, so the matches
 # tile the whole input. The groups capture nothing: `findall` then returns
 # the token texts without building a match object per token, which costs
@@ -98,15 +103,14 @@ class Diagnostic:
 # text's first character (_FIRST_CHAR_KIND).
 _MASTER = re.compile(
     r"""
-    [ \t\r\n]+                                   # WS
-  | "(?:[^"]|"")*"                               # STRING
-  | '(?:[^']|'')*'                               # SHEETQ
-  | \d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+          # NUMBER
+    [(),:!{}=+\-*/^&%]                           # PUNCT and OP1, one character
   | \$?[A-Za-z]{1,3}\$?\d+(?![A-Za-z0-9_.])       # CELLREF
   | [A-Za-z_][A-Za-z0-9_.]*                      # NAME
-  | <=|>=|<>                                     # OP2
-  | [=<>+\-*/^&%]                                # OP1
-  | [(),:!{}]                                    # PUNCT
+  | <[=>]?|>=?                                   # relational OP2 and OP1
+  | \d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\.\d+          # NUMBER
+  | [ \t\r\n]+                                   # WS
+  | "(?:[^"]|"")*"                               # STRING
+  | '(?:[^']|'')*'                               # SHEETQ
   | "(?:[^"]|"")*\Z                              # BADSTRING, unterminated
   | '(?:[^']|'')*\Z                              # BADSHEET, unterminated
   | .                                            # ERROR

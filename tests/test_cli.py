@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 import test_cli_golden as golden
 
-from formulakit import __version__
-from formulakit.catalog import default_catalog
+from formulakit import __version__, cli
+from formulakit.catalog import FunctionCatalog, default_catalog
 from formulakit.cli import (BASELINE_COMMANDS, COMMANDS, UsageError, build_parser,
                             load_config, main)
 from formulakit.curation import CorpusStats
 from formulakit import jsonl
 from formulakit.jsonl import dumps, write_jsonl_atomic
+from formulakit.lexer import check
 from formulakit.objectives import ObjectiveConfig
 from formulakit.similarity import KERNEL_BACKEND
 from formulakit.synth import synth_corpus, synth_records
@@ -68,6 +69,41 @@ class TestBasicCommands:
         assert main(["check", "=SUM(A1"]) == 0
         row = json.loads(capsys.readouterr().out)
         assert row["diagnostics"][0]["code"] == "UnbalancedParens"
+
+    @pytest.mark.parametrize("catalog, ill_formed", [
+        (None, "=SUM(A1"),
+        (["sum,1,2"], "=SUM(A1,A2,A3)"),  # ill-formed under this catalog alone
+    ])
+    def test_check_checks_a_repeated_well_formed_text_once(self, tmp_path, capsys, monkeypatch,
+                                                           catalog, ill_formed):
+        # [A, B, A, C, C, A] with C ill-formed: A and B are checked once and
+        # C each time, 4 calls, and every row is the one check gives alone.
+        a, b, c = "=SUM(A1:A3)", "=A1+1", ill_formed
+        formulas = [a, b, a, c, c, a]
+        path = tmp_path / "formulas.txt"
+        path.write_text("\n".join(formulas) + "\n", encoding="utf-8")
+        argv = ["check", "--input", str(path)]
+        rules = default_catalog()
+        if catalog is not None:
+            (tmp_path / "catalog.csv").write_text("\n".join(catalog) + "\n", encoding="utf-8")
+            argv += ["--catalog", str(tmp_path / "catalog.csv")]
+            rules = FunctionCatalog.from_lines(catalog)
+        calls = []
+
+        def counted(formula, *rest, **kwargs):
+            calls.append(formula)
+            return check(formula, *rest, **kwargs)
+
+        monkeypatch.setattr(cli, "check", counted)
+        capsys.readouterr()
+        assert main(argv) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert calls == [a, b, c, c]
+        assert rows == [{"formula": f,
+                         "diagnostics": [{"code": d.code.value, "start": d.start,
+                                          "end": d.end, "message": d.message}
+                                         for d in check(f, rules)]} for f in formulas]
+        assert [bool(row["diagnostics"]) for row in rows] == [False] * 3 + [True] * 2 + [False]
 
     def test_synth_outputs_records(self, capsys):
         assert main(["synth", "--count", "5", "--seed", "1"]) == 0

@@ -1149,8 +1149,9 @@ def test_lexer_benchmark_script_runs(run_python):
     assert proc.returncode == 0, proc.stderr
     assert "every input round-trips, no envelope input flagged" in proc.stdout
     assert [line.split()[0] for line in proc.stdout.splitlines()[2:]] == [
-        "lex", "lex_cold", "check", "normalize", "sketch", "dedup_key", "applicable_operators",
-        "dedup", "dedup_no_repeats", "gen_repair_finetune", "ingest", "emit"]
+        "findall", "lex", "lex_cold", "check", "normalize", "sketch", "dedup_key",
+        "applicable_operators", "dedup", "dedup_no_repeats", "gen_repair_finetune", "ingest",
+        "emit"]
 
 
 def test_lexer_benchmark_script_rejects_flagged_inputs(monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 from formulakit.catalog import default_catalog
 from formulakit.cli import main
 from formulakit.jsonl import write_jsonl_atomic
+from formulakit.seeds import derive_seed
 from formulakit.synth import synth_records
 
 MUTATIONS_PER_ARTIFACT = 25
@@ -67,6 +68,14 @@ ARTIFACTS = {
         ["train-tokenizer", "--input", "{mut}", "--budget", "300", "-o", "{d}/out.json"]),
     "dedup-corpus via baseline build": (
         "dedup.jsonl", True, ["baseline", "build", "--input", "{mut}", "-o", "{d}/out.json"]),
+    # the formula-line readers of the single-formula helpers; check also
+    # writes a repeated well-formed text's row from memory
+    "dedup-corpus via check": ("dedup.jsonl", True,
+                               ["check", "--input", "{mut}", "-o", "{d}/out.jsonl"]),
+    "dedup-corpus via lex": ("dedup.jsonl", True,
+                             ["lex", "--input", "{mut}", "-o", "{d}/out.jsonl"]),
+    "dedup-corpus via sketch": ("dedup.jsonl", True,
+                                ["sketch", "--input", "{mut}", "-o", "{d}/out.jsonl"]),
 }
 
 
@@ -147,7 +156,8 @@ def test_every_mutation_exits_0_or_2(pipeline, capsys, artifact):
     name, jsonl, argv = ARTIFACTS[artifact]
     data = (pipeline / name).read_bytes()
     mut = pipeline / f"mutated-{name}"
-    rng = random.Random(sorted(ARTIFACTS).index(artifact))
+    # Seeded by the row's own name, so adding a row changes no other row's mutations.
+    rng = random.Random(derive_seed("sweep", artifact))
     # The unmutated file must be read cleanly, or every mutation could pass
     # by failing as the original does.
     mut.write_bytes(data)
