@@ -14,14 +14,13 @@ in this script that pretokenizes each formula and splits each letter run,
 memoised per run. The script exits 1 unless both trainers learn the same
 merges, both run encoders give the same pieces and both formula encoders
 give the same ids, then prints seconds per merge, microseconds per run and
-microseconds per formula. The tokenizer's times are the median of REPEAT
-runs; the reference times are their one checking run.
+microseconds per formula. The tokenizer's times are the best of REPEAT
+runs (timing.best_of); the reference times are their one checking run.
 
 Usage: python benchmarks/bench_bpe.py [--formulas 2000] [--budget 2057]
 """
 
 import argparse
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -29,6 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from inputs import identifier_formulas  # noqa: E402
+from timing import best_of  # noqa: E402
 
 from formulakit.tokenizer import (SPACE_MARKER, TokenizerModel, _bpe_apply,  # noqa: E402
                                   _split_on_specials, encode, pretokenize, train_bpe)
@@ -132,11 +132,7 @@ def main():
     args = parser.parse_args()
 
     formulas = identifier_formulas(0, args.formulas)
-    times = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        model = train_bpe(formulas, args.budget)
-        times.append(time.perf_counter() - start)
+    train_s, model = best_of(lambda: train_bpe(formulas, args.budget), REPEAT)
     start = time.perf_counter()
     reference = scratch_merges(formulas, args.budget)
     scratch_s = time.perf_counter() - start
@@ -150,11 +146,7 @@ def main():
 
     runs = sorted({pre.text for formula in formulas for pre in pretokenize(formula)
                    if not pre.atomic})
-    apply_times = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        pieces = [_bpe_apply(run, model) for run in runs]
-        apply_times.append(time.perf_counter() - start)
+    apply_s, pieces = best_of(lambda: [_bpe_apply(run, model) for run in runs], REPEAT)
     start = time.perf_counter()
     reference_pieces = [rescan_apply(run, model._merge_rank) for run in runs]
     rescan_s = time.perf_counter() - start
@@ -166,12 +158,8 @@ def main():
         return 1
 
     saved = model.to_json()
-    encode_times = []
-    for _ in range(REPEAT):
-        fresh = TokenizerModel.from_json(saved)
-        start = time.perf_counter()
-        ids = [encode(fresh, formula) for formula in formulas]
-        encode_times.append(time.perf_counter() - start)
+    encode_s, ids = best_of(lambda fresh: [encode(fresh, formula) for formula in formulas],
+                            REPEAT, setup=lambda: TokenizerModel.from_json(saved))
     fresh = TokenizerModel.from_json(saved)
     start = time.perf_counter()
     reference_ids = pretokenize_encode(fresh, formulas)
@@ -191,15 +179,13 @@ def main():
     print(f"{len(runs)} distinct letter runs: pieces identical to the rescan")
     print(f"{len(formulas)} formulas: ids identical to the pretokenize loop")
     print(f"{'trainer':<36} {'s/merge':>12}")
-    print(f"{f'incremental (median of {REPEAT})':<36} {statistics.median(times) / merges:>12.6f}")
+    print(f"{f'incremental (best of {REPEAT})':<36} {train_s / merges:>12.6f}")
     print(f"{'from scratch (one run)':<36} {scratch_s / merges:>12.6f}")
     print(f"{'encoder':<36} {'us/run':>12}")
-    print(f"{f'heap pass (median of {REPEAT})':<36} "
-          f"{statistics.median(apply_times) * per_run:>12.2f}")
+    print(f"{f'heap pass (best of {REPEAT})':<36} {apply_s * per_run:>12.2f}")
     print(f"{'rescan (one run)':<36} {rescan_s * per_run:>12.2f}")
     print(f"{'formula encoder, fresh model':<36} {'us/formula':>12}")
-    print(f"{f'encode (median of {REPEAT})':<36} "
-          f"{statistics.median(encode_times) * per_formula:>12.2f}")
+    print(f"{f'encode (best of {REPEAT})':<36} {encode_s * per_formula:>12.2f}")
     print(f"{'pretokenize loop (one run)':<36} {loop_s * per_formula:>12.2f}")
     return 0
 

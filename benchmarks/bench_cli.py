@@ -8,9 +8,9 @@ directory, and beside it `cli.build_parser` for that command alone, as
 last row times the full parser, every command's subparser, which `main`
 builds only for top-level help, --version and an unknown command.
 
-Each time is the median of --repeat calls. Before timing, the script exits
-1 if any command's call exits non-zero, or if a command of `cli.COMMANDS`
-or `cli.BASELINE_COMMANDS` has no row here.
+Each time is the best of --repeat calls (timing.best_of). Before timing,
+the script exits 1 if any command's call exits non-zero, or if a command
+of `cli.COMMANDS` or `cli.BASELINE_COMMANDS` has no row here.
 
 Usage: python benchmarks/bench_cli.py [--repeat 50] [--formula "=SUM(A1:A10)"]
 """
@@ -19,13 +19,12 @@ import argparse
 import contextlib
 import io
 import json
-import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from formulakit import cli
+from timing import best_of
 
 
 def argvs(work: Path, formula: str) -> dict[str, list[str]]:
@@ -97,15 +96,6 @@ def quiet_main(argv: list[str]) -> int:
         return cli.main(argv)
 
 
-def median_ms(run, repeat: int) -> float:
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -124,14 +114,14 @@ def main() -> int:
             print(f"no row for: {missing}; exited non-zero: {failed}", file=sys.stderr)
             return 1
 
-        print(f"median of {args.repeat} calls, milliseconds; formula {args.formula!r}")
+        print(f"best of {args.repeat} calls, milliseconds; formula {args.formula!r}")
         print(f"{'command':<24}{'main':>10}{'parser':>10}{'share':>8}")
         for row, argv in rows.items():
             command = argv[0]
-            call = median_ms(lambda: quiet_main(argv), args.repeat)
-            build = median_ms(lambda: cli.build_parser(command), args.repeat)
+            call = best_of(lambda: quiet_main(argv), args.repeat)[0] * 1e3
+            build = best_of(lambda: cli.build_parser(command), args.repeat)[0] * 1e3
             print(f"{row:<24}{call:>10.3f}{build:>10.3f}{build / call:>8.1%}")
-        full = median_ms(cli.build_parser, args.repeat)
+        full = best_of(cli.build_parser, args.repeat)[0] * 1e3
         print(f"{'(full parser)':<24}{'':>10}{full:>10.3f}")
     return 0
 

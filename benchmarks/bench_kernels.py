@@ -20,12 +20,12 @@ timed and checked too. No query is near any lane there, and the k-th best
 similarity is low: the ranking's hard case. The synth scan is the typical
 case, in which each query has a near neighbour.
 
-Each time is the median of REPEAT runs. Before timing, a sample of the
-pairs and of both scans (for the packed scan, queries of both kinds
-against corpus sequences of both kinds) is checked against a textbook
-dynamic programme: each scan query on every similarity, and on its first
-K positions, which must be the DP's full sort under (-similarity,
-position) cut at K. The script exits 1 on any disagreement, or if the
+Each time is the best of REPEAT runs (timing.best_of). Before timing, a
+sample of the pairs and of both scans (for the packed scan, queries of
+both kinds against corpus sequences of both kinds) is checked against a
+textbook dynamic programme: each scan query on every similarity, and on
+its first K positions, which must be the DP's full sort under
+(-similarity, position) cut at K. The script exits 1 on any disagreement, or if the
 sample holds no sequence of LONG_MIN tokens.
 
 Usage: python benchmarks/bench_kernels.py [--pairs 20000] [--corpus 2000]
@@ -33,14 +33,13 @@ Usage: python benchmarks/bench_kernels.py [--pairs 20000] [--corpus 2000]
 
 import argparse
 import random
-import statistics
 import sys
-import time
 
 from formulakit.noise import applicable_operators, apply_noise_operator
 from formulakit.similarity import (PackedCorpus, formula_token_ids, formula_token_ids_frozen,
                                    levenshtein_ids, similarities_to_many)
 from formulakit.synth import synth_corpus
+from timing import best_of
 
 REPEAT = 5
 SAMPLE = 200  # pairs, and corpus sequences per checked scan query
@@ -97,16 +96,6 @@ def disagreements(pairs, scans):
             if list(similarities_to_many(q, packed, K).items()) != [(i, dp[i]) for i in first]:
                 bad.append((q, f"the DP's first {K}"))
     return bad
-
-
-def bench(fn, *args):
-    """Median wall time of REPEAT runs of fn(*args)."""
-    times = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        fn(*args)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
 
 
 def workload_pairs(pairs):
@@ -166,10 +155,11 @@ def main():
         (f"  rank (k={K})", workload_rank,
          (workload_advance(synth_queries, synth_packed), synth_packed)),
     ]
-    print(f"median of {REPEAT} runs per workload")
+    print(f"best of {REPEAT} runs per workload")
     print(f"{'workload':<44} {'time':>12}")
     for label, fn, data in workloads:
-        print(f"{label:<44} {bench(fn, *data) * 1000:>10.1f}ms")
+        seconds, _ = best_of(lambda: fn(*data), REPEAT)
+        print(f"{label:<44} {seconds * 1000:>10.1f}ms")
     return 0
 
 

@@ -20,10 +20,11 @@ bracket-matched once), `ingest` (the set's JSONL lines to records) and
 `emit` (`write_jsonl_atomic` of the records' `to_json` rows into a temp
 file).
 
-Each time is the median of REPEAT passes over the whole set. `lex` keeps a
-memo of token kinds, emptied before each figure: one untimed pass fills it
-before the timed ones, except in the `lex_cold` row, which empties it
-before every pass and so shows what a first pass over the set costs.
+Each time is the best of REPEAT passes over the whole set (timing.best_of,
+the timer every script here shares). `lex` keeps a memo of token kinds,
+emptied before each figure: one untimed pass fills it before the timed
+ones, except in the `lex_cold` row, which empties it, untimed, before
+every pass and so shows what a first pass over the set costs.
 Before timing, the script exits 1 if the joined token texts of any input
 differ from the input, or if `check` flags any envelope input, all of
 which are well-formed.
@@ -33,16 +34,16 @@ Usage: python benchmarks/bench_lexer.py [--typical 2000] [--envelope 40]
 """
 
 import argparse
-import statistics
 import sys
 import tempfile
-import time
 from collections import deque
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
 from inputs import envelope_records, typical_records  # noqa: E402
+from timing import best_of  # noqa: E402
 
 from formulakit.curation import FormulaRecord, dedup, dedup_key, ingest  # noqa: E402
 from formulakit.evaluation import gen_repair_finetune  # noqa: E402
@@ -98,19 +99,15 @@ def per_formula_us(fn, formulas, cold=False):
 
 
 def per_set_us(run, n, cold=False):
-    """Median microseconds per item of REPEAT runs, on a kind memo that an
+    """Best microseconds per item of REPEAT runs, on a kind memo that an
     untimed run fills or, when `cold`, that is empty at every run."""
     _KINDS.clear()
-    if not cold:
+    if cold:
+        seconds, _ = best_of(lambda _: run(), REPEAT, setup=_KINDS.clear)
+    else:
         run()
-    times = []
-    for _ in range(REPEAT):
-        if cold:
-            _KINDS.clear()
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times) / n * 1e6
+        seconds, _ = best_of(run, REPEAT)
+    return seconds / n * 1e6
 
 
 def main():
@@ -134,7 +131,7 @@ def main():
 
     header = "".join(f"{f'{name} ({len(fs)}, {sum(map(len, fs)) // len(fs)} ch)':>26}"
                      for name, fs, _ in sets)
-    print(f"median of {REPEAT} passes, microseconds per formula; "
+    print(f"best of {REPEAT} passes, microseconds per formula; "
           f"every input round-trips, no envelope input flagged")
     print(f"{'view':<22}{header}")
     for view, fn, cold in VIEWS:

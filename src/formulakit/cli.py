@@ -114,7 +114,7 @@ def load_config(path: Optional[str], seed: int) -> objectives.ObjectiveConfig:
 
 
 def _input_formulas(args) -> list[str]:
-    if getattr(args, "formula", None):
+    if getattr(args, "formula", None) is not None:  # "" is a formula too
         return [args.formula]
     if getattr(args, "input", None):
         return list(read_formulas(args.input))

@@ -222,7 +222,9 @@ def gen_repair_finetune(formulas: Iterable[str], seed: int,
     comparison form strips again) are discarded (skips["unchanged"]).
     Deterministic under the seed. Each source formula is lexed once and its
     brackets matched once: one `noise.SiteIndex` serves `check` and
-    `user_noise`. A corruption is lexed only when its `fold` equals the
+    `user_noise`. The index scans the tokens for noise sites when it is
+    made, before `check`, so a source skipped as malformed pays that one
+    scan too. A corruption is lexed only when its `fold` equals the
     source's, since formulas with different folds have different normalized
     forms.
     """

@@ -7,19 +7,21 @@ ranges, wrong function arity, mangled quoting, stray operators, and so on.
 `sites(index)`, which iterates in order over where the operator can act in
 a formula's `SiteIndex` and yields nothing exactly when it does not apply,
 with a rewrite, `rewrite(formula, tokens, sites, rng)`, which corrupts one
-of those sites and never searches again. A `SiteIndex` finds the token
-sites of every operator in one pass over the tokens, and the call sites of
-the arity and swap operators in one `match_brackets` pass, each on first
-use; a formula with no FuncName token has no call, so it skips that pass.
-Operators 14-17 act anywhere in the text, so their one site is the whole
-formula and they read neither. `applicable_operators` and
-`apply_noise_operator` are lookups in that table. Applicability reads only
-an operator's first site: the arity and swap finders are generators, so
-deciding that they apply stops at the first eligible call. The drawn
-operator lists its sites in full, once, in `apply_noise_operator`; the last
-two take a caller's index, so that listing reuses the token scan and the
-bracket match already made. Applying an applicable operator always changes
-the formula text and is a pure function of (formula, rng state).
+of those sites and never searches again. Making a `SiteIndex` scans the
+tokens once for the sites of every token-level operator, and operators
+1-3 and 6-13 read their list as a field of it (`attrgetter`). Only the
+bracket match waits: the arity and swap operators walk the calls of one
+`match_brackets` pass, run when one of them first asks, and a formula with
+no FuncName token has no call, so it skips that pass. Operators 14-17 act
+anywhere in the text, so their one site is the whole formula.
+`applicable_operators` and `apply_noise_operator` are lookups in that
+table. Applicability reads only an operator's first site: the arity and
+swap finders are generators, so deciding that they apply stops at the
+first eligible call. The drawn operator lists its sites in full, once, in
+`apply_noise_operator`; the last two take a caller's index, so that
+listing reuses the token scan and the bracket match already made. Applying
+an applicable operator always changes the formula text and is a pure
+function of (formula, rng state).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .catalog import default_catalog
 from .lexer import Brackets, Token, TokenKind, lex, match_brackets, quote_closed
@@ -51,19 +53,6 @@ _RELATIONAL_TWO_CHAR = ("<=", ">=", "<>")
 _COMPARISON_OPS = frozenset({"<", ">", "<=", ">=", "<>", "="})
 
 
-class _TokenSites(NamedTuple):
-    """Token indices where the token-level operators can act, in order."""
-    range_colons: list[tuple[int, int, int]]  # (`:`, left ref, right ref)
-    func_names: list[int]
-    relational_ops: list[int]  # `<=`, `>=`, `<>`
-    inequalities: list[int]  # `<>`
-    equalities: list[int]  # `=`
-    quoted_sheets: list[int]  # closed quoted sheet names
-    sheet_bangs: list[int]  # `!` directly after a sheet name
-    closed_strings: list[int]
-    closing_parens: list[int]
-
-
 # Read once at import: a TokenKind.X lookup goes through the enum metaclass,
 # and seven of them per call would cost a short formula about a third of
 # its scan.
@@ -71,10 +60,11 @@ _SCAN_KINDS = (TokenKind.WHITESPACE, TokenKind.PUNCT, TokenKind.OPERATOR, TokenK
                TokenKind.FUNC_NAME, TokenKind.STRING_LIT, TokenKind.SHEET_NAME)
 
 
-def _scan(tokens: list[Token]) -> _TokenSites:
-    """Every token site in one pass: a `:` counts between two cell references
-    (whitespace aside), a `!` only right after a sheet name, and a string or
-    quoted sheet name only when its closing quote is there."""
+def _scan(tokens: list[Token]) -> tuple[list, ...]:
+    """Every token site in one pass, as the nine lists of `SiteIndex` in its
+    field order: a `:` counts between two cell references (whitespace
+    aside), a `!` only right after a sheet name, and a string or quoted
+    sheet name only when its closing quote is there."""
     whitespace, punct, operator, cell_ref, func_name, string_lit, sheet_name = _SCAN_KINDS
     sites = ([], [], [], [], [], [], [], [], [])
     colons, funcs, relational, inequalities, equalities, sheets, bangs, strings, closes = sites
@@ -121,34 +111,36 @@ def _scan(tokens: list[Token]) -> _TokenSites:
             if text[0] == "'" and quote_closed(text):
                 sheets.append(i)
         solid, solid_kind = i, kind
-    return tuple.__new__(_TokenSites, sites)
-
-
-def _scanned(name: str) -> Callable[[SiteIndex], list]:
-    """The site finder that reads one list of the shared token scan."""
-    field = attrgetter(name)
-    return lambda index: field(index.token_sites())
+    return sites
 
 
 class SiteIndex:
     """The sites of one formula, for every operator: `tokens` must be
-    `lex(formula)`, as the operators use the bundled catalog. `token_sites()`
-    is one `_scan` of the tokens and `brackets()` their `match_brackets`; each
-    runs on first use and is kept, so the operators that read it share one
-    pass, and an operator that reads neither costs none. `calls()` reads the
-    brackets only when the formula has a FuncName token."""
+    `lex(formula)`, as the operators use the bundled catalog. Making the
+    index runs one `_scan` of the tokens, which fills the nine lists of
+    token sites below, each in token order. Only `brackets()`, the tokens'
+    `match_brackets`, waits until the arity or swap operator first asks for
+    it, and is kept; `calls()` reads it only when the formula has a
+    FuncName token. The scan is paid even where no list is read: by a
+    source that repair synthesis then rejects as malformed, and by
+    `apply_noise_operator` given no index for operators 14-17."""
 
-    __slots__ = ("tokens", "_token_sites", "_brackets")
+    __slots__ = ("tokens", "range_colons", "func_names", "relational_ops", "inequalities",
+                 "equalities", "quoted_sheets", "sheet_bangs", "closed_strings",
+                 "closing_parens", "_brackets")
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self._token_sites: Optional[_TokenSites] = None
+        (self.range_colons,  # (`:`, left ref, right ref)
+         self.func_names,
+         self.relational_ops,  # `<=`, `>=`, `<>`
+         self.inequalities,  # `<>`
+         self.equalities,  # `=`
+         self.quoted_sheets,  # closed quoted sheet names
+         self.sheet_bangs,  # `!` directly after a sheet name
+         self.closed_strings,
+         self.closing_parens) = _scan(tokens)
         self._brackets: Optional[Brackets] = None
-
-    def token_sites(self) -> _TokenSites:
-        if self._token_sites is None:
-            self._token_sites = _scan(self.tokens)
-        return self._token_sites
 
     def brackets(self) -> Brackets:
         if self._brackets is None:
@@ -158,7 +150,7 @@ class SiteIndex:
     def calls(self) -> dict[int, list[tuple[int, int]]]:
         """`brackets().calls`: every call is keyed by a FuncName token, so a
         formula with none has no call and is not matched for it."""
-        if not self.token_sites().func_names:
+        if not self.func_names:
             return {}
         return self.brackets().calls
 
@@ -440,19 +432,19 @@ class NoiseOperator:
 
 
 OPERATORS: dict[int, NoiseOperator] = {op.op_id: op for op in [
-    NoiseOperator(1, "wrong_range", _scanned("range_colons"), _wrong_range),
-    NoiseOperator(2, "malformed_range", _scanned("range_colons"), _malformed_range),
-    NoiseOperator(3, "space_before_call_paren", _scanned("func_names"), _space_before_paren),
+    NoiseOperator(1, "wrong_range", attrgetter("range_colons"), _wrong_range),
+    NoiseOperator(2, "malformed_range", attrgetter("range_colons"), _malformed_range),
+    NoiseOperator(3, "space_before_call_paren", attrgetter("func_names"), _space_before_paren),
     NoiseOperator(4, "change_arity", _fixed_arity_calls, _change_arity),
     NoiseOperator(5, "swap_arguments", _swappable_calls, _swap_arguments),
-    NoiseOperator(6, "space_in_relational_op", _scanned("relational_ops"), _space_in_relational),
-    NoiseOperator(7, "swap_relational_op", _scanned("relational_ops"), _swap_relational),
-    NoiseOperator(8, "inequality_noise", _scanned("inequalities"), _inequality_noise),
-    NoiseOperator(9, "invalid_equality", _scanned("equalities"), _invalid_equality),
-    NoiseOperator(10, "malformed_sheet_name", _scanned("quoted_sheets"), _malformed_sheet_name),
-    NoiseOperator(11, "remove_exclamation", _scanned("sheet_bangs"), _remove_exclamation),
-    NoiseOperator(12, "malformed_string", _scanned("closed_strings"), _malformed_string),
-    NoiseOperator(13, "comma_paren_noise", _scanned("closing_parens"), _comma_paren_noise),
+    NoiseOperator(6, "space_in_relational_op", attrgetter("relational_ops"), _space_in_relational),
+    NoiseOperator(7, "swap_relational_op", attrgetter("relational_ops"), _swap_relational),
+    NoiseOperator(8, "inequality_noise", attrgetter("inequalities"), _inequality_noise),
+    NoiseOperator(9, "invalid_equality", attrgetter("equalities"), _invalid_equality),
+    NoiseOperator(10, "malformed_sheet_name", attrgetter("quoted_sheets"), _malformed_sheet_name),
+    NoiseOperator(11, "remove_exclamation", attrgetter("sheet_bangs"), _remove_exclamation),
+    NoiseOperator(12, "malformed_string", attrgetter("closed_strings"), _malformed_string),
+    NoiseOperator(13, "comma_paren_noise", attrgetter("closing_parens"), _comma_paren_noise),
     NoiseOperator(14, "add_random_operator", _whole_formula, _add_random_operator),
     NoiseOperator(15, "add_operator_at_end", _whole_formula, _add_operator_at_end),
     NoiseOperator(16, "add_parentheses", _whole_formula, _add_parentheses),
@@ -484,7 +476,8 @@ def apply_noise_operator(formula: str, op_id: int, rng: random.Random,
     `index`, when given, must be `SiteIndex(lex(formula))`.
     The operator lists its sites in full here, once. Passing the index that
     `applicable_operators` read reuses its token scan and bracket match;
-    without one, they are made again.
+    without one, a new index scans the tokens again, whichever the operator,
+    14-17 included.
     """
     op = OPERATORS.get(op_id)
     if op is None:

@@ -267,10 +267,10 @@ def user_noise(formula: str, rng: random.Random,
     """Corrupt with one uniformly chosen applicable noise operator.
 
     `index`, when given, must be `noise.SiteIndex(lex(formula))`, which
-    carries the tokens; a caller that has matched its brackets (for `check`)
-    passes that match on with it. The formula is lexed at most once either
-    way, and one index serves both the applicability test and the drawn
-    operator.
+    carries the tokens and their noise sites, scanned when it was made; a
+    caller that has matched its brackets (for `check`) passes that match on
+    with it. The formula is lexed and scanned at most once either way, and
+    one index serves both the applicability test and the drawn operator.
     """
     if index is None:
         index = noise.SiteIndex(lex(formula))

@@ -631,6 +631,27 @@ class TestManifestContents:
                          "-o", str(out)]) == 0
             assert manifest_of(out)["config"] == {"k": 5, flag.lstrip("-"): ""}
 
+    @pytest.mark.parametrize("command", ["lex", "sketch", "check", "tokenize"])
+    def test_an_empty_inline_formula_is_a_formula(self, tmp_path, capsys, formulas_file,
+                                                  command):
+        # "" given inline is one formula: one row, recorded in the manifest.
+        extra = []
+        if command == "tokenize":
+            model = tmp_path / "model.json"
+            assert main(["train-tokenizer", "--input", formulas_file, "--budget", "300",
+                         "-o", str(model)]) == 0
+            extra = ["--model", str(model)]
+        capsys.readouterr()
+        assert main([command, "", *extra]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["formula"] for row in rows] == [""]
+        out = tmp_path / "out.jsonl"
+        assert main([command, "", *extra, "-o", str(out)]) == 0
+        assert [row["formula"] for row in read_jsonl_file(out)] == [""]
+        assert manifest_of(out)["config"] == {"formula": ""}
+        # A FORMULA, even an empty one, and --input together stay a usage error.
+        assert main([command, "", *extra, "--input", formulas_file]) == 1
+
 
 class TestOutputCollisions:
     """A file a command writes (the output, its manifest, dedup's stats, the

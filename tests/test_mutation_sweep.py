@@ -76,6 +76,24 @@ ARTIFACTS = {
                              ["lex", "--input", "{mut}", "-o", "{d}/out.jsonl"]),
     "dedup-corpus via sketch": ("dedup.jsonl", True,
                                 ["sketch", "--input", "{mut}", "-o", "{d}/out.jsonl"]),
+    # the last corpus reader and the last formula-line reader
+    "dedup-corpus via stats": ("dedup.jsonl", True,
+                               ["stats", "--input", "{mut}", "-o", "{d}/out.json"]),
+    "dedup-corpus via tokenize": (
+        "dedup.jsonl", True,
+        ["tokenize", "--input", "{mut}", "--model", "{d}/tokenizer.json", "-o", "{d}/out.jsonl"]),
+    # each artifact again, through its other reader
+    "tokenizer via gen-finetune-complete": (
+        "tokenizer.json", False,
+        ["gen-finetune-complete", "--input", "{d}/dedup.jsonl", "--model", "{mut}",
+         "-o", "{d}/out.jsonl"]),
+    "repair-benchmark via baseline repair": (
+        "bench.jsonl", True,
+        ["baseline", "repair", "--index", "{d}/index.json", "--benchmark", "{mut}",
+         "-o", "{d}/out.jsonl"]),
+    "index via baseline complete": (
+        "index.json", False,
+        ["baseline", "complete", "--index", "{mut}", "--prefix", "=SUM(", "-o", "{d}/out.jsonl"]),
 }
 
 
